@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check race churn-claims verify fuzz-ci bench bench-smoke bench-loadlatency bench-churn bench-cluster clean
+.PHONY: all build test vet fmt-check race churn-claims bench-check verify fuzz-ci bench bench-smoke bench-loadlatency bench-churn bench-cluster clean
 
 all: verify
 
@@ -39,6 +39,16 @@ churn-claims:
 	$(GO) test -count=1 -run \
 		'TestSWCCoherencyUnderChurnStorm|TestFirewallRuleFlipConverges|TestIncrementalPacketDifferential|TestChurnDeterminism' \
 		./internal/harness/
+
+# The repository benchmark (bench/, its own module, so the root ./...
+# never builds it) calls this module's public functions. Its self-tests
+# plus a one-second-per-workload pass over all six workloads fail here
+# when a refactor renames or removes something it uses, instead of at
+# the next benchmark run. -smoke writes no history entry; its traces
+# land in bench/out/, which is ignored.
+bench-check:
+	$(GO) -C bench test ./...
+	$(GO) -C bench run . -smoke
 
 # Tier-1 verification: everything CI gates on. `test` includes the
 # checked-in fuzz-corpus replay (internal/harness/testdata/fuzz-corpus),

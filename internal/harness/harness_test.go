@@ -127,3 +127,20 @@ func TestFigure6Shape(t *testing.T) {
 		t.Errorf("wide DRAM should not beat narrow at the same count")
 	}
 }
+
+// TestRunKernelPointAllocations bounds the host allocations of one
+// Figure-6 kernel point (a fresh machine, 20 k warm-up + 60 k measured
+// cycles). A sweep is hundreds of such points, so the machine's memories
+// and event wheel must not be rebuilt allocation by allocation each time.
+func TestRunKernelPointAllocations(t *testing.T) {
+	prog := harness.Figure6Kernel(cg.MemSRAM, 1, 8)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := harness.RunKernel(prog, 6, 20_000, 60_000); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 2000 {
+		t.Errorf("RunKernel point made %.0f allocations, want < 2000", allocs)
+	}
+	t.Logf("%.0f allocations per kernel point", allocs)
+}

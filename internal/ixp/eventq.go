@@ -70,6 +70,12 @@ func (e *event) before(o *event) bool {
 const (
 	wheelSize = 4096 // covers typical memory/ring/media horizons (≤ ~2k cycles)
 	wheelMask = wheelSize - 1
+	// bucketCap is each bucket's initial capacity, carved from one slab on
+	// first push. Most timestamps carry at most a few events, so a fresh
+	// machine's first lap of the wheel appends in place instead of walking
+	// one growslice chain per bucket; a busier bucket outgrows its slab
+	// segment through append as before.
+	bucketCap = 4
 )
 
 // bucket is one wheel slot: a FIFO of same-timestamp events in seq order.
@@ -104,6 +110,12 @@ func (q *eventQueue) push(e event) {
 	q.n++
 	if q.buckets == nil {
 		q.buckets = make([]bucket, wheelSize)
+		slab := make([]event, wheelSize*bucketCap)
+		for i := range q.buckets {
+			// Three-index slice: append stops at the segment's end and
+			// reallocates, never running into the neighbouring bucket.
+			q.buckets[i].ev = slab[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
+		}
 		q.base = e.time
 		q.cursor = int(e.time) & wheelMask
 	}

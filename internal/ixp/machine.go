@@ -420,10 +420,12 @@ type Media interface {
 type Machine struct {
 	Cfg     Config
 	Scratch []byte
-	SRAM    []byte
-	DRAM    []byte
 	MEs     []*ME
 	Rings   []*Ring
+
+	// sram and dram are demand-grown (see growMem); host-side code reaches
+	// them through Window.
+	sram, dram growMem
 
 	stats     Stats
 	reg       *metrics.Registry
@@ -499,8 +501,8 @@ func New(cfg Config, opts ...Option) (*Machine, error) {
 		reg = metrics.NewRegistry()
 	}
 	m.Scratch = make([]byte, cfg.ScratchBytes)
-	m.SRAM = make([]byte, cfg.SRAMBytes)
-	m.DRAM = make([]byte, cfg.DRAMBytes)
+	m.sram.limit = cfg.SRAMBytes
+	m.dram.limit = cfg.DRAMBytes
 	m.reg = reg
 	m.lat = metrics.NewHistogram()
 	m.rxStamp = map[uint32]int64{}
@@ -598,17 +600,109 @@ func (m *Machine) controllerFor(level cg.MemLevel) *controller {
 	}
 }
 
+// growMem is one demand-grown shared memory level. A machine's SRAM and
+// DRAM are megabytes of which a run touches the packet buffers and the
+// tables, so the backing starts empty and grows to the highest byte an
+// access reaches; bytes past it are architecturally zero, exactly what a
+// fresh eager allocation would hold. The logical size — the one
+// out-of-range faults are checked against — never changes.
+type growMem struct {
+	b     []byte // backing; len(b) <= limit
+	limit int    // logical size in bytes (Config.SRAMBytes / DRAMBytes)
+}
+
+// memGranule is the growth unit of a demand-grown level.
+const memGranule = 64 << 10
+
+// reach grows the backing to cover [0, end) and returns it, or nil when
+// end is beyond the logical size. Growth at least doubles, in whole
+// granules, capped at the logical size. It reallocates, so it may only
+// run from serial contexts (the serial event loop, the parallel engine's
+// replay, host-side Window calls) — never from a shard phase.
+func (g *growMem) reach(end int) []byte {
+	if end > g.limit {
+		return nil
+	}
+	if end > len(g.b) {
+		n := (end + memGranule - 1) &^ (memGranule - 1)
+		if d := 2 * len(g.b); n < d {
+			n = d
+		}
+		if n > g.limit {
+			n = g.limit
+		}
+		nb := make([]byte, n)
+		copy(nb, g.b)
+		g.b = nb
+	}
+	return g.b
+}
+
+// memory returns the bytes currently backing a level: all of Scratch and
+// Local Memory, the materialized prefix of SRAM and DRAM.
 func (m *Machine) memory(level cg.MemLevel, me int) []byte {
 	switch level {
 	case cg.MemScratch:
 		return m.Scratch
 	case cg.MemSRAM:
-		return m.SRAM
+		return m.sram.b
 	case cg.MemDRAM:
-		return m.DRAM
+		return m.dram.b
 	default:
 		return m.MEs[me].local
 	}
+}
+
+// grown returns the demand-grown store behind a level, nil for the eager
+// ones (Scratch, Local Memory).
+func (m *Machine) grown(level cg.MemLevel) *growMem {
+	switch level {
+	case cg.MemSRAM:
+		return &m.sram
+	case cg.MemDRAM:
+		return &m.dram
+	}
+	return nil
+}
+
+// memLimit returns a level's logical size, the bound out-of-range faults
+// are checked against. It is fixed at construction, so shard phases may
+// read it while the replay grows a backing.
+func (m *Machine) memLimit(level cg.MemLevel, me int) int {
+	if g := m.grown(level); g != nil {
+		return g.limit
+	}
+	return len(m.memory(level, me))
+}
+
+// memSlow is execMem's out-of-line path for an access past the current
+// backing: it grows a demand-grown level to cover [0, end) and returns
+// the new backing, or nil when end is beyond the level's logical size.
+func (m *Machine) memSlow(level cg.MemLevel, end int) []byte {
+	if g := m.grown(level); g != nil {
+		return g.reach(end)
+	}
+	return nil
+}
+
+// Window returns the n bytes at [addr, addr+n) of a shared level (Scratch,
+// SRAM or DRAM) for host-side code: the media engines, the XScale bridge,
+// tests. The slice aliases the machine's memory with its capacity clipped
+// to the window, so a write through it can never spill past addr+n. It is
+// valid until the level next grows: use it at once, do not keep it across
+// Run. Like every growth it must come from a serial context (a Media or
+// XScaleStep hook, an At callback, between Runs). A window beyond the
+// level's configured size panics, as indexing a slice would.
+func (m *Machine) Window(level cg.MemLevel, addr uint32, n int) []byte {
+	end := int(addr) + n
+	mem := m.Scratch
+	if level != cg.MemScratch {
+		mem = m.memSlow(level, end)
+	}
+	if n < 0 || end > len(mem) {
+		panic(fmt.Sprintf("ixp: window %d+%d out of range (level %v)", addr, n, level))
+	}
+	return mem[addr:end:end]
 }
 
 func (m *Machine) schedule(t int64, kind evKind, me, thread int, fn func()) {
@@ -939,8 +1033,10 @@ func (m *Machine) execMem(mx *ME, th *Thread, ti int, in *dInstr, cyclesSoFar in
 	mem := m.memory(in.level, mx.idx)
 	n := int(in.nwords) * 4
 	if int(addr)+n > len(mem) {
-		m.fail("ME%d: %v access at %d+%d out of range (level %v)", mx.idx, in.op, addr, n, in.level)
-		return false, 0
+		if mem = m.memSlow(in.level, int(addr)+n); mem == nil {
+			m.fail("ME%d: %v access at %d+%d out of range (level %v)", mx.idx, in.op, addr, n, in.level)
+			return false, 0
+		}
 	}
 	if in.atomic && in.level == cg.MemScratch && !in.store {
 		// Test-and-set: return previous value, write 1.

@@ -18,7 +18,7 @@ import (
 //     engines, so deferring it never changes what the ME computes inside
 //     the window: the thread blocks on state the replay supplies later.
 //     The shard performs only the address-range pre-check (registers and
-//     the target's length are window-stable), deciding block-vs-fault.
+//     the target's logical size are window-stable), deciding block-vs-fault.
 //   - Statistics, tracing and event sequence numbers are applied by the
 //     replay in merge order, so samples and traces interleave exactly as
 //     under the serial engine.
@@ -202,7 +202,9 @@ loop:
 				// Shared level: pre-check the range, then defer the whole
 				// access (bytes, controller, stats, trace) to the replay.
 				// The access always blocks the thread past the window end.
-				if int(addr)+nbytes > len(m.memory(in.level, meIdx)) {
+				// The check is against the logical size: the backing may
+				// be shorter, and only the replay may grow it.
+				if int(addr)+nbytes > m.memLimit(in.level, meIdx) {
 					th.pc = pc
 					faultMsg = fmt.Sprintf("ixp: ME%d: %v access at %d+%d out of range (level %v)",
 						meIdx, in.op, addr, nbytes, in.level)

@@ -85,6 +85,15 @@ func New(img *cg.Image, prog *ir.Program, tr []*packet.Packet, opts Options) (*R
 		cfg.Engine = opts.Engine
 	}
 	lay := img.Layout
+	// Inject and DeliverFrame copy trace packets into buffers whole, so one
+	// longer than a buffer's payload area would overwrite its neighbour.
+	limit := int(lay.BufSize - lay.BufHeadroom)
+	for i, p := range tr {
+		if p.Len() > limit {
+			return nil, fmt.Errorf("rts: trace packet %d is %d bytes, over the %d-byte buffer payload limit",
+				i, p.Len(), limit)
+		}
+	}
 	cfg.NumRings = lay.NumRings
 	cfg.RingSlots = lay.RingSlots
 
@@ -314,23 +323,19 @@ func (r *Runtime) enqueue(m *ixp.Machine, p *packet.Packet, frameBytes int) bool
 		m.Observer().RxDrop(frameBytes)
 		return false
 	}
-	wire := p.Bytes()
-	base := lay.BufAddr(id)
-	copy(m.DRAM[base+lay.BufHeadroom:], wire)
+	// The window is exactly the frame: New checked every trace packet
+	// fits a buffer, and a copy through it cannot reach the next one.
+	buf := m.Window(cg.MemDRAM, lay.BufAddr(id)+lay.BufHeadroom, frameBytes)
 	// Zero the padding up to the frame length (buffers are recycled).
-	for i := len(wire); i < frameBytes; i++ {
-		m.DRAM[base+lay.BufHeadroom+uint32(i)] = 0
-	}
+	clear(buf[copy(buf, p.Bytes()):])
 	head := lay.BufHeadroom
 	end := lay.BufHeadroom + uint32(frameBytes)
 	// Metadata record: end, head, app metadata (zeroed + rx_port).
-	maddr := lay.MetaAddr(id)
-	putBE(m.SRAM[maddr+cg.MetaLenOff:], end)
-	putBE(m.SRAM[maddr+cg.MetaHeadOff:], head)
-	app := m.SRAM[maddr+lay.MetaAppOff : maddr+lay.MetaRecBytes]
-	for i := range app {
-		app[i] = 0
-	}
+	meta := m.Window(cg.MemSRAM, lay.MetaAddr(id), int(lay.MetaRecBytes))
+	putBE(meta[cg.MetaLenOff:], end)
+	putBE(meta[cg.MetaHeadOff:], head)
+	app := meta[lay.MetaAppOff:]
+	clear(app)
 	if r.rxPortField != nil {
 		packet.WriteBits(app, r.rxPortField.BitOff, r.rxPortField.Bits, p.Port)
 	}
@@ -351,8 +356,7 @@ func (r *Runtime) Transmit(m *ixp.Machine, w0, w1 uint32) int {
 	}
 	frame := int(end - head)
 	if r.CaptureLimit > 0 && len(r.TxCapture) < r.CaptureLimit {
-		base := lay.BufAddr(w0)
-		cp := append([]byte(nil), m.DRAM[base+head:base+end]...)
+		cp := append([]byte(nil), m.Window(cg.MemDRAM, lay.BufAddr(w0)+head, frame)...)
 		r.TxCapture = append(r.TxCapture, TxPkt{Frame: cp})
 	}
 	m.Rings[cg.RingFree].Put(w0, 0)
@@ -390,12 +394,11 @@ func (r *Runtime) xscaleStep(m *ixp.Machine, ring int, w0, w1 uint32) int64 {
 	lay := r.Img.Layout
 	head := w1 >> 16
 	end := w1 & 0xffff
-	base := lay.BufAddr(w0)
-	wire := append([]byte(nil), m.DRAM[base+head:base+end]...)
+	wire := append([]byte(nil), m.Window(cg.MemDRAM, lay.BufAddr(w0)+head, int(end)-int(head))...)
 	p := packet.New(wire, len(r.Img.Types.Metadata.Fields)*4/8+4)
 	// App metadata from SRAM.
-	maddr := lay.MetaAddr(w0)
-	p.Meta = append(p.Meta[:0], m.SRAM[maddr+lay.MetaAppOff:maddr+lay.MetaRecBytes]...)
+	p.Meta = append(p.Meta[:0], m.Window(cg.MemSRAM,
+		lay.MetaAddr(w0)+lay.MetaAppOff, int(lay.MetaRecBytes-lay.MetaAppOff))...)
 	env := r.interp.Env.(*simEnv)
 	env.track(p, w0, int(end-head), head)
 	if _, err := r.interp.Run(e.Func, []profiler.Value{{P: p, Head: 0}}); err != nil {

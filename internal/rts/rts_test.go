@@ -286,3 +286,32 @@ func TestScalingWithMEs(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRejectsOversizeTracePacket pins the load-time check that keeps a
+// trace packet inside its DRAM buffer: one byte over the payload area is
+// refused with the packet's index, length and the limit; exactly at the
+// limit loads and forwards.
+func TestNewRejectsOversizeTracePacket(t *testing.T) {
+	res := compileAt(t, driver.LevelBase)
+	lay := res.Image.Layout
+	limit := int(lay.BufSize - lay.BufHeadroom)
+	trc := mkTrace(t, res, 3)
+	pad := func(p *packet.Packet, n int) *packet.Packet {
+		return packet.New(append(append([]byte(nil), p.Bytes()...), make([]byte, n-p.Len())...),
+			res.Prog.Types.Metadata.Bytes)
+	}
+	trc[1] = pad(trc[1], limit)
+	rt := newRT(t, res, trc, 2, 0)
+	if err := rt.Run(100_000); err != nil {
+		t.Fatalf("trace at the limit: %v", err)
+	}
+	if tx := rt.M.Snapshot().TxPackets; tx == 0 {
+		t.Errorf("trace at the limit forwarded nothing")
+	}
+	trc[1] = pad(trc[1], limit+1)
+	_, err := rts.New(res.Image, res.Prog, trc, rts.Options{NumMEs: 2})
+	want := "rts: trace packet 1 is 193 bytes, over the 192-byte buffer payload limit"
+	if err == nil || err.Error() != want {
+		t.Errorf("oversize trace: err = %v, want %q", err, want)
+	}
+}

@@ -39,19 +39,18 @@ func (e *simEnv) addrOf(g *types.Global, off uint32) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("rts: global %s has no address", g.Name)
 	}
-	var mem []byte
+	m := e.rt.M
+	level, size := cg.MemSRAM, m.Cfg.SRAMBytes
 	switch g.Space {
 	case types.SpaceScratch:
-		mem = e.rt.M.Scratch
+		level, size = cg.MemScratch, m.Cfg.ScratchBytes
 	case types.SpaceLocal:
 		return nil, fmt.Errorf("rts: XScale cannot access per-ME local global %s", g.Name)
-	default:
-		mem = e.rt.M.SRAM
 	}
-	if int(base+off)+4 > len(mem) {
+	if int(base+off)+4 > size {
 		return nil, fmt.Errorf("rts: global %s access out of range", g.Name)
 	}
-	return mem[base+off:], nil
+	return m.Window(level, base+off, 4), nil
 }
 
 func (e *simEnv) LoadWords(g *types.Global, off uint32, n int) ([]uint32, error) {
@@ -95,14 +94,13 @@ func (e *simEnv) ChannelPut(ch *types.Channel, p *packet.Packet, head int) error
 	if newStart < 0 {
 		return fmt.Errorf("rts: packet outgrew buffer headroom")
 	}
-	base := lay.BufAddr(ctx.id)
-	copy(m.DRAM[base+uint32(newStart):], p.Bytes())
 	newHead := uint32(newStart + head)
 	newEnd := uint32(newStart + p.Len())
-	maddr := lay.MetaAddr(ctx.id)
-	putBE(m.SRAM[maddr+cg.MetaLenOff:], newEnd)
-	putBE(m.SRAM[maddr+cg.MetaHeadOff:], newHead)
-	copy(m.SRAM[maddr+lay.MetaAppOff:maddr+lay.MetaRecBytes], p.Meta)
+	copy(m.Window(cg.MemDRAM, lay.BufAddr(ctx.id)+uint32(newStart), p.Len()), p.Bytes())
+	meta := m.Window(cg.MemSRAM, lay.MetaAddr(ctx.id), int(lay.MetaRecBytes))
+	putBE(meta[cg.MetaLenOff:], newEnd)
+	putBE(meta[cg.MetaHeadOff:], newHead)
+	copy(meta[lay.MetaAppOff:], p.Meta)
 	if !m.Rings[ring].Put(ctx.id, newHead<<16|newEnd) {
 		// Downstream full: drop (the XScale does not spin).
 		m.Rings[cg.RingFree].Put(ctx.id, 0)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"shangrila/internal/apps"
+	"shangrila/internal/cg"
 	"shangrila/internal/driver"
 	"shangrila/internal/harness"
 	"shangrila/internal/rts"
@@ -12,7 +13,7 @@ import (
 // readSRAMWord reads a global's first word out of simulated SRAM.
 func readSRAMWord(rt *rts.Runtime, name string) uint32 {
 	addr := rt.Img.Layout.GlobalAddr[name]
-	b := rt.M.SRAM[addr:]
+	b := rt.M.Window(cg.MemSRAM, addr, 4)
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
