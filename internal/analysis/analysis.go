@@ -1,26 +1,13 @@
 // Package analysis provides the CFG analyses shared by the optimizer and
-// code generator: dominators, post-dominators, liveness, and def/use
-// inspection of IR instructions.
+// code generator: dominators, liveness over one backward bitset solver, and
+// side-effect and definition-count inspection of IR instructions.
 package analysis
 
 import (
+	"math/bits"
+
 	"shangrila/internal/ir"
 )
-
-// Defs returns the registers defined by an instruction.
-func Defs(in *ir.Instr) []ir.Reg { return in.Dst }
-
-// Uses returns the registers read by an instruction (NoReg entries are
-// skipped).
-func Uses(in *ir.Instr) []ir.Reg {
-	var out []ir.Reg
-	for _, a := range in.Args {
-		if a != ir.NoReg {
-			out = append(out, a)
-		}
-	}
-	return out
-}
 
 // HasSideEffects reports whether in must be preserved even if its results
 // are unused.
@@ -40,44 +27,72 @@ func HasSideEffects(in *ir.Instr) bool {
 	return false
 }
 
-// Dominators computes the immediate dominator of every block using the
-// iterative Cooper–Harvey–Kennedy algorithm. The entry block's idom is
-// itself.
+// Bits is a dense set of small non-negative integers: the registers of one
+// function (ir.Reg is dense per function) or the virtual registers of one
+// CGIR program.
+type Bits []uint64
+
+// NewBits returns an empty set with room for members 0..n-1.
+func NewBits(n int) Bits { return make(Bits, (n+63)>>6) }
+
+// Has reports whether i is a member.
+func (s Bits) Has(i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// Set adds i.
+func (s Bits) Set(i int) { s[i>>6] |= 1 << (uint(i) & 63) }
+
+// Clear removes i.
+func (s Bits) Clear(i int) { s[i>>6] &^= 1 << (uint(i) & 63) }
+
+// ForEach calls fn for every member in ascending order.
+func (s Bits) ForEach(fn func(i int)) {
+	for w, x := range s {
+		for ; x != 0; x &= x - 1 {
+			fn(w<<6 + bits.TrailingZeros64(x))
+		}
+	}
+}
+
+// Dominators holds the immediate dominator of every block, computed with
+// the iterative Cooper–Harvey–Kennedy algorithm. Both arrays are indexed by
+// Block.ID, which ComputeCFG keeps dense.
 type Dominators struct {
-	idom  map[*ir.Block]*ir.Block
-	order map[*ir.Block]int // reverse postorder index
+	idom  []int // the entry's is itself; -1 marks a block no path reaches
+	order []int // reverse postorder index
 }
 
 // ComputeDominators builds dominator information for f (call f.ComputeCFG
 // first).
 func ComputeDominators(f *ir.Func) *Dominators {
-	rpo := ReversePostorder(f.Entry)
-	order := make(map[*ir.Block]int, len(rpo))
-	for i, b := range rpo {
-		order[b] = i
+	rpo := ReversePostorder(f)
+	d := &Dominators{idom: make([]int, len(f.Blocks)), order: make([]int, len(f.Blocks))}
+	for i := range d.idom {
+		d.idom[i] = -1
 	}
-	d := &Dominators{idom: map[*ir.Block]*ir.Block{}, order: order}
-	d.idom[f.Entry] = f.Entry
-	changed := true
-	for changed {
+	for i, b := range rpo {
+		d.order[b.ID] = i
+	}
+	if f.Entry != nil {
+		d.idom[f.Entry.ID] = f.Entry.ID
+	}
+	for changed := true; changed; {
 		changed = false
 		for _, b := range rpo {
 			if b == f.Entry {
 				continue
 			}
-			var newIdom *ir.Block
+			newIdom := -1
 			for _, p := range b.Preds {
-				if d.idom[p] == nil {
-					continue
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = d.intersect(p, newIdom)
+				switch {
+				case d.idom[p.ID] < 0:
+				case newIdom < 0:
+					newIdom = p.ID
+				default:
+					newIdom = d.intersect(p.ID, newIdom)
 				}
 			}
-			if newIdom != nil && d.idom[b] != newIdom {
-				d.idom[b] = newIdom
+			if newIdom >= 0 && d.idom[b.ID] != newIdom {
+				d.idom[b.ID] = newIdom
 				changed = true
 			}
 		}
@@ -85,7 +100,7 @@ func ComputeDominators(f *ir.Func) *Dominators {
 	return d
 }
 
-func (d *Dominators) intersect(a, b *ir.Block) *ir.Block {
+func (d *Dominators) intersect(a, b int) int {
 	for a != b {
 		for d.order[a] > d.order[b] {
 			a = d.idom[a]
@@ -97,40 +112,37 @@ func (d *Dominators) intersect(a, b *ir.Block) *ir.Block {
 	return a
 }
 
-// Idom returns b's immediate dominator (entry's is itself).
-func (d *Dominators) Idom(b *ir.Block) *ir.Block { return d.idom[b] }
-
 // Dominates reports whether a dominates b (reflexive).
 func (d *Dominators) Dominates(a, b *ir.Block) bool {
-	for {
-		if a == b {
+	for at := b.ID; ; {
+		if at == a.ID {
 			return true
 		}
-		next := d.idom[b]
-		if next == nil || next == b {
+		next := d.idom[at]
+		if next < 0 || next == at {
 			return false
 		}
-		b = next
+		at = next
 	}
 }
 
-// ReversePostorder returns blocks reachable from entry in reverse
-// postorder.
-func ReversePostorder(entry *ir.Block) []*ir.Block {
-	var post []*ir.Block
-	seen := map[*ir.Block]bool{}
+// ReversePostorder returns the blocks of f reachable from its entry in
+// reverse postorder (call f.ComputeCFG first: visits are marked by Block.ID).
+func ReversePostorder(f *ir.Func) []*ir.Block {
+	post := make([]*ir.Block, 0, len(f.Blocks))
+	seen := make([]bool, len(f.Blocks))
 	var dfs func(b *ir.Block)
 	dfs = func(b *ir.Block) {
-		seen[b] = true
+		seen[b.ID] = true
 		for _, s := range b.Succs {
-			if !seen[s] {
+			if !seen[s.ID] {
 				dfs(s)
 			}
 		}
 		post = append(post, b)
 	}
-	if entry != nil {
-		dfs(entry)
+	if f.Entry != nil {
+		dfs(f.Entry)
 	}
 	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
 		post[i], post[j] = post[j], post[i]
@@ -138,157 +150,85 @@ func ReversePostorder(entry *ir.Block) []*ir.Block {
 	return post
 }
 
-// PostDominators computes post-dominance over f's CFG. Blocks that cannot
-// reach an exit post-dominate nothing. A virtual exit joins all OpRet
-// blocks.
-type PostDominators struct {
-	pdom map[*ir.Block]map[*ir.Block]bool // pdom[b] = set of post-dominators of b
-}
-
-// ComputePostDominators builds post-dominator sets using the classic
-// iterative dataflow formulation (fine at the CFG sizes Baker produces).
-func ComputePostDominators(f *ir.Func) *PostDominators {
-	var exits []*ir.Block
-	for _, b := range f.Blocks {
-		if t := b.Terminator(); t != nil && t.Op == ir.OpRet {
-			exits = append(exits, b)
-		}
+// SolveBackward computes the least solution of the backward union problem
+//
+//	out[b] = ∪ in[s] over s in succs[b]
+//	in[b]  = gen[b] ∪ (out[b] − kill[b])
+//
+// over blocks 0..len(succs)-1. gen and kill hold one row of
+// len(gen)/len(succs) words per block; in and out come back in the same
+// layout. The least fixpoint is unique, so the sweep order only affects how
+// many sweeps it takes.
+func SolveBackward(succs [][]int, gen, kill []uint64) (in, out []uint64) {
+	in, out = make([]uint64, len(gen)), make([]uint64, len(gen))
+	if len(succs) == 0 {
+		return in, out
 	}
-	all := map[*ir.Block]bool{}
-	for _, b := range f.Blocks {
-		all[b] = true
-	}
-	pd := &PostDominators{pdom: map[*ir.Block]map[*ir.Block]bool{}}
-	for _, b := range f.Blocks {
-		if isExit(b) {
-			pd.pdom[b] = map[*ir.Block]bool{b: true}
-		} else {
-			cp := map[*ir.Block]bool{}
-			for k := range all {
-				cp[k] = true
-			}
-			pd.pdom[b] = cp
-		}
-	}
-	_ = exits
-	changed := true
-	for changed {
+	w := len(gen) / len(succs)
+	for changed := true; changed; {
 		changed = false
-		for _, b := range f.Blocks {
-			if isExit(b) {
-				continue
-			}
-			var inter map[*ir.Block]bool
-			for _, s := range b.Succs {
-				if inter == nil {
-					inter = map[*ir.Block]bool{}
-					for k := range pd.pdom[s] {
-						inter[k] = true
-					}
-				} else {
-					for k := range inter {
-						if !pd.pdom[s][k] {
-							delete(inter, k)
-						}
-					}
+		for b := len(succs) - 1; b >= 0; b-- {
+			row := out[b*w : (b+1)*w]
+			for _, s := range succs[b] {
+				for i, x := range in[s*w : (s+1)*w] {
+					row[i] |= x
 				}
 			}
-			if inter == nil {
-				inter = map[*ir.Block]bool{}
-			}
-			inter[b] = true
-			if !sameSet(inter, pd.pdom[b]) {
-				pd.pdom[b] = inter
-				changed = true
+			for i, o := range row {
+				if v := gen[b*w+i] | o&^kill[b*w+i]; v != in[b*w+i] {
+					in[b*w+i] = v
+					changed = true
+				}
 			}
 		}
 	}
-	return pd
+	return in, out
 }
 
-func isExit(b *ir.Block) bool {
-	t := b.Terminator()
-	return t != nil && t.Op == ir.OpRet
-}
-
-func sameSet(a, b map[*ir.Block]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// PostDominates reports whether a post-dominates b.
-func (pd *PostDominators) PostDominates(a, b *ir.Block) bool { return pd.pdom[b][a] }
-
-// Liveness holds per-block live-in/live-out register sets.
+// Liveness holds per-block live-in/live-out register sets, one row per
+// Block.ID.
 type Liveness struct {
-	In  map[*ir.Block]map[ir.Reg]bool
-	Out map[*ir.Block]map[ir.Reg]bool
+	words   int
+	in, out []uint64
 }
 
-// ComputeLiveness solves backward liveness over f.
+// In returns the registers live on entry to b.
+func (lv *Liveness) In(b *ir.Block) Bits { return lv.in[b.ID*lv.words : (b.ID+1)*lv.words] }
+
+// Out returns the registers live on exit from b.
+func (lv *Liveness) Out(b *ir.Block) Bits { return lv.out[b.ID*lv.words : (b.ID+1)*lv.words] }
+
+// ComputeLiveness solves backward liveness over f (call f.ComputeCFG
+// first: rows are indexed by Block.ID).
 func ComputeLiveness(f *ir.Func) *Liveness {
-	lv := &Liveness{
-		In:  map[*ir.Block]map[ir.Reg]bool{},
-		Out: map[*ir.Block]map[ir.Reg]bool{},
-	}
-	gen := map[*ir.Block]map[ir.Reg]bool{}
-	kill := map[*ir.Block]map[ir.Reg]bool{}
+	n, w := len(f.Blocks), (f.NumRegs+63)>>6
+	gen, kill := make([]uint64, n*w), make([]uint64, n*w)
+	succs := make([][]int, n)
+	edges := 0
 	for _, b := range f.Blocks {
-		g, k := map[ir.Reg]bool{}, map[ir.Reg]bool{}
+		edges += len(b.Succs)
+	}
+	flat := make([]int, 0, edges)
+	for _, b := range f.Blocks {
+		g, k := Bits(gen[b.ID*w:(b.ID+1)*w]), Bits(kill[b.ID*w:(b.ID+1)*w])
 		for _, in := range b.Instrs {
-			for _, u := range Uses(in) {
-				if !k[u] {
-					g[u] = true
+			for _, u := range in.Args {
+				if u != ir.NoReg && !k.Has(int(u)) {
+					g.Set(int(u))
 				}
 			}
-			for _, d := range Defs(in) {
-				k[d] = true
+			for _, d := range in.Dst {
+				k.Set(int(d))
 			}
 		}
-		gen[b], kill[b] = g, k
-		lv.In[b] = map[ir.Reg]bool{}
-		lv.Out[b] = map[ir.Reg]bool{}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for i := len(f.Blocks) - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			out := map[ir.Reg]bool{}
-			for _, s := range b.Succs {
-				for r := range lv.In[s] {
-					out[r] = true
-				}
-			}
-			in := map[ir.Reg]bool{}
-			for r := range gen[b] {
-				in[r] = true
-			}
-			for r := range out {
-				if !kill[b][r] {
-					in[r] = true
-				}
-			}
-			if len(out) != len(lv.Out[b]) || len(in) != len(lv.In[b]) {
-				changed = true
-			} else {
-				for r := range in {
-					if !lv.In[b][r] {
-						changed = true
-						break
-					}
-				}
-			}
-			lv.In[b], lv.Out[b] = in, out
+		first := len(flat)
+		for _, s := range b.Succs {
+			flat = append(flat, s.ID)
 		}
+		succs[b.ID] = flat[first:]
 	}
+	lv := &Liveness{words: w}
+	lv.in, lv.out = SolveBackward(succs, gen, kill)
 	return lv
 }
 

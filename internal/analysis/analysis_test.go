@@ -1,9 +1,11 @@
 package analysis_test
 
 import (
+	"reflect"
 	"testing"
 
 	"shangrila/internal/analysis"
+	"shangrila/internal/apps"
 	"shangrila/internal/ir"
 	"shangrila/internal/testutil"
 )
@@ -55,34 +57,6 @@ func TestDominators(t *testing.T) {
 	}
 }
 
-func TestPostDominators(t *testing.T) {
-	prog := testutil.BuildIR(t, diamondSrc)
-	f := prog.Funcs["m.f"]
-	pd := analysis.ComputePostDominators(f)
-	// The exit block post-dominates everything.
-	var exit *ir.Block
-	for _, b := range f.Blocks {
-		if t := b.Terminator(); t != nil && t.Op == ir.OpRet {
-			exit = b
-		}
-	}
-	if exit == nil {
-		t.Fatal("no exit block")
-	}
-	for _, b := range f.Blocks {
-		if !pd.PostDominates(exit, b) {
-			t.Errorf("exit must post-dominate b%d", b.ID)
-		}
-	}
-	// Branch arms do not post-dominate the entry.
-	term := f.Entry.Terminator()
-	if term.Op == ir.OpCondBr {
-		if pd.PostDominates(term.Blocks[0], f.Entry) {
-			t.Error("then-arm must not post-dominate entry")
-		}
-	}
-}
-
 func TestLiveness(t *testing.T) {
 	prog := testutil.BuildIR(t, diamondSrc)
 	f := prog.Funcs["m.f"]
@@ -90,15 +64,15 @@ func TestLiveness(t *testing.T) {
 	// The handle parameter is used by packet_drop at the end, so it must
 	// be live-out of the entry block.
 	h := f.Params[0]
-	if !lv.Out[f.Entry][h] {
+	if !lv.Out(f.Entry).Has(int(h)) {
 		t.Errorf("handle %v not live-out of entry", h)
 	}
 	// Nothing is live out of the exit block.
 	for _, b := range f.Blocks {
 		if t2 := b.Terminator(); t2 != nil && t2.Op == ir.OpRet {
-			if len(lv.Out[b]) != 0 {
-				t.Errorf("exit block has live-out regs: %v", lv.Out[b])
-			}
+			lv.Out(b).ForEach(func(r int) {
+				t.Errorf("exit block b%d has live-out reg %v", b.ID, ir.Reg(r))
+			})
 		}
 	}
 }
@@ -109,5 +83,56 @@ func TestDefCountsIncludesParams(t *testing.T) {
 	counts := analysis.DefCounts(f)
 	if counts[f.Params[0]] == 0 {
 		t.Error("param must count as a definition")
+	}
+}
+
+// TestSolveBackward pins the solver on a hand-built loop: 0 -> 1 -> {1, 2}.
+// Bit 0 is used in block 2 only, so it is live around the loop; bit 1 is
+// defined in block 0 and used in block 1; bit 65 (second word) is used in
+// block 1 before block 1 redefines it, so it is live into block 0 too.
+func TestSolveBackward(t *testing.T) {
+	const w = 2
+	succs := [][]int{{1}, {1, 2}, nil}
+	gen, kill := make([]uint64, 3*w), make([]uint64, 3*w)
+	row := func(s []uint64, b int) analysis.Bits { return s[b*w : (b+1)*w] }
+	row(kill, 0).Set(1)
+	row(gen, 1).Set(1)
+	row(gen, 1).Set(65)
+	row(kill, 1).Set(65)
+	row(gen, 2).Set(0)
+	in, out := analysis.SolveBackward(succs, gen, kill)
+	members := func(s analysis.Bits) (m []int) {
+		s.ForEach(func(i int) { m = append(m, i) })
+		return m
+	}
+	want := []struct{ in, out []int }{
+		{in: []int{0, 65}, out: []int{0, 1, 65}},
+		{in: []int{0, 1, 65}, out: []int{0, 1, 65}},
+		{in: []int{0}, out: nil},
+	}
+	for b, wnt := range want {
+		if got := members(row(in, b)); !reflect.DeepEqual(got, wnt.in) {
+			t.Errorf("in[%d] = %v, want %v", b, got, wnt.in)
+		}
+		if got := members(row(out, b)); !reflect.DeepEqual(got, wnt.out) {
+			t.Errorf("out[%d] = %v, want %v", b, got, wnt.out)
+		}
+	}
+}
+
+// BenchmarkComputeLiveness solves liveness for the largest function of the
+// lowered L3-Switch (its route-insertion control function: three loops).
+func BenchmarkComputeLiveness(b *testing.B) {
+	prog := testutil.BuildIR(b, apps.L3Switch().Source)
+	var f *ir.Func
+	for _, g := range prog.Funcs {
+		if f == nil || len(g.Blocks) > len(f.Blocks) {
+			f = g
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analysis.ComputeLiveness(f)
 	}
 }

@@ -242,7 +242,7 @@ func (l *lowerer) lowerBody(prog *ir.Program, fn *ir.Func) error {
 	// Lay blocks out in reverse postorder: dominators precede dominated
 	// blocks, so values defined along the way (e.g. the CAM entry of a
 	// software-cache lookup consumed by its fill) are lowered first.
-	blocks := analysis.ReversePostorder(fn.Entry)
+	blocks := analysis.ReversePostorder(fn)
 	for _, b := range fn.Blocks {
 		if !containsBlock(blocks, b) {
 			blocks = append(blocks, b)

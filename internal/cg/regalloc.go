@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"shangrila/internal/analysis"
 	"shangrila/internal/cg/stackalloc"
 )
 
@@ -260,56 +261,27 @@ func (a *allocator) computeIntervals() {
 			}
 		}
 	}
-	// Block gen/kill.
-	gen := make([]map[PReg]bool, len(starts))
-	kill := make([]map[PReg]bool, len(starts))
+	// Block gen/kill over vreg indices, solved by the shared bitset solver.
+	w := (a.nvreg + 63) >> 6
+	row := func(sets []uint64, bi int) analysis.Bits { return sets[bi*w : (bi+1)*w] }
+	gen, kill := make([]uint64, len(starts)*w), make([]uint64, len(starts)*w)
 	for bi, s := range starts {
-		g, k := map[PReg]bool{}, map[PReg]bool{}
+		g, k := row(gen, bi), row(kill, bi)
 		for i := s; i < ends[bi]; i++ {
 			defs, uses := regOperands(code[i])
 			for _, u := range uses {
-				if isVirtual(*u) && !k[*u] {
-					g[*u] = true
+				if isVirtual(*u) && !k.Has(int(*u)-NumRegs) {
+					g.Set(int(*u) - NumRegs)
 				}
 			}
 			for _, d := range defs {
 				if isVirtual(*d) {
-					k[*d] = true
+					k.Set(int(*d) - NumRegs)
 				}
 			}
 		}
-		gen[bi], kill[bi] = g, k
 	}
-	liveIn := make([]map[PReg]bool, len(starts))
-	liveOut := make([]map[PReg]bool, len(starts))
-	for i := range starts {
-		liveIn[i] = map[PReg]bool{}
-		liveOut[i] = map[PReg]bool{}
-	}
-	for changed := true; changed; {
-		changed = false
-		for bi := len(starts) - 1; bi >= 0; bi-- {
-			out := map[PReg]bool{}
-			for _, s := range succs[bi] {
-				for r := range liveIn[s] {
-					out[r] = true
-				}
-			}
-			in := map[PReg]bool{}
-			for r := range gen[bi] {
-				in[r] = true
-			}
-			for r := range out {
-				if !kill[bi][r] {
-					in[r] = true
-				}
-			}
-			if len(in) != len(liveIn[bi]) || len(out) != len(liveOut[bi]) {
-				changed = true
-			}
-			liveIn[bi], liveOut[bi] = in, out
-		}
-	}
+	liveIn, liveOut := analysis.SolveBackward(succs, gen, kill)
 	// Hull intervals.
 	a.ivals = map[PReg]*interval{}
 	touch := func(v PReg, i int) {
@@ -339,12 +311,8 @@ func (a *allocator) computeIntervals() {
 		}
 	}
 	for bi, s := range starts {
-		for r := range liveIn[bi] {
-			touch(r, s)
-		}
-		for r := range liveOut[bi] {
-			touch(r, ends[bi]-1)
-		}
+		row(liveIn, bi).ForEach(func(v int) { touch(PReg(NumRegs+v), s) })
+		row(liveOut, bi).ForEach(func(v int) { touch(PReg(NumRegs+v), ends[bi]-1) })
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"shangrila/internal/cg"
 	"shangrila/internal/ir"
 	"shangrila/internal/metrics"
+	"shangrila/internal/opt"
 	"shangrila/internal/opt/soar"
 	"shangrila/internal/profiler"
 )
@@ -71,6 +72,8 @@ type Context struct {
 
 	facts facts
 	reg   *metrics.Registry
+	// pass names the running pass, for the metrics its helpers record.
+	pass string
 
 	// factGuard, when non-nil, is the set of facts the running pass
 	// declared in Requires (or produced itself during this Run). Reading
@@ -156,6 +159,19 @@ func (ctx *Context) SetPlan(p *aggregate.Plan, classes map[*types.Channel]aggreg
 	if ctx.factGuard != nil {
 		ctx.factGuard[FactPlan] = true
 	}
+}
+
+// optimize runs the scalar optimizer for the running pass and records how
+// its fixpoint iteration went: the round cap is a silent stop otherwise.
+func (ctx *Context) optimize(p *ir.Program, o opt.Options) {
+	st := opt.Optimize(p, o)
+	if !o.Scalar {
+		return
+	}
+	if g := ctx.reg.Gauge(metrics.PassOptRoundsMax(ctx.pass)); float64(st.RoundsMax) > g.Value() {
+		g.Set(float64(st.RoundsMax))
+	}
+	ctx.reg.Counter(metrics.PassOptUnconverged(ctx.pass)).Add(int64(st.Unconverged))
 }
 
 // Invalidate drops cached facts (a transform that moved packet accesses
@@ -329,6 +345,7 @@ func (r *runner) runPass(p Pass) error {
 		ctx.factGuard[k] = true
 	}
 	ctx.guardErr = nil
+	ctx.pass = name
 	err := p.Run(ctx)
 	guardErr := ctx.guardErr
 	ctx.factGuard, ctx.guardErr = nil, nil

@@ -132,7 +132,7 @@ func (inlineScalarPass) Requires() []FactKind { return nil }
 func (inlineScalarPass) Invalidates() []FactKind { return []FactKind{FactSOAR} }
 
 func (p inlineScalarPass) Run(ctx *Context) error {
-	opt.Optimize(ctx.Prog, opt.Options{Scalar: p.scalar, Inline: true})
+	ctx.optimize(ctx.Prog, opt.Options{Scalar: p.scalar, Inline: true})
 	return nil
 }
 
@@ -165,7 +165,7 @@ func (pacPass) Invalidates() []FactKind { return []FactKind{FactSOAR} }
 
 func (p pacPass) Run(ctx *Context) error {
 	ctx.Report.PAC = pac.Run(ctx.Prog)
-	opt.Optimize(ctx.Prog, opt.Options{Scalar: p.scalar})
+	ctx.optimize(ctx.Prog, opt.Options{Scalar: p.scalar})
 	return nil
 }
 
@@ -239,11 +239,11 @@ func (p aggOptPass) Run(ctx *Context) error {
 		if m.Agg.Target != aggregate.TargetME {
 			continue
 		}
-		opt.Optimize(m.Prog, opt.Options{Scalar: p.scalar})
+		ctx.optimize(m.Prog, opt.Options{Scalar: p.scalar})
 		if p.pac {
 			annotateMerged(ctx, m)
 			pac.Run(m.Prog)
-			opt.Optimize(m.Prog, opt.Options{Scalar: p.scalar})
+			ctx.optimize(m.Prog, opt.Options{Scalar: p.scalar})
 		}
 	}
 	return nil
@@ -305,7 +305,7 @@ func (p finalOptPass) Run(ctx *Context) error {
 			annotateMerged(ctx, m)
 			pac.Run(m.Prog)
 		}
-		opt.Optimize(m.Prog, opt.Options{Scalar: p.scalar})
+		ctx.optimize(m.Prog, opt.Options{Scalar: p.scalar})
 		if p.annotate {
 			annotateMerged(ctx, m)
 		}

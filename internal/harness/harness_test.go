@@ -144,3 +144,21 @@ func TestRunKernelPointAllocations(t *testing.T) {
 	}
 	t.Logf("%.0f allocations per kernel point", allocs)
 }
+
+// TestCompileAllocations bounds the host allocations of one full-pipeline
+// compile (L3-Switch at +SWC, verification on as in every `go test`
+// compile). The scalar optimizer's analyses are dense slices and bitsets
+// indexed by register and block; rebuilding them as maps of maps on every
+// round of every function made this 109,700 (56,500 now, ceiling ≈ 1.3×).
+func TestCompileAllocations(t *testing.T) {
+	a := apps.L3Switch()
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := harness.Compile(a, driver.LevelSWC, 7); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 75_000 {
+		t.Errorf("compile made %.0f allocations, want < 75000", allocs)
+	}
+	t.Logf("%.0f allocations per compile", allocs)
+}

@@ -1,0 +1,75 @@
+package harness
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"shangrila/internal/apps"
+	"shangrila/internal/bakergen"
+	"shangrila/internal/driver"
+	"shangrila/internal/metrics"
+)
+
+// TestOptRoundsRecorded: every pass that runs the scalar optimizer reports
+// how its fixpoint iteration went, at all seven levels. Every fuzz-corpus
+// program must reach its fixpoint inside the round cap. The three
+// applications do not — their loops and branch-assigned variables stop at
+// the cap in a state that is stable anyway (see
+// driver.TestOptimizeFuncIdempotent) — so for them the count is logged, to
+// make a change in either direction visible.
+func TestOptRoundsRecorded(t *testing.T) {
+	programs := apps.All()
+	handWritten := len(programs)
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz-corpus", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spec bakergen.Spec
+		if err := json.Unmarshal(raw, &spec); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		programs = append(programs, spec.Build())
+	}
+	for i, a := range programs {
+		capped := int64(0)
+		for _, lvl := range driver.Levels() {
+			res, err := Compile(a, lvl, 7)
+			if err != nil {
+				t.Fatalf("%s at %v: %v", a.Name, lvl, err)
+			}
+			snap := res.Report.Metrics
+			for _, pt := range res.Report.Passes {
+				rounds, ran := snap.Gauges[string(metrics.PassOptRoundsMax(pt.Pass))]
+				n, counted := snap.Counters[string(metrics.PassOptUnconverged(pt.Pass))]
+				scalar := lvl >= driver.LevelO1 && (pt.Pass == "inline+scalar" || pt.Pass == "pac" ||
+					pt.Pass == "agg-opt" || pt.Pass == "final-opt")
+				if ran != scalar || counted != scalar {
+					t.Errorf("%s at %v: pass %s records rounds=%v unconverged=%v, runs the optimizer=%v",
+						a.Name, lvl, pt.Pass, ran, counted, scalar)
+				}
+				if scalar && (rounds < 1 || n < 0) {
+					t.Errorf("%s at %v: pass %s: opt_rounds_max %v with opt_unconverged %d",
+						a.Name, lvl, pt.Pass, rounds, n)
+				}
+				capped += n
+			}
+			for k := range snap.Counters {
+				if lvl == driver.LevelBase && strings.Contains(k, ".opt_") {
+					t.Errorf("%s at BASE: %s recorded without a scalar run", a.Name, k)
+				}
+			}
+		}
+		if i >= handWritten && capped != 0 {
+			t.Errorf("%s: %d optimizer runs stopped at the round cap", a.Name, capped)
+		}
+		t.Logf("%s: %d optimizer runs stopped at the round cap across the seven levels", a.Name, capped)
+	}
+}

@@ -44,6 +44,14 @@ func PassVerifyNanos(pass string) Key { return Key("compile.pass." + pass + ".ve
 // delta (after - before; negative means the pass shrank the program).
 func PassSizeDelta(pass string) Key { return Key("compile.pass." + pass + ".size_delta") }
 
+// PassOptRoundsMax gauges the most fixpoint rounds the scalar optimizer
+// needed on any one function inside a named compiler pass.
+func PassOptRoundsMax(pass string) Key { return Key("compile.pass." + pass + ".opt_rounds_max") }
+
+// PassOptUnconverged counts the functions the scalar optimizer left still
+// changing at its round cap inside a named compiler pass.
+func PassOptUnconverged(pass string) Key { return Key("compile.pass." + pass + ".opt_unconverged") }
+
 // PassSkips counts the times an incremental recompile reused a named
 // pass's cached result instead of executing it.
 func PassSkips(pass string) Key { return Key("compile.pass." + pass + ".skips") }

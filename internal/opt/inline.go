@@ -1,9 +1,6 @@
 package opt
 
-import (
-	"shangrila/internal/analysis"
-	"shangrila/internal/ir"
-)
+import "shangrila/internal/ir"
 
 // InlineAll aggressively inlines every helper call into its callers (-O2).
 // The paper notes aggressive inlining both exposes optimization
@@ -202,7 +199,6 @@ func verifyFunc(f *ir.Func) error {
 			}
 		}
 	}
-	_ = analysis.Uses
 	return nil
 }
 

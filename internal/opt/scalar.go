@@ -7,6 +7,7 @@ package opt
 
 import (
 	"shangrila/internal/analysis"
+	"shangrila/internal/baker/types"
 	"shangrila/internal/ir"
 )
 
@@ -17,32 +18,105 @@ type Options struct {
 	Inline bool // -O2: aggressive inlining of helpers into PPFs
 }
 
+// Stats reports how hard the fixpoint iteration worked, so a pass that
+// stops at the round cap is visible as data instead of silently accepted.
+type Stats struct {
+	RoundsMax   int // most rounds any one function needed
+	Unconverged int // functions still changing when the round cap stopped them
+}
+
 // Optimize runs the scalar pipeline on every function of p according to
 // opts. Inlining runs first so scalar passes clean up the residue.
-func Optimize(p *ir.Program, opts Options) {
+func Optimize(p *ir.Program, opts Options) Stats {
+	var st Stats
 	if opts.Inline {
 		InlineAll(p)
 	}
 	if !opts.Scalar {
-		return
+		return st
 	}
 	for _, name := range p.Order {
-		OptimizeFunc(p.Funcs[name])
+		rounds, converged := OptimizeFunc(p.Funcs[name])
+		if rounds > st.RoundsMax {
+			st.RoundsMax = rounds
+		}
+		if !converged {
+			st.Unconverged++
+		}
 	}
+	return st
 }
 
-// OptimizeFunc iterates the scalar passes on one function to a fixpoint
-// (bounded).
-func OptimizeFunc(f *ir.Func) {
-	for round := 0; round < 8; round++ {
-		changed := false
-		changed = propagate(f) || changed
-		changed = foldBranches(f) || changed
-		changed = localCSE(f) || changed
+// maxRounds bounds OptimizeFunc's fixpoint iteration.
+const maxRounds = 8
+
+// OptimizeFunc iterates the scalar passes on one function until a round
+// changes nothing. It returns the rounds run and whether that fixpoint was
+// reached within maxRounds.
+func OptimizeFunc(f *ir.Func) (rounds int, converged bool) {
+	defs, cse := make([]regDef, f.NumRegs), newCSETable(f)
+	for rounds < maxRounds {
+		rounds++
+		// One table per round serves both passes: propagation rewrites
+		// operands and opcodes but never a destination, so definition
+		// counts and sites stay valid through foldBranches.
+		singleDefs(f, defs)
+		changed := propagate(f, defs)
+		changed = foldBranches(f, defs) || changed
+		changed = localCSE(f, cse) || changed
 		changed = deadCode(f) || changed
 		changed = mergeBlocks(f) || changed
 		if !changed {
-			return
+			return rounds, true
+		}
+	}
+	return rounds, false
+}
+
+// regDef is what one round knows about a register, indexed by ir.Reg.
+type regDef struct {
+	// For a register whose only definition is an instruction: its block
+	// and position there. A single-definition register with a nil block is
+	// a parameter.
+	block *ir.Block
+	index int32
+	count int32 // definitions, parameters included (analysis.DefCounts)
+	// The definition as it read when the round began. Propagation folds
+	// against this snapshot, so an instruction it rewrites feeds later
+	// folds in the next round only.
+	kind defKind
+	val  uint64 // defConst: the value; defCopy: the source register
+}
+
+type defKind uint8
+
+const (
+	defOther defKind = iota
+	defConst
+	defCopy
+)
+
+// singleDefs fills defs (one entry per register of f) for a new round.
+func singleDefs(f *ir.Func, defs []regDef) {
+	clear(defs)
+	for r, n := range analysis.DefCounts(f) {
+		defs[r].count = int32(n)
+	}
+	for _, b := range f.Blocks {
+		for idx, in := range b.Instrs {
+			for _, d := range in.Dst {
+				if defs[d].count == 1 {
+					defs[d].block, defs[d].index = b, int32(idx)
+				}
+			}
+			if len(in.Dst) == 1 && defs[in.Dst[0]].count == 1 {
+				switch d := &defs[in.Dst[0]]; in.Op {
+				case ir.OpConst:
+					d.kind, d.val = defConst, in.Imm
+				case ir.OpMov:
+					d.kind, d.val = defCopy, uint64(in.Args[0])
+				}
+			}
 		}
 	}
 }
@@ -50,45 +124,30 @@ func OptimizeFunc(f *ir.Func) {
 // propagate performs constant folding and copy/constant propagation.
 // Within a block it runs a forward scan; across blocks it propagates only
 // via single-def registers whose definition dominates the use.
-func propagate(f *ir.Func) bool {
+func propagate(f *ir.Func, defs []regDef) bool {
 	changed := false
-	defCounts := analysis.DefCounts(f)
-
-	// Global single-def facts.
-	constOf := map[ir.Reg]uint64{}
-	copyOf := map[ir.Reg]ir.Reg{}
-	defBlock := map[ir.Reg]*ir.Block{}
-	defIndex := map[ir.Reg]int{}
-	for _, b := range f.Blocks {
-		for idx, in := range b.Instrs {
-			for _, d := range in.Dst {
-				if defCounts[d] == 1 {
-					defBlock[d] = b
-					defIndex[d] = idx
-				}
-			}
-			if len(in.Dst) == 1 && defCounts[in.Dst[0]] == 1 {
-				switch in.Op {
-				case ir.OpConst:
-					constOf[in.Dst[0]] = in.Imm
-				case ir.OpMov:
-					copyOf[in.Dst[0]] = in.Args[0]
-				}
-			}
+	dom := analysis.ComputeDominators(f)
+	// reaches reports whether single-def register r's definition executes
+	// before instruction idx of block b on every path.
+	reaches := func(r ir.Reg, b *ir.Block, idx int) bool {
+		switch db := defs[r].block; {
+		case db == nil:
+			return false
+		case db == b:
+			return int(defs[r].index) < idx
+		default:
+			return dom.Dominates(db, b)
 		}
 	}
-	dom := analysis.ComputeDominators(f)
-
 	// resolveCopy follows single-def copy chains r := s while the source
 	// is itself single-def (so the value cannot change between def and
 	// use).
 	resolveCopy := func(r ir.Reg) ir.Reg {
 		for i := 0; i < 8; i++ {
-			s, ok := copyOf[r]
-			if !ok || defCounts[s] != 1 {
+			if defs[r].kind != defCopy || defs[ir.Reg(defs[r].val)].count != 1 {
 				return r
 			}
-			r = s
+			r = ir.Reg(defs[r].val)
 		}
 		return r
 	}
@@ -96,60 +155,34 @@ func propagate(f *ir.Func) bool {
 	for _, b := range f.Blocks {
 		for idx, in := range b.Instrs {
 			for ai, a := range in.Args {
-				if a == ir.NoReg || defCounts[a] != 1 {
+				if a == ir.NoReg || defs[a].kind != defCopy || !reaches(a, b, idx) {
 					continue
 				}
-				db := defBlock[a]
-				if db == nil {
-					continue
-				}
-				if db == b && defIndex[a] >= idx {
-					continue
-				}
-				if db != b && !dom.Dominates(db, b) {
-					continue
-				}
-				if s := resolveCopy(a); s != a {
-					// The source must also dominate this use.
-					sb := defBlock[s]
-					okDom := sb != nil && (sb == b && defIndex[s] < idx || sb != b && dom.Dominates(sb, b))
-					if _, isParam := paramSet(f)[s]; isParam {
-						okDom = true
-					}
-					if okDom {
-						in.Args[ai] = s
-						changed = true
-					}
+				// The source must also dominate this use; a parameter
+				// always does.
+				if s := resolveCopy(a); s != a && (defs[s].block == nil || reaches(s, b, idx)) {
+					in.Args[ai] = s
+					changed = true
 				}
 			}
 			// Constant folding when all inputs are known single-def consts
 			// dominating this instruction.
-			if folded := tryFold(f, in, constOf, defCounts); folded {
+			if tryFold(in, defs) {
 				changed = true
 			}
-			_ = idx
 		}
 	}
 	return changed
 }
 
-func paramSet(f *ir.Func) map[ir.Reg]struct{} {
-	m := make(map[ir.Reg]struct{}, len(f.Params))
-	for _, p := range f.Params {
-		m[p] = struct{}{}
-	}
-	return m
-}
-
 // tryFold rewrites pure ALU ops with constant operands into OpConst, and
 // applies simple algebraic identities.
-func tryFold(f *ir.Func, in *ir.Instr, constOf map[ir.Reg]uint64, defCounts []int) bool {
+func tryFold(in *ir.Instr, defs []regDef) bool {
 	isConst := func(r ir.Reg) (uint32, bool) {
-		if r == ir.NoReg || defCounts[r] != 1 {
+		if r == ir.NoReg || defs[r].kind != defConst {
 			return 0, false
 		}
-		v, ok := constOf[r]
-		return uint32(v), ok
+		return uint32(defs[r].val), true
 	}
 	switch in.Op {
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor,
@@ -239,29 +272,25 @@ func b2i(b bool) uint32 {
 }
 
 // foldBranches converts conditional branches on single-def constants into
-// unconditional ones.
-func foldBranches(f *ir.Func) bool {
-	defCounts := analysis.DefCounts(f)
-	constOf := map[ir.Reg]uint64{}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpConst && len(in.Dst) == 1 && defCounts[in.Dst[0]] == 1 {
-				constOf[in.Dst[0]] = in.Imm
-			}
-		}
-	}
+// unconditional ones. It reads each condition's defining instruction as
+// propagation just left it.
+func foldBranches(f *ir.Func, defs []regDef) bool {
 	changed := false
 	for _, b := range f.Blocks {
 		t := b.Terminator()
 		if t == nil || t.Op != ir.OpCondBr {
 			continue
 		}
-		v, ok := constOf[t.Args[0]]
-		if !ok || defCounts[t.Args[0]] != 1 {
+		c := defs[t.Args[0]]
+		if c.block == nil {
+			continue
+		}
+		def := c.block.Instrs[c.index]
+		if def.Op != ir.OpConst {
 			continue
 		}
 		target := t.Blocks[1]
-		if v != 0 {
+		if def.Imm != 0 {
 			target = t.Blocks[0]
 		}
 		t.Op, t.Args, t.Blocks = ir.OpBr, nil, []*ir.Block{target}
@@ -273,91 +302,103 @@ func foldBranches(f *ir.Func) bool {
 	return changed
 }
 
+// cseKey names a pure computation or a global load. Unused operand slots
+// keep Reg's zero value, so every expression without a second operand also
+// "mentions" register 0.
+type cseKey struct {
+	op   ir.Op
+	a, b ir.Reg
+	imm  uint64
+	gl   *types.Global
+	off  int32
+}
+
+// cseTable is localCSE's state. One table serves every round of an
+// OptimizeFunc call: its clock only moves forward, so nothing recorded in
+// an earlier round can look fresh in a later one and nothing needs a reset.
+type cseTable struct {
+	now       int                   // timestamp of the current instruction
+	lastDef   []int                 // by register: its latest redefinition
+	lastStore map[*types.Global]int // latest store to the global
+	barrier   int                   // latest call or lock boundary: may write any global
+	avail     map[cseKey]cseValue   // this block's recorded values
+}
+
+type cseValue struct {
+	reg ir.Reg
+	at  int // timestamp of the instruction that computed it
+}
+
+func newCSETable(f *ir.Func) *cseTable {
+	return &cseTable{lastDef: make([]int, f.NumRegs), lastStore: map[*types.Global]int{}, avail: map[cseKey]cseValue{}}
+}
+
+// lookup returns the register holding k's value, if still available: a
+// recorded value stays so until one of the registers it mentions is
+// redefined or, for a load, until its global may have been written.
+// Nothing is ever swept out of a block's table; a lookup rejects an entry
+// older than the last such event.
+func (t *cseTable) lookup(k cseKey) (ir.Reg, bool) {
+	v, ok := t.avail[k]
+	if !ok || t.lastDef[v.reg] > v.at || t.lastDef[k.b] > v.at || k.a != ir.NoReg && t.lastDef[k.a] > v.at {
+		return ir.NoReg, false
+	}
+	if k.op == ir.OpLoad && (t.barrier > v.at || t.lastStore[k.gl] > v.at) {
+		return ir.NoReg, false
+	}
+	return v.reg, true
+}
+
 // localCSE removes duplicate pure computations and redundant global loads
 // within each block (the paper's redundancy elimination, block-local).
-func localCSE(f *ir.Func) bool {
+func localCSE(f *ir.Func, t *cseTable) bool {
 	changed := false
-	type key struct {
-		op   ir.Op
-		a, b ir.Reg
-		imm  uint64
-		gl   string
-		off  int32
-	}
 	for _, blk := range f.Blocks {
-		avail := map[key]ir.Reg{}
+		clear(t.avail)
 		for _, in := range blk.Instrs {
+			t.now++
 			// 1. Rewrite this instruction using available expressions.
-			var newFact *key
+			var k cseKey
 			switch in.Op {
 			case ir.OpConst:
-				k := key{op: in.Op, imm: in.Imm}
-				if prev, ok := avail[k]; ok {
-					in.Op = ir.OpMov
-					in.Args = []ir.Reg{prev}
-					in.Imm = 0
-					changed = true
-				} else {
-					newFact = &k
-				}
+				k = cseKey{op: in.Op, imm: in.Imm}
 			case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor,
 				ir.OpShl, ir.OpShrU, ir.OpShrS, ir.OpEq, ir.OpNe,
 				ir.OpLtU, ir.OpLeU, ir.OpLtS, ir.OpLeS, ir.OpNot, ir.OpNeg:
-				k := key{op: in.Op, a: in.Args[0]}
+				k = cseKey{op: in.Op, a: in.Args[0]}
 				if len(in.Args) > 1 {
 					k.b = in.Args[1]
 				}
-				if prev, ok := avail[k]; ok {
-					in.Op = ir.OpMov
-					in.Args = []ir.Reg{prev}
-					changed = true
-				} else {
-					newFact = &k
-				}
 			case ir.OpLoad:
 				if len(in.Dst) == 1 {
-					idx := ir.NoReg
+					k = cseKey{op: in.Op, a: ir.NoReg, gl: in.Global, off: in.Off}
 					if len(in.Args) > 0 {
-						idx = in.Args[0]
-					}
-					k := key{op: in.Op, a: idx, gl: in.Global.Name, off: in.Off}
-					if prev, ok := avail[k]; ok {
-						in.Op = ir.OpMov
-						in.Global = nil
-						in.Args = []ir.Reg{prev}
-						changed = true
-					} else {
-						newFact = &k
+						k.a = in.Args[0]
 					}
 				}
 			case ir.OpStore:
 				// Conservative: a store to global G kills available loads
 				// of G (any offset).
-				for k := range avail {
-					if k.op == ir.OpLoad && k.gl == in.Global.Name {
-						delete(avail, k)
-					}
-				}
+				t.lastStore[in.Global] = t.now
 			case ir.OpCall, ir.OpLockAcquire, ir.OpLockRelease,
 				ir.OpCacheFlush:
 				// Calls and lock boundaries may write any global.
-				for k := range avail {
-					if k.op == ir.OpLoad {
-						delete(avail, k)
-					}
+				t.barrier = t.now
+			}
+			fresh := k.op != ir.OpInvalid // computes a value not yet available
+			if fresh {
+				if prev, ok := t.lookup(k); ok {
+					in.Op, in.Args, in.Imm, in.Global = ir.OpMov, []ir.Reg{prev}, 0, nil
+					changed, fresh = true, false
 				}
 			}
 			// 2. Redefinition of a register invalidates facts mentioning it.
 			for _, d := range in.Dst {
-				for k := range avail {
-					if k.a == d || k.b == d || avail[k] == d {
-						delete(avail, k)
-					}
-				}
+				t.lastDef[d] = t.now
 			}
 			// 3. Record the value this instruction makes available.
-			if newFact != nil && in.Op != ir.OpMov {
-				avail[*newFact] = in.Dst[0]
+			if fresh {
+				t.avail[k] = cseValue{in.Dst[0], t.now}
 			}
 		}
 	}
@@ -368,39 +409,35 @@ func localCSE(f *ir.Func) bool {
 func deadCode(f *ir.Func) bool {
 	lv := analysis.ComputeLiveness(f)
 	changed := false
+	live := analysis.NewBits(f.NumRegs)
 	for _, b := range f.Blocks {
-		live := map[ir.Reg]bool{}
-		for r := range lv.Out[b] {
-			live[r] = true
-		}
-		var kept []*ir.Instr
+		copy(live, lv.Out(b))
+		// Walk backward, packing the instructions kept toward the end.
+		w := len(b.Instrs)
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instrs[i]
 			needed := analysis.HasSideEffects(in)
-			if !needed {
-				for _, d := range in.Dst {
-					if live[d] {
-						needed = true
-						break
-					}
-				}
+			for _, d := range in.Dst {
+				needed = needed || live.Has(int(d))
 			}
 			if !needed {
 				changed = true
 				continue
 			}
 			for _, d := range in.Dst {
-				delete(live, d)
+				live.Clear(int(d))
 			}
-			for _, u := range analysis.Uses(in) {
-				live[u] = true
+			for _, u := range in.Args {
+				if u != ir.NoReg {
+					live.Set(int(u))
+				}
 			}
-			kept = append(kept, in)
+			w--
+			b.Instrs[w] = in
 		}
-		for i, j := 0, len(kept)-1; i < j; i, j = i+1, j-1 {
-			kept[i], kept[j] = kept[j], kept[i]
+		if w > 0 {
+			b.Instrs = b.Instrs[:copy(b.Instrs, b.Instrs[w:])]
 		}
-		b.Instrs = kept
 	}
 	return changed
 }
