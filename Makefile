@@ -46,12 +46,12 @@ churn-claims:
 # when a refactor renames or removes something it uses, instead of at
 # the next benchmark run. -smoke writes no history entry; its traces
 # land in bench/out/, which is ignored. The compile side's layer
-# benchmarks (scalar optimizer, liveness) run once each for the same
-# reason: so they cannot rot.
+# benchmarks (scalar optimizer, liveness, functional profiler) run once
+# each for the same reason: so they cannot rot.
 bench-check:
 	$(GO) -C bench test ./...
 	$(GO) -C bench run . -smoke
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/opt/ ./internal/analysis/
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/opt/ ./internal/analysis/ ./internal/profiler/
 
 # Tier-1 verification: everything CI gates on. `test` includes the
 # checked-in fuzz-corpus replay (internal/harness/testdata/fuzz-corpus),

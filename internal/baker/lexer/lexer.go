@@ -197,37 +197,11 @@ func (l *Lexer) scanString(pos token.Pos) token.Token {
 	return token.Token{Kind: token.STRING, Lit: b.String(), Pos: pos}
 }
 
-// op3 matches three-character operators, op2 two-character, then singles.
-func (l *Lexer) scanOperator(pos token.Pos) token.Token {
-	three := ""
-	if l.off+3 <= len(l.src) {
-		three = l.src[l.off : l.off+3]
-	}
-	switch three {
-	case "<<=":
-		l.advanceN(3)
-		return token.Token{Kind: token.SHL_ASSIGN, Pos: pos}
-	case ">>=":
-		l.advanceN(3)
-		return token.Token{Kind: token.SHR_ASSIGN, Pos: pos}
-	}
-	two := ""
-	if l.off+2 <= len(l.src) {
-		two = l.src[l.off : l.off+2]
-	}
-	twoKinds := map[string]token.Kind{
-		"<<": token.SHL, ">>": token.SHR, "&&": token.LAND, "||": token.LOR,
-		"==": token.EQL, "!=": token.NEQ, "<=": token.LEQ, ">=": token.GEQ,
-		"+=": token.ADD_ASSIGN, "-=": token.SUB_ASSIGN, "*=": token.MUL_ASSIGN,
-		"/=": token.QUO_ASSIGN, "%=": token.REM_ASSIGN, "&=": token.AND_ASSIGN,
-		"|=": token.OR_ASSIGN, "^=": token.XOR_ASSIGN,
-		"->": token.ARROW, "++": token.INC, "--": token.DEC,
-	}
-	if k, ok := twoKinds[two]; ok {
-		l.advanceN(2)
-		return token.Token{Kind: k, Pos: pos}
-	}
-	oneKinds := map[byte]token.Kind{
+// Operator tables, indexed by an operator's first byte; ILLEGAL (the zero
+// Kind) marks no such operator. single is the byte alone, doubled the byte
+// twice, doubledEq that followed by '=', withEq the byte followed by '='.
+var (
+	single = [128]token.Kind{
 		'+': token.ADD, '-': token.SUB, '*': token.MUL, '/': token.QUO,
 		'%': token.REM, '&': token.AND, '|': token.OR, '^': token.XOR,
 		'~': token.NOT, '!': token.LNOT, '<': token.LSS, '>': token.GTR,
@@ -236,18 +210,44 @@ func (l *Lexer) scanOperator(pos token.Pos) token.Token {
 		']': token.RBRACK, ',': token.COMMA, ';': token.SEMI,
 		':': token.COLON, '.': token.DOT, '?': token.QUEST,
 	}
-	c := l.advance()
-	if k, ok := oneKinds[c]; ok {
-		return token.Token{Kind: k, Pos: pos}
+	doubled = [128]token.Kind{
+		'<': token.SHL, '>': token.SHR, '&': token.LAND, '|': token.LOR,
+		'+': token.INC, '-': token.DEC, '=': token.EQL,
 	}
-	l.errorf(pos, "illegal character %q", c)
-	return token.Token{Kind: token.ILLEGAL, Lit: string(c), Pos: pos}
-}
+	doubledEq = [128]token.Kind{'<': token.SHL_ASSIGN, '>': token.SHR_ASSIGN}
+	withEq    = [128]token.Kind{
+		'!': token.NEQ, '<': token.LEQ, '>': token.GEQ,
+		'+': token.ADD_ASSIGN, '-': token.SUB_ASSIGN, '*': token.MUL_ASSIGN,
+		'/': token.QUO_ASSIGN, '%': token.REM_ASSIGN, '&': token.AND_ASSIGN,
+		'|': token.OR_ASSIGN, '^': token.XOR_ASSIGN,
+	}
+)
 
-func (l *Lexer) advanceN(n int) {
-	for i := 0; i < n; i++ {
-		l.advance()
+// scanOperator matches the longest operator at the cursor: its first byte
+// selects the table rows, the next one or two bytes the column.
+func (l *Lexer) scanOperator(pos token.Pos) token.Token {
+	c := l.advance()
+	if c >= 128 || single[c] == token.ILLEGAL {
+		l.errorf(pos, "illegal character %q", c)
+		return token.Token{Kind: token.ILLEGAL, Lit: string(c), Pos: pos}
 	}
+	k := single[c]
+	switch n := l.peek(); {
+	case n == c && doubled[c] != token.ILLEGAL:
+		l.advance()
+		k = doubled[c]
+		if l.peek() == '=' && doubledEq[c] != token.ILLEGAL {
+			l.advance()
+			k = doubledEq[c]
+		}
+	case n == '=' && withEq[c] != token.ILLEGAL:
+		l.advance()
+		k = withEq[c]
+	case n == '>' && c == '-':
+		l.advance()
+		k = token.ARROW
+	}
+	return token.Token{Kind: k, Pos: pos}
 }
 
 // ScanAll lexes the whole input and returns every token up to and including

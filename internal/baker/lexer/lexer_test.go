@@ -116,3 +116,69 @@ func TestEOFIsSticky(t *testing.T) {
 		}
 	}
 }
+
+// operators is every operator the lexer knows: 2 three-character, 19
+// two-character and 24 one-character.
+var operators = []struct {
+	lit  string
+	kind token.Kind
+}{
+	{"<<=", token.SHL_ASSIGN}, {">>=", token.SHR_ASSIGN},
+	{"<<", token.SHL}, {">>", token.SHR}, {"&&", token.LAND}, {"||", token.LOR},
+	{"==", token.EQL}, {"!=", token.NEQ}, {"<=", token.LEQ}, {">=", token.GEQ},
+	{"+=", token.ADD_ASSIGN}, {"-=", token.SUB_ASSIGN}, {"*=", token.MUL_ASSIGN},
+	{"/=", token.QUO_ASSIGN}, {"%=", token.REM_ASSIGN}, {"&=", token.AND_ASSIGN},
+	{"|=", token.OR_ASSIGN}, {"^=", token.XOR_ASSIGN},
+	{"->", token.ARROW}, {"++", token.INC}, {"--", token.DEC},
+	{"+", token.ADD}, {"-", token.SUB}, {"*", token.MUL}, {"/", token.QUO},
+	{"%", token.REM}, {"&", token.AND}, {"|", token.OR}, {"^", token.XOR},
+	{"~", token.NOT}, {"!", token.LNOT}, {"<", token.LSS}, {">", token.GTR},
+	{"=", token.ASSIGN}, {"(", token.LPAREN}, {")", token.RPAREN},
+	{"{", token.LBRACE}, {"}", token.RBRACE}, {"[", token.LBRACK},
+	{"]", token.RBRACK}, {",", token.COMMA}, {";", token.SEMI},
+	{":", token.COLON}, {".", token.DOT}, {"?", token.QUEST},
+}
+
+// sameScan fails unless ScanAll and the reference scan agree on src.
+func sameScan(t *testing.T, src string) {
+	t.Helper()
+	if diff, _ := DiffScan("t", src); diff != "" {
+		t.Fatalf("%q: %s", src, diff)
+	}
+}
+
+// TestOperatorTable scans every operator alone, then every ordered pair
+// glued together and at end of input against the reference scan, which
+// covers each prefix ambiguity (< << <<=, - -- -> -=, ...) in both orders.
+func TestOperatorTable(t *testing.T) {
+	if len(operators) != 2+19+24 {
+		t.Fatalf("table has %d operators", len(operators))
+	}
+	for _, op := range operators {
+		toks, errs := ScanAll("t", op.lit)
+		if len(errs) != 0 || len(toks) != 2 || toks[0].Kind != op.kind || toks[0].Lit != "" ||
+			toks[1].Pos.Col != 1+len(op.lit) {
+			t.Errorf("%q: got %v (errors %v), want one %v then EOF", op.lit, toks, errs, op.kind)
+		}
+		for _, next := range operators {
+			sameScan(t, op.lit+next.lit)
+			sameScan(t, "x"+op.lit+next.lit+"1\n"+next.lit)
+		}
+	}
+	for _, src := range []string{"<", "<<", "<<=", "-", "--", "->", "-=", "--->>>=<<<==", "a-->b", "x<<=-1"} {
+		sameScan(t, src)
+	}
+}
+
+// TestIllegalCharacters pins the error text and ILLEGAL token for bytes
+// that start no token, including non-ASCII and NUL.
+func TestIllegalCharacters(t *testing.T) {
+	for _, src := range []string{"@", "a # b", "$`\\'", "\x00", "\x7f", "caf\xc3\xa9", "\xff<<"} {
+		sameScan(t, src)
+	}
+	toks, errs := ScanAll("f", " @")
+	if len(errs) != 1 || errs[0].Error() != `f:1:2: illegal character '@'` ||
+		toks[0].Kind != token.ILLEGAL || toks[0].Lit != "@" {
+		t.Errorf("got %v, errors %v", toks, errs)
+	}
+}

@@ -328,7 +328,7 @@ func (c *checker) declareGlobal(m *ast.ModuleDecl, g *ast.GlobalDecl) {
 		c.errorf(g.Pos(), "global %q: packet handles cannot be stored in globals", qn)
 		t = UintType
 	}
-	c.prog.Globals[qn] = &Global{Name: qn, Type: t, Module: m.Name}
+	c.prog.Globals[qn] = &Global{Name: qn, Type: t, Module: m.Name, ID: len(c.prog.Globals)}
 }
 
 func (c *checker) declareChannel(m *ast.ModuleDecl, ch *ast.ChannelDecl) {

@@ -228,6 +228,9 @@ type Global struct {
 	Space MemSpace
 	// Synthetic marks compiler-generated globals (SWC flags/counters).
 	Synthetic bool
+	// ID is the global's dense index in Program.Globals: declaration order,
+	// then synthetic globals in creation order.
+	ID int
 }
 
 // Channel is a communication channel between PPFs.

@@ -189,6 +189,7 @@ func synthGlobal(prog *ir.Program, name, module string, space types.MemSpace) (*
 		Module:    module,
 		Space:     space,
 		Synthetic: true,
+		ID:        len(prog.Types.Globals),
 	}
 	prog.Types.Globals[name] = g
 	return g, nil

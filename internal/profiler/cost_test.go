@@ -1,0 +1,105 @@
+package profiler_test
+
+import (
+	"testing"
+
+	"shangrila/internal/apps"
+	"shangrila/internal/driver"
+	"shangrila/internal/ir"
+	"shangrila/internal/packet"
+	"shangrila/internal/profiler"
+)
+
+func l3switchLowered(tb testing.TB) (*apps.App, *ir.Program) {
+	tb.Helper()
+	a := apps.L3Switch()
+	prog, err := driver.LowerSource(a.Name+".baker", a.Source)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a, prog
+}
+
+// TestProfileAllocations pins what one Figure-5 profile of L3-Switch
+// lowered IR over its 512-packet trace allocates: 181 at PR 21 — the Stats
+// maps, each global's backing and line counters, one decode per function,
+// one argument slice per boot control — against 5152 before it, when every
+// activation made a register file and every store a word slice. The
+// ceiling is 1.3x the measured value.
+func TestProfileAllocations(t *testing.T) {
+	a, prog := l3switchLowered(t)
+	const runs = 3
+	var traces [][]*packet.Packet // profiling rewrites packets: one fresh trace per run
+	for i := 0; i <= runs; i++ {
+		traces = append(traces, a.Trace(prog.Types, 7, 512))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := profiler.ProfileWithControls(prog, traces[next], a.Controls); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs > 240 {
+		t.Errorf("ProfileWithControls allocates %.0f times, ceiling 240", allocs)
+	}
+}
+
+// TestInjectSteadyStateAllocs: once every function is decoded and the
+// register stack and channel queue have grown, injecting a packet allocates
+// nothing in the executor (6-7 allocations per packet before PR 21). What
+// remains belongs to the caller or the packet model and does not occur on
+// these traces: Out's amortized growth when the caller lets it accumulate
+// (the test truncates it), and packet.Packet growth in packet_copy,
+// packet_create, packet_add_tail and an encap beyond the headroom.
+func TestInjectSteadyStateAllocs(t *testing.T) {
+	for _, a := range apps.All() {
+		prog, err := driver.LowerSource(a.Name+".baker", a.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := profiler.NewSession(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range a.Controls {
+			if err := s.Control(c.Name, c.Args...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr := a.Trace(prog.Types, 7, 612)
+		for _, p := range tr[:100] {
+			if err := s.Inject(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := 100
+		allocs := testing.AllocsPerRun(500, func() {
+			s.Out = s.Out[:0]
+			if err := s.Inject(tr[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %.2f allocations per warmed Inject, want 0", a.Name, allocs)
+		}
+	}
+}
+
+// BenchmarkProfile is the "profile" layer on its own: one Figure-5 profile
+// of L3-Switch lowered IR over a fresh 512-packet trace per iteration
+// (trace generation is outside the timer).
+func BenchmarkProfile(b *testing.B) {
+	a, prog := l3switchLowered(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tr := a.Trace(prog.Types, 7, 512)
+		b.StartTimer()
+		if _, err := profiler.ProfileWithControls(prog, tr, a.Controls); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(512, "packets/op")
+}

@@ -1,10 +1,11 @@
 // Package profiler implements the Functional profiler of the paper's
-// Figure 5: an IR interpreter that simulates the network application over a
+// Figure 5: an IR executor that simulates the network application over a
 // user-supplied packet trace, collecting PPF execution-time estimates,
 // communication-channel utilizations and global data-structure access
-// frequencies. The same interpreter doubles as the XScale execution path at
+// frequencies. The same executor doubles as the XScale execution path at
 // runtime (infrequent aggregates run interpreted, as the paper's XScale
-// binaries run compiled-by-gcc C).
+// binaries run compiled-by-gcc C) and as the fuzz oracle's reference
+// semantics.
 package profiler
 
 import (
@@ -24,13 +25,15 @@ type Value struct {
 	Head int
 }
 
-// Env abstracts the world the interpreter runs against: global data
+// Env abstracts the world the executor runs against: global data
 // storage, channel output and locking. The profiler supplies a host-memory
 // implementation; the runtime supplies one backed by simulated IXP memory.
 type Env interface {
-	// LoadWords reads n 32-bit words from global g at byte offset off.
+	// LoadWords reads n 32-bit words from global g at byte offset off. The
+	// result is only read before the next Env call.
 	LoadWords(g *types.Global, off uint32, n int) ([]uint32, error)
-	// StoreWords writes words to global g at byte offset off.
+	// StoreWords writes words to global g at byte offset off; words is
+	// not retained.
 	StoreWords(g *types.Global, off uint32, words []uint32) error
 	// ChannelPut places p, whose current header is at head, on channel ch.
 	ChannelPut(ch *types.Channel, p *packet.Packet, head int) error
@@ -43,25 +46,27 @@ type Env interface {
 	NewPacket(proto *types.Protocol) *packet.Packet
 }
 
-// Observer receives execution events for statistics gathering. All methods
-// are optional no-ops in baseObserver.
-type Observer interface {
-	// OnInstr fires for every executed instruction in function fn.
-	OnInstr(fn *ir.Func, in *ir.Instr)
-}
-
 // MaxSteps bounds one function activation to catch runaway loops in user
-// programs (Baker has loops; the budget is generous).
+// programs (Baker has loops; the budget is generous). It is charged a
+// whole block at a time, on entry.
 const MaxSteps = 10_000_000
 
-// Interp interprets IR functions against an Env.
+// Interp executes IR functions against an Env. Each function is decoded
+// into slots (decode.go) on its first activation and the decoded form
+// lives on the Interp, so the IR must not change while the Interp is in
+// use. Registers live on one stack that activations carve windows from.
+// An Interp is not safe for concurrent use and Env methods must not call
+// back into Run.
 type Interp struct {
 	Prog *ir.Program
 	Env  Env
-	Obs  Observer
+
+	code  map[*ir.Func]*code
+	stack []Value  // register windows of the live activations, callee above caller
+	words []uint32 // OpStore staging
 }
 
-// errHalt wraps user-level runtime errors with position info.
+// execErr is a user-level runtime error positioned at in.
 func execErr(in *ir.Instr, format string, args ...any) error {
 	return fmt.Errorf("%s: %s", in.Pos, fmt.Sprintf(format, args...))
 }
@@ -69,292 +74,280 @@ func execErr(in *ir.Instr, format string, args ...any) error {
 // Run executes fn with the given arguments and returns its result value
 // (zero Value for void).
 func (it *Interp) Run(fn *ir.Func, args []Value) (Value, error) {
-	if len(args) != len(fn.Params) {
+	return it.run(it.codeOf(fn), args)
+}
+
+func (it *Interp) run(c *code, args []Value) (Value, error) {
+	if len(args) != len(c.fn.Params) {
 		return Value{}, fmt.Errorf("interp: %s called with %d args, want %d",
-			fn.Name, len(args), len(fn.Params))
+			c.fn.Name, len(args), len(c.fn.Params))
 	}
-	regs := make([]Value, fn.NumRegs)
-	for i, p := range fn.Params {
-		regs[p] = args[i]
+	if err := it.decode(c); err != nil {
+		return Value{}, err
 	}
+	win := it.window(c, 0)
+	for i, p := range c.fn.Params {
+		win[p] = args[i]
+	}
+	return it.exec(c, 0)
+}
+
+// window returns c's zeroed register window at stack offset base, growing
+// the stack if needed; windows handed out earlier must then be re-sliced.
+func (it *Interp) window(c *code, base int) []Value {
+	top := base + c.fn.NumRegs
+	if top > len(it.stack) {
+		it.stack = append(it.stack[:base], make([]Value, max(top, 2*len(it.stack))-base)...)
+	}
+	win := it.stack[base:top]
+	clear(win)
+	return win
+}
+
+// exec runs decoded function c whose window, parameters already in place,
+// starts at stack offset base.
+func (it *Interp) exec(c *code, base int) (Value, error) {
+	top := base + c.fn.NumRegs
+	regs := it.stack[base:top]
 	steps := 0
-	blk := fn.Entry
-	var prev *ir.Block
-	_ = prev
+	bi := c.entry
 	for {
-		var next *ir.Block
-		for _, in := range blk.Instrs {
-			steps++
-			if steps > MaxSteps {
-				return Value{}, fmt.Errorf("interp: %s exceeded %d steps (infinite loop?)", fn.Name, MaxSteps)
-			}
-			if it.Obs != nil {
-				it.Obs.OnInstr(fn, in)
-			}
-			switch in.Op {
+		b := &c.blocks[bi]
+		b.entered++
+		if steps += int(b.instrs); steps > MaxSteps {
+			return Value{}, fmt.Errorf("interp: %s exceeded %d steps (infinite loop?)", c.fn.Name, MaxSteps)
+		}
+		pc := b.start
+	body:
+		for {
+			s := &c.slots[pc]
+			pc++
+			switch s.op {
 			case ir.OpConst:
-				regs[in.Dst[0]] = Value{W: uint32(in.Imm)}
+				regs[s.dst] = Value{W: s.imm}
 			case ir.OpMov:
-				regs[in.Dst[0]] = regs[in.Args[0]]
-			case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDivU, ir.OpRemU,
-				ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShrU, ir.OpShrS,
-				ir.OpEq, ir.OpNe, ir.OpLtU, ir.OpLeU, ir.OpLtS, ir.OpLeS:
-				x, y := regs[in.Args[0]], regs[in.Args[1]]
-				v, err := alu(in, x, y)
-				if err != nil {
-					return Value{}, err
+				regs[s.dst] = regs[s.a]
+			case ir.OpAdd:
+				regs[s.dst] = Value{W: regs[s.a].W + regs[s.b].W}
+			case ir.OpSub:
+				regs[s.dst] = Value{W: regs[s.a].W - regs[s.b].W}
+			case ir.OpMul:
+				regs[s.dst] = Value{W: regs[s.a].W * regs[s.b].W}
+			case ir.OpDivU:
+				if regs[s.b].W == 0 {
+					return Value{}, execErr(s.in, "division by zero")
 				}
-				regs[in.Dst[0]] = v
+				regs[s.dst] = Value{W: regs[s.a].W / regs[s.b].W}
+			case ir.OpRemU:
+				if regs[s.b].W == 0 {
+					return Value{}, execErr(s.in, "modulo by zero")
+				}
+				regs[s.dst] = Value{W: regs[s.a].W % regs[s.b].W}
+			case ir.OpAnd:
+				regs[s.dst] = Value{W: regs[s.a].W & regs[s.b].W}
+			case ir.OpOr:
+				regs[s.dst] = Value{W: regs[s.a].W | regs[s.b].W}
+			case ir.OpXor:
+				regs[s.dst] = Value{W: regs[s.a].W ^ regs[s.b].W}
+			case ir.OpShl:
+				regs[s.dst] = Value{W: regs[s.a].W << (regs[s.b].W & 31)}
+			case ir.OpShrU:
+				regs[s.dst] = Value{W: regs[s.a].W >> (regs[s.b].W & 31)}
+			case ir.OpShrS:
+				regs[s.dst] = Value{W: uint32(int32(regs[s.a].W) >> (regs[s.b].W & 31))}
 			case ir.OpNot:
-				regs[in.Dst[0]] = Value{W: ^regs[in.Args[0]].W}
+				regs[s.dst] = Value{W: ^regs[s.a].W}
 			case ir.OpNeg:
-				regs[in.Dst[0]] = Value{W: -regs[in.Args[0]].W}
+				regs[s.dst] = Value{W: -regs[s.a].W}
+			case ir.OpEq, ir.OpNe:
+				// Handles compare by identity.
+				x, y := regs[s.a], regs[s.b]
+				eq := x.W == y.W
+				if x.P != nil || y.P != nil {
+					eq = x.P == y.P
+				}
+				regs[s.dst] = boolVal(eq == (s.op == ir.OpEq))
+			case ir.OpLtU:
+				regs[s.dst] = boolVal(regs[s.a].W < regs[s.b].W)
+			case ir.OpLeU:
+				regs[s.dst] = boolVal(regs[s.a].W <= regs[s.b].W)
+			case ir.OpLtS:
+				regs[s.dst] = boolVal(int32(regs[s.a].W) < int32(regs[s.b].W))
+			case ir.OpLeS:
+				regs[s.dst] = boolVal(int32(regs[s.a].W) <= int32(regs[s.b].W))
 			case ir.OpBr:
-				next = in.Blocks[0]
+				bi = s.imm
+				break body
 			case ir.OpCondBr:
-				if regs[in.Args[0]].W != 0 {
-					next = in.Blocks[0]
-				} else {
-					next = in.Blocks[1]
+				bi = s.imm
+				if regs[s.a].W == 0 {
+					bi = s.alt
 				}
+				break body
 			case ir.OpRet:
-				if len(in.Args) > 0 {
-					return regs[in.Args[0]], nil
+				if s.a < 0 {
+					return Value{}, nil
 				}
-				return Value{}, nil
+				return regs[s.a], nil
 			case ir.OpCall:
-				callee := it.Prog.Func(in.Callee)
-				if callee == nil {
-					return Value{}, execErr(in, "unknown callee %q", in.Callee)
+				cc := c.calls[s.imm]
+				if err := it.decode(cc); err != nil {
+					return Value{}, err
 				}
-				cargs := make([]Value, len(in.Args))
-				for i, a := range in.Args {
-					cargs[i] = regs[a]
+				win := it.window(cc, top)
+				regs = it.stack[base:top]
+				for i, a := range c.list(s) {
+					win[cc.fn.Params[i]] = regs[a]
 				}
-				rv, err := it.Run(callee, cargs)
+				rv, err := it.exec(cc, top)
 				if err != nil {
 					return Value{}, err
 				}
-				if len(in.Dst) > 0 {
-					regs[in.Dst[0]] = rv
+				regs = it.stack[base:top] // a deeper call may have grown the stack
+				if s.dst >= 0 {
+					regs[s.dst] = rv
 				}
 			case ir.OpLoad:
-				off, err := it.effAddr(in, regs)
+				off, err := effAddr(s, regs)
 				if err != nil {
 					return Value{}, err
 				}
-				words, err := it.Env.LoadWords(in.Global, off, len(in.Dst))
+				words, err := it.Env.LoadWords(s.in.Global, off, int(s.n))
 				if err != nil {
-					return Value{}, execErr(in, "%v", err)
+					return Value{}, execErr(s.in, "%v", err)
 				}
-				for i, d := range in.Dst {
-					regs[d] = Value{W: words[i]}
+				if s.n == 1 {
+					regs[s.dst] = Value{W: words[0]}
+				} else {
+					for i, d := range c.list(s) {
+						regs[d] = Value{W: words[i]}
+					}
 				}
 			case ir.OpStore:
-				off, err := it.effAddr(in, regs)
+				off, err := effAddr(s, regs)
 				if err != nil {
 					return Value{}, err
 				}
-				words := make([]uint32, len(in.Args)-1)
-				for i, a := range in.Args[1:] {
-					words[i] = regs[a].W
-				}
-				if err := it.Env.StoreWords(in.Global, off, words); err != nil {
-					return Value{}, execErr(in, "%v", err)
-				}
-			case ir.OpPktLoad:
-				p := regs[in.Args[0]].P
-				if p == nil {
-					return Value{}, execErr(in, "packet load through nil handle")
-				}
-				head := regs[in.Args[0]].Head
-				if in.Field != nil {
-					v, err := p.ReadField(head, in.Field)
-					if err != nil {
-						return Value{}, execErr(in, "%v", err)
-					}
-					regs[in.Dst[0]] = Value{W: v}
+				words := it.words[:0]
+				if s.n == 1 {
+					words = append(words, regs[s.b].W)
 				} else {
-					raw, err := p.ReadRaw(head, int(in.Off), in.Width)
-					if err != nil {
-						return Value{}, execErr(in, "%v", err)
-					}
-					for i, d := range in.Dst {
-						regs[d] = Value{W: beWord(raw[i*4:])}
+					for _, a := range c.list(s) {
+						words = append(words, regs[a].W)
 					}
 				}
-			case ir.OpPktStore:
-				p := regs[in.Args[0]].P
-				if p == nil {
-					return Value{}, execErr(in, "packet store through nil handle")
+				it.words = words
+				if err := it.Env.StoreWords(s.in.Global, off, words); err != nil {
+					return Value{}, execErr(s.in, "%v", err)
 				}
-				head := regs[in.Args[0]].Head
-				if in.Field != nil {
-					if err := p.WriteField(head, in.Field, regs[in.Args[1]].W); err != nil {
-						return Value{}, execErr(in, "%v", err)
-					}
-				} else {
-					raw, err := p.ReadRaw(head, int(in.Off), in.Width)
-					if err != nil {
-						return Value{}, execErr(in, "%v", err)
-					}
-					for i, a := range in.Args[1:] {
-						putBEWord(raw[i*4:], regs[a].W)
-					}
-				}
-			case ir.OpMetaLoad:
-				p := regs[in.Args[0]].P
-				if in.Field != nil {
-					regs[in.Dst[0]] = Value{W: p.MetaField(in.Field)}
-				} else {
-					if int(in.Off)+in.Width > len(p.Meta) {
-						return Value{}, execErr(in, "raw metadata read out of range")
-					}
-					for i, d := range in.Dst {
-						regs[d] = Value{W: beWord(p.Meta[int(in.Off)+i*4:])}
-					}
-				}
-			case ir.OpMetaStore:
-				p := regs[in.Args[0]].P
-				if in.Field != nil {
-					p.SetMetaField(in.Field, regs[in.Args[1]].W)
-				} else {
-					if int(in.Off)+in.Width > len(p.Meta) {
-						return Value{}, execErr(in, "raw metadata write out of range")
-					}
-					for i, a := range in.Args[1:] {
-						putBEWord(p.Meta[int(in.Off)+i*4:], regs[a].W)
-					}
-				}
-			case ir.OpDecap:
-				h := regs[in.Args[0]]
-				src := it.Prog.Types.ProtoByID[in.Imm]
-				nh, err := h.P.Decap(h.Head, src, it.Prog.Types.Consts)
-				if err != nil {
-					return Value{}, execErr(in, "%v", err)
-				}
-				regs[in.Dst[0]] = Value{P: h.P, Head: nh}
-			case ir.OpEncap:
-				h := regs[in.Args[0]]
-				nh, err := h.P.Encap(h.Head, in.Proto)
-				if err != nil {
-					return Value{}, execErr(in, "%v", err)
-				}
-				regs[in.Dst[0]] = Value{P: h.P, Head: nh}
-			case ir.OpPktCopy:
-				h := regs[in.Args[0]]
-				regs[in.Dst[0]] = Value{P: h.P.Clone(), Head: h.Head}
 			case ir.OpPktCreate:
-				regs[in.Dst[0]] = Value{P: it.Env.NewPacket(in.Proto)}
+				regs[s.dst] = Value{P: it.Env.NewPacket(s.in.Proto)}
 			case ir.OpPktDrop:
-				it.Env.Drop(regs[in.Args[0]].P)
-			case ir.OpAddTail:
-				regs[in.Args[0]].P.AddTail(int(regs[in.Args[1]].W))
-			case ir.OpRemoveTail:
-				if err := regs[in.Args[0]].P.RemoveTail(int(regs[in.Args[1]].W)); err != nil {
-					return Value{}, execErr(in, "%v", err)
-				}
-			case ir.OpPktLength:
-				regs[in.Dst[0]] = Value{W: uint32(regs[in.Args[0]].P.Len())}
-			case ir.OpChanPut:
-				h := regs[in.Args[0]]
-				if err := it.Env.ChannelPut(in.Chan, h.P, h.Head); err != nil {
-					return Value{}, execErr(in, "%v", err)
-				}
+				it.Env.Drop(regs[s.a].P)
 			case ir.OpLockAcquire:
-				it.Env.Lock(int(in.Imm))
+				it.Env.Lock(int(s.imm))
 			case ir.OpLockRelease:
-				it.Env.Unlock(int(in.Imm))
+				it.Env.Unlock(int(s.imm))
 			case ir.OpCacheLookup:
-				// The host interpreter models the software cache as always
-				// missing: the load path then reads the home location,
-				// which is semantically the coherent behaviour.
-				regs[in.Dst[0]] = Value{W: 0}
-				for _, d := range in.Dst[1:] {
+				// The host models the software cache as always missing: the
+				// load path then reads the home location, which is
+				// semantically the coherent behaviour.
+				for _, d := range c.list(s) {
 					regs[d] = Value{}
 				}
 			case ir.OpCacheFill, ir.OpCacheFlush:
 				// No-ops on the host.
+			case ir.OpInvalid:
+				return Value{}, fmt.Errorf("interp: %s block b%d fell through without terminator", c.fn.Name, s.imm)
 			default:
-				return Value{}, execErr(in, "interp: unhandled op %s", in.Op)
+				// What remains works on the packet behind the handle in a.
+				h := regs[s.a]
+				p := h.P
+				if p == nil {
+					return Value{}, execErr(s.in, "%s through nil handle", s.op)
+				}
+				var err error
+				switch s.op {
+				case ir.OpPktLoad:
+					if f := s.in.Field; f != nil {
+						var v uint32
+						v, err = p.ReadField(h.Head, f)
+						regs[s.dst] = Value{W: v}
+					} else if raw, rerr := p.ReadRaw(h.Head, int(int32(s.imm)), int(s.alt)); rerr != nil {
+						err = rerr
+					} else {
+						for i, d := range c.list(s) {
+							regs[d] = Value{W: beWord(raw[i*4:])}
+						}
+					}
+				case ir.OpPktStore:
+					if f := s.in.Field; f != nil {
+						err = p.WriteField(h.Head, f, regs[s.b].W)
+					} else if raw, rerr := p.ReadRaw(h.Head, int(int32(s.imm)), int(s.alt)); rerr != nil {
+						err = rerr
+					} else {
+						for i, a := range c.list(s) {
+							putBEWord(raw[i*4:], regs[a].W)
+						}
+					}
+				case ir.OpMetaLoad:
+					if f := s.in.Field; f != nil {
+						regs[s.dst] = Value{W: p.MetaField(f)}
+					} else if int(s.imm+s.alt) > len(p.Meta) {
+						err = fmt.Errorf("raw metadata read out of range")
+					} else {
+						for i, d := range c.list(s) {
+							regs[d] = Value{W: beWord(p.Meta[int(s.imm)+i*4:])}
+						}
+					}
+				case ir.OpMetaStore:
+					if f := s.in.Field; f != nil {
+						p.SetMetaField(f, regs[s.b].W)
+					} else if int(s.imm+s.alt) > len(p.Meta) {
+						err = fmt.Errorf("raw metadata write out of range")
+					} else {
+						for i, a := range c.list(s) {
+							putBEWord(p.Meta[int(s.imm)+i*4:], regs[a].W)
+						}
+					}
+				case ir.OpDecap:
+					h.Head, err = p.Decap(h.Head, it.Prog.Types.ProtoByID[s.imm], it.Prog.Types.Consts)
+					regs[s.dst] = Value{P: p, Head: h.Head}
+				case ir.OpEncap:
+					h.Head, err = p.Encap(h.Head, s.in.Proto)
+					regs[s.dst] = Value{P: p, Head: h.Head}
+				case ir.OpPktCopy:
+					regs[s.dst] = Value{P: p.Clone(), Head: h.Head}
+				case ir.OpAddTail:
+					p.AddTail(int(regs[s.b].W))
+				case ir.OpRemoveTail:
+					err = p.RemoveTail(int(regs[s.b].W))
+				case ir.OpPktLength:
+					regs[s.dst] = Value{W: uint32(p.Len())}
+				case ir.OpChanPut:
+					err = it.Env.ChannelPut(s.in.Chan, p, h.Head)
+				}
+				if err != nil {
+					return Value{}, execErr(s.in, "%v", err)
+				}
 			}
 		}
-		if next == nil {
-			return Value{}, fmt.Errorf("interp: %s block b%d fell through without terminator", fn.Name, blk.ID)
-		}
-		prev, blk = blk, next
 	}
 }
 
-func (it *Interp) effAddr(in *ir.Instr, regs []Value) (uint32, error) {
-	off := uint32(in.Off)
-	if len(in.Args) > 0 && in.Args[0] != ir.NoReg {
-		off += regs[in.Args[0]].W
+// effAddr is a global access's byte offset, which must leave room for one
+// word (Baker has no bounds checking on the ME, but the profiler flags an
+// out-of-range index as a program bug).
+func effAddr(s *slot, regs []Value) (uint32, error) {
+	off := s.imm
+	if s.a >= 0 {
+		off += regs[s.a].W
 	}
-	size := uint32(in.Global.Type.SizeBytes())
-	if off+4 > size || off%4 != 0 {
-		// Index out of range: report (Baker has no bounds checking on the
-		// ME, but the profiler flags it as a program bug).
-		if off+4 > size {
-			return 0, execErr(in, "global %s access at byte %d out of range (size %d)",
-				in.Global.Name, off, size)
-		}
+	if off+4 > s.alt {
+		return 0, execErr(s.in, "global %s access at byte %d out of range (size %d)",
+			s.in.Global.Name, off, s.alt)
 	}
 	return off, nil
-}
-
-func alu(in *ir.Instr, x, y Value) (Value, error) {
-	a, b := x.W, y.W
-	switch in.Op {
-	case ir.OpAdd:
-		return Value{W: a + b}, nil
-	case ir.OpSub:
-		return Value{W: a - b}, nil
-	case ir.OpMul:
-		return Value{W: a * b}, nil
-	case ir.OpDivU:
-		if b == 0 {
-			return Value{}, execErr(in, "division by zero")
-		}
-		return Value{W: a / b}, nil
-	case ir.OpRemU:
-		if b == 0 {
-			return Value{}, execErr(in, "modulo by zero")
-		}
-		return Value{W: a % b}, nil
-	case ir.OpAnd:
-		return Value{W: a & b}, nil
-	case ir.OpOr:
-		return Value{W: a | b}, nil
-	case ir.OpXor:
-		return Value{W: a ^ b}, nil
-	case ir.OpShl:
-		return Value{W: a << (b & 31)}, nil
-	case ir.OpShrU:
-		return Value{W: a >> (b & 31)}, nil
-	case ir.OpShrS:
-		return Value{W: uint32(int32(a) >> (b & 31))}, nil
-	case ir.OpEq:
-		// Handle identity comparison when both sides are handles.
-		if x.P != nil || y.P != nil {
-			return boolVal(x.P == y.P), nil
-		}
-		return boolVal(a == b), nil
-	case ir.OpNe:
-		if x.P != nil || y.P != nil {
-			return boolVal(x.P != y.P), nil
-		}
-		return boolVal(a != b), nil
-	case ir.OpLtU:
-		return boolVal(a < b), nil
-	case ir.OpLeU:
-		return boolVal(a <= b), nil
-	case ir.OpLtS:
-		return boolVal(int32(a) < int32(b)), nil
-	case ir.OpLeS:
-		return boolVal(int32(a) <= int32(b)), nil
-	}
-	return Value{}, execErr(in, "interp: not an ALU op %s", in.Op)
 }
 
 func boolVal(b bool) Value {

@@ -81,71 +81,89 @@ func (s *Stats) InstrsPerPacket(fn string) float64 {
 	return float64(fs.Instrs) / float64(fs.Invocations)
 }
 
-// hostEnv is the profiler's host-memory execution environment.
+// hostEnv is the profiler's host-memory execution environment and PPF
+// dispatcher. It counts on dense tables — globals by Global.ID, channels
+// by Channel.ID, functions on the Interp's decoded code — and assemble
+// turns them into the name-keyed Stats maps once, at the end of a profile.
 type hostEnv struct {
 	tp      *types.Program
-	mem     map[string][]uint32 // global backing store, word granular
-	queue   []queued            // pending channel messages (FIFO)
+	it      *Interp
 	stats   *Stats
-	locks   map[int]bool
+	globals []hostGlobal // by Global.ID
+	chans   []hostChan   // by Channel.ID
+	queue   []OutPacket  // pending channel messages (FIFO); qhead is the next one
+	qhead   int
 	inCrit  int
-	current string // function whose accesses are being attributed
+	rx      *code             // the PPF wired to rx, once resolved
+	rxPort  *types.ProtoField // metadata field mirroring the receive port, if declared
 }
 
-type queued struct {
-	ch   *types.Channel
-	p    *packet.Packet
-	head int
+type hostGlobal struct {
+	g         *types.Global
+	words     []uint32    // backing store
+	lineReads []uint64    // by cache line
+	stats     GlobalStats // LineReads is filled from lineReads by assemble
 }
 
-func newHostEnv(tp *types.Program, stats *Stats) *hostEnv {
-	env := &hostEnv{tp: tp, mem: map[string][]uint32{}, stats: stats, locks: map[int]bool{}}
-	for name, g := range tp.Globals {
-		env.mem[name] = make([]uint32, (g.Type.SizeBytes()+3)/4)
+type hostChan struct {
+	puts     uint64
+	consumer *code // resolved on the first message
+}
+
+func newHostEnv(prog *ir.Program, stats *Stats) *hostEnv {
+	tp := prog.Types
+	env := &hostEnv{tp: tp, stats: stats, rxPort: tp.Metadata.Field("rx_port"),
+		globals: make([]hostGlobal, len(tp.Globals)), chans: make([]hostChan, len(tp.ChanByID))}
+	env.it = &Interp{Prog: prog, Env: env}
+	for _, g := range tp.Globals {
+		words := make([]uint32, (g.Type.SizeBytes()+3)/4)
+		env.globals[g.ID] = hostGlobal{g: g, words: words, lineReads: make([]uint64, len(words)*4/CacheLineBytes+1)}
 	}
 	return env
 }
 
-func (e *hostEnv) gstats(g *types.Global) *GlobalStats {
-	gs := e.stats.Globals[g.Name]
-	if gs == nil {
-		gs = &GlobalStats{LineReads: map[uint32]uint64{}}
-		e.stats.Globals[g.Name] = gs
+// global returns g's backing and counters after checking that the n-word
+// access at off is inside it.
+func (e *hostEnv) global(g *types.Global, off uint32, n int, verb string) (*hostGlobal, error) {
+	if g.ID >= len(e.globals) || e.globals[g.ID].g != g {
+		return nil, fmt.Errorf("global %s is not part of the program", g.Name)
 	}
-	return gs
+	hg := &e.globals[g.ID]
+	if int(off/4)+n > len(hg.words) {
+		return nil, fmt.Errorf("global %s %s out of range (off %d, %d words)", g.Name, verb, off, n)
+	}
+	if e.inCrit > 0 {
+		hg.stats.InCritical = true
+	}
+	return hg, nil
 }
 
 func (e *hostEnv) LoadWords(g *types.Global, off uint32, n int) ([]uint32, error) {
-	buf := e.mem[g.Name]
-	if int(off/4)+n > len(buf) {
-		return nil, fmt.Errorf("global %s read out of range (off %d, %d words)", g.Name, off, n)
+	hg, err := e.global(g, off, n, "read")
+	if err != nil {
+		return nil, err
 	}
-	gs := e.gstats(g)
-	gs.Reads++
-	gs.LineReads[off/CacheLineBytes]++
-	if e.inCrit > 0 {
-		gs.InCritical = true
-	}
-	return buf[off/4 : off/4+uint32(n)], nil
+	hg.stats.Reads++
+	hg.lineReads[off/CacheLineBytes]++
+	return hg.words[off/4 : off/4+uint32(n)], nil
 }
 
 func (e *hostEnv) StoreWords(g *types.Global, off uint32, words []uint32) error {
-	buf := e.mem[g.Name]
-	if int(off/4)+len(words) > len(buf) {
-		return fmt.Errorf("global %s write out of range (off %d, %d words)", g.Name, off, len(words))
+	hg, err := e.global(g, off, len(words), "write")
+	if err != nil {
+		return err
 	}
-	gs := e.gstats(g)
-	gs.Writes++
-	if e.inCrit > 0 {
-		gs.InCritical = true
-	}
-	copy(buf[off/4:], words)
+	hg.stats.Writes++
+	copy(hg.words[off/4:], words)
 	return nil
 }
 
 func (e *hostEnv) ChannelPut(ch *types.Channel, p *packet.Packet, head int) error {
-	e.stats.Chans[ch.Name]++
-	e.queue = append(e.queue, queued{ch: ch, p: p, head: head})
+	if ch.ID >= len(e.chans) || e.tp.ChanByID[ch.ID] != ch {
+		return fmt.Errorf("channel %s is not part of the program", ch.Name)
+	}
+	e.chans[ch.ID].puts++
+	e.queue = append(e.queue, OutPacket{Chan: ch, P: p, Head: head})
 	return nil
 }
 
@@ -162,21 +180,140 @@ func (e *hostEnv) NewPacket(proto *types.Protocol) *packet.Packet {
 	return packet.New(make([]byte, size), e.tp.Metadata.Bytes)
 }
 
-// observer attributes instruction counts to the running function.
-type observer struct{ stats *Stats }
+// runInits runs the program's init functions (they run on the XScale at
+// load time).
+func (e *hostEnv) runInits() error {
+	for _, name := range e.it.Prog.Order {
+		fn := e.it.Prog.Funcs[name]
+		if fn.Kind == ir.FuncInit && len(fn.Params) == 0 {
+			if _, err := e.it.Run(fn, nil); err != nil {
+				return fmt.Errorf("init %s: %w", name, err)
+			}
+		}
+	}
+	return nil
+}
 
-func (o *observer) OnInstr(fn *ir.Func, in *ir.Instr) {
-	fs := o.stats.Funcs[fn.Name]
-	if fs == nil {
-		fs = &FuncStats{}
-		o.stats.Funcs[fn.Name] = fs
+// control invokes a control function with word arguments.
+func (e *hostEnv) control(name string, args []uint32) error {
+	fn := e.it.Prog.Func(name)
+	if fn == nil {
+		return fmt.Errorf("no control function %q", name)
 	}
-	fs.Instrs++
-	switch in.Op {
-	case ir.OpLoad, ir.OpStore, ir.OpPktLoad, ir.OpPktStore,
-		ir.OpMetaLoad, ir.OpMetaStore:
-		fs.MemAccesses++
+	vals := make([]Value, len(args))
+	for i, a := range args {
+		vals[i] = Value{W: a}
 	}
+	_, err := e.it.Run(fn, vals)
+	return err
+}
+
+// entry resolves the PPF wired to rx.
+func (e *hostEnv) entry() (*code, error) {
+	if e.rx == nil {
+		if e.tp.Entry == nil || e.it.Prog.Func(e.tp.Entry.Name) == nil {
+			return nil, fmt.Errorf("program has no rx entry PPF")
+		}
+		e.rx = e.it.codeOf(e.it.Prog.Func(e.tp.Entry.Name))
+	}
+	return e.rx, nil
+}
+
+// inject runs p through the application: it enters at the rx-wired PPF,
+// then channel messages are dispatched FIFO to consumer PPFs until the
+// system drains. Packets reaching tx are appended to out when non-nil.
+func (e *hostEnv) inject(entry *code, p *packet.Packet, out *[]OutPacket) error {
+	e.stats.Packets++
+	if e.rxPort != nil {
+		p.SetMetaField(e.rxPort, p.Port)
+	}
+	if err := e.runPPF(entry, p, 0); err != nil {
+		return err
+	}
+	for e.qhead < len(e.queue) {
+		msg := e.queue[e.qhead]
+		e.qhead++
+		if msg.Chan.Consumer == "tx" {
+			e.stats.Forwarded++
+			if out != nil {
+				*out = append(*out, msg)
+			}
+			continue
+		}
+		hc := &e.chans[msg.Chan.ID]
+		if hc.consumer == nil {
+			fn := e.it.Prog.Func(msg.Chan.Consumer)
+			if fn == nil {
+				return fmt.Errorf("profile: channel %s consumer %q missing", msg.Chan.Name, msg.Chan.Consumer)
+			}
+			hc.consumer = e.it.codeOf(fn)
+		}
+		if err := e.runPPF(hc.consumer, msg.P, msg.Head); err != nil {
+			return err
+		}
+	}
+	e.queue, e.qhead = e.queue[:0], 0
+	return nil
+}
+
+func (e *hostEnv) runPPF(c *code, p *packet.Packet, head int) error {
+	c.invocations++
+	if _, err := e.it.run(c, []Value{{P: p, Head: head}}); err != nil {
+		return fmt.Errorf("profile: %s: %w", c.fn.Name, err)
+	}
+	return nil
+}
+
+// resetCounts forgets everything counted so far; memory keeps its
+// contents. Function counters live on the Interp's decoded code, so a fresh
+// Interp starts them (and the consumers resolved against it) from nothing.
+func (e *hostEnv) resetCounts() {
+	e.it, e.rx = &Interp{Prog: e.it.Prog, Env: e}, nil
+	clear(e.chans)
+	for i := range e.globals {
+		e.globals[i].stats = GlobalStats{}
+		clear(e.globals[i].lineReads)
+	}
+}
+
+// assemble fills the name-keyed maps of e.stats from the dense counters:
+// an entry for every function, channel and global touched since the last
+// reset, with block entries multiplied out into instruction counts.
+func (e *hostEnv) assemble() {
+	st := e.stats
+	for fn, c := range e.it.code {
+		fs := FuncStats{Invocations: c.invocations}
+		for _, b := range c.blocks {
+			fs.Instrs += b.entered * uint64(b.instrs)
+			fs.MemAccesses += b.entered * uint64(b.mem)
+		}
+		if fs.Invocations+fs.Instrs > 0 {
+			st.Funcs[fn.Name] = &fs
+		}
+	}
+	for id, hc := range e.chans {
+		if hc.puts > 0 {
+			st.Chans[e.tp.ChanByID[id].Name] = hc.puts
+		}
+	}
+	for i := range e.globals {
+		hg := &e.globals[i]
+		if hg.stats.Reads+hg.stats.Writes == 0 {
+			continue
+		}
+		gs := hg.stats
+		gs.LineReads = map[uint32]uint64{}
+		for line, n := range hg.lineReads {
+			if n > 0 {
+				gs.LineReads[uint32(line)] = n
+			}
+		}
+		st.Globals[hg.g.Name] = &gs
+	}
+}
+
+func newStats() *Stats {
+	return &Stats{Funcs: map[string]*FuncStats{}, Chans: map[string]uint64{}, Globals: map[string]*GlobalStats{}}
 }
 
 // Control names a control-plane invocation used to populate tables before
@@ -196,120 +333,45 @@ func Profile(prog *ir.Program, tr []*packet.Packet) (*Stats, error) {
 // ProfileWithControls is Profile with control-function table setup
 // between init and the packet trace.
 func ProfileWithControls(prog *ir.Program, tr []*packet.Packet, controls []Control) (*Stats, error) {
-	stats := &Stats{
-		Funcs:   map[string]*FuncStats{},
-		Chans:   map[string]uint64{},
-		Globals: map[string]*GlobalStats{},
+	stats := newStats()
+	env := newHostEnv(prog, stats)
+	if err := env.runInits(); err != nil {
+		return nil, fmt.Errorf("profile: %w", err)
 	}
-	env := newHostEnv(prog.Types, stats)
-	it := &Interp{Prog: prog, Env: env, Obs: &observer{stats: stats}}
-
-	// Run init functions first (they run on the XScale at load time).
-	for _, name := range prog.Order {
-		fn := prog.Funcs[name]
-		if fn.Kind == ir.FuncInit && len(fn.Params) == 0 {
-			if _, err := it.Run(fn, nil); err != nil {
-				return nil, fmt.Errorf("profile: init %s: %w", name, err)
-			}
-		}
-	}
-
 	for _, c := range controls {
-		vals := make([]Value, len(c.Args))
-		for i, a := range c.Args {
-			vals[i] = Value{W: a}
-		}
-		fn := prog.Func(c.Name)
-		if fn == nil {
-			return nil, fmt.Errorf("profile: no control function %q", c.Name)
-		}
-		if _, err := it.Run(fn, vals); err != nil {
+		if err := env.control(c.Name, c.Args); err != nil {
 			return nil, fmt.Errorf("profile: control %s: %w", c.Name, err)
 		}
 	}
 	// Setup traffic (init + table population) must not pollute the
 	// steady-state statistics: SWC's Equation 2 needs the *runtime* store
 	// rate, and aggregation wants data-path execution weights.
-	stats.Funcs = map[string]*FuncStats{}
-	stats.Chans = map[string]uint64{}
-	stats.Globals = map[string]*GlobalStats{}
+	env.resetCounts()
 
-	entry := prog.Types.Entry
-	if entry == nil {
-		return nil, fmt.Errorf("profile: program has no rx entry PPF")
+	entry, err := env.entry()
+	if err != nil {
+		return nil, fmt.Errorf("profile: %w", err)
 	}
-	entryFn := prog.Func(entry.Name)
-	rxPort := prog.Types.Metadata.Field("rx_port")
-
 	for _, p := range tr {
-		stats.Packets++
-		if rxPort != nil {
-			p.SetMetaField(rxPort, p.Port)
-		}
-		if err := runPPF(it, stats, entryFn, p, 0); err != nil {
+		if err := env.inject(entry, p, nil); err != nil {
 			return nil, err
 		}
-		// Drain channel messages.
-		for len(env.queue) > 0 {
-			msg := env.queue[0]
-			env.queue = env.queue[1:]
-			if msg.ch.Consumer == "tx" {
-				stats.Forwarded++
-				continue
-			}
-			consumer := prog.Func(msg.ch.Consumer)
-			if consumer == nil {
-				return nil, fmt.Errorf("profile: channel %s consumer %q missing",
-					msg.ch.Name, msg.ch.Consumer)
-			}
-			if err := runPPF(it, stats, consumer, msg.p, msg.head); err != nil {
-				return nil, err
-			}
-		}
 	}
+	env.assemble()
 	return stats, nil
 }
 
-func runPPF(it *Interp, stats *Stats, fn *ir.Func, p *packet.Packet, head int) error {
-	fs := stats.Funcs[fn.Name]
-	if fs == nil {
-		fs = &FuncStats{}
-		stats.Funcs[fn.Name] = fs
-	}
-	fs.Invocations++
-	_, err := it.Run(fn, []Value{{P: p, Head: head}})
-	if err != nil {
-		return fmt.Errorf("profile: %s: %w", fn.Name, err)
-	}
-	return nil
-}
-
-// RunControl invokes a control function (host-triggered table update) in
-// the same environment used by Profile. It is exposed for tests and for
-// the quickstart example; the runtime package has its own simulated-memory
-// equivalent.
-func (e *hostEnv) RunControl(it *Interp, name string, args []uint32) error {
-	fn := it.Prog.Func(name)
-	if fn == nil {
-		return fmt.Errorf("no control function %q", name)
-	}
-	vals := make([]Value, len(args))
-	for i, a := range args {
-		vals[i] = Value{W: a}
-	}
-	_, err := it.Run(fn, vals)
-	return err
-}
-
-// Session bundles an interpreter and host environment for integration
+// Session bundles an executor and host environment for integration
 // tests and examples that want to run a Baker program functionally
 // (outside the IXP model): inject packets, invoke control functions, and
 // inspect outputs.
 type Session struct {
-	Prog  *ir.Program
+	Prog *ir.Program
+	// Stats carries the live packet counters (Packets, Forwarded, Dropped);
+	// its per-function, channel and global maps are only assembled by
+	// Profile.
 	Stats *Stats
 	env   *hostEnv
-	it    *Interp
 	// Out receives packets forwarded to tx along with the channel they
 	// left on.
 	Out []OutPacket
@@ -326,57 +388,27 @@ type OutPacket struct {
 // NewSession builds a functional execution session, running init
 // functions.
 func NewSession(prog *ir.Program) (*Session, error) {
-	stats := &Stats{
-		Funcs:   map[string]*FuncStats{},
-		Chans:   map[string]uint64{},
-		Globals: map[string]*GlobalStats{},
-	}
-	env := newHostEnv(prog.Types, stats)
-	s := &Session{Prog: prog, Stats: stats, env: env}
-	s.it = &Interp{Prog: prog, Env: env}
-	for _, name := range prog.Order {
-		fn := prog.Funcs[name]
-		if fn.Kind == ir.FuncInit && len(fn.Params) == 0 {
-			if _, err := s.it.Run(fn, nil); err != nil {
-				return nil, fmt.Errorf("init %s: %w", name, err)
-			}
-		}
+	s := &Session{Prog: prog, Stats: newStats()}
+	s.env = newHostEnv(prog, s.Stats)
+	if err := s.env.runInits(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 // Control invokes a control function with word arguments.
 func (s *Session) Control(name string, args ...uint32) error {
-	return s.env.RunControl(s.it, name, args)
+	return s.env.control(name, args)
 }
 
 // Inject runs one packet through the application, collecting transmitted
 // packets into s.Out.
 func (s *Session) Inject(p *packet.Packet) error {
-	entry := s.Prog.Types.Entry
-	if entry == nil {
-		return fmt.Errorf("program has no rx entry")
-	}
-	if rx := s.Prog.Types.Metadata.Field("rx_port"); rx != nil {
-		p.SetMetaField(rx, p.Port)
-	}
-	s.Stats.Packets++
-	if err := runPPF(s.it, s.Stats, s.Prog.Func(entry.Name), p, 0); err != nil {
+	entry, err := s.env.entry()
+	if err != nil {
 		return err
 	}
-	for len(s.env.queue) > 0 {
-		msg := s.env.queue[0]
-		s.env.queue = s.env.queue[1:]
-		if msg.ch.Consumer == "tx" {
-			s.Stats.Forwarded++
-			s.Out = append(s.Out, OutPacket{Chan: msg.ch, P: msg.p, Head: msg.head})
-			continue
-		}
-		if err := runPPF(s.it, s.Stats, s.Prog.Func(msg.ch.Consumer), msg.p, msg.head); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.env.inject(entry, p, &s.Out)
 }
 
 // ReadGlobalWord reads one word of a global's host backing store (test

@@ -21,8 +21,9 @@ type pktCtx struct {
 // Scratch/SRAM directly; channel puts write packets back to DRAM and push
 // ring descriptors.
 type simEnv struct {
-	rt   *Runtime
-	pkts map[*packet.Packet]*pktCtx
+	rt    *Runtime
+	pkts  map[*packet.Packet]*pktCtx
+	words []uint32 // LoadWords result, valid until the next load
 }
 
 // track registers the buffer identity of a materialized packet.
@@ -33,9 +34,10 @@ func (e *simEnv) track(p *packet.Packet, id uint32, origLen int, headBuf uint32)
 	e.pkts[p] = &pktCtx{id: id, origLen: origLen, headBuf: headBuf}
 }
 
-func (e *simEnv) addrOf(g *types.Global, off uint32) ([]byte, error) {
-	lay := e.rt.Img.Layout
-	base, ok := lay.GlobalAddr[g.Name]
+// window returns the simulated bytes of the n words of global g at byte
+// offset off.
+func (e *simEnv) window(g *types.Global, off uint32, n int) ([]byte, error) {
+	base, ok := e.rt.Img.Layout.GlobalAddr[g.Name]
 	if !ok {
 		return nil, fmt.Errorf("rts: global %s has no address", g.Name)
 	}
@@ -47,31 +49,31 @@ func (e *simEnv) addrOf(g *types.Global, off uint32) ([]byte, error) {
 	case types.SpaceLocal:
 		return nil, fmt.Errorf("rts: XScale cannot access per-ME local global %s", g.Name)
 	}
-	if int(base+off)+4 > size {
+	if int(base+off)+4*n > size {
 		return nil, fmt.Errorf("rts: global %s access out of range", g.Name)
 	}
-	return m.Window(level, base+off, 4), nil
+	return m.Window(level, base+off, 4*n), nil
 }
 
 func (e *simEnv) LoadWords(g *types.Global, off uint32, n int) ([]uint32, error) {
-	out := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		b, err := e.addrOf(g, off+uint32(i*4))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = beWord(b)
+	b, err := e.window(g, off, n)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	e.words = e.words[:0]
+	for i := 0; i < n; i++ {
+		e.words = append(e.words, beWord(b[i*4:]))
+	}
+	return e.words, nil
 }
 
 func (e *simEnv) StoreWords(g *types.Global, off uint32, words []uint32) error {
+	b, err := e.window(g, off, len(words))
+	if err != nil {
+		return err
+	}
 	for i, w := range words {
-		b, err := e.addrOf(g, off+uint32(i*4))
-		if err != nil {
-			return err
-		}
-		putBE(b, w)
+		putBE(b[i*4:], w)
 	}
 	return nil
 }
