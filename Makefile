@@ -31,13 +31,15 @@ race:
 	$(GO) test -race ./internal/harness/ ./internal/metrics/ ./internal/ixp/ ./internal/cluster/
 	$(GO) test -race -cpu 1,2,8 -run 'TestParallel|TestEngine|TestCompiled' ./internal/ixp/
 
-# The dynamic-control-plane gate, run explicitly (and with -count=1, so
-# a cached `test` result can never mask a regression): SWC delayed-update
-# coherency under an update storm, rule-flip convergence, byte-identical
-# incremental-vs-cold compiles, and churn report determinism.
+# The dynamic-control-plane and shared-compile gate, run explicitly (and
+# with -count=1, so a cached `test` result can never mask a regression):
+# SWC delayed-update coherency under an update storm, rule-flip
+# convergence, churn report determinism, and the two ways a compile reuses
+# another's work held byte-identical to a cold compile — the incremental
+# Session and the level ladder every differential compiles through.
 churn-claims:
 	$(GO) test -count=1 -run \
-		'TestSWCCoherencyUnderChurnStorm|TestFirewallRuleFlipConverges|TestIncrementalPacketDifferential|TestChurnDeterminism' \
+		'TestSWCCoherencyUnderChurnStorm|TestFirewallRuleFlipConverges|TestIncrementalPacketDifferential|TestLadderMatchesCold|TestChurnDeterminism' \
 		./internal/harness/
 
 # The repository benchmark (bench/, its own module, so the root ./...
@@ -46,12 +48,12 @@ churn-claims:
 # when a refactor renames or removes something it uses, instead of at
 # the next benchmark run. -smoke writes no history entry; its traces
 # land in bench/out/, which is ignored. The compile side's layer
-# benchmarks (scalar optimizer, liveness, functional profiler) run once
-# each for the same reason: so they cannot rot.
+# benchmarks (scalar optimizer, liveness, functional profiler, the fuzz
+# differential) run once each for the same reason: so they cannot rot.
 bench-check:
 	$(GO) -C bench test ./...
 	$(GO) -C bench run . -smoke
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/opt/ ./internal/analysis/ ./internal/profiler/
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/opt/ ./internal/analysis/ ./internal/profiler/ ./internal/harness/
 
 # Tier-1 verification: everything CI gates on. `test` includes the
 # checked-in fuzz-corpus replay (internal/harness/testdata/fuzz-corpus),
@@ -59,11 +61,12 @@ bench-check:
 # the full differential oracle on each verify.
 verify: build vet fmt-check test race churn-claims
 
-# Compiler-fuzzing gate (~1-2 min): 500 seeded random Baker programs,
-# each compiled at every cumulative optimization level and checked
-# packet-for-packet against the host reference interpreter, plus one
-# invalid mutant per program through the frontend negative checker. The
-# seed is fixed so a red run replays exactly:
+# Compiler-fuzzing gate (10-12 s after the build on the 2-vCPU reference
+# VM, 42-52 programs/s; 17-23 s before the level ladder): 500 seeded
+# random Baker programs, each compiled at every cumulative optimization
+# level and checked packet-for-packet against the host reference
+# interpreter, plus one invalid mutant per program through the frontend
+# negative checker. The seed is fixed so a red run replays exactly:
 #   go run ./cmd/shangrila-bench -experiment fuzz -fuzz-n 500 -fuzz-seed 4242
 # Campaign stats (programs/sec, feature histogram, minimized failures)
 # land in fuzz_report.json for CI to archive.

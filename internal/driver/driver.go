@@ -214,14 +214,10 @@ func CompileSource(file, src string, cfg Config) (*Result, error) {
 
 // CompileIR runs the pipeline from lowered IR: the per-Level pass sequence
 // built from the registry (PipelineFor), executed by the pass manager with
-// post-pass verification, metrics and dump hooks.
+// post-pass verification, metrics and dump hooks. It is the one-rung level
+// ladder, compiled in place: prog is rewritten and becomes Result.Prog.
 func CompileIR(prog *ir.Program, cfg Config) (*Result, error) {
-	r := newRunner(prog, cfg)
-	for _, p := range PipelineFor(cfg) {
-		if err := r.runPass(p); err != nil {
-			return nil, err
-		}
-	}
-	r.ctx.Report.Metrics = r.reg().Snapshot()
-	return &Result{Image: r.ctx.Image, Prog: prog, Report: r.ctx.Report, Merged: r.ctx.Merged}, nil
+	l := newLadder(prog, cfg, []Level{cfg.Level}, PipelineFor)
+	l.inPlace = true
+	return l.Compile(cfg.Level)
 }

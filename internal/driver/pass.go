@@ -392,6 +392,19 @@ func (r *runner) runPass(p Pass) error {
 
 func (r *runner) reg() *metrics.Registry { return r.ctx.reg }
 
+// result closes one level's compile. The SOAR statistics are published
+// here, by level, not by the soar pass: whether the report shows them is
+// the only thing that would tell the +PAC pipeline from the +SOAR one
+// before codegen, and the level ladder runs what two levels share once.
+func (r *runner) result() *Result {
+	ctx := r.ctx
+	if ctx.Cfg.Level < LevelSOAR {
+		ctx.Report.SOAR = nil
+	}
+	ctx.Report.Metrics = r.reg().Snapshot()
+	return &Result{Image: ctx.Image, Prog: ctx.Prog, Report: ctx.Report, Merged: ctx.Merged}
+}
+
 // verifyIR checks the whole program and every merged aggregate body.
 func (r *runner) verifyIR() error {
 	if err := ir.Verify(r.ctx.Prog); err != nil {

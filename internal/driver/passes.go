@@ -38,7 +38,7 @@ func init() {
 		Name:    "soar",
 		Stage:   "static offset and alignment resolution (§5.3.2)",
 		Enabled: fromPAC,
-		New:     func(cfg Config) Pass { return soarPass{record: cfg.Level >= LevelSOAR} },
+		New:     func(Config) Pass { return soarPass{} },
 	})
 	RegisterPass(PassInfo{
 		Name:    "pac",
@@ -137,19 +137,18 @@ func (p inlineScalarPass) Run(ctx *Context) error {
 }
 
 // soarPass makes the whole-program SOAR facts available (the manager's
-// ensure step performs the analysis) and records them in the report at
-// +SOAR and above — whether the code generator exploits the facts is the
-// separate +SOAR level of the evaluation axis.
-type soarPass struct{ record bool }
+// ensure step performs the analysis) and notes them for the report, which
+// shows them at +SOAR and above (runner.result) — whether the code
+// generator exploits the facts is the separate +SOAR level of the
+// evaluation axis.
+type soarPass struct{}
 
 func (soarPass) Name() string            { return "soar" }
 func (soarPass) Requires() []FactKind    { return []FactKind{FactSOAR} }
 func (soarPass) Invalidates() []FactKind { return nil }
 
-func (p soarPass) Run(ctx *Context) error {
-	if p.record {
-		ctx.Report.SOAR = ctx.SOAR()
-	}
+func (soarPass) Run(ctx *Context) error {
+	ctx.Report.SOAR = ctx.SOAR()
 	return nil
 }
 
@@ -328,9 +327,11 @@ func (p codegenPass) Run(ctx *Context) error {
 		return err
 	}
 	ctx.Image = img
-	for _, c := range img.MECode {
-		ctx.Report.CodeSizes = append(ctx.Report.CodeSizes, len(c.Program.Code))
+	sizes := make([]int, len(img.MECode))
+	for i, c := range img.MECode {
+		sizes[i] = len(c.Program.Code)
 	}
+	ctx.Report.CodeSizes = sizes
 	return nil
 }
 

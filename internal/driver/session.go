@@ -94,6 +94,22 @@ type snapshot struct {
 	facts  facts
 }
 
+// capture snapshots ctx's working state.
+func capture(ctx *Context) *snapshot {
+	return &snapshot{
+		prog:   ir.CloneProgram(ctx.Prog),
+		merged: cloneMergedList(ctx.Merged),
+		facts:  ctx.facts,
+	}
+}
+
+// cloneInto gives ctx a private copy of the snapshot's IR; the fact base
+// is the caller's to install.
+func (s *snapshot) cloneInto(ctx *Context) {
+	ctx.Prog = ir.CloneProgram(s.prog)
+	ctx.Merged = cloneMergedList(s.merged)
+}
+
 // reportPatch replays the report/image fields one pass wrote, so a skipped
 // pass still yields a complete Report.
 type reportPatch struct {
@@ -250,7 +266,7 @@ func (s *Session) Compile() (*Result, error) {
 	// valid fact's value.
 	var live facts
 	curHash := s.baseHash
-	var pending *snapshot // state to materialize from; nil = base
+	pending := &snapshot{prog: s.base} // state to materialize from
 	materialized := false
 	executed, skipped := 0, 0
 	var lastExec, lastSkip []string
@@ -274,13 +290,7 @@ func (s *Session) Compile() (*Result, error) {
 		}
 
 		if !materialized {
-			if pending == nil {
-				ctx.Prog = ir.CloneProgram(s.base)
-				ctx.Merged = nil
-			} else {
-				ctx.Prog = ir.CloneProgram(pending.prog)
-				ctx.Merged = cloneMergedList(pending.merged)
-			}
+			pending.cloneInto(ctx)
 			materialized = true
 		}
 		ctx.facts = live
@@ -319,11 +329,7 @@ func (s *Session) Compile() (*Result, error) {
 			return nil, fmt.Errorf("session: %s: %w", p.Name(), err)
 		}
 		ent.outputHash = h
-		ent.snap = &snapshot{
-			prog:   ir.CloneProgram(ctx.Prog),
-			merged: cloneMergedList(ctx.Merged),
-			facts:  ctx.facts,
-		}
+		ent.snap = capture(ctx)
 		s.entries[i] = ent
 
 		live = ctx.facts
@@ -335,12 +341,7 @@ func (s *Session) Compile() (*Result, error) {
 	if !materialized {
 		// The compile ended on a cached pass (possibly a full cache hit):
 		// hand out clones so callers can never disturb the cached state.
-		if pending != nil {
-			ctx.Prog = ir.CloneProgram(pending.prog)
-			ctx.Merged = cloneMergedList(pending.merged)
-		} else {
-			ctx.Prog = ir.CloneProgram(s.base)
-		}
+		pending.cloneInto(ctx)
 	}
 
 	s.stats.Compiles++
@@ -353,8 +354,7 @@ func (s *Session) Compile() (*Result, error) {
 	s.stats.LastExecuted, s.stats.LastSkipped = lastExec, lastSkip
 	s.reg.Counter(metrics.SessionCompiles).Inc()
 
-	ctx.Report.Metrics = s.reg.Snapshot()
-	return &Result{Image: ctx.Image, Prog: ctx.Prog, Report: ctx.Report, Merged: ctx.Merged}, nil
+	return r.result(), nil
 }
 
 // reusable decides whether a cached pass execution applies at the current

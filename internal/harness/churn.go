@@ -143,7 +143,7 @@ func measureCompileLatency(a *apps.App, sp workload.ChurnSpec, s *settings) (*Ch
 		if err != nil {
 			return nil, err
 		}
-		cfg := driverConfig(a, s.level, a.Trace(prog.Types, s.run.Seed, 512), s)
+		cfg := driverConfig(a, s.level, a.Trace(prog.Types, s.run.Seed, profileTraceN), s)
 		cfg.DumpPass, cfg.DumpDir = "", "" // latency sampling never dumps
 		return driver.NewSession(prog, cfg)
 	}

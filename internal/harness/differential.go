@@ -124,7 +124,6 @@ type DiffConfig struct {
 	ChunkCycles  int64  // cycles per run slice between capture checks (default 60k)
 	MaxCycles    int64  // total cycle budget per level (default 600k)
 	CaptureLimit int    // max frames captured (default 8*TraceN)
-	FirstOnly    bool   // stop at the first divergent level
 
 	// Engine selects the simulation engine compiled levels run on (nil =
 	// serial). The engines are bit-identical, so the fuzz corpus and the
@@ -159,6 +158,14 @@ func (c *DiffConfig) fill() {
 // given), with ir.Verify forced on after every pass. It never returns
 // nil; all failures — compile, verify, runtime, frame mismatches — are
 // recorded as typed divergences.
+//
+// The source is lowered once. The reference interpreter reads that
+// program; the levels compile from it through one driver.Ladder — one
+// profile trace, one profile, each pass prefix two levels have in common
+// run and verified once — pulled a level at a time, so one level's image
+// is simulated before the next level compiles. A pass that fails is
+// reported at every level whose pipeline contains it, as cold compiles
+// would report it.
 func Differential(a *apps.App, levels ...driver.Level) *DiffReport {
 	return DifferentialWith(DiffConfig{}, a, levels...)
 }
@@ -215,22 +222,35 @@ func DifferentialWith(cfg DiffConfig, a *apps.App, levels ...driver.Level) *Diff
 	}
 	rep.RefFrames = len(refSet)
 
-	s := defaultSettings()
-	s.verify = driver.VerifyOn
+	ld, err := newLadder(a, prog, cfg.Seed, levels)
+	if err != nil {
+		rep.add(Divergence{Kind: DivCompile, LevelA: "host", LevelB: "ladder",
+			PacketIndex: -1, Detail: err.Error()})
+		return rep
+	}
 	for _, lvl := range levels {
-		if !rep.diffLevel(a, lvl, &s, cfg, trc, refSet, refOrder) && cfg.FirstOnly {
-			break
-		}
+		res, err := ld.Compile(lvl)
+		rep.diffLevel(a, lvl, res, err, cfg, trc, refSet, refOrder)
 	}
 	return rep
 }
 
-// diffLevel compiles and runs one level against the reference set;
-// reports true when the level matched.
-func (rep *DiffReport) diffLevel(a *apps.App, lvl driver.Level, s *settings, cfg DiffConfig,
-	trc []*packet.Packet, refSet map[string]int, refOrder []string) bool {
+// newLadder prepares the differential's level ladder over an app's lowered
+// program: the verifier on, and the profile trace Compile would generate
+// for each level, generated once.
+func newLadder(a *apps.App, prog *ir.Program, seed uint64, levels []driver.Level) (*driver.Ladder, error) {
+	return driver.NewLadder(prog, driver.Config{
+		ProfileTrace: a.Trace(prog.Types, seed, profileTraceN),
+		Controls:     a.Controls,
+		VerifyIR:     driver.VerifyOn,
+	}, levels...)
+}
+
+// diffLevel runs one level's compile (or records its failure) against the
+// reference set.
+func (rep *DiffReport) diffLevel(a *apps.App, lvl driver.Level, res *driver.Result, err error,
+	cfg DiffConfig, trc []*packet.Packet, refSet map[string]int, refOrder []string) {
 	name := lvl.String()
-	res, err := compile(a, lvl, cfg.Seed, s)
 	if err != nil {
 		kind := DivCompile
 		var ve *ir.VerifyError
@@ -239,7 +259,7 @@ func (rep *DiffReport) diffLevel(a *apps.App, lvl driver.Level, s *settings, cfg
 		}
 		rep.add(Divergence{Kind: kind, LevelA: "host", LevelB: name,
 			PacketIndex: -1, Detail: err.Error()})
-		return false
+		return
 	}
 	// Each run gets private clones: apps that encap/decap move the
 	// packet head in place, so sharing trace packets across runtimes
@@ -254,13 +274,13 @@ func (rep *DiffReport) diffLevel(a *apps.App, lvl driver.Level, s *settings, cfg
 	if err != nil {
 		rep.add(Divergence{Kind: DivRun, LevelA: "host", LevelB: name,
 			PacketIndex: -1, Detail: err.Error()})
-		return false
+		return
 	}
 	for _, c := range a.Controls {
 		if err := rt.Control(c.Name, c.Args...); err != nil {
 			rep.add(Divergence{Kind: DivRun, LevelA: "host", LevelB: name,
 				PacketIndex: -1, Detail: fmt.Sprintf("control %s: %v", c.Name, err)})
-			return false
+			return
 		}
 	}
 
@@ -277,7 +297,7 @@ func (rep *DiffReport) diffLevel(a *apps.App, lvl driver.Level, s *settings, cfg
 		if err := rt.Run(cfg.ChunkCycles); err != nil {
 			rep.add(Divergence{Kind: DivRun, LevelA: "host", LevelB: name,
 				PacketIndex: -1, Detail: err.Error()})
-			return false
+			return
 		}
 		used += cfg.ChunkCycles
 		for ; checked < len(rt.TxCapture); checked++ {
@@ -286,7 +306,7 @@ func (rep *DiffReport) diffLevel(a *apps.App, lvl driver.Level, s *settings, cfg
 				rep.add(Divergence{Kind: DivFrame, LevelA: "host", LevelB: name,
 					PacketIndex: checked,
 					Detail:      fmt.Sprintf("transmitted frame not produced by reference: %x", rt.TxCapture[checked].Frame)})
-				return false
+				return
 			}
 			seen[f] = true
 		}
@@ -301,7 +321,7 @@ func (rep *DiffReport) diffLevel(a *apps.App, lvl driver.Level, s *settings, cfg
 					PacketIndex: refSet[f],
 					Detail: fmt.Sprintf("reference frame %d never transmitted within %d cycles (%d/%d seen): %x",
 						refSet[f], cfg.MaxCycles, len(seen), len(refSet), f)})
-				return false
+				return
 			}
 		}
 	}
@@ -309,7 +329,6 @@ func (rep *DiffReport) diffLevel(a *apps.App, lvl driver.Level, s *settings, cfg
 		rep.LevelCycles = map[string]int64{}
 	}
 	rep.LevelCycles[name] = used
-	return true
 }
 
 func (rep *DiffReport) add(d Divergence) {

@@ -50,6 +50,9 @@ func (c RunConfig) Options() []Option {
 	}
 }
 
+// profileTraceN is the length of the profile trace a compile trains on.
+const profileTraceN = 512
+
 // Compile compiles an app at a level, generating its profile trace from
 // its own generator.
 func Compile(a *apps.App, lvl driver.Level, seed uint64) (*driver.Result, error) {
@@ -64,7 +67,7 @@ func compile(a *apps.App, lvl driver.Level, seed uint64, s *settings) (*driver.R
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Name, err)
 	}
-	ptrace := a.Trace(prog.Types, seed, 512)
+	ptrace := a.Trace(prog.Types, seed, profileTraceN)
 	return driver.CompileIR(prog, driverConfig(a, lvl, ptrace, s))
 }
 

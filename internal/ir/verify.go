@@ -47,49 +47,76 @@ func (e *VerifyError) Error() string {
 //
 // The first violation found is returned; nil means the program verifies.
 func Verify(p *Program) error {
+	// Size the scratch for the largest function up front, so verifying a
+	// valid program allocates the block index and the bit rows once each.
+	blocks, bits := 0, 0
+	for _, fn := range p.Funcs {
+		if fn != nil {
+			blocks = max(blocks, len(fn.Blocks))
+			bits = max(bits, bitWords(fn)*(len(fn.Blocks)+1))
+		}
+	}
+	v := verifier{index: make(map[*Block]int, blocks), bits: make([]uint64, bits)}
 	for _, name := range p.Order {
 		fn := p.Funcs[name]
 		if fn == nil {
 			return &VerifyError{Func: name, Block: -1, Instr: -1,
 				Msg: "listed in Order but missing from Funcs"}
 		}
-		if err := verifyFunc(fn); err != nil {
+		if err := v.verifyFunc(fn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// verifyFunc checks one function. Exported through Verify; split out so the
-// error paths stay readable.
-func verifyFunc(fn *Func) error {
-	errf := func(b *Block, idx int, in *Instr, format string, args ...any) error {
-		e := &VerifyError{Func: fn.Name, Block: -1, Instr: idx,
-			Msg: fmt.Sprintf(format, args...)}
-		if b != nil {
-			e.Block = b.ID
-		}
-		if in != nil {
-			e.Pos = in.Pos
-		}
-		return e
-	}
+// verifier carries one Verify call's scratch from function to function, so
+// a valid program costs a handful of allocations however many functions and
+// blocks it has: the verifier runs after every pass of every compile under
+// `go test`, on the success path every time.
+type verifier struct {
+	fn *Func
+	// index maps each block of fn to its position in fn.Blocks: the
+	// membership test for branch targets and the row of bits it owns.
+	index map[*Block]int
+	// bits holds one row of NumRegs bits per block (registers defined on
+	// entry) plus one scratch row.
+	bits []uint64
+}
 
+func (v *verifier) errf(b *Block, idx int, in *Instr, format string, args ...any) error {
+	e := &VerifyError{Func: v.fn.Name, Block: -1, Instr: idx,
+		Msg: fmt.Sprintf(format, args...)}
+	if b != nil {
+		e.Block = b.ID
+	}
+	if in != nil {
+		e.Pos = in.Pos
+	}
+	return e
+}
+
+// bitWords is the length of one row of fn's register bits.
+func bitWords(fn *Func) int { return max(1, (fn.NumRegs+63)/64) }
+
+// verifyFunc checks one function.
+func (v *verifier) verifyFunc(fn *Func) error {
+	v.fn = fn
 	if len(fn.Blocks) == 0 {
-		return errf(nil, -1, nil, "function has no blocks")
+		return v.errf(nil, -1, nil, "function has no blocks")
 	}
 	if fn.Entry == nil {
-		return errf(nil, -1, nil, "function has no entry block")
+		return v.errf(nil, -1, nil, "function has no entry block")
 	}
-	member := make(map[*Block]bool, len(fn.Blocks))
-	for _, b := range fn.Blocks {
-		member[b] = true
+	clear(v.index)
+	for i, b := range fn.Blocks {
+		v.index[b] = i
 	}
-	if !member[fn.Entry] {
-		return errf(nil, -1, nil, "entry block b%d is not in the block list", fn.Entry.ID)
+	if _, ok := v.index[fn.Entry]; !ok {
+		return v.errf(nil, -1, nil, "entry block b%d is not in the block list", fn.Entry.ID)
 	}
 	if len(fn.RegClasses) != fn.NumRegs {
-		return errf(nil, -1, nil, "RegClasses has %d entries for %d registers",
+		return v.errf(nil, -1, nil, "RegClasses has %d entries for %d registers",
 			len(fn.RegClasses), fn.NumRegs)
 	}
 
@@ -97,60 +124,60 @@ func verifyFunc(fn *Func) error {
 	// edges.
 	for _, b := range fn.Blocks {
 		if len(b.Instrs) == 0 {
-			return errf(b, -1, nil, "empty block (no terminator)")
+			return v.errf(b, -1, nil, "empty block (no terminator)")
 		}
 		for idx, in := range b.Instrs {
 			last := idx == len(b.Instrs)-1
 			if in.Op.IsTerminator() != last {
 				if last {
-					return errf(b, idx, in, "block does not end in a terminator (got %v)", in.Op)
+					return v.errf(b, idx, in, "block does not end in a terminator (got %v)", in.Op)
 				}
-				return errf(b, idx, in, "terminator %v in the middle of a block", in.Op)
+				return v.errf(b, idx, in, "terminator %v in the middle of a block", in.Op)
 			}
-			if err := verifyInstr(fn, b, idx, in, member, errf); err != nil {
+			if err := v.verifyInstr(b, idx, in); err != nil {
 				return err
 			}
 		}
 	}
-	return verifyDefBeforeUse(fn, errf)
+	return v.verifyDefBeforeUse()
 }
 
 // verifyInstr checks operand arity, register ranges/classes and the
 // packet-access typing rules for one instruction.
-func verifyInstr(fn *Func, b *Block, idx int, in *Instr, member map[*Block]bool,
-	errf func(*Block, int, *Instr, string, ...any) error) error {
+func (v *verifier) verifyInstr(b *Block, idx int, in *Instr) error {
+	fn := v.fn
 	// Register ranges. Args may use NoReg only in the optional index slot
 	// of global and cache accesses (arg 0, except CacheFill whose arg 0
 	// carries the CAM entry from its lookup and whose index is arg 1).
-	optionalIndexSlot := func(op Op) string {
-		switch op {
-		case OpLoad, OpStore, OpCacheLookup, OpCacheFlush:
-			return "arg 0"
-		case OpCacheFill:
-			return "arg 1"
-		}
-		return ""
+	optionalIndexSlot := -1
+	switch in.Op {
+	case OpLoad, OpStore, OpCacheLookup, OpCacheFlush:
+		optionalIndexSlot = 0
+	case OpCacheFill:
+		optionalIndexSlot = 1
 	}
-	checkReg := func(r Reg, what string) error {
+	// role and i name the operand ("dst 0", "arg 1") and are formatted only
+	// on the error path: every operand of every instruction passes here.
+	checkReg := func(r Reg, role string, i int) error {
 		if r == NoReg {
-			if what != optionalIndexSlot(in.Op) {
-				return errf(b, idx, in, "%v: %s is NoReg", in.Op, what)
+			if role != "arg" || i != optionalIndexSlot {
+				return v.errf(b, idx, in, "%v: %s %d is NoReg", in.Op, role, i)
 			}
 			return nil
 		}
 		if r < 0 || int(r) >= fn.NumRegs {
-			return errf(b, idx, in, "%v: %s register %d out of range [0,%d)",
-				in.Op, what, int(r), fn.NumRegs)
+			return v.errf(b, idx, in, "%v: %s %d register %d out of range [0,%d)",
+				in.Op, role, i, int(r), fn.NumRegs)
 		}
 		return nil
 	}
 	for i, r := range in.Dst {
-		if err := checkReg(r, fmt.Sprintf("dst %d", i)); err != nil {
+		if err := checkReg(r, "dst", i); err != nil {
 			return err
 		}
 	}
 	for i, r := range in.Args {
-		if err := checkReg(r, fmt.Sprintf("arg %d", i)); err != nil {
+		if err := checkReg(r, "arg", i); err != nil {
 			return err
 		}
 	}
@@ -160,30 +187,30 @@ func verifyInstr(fn *Func, b *Block, idx int, in *Instr, member map[*Block]bool,
 	switch in.Op {
 	case OpBr:
 		if len(in.Blocks) != 1 {
-			return errf(b, idx, in, "br with %d targets, want 1", len(in.Blocks))
+			return v.errf(b, idx, in, "br with %d targets, want 1", len(in.Blocks))
 		}
 	case OpCondBr:
 		if len(in.Blocks) != 2 {
-			return errf(b, idx, in, "condbr with %d targets, want 2", len(in.Blocks))
+			return v.errf(b, idx, in, "condbr with %d targets, want 2", len(in.Blocks))
 		}
 		if len(in.Args) != 1 {
-			return errf(b, idx, in, "condbr with %d operands, want 1", len(in.Args))
+			return v.errf(b, idx, in, "condbr with %d operands, want 1", len(in.Args))
 		}
 	case OpRet:
 		if len(in.Blocks) != 0 {
-			return errf(b, idx, in, "ret with branch targets")
+			return v.errf(b, idx, in, "ret with branch targets")
 		}
 	default:
 		if len(in.Blocks) != 0 {
-			return errf(b, idx, in, "%v carries branch targets", in.Op)
+			return v.errf(b, idx, in, "%v carries branch targets", in.Op)
 		}
 	}
 	for _, t := range in.Blocks {
 		if t == nil {
-			return errf(b, idx, in, "%v: nil branch target", in.Op)
+			return v.errf(b, idx, in, "%v: nil branch target", in.Op)
 		}
-		if !member[t] {
-			return errf(b, idx, in, "%v: edge to b%d, which is not a block of %s",
+		if _, ok := v.index[t]; !ok {
+			return v.errf(b, idx, in, "%v: edge to b%d, which is not a block of %s",
 				in.Op, t.ID, fn.Name)
 		}
 	}
@@ -192,23 +219,23 @@ func verifyInstr(fn *Func, b *Block, idx int, in *Instr, member map[*Block]bool,
 	switch in.Op {
 	case OpPktLoad, OpPktStore, OpMetaLoad, OpMetaStore:
 		if len(in.Args) == 0 || in.Args[0] == NoReg {
-			return errf(b, idx, in, "%v without a handle operand", in.Op)
+			return v.errf(b, idx, in, "%v without a handle operand", in.Op)
 		}
 		if class(in.Args[0]) != ClassHandle {
-			return errf(b, idx, in, "%v: handle operand %v has class word", in.Op, in.Args[0])
+			return v.errf(b, idx, in, "%v: handle operand %v has class word", in.Op, in.Args[0])
 		}
 		load := in.Op == OpPktLoad || in.Op == OpMetaLoad
 		if in.Field != nil {
 			if in.Field.Bits < 1 || in.Field.Bits > 32 {
-				return errf(b, idx, in, "%v: field %s is %d bits, outside the 1..32 word range",
+				return v.errf(b, idx, in, "%v: field %s is %d bits, outside the 1..32 word range",
 					in.Op, in.Field.Name, in.Field.Bits)
 			}
 			if load && len(in.Dst) != 1 {
-				return errf(b, idx, in, "%v .%s: %d destinations, want 1",
+				return v.errf(b, idx, in, "%v .%s: %d destinations, want 1",
 					in.Op, in.Field.Name, len(in.Dst))
 			}
 			if !load && len(in.Args) != 2 {
-				return errf(b, idx, in, "%v .%s: %d operands, want 2 (handle, value)",
+				return v.errf(b, idx, in, "%v .%s: %d operands, want 2 (handle, value)",
 					in.Op, in.Field.Name, len(in.Args))
 			}
 		} else {
@@ -217,34 +244,34 @@ func verifyInstr(fn *Func, b *Block, idx int, in *Instr, member map[*Block]bool,
 			// through encap/decap, so a combined range can start before
 			// the base handle's header.
 			if in.Width <= 0 || in.Width%4 != 0 {
-				return errf(b, idx, in, "%v: raw width %d is not a positive word multiple",
+				return v.errf(b, idx, in, "%v: raw width %d is not a positive word multiple",
 					in.Op, in.Width)
 			}
 			if load && len(in.Dst) != in.Width/4 {
-				return errf(b, idx, in, "%v raw[%d:%d]: %d destinations for width %d",
+				return v.errf(b, idx, in, "%v raw[%d:%d]: %d destinations for width %d",
 					in.Op, in.Off, int(in.Off)+in.Width, len(in.Dst), in.Width)
 			}
 			if !load && len(in.Args) != 1+in.Width/4 {
-				return errf(b, idx, in, "%v raw[%d:%d]: %d operands for width %d",
+				return v.errf(b, idx, in, "%v raw[%d:%d]: %d operands for width %d",
 					in.Op, in.Off, int(in.Off)+in.Width, len(in.Args), in.Width)
 			}
 		}
 	case OpEncap, OpDecap:
 		if len(in.Args) != 1 || len(in.Dst) != 1 {
-			return errf(b, idx, in, "%v needs one handle in and one handle out", in.Op)
+			return v.errf(b, idx, in, "%v needs one handle in and one handle out", in.Op)
 		}
 		if class(in.Args[0]) != ClassHandle || class(in.Dst[0]) != ClassHandle {
-			return errf(b, idx, in, "%v operands must be handles", in.Op)
+			return v.errf(b, idx, in, "%v operands must be handles", in.Op)
 		}
 		if in.Proto == nil {
-			return errf(b, idx, in, "%v without a protocol", in.Op)
+			return v.errf(b, idx, in, "%v without a protocol", in.Op)
 		}
 	case OpLoad, OpStore:
 		if in.Global == nil {
-			return errf(b, idx, in, "%v without a global", in.Op)
+			return v.errf(b, idx, in, "%v without a global", in.Op)
 		}
 		if in.Width < 0 || in.Width%4 != 0 {
-			return errf(b, idx, in, "%v: width %d is not a word multiple", in.Op, in.Width)
+			return v.errf(b, idx, in, "%v: width %d is not a word multiple", in.Op, in.Width)
 		}
 	}
 	return nil
@@ -256,55 +283,54 @@ func verifyInstr(fn *Func, b *Block, idx int, in *Instr, member map[*Block]bool,
 // at the exit of every predecessor (parameters are defined at the function
 // entry). Blocks with no predecessors other than the entry are unreachable
 // and start from the universal set, so they never raise false alarms.
-func verifyDefBeforeUse(fn *Func,
-	errf func(*Block, int, *Instr, string, ...any) error) error {
-	words := (fn.NumRegs + 63) / 64
-	if words == 0 {
-		words = 1
+func (v *verifier) verifyDefBeforeUse() error {
+	fn := v.fn
+	words, n := bitWords(fn), len(fn.Blocks)
+	v.bits = v.bits[:words*(n+1)]
+	for i := range v.bits {
+		v.bits[i] = ^uint64(0)
 	}
-	full := make([]uint64, words)
-	for i := range full {
-		full[i] = ^uint64(0)
+	// in(b) is the row of registers defined on entry to b; the row past the
+	// last block is scratch.
+	in := func(b *Block) []uint64 {
+		i := v.index[b]
+		return v.bits[i*words : (i+1)*words]
 	}
-	in := make(map[*Block][]uint64, len(fn.Blocks))
-	for _, b := range fn.Blocks {
-		in[b] = append([]uint64(nil), full...)
-	}
-	entry := make([]uint64, words)
+	scratch := v.bits[n*words:]
+	entry := in(fn.Entry)
+	clear(entry)
 	for _, p := range fn.Params {
 		entry[int(p)/64] |= 1 << (uint(p) % 64)
 	}
-	in[fn.Entry] = entry
-
-	// Succs may be stale between passes; recompute edges from terminators.
-	succs := func(b *Block) []*Block {
-		if t := b.Terminator(); t != nil {
-			return t.Blocks
-		}
-		return nil
-	}
-	out := func(b *Block) []uint64 {
-		s := append([]uint64(nil), in[b]...)
-		for _, i := range b.Instrs {
-			for _, d := range i.Dst {
-				if d != NoReg {
-					s[int(d)/64] |= 1 << (uint(d) % 64)
-				}
+	define := func(set []uint64, i *Instr) {
+		for _, d := range i.Dst {
+			if d != NoReg {
+				set[int(d)/64] |= 1 << (uint(d) % 64)
 			}
 		}
-		return s
 	}
+
 	for changed := true; changed; {
 		changed = false
 		for _, b := range fn.Blocks {
-			o := out(b)
-			for _, s := range succs(b) {
-				cur := in[s]
+			// Succs may be stale between passes; take edges from the
+			// terminator.
+			t := b.Terminator()
+			if t == nil {
+				continue
+			}
+			out := scratch
+			copy(out, in(b))
+			for _, i := range b.Instrs {
+				define(out, i)
+			}
+			for _, s := range t.Blocks {
 				if s == fn.Entry {
 					continue // entry keeps its parameter seed
 				}
+				cur := in(s)
 				for w := range cur {
-					if nv := cur[w] & o[w]; nv != cur[w] {
+					if nv := cur[w] & out[w]; nv != cur[w] {
 						cur[w] = nv
 						changed = true
 					}
@@ -312,23 +338,20 @@ func verifyDefBeforeUse(fn *Func,
 			}
 		}
 	}
+	defined := scratch
 	for _, b := range fn.Blocks {
-		defined := append([]uint64(nil), in[b]...)
+		copy(defined, in(b))
 		for idx, i := range b.Instrs {
 			for _, a := range i.Args {
 				if a == NoReg {
 					continue
 				}
 				if defined[int(a)/64]&(1<<(uint(a)%64)) == 0 {
-					return errf(b, idx, i, "%v reads %v before any definition reaches it",
+					return v.errf(b, idx, i, "%v reads %v before any definition reaches it",
 						i.Op, a)
 				}
 			}
-			for _, d := range i.Dst {
-				if d != NoReg {
-					defined[int(d)/64] |= 1 << (uint(d) % 64)
-				}
-			}
+			define(defined, i)
 		}
 	}
 	return nil
