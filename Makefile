@@ -39,7 +39,7 @@ race:
 # Session and the level ladder every differential compiles through.
 churn-claims:
 	$(GO) test -count=1 -run \
-		'TestSWCCoherencyUnderChurnStorm|TestFirewallRuleFlipConverges|TestIncrementalPacketDifferential|TestLadderMatchesCold|TestChurnDeterminism' \
+		'TestSWCCoherencyUnderChurnStorm|TestFirewallRuleFlipConverges|TestIncrementalPacketDifferential|TestSessionChurnSequenceMatchesCold|TestLadderMatchesCold|TestChurnDeterminism' \
 		./internal/harness/
 
 # The repository benchmark (bench/, its own module, so the root ./...
@@ -49,11 +49,12 @@ churn-claims:
 # the next benchmark run. -smoke writes no history entry; its traces
 # land in bench/out/, which is ignored. The compile side's layer
 # benchmarks (scalar optimizer, liveness, functional profiler, the fuzz
-# differential) run once each for the same reason: so they cannot rot.
+# differential, a Session recompile against CompileIR) run once each for
+# the same reason: so they cannot rot.
 bench-check:
 	$(GO) -C bench test ./...
 	$(GO) -C bench run . -smoke
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/opt/ ./internal/analysis/ ./internal/profiler/ ./internal/harness/
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/opt/ ./internal/analysis/ ./internal/profiler/ ./internal/harness/ ./internal/driver/
 
 # Tier-1 verification: everything CI gates on. `test` includes the
 # checked-in fuzz-corpus replay (internal/harness/testdata/fuzz-corpus),

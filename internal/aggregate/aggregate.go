@@ -11,6 +11,7 @@ package aggregate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"shangrila/internal/baker/types"
@@ -102,6 +103,24 @@ func (p *Plan) MEAggregates() []*Aggregate {
 		}
 	}
 	return out
+}
+
+// SameDecisions reports whether two plans decide the same thing: the same
+// aggregates (PPFs, target, duplication, estimated code size) under the same
+// IDs and the same replication. Cost, Weight and Throughput are the model's
+// reasons, which nothing after aggregation reads, and are not compared.
+func (p *Plan) SameDecisions(q *Plan) bool {
+	if p.Replicas != q.Replicas || len(p.Aggregates) != len(q.Aggregates) {
+		return false
+	}
+	for i, a := range p.Aggregates {
+		b := q.Aggregates[i]
+		if a.ID != b.ID || a.Target != b.Target || a.Dup != b.Dup ||
+			a.CodeSize != b.CodeSize || !slices.Equal(a.PPFs, b.PPFs) {
+			return false
+		}
+	}
+	return true
 }
 
 // String renders the plan for logs and tests.

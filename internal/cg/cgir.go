@@ -291,9 +291,10 @@ const (
 	MetaHeadOff = 4
 )
 
-// BuildLayout assigns addresses for every global, ring, lock and the
+// BuildLayout assigns addresses for every source-level global, the
+// compiler-generated globals in synthetic, every ring and lock, and the
 // packet pool.
-func BuildLayout(tp *types.Program, numLocks, numAppRings, numBufs int) *Layout {
+func BuildLayout(tp *types.Program, synthetic map[*types.Global]bool, numLocks, numAppRings, numBufs int) *Layout {
 	l := &Layout{
 		GlobalAddr:  map[string]uint32{},
 		NumBufs:     numBufs,
@@ -303,8 +304,10 @@ func BuildLayout(tp *types.Program, numLocks, numAppRings, numBufs int) *Layout 
 	}
 	// Globals, deterministic order.
 	var names []string
-	for name := range tp.Globals {
-		names = append(names, name)
+	for name, g := range tp.Globals {
+		if !g.Synthetic || synthetic[g] {
+			names = append(names, name)
+		}
 	}
 	sortStrings(names)
 	// Local Memory bytes [0, swcRegionBytes) hold the software cache's

@@ -59,7 +59,7 @@ func Compile(prog *ir.Program, plan *aggregate.Plan, merged []*aggregate.Merged,
 			}
 		}
 	}
-	layout := BuildLayout(prog.Types, prog.NumLocks, next-RingApp0, 512)
+	layout := BuildLayout(prog.Types, syntheticInUse(prog, merged), prog.NumLocks, next-RingApp0, 512)
 
 	img := &Image{
 		Types:  prog.Types,
@@ -85,6 +85,31 @@ func Compile(prog *ir.Program, plan *aggregate.Plan, merged []*aggregate.Merged,
 		img.MECode = append(img.MECode, c)
 	}
 	return img, nil
+}
+
+// syntheticInUse collects the compiler-generated globals the IR mentions.
+// The types.Program is shared by every compile of one lowering, and an
+// incremental session's earlier compiles may have cached globals this one
+// does not: their version and seen words stay in the types, but must not
+// take up addresses here, or the image would differ from a cold compile's.
+func syntheticInUse(prog *ir.Program, merged []*aggregate.Merged) map[*types.Global]bool {
+	inUse := map[*types.Global]bool{}
+	scan := func(p *ir.Program) {
+		for _, fn := range p.Funcs {
+			for _, b := range fn.Blocks {
+				for _, in := range b.Instrs {
+					if in.Global != nil && in.Global.Synthetic {
+						inUse[in.Global] = true
+					}
+				}
+			}
+		}
+	}
+	scan(prog)
+	for _, m := range merged {
+		scan(m.Prog)
+	}
+	return inUse
 }
 
 // compileAggregate emits the dispatch loop plus every entry body as one

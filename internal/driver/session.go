@@ -8,30 +8,35 @@
 //
 // Reuse is keyed three ways, all recorded when a pass executes:
 //
-//   - IR identity: a hash of the deterministic ir.Fprint rendering of the
-//     whole program plus every merged aggregate body, chained pass to
-//     pass. A cached result is only considered when the IR entering the
-//     pass is bit-identical to what it saw when it ran.
-//   - Fact reads: the exact fact values (by identity) the pass consulted,
-//     logged through the typed accessors — including the optional
-//     SOARIfValid read. Requires is the declared contract (enforced by
-//     the fact guard in runPass); the read log is the measured one.
+//   - IR identity: a fingerprint (ir.Hasher) of the whole program plus
+//     every merged aggregate body, covering every field a pass can read. A
+//     cached result is only considered when the IR entering the pass is
+//     identical to what it saw when it ran.
+//   - Fact reads: the facts the pass consulted, logged through the typed
+//     accessors — including the optional SOARIfValid read — each under the
+//     key it had then. A key stands for a fact *value*: a producer that
+//     re-runs from the state its cached run saw, reproduces its output IR
+//     and computes an equal fact keeps the cached key (the early cut-off),
+//     so its successors stay reusable although it ran. Requires is the
+//     declared contract (enforced by the fact guard in runPass); the read
+//     log is the measured one.
 //   - Invalidation stamps: each Delta advances a sequence number and
 //     stamps the facts it declares invalid. A cached result that produced
 //     a fact older than the fact's last invalidation stamp re-runs.
 //
-// Because reuse demands bit-identical inputs, an incremental compile is
+// Because reuse demands identical inputs, an incremental compile is
 // bit-identical to a cold compile of the same configuration — the
-// differential tests pin this per app × level. The one escape hatch is
-// deliberate: a Delta that under-declares (say, invalidates only FactPlan
-// while also adding controls) keeps the stale profile by construction.
-// That is the same trade the paper's delayed-update cache makes — staleness
-// bounded by an explicit declaration — and it is opt-in per delta.
+// differential tests pin this per app × level and over delta sequences. The
+// one escape hatch is deliberate: a Delta that under-declares (say,
+// invalidates only FactPlan while also adding controls) keeps the stale
+// profile by construction. That is the same trade the paper's
+// delayed-update cache makes — staleness bounded by an explicit
+// declaration — and it is opt-in per delta.
 package driver
 
 import (
 	"fmt"
-	"hash/fnv"
+	"reflect"
 
 	"shangrila/internal/aggregate"
 	"shangrila/internal/cg"
@@ -76,18 +81,29 @@ type SessionStats struct {
 }
 
 // factRead records how one fact looked when a pass consulted it: absent,
-// or present as a specific value (compared by identity — every producer
-// builds a fresh object).
+// or present under a key (see factState).
 type factRead struct {
+	read  bool
 	valid bool
-	val   any
+	key   any
 }
 
-// snapshot is the deep-copied compilation state after one pass: the
-// working IR (program + merged aggregate views) and the fact base. Fact
-// values are shared by pointer (producers never mutate a published fact),
-// but the IR is cloned both into and out of the cache, so neither later
-// passes nor callers can disturb a cached state.
+// factState is the fact base at one position of a session's walk down the
+// pipeline, with the key each fact is compared under. A key is the first
+// object that carried the fact's value: a fresh fact is its own key, and
+// one that an early cut-off found equal to the cached fact takes over the
+// cached fact's key.
+type factState struct {
+	facts
+	key [numFacts]any
+}
+
+// snapshot is a cached compilation state: the working IR (program + merged
+// aggregate views) and the fact base. Fact values are shared by pointer
+// (producers never mutate a published fact). The IR is never written once
+// captured — it is cloned into the cache and out of it again, so neither
+// later passes nor callers can disturb it — which is what lets several
+// snapshots of one state share it (withFacts).
 type snapshot struct {
 	prog   *ir.Program
 	merged []*aggregate.Merged
@@ -101,6 +117,12 @@ func capture(ctx *Context) *snapshot {
 		merged: cloneMergedList(ctx.Merged),
 		facts:  ctx.facts,
 	}
+}
+
+// withFacts is the snapshot's IR (shared, never written) under another fact
+// base.
+func (s *snapshot) withFacts(f facts) *snapshot {
+	return &snapshot{prog: s.prog, merged: s.merged, facts: f}
 }
 
 // cloneInto gives ctx a private copy of the snapshot's IR; the fact base
@@ -131,14 +153,15 @@ type passEntry struct {
 	name       string
 	inputHash  uint64
 	outputHash uint64
-	// reads maps each fact the pass consulted to the state it observed.
-	reads map[FactKind]factRead
+	// reads holds, for each fact the pass consulted, the state it observed.
+	reads [numFacts]factRead
 	// produced marks facts this execution computed (including on-demand
 	// ensure computation during the requirement phase); prodSeq is the
-	// delta sequence number current at that time.
+	// delta sequence number current at that time, key the key each was
+	// published under. The values themselves are in snap.facts.
 	produced    [numFacts]bool
 	prodSeq     [numFacts]uint64
-	prodVal     [numFacts]any
+	key         [numFacts]any
 	invalidates []FactKind
 	snap        *snapshot
 	patch       reportPatch
@@ -152,8 +175,9 @@ type passEntry struct {
 // actually changed. Not safe for concurrent use.
 type Session struct {
 	cfg      Config
-	base     *ir.Program // pristine lowered IR, cloned per compile
+	base     *snapshot // pristine lowered IR, cloned per compile
 	baseHash uint64
+	hasher   ir.Hasher
 	// trace is a pristine deep copy of cfg.ProfileTrace: interpreting the
 	// trace mutates packets in place (the apps rewrite MACs, TTLs,
 	// labels), so every profile re-run gets fresh clones — a recompile
@@ -178,19 +202,15 @@ func NewSession(prog *ir.Program, cfg Config) (*Session, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	base := ir.CloneProgram(prog)
-	h, err := hashState(base, nil)
-	if err != nil {
-		return nil, fmt.Errorf("session: %w", err)
+	s := &Session{
+		cfg:     cfg,
+		base:    &snapshot{prog: ir.CloneProgram(prog)},
+		trace:   clonePackets(cfg.ProfileTrace),
+		reg:     cfg.Metrics,
+		entries: make([]*passEntry, len(PipelineFor(cfg))),
 	}
-	return &Session{
-		cfg:      cfg,
-		base:     base,
-		baseHash: h,
-		trace:    clonePackets(cfg.ProfileTrace),
-		reg:      cfg.Metrics,
-		entries:  make([]*passEntry, len(PipelineFor(cfg))),
-	}, nil
+	s.baseHash = hashState(&s.hasher, s.base.prog, nil)
+	return s, nil
 }
 
 // clonePackets deep-copies a profile trace.
@@ -250,8 +270,9 @@ func (s *Session) Recompile(d Delta) (*Result, error) {
 // results until an input diverges, re-execute from there (with post-pass
 // IR verification exactly as a cold compile), and re-attach to the cache
 // as soon as the state converges again — e.g. a profile-invalidating
-// delta re-profiles, reuses the untouched scalar/SOAR/PAC transforms, and
-// resumes execution at aggregation.
+// delta re-profiles, reuses the untouched scalar/SOAR/PAC transforms,
+// re-aggregates, and when that reproduces the plan and the merged bodies
+// runs nothing downstream but the passes that read the profile.
 func (s *Session) Compile() (*Result, error) {
 	pipeline := PipelineFor(s.cfg)
 	if len(pipeline) != len(s.entries) {
@@ -262,40 +283,42 @@ func (s *Session) Compile() (*Result, error) {
 	r := newRunner(nil, cfgRun)
 	ctx := r.ctx
 
-	// live fact state at the walk position, and the identity of each
-	// valid fact's value.
-	var live facts
-	curHash := s.baseHash
-	pending := &snapshot{prog: s.base} // state to materialize from
+	// The walk: live is the fact base at the current position, cur the
+	// cached copy of the IR there and curHash its fingerprint;
+	// materialized says ctx holds a private clone of cur.
+	var live factState
+	cur, curHash := s.base, s.baseHash
 	materialized := false
+	imageCached := false
 	executed, skipped := 0, 0
 	var lastExec, lastSkip []string
 
 	for i, p := range pipeline {
-		ent := s.entries[i]
-		if ent != nil && ent.name == p.Name() && s.reusable(ent, curHash, &live) {
+		old := s.entries[i]
+		why := s.rerunReason(old, p.Name(), curHash, &live)
+		if why == "" {
 			// Skip: replay the cached result's effects.
-			applyTransition(&live, ent)
-			ent.patch.apply(ctx)
-			curHash = ent.outputHash
-			pending = ent.snap
-			materialized = false
-			row := ent.timing
+			live.replay(old)
+			old.patch.apply(ctx)
+			imageCached = imageCached || old.patch.setImage
+			cur, curHash, materialized = old.snap, old.outputHash, false
+			row := old.timing
 			row.Nanos, row.VerifyNanos, row.Skipped = 0, 0, true
 			ctx.Report.Passes = append(ctx.Report.Passes, row)
-			s.reg.Counter(metrics.PassSkips(ent.name)).Inc()
+			s.reg.Counter(metrics.PassSkips(old.name)).Inc()
 			skipped++
-			lastSkip = append(lastSkip, ent.name)
+			lastSkip = append(lastSkip, old.name)
 			continue
 		}
+		s.reg.Counter(metrics.PassRerun(p.Name(), why)).Inc()
 
 		if !materialized {
-			pending.cloneInto(ctx)
+			materialize(ctx, cur, &live)
 			materialized = true
 		}
-		ctx.facts = live
+		ctx.facts = live.facts
 
-		preFacts := live
+		pre := live
 		preReport := *ctx.Report
 		preImage := ctx.Image
 		ctx.factReads = [numFacts]bool{}
@@ -304,36 +327,54 @@ func (s *Session) Compile() (*Result, error) {
 			return nil, err
 		}
 
-		ent = &passEntry{
+		ent := &passEntry{
 			name:        p.Name(),
 			inputHash:   curHash,
-			reads:       map[FactKind]factRead{},
+			outputHash:  hashState(&s.hasher, ctx.Prog, ctx.Merged),
 			invalidates: p.Invalidates(),
 			timing:      ctx.Report.Passes[len(ctx.Report.Passes)-1],
+			patch:       diffReport(&preReport, ctx.Report, preImage, ctx.Image),
 		}
+		// The early cut-off: the pass ran from the state its cached run saw
+		// and reproduced that run's output IR, so each fact it produced
+		// that equals the cached one keeps the cached key.
+		same := old != nil && old.inputHash == curHash && old.outputHash == ent.outputHash
+		cutoff := same
+		live.facts = ctx.facts
 		for k := FactKind(0); k < numFacts; k++ {
-			prodNow := ctx.facts.valid[k] &&
-				(!preFacts.valid[k] || factVal(&ctx.facts, k) != factVal(&preFacts, k))
+			val := factVal(&live.facts, k)
+			prodNow := live.valid[k] && (!pre.valid[k] || val != factVal(&pre.facts, k))
 			if prodNow {
 				ent.produced[k] = true
 				ent.prodSeq[k] = s.deltaSeq
-				ent.prodVal[k] = factVal(&ctx.facts, k)
+				if same && old.produced[k] && sameFact(k, val, factVal(&old.snap.facts, k)) {
+					live.key[k] = old.key[k]
+				} else {
+					live.key[k] = val
+					cutoff = false
+				}
 			}
 			if ctx.factReads[k] && !prodNow {
-				ent.reads[k] = factRead{valid: preFacts.valid[k], val: factVal(&preFacts, k)}
+				ent.reads[k] = factRead{read: true, valid: pre.valid[k], key: pre.key[k]}
 			}
 		}
-		ent.patch = diffReport(&preReport, ctx.Report, preImage, ctx.Image)
-		h, err := hashState(ctx.Prog, ctx.Merged)
-		if err != nil {
-			return nil, fmt.Errorf("session: %s: %w", p.Name(), err)
+		ent.key = live.key
+		// A state already held is not cloned again.
+		switch {
+		case same:
+			ent.snap = old.snap.withFacts(live.facts)
+		case ent.outputHash == curHash:
+			ent.snap = cur.withFacts(live.facts)
+		default:
+			ent.snap = capture(ctx)
 		}
-		ent.outputHash = h
-		ent.snap = capture(ctx)
+		if cutoff {
+			s.reg.Counter(metrics.SessionCutoffs).Inc()
+		}
+		imageCached = imageCached && !ent.patch.setImage
 		s.entries[i] = ent
 
-		live = ctx.facts
-		curHash = h
+		cur, curHash = ent.snap, ent.outputHash
 		executed++
 		lastExec = append(lastExec, ent.name)
 	}
@@ -341,7 +382,10 @@ func (s *Session) Compile() (*Result, error) {
 	if !materialized {
 		// The compile ended on a cached pass (possibly a full cache hit):
 		// hand out clones so callers can never disturb the cached state.
-		pending.cloneInto(ctx)
+		materialize(ctx, cur, &live)
+	}
+	if imageCached && live.valid[FactPlan] {
+		ctx.Image = rebindImage(ctx.Image, live.plan, ctx.Merged)
 	}
 
 	s.stats.Compiles++
@@ -357,46 +401,49 @@ func (s *Session) Compile() (*Result, error) {
 	return r.result(), nil
 }
 
-// reusable decides whether a cached pass execution applies at the current
-// walk state: identical input IR, identical consulted fact values, and no
-// produced fact invalidated by a later delta.
-func (s *Session) reusable(ent *passEntry, curHash uint64, live *facts) bool {
+// rerunReason decides whether a cached pass execution applies at the
+// current walk state — identical input IR, the consulted facts under the
+// keys it saw, and no produced fact invalidated by a later delta — and
+// returns "" when it does, else why the pass has to run (the reason label
+// of metrics.PassRerun).
+func (s *Session) rerunReason(ent *passEntry, name string, curHash uint64, live *factState) string {
+	if ent == nil || ent.name != name {
+		return "cold"
+	}
 	if ent.inputHash != curHash {
-		return false
+		return "ir"
 	}
 	for k, rd := range ent.reads {
-		if rd.valid != live.valid[k] {
-			return false
-		}
-		if rd.valid && factVal(live, k) != rd.val {
-			return false
+		if rd.read && (rd.valid != live.valid[k] || rd.valid && rd.key != live.key[k]) {
+			return "fact_" + FactKind(k).String()
 		}
 	}
 	for k := FactKind(0); k < numFacts; k++ {
 		if ent.produced[k] && ent.prodSeq[k] < s.lastInval[k] {
-			return false
+			return "stamp"
 		}
 	}
-	return true
+	return ""
 }
 
-// applyTransition replays a cached pass's fact-base effects onto the live
-// state: produced facts install their cached values, declared
+// replay applies a cached pass's fact-base effects to the walk state:
+// produced facts install their cached values and keys, declared
 // invalidations drop theirs, and everything else is untouched.
-func applyTransition(live *facts, ent *passEntry) {
+func (live *factState) replay(ent *passEntry) {
+	after := &ent.snap.facts
 	for k := FactKind(0); k < numFacts; k++ {
 		if !ent.produced[k] {
 			continue
 		}
 		live.valid[k] = true
+		live.key[k] = ent.key[k]
 		switch k {
 		case FactProfile:
-			live.profile = ent.prodVal[k].(*profiler.Stats)
+			live.profile = after.profile
 		case FactSOAR:
-			live.soar = ent.prodVal[k].(*soar.Stats)
+			live.soar = after.soar
 		case FactPlan:
-			live.plan = ent.prodVal[k].(*aggregate.Plan)
-			live.classes = ent.snap.facts.classes
+			live.plan, live.classes = after.plan, after.classes
 		}
 	}
 	for _, k := range ent.invalidates {
@@ -404,7 +451,7 @@ func applyTransition(live *facts, ent *passEntry) {
 	}
 }
 
-// factVal returns the identity of a fact's current value.
+// factVal returns a fact's current value.
 func factVal(f *facts, k FactKind) any {
 	switch k {
 	case FactProfile:
@@ -415,6 +462,54 @@ func factVal(f *facts, k FactKind) any {
 		return f.plan
 	}
 	return nil
+}
+
+// sameFact compares a produced fact with the one the cached run of the same
+// pass produced from the same input IR to the same output IR. The SOAR
+// statistics and the aggregation plan's decisions are compared outright;
+// the channel classes follow from the plan and the IR. A profile is never
+// held equal: the passes that read it read all of it.
+func sameFact(k FactKind, a, b any) bool {
+	switch k {
+	case FactSOAR:
+		return reflect.DeepEqual(a, b)
+	case FactPlan:
+		return a.(*aggregate.Plan).SameDecisions(b.(*aggregate.Plan))
+	}
+	return false
+}
+
+// materialize gives ctx a private copy of a cached IR state. The merged
+// views of a cached state may name the aggregates of an older, equal plan;
+// they are handed out naming the live one's.
+func materialize(ctx *Context, snap *snapshot, live *factState) {
+	snap.cloneInto(ctx)
+	if !live.valid[FactPlan] {
+		return
+	}
+	for _, m := range ctx.Merged {
+		m.Agg = live.plan.Aggregates[m.Agg.ID]
+	}
+}
+
+// rebindImage copies a cached image for a result whose plan is a later,
+// equal one: the copy names that plan, its aggregates, and the result's own
+// merged views (merged[i] is aggregate i's), as the image of a cold compile
+// would. The cached image is left as it was.
+func rebindImage(img *cg.Image, plan *aggregate.Plan, merged []*aggregate.Merged) *cg.Image {
+	cp := *img
+	cp.Plan = plan
+	cp.MECode = make([]*cg.Compiled, len(img.MECode))
+	for i, c := range img.MECode {
+		cc := *c
+		cc.Agg = plan.Aggregates[c.Agg.ID]
+		cp.MECode[i] = &cc
+	}
+	cp.XScale = make([]*aggregate.Merged, len(img.XScale))
+	for i, m := range img.XScale {
+		cp.XScale[i] = merged[m.Agg.ID]
+	}
+	return &cp
 }
 
 // diffReport captures which report/image fields a pass wrote.
@@ -503,21 +598,21 @@ func cloneMergedList(ms []*aggregate.Merged) []*aggregate.Merged {
 	return out
 }
 
-// hashState fingerprints the compilation state: the deterministic
-// ir.Fprint rendering of the whole program and every merged aggregate
-// body. Two states hash equal only when their printed IR is
-// byte-identical (modulo fnv64 collisions, which the differential tests
-// would surface as a miscompare).
-func hashState(prog *ir.Program, merged []*aggregate.Merged) (uint64, error) {
-	h := fnv.New64a()
-	if err := ir.Fprint(h, prog); err != nil {
-		return 0, err
-	}
+// hashState fingerprints the compilation state: the whole program and every
+// merged aggregate body, each under the aggregate's identity. Two states
+// hash equal only when no pass can tell them apart (modulo 64-bit
+// collisions, which the differential tests would surface as a miscompare).
+func hashState(h *ir.Hasher, prog *ir.Program, merged []*aggregate.Merged) uint64 {
+	h.Reset()
+	h.Program(prog)
 	for _, m := range merged {
-		fmt.Fprintf(h, ";; aggregate %d (%s) %v\n", m.Agg.ID, m.Agg.Target, m.Agg.PPFs)
-		if err := ir.Fprint(h, m.Prog); err != nil {
-			return 0, err
+		h.String(";; aggregate")
+		h.Int(m.Agg.ID)
+		h.Int(int(m.Agg.Target))
+		for _, f := range m.Agg.PPFs {
+			h.String(f)
 		}
+		h.Program(m.Prog)
 	}
-	return h.Sum64(), nil
+	return h.Sum64()
 }

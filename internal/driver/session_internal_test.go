@@ -131,3 +131,22 @@ func TestOptionalSOARReadExemptButLogged(t *testing.T) {
 		t.Error("optional SOAR read was not logged in factReads")
 	}
 }
+
+// TestHashStateAllocFree: fingerprinting a state renders into the hasher's
+// own buffer and reaches neither fmt nor the heap once that buffer has
+// grown; and the fingerprint tells states apart.
+func TestHashStateAllocFree(t *testing.T) {
+	prog := lowerTestProg(t)
+	var h ir.Hasher
+	before := hashState(&h, prog, nil)
+	if n := testing.AllocsPerRun(20, func() { hashState(&h, prog, nil) }); n != 0 {
+		t.Errorf("hashState allocates %v times in steady state", n)
+	}
+	if hashState(&h, prog, nil) != before {
+		t.Error("hashing the same state twice gave two fingerprints")
+	}
+	prog.Funcs[prog.Order[0]].Blocks[0].Instrs[0].StaticAlign = 8
+	if hashState(&h, prog, nil) == before {
+		t.Error("an alignment annotation did not change the fingerprint")
+	}
+}

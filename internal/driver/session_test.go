@@ -2,6 +2,7 @@ package driver_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"shangrila/internal/apps"
@@ -223,34 +224,166 @@ func TestSessionFactPlanOnlyDelta(t *testing.T) {
 	}
 }
 
-// TestSessionProfileDeltaReattaches pins the mid-flight reattach: a
-// default (profile-invalidating) delta re-runs the profiler but still
-// reuses the profile-independent scalar/SOAR/PAC transforms before
-// re-executing from aggregation.
+// executedPasses names the passes of one compile that ran, in order.
+func executedPasses(res *driver.Result) string {
+	var names []string
+	for _, pt := range res.Report.Passes {
+		if !pt.Skipped {
+			names = append(names, pt.Pass)
+		}
+	}
+	return strings.Join(names, " ")
+}
+
+// candidateNames renders a compile's SWC selection.
+func candidateNames(res *driver.Result) string {
+	var names []string
+	for _, c := range res.Report.SWCCands {
+		names = append(names, c.Global.Name)
+	}
+	return strings.Join(names, " ")
+}
+
+// TestSessionProfileDeltaReattaches pins both sides of the early cut-off
+// after a default (profile-invalidating) delta. The profiler re-runs, and
+// so do the two passes that read the profile — aggregation and SWC; the
+// scalar/SOAR/PAC transforms never do. When aggregation reproduces its plan
+// and SWC its candidates and rewrite, nothing else runs. When the plan
+// changes, everything after aggregation runs; when only the candidate set
+// changes, everything after SWC. The firewall under the benchmark's churn
+// stream produces all three within its first dozen deltas.
 func TestSessionProfileDeltaReattaches(t *testing.T) {
+	t.Run("unchanged", func(t *testing.T) {
+		a := apps.L3Switch()
+		s := newSessionFor(t, a, driver.LevelSWC)
+		if _, err := s.Compile(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Recompile(deltaFor(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := executedPasses(res), "profile aggregate swc"; got != want {
+			t.Errorf("a route add that changes neither plan nor candidates executed %q, want %q", got, want)
+		}
+	})
+	t.Run("changed", func(t *testing.T) {
+		c := newChurner(t, apps.Firewall(), 1)
+		s := c.session(t, driver.LevelSWC, driver.VerifyOn)
+		prev := c.cold(t, driver.LevelSWC, driver.VerifyOn)
+		seen := map[string]int{}
+		for i := 0; i < 12; i++ {
+			res, err := s.Recompile(c.next())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := "profile aggregate swc"
+			switch {
+			case !res.Report.Plan.SameDecisions(prev.Report.Plan):
+				want = "profile aggregate agg-opt phr swc final-opt codegen"
+			case candidateNames(res) != candidateNames(prev):
+				want = "profile aggregate swc final-opt codegen"
+			}
+			if got := executedPasses(res); got != want {
+				t.Errorf("delta %d (plan\n%vwas\n%vcandidates %q, were %q) executed %q, want %q", i,
+					res.Report.Plan, prev.Report.Plan, candidateNames(res), candidateNames(prev), got, want)
+			}
+			seen[want]++
+			prev = res
+		}
+		if len(seen) != 3 {
+			t.Errorf("the stream no longer exercises all three cases: %v", seen)
+		}
+	})
+}
+
+// TestSessionDecisionRecords reads the session's decisions back as data:
+// why each executed pass ran, and how often a re-executed pass reproduced
+// its cached output so that its successors stayed cached. A cold CompileIR
+// records none of it.
+func TestSessionDecisionRecords(t *testing.T) {
 	a := apps.L3Switch()
 	s := newSessionFor(t, a, driver.LevelSWC)
-	if _, err := s.Compile(); err != nil {
+	first, err := s.Compile()
+	if err != nil {
 		t.Fatal(err)
 	}
+	counters := first.Report.Metrics.Counters
+	for _, pt := range first.Report.Passes {
+		if n := counters[metrics.PassRerun(pt.Pass, "cold").String()]; n != 1 {
+			t.Errorf("first compile: %s ran cold %d times, want 1", pt.Pass, n)
+		}
+	}
+	if n := counters[metrics.SessionCutoffs.String()]; n != 0 {
+		t.Errorf("first compile counted %d cut-offs", n)
+	}
+
 	res, err := s.Recompile(deltaFor(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	skipped := map[string]bool{}
-	for _, pt := range res.Report.Passes {
-		if pt.Skipped {
-			skipped[pt.Pass] = true
+	counters = res.Report.Metrics.Counters
+	for _, want := range []struct {
+		pass, reason string
+	}{
+		{"profile", "stamp"},          // the delta declared its fact stale
+		{"aggregate", "fact_profile"}, // it reads the new profile
+		{"swc", "fact_profile"},       // so does candidate selection
+	} {
+		if n := counters[metrics.PassRerun(want.pass, want.reason).String()]; n != 1 {
+			t.Errorf("%s re-ran for reason %q %d times, want 1 (counters %v)", want.pass, want.reason, n, counters)
 		}
 	}
-	for _, want := range []string{"inline+scalar", "soar", "pac"} {
-		if !skipped[want] {
-			t.Errorf("pass %q not reused after a profile-only delta", want)
+	// aggregate and swc reproduced their outputs; the profile is never held equal.
+	if n := counters[metrics.SessionCutoffs.String()]; n != 2 {
+		t.Errorf("%d cut-offs, want 2", n)
+	}
+
+	// A plan-only invalidation re-runs aggregation on its stamp, and an
+	// unchanged plan cuts everything after it off.
+	res, err = s.Recompile(driver.Delta{Invalidates: []driver.FactKind{driver.FactPlan}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters = res.Report.Metrics.Counters
+	if n := counters[metrics.PassRerun("aggregate", "stamp").String()]; n != 1 {
+		t.Errorf("aggregate re-ran on a stamp %d times, want 1", n)
+	}
+	if got := executedPasses(res); got != "aggregate" {
+		t.Errorf("plan-only invalidation executed %q, want only aggregate", got)
+	}
+
+	cold := coldCompile(t, a, s.Config())
+	for name := range cold.Report.Metrics.Counters {
+		if strings.Contains(name, ".rerun.") || strings.HasPrefix(name, "compile.session.") {
+			t.Errorf("a cold CompileIR recorded %s", name)
 		}
 	}
-	for _, mustRun := range []string{"profile", "aggregate", "codegen"} {
-		if skipped[mustRun] {
-			t.Errorf("pass %q reused but its inputs changed", mustRun)
+}
+
+// TestRecompileAllocsBelowCold is the clock-free guard on what the Session
+// is for: a steady-state recompile of one churn delta allocates fewer
+// objects than a cold CompileIR on the same program, trace and controls.
+// (Before the cut-off and the shared snapshots it allocated three times
+// as many.)
+func TestRecompileAllocsBelowCold(t *testing.T) {
+	for _, a := range apps.All() {
+		c := newChurner(t, a, 1)
+		s := c.session(t, driver.LevelSWC, driver.VerifyOff)
+		for i := 0; i < 3; i++ { // past the first recompile, which fills nothing new but sizes buffers
+			if _, err := s.Recompile(c.next()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inc := testing.AllocsPerRun(10, func() {
+			if _, err := s.Recompile(c.next()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		cold := testing.AllocsPerRun(10, func() { c.cold(t, driver.LevelSWC, driver.VerifyOff) })
+		t.Logf("%s: %.0f allocations per recompile, %.0f per cold compile", a.Name, inc, cold)
+		if inc >= cold {
+			t.Errorf("%s: a recompile allocates %.0f objects, a cold compile %.0f", a.Name, inc, cold)
 		}
 	}
 }

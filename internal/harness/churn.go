@@ -8,6 +8,7 @@ import (
 
 	"shangrila/internal/apps"
 	"shangrila/internal/driver"
+	"shangrila/internal/ir"
 	"shangrila/internal/ixp"
 	"shangrila/internal/metrics"
 	"shangrila/internal/profiler"
@@ -52,7 +53,10 @@ type ChurnBucket struct {
 // ChurnCompileLatency compares the control plane's recompile cost with
 // and without the incremental session: wall-clock percentiles (zeroed in
 // canonical reports) plus the deterministic executed/skipped pass counts
-// behind them.
+// behind them. "Cold" is what a caller without a session pays per policy
+// change — driver.CompileIR on a freshly lowered program — not a Session's
+// first Compile, which also fingerprints and snapshots every pass boundary
+// to fill its cache.
 type ChurnCompileLatency struct {
 	ColdSamples  int   `json:"cold_samples"`
 	IncSamples   int   `json:"inc_samples"`
@@ -134,35 +138,45 @@ func nanoPercentile(sorted []int64, p int) int64 {
 	return sorted[i]
 }
 
-// measureCompileLatency times cold full compiles against single-delta
-// incremental recompiles through a driver.Session, feeding the session
-// the same churn policy states the runtime applies.
+// measureCompileLatency times cold full compiles (driver.CompileIR, no
+// session) against single-delta incremental recompiles through a warm
+// driver.Session, feeding the session the same churn policy states the
+// runtime applies.
 func measureCompileLatency(a *apps.App, sp workload.ChurnSpec, s *settings) (*ChurnCompileLatency, error) {
-	mk := func() (*driver.Session, error) {
+	lowered := func() (*ir.Program, driver.Config, error) {
 		prog, err := driver.LowerSource(a.Name+".baker", a.Source)
 		if err != nil {
-			return nil, err
+			return nil, driver.Config{}, err
 		}
 		cfg := driverConfig(a, s.level, a.Trace(prog.Types, s.run.Seed, profileTraceN), s)
 		cfg.DumpPass, cfg.DumpDir = "", "" // latency sampling never dumps
-		return driver.NewSession(prog, cfg)
+		return prog, cfg, nil
 	}
 	cl := &ChurnCompileLatency{}
 	var cold []int64
-	var sess *driver.Session
 	for i := 0; i < churnColdSamples; i++ {
-		se, err := mk()
+		prog, cfg, err := lowered()
 		if err != nil {
 			return nil, err
 		}
 		t0 := time.Now()
-		res, err := se.Compile()
+		res, err := driver.CompileIR(prog, cfg)
 		if err != nil {
 			return nil, err
 		}
 		cold = append(cold, time.Since(t0).Nanoseconds())
 		cl.ColdPasses = len(res.Report.Passes)
-		sess = se
+	}
+	prog, cfg, err := lowered()
+	if err != nil {
+		return nil, err
+	}
+	sess, err := driver.NewSession(prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := sess.Compile(); err != nil {
+		return nil, err
 	}
 	cs, err := workload.NewChurnStream(sp)
 	if err != nil {
@@ -356,7 +370,7 @@ func FormatChurn(results []*ChurnResult) string {
 		fmt.Fprintf(&b, "  updates: %d scheduled, %d applied, %d failed\n",
 			r.Updates.Scheduled, r.Updates.Applied, r.Updates.Failed)
 		if c := r.Compile; c != nil {
-			fmt.Fprintf(&b, "  compile: cold p50 %v p99 %v (%d passes) | incremental p50 %v p99 %v (%d run / %d skipped)\n",
+			fmt.Fprintf(&b, "  compile: cold CompileIR p50 %v p99 %v (%d passes) | warm Session recompile p50 %v p99 %v (%d run / %d skipped)\n",
 				time.Duration(c.ColdP50Nanos), time.Duration(c.ColdP99Nanos), c.ColdPasses,
 				time.Duration(c.IncP50Nanos), time.Duration(c.IncP99Nanos), c.IncExecuted, c.IncSkipped)
 		}

@@ -2,10 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"shangrila/internal/apps"
+	"shangrila/internal/bakergen"
 	"shangrila/internal/driver"
+	"shangrila/internal/ir"
 	"shangrila/internal/opt/swc"
 	"shangrila/internal/profiler"
 	"shangrila/internal/rts"
@@ -398,5 +401,92 @@ func TestIncrementalPacketDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// sessionMatchesCold drives one warm Session through a sequence of policy
+// deltas and holds every recompile to a cold CompileIR of a fresh lowering
+// under the accumulated controls: final IR bytes, the CGIR listing, frame
+// and rings of every ME image, the layout, the plan (the model's costs
+// included) in the report, the image and the merged views, the profile, the
+// per-pass statistics, the SWC candidates and the code sizes
+// (compareCompiles). It returns how many passes the recompiles skipped.
+func sessionMatchesCold(t *testing.T, a *apps.App, lvl driver.Level, deltas []profiler.Control) (skipped int) {
+	t.Helper()
+	lowered := func() (*ir.Program, driver.Config) {
+		prog, err := driver.LowerSource(a.Name+".baker", a.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog, driver.Config{Level: lvl, ProfileTrace: a.Trace(prog.Types, 7, 256),
+			Controls: a.Controls, VerifyIR: driver.VerifyOff}
+	}
+	sess, err := driver.NewSession(lowered())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Compile(); err != nil {
+		t.Fatalf("%s at %v: session compile: %v", a.Name, lvl, err)
+	}
+	for i, ctl := range deltas {
+		inc, err := sess.Recompile(driver.Delta{AddControls: []profiler.Control{ctl}})
+		if err != nil {
+			t.Fatalf("%s at %v: recompile %d: %v", a.Name, lvl, i, err)
+		}
+		prog, cfg := lowered()
+		cfg.Controls = sess.Config().Controls
+		cold, err := driver.CompileIR(prog, cfg)
+		if err != nil {
+			t.Fatalf("%s at %v: cold compile %d: %v", a.Name, lvl, i, err)
+		}
+		if diff := compareCompiles(inc, cold); diff != "" {
+			t.Fatalf("%s at %v: recompile %d (executed %v) differs from a cold compile in %s",
+				a.Name, lvl, i, sess.Stats().LastExecuted, diff)
+		}
+		for j, m := range inc.Merged {
+			if m.Agg != inc.Report.Plan.Aggregates[j] {
+				t.Fatalf("%s at %v: recompile %d: merged view %d names an aggregate of another plan", a.Name, lvl, i, j)
+			}
+		}
+	}
+	return sess.Stats().PassesSkipped
+}
+
+// TestSessionChurnSequenceMatchesCold: incremental ≡ cold is a property of
+// every step of a long session, not of the first delta after a cold
+// compile. The three applications take 60 deltas each of the churn stream
+// the repository benchmark replays, at +PHR and at +SWC — among them the
+// ones that change the aggregation plan or the SWC candidate set and the
+// many that change neither, where the cut-off keeps everything after
+// aggregation cached. Thirty generated programs have their own boot
+// controls re-issued with other values.
+func TestSessionChurnSequenceMatchesCold(t *testing.T) {
+	for _, a := range apps.All() {
+		for _, lvl := range []driver.Level{driver.LevelPHR, driver.LevelSWC} {
+			stream, err := workload.NewChurnStream(workload.ChurnSpec{Seed: 1, UpdatesPerSec: 1000,
+				Items: len(a.Churn.Targets), WithdrawFraction: 0.25})
+			if err != nil {
+				t.Fatal(err)
+			}
+			deltas := make([]profiler.Control, 60)
+			for i := range deltas {
+				ev := stream.Next()
+				deltas[i] = a.Churn.State(ev.Item, ev.Version, ev.Withdraw)
+			}
+			if skipped := sessionMatchesCold(t, a, lvl, deltas); skipped == 0 {
+				t.Errorf("%s at %v: no pass was ever reused", a.Name, lvl)
+			}
+		}
+	}
+	for seed := uint64(4242); seed < 4272; seed++ {
+		a := bakergen.NewSpec(seed).Build()
+		deltas := make([]profiler.Control, 8)
+		for i := range deltas {
+			boot := a.Controls[i%len(a.Controls)]
+			args := slices.Clone(boot.Args)
+			args[len(args)-1] ^= uint32(seed)*2654435761 + uint32(i)
+			deltas[i] = profiler.Control{Name: boot.Name, Args: args}
+		}
+		sessionMatchesCold(t, a, driver.LevelSWC, deltas)
 	}
 }

@@ -4,6 +4,12 @@ package ir
 // register numbering. Aggregation clones PPF bodies so per-aggregate
 // transforms (channel-to-call conversion, inlining, metadata localization)
 // cannot disturb other aggregates or the profiling copy.
+//
+// The copy's blocks, instructions, operand lists, branch-target lists and
+// CFG edge lists are carved out of one slab each, sized by a counting walk,
+// instead of being allocated one at a time; every carved slice has its
+// capacity clipped to what it was carved for, so a pass appending to one
+// reallocates rather than running into its neighbour.
 func (f *Func) Clone() *Func {
 	nf := &Func{
 		Name:         f.Name,
@@ -15,28 +21,71 @@ func (f *Func) Clone() *Func {
 		InProto:      f.InProto,
 		Source:       f.Source,
 	}
-	blockMap := make(map[*Block]*Block, len(f.Blocks))
+	var nInstrs, nRegs, nTargets, nEdges int
 	for _, b := range f.Blocks {
-		nb := &Block{ID: b.ID}
-		nf.Blocks = append(nf.Blocks, nb)
-		blockMap[b] = nb
-	}
-	for _, b := range f.Blocks {
-		nb := blockMap[b]
+		nInstrs += len(b.Instrs)
+		nEdges += len(b.Preds) + len(b.Succs)
 		for _, in := range b.Instrs {
-			cp := *in
-			cp.Dst = append([]Reg(nil), in.Dst...)
-			cp.Args = append([]Reg(nil), in.Args...)
-			if in.Blocks != nil {
-				cp.Blocks = make([]*Block, len(in.Blocks))
-				for i, t := range in.Blocks {
-					cp.Blocks[i] = blockMap[t]
-				}
-			}
-			nb.Instrs = append(nb.Instrs, &cp)
+			nRegs += len(in.Dst) + len(in.Args)
+			nTargets += len(in.Blocks)
 		}
 	}
-	nf.Entry = blockMap[f.Entry]
+	blocks := make([]Block, len(f.Blocks))
+	nf.Blocks = make([]*Block, len(f.Blocks))
+	instrs := make([]Instr, nInstrs)
+	instrPtrs := make([]*Instr, nInstrs)
+	regs := make([]Reg, nRegs)
+	targets := make([]*Block, nTargets+nEdges)
+
+	// copyOf finds the copy of one of f's blocks: by ID when IDs are the
+	// positions (ComputeCFG leaves them so), by search otherwise; nil for a
+	// block f does not list.
+	copyOf := func(b *Block) *Block {
+		if b != nil && b.ID >= 0 && b.ID < len(f.Blocks) && f.Blocks[b.ID] == b {
+			return &blocks[b.ID]
+		}
+		for i, ob := range f.Blocks {
+			if ob == b {
+				return &blocks[i]
+			}
+		}
+		return nil
+	}
+	carveRegs := func(src []Reg) []Reg {
+		if len(src) == 0 {
+			return nil
+		}
+		n := copy(regs, src)
+		out := regs[:n:n]
+		regs = regs[n:]
+		return out
+	}
+	for bi, b := range f.Blocks {
+		nb := &blocks[bi]
+		nb.ID = b.ID
+		nf.Blocks[bi] = nb
+		// Room for the edges ComputeCFG is about to rebuild.
+		np, ns := len(b.Preds), len(b.Succs)
+		nb.Preds, nb.Succs, targets = targets[:0:np], targets[np:np:np+ns], targets[np+ns:]
+		n := len(b.Instrs)
+		nb.Instrs, instrPtrs = instrPtrs[:n:n], instrPtrs[n:]
+		for ii, in := range b.Instrs {
+			cp := &instrs[ii]
+			*cp = *in
+			cp.Dst = carveRegs(in.Dst)
+			cp.Args = carveRegs(in.Args)
+			if in.Blocks != nil {
+				nt := len(in.Blocks)
+				cp.Blocks, targets = targets[:nt:nt], targets[nt:]
+				for ti, t := range in.Blocks {
+					cp.Blocks[ti] = copyOf(t)
+				}
+			}
+			nb.Instrs[ii] = cp
+		}
+		instrs = instrs[n:]
+	}
+	nf.Entry = copyOf(f.Entry)
 	nf.ComputeCFG()
 	return nf
 }

@@ -11,7 +11,7 @@
 package ir
 
 import (
-	"fmt"
+	"strconv"
 
 	"shangrila/internal/baker/token"
 	"shangrila/internal/baker/types"
@@ -22,13 +22,6 @@ type Reg int
 
 // NoReg marks an absent register operand.
 const NoReg Reg = -1
-
-func (r Reg) String() string {
-	if r == NoReg {
-		return "_"
-	}
-	return fmt.Sprintf("%%v%d", int(r))
-}
 
 // RegClass distinguishes plain 32-bit words from packet handles.
 type RegClass uint8
@@ -124,7 +117,7 @@ const (
 	OpCacheFlush  // invalidate all cached lines of Global
 )
 
-var opNames = map[Op]string{
+var opNames = [...]string{
 	OpConst: "const", OpMov: "mov", OpAdd: "add", OpSub: "sub", OpMul: "mul",
 	OpDivU: "divu", OpRemU: "remu", OpAnd: "and", OpOr: "or", OpXor: "xor",
 	OpShl: "shl", OpShrU: "shru", OpShrS: "shrs", OpNot: "not", OpNeg: "neg",
@@ -142,10 +135,10 @@ var opNames = map[Op]string{
 }
 
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if o >= 0 && int(o) < len(opNames) && opNames[o] != "" {
+		return opNames[o]
 	}
-	return fmt.Sprintf("op(%d)", int(o))
+	return "op(" + strconv.Itoa(int(o)) + ")"
 }
 
 // IsTerminator reports whether o ends a basic block.

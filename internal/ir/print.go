@@ -1,11 +1,20 @@
 package ir
 
 import (
-	"fmt"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 )
+
+// The IR has one rendering routine, appendFunc, which appends to a byte
+// slice and never reaches fmt. It has two modes. The text mode is the
+// readable listing String, Fprint and -dump-ir show. The identity mode is
+// the same listing plus every field a pass can read that the listing leaves
+// out (register classes, SOAR's alignment and lower-bound annotations, an
+// immediate on an op that does not show one, ...), so that two functions
+// render identically in it exactly when no pass can tell them apart; Hasher
+// fingerprints that rendering. What neither mode shows is listed in
+// identity_test.go, which fails when a new field is in neither.
 
 // Fprint writes every function of the program as readable text. Output is
 // deterministic and byte-stable across runs: functions print in declaration
@@ -13,108 +22,238 @@ import (
 // which a transform could leave behind — is appended in sorted name order
 // rather than map order.
 func Fprint(w io.Writer, p *Program) error {
-	listed := make(map[string]bool, len(p.Order))
-	for _, name := range p.Order {
-		listed[name] = true
-		if fn := p.Funcs[name]; fn != nil {
-			if _, err := io.WriteString(w, fn.String()); err != nil {
-				return err
-			}
+	var buf []byte
+	var err error
+	p.eachFunc(func(fn *Func) {
+		if err == nil {
+			buf = appendFunc(buf[:0], fn, false)
+			_, err = w.Write(buf)
 		}
+	})
+	return err
+}
+
+// eachFunc visits the program's functions in Fprint order.
+func (p *Program) eachFunc(visit func(*Func)) {
+	listed := 0
+	for _, name := range p.Order {
+		if fn := p.Funcs[name]; fn != nil {
+			listed++
+			visit(fn)
+		}
+	}
+	if listed == len(p.Funcs) {
+		return
+	}
+	inOrder := make(map[string]bool, len(p.Order))
+	for _, name := range p.Order {
+		inOrder[name] = true
 	}
 	var rest []string
 	for name := range p.Funcs {
-		if !listed[name] {
+		if !inOrder[name] {
 			rest = append(rest, name)
 		}
 	}
 	sort.Strings(rest)
 	for _, name := range rest {
-		if _, err := io.WriteString(w, p.Funcs[name].String()); err != nil {
-			return err
-		}
+		visit(p.Funcs[name])
 	}
-	return nil
 }
 
 // String renders the whole program (see Fprint).
 func (p *Program) String() string {
-	var b strings.Builder
-	_ = Fprint(&b, p)
-	return b.String()
+	var b []byte
+	p.eachFunc(func(fn *Func) { b = appendFunc(b, fn, false) })
+	return string(b)
 }
 
 // String renders the function as readable text for tests and tooling.
-func (f *Func) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %s(", f.Kind, f.Name)
-	for i, p := range f.Params {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(p.String())
-	}
-	b.WriteString(") {\n")
-	for _, blk := range f.Blocks {
-		fmt.Fprintf(&b, "b%d:\n", blk.ID)
-		for _, in := range blk.Instrs {
-			fmt.Fprintf(&b, "\t%s\n", in)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
+func (f *Func) String() string { return string(appendFunc(nil, f, false)) }
 
 // String renders one instruction.
-func (i *Instr) String() string {
-	var b strings.Builder
-	if len(i.Dst) > 0 {
-		for j, d := range i.Dst {
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(d.String())
-		}
-		b.WriteString(" = ")
+func (i *Instr) String() string { return string(appendInstr(nil, i, false)) }
+
+func (r Reg) String() string { return string(appendReg(nil, r)) }
+
+func appendReg(b []byte, r Reg) []byte {
+	if r == NoReg {
+		return append(b, '_')
 	}
-	b.WriteString(i.Op.String())
+	return strconv.AppendInt(append(b, "%v"...), int64(r), 10)
+}
+
+// appendRegs appends a comma-separated register list.
+func appendRegs(b []byte, regs []Reg) []byte {
+	for i, r := range regs {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendReg(b, r)
+	}
+	return b
+}
+
+// appendNum appends prefix and the decimal n.
+func appendNum(b []byte, prefix string, n int64) []byte {
+	return strconv.AppendInt(append(b, prefix...), n, 10)
+}
+
+func appendClasses(b []byte, prefix string, cs []RegClass) []byte {
+	b = append(b, prefix...)
+	for _, c := range cs {
+		b = append(b, '0'+byte(c))
+	}
+	return b
+}
+
+func appendFunc(b []byte, f *Func, identity bool) []byte {
+	b = append(b, f.Kind.String()...)
+	b = append(b, ' ')
+	b = append(b, f.Name...)
+	b = append(b, '(')
+	b = appendRegs(b, f.Params)
+	b = append(b, ") {\n"...)
+	if identity {
+		b = appendNum(b, "\t!regs=", int64(f.NumRegs))
+		b = appendClasses(b, " classes=", f.RegClasses)
+		b = appendClasses(b, " params=", f.ParamClasses)
+		if f.Entry != nil {
+			b = appendNum(b, " entry=b", int64(f.Entry.ID))
+		}
+		if f.InProto != nil {
+			b = append(append(b, " in="...), f.InProto.Name...)
+		}
+		b = append(b, '\n')
+	}
+	for _, blk := range f.Blocks {
+		b = appendNum(b, "b", int64(blk.ID))
+		b = append(b, ":\n"...)
+		for _, in := range blk.Instrs {
+			b = append(b, '\t')
+			b = appendInstr(b, in, identity)
+			b = append(b, '\n')
+		}
+	}
+	return append(b, "}\n"...)
+}
+
+func appendInstr(b []byte, i *Instr, identity bool) []byte {
+	if len(i.Dst) > 0 {
+		b = appendRegs(b, i.Dst)
+		b = append(b, " = "...)
+	}
+	b = append(b, i.Op.String()...)
+	// shownImm, shownOff, shownWidth and shownStatic track which payload
+	// fields the readable text already carries.
+	var shownImm, shownOff, shownWidth, shownStatic bool
 	switch i.Op {
 	case OpConst:
-		fmt.Fprintf(&b, " %d", i.Imm)
+		b = strconv.AppendUint(append(b, ' '), i.Imm, 10)
+		shownImm = true
 	case OpLockAcquire, OpLockRelease:
-		fmt.Fprintf(&b, " #%d", i.Imm)
+		b = strconv.AppendUint(append(b, " #"...), i.Imm, 10)
+		shownImm = true
 	}
 	if i.Global != nil {
-		fmt.Fprintf(&b, " @%s", i.Global.Name)
-		fmt.Fprintf(&b, "+%d", i.Off)
+		b = append(append(b, " @"...), i.Global.Name...)
+		b = append(b, '+')
+		b = strconv.AppendInt(b, int64(i.Off), 10)
+		shownOff = true
 	}
 	if i.Proto != nil {
-		fmt.Fprintf(&b, " <%s>", i.Proto.Name)
+		b = append(append(append(b, " <"...), i.Proto.Name...), '>')
 	}
 	if i.Field != nil {
-		fmt.Fprintf(&b, " .%s", i.Field.Name)
+		b = append(append(b, " ."...), i.Field.Name...)
 	}
 	if i.Chan != nil {
-		fmt.Fprintf(&b, " ->%s", i.Chan.Name)
+		b = append(append(b, " ->"...), i.Chan.Name...)
 	}
 	if i.Callee != "" {
-		fmt.Fprintf(&b, " %s", i.Callee)
+		b = append(append(b, ' '), i.Callee...)
 	}
 	if i.Field == nil && (i.Op == OpPktLoad || i.Op == OpPktStore) {
-		fmt.Fprintf(&b, " raw[%d:%d]", i.Off, int(i.Off)+i.Width)
+		b = appendNum(b, " raw[", int64(i.Off))
+		b = appendNum(b, ":", int64(int(i.Off)+i.Width))
+		b = append(b, ']')
+		shownOff, shownWidth = true, true
 	}
 	for _, a := range i.Args {
-		fmt.Fprintf(&b, " %s", a.String())
+		b = appendReg(append(b, ' '), a)
 	}
 	for _, t := range i.Blocks {
-		fmt.Fprintf(&b, " b%d", t.ID)
+		b = appendNum(b, " b", int64(t.ID))
 	}
-	if i.StaticOff != 0 && (i.Op == OpPktLoad || i.Op == OpPktStore || i.Op == OpEncap || i.Op == OpDecap) {
+	if i.Op == OpPktLoad || i.Op == OpPktStore || i.Op == OpEncap || i.Op == OpDecap {
+		shownStatic = true
 		if i.StaticOff == UnknownOff {
-			b.WriteString(" !off=?")
-		} else {
-			fmt.Fprintf(&b, " !off=%d", i.StaticOff)
+			b = append(b, " !off=?"...)
+		} else if i.StaticOff != 0 {
+			b = appendNum(b, " !off=", int64(i.StaticOff))
 		}
 	}
-	return b.String()
+	if !identity {
+		return b
+	}
+	if !shownImm && i.Imm != 0 {
+		b = strconv.AppendUint(append(b, " !imm="...), i.Imm, 10)
+	}
+	if !shownOff && i.Off != 0 {
+		b = appendNum(b, " !at=", int64(i.Off))
+	}
+	if !shownWidth && i.Width != 0 {
+		b = appendNum(b, " !width=", int64(i.Width))
+	}
+	if !shownStatic && i.StaticOff != 0 {
+		b = appendNum(b, " !off=", int64(i.StaticOff))
+	}
+	if i.StaticAlign != 0 {
+		b = appendNum(b, " !align=", int64(i.StaticAlign))
+	}
+	if i.StaticMin != 0 {
+		b = appendNum(b, " !min=", int64(i.StaticMin))
+	}
+	return b
+}
+
+// Hasher fingerprints IR states: FNV-1a over the identity rendering of every
+// function it is given, through one buffer it keeps, so hashing a state
+// allocates nothing once the buffer has grown to the largest function. The
+// zero value is not ready: call Reset first.
+type Hasher struct {
+	sum uint64
+	buf []byte
+}
+
+// Reset starts a new fingerprint.
+func (h *Hasher) Reset() { h.sum = 14695981039346656037 }
+
+// Sum64 returns the fingerprint of everything mixed in since Reset.
+func (h *Hasher) Sum64() uint64 { return h.sum }
+
+// fnv1a folds s into sum, then a terminator so that adjacent pieces do not
+// run together.
+func fnv1a[T string | []byte](sum uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		sum = (sum ^ uint64(s[i])) * 1099511628211
+	}
+	return sum * 1099511628211
+}
+
+// String mixes in a string.
+func (h *Hasher) String(s string) { h.sum = fnv1a(h.sum, s) }
+
+// Int mixes in a number.
+func (h *Hasher) Int(n int) { h.sum = (h.sum ^ uint64(n)) * 1099511628211 }
+
+// Func mixes in one function.
+func (h *Hasher) Func(f *Func) {
+	h.buf = appendFunc(h.buf[:0], f, true)
+	h.sum = fnv1a(h.sum, h.buf)
+}
+
+// Program mixes in every function of p, in Fprint order.
+func (h *Hasher) Program(p *Program) {
+	p.eachFunc(h.Func)
 }

@@ -56,12 +56,20 @@ func PassOptUnconverged(pass string) Key { return Key("compile.pass." + pass + "
 // pass's cached result instead of executing it.
 func PassSkips(pass string) Key { return Key("compile.pass." + pass + ".skips") }
 
+// PassRerun counts the times a driver.Session had to execute a named pass
+// for one reason: "cold" (nothing cached), "ir" (the IR entering the pass
+// changed), "fact_profile", "fact_soar", "fact_plan" (a fact the pass reads
+// changed) or "stamp" (a delta declared a fact the pass produces stale).
+func PassRerun(pass, reason string) Key { return Key("compile.pass." + pass + ".rerun." + reason) }
+
 // Session-level incremental-compilation counters: total compiles executed
-// by a driver.Session and how many of those reused at least one cached
-// pass result.
+// by a driver.Session, how many of those reused at least one cached pass
+// result, and how many re-executed passes reproduced their cached output
+// (IR and facts), so that their successors stayed reusable.
 const (
 	SessionCompiles    = Key("compile.session.compiles")
 	SessionIncremental = Key("compile.session.incremental")
+	SessionCutoffs     = Key("compile.session.cutoffs")
 )
 
 // StallShareKey is the per-category stall-share gauge family exported from
