@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check race churn-claims bench-check verify fuzz-ci bench bench-smoke bench-loadlatency bench-churn bench-cluster clean
+.PHONY: all build test vet fmt-check race churn-claims bench-check verify fuzz-ci bench-smoke bench-loadlatency bench-churn bench-cluster clean
 
 all: verify
 
@@ -19,17 +19,12 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 
-# Race-check the concurrent packages: the sweep runner's worker pool,
-# the metrics instruments it samples, the trace-enabled machine tests,
-# the parallel sharded and staged-compilation engines (including the
-# full differential suite replayed on both inside ./internal/harness/),
+# Race-check the packages that start goroutines: the sweep runner's and
+# the fuzz campaign's worker pools, the metrics instruments they sample,
 # and the multi-NPU cluster scheduler's shared balancer and epoch
-# barriers. The second leg re-runs the engine determinism tests at
-# several GOMAXPROCS settings so shard scheduling is exercised under
-# contention and on a single P.
+# barriers. The simulator itself (./internal/ixp/) is single-goroutine.
 race:
-	$(GO) test -race ./internal/harness/ ./internal/metrics/ ./internal/ixp/ ./internal/cluster/
-	$(GO) test -race -cpu 1,2,8 -run 'TestParallel|TestEngine|TestCompiled' ./internal/ixp/
+	$(GO) test -race ./internal/harness/ ./internal/metrics/ ./internal/cluster/
 
 # The dynamic-control-plane and shared-compile gate, run explicitly (and
 # with -count=1, so a cached `test` result can never mask a regression):
@@ -50,11 +45,14 @@ churn-claims:
 # land in bench/out/, which is ignored. The compile side's layer
 # benchmarks (scalar optimizer, liveness, functional profiler, the fuzz
 # differential, a Session recompile against CompileIR) run once each for
-# the same reason: so they cannot rot.
+# the same reason: so they cannot rot, and so do the simulator's two
+# (the event core's zero-alloc round trip, and the stall tracer's cost
+# against tracing off).
 bench-check:
 	$(GO) -C bench test ./...
 	$(GO) -C bench run . -smoke
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/opt/ ./internal/analysis/ ./internal/profiler/ ./internal/harness/ ./internal/driver/
+	$(GO) test -run xxx -bench 'BenchmarkEventCore$$|BenchmarkTracerOverhead' -benchtime 1x ./internal/ixp/
 
 # Tier-1 verification: everything CI gates on. `test` includes the
 # checked-in fuzz-corpus replay (internal/harness/testdata/fuzz-corpus),
@@ -75,22 +73,6 @@ fuzz-ci: build
 	$(GO) run ./cmd/shangrila-bench -experiment fuzz -fuzz-n 500 -fuzz-seed 4242 \
 		-report fuzz_report.json
 	@test -s fuzz_report.json && echo "fuzz-ci: report OK"
-
-# Host-performance benchmark suite → BENCH_sim.json (ns/op, B/op,
-# allocs/op and custom metrics per benchmark). BenchmarkSimulator fans
-# out into serial, parallel-shards=N, compiled and compiled-shards=N
-# sub-benchmarks (BenchmarkFigure6 into serial and compiled), recorded
-# as separate entries (with engine/shards fields) so the engines'
-# numbers are never merged. CI uploads the file as an artifact so
-# simulator throughput is comparable per commit.
-bench: build
-	$(GO) test -run xxx -bench 'BenchmarkSimulator$$|BenchmarkCluster$$|BenchmarkFigure6$$|BenchmarkCompiler$$' \
-		-benchmem . > /tmp/bench_raw.txt
-	$(GO) test -run xxx -bench 'BenchmarkEventCore$$|BenchmarkTracerOverhead|BenchmarkEngineALU' \
-		-benchmem ./internal/ixp/ >> /tmp/bench_raw.txt
-	@cat /tmp/bench_raw.txt
-	$(GO) run ./cmd/benchjson < /tmp/bench_raw.txt > BENCH_sim.json
-	@echo "wrote BENCH_sim.json"
 
 # Quick end-to-end pass over the evaluation binary: short windows, report
 # written to a scratch location.
@@ -124,4 +106,4 @@ bench-cluster: build
 	@test -s cluster_report.json && echo "bench-cluster: report OK"
 
 clean:
-	rm -f bench_report.json trace.json BENCH_sim.json churn_report.json cluster_report.json fuzz_report.json
+	rm -f bench_report.json trace.json churn_report.json cluster_report.json fuzz_report.json

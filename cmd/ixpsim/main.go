@@ -24,21 +24,10 @@
 // backpressure or idle, per ME; with -trace the whole run is exported as
 // Chrome trace_event JSON for chrome://tracing or Perfetto.
 //
-// With -engine parallel the simulation runs on the sharded engine: MEs
-// are partitioned across -shards worker goroutines (0 = one per core, at
-// most one per ME) under conservative time windows. With -engine
-// compiled each predecoded straight-line run is staged into a
-// specialized native closure at load time (constants folded, wired-zero
-// reads elided) and dispatched on one goroutine, or — with -shards n —
-// inside the parallel engine's shard phases. Results are bit-identical
-// across all engines — the flags only trade host cores and load-time
-// staging for wall-clock time.
-//
 // Usage:
 //
 //	ixpsim [-O level] [-mes n] [-cycles n] [-seed n]
 //	       [-experiment name] [experiment flags]
-//	       [-engine serial|parallel|compiled] [-shards n]
 //	       [-gbps g] [-arrival fixed|poisson|onoff] [-sizes 64|imix|trimodal]
 //	       [-flows n] [-zipf s]
 //	       [-stalls] [-trace out.json]

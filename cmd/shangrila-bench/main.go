@@ -14,23 +14,18 @@
 // including a fuzz divergence — can be replayed exactly with -seed (or
 // -fuzz-seed for a campaign's generator range).
 //
-// Sweep points fan out across worker goroutines and every measurement —
-// forwarding rates, per-packet accesses, telemetry, compile pass timings,
-// latency histograms, cluster topologies, fuzz campaign statistics —
-// lands in one machine-readable JSON report (schema shangrila-bench/v6).
+// Each simulated machine runs on one goroutine, so extra cores pay off
+// across machines: sweep points fan out across worker goroutines. Every
+// measurement — forwarding rates, per-packet accesses, telemetry,
+// compile pass timings, latency histograms, cluster topologies, fuzz
+// campaign statistics — lands in one machine-readable JSON report
+// (schema shangrila-bench/v6).
 //
 // With -stalls every sweep point carries a conservative per-ME stall
 // breakdown (stall_breakdown in the report); -trace additionally runs one
 // representative point (the first app at -O) and writes it as Chrome
 // trace_event JSON — sweep points themselves run concurrently and are
 // never traced.
-//
-// With -engine parallel every measured machine runs on the sharded
-// simulation engine (-shards worker goroutines per point); with -engine
-// compiled it runs staged-compilation dispatch, where predecoded runs
-// execute as specialized native closures (optionally sharded with
-// -shards). Results are bit-identical to the serial default, and the
-// report records the engine and shard count per point.
 //
 // -cpuprofile/-memprofile profile the benchmark process itself (for
 // `go tool pprof`), covering compilation and every sweep worker — the

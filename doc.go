@@ -9,7 +9,6 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The root bench_test.go regenerates every table and figure of the
-// paper's evaluation; cmd/shangrila-bench does the same from the command
-// line.
+// cmd/shangrila-bench regenerates every table and figure of the paper's
+// evaluation; bench/ (its own module) measures how fast the host does it.
 package shangrila

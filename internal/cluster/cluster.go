@@ -27,11 +27,10 @@ import (
 
 // ChipConfig shapes one NPU in the cluster. The zero value gives the
 // default machine (rts resolves a zero Cfg to ixp.DefaultConfig) with
-// one packet-processing ME and the serial engine.
+// one packet-processing ME.
 type ChipConfig struct {
 	NumMEs int
-	Cfg    ixp.Config     // zero value = calibrated IXP2400 defaults
-	Engine ixp.EngineSpec // nil = serial; per-chip EngineParallel is allowed
+	Cfg    ixp.Config // zero value = calibrated IXP2400 defaults
 }
 
 // DrainPlan takes one chip out of the ECMP set mid-run: the balancer
@@ -183,7 +182,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: drain chip %d out of range (have %d chips)", d.Chip, len(cfg.Chips))
 	}
 	// The cluster timeline is in cycles, so every chip must tick at one
-	// clock rate (heterogeneity lives in ME counts, engines, memory
+	// clock rate (heterogeneity lives in ME counts and memory
 	// parameters).
 	clock := 0.0
 	for i, cc := range cfg.Chips {
@@ -220,7 +219,7 @@ func New(cfg Config) (*Cluster, error) {
 			numMEs = 1
 		}
 		rt, err := rts.New(cfg.Image, cfg.Prog, cfg.Trace, rts.Options{
-			NumMEs: numMEs, Cfg: cc.Cfg, Engine: cc.Engine, Media: port,
+			NumMEs: numMEs, Cfg: cc.Cfg, Media: port,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: chip %d: %w", i, err)

@@ -265,7 +265,7 @@ func ChurnRun(a *apps.App, opts ...Option) (*ChurnResult, error) {
 		cfg.Metrics = s.metricsReg
 	}
 	rt, err := rts.New(res.Image, res.Prog, trc, rts.Options{
-		NumMEs: s.run.NumMEs, Cfg: cfg, Workload: &wsp, Engine: s.engine,
+		NumMEs: s.run.NumMEs, Cfg: cfg, Workload: &wsp,
 	})
 	if err != nil {
 		return nil, err

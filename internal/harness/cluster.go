@@ -72,12 +72,11 @@ type ClusterResult struct {
 }
 
 // ClusterRun compiles (unless WithCompiled) and measures one multi-NPU
-// cluster: p.Chips identical chips (WithMEs engines each, WithEngine's
-// simulation engine) behind the flow-hash balancer, warmed and measured
-// over the WithWindows cycles. WithWorkers sets how many chips advance
-// concurrently — results are bit-identical at any value, and a one-chip
-// cluster with zero fabric latency is bit-identical to the plain
-// single-machine path.
+// cluster: p.Chips identical chips (WithMEs engines each) behind the
+// flow-hash balancer, warmed and measured over the WithWindows cycles.
+// WithWorkers sets how many chips advance concurrently — results are
+// bit-identical at any value, and a one-chip cluster with zero fabric
+// latency is bit-identical to the plain single-machine path.
 func ClusterRun(a *apps.App, p ClusterParams, opts ...Option) (*ClusterResult, error) {
 	s := defaultSettings()
 	s.apply(opts)
@@ -108,7 +107,7 @@ func ClusterRun(a *apps.App, p ClusterParams, opts ...Option) (*ClusterResult, e
 
 	chips := make([]cluster.ChipConfig, p.Chips)
 	for i := range chips {
-		chips[i] = cluster.ChipConfig{NumMEs: s.run.NumMEs, Engine: s.engine}
+		chips[i] = cluster.ChipConfig{NumMEs: s.run.NumMEs}
 	}
 	var drain *cluster.DrainPlan
 	if p.DrainChip >= 0 {

@@ -8,7 +8,6 @@ import (
 	"shangrila/internal/apps"
 	"shangrila/internal/driver"
 	"shangrila/internal/ir"
-	"shangrila/internal/ixp"
 	"shangrila/internal/packet"
 	"shangrila/internal/profiler"
 	"shangrila/internal/rts"
@@ -124,12 +123,6 @@ type DiffConfig struct {
 	ChunkCycles  int64  // cycles per run slice between capture checks (default 60k)
 	MaxCycles    int64  // total cycle budget per level (default 600k)
 	CaptureLimit int    // max frames captured (default 8*TraceN)
-
-	// Engine selects the simulation engine compiled levels run on (nil =
-	// serial). The engines are bit-identical, so the fuzz corpus and the
-	// golden suite replay under ixp.EngineCompiled must reproduce the
-	// serial verdicts exactly.
-	Engine ixp.EngineSpec
 }
 
 func (c *DiffConfig) fill() {
@@ -270,7 +263,7 @@ func (rep *DiffReport) diffLevel(a *apps.App, lvl driver.Level, res *driver.Resu
 	}
 	trc = priv
 	rt, err := rts.New(res.Image, res.Prog, trc, rts.Options{
-		NumMEs: cfg.NumMEs, CaptureLimit: cfg.CaptureLimit, Engine: cfg.Engine})
+		NumMEs: cfg.NumMEs, CaptureLimit: cfg.CaptureLimit})
 	if err != nil {
 		rep.add(Divergence{Kind: DivRun, LevelA: "host", LevelB: name,
 			PacketIndex: -1, Detail: err.Error()})

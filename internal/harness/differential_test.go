@@ -92,11 +92,12 @@ func canonSnapshot(m *ixp.Machine) *engineSnapshot {
 // runDifferentialPoint measures one app × level × ME-count point exactly
 // the way measure() does — warm-up, stats reset, measured window, stall
 // tracer attached — but keeps the machine so the full snapshot can be
-// captured.
-func runDifferentialPoint(t *testing.T, a *apps.App, res *driver.Result, numMEs int, engine ixp.EngineSpec) *engineSnapshot {
+// captured. A non-zero window drives each phase as a series of Run calls
+// of at most that many cycles instead of one.
+func runDifferentialPoint(t *testing.T, a *apps.App, res *driver.Result, numMEs int, window int64) *engineSnapshot {
 	t.Helper()
 	trc := a.Trace(res.Prog.Types, 1235, 128)
-	rt, err := rts.New(res.Image, res.Prog, trc, rts.Options{NumMEs: numMEs, Engine: engine})
+	rt, err := rts.New(res.Image, res.Prog, trc, rts.Options{NumMEs: numMEs})
 	if err != nil {
 		t.Fatalf("%s %dME: %v", a.Name, numMEs, err)
 	}
@@ -107,155 +108,123 @@ func runDifferentialPoint(t *testing.T, a *apps.App, res *driver.Result, numMEs 
 	}
 	st := ixp.NewStallTracer(rt.M.Cfg.NumMEs, rt.M.Cfg.ThreadsPerME)
 	rt.M.Observer().SetTracer(st)
-	if err := rt.Run(25_000); err != nil {
+	run := func(cycles int64) error {
+		for window > 0 && cycles > window {
+			if err := rt.Run(window); err != nil {
+				return err
+			}
+			cycles -= window
+		}
+		return rt.Run(cycles)
+	}
+	if err := run(25_000); err != nil {
 		t.Fatalf("%s warmup: %v", a.Name, err)
 	}
 	rt.M.ResetStats()
-	if err := rt.Run(120_000); err != nil {
+	if err := run(120_000); err != nil {
 		t.Fatalf("%s measure: %v", a.Name, err)
 	}
 	return canonSnapshot(rt.M)
 }
 
+// forEachDifferentialPoint compiles every example application at every
+// optimization level once and runs fn as one subtest per ME placement
+// (the combined single-engine program and a replicated pipeline), named
+// after the point's golden.
+func forEachDifferentialPoint(t *testing.T, fn func(t *testing.T, name string, a *apps.App, res *driver.Result, mes int)) {
+	t.Helper()
+	for _, a := range apps.All() {
+		for _, lvl := range driver.Levels() {
+			res, err := Compile(a, lvl, 1234)
+			if err != nil {
+				t.Fatalf("%s at %v: %v", a.Name, lvl, err)
+			}
+			for _, mes := range []int{1, 5} {
+				name := fmt.Sprintf("%s-%s-%dme", a.Name, lvl, mes)
+				t.Run(name, func(t *testing.T) { fn(t, name, a, res, mes) })
+			}
+		}
+	}
+}
+
+// checkGolden asserts a snapshot's canonical JSON is byte-identical to the
+// named golden. Only TestEngineDifferential passes update, so the replays
+// below never rewrite a golden under -update-golden.
+func checkGolden(t *testing.T, name string, snap *engineSnapshot, update bool) {
+	t.Helper()
+	got, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "engine", name+".json")
+	if update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run TestEngineDifferential with -update-golden): %v", err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("engine output diverged from reference-interpreter golden %s\ngot:\n%s\nwant:\n%s",
+			path, got, want)
+	}
+}
+
 // TestEngineDifferential runs every example application at every
-// optimization level (and two ME placements: the combined single-engine
-// program and a replicated pipeline) and asserts the canonical JSON of the
-// run's observable state — stats, access accounting, stall attribution,
-// latency distribution — is byte-identical to the golden captured from the
-// reference per-instruction interpreter.
+// optimization level (and two ME placements) and asserts the canonical
+// JSON of the run's observable state — stats, access accounting, stall
+// attribution, latency distribution — is byte-identical to the golden
+// captured from the reference per-instruction interpreter.
 func TestEngineDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite is slow; run without -short")
 	}
-	dir := filepath.Join("testdata", "engine")
 	if *updateGolden {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Join("testdata", "engine"), 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, a := range apps.All() {
-		for _, lvl := range driver.Levels() {
-			res, err := Compile(a, lvl, 1234)
-			if err != nil {
-				t.Fatalf("%s at %v: %v", a.Name, lvl, err)
-			}
-			for _, mes := range []int{1, 5} {
-				name := fmt.Sprintf("%s-%s-%dme", a.Name, lvl, mes)
-				t.Run(name, func(t *testing.T) {
-					snap := runDifferentialPoint(t, a, res, mes, nil)
-					got, err := json.MarshalIndent(snap, "", "  ")
-					if err != nil {
-						t.Fatal(err)
-					}
-					got = append(got, '\n')
-					path := filepath.Join(dir, name+".json")
-					if *updateGolden {
-						if err := os.WriteFile(path, got, 0o644); err != nil {
-							t.Fatal(err)
-						}
-						return
-					}
-					want, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatalf("missing golden (run with -update-golden): %v", err)
-					}
-					if string(got) != string(want) {
-						t.Errorf("engine output diverged from reference-interpreter golden %s\ngot:\n%s\nwant:\n%s",
-							path, got, want)
-					}
-				})
-			}
-		}
-	}
+	forEachDifferentialPoint(t, func(t *testing.T, name string, a *apps.App, res *driver.Result, mes int) {
+		checkGolden(t, name, runDifferentialPoint(t, a, res, mes, 0), *updateGolden)
+	})
 }
 
-// TestEngineDifferentialParallel replays the full differential suite on
-// the parallel sharded engine and asserts its canonical output is
-// byte-identical to the same goldens the serial engine is locked to —
-// the parallel engine's correctness contract. The shard count is a
-// deliberately uneven divisor of the 8 MEs so partitions split mid-ring
-// pipelines.
+// TestEngineDifferentialParallel replays the goldens with every point's
+// machine running concurrently with the others, as Sweep, RunFuzz workers
+// and cluster chips run machines on a multi-core host: machines must share
+// no mutable state, so each still matches its golden byte for byte (and
+// `make race` checks the sharing directly). The name is kept from the
+// deleted sharded engine's replay of the same goldens.
 func TestEngineDifferentialParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite is slow; run without -short")
 	}
-	dir := filepath.Join("testdata", "engine")
-	for _, a := range apps.All() {
-		for _, lvl := range driver.Levels() {
-			res, err := Compile(a, lvl, 1234)
-			if err != nil {
-				t.Fatalf("%s at %v: %v", a.Name, lvl, err)
-			}
-			for _, mes := range []int{1, 5} {
-				name := fmt.Sprintf("%s-%s-%dme", a.Name, lvl, mes)
-				t.Run(name, func(t *testing.T) {
-					snap := runDifferentialPoint(t, a, res, mes, ixp.EngineParallel{Shards: 3})
-					got, err := json.MarshalIndent(snap, "", "  ")
-					if err != nil {
-						t.Fatal(err)
-					}
-					got = append(got, '\n')
-					path := filepath.Join(dir, name+".json")
-					want, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatalf("missing golden (run TestEngineDifferential with -update-golden): %v", err)
-					}
-					if string(got) != string(want) {
-						t.Errorf("parallel engine diverged from serial golden %s\ngot:\n%s\nwant:\n%s",
-							path, got, want)
-					}
-				})
-			}
-		}
-	}
+	forEachDifferentialPoint(t, func(t *testing.T, name string, a *apps.App, res *driver.Result, mes int) {
+		t.Parallel()
+		checkGolden(t, name, runDifferentialPoint(t, a, res, mes, 0), false)
+	})
 }
 
-// TestEngineDifferentialCompiled replays the full differential suite on
-// the staged-compilation engine — both dispatch shapes: Shards 0 (the
-// single-goroutine compiled dispatcher) and Shards 3 (compiled closures
-// running inside the parallel engine's shard phases) — and asserts the
-// canonical output is byte-identical to the serial goldens. This is the
-// compiled engine's correctness contract: constant folding, wired-zero
-// elision and batched cycle accounting may change host speed, never
-// simulated state.
+// TestEngineDifferentialCompiled replays the goldens with every phase
+// driven in Run windows of an odd, prime cycle count, so the deadline
+// lands mid-activation and between events thousands of times: Machine.Run
+// leaves the next event queued at each deadline, and where a run is cut
+// must never change simulated state. The deleted staged-compilation engine
+// pinned the same budget-edge contract for its batched cycle accounting;
+// the name and its shards=0 leg are kept from that replay.
 func TestEngineDifferentialCompiled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite is slow; run without -short")
 	}
-	dir := filepath.Join("testdata", "engine")
-	for _, shards := range []int{0, 3} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			for _, a := range apps.All() {
-				for _, lvl := range driver.Levels() {
-					res, err := Compile(a, lvl, 1234)
-					if err != nil {
-						t.Fatalf("%s at %v: %v", a.Name, lvl, err)
-					}
-					for _, mes := range []int{1, 5} {
-						name := fmt.Sprintf("%s-%s-%dme", a.Name, lvl, mes)
-						t.Run(name, func(t *testing.T) {
-							snap := runDifferentialPoint(t, a, res, mes, ixp.EngineCompiled{Shards: shards})
-							got, err := json.MarshalIndent(snap, "", "  ")
-							if err != nil {
-								t.Fatal(err)
-							}
-							got = append(got, '\n')
-							path := filepath.Join(dir, name+".json")
-							want, err := os.ReadFile(path)
-							if err != nil {
-								t.Fatalf("missing golden (run TestEngineDifferential with -update-golden): %v", err)
-							}
-							if string(got) != string(want) {
-								t.Errorf("compiled engine diverged from serial golden %s\ngot:\n%s\nwant:\n%s",
-									path, got, want)
-							}
-						})
-					}
-				}
-			}
+	t.Run("shards=0", func(t *testing.T) {
+		forEachDifferentialPoint(t, func(t *testing.T, name string, a *apps.App, res *driver.Result, mes int) {
+			checkGolden(t, name, runDifferentialPoint(t, a, res, mes, 997), false)
 		})
-	}
+	})
 }
 
 // TestAppsPacketDifferential is the packet-level leg of the differential

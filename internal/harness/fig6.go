@@ -91,12 +91,11 @@ func Figure6Kernel(level cg.MemLevel, words, accesses int) *cg.Program {
 }
 
 // RunKernel runs a raw CGIR kernel on numMEs engines with a synthetic
-// descriptor source and returns the measured forwarding rate. Extra
-// machine options (an engine selection, a tracer) apply after the media.
-func RunKernel(prog *cg.Program, numMEs int, warmup, measure int64, opts ...ixp.Option) (float64, error) {
+// descriptor source and returns the measured forwarding rate.
+func RunKernel(prog *cg.Program, numMEs int, warmup, measure int64) (float64, error) {
 	cfg := ixp.DefaultConfig()
 	cfg.RingSlots = 256
-	m, err := ixp.New(cfg, append([]ixp.Option{ixp.WithMedia(&ixp.FixedDescMedia{})}, opts...)...)
+	m, err := ixp.New(cfg, ixp.WithMedia(&ixp.FixedDescMedia{}))
 	if err != nil {
 		return 0, err
 	}
@@ -120,23 +119,11 @@ func RunKernel(prog *cg.Program, numMEs int, warmup, measure int64, opts ...ixp.
 // Figure6 sweeps all six curves over the access counts with six MEs (two
 // of the eight are Rx and Tx, as on the evaluation board).
 func Figure6(warmup, measure int64) ([]Fig6Point, error) {
-	return Figure6Engine(warmup, measure, nil)
-}
-
-// Figure6Engine is Figure6 on an explicit simulation engine (nil = the
-// serial default). The engines are bit-identical, so the sweep's points
-// cannot depend on the choice — only the host wall-clock does, which is
-// exactly what BenchmarkFigure6 measures per engine.
-func Figure6Engine(warmup, measure int64, engine ixp.EngineSpec) ([]Fig6Point, error) {
-	var opts []ixp.Option
-	if engine != nil {
-		opts = append(opts, ixp.WithEngine(engine))
-	}
 	var out []Fig6Point
 	for _, s := range Fig6Series {
 		for _, n := range Fig6Counts {
 			prog := Figure6Kernel(s.Level, s.Bytes/4, n)
-			g, err := RunKernel(prog, 6, warmup, measure, opts...)
+			g, err := RunKernel(prog, 6, warmup, measure)
 			if err != nil {
 				return nil, fmt.Errorf("fig6 %v %dB x%d: %w", s.Level, s.Bytes, n, err)
 			}

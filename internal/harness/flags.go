@@ -3,10 +3,8 @@ package harness
 import (
 	"flag"
 	"fmt"
-	"strings"
 
 	"shangrila/internal/driver"
-	"shangrila/internal/ixp"
 	"shangrila/internal/workload"
 )
 
@@ -29,15 +27,6 @@ type CommonFlags struct {
 	Gbps    float64
 	Flows   int
 	Zipf    float64
-
-	// Simulation engine selection; the valid names are
-	// ixp.EngineNames() — "serial" (the default single-goroutine event
-	// loop), "parallel" (MEs sharded across worker goroutines) and
-	// "compiled" (staged closure dispatch) — all bit-identical. Shards
-	// 0 means min(NumMEs, GOMAXPROCS) for parallel and single-goroutine
-	// dispatch for compiled.
-	Engine string
-	Shards int
 
 	// Control-plane churn shape (the churn experiment). ChurnRate 0
 	// keeps the experiment's default update storm; SWCCheckLimit 0
@@ -62,9 +51,6 @@ func RegisterCommonFlags(fs *flag.FlagSet) *CommonFlags {
 	fs.Float64Var(&f.Gbps, "gbps", 0, "offered load in Gbps (0 = legacy line-rate trace playback)")
 	fs.IntVar(&f.Flows, "flows", 256, "workload flow population size")
 	fs.Float64Var(&f.Zipf, "zipf", 0, "Zipf flow-popularity exponent (0 = uniform)")
-	fs.StringVar(&f.Engine, "engine", "serial",
-		"simulation engine: "+strings.Join(ixp.EngineNames(), "|")+" (bit-identical results)")
-	fs.IntVar(&f.Shards, "shards", 0, "engine worker shards (parallel: 0 = min(NumMEs, GOMAXPROCS); compiled: 0 = single-goroutine dispatch)")
 	fs.Float64Var(&f.ChurnRate, "churn-rate", 0, "control-plane updates per second (0 = churn experiment default)")
 	fs.IntVar(&f.ChurnBurst, "churn-burst", 0, "back-to-back updates per churn arrival (0 = default)")
 	fs.StringVar(&f.ChurnArrival, "churn-arrival", "", "churn arrival process: fixed|poisson (default fixed)")
@@ -91,15 +77,6 @@ func (f *CommonFlags) ChurnSpec() (*workload.ChurnSpec, error) {
 		return nil, err
 	}
 	return sp, nil
-}
-
-// EngineSpec returns the engine the -engine/-shards flags select (nil
-// for the serial default, so callers can pass it straight to
-// WithEngine). Parsing delegates to ixp.ParseEngine, the single source
-// of truth for valid names — registry-generated usage text and this
-// parser cannot drift apart.
-func (f *CommonFlags) EngineSpec() (ixp.EngineSpec, error) {
-	return ixp.ParseEngine(f.Engine, f.Shards)
 }
 
 // DriverLevel returns the -O flag as a driver level, validated.
@@ -171,13 +148,6 @@ func (f *CommonFlags) Options() ([]Option, error) {
 	}
 	if sp != nil {
 		opts = append(opts, WithWorkload(sp))
-	}
-	eng, err := f.EngineSpec()
-	if err != nil {
-		return nil, err
-	}
-	if eng != nil {
-		opts = append(opts, WithEngine(eng))
 	}
 	csp, err := f.ChurnSpec()
 	if err != nil {

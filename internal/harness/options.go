@@ -34,7 +34,6 @@ type settings struct {
 	stalls         bool
 	chromeTrace    io.Writer
 	metricsReg     *metrics.Registry
-	engine         ixp.EngineSpec
 	churn          *workload.ChurnSpec
 	swcMaxCheck    uint32
 }
@@ -161,18 +160,6 @@ func WithMetricsRegistry(reg *metrics.Registry) Option {
 	return func(s *settings) { s.metricsReg = reg }
 }
 
-// WithEngine selects the simulation engine the measured machine runs on
-// (nil keeps the serial default). All engines — serial, parallel,
-// compiled — are bit-identical: same reports, same goldens. They trade
-// worker goroutines (EngineParallel) or load-time closure staging
-// (EngineCompiled, optionally sharded) for wall-clock time without
-// changing any measured number:
-//
-//	harness.WithEngine(ixp.EngineCompiled{Shards: 4})
-func WithEngine(spec ixp.EngineSpec) Option {
-	return func(s *settings) { s.engine = spec }
-}
-
 // WithWorkers bounds sweep parallelism (Run ignores it). 0 or negative
 // means GOMAXPROCS.
 func WithWorkers(n int) Option {
@@ -225,9 +212,9 @@ type Result struct {
 	Level  driver.Level
 	NumMEs int
 	Seed   uint64
-	// Engine and Shards record the resolved simulation engine the point
-	// ran on ("serial", or "parallel" with the effective shard count), so
-	// results from different engines are never silently merged.
+	// Engine and Shards are always "serial" and 0 (ixp.Machine.EngineInfo).
+	// They stay because bench/ fills them and the report schema records
+	// them.
 	Engine string
 	Shards int
 	Gbps   float64
@@ -320,7 +307,7 @@ func measure(a *apps.App, res *driver.Result, s *settings) (*Result, error) {
 		wl = &sp
 	}
 	rt, err := rts.New(res.Image, res.Prog, trc, rts.Options{
-		NumMEs: s.run.NumMEs, Cfg: cfg, Workload: wl, Engine: s.engine,
+		NumMEs: s.run.NumMEs, Cfg: cfg, Workload: wl,
 	})
 	if err != nil {
 		return nil, err

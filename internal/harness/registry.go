@@ -18,7 +18,7 @@ type ExpContext struct {
 	Quick  bool
 	Common *CommonFlags
 	// Opts are the resolved cross-experiment options (seed, workers,
-	// telemetry, engine, stall breakdowns...). Experiments append their
+	// telemetry, stall breakdowns...). Experiments append their
 	// own and must not mutate the shared slice in place.
 	Opts []Option
 	// Cfg is the standard run configuration; FigWarm/FigMeas are the

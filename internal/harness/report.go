@@ -16,10 +16,8 @@ type ReportPoint struct {
 	Level  string `json:"level"`
 	NumMEs int    `json:"num_mes"`
 	Seed   uint64 `json:"seed"`
-	// Engine names the simulation engine the point ran on ("serial" or
-	// "parallel"); Shards is the parallel engine's effective shard count
-	// (0 for serial). Recorded per point so results measured on
-	// different engines are never silently merged.
+	// Engine and Shards record ixp.Machine.EngineInfo: always "serial"
+	// and 0 (omitted) since one engine remains; the schema keeps them.
 	Engine string `json:"engine"`
 	Shards int    `json:"shards,omitempty"`
 

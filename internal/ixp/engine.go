@@ -2,304 +2,49 @@ package ixp
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 )
 
-// Engine selection. The machine's discrete-event core comes in three
-// implementations with bit-identical observable behavior:
-//
-//   - EngineSerial: the single-goroutine timing-wheel event loop
-//     (eventq.go) over predecoded blocks. The default and the reference
-//     implementation.
-//
-//   - EngineParallel: the sharded engine (parallel.go). Microengines are
-//     partitioned across worker goroutines that execute ME-local work
-//     concurrently inside conservative time windows; all shared-state
-//     effects (memory bytes, rings, controllers, stats, tracing, event
-//     sequencing) are replayed serially at epoch barriers in exactly the
-//     serial engine's (time, seq) order, so every observable quantity —
-//     stats, goldens, stall breakdowns, latency histograms — is
-//     byte-identical to EngineSerial at any shard count.
-//
-//   - EngineCompiled: staged block compilation (compile.go/compiled.go).
-//     At load time every straight-line run of the predecoded program is
-//     specialized into a native Go closure — constants folded,
-//     wired-zero reads elided, fused pairs inlined — with cycle and
-//     statistics accounting batched at block edges; terminators return a
-//     typed block-exit the dispatcher maps onto scheduler state. Shards
-//     composes it with the sharded engine: positive counts run the
-//     compiled closures inside EngineParallel's shard phase.
-//
-// Select one at construction: ixp.New(cfg, ixp.WithEngine(ixp.EngineCompiled{})).
+// The machine has one simulation engine: the single-goroutine
+// timing-wheel event loop of Machine.Run (eventq.go) over predecoded
+// blocks (runME). What follows is the rest of the engine-selection
+// surface, reduced to that one engine; each name stays only because the
+// repository benchmark (bench/) compiles against it.
 
-// EngineSpec selects a simulation engine implementation. The zero spec
-// (a nil Config.Engine) means EngineSerial.
+// EngineSpec names a simulation engine. It stays because bench/ passes
+// ParseEngine's result to rts.Options.Engine.
 type EngineSpec interface {
-	// EngineName is the engine's stable identifier (one of EngineNames),
-	// used by report schemas and CLI flags.
+	// EngineName is the engine's stable identifier (one of EngineNames).
 	EngineName() string
 }
 
-// EngineNames lists the valid engine identifiers in CLI presentation
-// order. It is the single source of truth shared by ParseEngine, the
-// -engine flag help and the report schemas, so usage text can never
-// drift from what actually parses.
-func EngineNames() []string { return []string{"serial", "parallel", "compiled"} }
-
-// ParseEngine resolves an -engine/-shards flag pair into an EngineSpec
-// (nil for the serial default, ready for Config.Engine or WithEngine).
-// It accepts exactly the names EngineNames lists; anything else errors
-// with the valid set.
-func ParseEngine(name string, shards int) (EngineSpec, error) {
-	switch name {
-	case "", "serial":
-		if shards != 0 {
-			return nil, fmt.Errorf("ixp: -shards requires -engine parallel or compiled")
-		}
-		return nil, nil
-	case "parallel":
-		return EngineParallel{Shards: shards}, nil
-	case "compiled":
-		return EngineCompiled{Shards: shards}, nil
-	default:
-		return nil, fmt.Errorf("ixp: unknown engine %q (valid: %s)",
-			name, strings.Join(EngineNames(), ", "))
-	}
-}
-
-// EngineSerial selects the single-goroutine event loop (the default).
+// EngineSerial is the one engine. It stays as EngineSpec's only
+// implementation.
 type EngineSerial struct{}
 
 // EngineName implements EngineSpec.
 func (EngineSerial) EngineName() string { return "serial" }
 
-// EngineParallel selects the sharded engine. Shards is the number of
-// worker goroutines MEs are partitioned across; 0 picks
-// min(NumMEs, GOMAXPROCS). Config.Validate rejects negative counts and
-// counts above NumMEs with an *EngineConfigError.
-type EngineParallel struct {
-	Shards int
-}
+// EngineNames lists the valid engine names. It stays because ParseEngine
+// errors with it.
+func EngineNames() []string { return []string{"serial"} }
 
-// EngineName implements EngineSpec.
-func (EngineParallel) EngineName() string { return "parallel" }
-
-// EngineCompiled selects the staged-compilation engine: predecoded runs
-// execute as specialized Go closures built at load time (compile.go),
-// bit-identical to EngineSerial. Shards composes it with the sharded
-// engine — 0 runs the single-goroutine event loop with compiled
-// dispatch; 1..NumMEs partitions MEs across that many workers whose
-// shard phases execute the compiled closures. Config.Validate rejects
-// negative counts and counts above NumMEs with an *EngineConfigError.
-type EngineCompiled struct {
-	Shards int
-}
-
-// EngineName implements EngineSpec.
-func (EngineCompiled) EngineName() string { return "compiled" }
-
-// EngineConfigError reports an engine configuration Config.Validate
-// rejected: a shard count outside 0..NumMEs, or a memory-controller
-// timing model whose conservative lookahead window is empty.
-type EngineConfigError struct {
-	Shards int
-	NumMEs int
-	Reason string
-}
-
-func (e *EngineConfigError) Error() string {
-	return fmt.Sprintf("ixp: config: parallel engine with %d shard(s) on %d ME(s): %s",
-		e.Shards, e.NumMEs, e.Reason)
-}
-
-// lookahead is the conservative synchronization window of the parallel
-// engine: the minimum completion time of any blocking shared-memory or
-// ring operation. Every such operation issued at t completes no earlier
-// than t + latency + svcBase + svcWord (one-word service), so a thread
-// blocked during the window [T, T+lookahead) cannot resume before the
-// window ends — ME-local execution inside one window is independent
-// across MEs.
-func (c *Config) lookahead() int64 {
-	w := c.ScratchLatency + c.ScratchSvcBase + c.ScratchSvcWord
-	if v := c.SRAMLatency + c.SRAMSvcBase + c.SRAMSvcWord; v < w {
-		w = v
+// ParseEngine resolves an engine name and shard count: "" or "serial"
+// with 0 shards is the serial engine (nil spec); anything else errors
+// with the valid set. It stays because bench/ probes the removed engines
+// through it and records 0 for the names it rejects.
+func ParseEngine(name string, shards int) (EngineSpec, error) {
+	valid := strings.Join(EngineNames(), ", ")
+	switch {
+	case name != "" && name != "serial":
+		return nil, fmt.Errorf("ixp: unknown engine %q (valid: %s)", name, valid)
+	case shards != 0:
+		return nil, fmt.Errorf("ixp: engine %q takes no shards, got %d (valid: %s with 0 shards)", name, shards, valid)
 	}
-	if v := c.DRAMLatency + c.DRAMSvcBase + c.DRAMSvcWord; v < w {
-		w = v
-	}
-	return w
+	return nil, nil
 }
 
-// validateEngine is the Config.Validate leg for the engine selection.
-func (c *Config) validateEngine() error {
-	var shards int
-	sharded := false
-	switch sp := c.Engine.(type) {
-	case EngineParallel:
-		shards, sharded = sp.Shards, true
-		if sp.Shards < 0 || sp.Shards > c.NumMEs {
-			return &EngineConfigError{Shards: sp.Shards, NumMEs: c.NumMEs,
-				Reason: fmt.Sprintf("shard count must be 0 (auto) to NumMEs, got %d", sp.Shards)}
-		}
-	case EngineCompiled:
-		shards, sharded = sp.Shards, sp.Shards > 0
-		if sp.Shards < 0 || sp.Shards > c.NumMEs {
-			return &EngineConfigError{Shards: sp.Shards, NumMEs: c.NumMEs,
-				Reason: fmt.Sprintf("shard count must be 0 (serial dispatch) to NumMEs, got %d", sp.Shards)}
-		}
-	default:
-		return nil
-	}
-	if sharded && c.lookahead() < 1 {
-		return &EngineConfigError{Shards: shards, NumMEs: c.NumMEs,
-			Reason: "conservative lookahead is empty: every memory controller needs latency+service of at least 1 cycle"}
-	}
-	return nil
-}
-
-// resolveShards maps a requested shard count to the effective worker
-// count.
-func (c *Config) resolveShards(requested int) int {
-	n := requested
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > c.NumMEs {
-		n = c.NumMEs
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// engine is the machine's event core: m.schedule routes every event
-// through push, and Machine.Run delegates to run. Implementations own
-// their pending-event storage; the (time, seq) processing order contract
-// of eventq.go binds both.
-type engine interface {
-	push(e event)
-	pending() int
-	run(m *Machine, cycles int64) error
-}
-
-// buildEngine constructs the engine the validated Config selects.
-func buildEngine(m *Machine) engine {
-	switch sp := m.Cfg.Engine.(type) {
-	case EngineParallel:
-		return newParallelEngine(m, m.Cfg.resolveShards(sp.Shards))
-	case EngineCompiled:
-		if sp.Shards > 0 {
-			pe := newParallelEngine(m, m.Cfg.resolveShards(sp.Shards))
-			pe.compiled = true
-			return pe
-		}
-		return &serialEngine{compiled: true}
-	default:
-		return &serialEngine{}
-	}
-}
-
-// EngineInfo reports the resolved engine selection: the engine name and
-// the effective shard count (0 for single-goroutine dispatch). Report
-// schemas record both so measurements from different engines are never
-// silently merged.
-func (m *Machine) EngineInfo() (name string, shards int) {
-	switch e := m.eng.(type) {
-	case *parallelEngine:
-		if e.compiled {
-			return "compiled", e.shards
-		}
-		return "parallel", e.shards
-	case *serialEngine:
-		if e.compiled {
-			return "compiled", 0
-		}
-	}
-	return "serial", 0
-}
-
-// compiledDispatch reports whether the engine executes activations
-// through the staged-closure dispatcher; LoadProgram stages programs
-// eagerly only then.
-func (m *Machine) compiledDispatch() bool {
-	switch e := m.eng.(type) {
-	case *serialEngine:
-		return e.compiled
-	case *parallelEngine:
-		return e.compiled
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------------
-// Serial engine: the single-goroutine timing-wheel event loop.
-
-type serialEngine struct {
-	q        eventQueue
-	compiled bool // dispatch activations through the staged closures
-}
-
-func (s *serialEngine) push(e event) { s.q.push(e) }
-
-func (s *serialEngine) pending() int { return s.q.len() }
-
-// run advances the simulation until the cycle budget elapses or an error
-// occurs. It can be called repeatedly for warm-up + measure phases.
-func (s *serialEngine) run(m *Machine, cycles int64) error {
-	deadline := m.now + cycles
-	m.kickoff()
-	for m.err == nil {
-		ev, ok := s.q.popUntil(deadline)
-		if !ok {
-			if s.q.len() > 0 {
-				// The next event is past the budget: leave it queued for a
-				// future Run call (the old engine popped and re-pushed here,
-				// churning the heap on every deadline).
-				m.now = deadline
-				m.stats.Cycles = m.now - m.statsBase
-				return m.err
-			}
-			break
-		}
-		if ev.time > m.now {
-			m.now = ev.time
-		}
-		switch ev.kind {
-		case evActivate:
-			m.MEs[ev.me].scheduled = false
-			if s.compiled {
-				m.runMECompiled(int(ev.me))
-			} else {
-				m.runME(int(ev.me))
-			}
-		case evReady:
-			m.readyThread(int(ev.me), int(ev.thread))
-			// Drain further wakeups sharing this timestamp: they are the
-			// next pops regardless (any activation they schedule carries a
-			// later seq), so handling them here preserves event order while
-			// skipping the dispatch loop.
-			for {
-				h := s.q.peek()
-				if h == nil || h.kind != evReady || h.time != m.now {
-					break
-				}
-				e := s.q.pop()
-				m.readyThread(int(e.me), int(e.thread))
-			}
-		case evRxTick:
-			m.rxTick()
-		case evTxTick:
-			m.txTick()
-		case evXScale:
-			m.xscaleTick()
-		case evCallback:
-			m.takeCB(ev.cb)()
-		case evSample:
-			m.sampleTick()
-		}
-	}
-	m.stats.Cycles = m.now - m.statsBase
-	return m.err
-}
+// EngineInfo reports the engine name and shard count a run used: always
+// ("serial", 0). It stays because the report schemas (bench/'s sweep
+// included) record both.
+func (m *Machine) EngineInfo() (name string, shards int) { return "serial", 0 }

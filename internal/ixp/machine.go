@@ -69,12 +69,6 @@ type Config struct {
 	// instruments share a namespace. Nil gives the machine a private
 	// registry (reachable via Observer.Metrics).
 	Metrics *metrics.Registry
-
-	// Engine selects the simulation engine (see engine.go). Nil means
-	// EngineSerial; WithEngine sets it at construction. Validate rejects
-	// parallel selections with invalid shard counts or a degenerate
-	// (empty) conservative lookahead window.
-	Engine EngineSpec
 }
 
 // Validate rejects configurations that would make the timing model divide
@@ -86,6 +80,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("ixp: config: NumMEs must be positive (got %d)", c.NumMEs)
 	case c.ThreadsPerME <= 0:
 		return fmt.Errorf("ixp: config: ThreadsPerME must be positive (got %d)", c.ThreadsPerME)
+	case c.ThreadsPerME > 64:
+		return fmt.Errorf("ixp: config: ThreadsPerME must be at most 64 (got %d); an ME's ready set is one 64-bit mask", c.ThreadsPerME)
 	case math.IsNaN(c.ClockMHz) || math.IsInf(c.ClockMHz, 0) || c.ClockMHz <= 0:
 		return fmt.Errorf("ixp: config: ClockMHz must be a positive finite value (got %v); a zero or negative clock makes every rate NaN/Inf", c.ClockMHz)
 	case math.IsNaN(c.PortGbps) || math.IsInf(c.PortGbps, 0) || c.PortGbps <= 0:
@@ -109,7 +105,7 @@ func (c *Config) Validate() error {
 	case c.NumRings > 0 && c.RingSlots <= 0:
 		return fmt.Errorf("ixp: config: RingSlots must be positive when rings are configured (got %d)", c.RingSlots)
 	}
-	return c.validateEngine()
+	return nil
 }
 
 // DefaultConfig returns the calibrated IXP2400 model.
@@ -369,17 +365,15 @@ type ME struct {
 	idx     int
 	prog    *cg.Program
 	dec     *dProg // predecoded block form of prog (see predecode.go)
-	cdec    *cProg // staged closure form, set only under a compiled engine
 	threads []*Thread
 	local   []byte
 	cam     []camEntry
 	camLRU  []int // entry indices, most recent first
 	rrNext  int
-	// readyMask mirrors thread states (bit t set ⇔ threads[t] is tReady)
-	// for the first 64 threads, so the scheduler picks round-robin with
-	// two bit operations instead of scanning the thread array twice per
-	// activation. Machines with more than 64 threads per ME fall back to
-	// the scan.
+	// readyMask mirrors thread states (bit t set ⇔ threads[t] is tReady),
+	// so the scheduler picks round-robin with two bit operations instead
+	// of scanning the thread array. Config.Validate caps ThreadsPerME at
+	// 64, so it is the whole ready set.
 	readyMask uint64
 	scheduled bool
 	enabled   bool
@@ -387,12 +381,10 @@ type ME struct {
 
 // setReady maintains readyMask alongside a thread state change.
 func (m *ME) setReady(t int, ready bool) {
-	if t < 64 {
-		if ready {
-			m.readyMask |= 1 << uint(t)
-		} else {
-			m.readyMask &^= 1 << uint(t)
-		}
+	if ready {
+		m.readyMask |= 1 << uint(t)
+	} else {
+		m.readyMask &^= 1 << uint(t)
 	}
 }
 
@@ -438,7 +430,7 @@ type Machine struct {
 	lastBusy  [4]int64       // controller busy at the previous telemetry sample
 	lastME    []int64        // per-ME busy at the previous telemetry sample
 	ctrl      [3]*controller // scratch, sram, dram (local is uncontended)
-	eng       engine         // event core (serial or parallel; see engine.go)
+	q         eventQueue     // pending events (eventq.go)
 	now       int64
 	seq       int64
 	statsBase int64 // time origin of the current Stats window
@@ -454,13 +446,6 @@ type Machine struct {
 	// decCache memoizes predecoded programs so reloading the same
 	// cg.Program on several MEs (replicated pipeline stages) decodes once.
 	decCache map[*cg.Program]*dProg
-
-	// compCache memoizes staged programs (compile.go) the same way;
-	// populated only under a compiled engine. cctx is the dispatcher's
-	// exit-closure context, held by value so the steady state stays
-	// allocation-free.
-	compCache map[*dProg]*cProg
-	cctx      cCtx
 
 	// cbs is the callback registry: events are pointer-free, so a
 	// scheduled closure parks here and the event carries its index. The
@@ -478,13 +463,11 @@ type Machine struct {
 
 // New builds a machine from a configuration (ring topology included),
 // shaped by functional options: WithMedia supplies the traffic source
-// and sink (machines without media only execute code), WithEngine
-// selects the serial or parallel event core, WithTracer attaches the
-// event sink, WithMetrics overrides the telemetry registry. Options
-// apply before validation, so an invalid engine selection (bad shard
-// count) fails here with an *EngineConfigError, and zero or negative
-// clock, port rate or structural sizes are rejected with a descriptive
-// error instead of surfacing later as NaN/Inf rates.
+// and sink (machines without media only execute code), WithTracer
+// attaches the event sink, WithMetrics overrides the telemetry registry.
+// Options apply before validation, so zero or negative clock, port rate
+// or structural sizes are rejected here with a descriptive error instead
+// of surfacing later as NaN/Inf rates.
 func New(cfg Config, opts ...Option) (*Machine, error) {
 	m := &Machine{Cfg: cfg}
 	for _, o := range opts {
@@ -531,7 +514,6 @@ func New(cfg Config, opts ...Option) (*Machine, error) {
 	for i := 0; i < cfg.NumRings; i++ {
 		m.Rings = append(m.Rings, newRing(cfg.RingSlots))
 	}
-	m.eng = buildEngine(m)
 	return m, nil
 }
 
@@ -570,17 +552,6 @@ func (m *Machine) LoadProgram(me int, prog *cg.Program) {
 		m.decCache[prog] = d
 	}
 	mx.dec = d
-	if m.compiledDispatch() {
-		cp, ok := m.compCache[d]
-		if !ok {
-			cp = compileProg(d, prog)
-			if m.compCache == nil {
-				m.compCache = map[*dProg]*cProg{}
-			}
-			m.compCache[d] = cp
-		}
-		mx.cdec = cp
-	}
 	mx.enabled = true
 	for i, t := range mx.threads {
 		t.pc = 0
@@ -616,9 +587,7 @@ const memGranule = 64 << 10
 
 // reach grows the backing to cover [0, end) and returns it, or nil when
 // end is beyond the logical size. Growth at least doubles, in whole
-// granules, capped at the logical size. It reallocates, so it may only
-// run from serial contexts (the serial event loop, the parallel engine's
-// replay, host-side Window calls) — never from a shard phase.
+// granules, capped at the logical size.
 func (g *growMem) reach(end int) []byte {
 	if end > g.limit {
 		return nil
@@ -665,16 +634,6 @@ func (m *Machine) grown(level cg.MemLevel) *growMem {
 	return nil
 }
 
-// memLimit returns a level's logical size, the bound out-of-range faults
-// are checked against. It is fixed at construction, so shard phases may
-// read it while the replay grows a backing.
-func (m *Machine) memLimit(level cg.MemLevel, me int) int {
-	if g := m.grown(level); g != nil {
-		return g.limit
-	}
-	return len(m.memory(level, me))
-}
-
 // memSlow is execMem's out-of-line path for an access past the current
 // backing: it grows a demand-grown level to cover [0, end) and returns
 // the new backing, or nil when end is beyond the level's logical size.
@@ -690,9 +649,8 @@ func (m *Machine) memSlow(level cg.MemLevel, end int) []byte {
 // tests. The slice aliases the machine's memory with its capacity clipped
 // to the window, so a write through it can never spill past addr+n. It is
 // valid until the level next grows: use it at once, do not keep it across
-// Run. Like every growth it must come from a serial context (a Media or
-// XScaleStep hook, an At callback, between Runs). A window beyond the
-// level's configured size panics, as indexing a slice would.
+// Run. A window beyond the level's configured size panics, as indexing a
+// slice would.
 func (m *Machine) Window(level cg.MemLevel, addr uint32, n int) []byte {
 	end := int(addr) + n
 	mem := m.Scratch
@@ -718,7 +676,7 @@ func (m *Machine) schedule(t int64, kind evKind, me, thread int, fn func()) {
 		}
 	}
 	m.seq++
-	m.eng.push(event{time: t, seq: m.seq, kind: kind, me: int32(me), thread: int32(thread), cb: cb})
+	m.q.push(event{time: t, seq: m.seq, kind: kind, me: int32(me), thread: int32(thread), cb: cb})
 }
 
 // takeCB claims a scheduled callback out of the registry, freeing its slot.
@@ -755,18 +713,63 @@ func (m *Machine) activateSoon(me int, t int64) {
 }
 
 // Run advances the simulation until the cycle budget elapses or an error
-// occurs. It can be called repeatedly for warm-up + measure phases. The
-// event core is the engine the configuration selected (serial by
-// default); both engines produce bit-identical observable state.
+// occurs. It can be called repeatedly for warm-up + measure phases.
 func (m *Machine) Run(cycles int64) error {
-	return m.eng.run(m, cycles)
+	deadline := m.now + cycles
+	m.kickoff()
+	for m.err == nil {
+		ev, ok := m.q.popUntil(deadline)
+		if !ok {
+			if m.q.len() > 0 {
+				// The next event is past the budget: leave it queued for a
+				// future Run call (the old engine popped and re-pushed here,
+				// churning the heap on every deadline).
+				m.now = deadline
+				m.stats.Cycles = m.now - m.statsBase
+				return m.err
+			}
+			break
+		}
+		if ev.time > m.now {
+			m.now = ev.time
+		}
+		switch ev.kind {
+		case evActivate:
+			m.MEs[ev.me].scheduled = false
+			m.runME(int(ev.me))
+		case evReady:
+			m.readyThread(int(ev.me), int(ev.thread))
+			// Drain further wakeups sharing this timestamp: they are the
+			// next pops regardless (any activation they schedule carries a
+			// later seq), so handling them here preserves event order while
+			// skipping the dispatch loop.
+			for {
+				h := m.q.peek()
+				if h == nil || h.kind != evReady || h.time != m.now {
+					break
+				}
+				e := m.q.pop()
+				m.readyThread(int(e.me), int(e.thread))
+			}
+		case evRxTick:
+			m.rxTick()
+		case evTxTick:
+			m.txTick()
+		case evXScale:
+			m.xscaleTick()
+		case evCallback:
+			m.takeCB(ev.cb)()
+		case evSample:
+			m.sampleTick()
+		}
+	}
+	m.stats.Cycles = m.now - m.statsBase
+	return m.err
 }
 
 // kickoff schedules the run's initial events: one activation per idle
 // ME, and — on the first Run only — the perpetual media/XScale/telemetry
 // tick chains (another chain would double the modelled media bandwidth).
-// Both engines call it on entry, so the initial event sequence numbers
-// are identical.
 func (m *Machine) kickoff() {
 	for i := range m.MEs {
 		m.activateSoon(i, m.now)
@@ -819,28 +822,14 @@ func (m *Machine) runME(meIdx int) {
 	}
 	// Round-robin pick: rotate the ready mask so rrNext becomes bit 0 and
 	// take the lowest set bit.
-	ti := -1
+	if mx.readyMask == 0 {
+		return // re-activated when a thread completes
+	}
 	n := len(mx.threads)
-	if n <= 64 {
-		if mx.readyMask == 0 {
-			return // re-activated when a thread completes
-		}
-		rot := mx.readyMask>>uint(mx.rrNext) | mx.readyMask<<uint(n-mx.rrNext)
-		ti = mx.rrNext + bits.TrailingZeros64(rot)
-		if ti >= n {
-			ti -= n
-		}
-	} else {
-		for k := 0; k < n; k++ {
-			cand := (mx.rrNext + k) % n
-			if mx.threads[cand].state == tReady {
-				ti = cand
-				break
-			}
-		}
-		if ti < 0 {
-			return // re-activated when a thread completes
-		}
+	rot := mx.readyMask>>uint(mx.rrNext) | mx.readyMask<<uint(n-mx.rrNext)
+	ti := mx.rrNext + bits.TrailingZeros64(rot)
+	if ti >= n {
+		ti -= n
 	}
 	th := mx.threads[ti]
 	windowStart := m.now
@@ -1010,17 +999,7 @@ loop:
 		mx.rrNext = (ti + 1) % len(mx.threads)
 	}
 	// Context switch overhead of 1 cycle, then run the next ready thread.
-	hasReady := mx.readyMask != 0
-	if n > 64 {
-		hasReady = false
-		for _, t2 := range mx.threads {
-			if t2.state == tReady {
-				hasReady = true
-				break
-			}
-		}
-	}
-	if hasReady {
+	if mx.readyMask != 0 {
 		mx.scheduled = true
 		m.schedule(m.now+cycles+1, evActivate, meIdx, 0, nil)
 	}

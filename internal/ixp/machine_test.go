@@ -1,6 +1,7 @@
 package ixp
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -330,6 +331,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.PortGbps = -1 },
 		func(c *Config) { c.NumMEs = 0 },
 		func(c *Config) { c.ThreadsPerME = -1 },
+		func(c *Config) { c.ThreadsPerME = 65 },
 		func(c *Config) { c.ScratchBytes = 0 },
 		func(c *Config) { c.SRAMLatency = -5 },
 		func(c *Config) { c.CAMEntries = 0 },
@@ -351,6 +353,39 @@ func TestConfigValidation(t *testing.T) {
 	cfg.RingSlots = 0
 	if _, err := New(cfg); err == nil {
 		t.Error("New accepted zero ring slots")
+	}
+}
+
+// TestParseEngine pins the contract bench/ relies on: the serial engine
+// parses to the nil default, and every removed engine or shard count is
+// rejected with an error naming the valid set.
+func TestParseEngine(t *testing.T) {
+	for _, name := range []string{"", "serial"} {
+		if spec, err := ParseEngine(name, 0); err != nil || spec != nil {
+			t.Errorf("ParseEngine(%q, 0) = %v, %v; want nil, nil", name, spec, err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"parallel", 2}, {"compiled", 0}, {"serial", 1}} {
+		_, err := ParseEngine(tc.name, tc.shards)
+		if err == nil {
+			t.Errorf("ParseEngine(%q, %d) accepted", tc.name, tc.shards)
+			continue
+		}
+		for _, valid := range EngineNames() {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("ParseEngine(%q, %d) error %q does not list %q", tc.name, tc.shards, err, valid)
+			}
+		}
+	}
+	m, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name, shards := m.EngineInfo(); name != "serial" || shards != 0 {
+		t.Errorf("EngineInfo = (%s, %d), want (serial, 0)", name, shards)
 	}
 }
 

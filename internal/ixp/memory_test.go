@@ -72,11 +72,10 @@ func TestMemoryDemandGrown(t *testing.T) {
 
 // TestMemoryLogicalEndFaults checks that the fault boundary is the
 // configured size, not the backing's: a two-word access straddling the
-// end of SRAM or DRAM raises the same machine check, byte for byte, on
-// every engine, whether the backing is still empty or already grown.
+// end of SRAM or DRAM raises the same machine check, byte for byte,
+// whether the backing is still empty or already grown.
 func TestMemoryLogicalEndFaults(t *testing.T) {
 	cfg := DefaultConfig()
-	engines := []EngineSpec{EngineSerial{}, EngineParallel{Shards: 2}, EngineCompiled{}}
 	for _, lv := range []struct {
 		level cg.MemLevel
 		size  int
@@ -95,16 +94,14 @@ func TestMemoryLogicalEndFaults(t *testing.T) {
 				&cg.Instr{Op: cg.IMem, Level: lv.level, Addr: cg.NoPReg, AddrOff: uint32(lv.size - 4),
 					NWords: 2, Data: []cg.PReg{2, 3}, Class: cg.ClassAppData},
 				&cg.Instr{Op: cg.IHalt})
-			for _, spec := range engines {
-				m, err := New(cfg, WithEngine(spec))
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.LoadProgram(0, &cg.Program{Name: "straddle", Code: code})
-				err = m.Run(10_000)
-				if err == nil || err.Error() != lv.want {
-					t.Errorf("%v grown=%v %T: fault = %v, want %q", lv.level, grown, spec, err, lv.want)
-				}
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.LoadProgram(0, &cg.Program{Name: "straddle", Code: code})
+			err = m.Run(10_000)
+			if err == nil || err.Error() != lv.want {
+				t.Errorf("%v grown=%v: fault = %v, want %q", lv.level, grown, err, lv.want)
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import "shangrila/internal/metrics"
 //
 //	m, err := ixp.New(cfg,
 //	    ixp.WithMedia(media),
-//	    ixp.WithEngine(ixp.EngineParallel{Shards: 4}),
 //	    ixp.WithTracer(ixp.NewStallTracer(cfg.NumMEs, cfg.ThreadsPerME)))
 type Option func(*Machine)
 
@@ -18,14 +17,6 @@ type Option func(*Machine)
 // chain is scheduled.
 func WithMedia(media Media) Option {
 	return func(m *Machine) { m.media = media }
-}
-
-// WithEngine selects the simulation engine (EngineSerial, the default,
-// EngineParallel, or EngineCompiled — all bit-identical). The spec lands
-// in Config.Engine, so Validate rejects invalid shard counts at
-// construction with an *EngineConfigError.
-func WithEngine(spec EngineSpec) Option {
-	return func(m *Machine) { m.Cfg.Engine = spec }
 }
 
 // WithTracer installs the event sink from construction on (nil keeps

@@ -301,10 +301,9 @@ func fuse(d *dProg, p *cg.Program) {
 // execRun executes exactly n instructions of the straight-line run
 // starting at pc and returns the pc after them. n must not exceed the
 // run length at pc (callers clamp it to the activation budget). This is
-// the interpreter's hottest loop, shared by the serial engine's runME
-// and the parallel engine's shard-side activation runner: every
-// instruction here costs one cycle and touches only the thread's
-// register file, so callers batch the cycle/instruction accounting.
+// the interpreter's hottest loop, inside runME: every instruction here
+// costs one cycle and touches only the thread's register file, so the
+// caller batches the cycle/instruction accounting.
 func execRun(code []dInstr, regs *[cg.NumRegs + 1]uint32, pc int, n int64) int {
 	rem := n
 	for rem > 0 {

@@ -59,8 +59,8 @@ type Options struct {
 	// nil plays the trace back-to-back at line rate, the paper's
 	// saturating-load setup.
 	Workload *workload.Spec
-	// Engine selects the simulation engine (nil means the serial
-	// default; takes precedence over Cfg.Engine when set).
+	// Engine is ignored: the machine has one engine (ixp.EngineSerial).
+	// It stays because bench/ sets it from ixp.ParseEngine.
 	Engine ixp.EngineSpec
 	// Media overrides the machine's installed media. nil keeps the
 	// runtime itself (trace playback / workload stream); the cluster
@@ -80,9 +80,6 @@ func New(img *cg.Image, prog *ir.Program, tr []*packet.Packet, opts Options) (*R
 	cfg := opts.Cfg
 	if cfg.NumMEs == 0 {
 		cfg = ixp.DefaultConfig()
-	}
-	if opts.Engine != nil {
-		cfg.Engine = opts.Engine
 	}
 	lay := img.Layout
 	// Inject and DeliverFrame copy trace packets into buffers whole, so one
