@@ -19,19 +19,21 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 
-# Race-check the packages that start goroutines: the sweep runner's and
-# the fuzz campaign's worker pools, the metrics instruments they sample,
-# and the multi-NPU cluster scheduler's shared balancer and epoch
-# barriers. The simulator itself (./internal/ixp/) is single-goroutine.
+# -race runs only where goroutines start: metrics and cluster whole, and
+# the harness tests that reach a starter. Sweep's pool: TestSweep*,
+# TestLoadLatency*, TestPaperClaimsStallAttribution (via LoadLatency).
+# RunFuzz's pool: TestFuzzCampaign, TestFuzzBudget. A multi-worker
+# (*Cluster).advance: TestClusterDeterminism. t.Parallel subtests:
+# TestEngineDifferentialParallel, TestAppsPacketDifferential,
+# TestFuzzCorpusReplay, TestLadderMatchesCold.
 race:
-	$(GO) test -race ./internal/harness/ ./internal/metrics/ ./internal/cluster/
+	$(GO) test -race ./internal/metrics/ ./internal/cluster/
+	$(GO) test -race -run 'TestSweep|TestLoadLatency|TestPaperClaimsStallAttribution|TestFuzzCampaign|TestFuzzBudget|TestClusterDeterminism|TestEngineDifferentialParallel|TestAppsPacketDifferential|TestFuzzCorpusReplay|TestLadderMatchesCold' ./internal/harness/
 
-# The dynamic-control-plane and shared-compile gate, run explicitly (and
-# with -count=1, so a cached `test` result can never mask a regression):
-# SWC delayed-update coherency under an update storm, rule-flip
-# convergence, churn report determinism, and the two ways a compile reuses
-# another's work held byte-identical to a cold compile — the incremental
-# Session and the level ladder every differential compiles through.
+# The control-plane and shared-compile claims as a named subset for
+# running alone (`test` runs them too): SWC delayed-update coherency under
+# an update storm, rule-flip convergence, churn report determinism, and
+# the incremental Session and the level ladder held equal to cold compiles.
 churn-claims:
 	$(GO) test -count=1 -run \
 		'TestSWCCoherencyUnderChurnStorm|TestFirewallRuleFlipConverges|TestIncrementalPacketDifferential|TestSessionChurnSequenceMatchesCold|TestLadderMatchesCold|TestChurnDeterminism' \
@@ -54,11 +56,8 @@ bench-check:
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/opt/ ./internal/analysis/ ./internal/profiler/ ./internal/harness/ ./internal/driver/
 	$(GO) test -run xxx -bench 'BenchmarkEventCore$$|BenchmarkTracerOverhead' -benchtime 1x ./internal/ixp/
 
-# Tier-1 verification: everything CI gates on. `test` includes the
-# checked-in fuzz-corpus replay (internal/harness/testdata/fuzz-corpus),
-# so every previously minimized compiler-bug reproducer re-runs through
-# the full differential oracle on each verify.
-verify: build vet fmt-check test race churn-claims
+# Tier-1 verification: everything CI gates on, every test run once.
+verify: build vet fmt-check test race
 
 # Compiler-fuzzing gate (10-12 s after the build on the 2-vCPU reference
 # VM, 42-52 programs/s; 17-23 s before the level ladder): 500 seeded

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"shangrila/internal/apps"
@@ -127,29 +128,53 @@ func runDifferentialPoint(t *testing.T, a *apps.App, res *driver.Result, numMEs 
 	return canonSnapshot(rt.M)
 }
 
-// forEachDifferentialPoint compiles every example application at every
-// optimization level once and runs fn as one subtest per ME placement
-// (the combined single-engine program and a replicated pipeline), named
-// after the point's golden.
-func forEachDifferentialPoint(t *testing.T, fn func(t *testing.T, name string, a *apps.App, res *driver.Result, mes int)) {
+// differentialPoint is one app × level × ME-count golden and the level's
+// image, compiled once and shared by every replay of the point.
+type differentialPoint struct {
+	name string
+	app  *apps.App
+	res  *driver.Result
+	mes  int
+}
+
+// The compiled points, built by the first replay to run and shared by the
+// rest of the test binary.
+var differential struct {
+	once   sync.Once
+	points []differentialPoint
+	err    error
+}
+
+// differentialPoints compiles every example application at every
+// optimization level once per test binary and returns one point per ME
+// placement (the combined single-engine program and a replicated
+// pipeline), named after the point's golden.
+func differentialPoints(t *testing.T) []differentialPoint {
 	t.Helper()
-	for _, a := range apps.All() {
-		for _, lvl := range driver.Levels() {
-			res, err := Compile(a, lvl, 1234)
-			if err != nil {
-				t.Fatalf("%s at %v: %v", a.Name, lvl, err)
-			}
-			for _, mes := range []int{1, 5} {
-				name := fmt.Sprintf("%s-%s-%dme", a.Name, lvl, mes)
-				t.Run(name, func(t *testing.T) { fn(t, name, a, res, mes) })
+	differential.once.Do(func() {
+		for _, a := range apps.All() {
+			for _, lvl := range driver.Levels() {
+				res, err := Compile(a, lvl, 1234)
+				if err != nil {
+					differential.err = fmt.Errorf("%s at %v: %v", a.Name, lvl, err)
+					return
+				}
+				for _, mes := range []int{1, 5} {
+					name := fmt.Sprintf("%s-%s-%dme", a.Name, lvl, mes)
+					differential.points = append(differential.points,
+						differentialPoint{name: name, app: a, res: res, mes: mes})
+				}
 			}
 		}
+	})
+	if differential.err != nil {
+		t.Fatal(differential.err)
 	}
+	return differential.points
 }
 
 // checkGolden asserts a snapshot's canonical JSON is byte-identical to the
-// named golden. Only TestEngineDifferential passes update, so the replays
-// below never rewrite a golden under -update-golden.
+// named golden, or rewrites the golden when update is set.
 func checkGolden(t *testing.T, name string, snap *engineSnapshot, update bool) {
 	t.Helper()
 	got, err := json.MarshalIndent(snap, "", "  ")
@@ -178,7 +203,9 @@ func checkGolden(t *testing.T, name string, snap *engineSnapshot, update bool) {
 // optimization level (and two ME placements) and asserts the canonical
 // JSON of the run's observable state — stats, access accounting, stall
 // attribution, latency distribution — is byte-identical to the golden
-// captured from the reference per-instruction interpreter.
+// captured from the reference per-instruction interpreter, with one Run
+// call per phase. It is the only replay that rewrites goldens under
+// -update-golden; the two below replay the same compiled images.
 func TestEngineDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite is slow; run without -short")
@@ -188,9 +215,11 @@ func TestEngineDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	forEachDifferentialPoint(t, func(t *testing.T, name string, a *apps.App, res *driver.Result, mes int) {
-		checkGolden(t, name, runDifferentialPoint(t, a, res, mes, 0), *updateGolden)
-	})
+	for _, p := range differentialPoints(t) {
+		t.Run(p.name, func(t *testing.T) {
+			checkGolden(t, p.name, runDifferentialPoint(t, p.app, p.res, p.mes, 0), *updateGolden)
+		})
+	}
 }
 
 // TestEngineDifferentialParallel replays the goldens with every point's
@@ -203,10 +232,12 @@ func TestEngineDifferentialParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite is slow; run without -short")
 	}
-	forEachDifferentialPoint(t, func(t *testing.T, name string, a *apps.App, res *driver.Result, mes int) {
-		t.Parallel()
-		checkGolden(t, name, runDifferentialPoint(t, a, res, mes, 0), false)
-	})
+	for _, p := range differentialPoints(t) {
+		t.Run(p.name, func(t *testing.T) {
+			t.Parallel()
+			checkGolden(t, p.name, runDifferentialPoint(t, p.app, p.res, p.mes, 0), false)
+		})
+	}
 }
 
 // TestEngineDifferentialCompiled replays the goldens with every phase
@@ -221,9 +252,11 @@ func TestEngineDifferentialCompiled(t *testing.T) {
 		t.Skip("differential suite is slow; run without -short")
 	}
 	t.Run("shards=0", func(t *testing.T) {
-		forEachDifferentialPoint(t, func(t *testing.T, name string, a *apps.App, res *driver.Result, mes int) {
-			checkGolden(t, name, runDifferentialPoint(t, a, res, mes, 997), false)
-		})
+		for _, p := range differentialPoints(t) {
+			t.Run(p.name, func(t *testing.T) {
+				checkGolden(t, p.name, runDifferentialPoint(t, p.app, p.res, p.mes, 997), false)
+			})
+		}
 	})
 }
 

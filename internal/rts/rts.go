@@ -81,6 +81,9 @@ func New(img *cg.Image, prog *ir.Program, tr []*packet.Packet, opts Options) (*R
 	if cfg.NumMEs == 0 {
 		cfg = ixp.DefaultConfig()
 	}
+	if opts.NumMEs > cfg.NumMEs {
+		return nil, fmt.Errorf("rts: %d MEs enabled, but the machine has %d", opts.NumMEs, cfg.NumMEs)
+	}
 	lay := img.Layout
 	// Inject and DeliverFrame copy trace packets into buffers whole, so one
 	// longer than a buffer's payload area would overwrite its neighbour.

@@ -287,10 +287,11 @@ func TestScalingWithMEs(t *testing.T) {
 	}
 }
 
-// TestNewRejectsOversizeTracePacket pins the load-time check that keeps a
-// trace packet inside its DRAM buffer: one byte over the payload area is
-// refused with the packet's index, length and the limit; exactly at the
-// limit loads and forwards.
+// TestNewRejectsOversizeTracePacket pins rts.New's load-time checks. A
+// trace packet must fit its DRAM buffer: one byte over the payload area
+// is refused with the packet's index, length and the limit, and exactly
+// at the limit loads and forwards. The enabled ME count must lie between
+// one and the machine's ME count.
 func TestNewRejectsOversizeTracePacket(t *testing.T) {
 	res := compileAt(t, driver.LevelBase)
 	lay := res.Image.Layout
@@ -308,10 +309,21 @@ func TestNewRejectsOversizeTracePacket(t *testing.T) {
 	if tx := rt.M.Snapshot().TxPackets; tx == 0 {
 		t.Errorf("trace at the limit forwarded nothing")
 	}
-	trc[1] = pad(trc[1], limit+1)
-	_, err := rts.New(res.Image, res.Prog, trc, rts.Options{NumMEs: 2})
-	want := "rts: trace packet 1 is 193 bytes, over the 192-byte buffer payload limit"
-	if err == nil || err.Error() != want {
-		t.Errorf("oversize trace: err = %v, want %q", err, want)
+	oversize := append([]*packet.Packet(nil), trc...)
+	oversize[1] = pad(trc[1], limit+1)
+	for _, c := range []struct {
+		name string
+		trc  []*packet.Packet
+		mes  int
+		want string
+	}{
+		{"oversize packet", oversize, 2, "rts: trace packet 1 is 193 bytes, over the 192-byte buffer payload limit"},
+		{"0 MEs", trc, 0, "rts: need at least one ME"},
+		{"9 MEs", trc, 9, "rts: 9 MEs enabled, but the machine has 8"},
+	} {
+		_, err := rts.New(res.Image, res.Prog, c.trc, rts.Options{NumMEs: c.mes})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
 	}
 }
