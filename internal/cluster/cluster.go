@@ -58,11 +58,12 @@ type Config struct {
 	// cycles (the balancer + fabric traversal). Constant per-hop latency
 	// cancels out of inter-arrival gaps, so an offset is its whole
 	// observable effect; 0 keeps the one-chip case bit-identical to a
-	// plain run.
+	// plain run. New rejects a negative value.
 	FabricLatency int64
 
-	// Epoch is the scheduler's lookahead window in cycles (default
-	// 10_000): every chip advances one epoch between barriers. Arrivals
+	// Epoch is the scheduler's lookahead window in cycles (0 selects the
+	// default 10_000; New rejects a negative value): every chip advances
+	// one epoch between barriers. Arrivals
 	// are scheduled ahead by the open-loop balancer, never chip-to-chip,
 	// so any epoch size is conservative; it only sets the granularity of
 	// drain application and bucket boundaries.
@@ -166,7 +167,13 @@ func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Chips) == 0 {
 		return nil, fmt.Errorf("cluster: need at least one chip")
 	}
-	if cfg.Epoch <= 0 {
+	if cfg.FabricLatency < 0 {
+		return nil, fmt.Errorf("cluster: fabric latency %d cycles is negative", cfg.FabricLatency)
+	}
+	if cfg.Epoch < 0 {
+		return nil, fmt.Errorf("cluster: epoch %d cycles is negative (0 selects the default %d)", cfg.Epoch, defaultEpoch)
+	}
+	if cfg.Epoch == 0 {
 		cfg.Epoch = defaultEpoch
 	}
 	if cfg.Buckets <= 0 {

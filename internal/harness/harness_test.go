@@ -1,12 +1,14 @@
 package harness_test
 
 import (
+	"errors"
 	"testing"
 
 	"shangrila/internal/apps"
 	"shangrila/internal/cg"
 	"shangrila/internal/driver"
 	"shangrila/internal/harness"
+	"shangrila/internal/ixp"
 )
 
 // quickCfg keeps test sweeps fast; the bench harness uses longer windows.
@@ -42,6 +44,22 @@ func TestAllAppsAllLevelsCompileAndRun(t *testing.T) {
 					lvl, r.Gbps, r.TxPackets, r.Stages, r.CodeSizes, r.Total())
 			}
 		})
+	}
+}
+
+// TestRunRejectsNegativeWindows: a negative warm-up or measured window
+// fails the run with the machine's BudgetError instead of moving the
+// simulated clock backward.
+func TestRunRejectsNegativeWindows(t *testing.T) {
+	for _, c := range []struct{ warmup, measure int64 }{
+		{-1, 1000},
+		{1000, -1},
+	} {
+		_, err := harness.Run(apps.L3Switch(), append(quickCfg().Options(), harness.WithWindows(c.warmup, c.measure))...)
+		var be *ixp.BudgetError
+		if !errors.As(err, &be) || be.Cycles != -1 {
+			t.Errorf("WithWindows(%d, %d): err = %v, want a BudgetError for -1", c.warmup, c.measure, err)
+		}
 	}
 }
 

@@ -454,6 +454,11 @@ type Machine struct {
 	cbs    []func()
 	cbFree []int32
 
+	// woken collects, in wake order, the idle MEs an evReady drain made
+	// runnable (see resumeWoken). An ME enters at most once per drain, so
+	// its NumMEs capacity is never outgrown.
+	woken []int32
+
 	// XScaleStep processes one descriptor from an XScale-bound ring; it
 	// returns the modelled processing cost in cycles. Installed by the
 	// runtime when the plan has XScale aggregates.
@@ -490,6 +495,7 @@ func New(cfg Config, opts ...Option) (*Machine, error) {
 	m.lat = metrics.NewHistogram()
 	m.rxStamp = map[uint32]int64{}
 	m.lastME = make([]int64, cfg.NumMEs)
+	m.woken = make([]int32, 0, cfg.NumMEs)
 	m.stats.MEAccesses = map[AccessKey]uint64{}
 	m.stats.MEInstrs = make([]uint64, cfg.NumMEs)
 	m.stats.MEBusy = make([]int64, cfg.NumMEs)
@@ -702,19 +708,23 @@ func (m *Machine) fail(format string, args ...any) {
 	}
 }
 
-// activateSoon ensures the ME has an activation event queued.
-func (m *Machine) activateSoon(me int, t int64) {
-	mx := m.MEs[me]
-	if mx.scheduled || !mx.enabled {
-		return
-	}
-	mx.scheduled = true
-	m.schedule(t, evActivate, me, 0, nil)
+// BudgetError is Run's rejection of a negative cycle budget: the clock
+// only moves forward, so Run leaves the machine untouched.
+type BudgetError struct {
+	Cycles int64
+}
+
+func (e *BudgetError) Error() string {
+	return fmt.Sprintf("ixp: cycle budget %d is negative", e.Cycles)
 }
 
 // Run advances the simulation until the cycle budget elapses or an error
-// occurs. It can be called repeatedly for warm-up + measure phases.
+// occurs. It can be called repeatedly for warm-up + measure phases. A
+// negative budget is a *BudgetError.
 func (m *Machine) Run(cycles int64) error {
+	if cycles < 0 {
+		return &BudgetError{Cycles: cycles}
+	}
 	deadline := m.now + cycles
 	m.kickoff()
 	for m.err == nil {
@@ -740,17 +750,15 @@ func (m *Machine) Run(cycles int64) error {
 		case evReady:
 			m.readyThread(int(ev.me), int(ev.thread))
 			// Drain further wakeups sharing this timestamp: they are the
-			// next pops regardless (any activation they schedule carries a
-			// later seq), so handling them here preserves event order while
-			// skipping the dispatch loop.
-			for {
-				h := m.q.peek()
-				if h == nil || h.kind != evReady || h.time != m.now {
-					break
-				}
+			// next pops regardless, so handling them here preserves event
+			// order while skipping the dispatch loop.
+			h := m.q.peek()
+			for h != nil && h.kind == evReady && h.time == m.now {
 				e := m.q.pop()
 				m.readyThread(int(e.me), int(e.thread))
+				h = m.q.peek()
 			}
+			m.resumeWoken(h != nil && h.time <= m.now)
 		case evRxTick:
 			m.rxTick()
 		case evTxTick:
@@ -771,8 +779,11 @@ func (m *Machine) Run(cycles int64) error {
 // ME, and — on the first Run only — the perpetual media/XScale/telemetry
 // tick chains (another chain would double the modelled media bandwidth).
 func (m *Machine) kickoff() {
-	for i := range m.MEs {
-		m.activateSoon(i, m.now)
+	for i, mx := range m.MEs {
+		if !mx.scheduled && mx.enabled {
+			mx.scheduled = true
+			m.schedule(m.now, evActivate, i, 0, nil)
+		}
 	}
 	if !m.started {
 		m.started = true
@@ -792,7 +803,8 @@ func (m *Machine) kickoff() {
 }
 
 // readyThread unblocks a thread whose memory or ring operation completed
-// and makes sure its ME has an activation queued.
+// and, when its ME is enabled and has no activation queued, collects the
+// ME into woken for resumeWoken.
 func (m *Machine) readyThread(me, thread int) {
 	mx := m.MEs[me]
 	th := mx.threads[thread]
@@ -800,7 +812,36 @@ func (m *Machine) readyThread(me, thread int) {
 		th.state = tReady
 		mx.setReady(thread, true)
 	}
-	m.activateSoon(me, m.now)
+	if mx.scheduled || !mx.enabled {
+		return
+	}
+	mx.scheduled = true
+	m.woken = append(m.woken, int32(me))
+}
+
+// resumeWoken activates the MEs an evReady drain woke, in wake order.
+// Each activation stands for an evActivate at m.now, whose seq would be
+// larger than any queued event's: it would pop after every event due at
+// or before m.now and before every later one. So when nothing is due
+// (due false), the activations are the next pops and run here, in this
+// dispatch. Running one cannot put an event ahead of the next: runME
+// schedules nothing at m.now, since cycles++ precedes every terminator.
+// When something is due, each gets its evActivate at m.now, in wake order.
+func (m *Machine) resumeWoken(due bool) {
+	if due {
+		for _, me := range m.woken {
+			m.schedule(m.now, evActivate, int(me), 0, nil)
+		}
+	} else {
+		for _, me := range m.woken {
+			if m.err != nil {
+				break
+			}
+			m.MEs[me].scheduled = false
+			m.runME(int(me))
+		}
+	}
+	m.woken = m.woken[:0]
 }
 
 // maxRunInstrs bounds one thread activation so event processing stays

@@ -1,6 +1,7 @@
 package ixp
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -386,6 +387,30 @@ func TestParseEngine(t *testing.T) {
 	}
 	if name, shards := m.EngineInfo(); name != "serial" || shards != 0 {
 		t.Errorf("EngineInfo = (%s, %d), want (serial, 0)", name, shards)
+	}
+}
+
+// TestRunRejectsNegativeBudget: a negative cycle budget is a BudgetError
+// naming it, and the clock and counters stay where the last Run left them.
+func TestRunRejectsNegativeBudget(t *testing.T) {
+	m, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.LoadProgram(0, computeProg())
+	if err := m.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	err = m.Run(-500)
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Cycles != -500 || !strings.Contains(err.Error(), "-500") {
+		t.Fatalf("Run(-500) = %v, want a BudgetError naming -500", err)
+	}
+	if m.Now() != 1000 || m.Snapshot().Cycles != 1000 {
+		t.Errorf("after Run(-500): clock %d, stats cycles %d; want both 1000", m.Now(), m.Snapshot().Cycles)
+	}
+	if err := m.Run(10); err != nil || m.Now() != 1010 {
+		t.Errorf("Run(10) after the rejection: %v, clock %d; want nil, 1010", err, m.Now())
 	}
 }
 
