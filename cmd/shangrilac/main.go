@@ -108,10 +108,10 @@ func compileTarget(arg string, lvl driver.Level, mes int) (*driver.Result, strin
 	var profTrace []*packet.Packet
 	entryProto := prog.Types.Entry.InProto
 	for i := 0; i < 256; i++ {
-		fields := map[string]uint32{}
+		var fields []trace.Field
 		for _, f := range entryProto.Fields {
 			if f.Bits <= 32 {
-				fields[f.Name] = r.Uint32()
+				fields = append(fields, trace.Field{Name: f.Name, Value: r.Uint32()})
 			}
 		}
 		size := entryProto.FixedSize

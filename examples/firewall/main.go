@@ -45,10 +45,10 @@ func main() {
 	// Hand-crafted probes against the installed policy.
 	probe := func(label string, src, dst, sport, dport, proto uint32) {
 		p, err := trace.Build([]trace.Layer{
-			{Proto: tp.Protocols["ether"], Fields: map[string]uint32{"type": 0x0800}},
-			{Proto: tp.Protocols["ipv4tcp"], Fields: map[string]uint32{
-				"ver": 4, "hlen": 5, "ttl": 33, "proto": proto,
-				"src": src, "dst": dst, "sport": sport, "dport": dport}},
+			{Proto: tp.Protocols["ether"], Fields: []trace.Field{{Name: "type", Value: 0x0800}}},
+			{Proto: tp.Protocols["ipv4tcp"], Fields: []trace.Field{
+				{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: 33}, {Name: "proto", Value: proto},
+				{Name: "src", Value: src}, {Name: "dst", Value: dst}, {Name: "sport", Value: sport}, {Name: "dport", Value: dport}}},
 		}, 64, tp.Metadata.Bytes)
 		if err != nil {
 			log.Fatal(err)

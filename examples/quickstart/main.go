@@ -61,9 +61,9 @@ func main() {
 	tp := prog.Types
 	mkPacket := func(ttl uint32) *packet.Packet {
 		p, err := trace.Build([]trace.Layer{
-			{Proto: tp.Protocols["ether"], Fields: map[string]uint32{"type": 0x0800}},
-			{Proto: tp.Protocols["ipv4"], Fields: map[string]uint32{
-				"ver": 4, "hlen": 5, "ttl": ttl, "dstip": 0x0a000001}, Size: 20},
+			{Proto: tp.Protocols["ether"], Fields: []trace.Field{{Name: "type", Value: 0x0800}}},
+			{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{
+				{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: ttl}, {Name: "dstip", Value: 0x0a000001}}, Size: 20},
 		}, 64, tp.Metadata.Bytes)
 		if err != nil {
 			log.Fatal(err)

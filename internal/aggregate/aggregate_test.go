@@ -71,9 +71,9 @@ func buildTrace(tp *types.Program, n int) []*packet.Packet {
 			ethType = 0x0806
 		}
 		p, err := trace.Build([]trace.Layer{
-			{Proto: tp.Protocols["ether"], Fields: map[string]uint32{"type": ethType}},
-			{Proto: tp.Protocols["ipv4"], Fields: map[string]uint32{
-				"ver": 4, "hlen": 5, "ttl": 64, "dst": 0x0a000001 + uint32(r.Intn(4))}, Size: 20},
+			{Proto: tp.Protocols["ether"], Fields: []trace.Field{{Name: "type", Value: ethType}}},
+			{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{
+				{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: 64}, {Name: "dst", Value: 0x0a000001 + uint32(r.Intn(4))}}, Size: 20},
 		}, 64, tp.Metadata.Bytes)
 		if err != nil {
 			panic(err)
@@ -282,17 +282,17 @@ module m {
 	var tr []*packet.Packet
 	for i := 0; i < 50; i++ {
 		depth := 1 + i%3
-		layers := []trace.Layer{{Proto: tp.Protocols["ether"], Fields: map[string]uint32{"type": 0x8847}}}
+		layers := []trace.Layer{{Proto: tp.Protocols["ether"], Fields: []trace.Field{{Name: "type", Value: 0x8847}}}}
 		for d := 0; d < depth; d++ {
 			s := uint32(0)
 			if d == depth-1 {
 				s = 1
 			}
 			layers = append(layers, trace.Layer{Proto: tp.Protocols["mpls"],
-				Fields: map[string]uint32{"label": uint32(100 + d), "s": s}})
+				Fields: []trace.Field{{Name: "label", Value: uint32(100 + d)}, {Name: "s", Value: s}}})
 		}
 		layers = append(layers, trace.Layer{Proto: tp.Protocols["ipv4"],
-			Fields: map[string]uint32{"ver": 4, "hlen": 5}, Size: 20})
+			Fields: []trace.Field{{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}}, Size: 20})
 		p, err := trace.Build(layers, 64, tp.Metadata.Bytes)
 		if err != nil {
 			t.Fatal(err)

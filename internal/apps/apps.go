@@ -137,18 +137,21 @@ const ETH_MPLS = 0x8847;
 func buildIP(tp *types.Program, r *workload.Source, dstMACHi, dstMACLo, dstIP uint32,
 	proto uint32, sport, dport uint32, withL4 bool) *packet.Packet {
 	layers := []trace.Layer{
-		{Proto: tp.Protocols["ether"], Fields: map[string]uint32{
-			"dst_hi": dstMACHi, "dst_lo": dstMACLo,
-			"src_hi": 0x0002, "src_lo": r.Uint32(),
-			"type": 0x0800}},
-		{Proto: tp.Protocols["ipv4"], Fields: map[string]uint32{
-			"ver": 4, "hlen": 5, "length": 46, "ttl": 32 + uint32(r.Intn(32)),
-			"proto": proto, "cksum": r.Uint32() & 0xffff,
-			"src": r.Uint32(), "dst": dstIP}, Size: 20},
+		{Proto: tp.Protocols["ether"], Fields: []trace.Field{
+			{Name: "dst_hi", Value: dstMACHi}, {Name: "dst_lo", Value: dstMACLo},
+			{Name: "src_hi", Value: 0x0002}, {Name: "src_lo", Value: r.Uint32()},
+			{Name: "type", Value: 0x0800}}},
+		{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{
+			{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "length", Value: 46},
+			{Name: "ttl", Value: 32 + uint32(r.Intn(32))},
+			{Name: "proto", Value: proto}, {Name: "cksum", Value: r.Uint32() & 0xffff},
+			{Name: "src", Value: r.Uint32()}, {Name: "dst", Value: dstIP}}, Size: 20},
+		{Proto: tp.Protocols["l4"], Fields: []trace.Field{
+			{Name: "sport", Value: sport}, {Name: "dport", Value: dport}}},
 	}
-	if withL4 {
-		layers = append(layers, trace.Layer{Proto: tp.Protocols["l4"],
-			Fields: map[string]uint32{"sport": sport, "dport": dport}})
+	if !withL4 {
+		// Sliced off rather than appended, so no layer leaves the stack.
+		layers = layers[:2]
 	}
 	p, err := trace.Build(layers, 64, tp.Metadata.Bytes)
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"shangrila/internal/apps"
-	"shangrila/internal/baker/parser"
-	"shangrila/internal/baker/types"
 	"shangrila/internal/lower"
 	"shangrila/internal/profiler"
 	"shangrila/internal/trace"
@@ -13,15 +11,7 @@ import (
 
 func buildApp(t *testing.T, a *apps.App) *profiler.Session {
 	t.Helper()
-	astProg, err := parser.Parse(a.Name+".baker", a.Source)
-	if err != nil {
-		t.Fatalf("parse %s: %v", a.Name, err)
-	}
-	tp, err := types.Check(astProg)
-	if err != nil {
-		t.Fatalf("check %s: %v", a.Name, err)
-	}
-	prog, err := lower.Lower(tp)
+	prog, err := lower.Lower(checkTypes(t, a))
 	if err != nil {
 		t.Fatalf("lower %s: %v", a.Name, err)
 	}
@@ -135,10 +125,10 @@ func TestL3SwitchLongestPrefixMatch(t *testing.T) {
 	}
 	for _, c := range cases {
 		p, err := trace.Build([]trace.Layer{
-			{Proto: tp.Protocols["ether"], Fields: map[string]uint32{
-				"dst_hi": 0x0a00, "dst_lo": 0x5e000000, "type": 0x0800}},
-			{Proto: tp.Protocols["ipv4"], Fields: map[string]uint32{
-				"ver": 4, "hlen": 5, "ttl": 30, "dst": c.dst}, Size: 20},
+			{Proto: tp.Protocols["ether"], Fields: []trace.Field{
+				{Name: "dst_hi", Value: 0x0a00}, {Name: "dst_lo", Value: 0x5e000000}, {Name: "type", Value: 0x0800}}},
+			{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{
+				{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: 30}, {Name: "dst", Value: c.dst}}, Size: 20},
 		}, 64, tp.Metadata.Bytes)
 		if err != nil {
 			t.Fatal(err)

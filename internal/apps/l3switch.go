@@ -272,11 +272,12 @@ func l3Traffic() TraceSpec {
 		{Name: "arp", Every: 200, Offset: 199,
 			Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
 				p, err := trace.Build([]trace.Layer{
-					{Proto: tp.Protocols["ether"], Fields: map[string]uint32{
-						"dst_hi": 0xffff, "dst_lo": 0xffffffff,
-						"src_hi": 0x0002, "src_lo": r.Uint32(), "type": 0x0806}},
-					{Proto: tp.Protocols["arp"], Fields: map[string]uint32{
-						"htype": 1, "ptype": 0x0800, "op": 1}},
+					{Proto: tp.Protocols["ether"], Fields: []trace.Field{
+						{Name: "dst_hi", Value: 0xffff}, {Name: "dst_lo", Value: 0xffffffff},
+						{Name: "src_hi", Value: 0x0002}, {Name: "src_lo", Value: r.Uint32()},
+						{Name: "type", Value: 0x0806}}},
+					{Proto: tp.Protocols["arp"], Fields: []trace.Field{
+						{Name: "htype", Value: 1}, {Name: "ptype", Value: 0x0800}, {Name: "op", Value: 1}}},
 				}, 64, tp.Metadata.Bytes)
 				if err != nil {
 					panic(err)
@@ -287,12 +288,13 @@ func l3Traffic() TraceSpec {
 		{Name: "bridged", Every: 7, Offset: 3, // dst MAC != router MAC
 			Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
 				p, err := trace.Build([]trace.Layer{
-					{Proto: tp.Protocols["ether"], Fields: map[string]uint32{
-						"dst_hi": 0x0002, "dst_lo": uint32(r.Intn(64)),
-						"src_hi": 0x0002, "src_lo": uint32(r.Intn(64)),
-						"type": 0x0800}},
-					{Proto: tp.Protocols["ipv4"], Fields: map[string]uint32{
-						"ver": 4, "hlen": 5, "ttl": 17, "dst": r.Uint32()}, Size: 20},
+					{Proto: tp.Protocols["ether"], Fields: []trace.Field{
+						{Name: "dst_hi", Value: 0x0002}, {Name: "dst_lo", Value: uint32(r.Intn(64))},
+						{Name: "src_hi", Value: 0x0002}, {Name: "src_lo", Value: uint32(r.Intn(64))},
+						{Name: "type", Value: 0x0800}}},
+					{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{
+						{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: 17},
+						{Name: "dst", Value: r.Uint32()}}, Size: 20},
 				}, 64, tp.Metadata.Bytes)
 				if err != nil {
 					panic(err)

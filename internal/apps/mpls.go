@@ -257,9 +257,10 @@ func MPLS() *App {
 
 func buildMPLS(tp *types.Program, r *workload.Source, labels []uint32, innerTTL uint32) *packet.Packet {
 	layers := []trace.Layer{
-		{Proto: tp.Protocols["ether"], Fields: map[string]uint32{
-			"dst_hi": 0x0a00, "dst_lo": 0x5e000000,
-			"src_hi": 0x0002, "src_lo": r.Uint32(), "type": 0x8847}},
+		{Proto: tp.Protocols["ether"], Fields: []trace.Field{
+			{Name: "dst_hi", Value: 0x0a00}, {Name: "dst_lo", Value: 0x5e000000},
+			{Name: "src_hi", Value: 0x0002}, {Name: "src_lo", Value: r.Uint32()},
+			{Name: "type", Value: 0x8847}}},
 	}
 	for i, l := range labels {
 		s := uint32(0)
@@ -267,11 +268,13 @@ func buildMPLS(tp *types.Program, r *workload.Source, labels []uint32, innerTTL 
 			s = 1
 		}
 		layers = append(layers, trace.Layer{Proto: tp.Protocols["mpls"],
-			Fields: map[string]uint32{"label": l, "exp": 0, "s": s, "mttl": 33}})
+			Fields: []trace.Field{{Name: "label", Value: l}, {Name: "exp", Value: 0},
+				{Name: "s", Value: s}, {Name: "mttl", Value: 33}}})
 	}
 	layers = append(layers, trace.Layer{Proto: tp.Protocols["ipv4"],
-		Fields: map[string]uint32{"ver": 4, "hlen": 5, "ttl": innerTTL,
-			"dst": r.AddrInPrefix(trace.Prefix{Addr: 0x0a010000, Len: 16})},
+		Fields: []trace.Field{{Name: "ver", Value: 4}, {Name: "hlen", Value: 5},
+			{Name: "ttl", Value: innerTTL},
+			{Name: "dst", Value: r.AddrInPrefix(trace.Prefix{Addr: 0x0a010000, Len: 16})}},
 		Size: 20})
 	p, err := trace.Build(layers, 64, tp.Metadata.Bytes)
 	if err != nil {

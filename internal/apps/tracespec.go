@@ -68,7 +68,7 @@ func (s TraceSpec) GenerateCounted(tp *types.Program, seed uint64, n int) ([]*pa
 			total += c.Weight
 		}
 	}
-	var out []*packet.Packet
+	out := make([]*packet.Packet, 0, n)
 	counts := make(map[string]int)
 	for i := 0; i < n; i++ {
 		c, ok := s.pick(weighted, total, r, i)

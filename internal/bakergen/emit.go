@@ -294,10 +294,10 @@ func (s *Spec) traceSpec() apps.TraceSpec {
 		Name: "fuzz", Weight: 1,
 		Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
 			seq := uint32(i)
-			layers := []trace.Layer{protoLayer(tp, &spec.Base, r, map[string]uint32{"seq": seq})}
+			layers := []trace.Layer{protoLayer(tp, &spec.Base, r, trace.Field{Name: "seq", Value: seq})}
 			if spec.Mid != nil {
 				layers = append(layers, protoLayer(tp, spec.Mid, r,
-					map[string]uint32{"hl": uint32(spec.Mid.SizeBytes() / 4)}))
+					trace.Field{Name: "hl", Value: uint32(spec.Mid.SizeBytes() / 4)}))
 			}
 			if spec.Stack != nil {
 				depth := 1 + r.Intn(spec.Stack.MaxDepth)
@@ -307,10 +307,10 @@ func (s *Spec) traceSpec() apps.TraceSpec {
 						bos = 1
 					}
 					layers = append(layers, protoLayer(tp, &spec.Stack.Shim, r,
-						map[string]uint32{"s": bos}))
+						trace.Field{Name: "s", Value: bos}))
 				}
 			}
-			layers = append(layers, protoLayer(tp, &spec.Inner, r, map[string]uint32{"seq": seq}))
+			layers = append(layers, protoLayer(tp, &spec.Inner, r, trace.Field{Name: "seq", Value: seq}))
 			hdr := 0
 			for _, l := range layers {
 				hdr += l.Size
@@ -328,24 +328,25 @@ func (s *Spec) traceSpec() apps.TraceSpec {
 	}}}
 }
 
-// protoLayer fills one header layer: forced fields as given, every other
-// field uniformly random in its width.
-func protoLayer(tp *types.Program, p *Proto, r *workload.Source, forced map[string]uint32) trace.Layer {
+// protoLayer fills one header layer in p.Fields order, which is also the
+// order of its draws: the forced field as given, every other field uniformly
+// random in its width.
+func protoLayer(tp *types.Program, p *Proto, r *workload.Source, forced trace.Field) trace.Layer {
 	tproto := tp.Protocols[p.Name]
 	if tproto == nil {
 		panic("bakergen: protocol " + p.Name + " missing from compiled program")
 	}
-	fields := make(map[string]uint32, len(p.Fields))
-	for _, f := range p.Fields {
-		if v, ok := forced[f.Name]; ok {
-			fields[f.Name] = v
+	fields := make([]trace.Field, len(p.Fields))
+	for i, f := range p.Fields {
+		if f.Name == forced.Name {
+			fields[i] = forced
 			continue
 		}
 		mask := uint32(1)<<uint(f.Bits) - 1
 		if f.Bits >= 32 {
 			mask = ^uint32(0)
 		}
-		fields[f.Name] = r.Uint32() & mask
+		fields[i] = trace.Field{Name: f.Name, Value: r.Uint32() & mask}
 	}
 	return trace.Layer{Proto: tproto, Fields: fields, Size: p.SizeBytes()}
 }

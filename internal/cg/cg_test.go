@@ -81,9 +81,9 @@ func buildTrace(t *testing.T, tp *types.Program, n int) []*packet.Packet {
 	var out []*packet.Packet
 	for i := 0; i < n; i++ {
 		p, err := trace.Build([]trace.Layer{
-			{Proto: tp.Protocols["ether"], Fields: map[string]uint32{"type": 0x0800}},
-			{Proto: tp.Protocols["ipv4"], Fields: map[string]uint32{
-				"ver": 4, "hlen": 5, "ttl": 9, "dst": 0x0a000001}, Size: 20},
+			{Proto: tp.Protocols["ether"], Fields: []trace.Field{{Name: "type", Value: 0x0800}}},
+			{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{
+				{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: 9}, {Name: "dst", Value: 0x0a000001}}, Size: 20},
 		}, 64, tp.Metadata.Bytes)
 		if err != nil {
 			t.Fatal(err)

@@ -57,9 +57,14 @@ type allocator struct {
 
 func isVirtual(r PReg) bool { return int(r) >= NumRegs }
 
-// regUses returns pointers to every register operand of in (sources and
-// destinations separately).
-func regOperands(in *Instr) (defs, uses []*PReg) {
+// maxOperands bounds one instruction's register operands on either side: a
+// 16-word burst plus its address. Callers size their operand buffers with it.
+const maxOperands = 17
+
+// regOperands appends pointers to every register operand of in to defs
+// (destinations) and uses (sources). Callers pass empty slices over arrays
+// of their own, so the walk allocates nothing.
+func regOperands(in *Instr, defs, uses []*PReg) ([]*PReg, []*PReg) {
 	switch in.Op {
 	case IALU:
 		uses = append(uses, &in.SrcA)
@@ -168,8 +173,9 @@ func (a *allocator) assignBanks() {
 		out = append(out, in)
 	}
 	// Unconstrained vregs: balance banks.
+	var db, ub [maxOperands]*PReg
 	for _, in := range out {
-		defs, uses := regOperands(in)
+		defs, uses := regOperands(in, db[:0], ub[:0])
 		for _, lists := range [][]*PReg{defs, uses} {
 			for _, r := range lists {
 				if isVirtual(*r) {
@@ -265,10 +271,11 @@ func (a *allocator) computeIntervals() {
 	w := (a.nvreg + 63) >> 6
 	row := func(sets []uint64, bi int) analysis.Bits { return sets[bi*w : (bi+1)*w] }
 	gen, kill := make([]uint64, len(starts)*w), make([]uint64, len(starts)*w)
+	var db, ub [maxOperands]*PReg
 	for bi, s := range starts {
 		g, k := row(gen, bi), row(kill, bi)
 		for i := s; i < ends[bi]; i++ {
-			defs, uses := regOperands(code[i])
+			defs, uses := regOperands(code[i], db[:0], ub[:0])
 			for _, u := range uses {
 				if isVirtual(*u) && !k.Has(int(*u)-NumRegs) {
 					g.Set(int(*u) - NumRegs)
@@ -298,7 +305,7 @@ func (a *allocator) computeIntervals() {
 		}
 	}
 	for i, in := range code {
-		defs, uses := regOperands(in)
+		defs, uses := regOperands(in, db[:0], ub[:0])
 		for _, d := range defs {
 			if isVirtual(*d) {
 				touch(*d, i)
@@ -330,8 +337,9 @@ func min(a, b int) int {
 func (a *allocator) scan() error {
 	a.frame = stackalloc.NewFrame(stackalloc.DefaultConfig())
 	unspillable := map[PReg]bool{}
+	var db, ub [maxOperands]*PReg
 	for _, in := range a.p.Code {
-		defs, _ := regOperands(in)
+		defs, _ := regOperands(in, db[:0], ub[:0])
 		if len(defs) > 1 {
 			for _, d := range defs {
 				if isVirtual(*d) {
@@ -436,9 +444,10 @@ func (a *allocator) rewrite() {
 			AddrOff: off, NWords: 1, Data: []PReg{tmp}, Class: cls,
 			Comment: fmt.Sprintf("spill v%d", int(iv.vreg))}
 	}
+	var db, ub [maxOperands]*PReg
 	for i, in := range a.p.Code {
 		remap[i] = len(out)
-		defs, uses := regOperands(in)
+		defs, uses := regOperands(in, db[:0], ub[:0])
 		tmps := []PReg{RegTmpA, RegTmpB}
 		ti := 0
 		var post []*Instr

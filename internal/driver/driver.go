@@ -217,6 +217,9 @@ func CompileSource(file, src string, cfg Config) (*Result, error) {
 // post-pass verification, metrics and dump hooks. It is the one-rung level
 // ladder, compiled in place: prog is rewritten and becomes Result.Prog.
 func CompileIR(prog *ir.Program, cfg Config) (*Result, error) {
+	if err := CheckDumpPass(cfg.DumpPass); err != nil {
+		return nil, err
+	}
 	l := newLadder(prog, cfg, []Level{cfg.Level}, PipelineFor)
 	l.inPlace = true
 	return l.Compile(cfg.Level)

@@ -5,6 +5,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -253,6 +255,17 @@ func PassNames() []string {
 		names[i] = p.Name
 	}
 	return names
+}
+
+// CheckDumpPass rejects a Config.DumpPass that names no registered pass, so
+// a misspelt -dump-ir fails instead of silently dumping nothing. Empty (no
+// dump) and "all" are valid.
+func CheckDumpPass(pass string) error {
+	names := PassNames()
+	if pass == "" || pass == "all" || slices.Contains(names, pass) {
+		return nil
+	}
+	return fmt.Errorf("driver: unknown dump pass %q (valid: all, %s)", pass, strings.Join(names, ", "))
 }
 
 // PipelineFor builds the declarative pipeline for a configuration from the

@@ -200,6 +200,31 @@ func TestDumpSinglePass(t *testing.T) {
 	}
 }
 
+// TestDumpUnknownPassRejected: a dump pass no registered pass is named is
+// an error from both entry points, listing the valid names, and dumps
+// nothing.
+func TestDumpUnknownPassRejected(t *testing.T) {
+	a := apps.MPLS()
+	prog, err := driver.LowerSource(a.Name+".baker", a.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	cfg := driver.Config{Level: driver.LevelPAC, ProfileTrace: a.Trace(prog.Types, 7, 8),
+		Controls: a.Controls, DumpPass: "bogus", DumpWriter: &buf}
+	_, compileErr := driver.CompileIR(prog, cfg)
+	_, sessionErr := driver.NewSession(prog, cfg)
+	for what, err := range map[string]error{"CompileIR": compileErr, "NewSession": sessionErr} {
+		if err == nil || !strings.Contains(err.Error(), `"bogus"`) ||
+			!strings.Contains(err.Error(), "all, "+strings.Join(driver.PassNames(), ", ")) {
+			t.Errorf("%s with DumpPass bogus: %v, want an error listing the valid passes", what, err)
+		}
+	}
+	if buf.Len() != 0 {
+		t.Errorf("rejected compile dumped %d bytes", buf.Len())
+	}
+}
+
 // TestVerifierCatchesBrokenPass runs a compile whose IR is corrupted before
 // CompileIR and checks that the first pass's post-verification reports it
 // with the pass name in the error chain.

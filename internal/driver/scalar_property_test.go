@@ -119,12 +119,11 @@ func TestLivenessMatchesReference(t *testing.T) {
 }
 
 // TestOptimizeFuncIdempotent: optimizing an already optimized function
-// leaves its printed form unchanged, on the same inputs. That holds even
-// where the first run stopped at the round cap: those functions end every
-// round in the same state but never report it (propagate folds "mov
-// const-register" to a constant, localCSE turns the duplicate constant back
-// into the mov, and both count as changes), so the cap costs time, not
-// optimization.
+// leaves its printed form unchanged, on the same inputs. It is what makes
+// OptimizeFunc's fixpoint exit safe: a round that leaves the body as it
+// found it (propagate folds "mov const-register" to a constant, localCSE
+// turns the duplicate constant back into the mov, and both count as
+// changes) would do so again, so stopping there costs no optimization.
 func TestOptimizeFuncIdempotent(t *testing.T) {
 	capped := 0
 	forEachScalarInput(t, func(where string, f *ir.Func) {

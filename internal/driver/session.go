@@ -199,6 +199,9 @@ type Session struct {
 // accumulates compile.pass.* and compile.session.* counters across
 // compiles.
 func NewSession(prog *ir.Program, cfg Config) (*Session, error) {
+	if err := CheckDumpPass(cfg.DumpPass); err != nil {
+		return nil, err
+	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}

@@ -138,6 +138,9 @@ func (f *CommonFlags) Options() ([]Option, error) {
 		if pass == "" {
 			pass = "all"
 		}
+		if err := driver.CheckDumpPass(pass); err != nil {
+			return nil, err
+		}
 		opts = append(opts, WithDumpIR(pass, f.DumpDir))
 	}
 	if f.VerifyIR {

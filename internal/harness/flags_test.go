@@ -35,6 +35,12 @@ func TestCommonFlagsRejectInvalid(t *testing.T) {
 		{[]string{"-gbps", "1", "-arrival", "bogus"}, options},
 		{[]string{"-churn-arrival", "bogus"}, options},
 		{[]string{"-swc-check-limit", "4294967296"}, options},
+		{[]string{"-gbps", "NaN"}, options},
+		{[]string{"-gbps", "+Inf"}, options},
+		{[]string{"-gbps", "1", "-zipf", "NaN"}, options},
+		{[]string{"-churn-rate", "NaN"}, options},
+		{[]string{"-churn-rate", "Inf"}, options},
+		{[]string{"-dump-ir", "bogus"}, options},
 	} {
 		if err := c.check(parseCommon(t, c.args...)); err == nil {
 			t.Errorf("%q accepted, want an error", c.args)

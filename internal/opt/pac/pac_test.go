@@ -41,13 +41,13 @@ func ipTrace(tp *types.Program) []*packet.Packet {
 	var out []*packet.Packet
 	for i := 0; i < 25; i++ {
 		p, err := trace.Build([]trace.Layer{
-			{Proto: tp.Protocols["ether"], Fields: map[string]uint32{
-				"type": 0x0800, "dst_hi": 0xaabb, "dst_lo": r.Uint32(),
-				"src_hi": 0x1122, "src_lo": r.Uint32()}},
-			{Proto: tp.Protocols["ipv4"], Fields: map[string]uint32{
-				"ver": 4, "hlen": 5, "ttl": uint32(10 + i), "tos": uint32(i & 3),
-				"cksum": r.Uint32() & 0xffff,
-				"src":   r.Uint32(), "dst": r.Uint32()}, Size: 20},
+			{Proto: tp.Protocols["ether"], Fields: []trace.Field{
+				{Name: "type", Value: 0x0800}, {Name: "dst_hi", Value: 0xaabb}, {Name: "dst_lo", Value: r.Uint32()},
+				{Name: "src_hi", Value: 0x1122}, {Name: "src_lo", Value: r.Uint32()}}},
+			{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{
+				{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: uint32(10 + i)}, {Name: "tos", Value: uint32(i & 3)},
+				{Name: "cksum", Value: r.Uint32() & 0xffff},
+				{Name: "src", Value: r.Uint32()}, {Name: "dst", Value: r.Uint32()}}, Size: 20},
 		}, 64, tp.Metadata.Bytes)
 		if err != nil {
 			panic(err)
@@ -108,9 +108,9 @@ module m {
 		var out []*packet.Packet
 		for i := 0; i < 10; i++ {
 			p, err := trace.Build([]trace.Layer{
-				{Proto: tp.Protocols["ipv4"], Fields: map[string]uint32{
-					"ver": 4, "hlen": 5, "ttl": uint32(1 + i), "cksum": r.Uint32() & 0xffff,
-					"id": r.Uint32() & 0xffff, "dst": r.Uint32()}, Size: 20},
+				{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{
+					{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: uint32(1 + i)}, {Name: "cksum", Value: r.Uint32() & 0xffff},
+					{Name: "id", Value: r.Uint32() & 0xffff}, {Name: "dst", Value: r.Uint32()}}, Size: 20},
 			}, 64, tp.Metadata.Bytes)
 			if err != nil {
 				panic(err)
@@ -151,8 +151,8 @@ module m {
 }`
 	gen := func(tp *types.Program) []*packet.Packet {
 		p, err := trace.Build([]trace.Layer{
-			{Proto: tp.Protocols["ipv4"], Fields: map[string]uint32{
-				"ver": 4, "hlen": 5, "ttl": 42}, Size: 20},
+			{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{
+				{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: 42}}, Size: 20},
 		}, 64, tp.Metadata.Bytes)
 		if err != nil {
 			panic(err)
@@ -240,10 +240,10 @@ module app {
 				dst = 0x55667788
 			}
 			p, err := trace.Build([]trace.Layer{
-				{Proto: tp.Protocols["ether"], Fields: map[string]uint32{
-					"type": 0x0800, "dst_hi": 0xaabb, "dst_lo": 0x10101010}},
-				{Proto: tp.Protocols["ipv4"], Fields: map[string]uint32{
-					"ver": 4, "hlen": 5, "ttl": 64, "dst": dst}, Size: 20},
+				{Proto: tp.Protocols["ether"], Fields: []trace.Field{
+					{Name: "type", Value: 0x0800}, {Name: "dst_hi", Value: 0xaabb}, {Name: "dst_lo", Value: 0x10101010}}},
+				{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{
+					{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: 64}, {Name: "dst", Value: dst}}, Size: 20},
 			}, 64, tp.Metadata.Bytes)
 			if err != nil {
 				panic(err)

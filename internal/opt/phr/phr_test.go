@@ -60,9 +60,9 @@ func gen(tp *types.Program) []*packet.Packet {
 	var out []*packet.Packet
 	for i := 0; i < 60; i++ {
 		p, err := trace.Build([]trace.Layer{
-			{Proto: tp.Protocols["ether"], Fields: map[string]uint32{"type": 0x0800}},
-			{Proto: tp.Protocols["ipv4"], Fields: map[string]uint32{
-				"ver": 4, "hlen": 5, "ttl": 64, "dst": 0x0a000001 + uint32(r.Intn(3))}, Size: 20},
+			{Proto: tp.Protocols["ether"], Fields: []trace.Field{{Name: "type", Value: 0x0800}}},
+			{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{
+				{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: 64}, {Name: "dst", Value: 0x0a000001 + uint32(r.Intn(3))}}, Size: 20},
 		}, 64, tp.Metadata.Bytes)
 		if err != nil {
 			panic(err)

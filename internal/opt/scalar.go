@@ -51,23 +51,46 @@ func Optimize(p *ir.Program, opts Options) Stats {
 const maxRounds = 8
 
 // OptimizeFunc iterates the scalar passes on one function until a round
-// changes nothing. It returns the rounds run and whether that fixpoint was
-// reached within maxRounds.
+// leaves it as it found it. It returns the rounds run and whether that
+// fixpoint was reached within maxRounds.
+//
+// A round is a function of the body alone (the CSE table's entries from
+// earlier rounds can only be rejected), so a round that reproduces its input
+// would do so forever. Two ways to reach one: no pass reports a change, or
+// only propagate and localCSE do and they cancel (propagate folds "mov
+// const-register" to a constant, localCSE turns the duplicate constant back
+// into the mov). The second is caught by fingerprinting the body after each
+// such round and comparing with the round before; deadCode, foldBranches
+// and mergeBlocks changes are never undone, so a round they changed is
+// never an identity and needs no fingerprint.
 func OptimizeFunc(f *ir.Func) (rounds int, converged bool) {
 	defs, cse := make([]regDef, f.NumRegs), newCSETable(f)
+	var h ir.Hasher
+	var last uint64 // fingerprint after the previous round, when it was a rewrite-only round
+	rewroteLast := false
 	for rounds < maxRounds {
 		rounds++
 		// One table per round serves both passes: propagation rewrites
 		// operands and opcodes but never a destination, so definition
 		// counts and sites stay valid through foldBranches.
 		singleDefs(f, defs)
-		changed := propagate(f, defs)
-		changed = foldBranches(f, defs) || changed
-		changed = localCSE(f, cse) || changed
-		changed = deadCode(f) || changed
-		changed = mergeBlocks(f) || changed
-		if !changed {
+		rewrote := propagate(f, defs)
+		reshaped := foldBranches(f, defs)
+		rewrote = localCSE(f, cse) || rewrote
+		reshaped = deadCode(f) || reshaped
+		reshaped = mergeBlocks(f) || reshaped
+		switch {
+		case reshaped:
+			rewroteLast = false
+		case !rewrote:
 			return rounds, true
+		default:
+			h.Reset()
+			h.Func(f)
+			if rewroteLast && h.Sum64() == last {
+				return rounds, true
+			}
+			last, rewroteLast = h.Sum64(), true
 		}
 	}
 	return rounds, false

@@ -79,9 +79,9 @@ func genTrace(tp *types.Program) []*packet.Packet {
 		}
 		dst := uint32(0x0a000000) + uint32(r.Intn(8))
 		p, err := trace.Build([]trace.Layer{
-			{Proto: tp.Protocols["ether"], Fields: map[string]uint32{"type": ethType}},
-			{Proto: tp.Protocols["ipv4"], Fields: map[string]uint32{
-				"ver": 4, "hlen": 5, "ttl": 32 + uint32(i), "dst": dst}, Size: 20},
+			{Proto: tp.Protocols["ether"], Fields: []trace.Field{{Name: "type", Value: ethType}}},
+			{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{
+				{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: 32 + uint32(i)}, {Name: "dst", Value: dst}}, Size: 20},
 		}, 64, tp.Metadata.Bytes)
 		if err != nil {
 			panic(err)

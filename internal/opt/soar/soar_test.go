@@ -220,7 +220,7 @@ func TestSOARDoesNotChangeSemantics(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			depth := 1 + i%3
 			layers := []trace.Layer{
-				{Proto: tp.Protocols["ether"], Fields: map[string]uint32{"type": 0x8847}},
+				{Proto: tp.Protocols["ether"], Fields: []trace.Field{{Name: "type", Value: 0x8847}}},
 			}
 			for d := 0; d < depth; d++ {
 				s := uint32(0)
@@ -229,12 +229,12 @@ func TestSOARDoesNotChangeSemantics(t *testing.T) {
 				}
 				layers = append(layers, trace.Layer{
 					Proto:  tp.Protocols["mpls"],
-					Fields: map[string]uint32{"label": r.Uint32() & 0xfffff, "s": s, "mttl": 17},
+					Fields: []trace.Field{{Name: "label", Value: r.Uint32() & 0xfffff}, {Name: "s", Value: s}, {Name: "mttl", Value: 17}},
 				})
 			}
 			layers = append(layers, trace.Layer{
 				Proto:  tp.Protocols["ipv4"],
-				Fields: map[string]uint32{"ver": 4, "hlen": 5, "ttl": 9, "dst": r.Uint32()},
+				Fields: []trace.Field{{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: 9}, {Name: "dst", Value: r.Uint32()}},
 				Size:   20,
 			})
 			p, err := trace.Build(layers, 64, tp.Metadata.Bytes)

@@ -73,8 +73,8 @@ func gen(tp *types.Program) []*packet.Packet {
 	var out []*packet.Packet
 	for i := 0; i < 100; i++ {
 		p, err := trace.Build([]trace.Layer{
-			{Proto: tp.Protocols["ether"], Fields: map[string]uint32{
-				"type": 0x0800, "dst_lo": uint32(r.Intn(4))}},
+			{Proto: tp.Protocols["ether"], Fields: []trace.Field{
+				{Name: "type", Value: 0x0800}, {Name: "dst_lo", Value: uint32(r.Intn(4))}}},
 		}, 64, tp.Metadata.Bytes)
 		if err != nil {
 			panic(err)

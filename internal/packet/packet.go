@@ -28,9 +28,18 @@ type Packet struct {
 // New builds a packet from raw wire bytes, reserving headroom and a
 // metadata record of metaBytes.
 func New(wire []byte, metaBytes int) *Packet {
-	buf := make([]byte, Headroom+len(wire))
-	copy(buf[Headroom:], wire)
-	return &Packet{buf: buf, start: Headroom, length: len(wire), Meta: make([]byte, metaBytes)}
+	p := NewZero(len(wire), metaBytes)
+	copy(p.Bytes(), wire)
+	return p
+}
+
+// NewZero builds a packet of length zero bytes, to be filled in place
+// through Bytes. Buffer and metadata share one allocation; the buffer's
+// capacity ends where the metadata begins, so growing it reallocates.
+func NewZero(length, metaBytes int) *Packet {
+	n := Headroom + length
+	mem := make([]byte, n+metaBytes)
+	return &Packet{buf: mem[:n:n], start: Headroom, length: length, Meta: mem[n:]}
 }
 
 // Bytes returns the current packet contents from the packet start.

@@ -177,7 +177,7 @@ func (e *hostEnv) NewPacket(proto *types.Protocol) *packet.Packet {
 	if size < 0 {
 		size = proto.HeaderMin
 	}
-	return packet.New(make([]byte, size), e.tp.Metadata.Bytes)
+	return packet.NewZero(size, e.tp.Metadata.Bytes)
 }
 
 // runInits runs the program's init functions (they run on the XScale at

@@ -91,8 +91,8 @@ func mkPacket(t *testing.T, s *Session, dst uint32, ethType uint32) *packet.Pack
 	t.Helper()
 	tp := s.Prog.Types
 	p, err := trace.Build([]trace.Layer{
-		{Proto: tp.Protocols["ether"], Fields: map[string]uint32{"type": ethType}},
-		{Proto: tp.Protocols["ipv4"], Fields: map[string]uint32{"ver": 4, "hlen": 5, "ttl": 64, "dst": dst}, Size: 20},
+		{Proto: tp.Protocols["ether"], Fields: []trace.Field{{Name: "type", Value: ethType}}},
+		{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: 64}, {Name: "dst", Value: dst}}, Size: 20},
 	}, 64, tp.Metadata.Bytes)
 	if err != nil {
 		t.Fatal(err)

@@ -78,11 +78,11 @@ func mkTrace(t testing.TB, res *driver.Result, n int) []*packet.Packet {
 	for i := 0; i < n; i++ {
 		dst := uint32(0x0a000001 + r.Intn(3)) // always hits a route
 		p, err := trace.Build([]trace.Layer{
-			{Proto: tp.Protocols["ether"], Fields: map[string]uint32{
-				"type": 0x0800, "dst_hi": 0x00aa, "dst_lo": 0xbbccddee}},
-			{Proto: tp.Protocols["ipv4"], Fields: map[string]uint32{
-				"ver": 4, "hlen": 5, "ttl": 17, "dst": dst,
-				"cksum": 0x1234}, Size: 20},
+			{Proto: tp.Protocols["ether"], Fields: []trace.Field{
+				{Name: "type", Value: 0x0800}, {Name: "dst_hi", Value: 0x00aa}, {Name: "dst_lo", Value: 0xbbccddee}}},
+			{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{
+				{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: 17}, {Name: "dst", Value: dst},
+				{Name: "cksum", Value: 0x1234}}, Size: 20},
 		}, 64, tp.Metadata.Bytes)
 		if err != nil {
 			t.Fatal(err)
@@ -102,9 +102,9 @@ func compileAt(t testing.TB, lvl driver.Level) *driver.Result {
 	var ptr []*packet.Packet
 	for i := 0; i < 50; i++ {
 		p, err := trace.Build([]trace.Layer{
-			{Proto: tp.Protocols["ether"], Fields: map[string]uint32{"type": 0x0800}},
-			{Proto: tp.Protocols["ipv4"], Fields: map[string]uint32{
-				"ver": 4, "hlen": 5, "ttl": 9, "dst": uint32(0x0a000001 + r.Intn(3))}, Size: 20},
+			{Proto: tp.Protocols["ether"], Fields: []trace.Field{{Name: "type", Value: 0x0800}}},
+			{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{
+				{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: 9}, {Name: "dst", Value: uint32(0x0a000001 + r.Intn(3))}}, Size: 20},
 		}, 64, tp.Metadata.Bytes)
 		if err != nil {
 			t.Fatal(err)

@@ -138,7 +138,7 @@ func (e *simEnv) NewPacket(proto *types.Protocol) *packet.Packet {
 	if size < 0 {
 		size = proto.HeaderMin
 	}
-	p := packet.New(make([]byte, size), int(e.rt.Img.Layout.MetaRecBytes-e.rt.Img.Layout.MetaAppOff))
+	p := packet.NewZero(size, int(e.rt.Img.Layout.MetaRecBytes-e.rt.Img.Layout.MetaAppOff))
 	if id, _, ok := e.rt.M.Rings[cg.RingFree].Get(); ok {
 		e.track(p, id, size, e.rt.Img.Layout.BufHeadroom)
 	}

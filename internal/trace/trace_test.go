@@ -31,8 +31,8 @@ func TestBuildLayers(t *testing.T) {
 	eth := tp.Protocols["ether"]
 	ip := tp.Protocols["ipv4"]
 	p, err := Build([]Layer{
-		{Proto: eth, Fields: map[string]uint32{"type": 0x0800}},
-		{Proto: ip, Fields: map[string]uint32{"ver": 4, "hlen": 5, "ttl": 64, "dst": 0x0a000001}, Size: 20},
+		{Proto: eth, Fields: []Field{{Name: "type", Value: 0x0800}}},
+		{Proto: ip, Fields: []Field{{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: 64}, {Name: "dst", Value: 0x0a000001}}, Size: 20},
 	}, 64, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestBuildErrors(t *testing.T) {
 		t.Fatal("dynamic layer without Size must error")
 	}
 	eth := tp.Protocols["ether"]
-	if _, err := Build([]Layer{{Proto: eth, Fields: map[string]uint32{"bogus": 1}}}, 64, 4); err == nil {
+	if _, err := Build([]Layer{{Proto: eth, Fields: []Field{{Name: "bogus", Value: 1}}}}, 64, 4); err == nil {
 		t.Fatal("unknown field must error")
 	}
 }

@@ -36,6 +36,9 @@ type ChurnSpec struct {
 
 // Normalize fills defaults and validates, returning the effective spec.
 func (sp ChurnSpec) Normalize() (ChurnSpec, error) {
+	if err := finite(field{"UpdatesPerSec", sp.UpdatesPerSec}, field{"WithdrawFraction", sp.WithdrawFraction}); err != nil {
+		return sp, err
+	}
 	if sp.Arrival == "" {
 		sp.Arrival = ChurnArrivalFixed
 	}

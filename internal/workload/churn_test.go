@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -88,6 +89,21 @@ func TestChurnSpecValidation(t *testing.T) {
 	for _, sp := range bad {
 		if _, err := NewChurnStream(sp); err == nil {
 			t.Errorf("spec %+v accepted, want error", sp)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		field string
+		sp    ChurnSpec
+	}{
+		{"UpdatesPerSec", ChurnSpec{UpdatesPerSec: nan}},
+		{"UpdatesPerSec", ChurnSpec{UpdatesPerSec: inf}},
+		{"WithdrawFraction", ChurnSpec{UpdatesPerSec: 100, WithdrawFraction: nan}},
+		{"WithdrawFraction", ChurnSpec{UpdatesPerSec: 100, WithdrawFraction: -inf}},
+	} {
+		_, err := NewChurnStream(c.sp)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: error %v, want one naming %s", c.sp, err, c.field)
 		}
 	}
 	if _, err := NewChurnStream(ChurnSpec{UpdatesPerSec: 100}); err != nil {

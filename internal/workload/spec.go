@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Arrival processes.
 const (
@@ -44,6 +47,10 @@ type Spec struct {
 
 // Normalize fills defaults and validates, returning the effective spec.
 func (sp Spec) Normalize() (Spec, error) {
+	if err := finite(field{"OfferedGbps", sp.OfferedGbps}, field{"PeakGbps", sp.PeakGbps},
+		field{"ZipfS", sp.ZipfS}, field{"BurstMean", sp.BurstMean}); err != nil {
+		return sp, err
+	}
 	if sp.Arrival == "" {
 		sp.Arrival = ArrivalFixed
 	}
@@ -88,6 +95,24 @@ func (sp Spec) Normalize() (Spec, error) {
 			sp.PeakGbps, sp.OfferedGbps)
 	}
 	return sp, nil
+}
+
+// field is one float-valued spec field, named for error messages.
+type field struct {
+	name string
+	v    float64
+}
+
+// finite rejects NaN and ±Inf: every range check in this package is a
+// comparison, and NaN fails all of them, so without this a NaN rate or
+// exponent would pass validation.
+func finite(fs ...field) error {
+	for _, f := range fs {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workload: %s must be a finite number (got %v)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // sizeClass is one point of a size mix.

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -88,6 +90,28 @@ func TestSpecValidation(t *testing.T) {
 	for i, sp := range bad {
 		if _, err := sp.Normalize(); err == nil {
 			t.Errorf("case %d: %+v normalized without error", i, sp)
+		}
+	}
+	// NaN fails every comparison, so each float field needs its own
+	// finiteness check; the error names the field.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		field string
+		sp    Spec
+	}{
+		{"OfferedGbps", Spec{OfferedGbps: nan}},
+		{"OfferedGbps", Spec{OfferedGbps: inf}},
+		{"OfferedGbps", Spec{OfferedGbps: -inf}},
+		{"PeakGbps", Spec{OfferedGbps: 1, Arrival: ArrivalOnOff, PeakGbps: nan}},
+		{"PeakGbps", Spec{OfferedGbps: 1, Arrival: ArrivalOnOff, PeakGbps: inf}},
+		{"ZipfS", Spec{OfferedGbps: 1, ZipfS: nan}},
+		{"ZipfS", Spec{OfferedGbps: 1, ZipfS: inf}},
+		{"BurstMean", Spec{OfferedGbps: 1, Arrival: ArrivalOnOff, BurstMean: nan}},
+		{"BurstMean", Spec{OfferedGbps: 1, BurstMean: inf}},
+	} {
+		_, err := c.sp.Normalize()
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: error %v, want one naming %s", c.sp, err, c.field)
 		}
 	}
 	sp, err := Spec{Seed: 9, OfferedGbps: 2}.Normalize()
