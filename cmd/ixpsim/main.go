@@ -77,6 +77,10 @@ func main() {
 	prof := harness.RegisterProfileFlags(flag.CommandLine)
 	expFlags := registry.BindFlags(flag.CommandLine)
 	flag.Parse()
+	if err := registry.CheckFlags(expFlags); err != nil {
+		fmt.Fprintf(os.Stderr, "ixpsim: %v\n", err)
+		os.Exit(2)
+	}
 	if err := prof.Start(); err != nil {
 		fmt.Fprintf(os.Stderr, "ixpsim: %v\n", err)
 		os.Exit(1)

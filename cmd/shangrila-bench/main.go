@@ -63,6 +63,9 @@ func main() {
 	flag.Parse()
 
 	selected, err := registry.Select(*exp)
+	if err == nil {
+		err = registry.CheckFlags(expFlags)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shangrila-bench: %v\n", err)
 		os.Exit(2)

@@ -223,11 +223,11 @@ func TestClassifyAndMerge(t *testing.T) {
 	if hot == nil || len(hot.Entries) != 1 {
 		t.Fatalf("hot merged entries wrong: %+v", hot)
 	}
-	entry := hot.Entries[0]
-	if entry.In != nil {
+	if hot.Entries[0].In != nil {
 		t.Errorf("hot entry should be rx-fed")
 	}
-	for _, b := range entry.Func.Blocks {
+	entry := hot.Func(hot.Entries[0])
+	for _, b := range entry.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpCall {
 				t.Errorf("merged entry still calls %q", in.Callee)
@@ -240,7 +240,7 @@ func TestClassifyAndMerge(t *testing.T) {
 	// fwd's table loop must now be inside the entry: check for loads of
 	// app.table.
 	foundTable := false
-	for _, b := range entry.Func.Blocks {
+	for _, b := range entry.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpLoad && in.Global != nil && in.Global.Name == "app.table" {
 				foundTable = true

@@ -39,32 +39,25 @@ func (c ChannelClass) String() string {
 type Entry struct {
 	// In is the channel feeding this entry; nil means the rx source.
 	In *types.Channel
-	// Func is the merged, inlined function (parameter: the packet
-	// handle).
-	Func *ir.Func
+	// Name names the merged, inlined function in the aggregate's program
+	// (parameter: the packet handle). An entry holds the name, not the
+	// function, because a pass that writes the function replaces it in the
+	// program (ir.Program.Edit).
+	Name string
 }
 
 // Merged is an aggregate's compiled view: a self-contained IR program with
 // merged entry functions, plus the classification of every channel the
-// aggregate touches.
+// aggregate touches. Entries are never written once built, so copies of a
+// view may share them.
 type Merged struct {
 	Agg     *Aggregate
 	Prog    *ir.Program
 	Entries []*Entry
 }
 
-// Clone deep-copies the merged view's program and remaps the entries onto
-// the cloned functions, sharing the aggregate and channel metadata. The
-// incremental compile session snapshots merged state between passes with
-// this, so later transforms cannot disturb a cached snapshot.
-func (m *Merged) Clone() *Merged {
-	np := ir.CloneProgram(m.Prog)
-	cp := &Merged{Agg: m.Agg, Prog: np}
-	for _, e := range m.Entries {
-		cp.Entries = append(cp.Entries, &Entry{In: e.In, Func: np.Funcs[e.Func.Name]})
-	}
-	return cp
-}
+// Func returns an entry's function in the view's program.
+func (m *Merged) Func(e *Entry) *ir.Func { return m.Prog.Funcs[e.Name] }
 
 // ClassifyChannels decides every channel's implementation class under the
 // plan. Channels whose producer and consumer share an aggregate become
@@ -158,7 +151,10 @@ func ClassifyChannels(prog *ir.Program, plan *Plan) map[*types.Channel]ChannelCl
 
 // BuildMerged constructs the per-aggregate merged programs: internal
 // channel puts become direct calls, consumer PPF bodies are cloned as
-// helpers, and everything is inlined into the entry functions.
+// helpers, and everything is inlined into the entry functions. Every merged
+// program starts as a frozen view of prog (ir.Program.Freeze), so prog's
+// functions are frozen on return; a merged program holds a copy only of
+// what it rewrote.
 func BuildMerged(prog *ir.Program, plan *Plan, classes map[*types.Channel]ChannelClass) ([]*Merged, error) {
 	var out []*Merged
 	for _, agg := range plan.Aggregates {
@@ -172,33 +168,29 @@ func BuildMerged(prog *ir.Program, plan *Plan, classes map[*types.Channel]Channe
 }
 
 func buildOne(prog *ir.Program, plan *Plan, classes map[*types.Channel]ChannelClass, agg *Aggregate) (*Merged, error) {
-	np := ir.CloneProgram(prog)
+	np := prog.Freeze()
 	member := map[string]bool{}
 	for _, f := range agg.PPFs {
 		member[f] = true
 	}
+	internal := func(in *ir.Instr) bool { return in.Op == ir.OpChanPut && classes[in.Chan] == ChanInternal }
 	// Convert internal channel puts into calls of helper clones.
 	needHelper := map[string]bool{}
 	for _, name := range agg.PPFs {
-		fn := np.Funcs[name]
-		for _, b := range fn.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpChanPut && classes[in.Chan] == ChanInternal {
-					needHelper[in.Chan.Consumer] = true
+		var fn *ir.Func
+		for bi, b := range np.Funcs[name].Blocks {
+			for ii, in := range b.Instrs {
+				if !internal(in) {
+					continue
 				}
-			}
-		}
-	}
-	for _, name := range agg.PPFs {
-		fn := np.Funcs[name]
-		for _, b := range fn.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpChanPut && classes[in.Chan] == ChanInternal {
-					consumer := in.Chan.Consumer
-					in.Op = ir.OpCall
-					in.Callee = consumer + "$h"
-					in.Chan = nil
+				needHelper[in.Chan.Consumer] = true
+				if fn == nil {
+					fn = np.Edit(name)
 				}
+				in := fn.Blocks[bi].Instrs[ii]
+				in.Op = ir.OpCall
+				in.Callee = in.Chan.Consumer + "$h"
+				in.Chan = nil
 			}
 		}
 	}
@@ -224,14 +216,14 @@ func buildOne(prog *ir.Program, plan *Plan, classes map[*types.Channel]ChannelCl
 	// Entries: member PPFs fed by rx, an external channel, or a loopback.
 	var entries []*Entry
 	if prog.Types.Entry != nil && member[prog.Types.Entry.Name] {
-		entries = append(entries, &Entry{In: nil, Func: np.Funcs[prog.Types.Entry.Name]})
+		entries = append(entries, &Entry{In: nil, Name: prog.Types.Entry.Name})
 	}
 	for _, ch := range prog.Types.ChanByID {
 		if !member[ch.Consumer] {
 			continue
 		}
 		if classes[ch] == ChanExternal || classes[ch] == ChanLoopback {
-			entries = append(entries, &Entry{In: ch, Func: np.Funcs[ch.Consumer]})
+			entries = append(entries, &Entry{In: ch, Name: ch.Consumer})
 		}
 	}
 	// Inline helper clones (and ordinary helpers) into the entries.

@@ -182,7 +182,7 @@ func compileAggregate(prog *ir.Program, m *aggregate.Merged, layout *Layout,
 			Class: ClassPacketRing, Comment: "poll " + labelName(e)})
 		l.emitBccImm(CEq, v0, InvalidPktID, nextLabel)
 
-		if err := l.lowerEntry(prog, e, v0, v1, fact); err != nil {
+		if err := l.lowerEntry(prog, m.Func(e), v0, v1, fact); err != nil {
 			return nil, err
 		}
 		l.emitBr("dispatch")
@@ -229,8 +229,7 @@ func labelName(e *aggregate.Entry) string {
 
 // lowerEntry binds the entry function's handle parameter to the ring
 // descriptor and lowers the body.
-func (l *lowerer) lowerEntry(prog *ir.Program, e *aggregate.Entry, v0, v1 PReg, fact soar.Input) error {
-	fn := e.Func
+func (l *lowerer) lowerEntry(prog *ir.Program, fn *ir.Func, v0, v1 PReg, fact soar.Input) error {
 	l.handles = map[ir.Reg]*handleInfo{}
 	l.regmap = map[ir.Reg]PReg{}
 

@@ -33,7 +33,8 @@ type Ladder struct {
 	base    *ir.Program
 	inPlace bool // the single rung may consume base itself (CompileIR)
 	cfg     Config
-	rungs   []*rung // ascending by level
+	rungs   []*rung     // ascending by level
+	store   *storeCheck // nil outside tests
 }
 
 // rung is one level's compile: its pipeline, where it leaves an earlier
@@ -93,7 +94,7 @@ func newLadder(prog *ir.Program, cfg Config, levels []Level, pipelineFor func(Co
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	l := &Ladder{base: prog, cfg: cfg}
+	l := &Ladder{base: prog, cfg: cfg, store: newStoreCheck(cfg)}
 	levels = slices.Clone(levels)
 	slices.Sort(levels)
 	for _, lvl := range levels {
@@ -164,13 +165,16 @@ func (l *Ladder) Compile(lvl Level) (*Result, error) {
 
 // climb compiles one rung: take up the state where the rung leaves its
 // donor's pipeline, run the passes nobody has run, and keep the states
-// later rungs will leave from.
+// later rungs will leave from. The states are frozen (capture), so the
+// passes still to run on this rung copy what they write.
 func (l *Ladder) climb(r *rung) {
 	r.climbed = true
 	cfg := l.cfg
 	cfg.Level = r.level
 	run := newRunner(nil, cfg)
+	run.store = l.store
 	ctx := run.ctx
+	l.checkHeld()
 	switch from := r.from; {
 	case from == nil && l.inPlace:
 		ctx.Prog = l.base
@@ -183,13 +187,10 @@ func (l *Ladder) climb(r *rung) {
 	default:
 		f := from.forks[r.shared]
 		snap := f.snap
-		if f.uses--; f.uses > 0 {
-			snap.cloneInto(ctx)
-		} else {
-			// The last rung to leave from here takes the state over.
-			ctx.Prog, ctx.Merged = snap.prog, snap.merged
-			f.snap = nil
+		if f.uses--; f.uses == 0 {
+			f.snap = nil // the last rung to leave from here lets it go
 		}
+		snap.fork(ctx)
 		ctx.facts = snap.facts
 		*ctx.Report = f.report
 		ctx.Report.Level = r.level
@@ -206,6 +207,7 @@ func (l *Ladder) climb(r *rung) {
 		r.done++
 		if f := r.forks[r.done]; f != nil {
 			f.snap = capture(ctx)
+			l.store.pin(f.snap)
 			f.report = *ctx.Report
 			f.report.Passes = make([]PassTiming, len(ctx.Report.Passes))
 			for i, row := range ctx.Report.Passes {
@@ -216,4 +218,25 @@ func (l *Ladder) climb(r *rung) {
 		}
 	}
 	r.res = run.result()
+}
+
+// checkHeld verifies, before a climb, every frozen function the ladder
+// holds — the states later rungs will fork and the results not yet handed
+// back, which their callers can reach (storeCheck.verify).
+func (l *Ladder) checkHeld() {
+	if l.store == nil {
+		return
+	}
+	var progs []*ir.Program
+	for _, rg := range l.rungs {
+		for _, f := range rg.forks {
+			if f.snap != nil {
+				progs = appendPrograms(progs, f.snap.prog, f.snap.merged)
+			}
+		}
+		if rg.res != nil {
+			progs = appendPrograms(progs, rg.res.Prog, rg.res.Merged)
+		}
+	}
+	l.store.verify("", progs)
 }

@@ -2,6 +2,8 @@ package driver
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"shangrila/internal/ir"
@@ -23,8 +25,8 @@ func TestLadderSharedFailure(t *testing.T) {
 		{"pass error", func(*Context) error { return boom },
 			func(err error) bool { return errors.Is(err, boom) }},
 		{"verify error", func(ctx *Context) error {
-			for _, fn := range ctx.Prog.Funcs {
-				fn.Entry.Instrs = nil // no terminator
+			for name := range ctx.Prog.Funcs {
+				ctx.Prog.Edit(name).Entry.Instrs = nil // no terminator
 			}
 			return nil
 		}, func(err error) bool {
@@ -85,6 +87,64 @@ func TestLadderSharedFailure(t *testing.T) {
 			}
 			if len(runs) != len(want) {
 				t.Errorf("passes run: %v, want %v", runs, want)
+			}
+		})
+	}
+}
+
+// TestFrozenWriteCaught: a pass that writes a function its state shares
+// with a fork must go through ir.Program.Edit. Written in place, the
+// fork's copy of the IR changes under the rungs that will resume from it;
+// under `go test` (VerifyAuto) the climb ends in a panic naming the
+// function and the pass. The same write through the accessor copies the
+// function, and the level that forks from the shared state compiles from
+// the IR as it was.
+func TestFrozenWriteCaught(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(ctx *Context) *ir.Func
+	}{
+		{"in place", func(ctx *Context) *ir.Func { return ctx.Prog.Funcs["m.f"] }},
+		{"through Edit", func(ctx *Context) *ir.Func { return ctx.Prog.Edit("m.f") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			noop := func(*Context) error { return nil }
+			first := &fakePass{name: "first", run: noop}
+			writer := &fakePass{name: "writer", run: func(ctx *Context) error {
+				tc.write(ctx).Entry.Instrs[0].Imm += 99
+				return nil
+			}}
+			pipelines := map[Level][]Pass{0: {first, writer}, 1: {first, &fakePass{name: "tail", run: noop}}}
+			prog := lowerTestProg(t)
+			want := prog.Funcs["m.f"].String()
+			l := newLadder(prog, Config{}, []Level{0, 1}, func(cfg Config) []Pass { return pipelines[cfg.Level] })
+
+			var caught string
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						caught = fmt.Sprint(r)
+					}
+				}()
+				if _, err := l.Compile(0); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			if tc.name == "in place" {
+				if !strings.Contains(caught, "m.f") || !strings.Contains(caught, "writer") {
+					t.Fatalf("write to a frozen function: panic %q, want one naming m.f and the writer pass", caught)
+				}
+				return
+			}
+			if caught != "" {
+				t.Fatalf("a write through ir.Program.Edit panicked: %s", caught)
+			}
+			res, err := l.Compile(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Prog.Funcs["m.f"].String(); got != want {
+				t.Errorf("the level forked before the write compiled from\n%s\nwant\n%s", got, want)
 			}
 		})
 	}

@@ -310,6 +310,9 @@ func (m VerifyMode) enabled() bool {
 type runner struct {
 	ctx    *Context
 	verify bool
+	// store, when set (under test), checks after each pass that it wrote
+	// no frozen function in place.
+	store *storeCheck
 	// dumpSeq numbers dump files so pipeline order survives in a listing.
 	dumpSeq int
 }
@@ -360,6 +363,9 @@ func (r *runner) runPass(p Pass) error {
 	ctx.guardErr = nil
 	ctx.pass = name
 	err := p.Run(ctx)
+	if r.store != nil {
+		r.store.verify(name, appendPrograms(nil, ctx.Prog, ctx.Merged))
+	}
 	guardErr := ctx.guardErr
 	ctx.factGuard, ctx.guardErr = nil, nil
 	if err != nil {

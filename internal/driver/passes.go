@@ -211,7 +211,7 @@ func annotateMerged(ctx *Context, m *aggregate.Merged) {
 	for _, e := range m.Entries {
 		if e.In != nil && facts != nil {
 			if fct, ok := facts.ChanInputs[e.In.Name]; ok {
-				entries[e.Func.Name] = fct
+				entries[e.Name] = fct
 			}
 		}
 	}

@@ -37,6 +37,7 @@ package driver
 import (
 	"fmt"
 	"reflect"
+	"testing"
 
 	"shangrila/internal/aggregate"
 	"shangrila/internal/cg"
@@ -100,36 +101,59 @@ type factState struct {
 
 // snapshot is a cached compilation state: the working IR (program + merged
 // aggregate views) and the fact base. Fact values are shared by pointer
-// (producers never mutate a published fact). The IR is never written once
-// captured — it is cloned into the cache and out of it again, so neither
-// later passes nor callers can disturb it — which is what lets several
-// snapshots of one state share it (withFacts).
+// (producers never mutate a published fact). The IR is frozen
+// (ir.Program.Freeze): its functions are shared with the working state it
+// was taken from and with every state forked from it, and a pass that
+// writes one writes a private copy, so neither later passes nor callers can
+// disturb a snapshot. That is also what lets several snapshots of one state
+// share it (withFacts).
 type snapshot struct {
 	prog   *ir.Program
 	merged []*aggregate.Merged
 	facts  facts
 }
 
-// capture snapshots ctx's working state.
+// capture snapshots ctx's working state, freezing its functions.
 func capture(ctx *Context) *snapshot {
-	return &snapshot{
-		prog:   ir.CloneProgram(ctx.Prog),
-		merged: cloneMergedList(ctx.Merged),
-		facts:  ctx.facts,
-	}
+	return &snapshot{prog: ctx.Prog.Freeze(), merged: freezeMerged(ctx.Merged), facts: ctx.facts}
 }
 
-// withFacts is the snapshot's IR (shared, never written) under another fact
-// base.
+// withFacts is the snapshot's IR under another fact base.
 func (s *snapshot) withFacts(f facts) *snapshot {
 	return &snapshot{prog: s.prog, merged: s.merged, facts: f}
 }
 
-// cloneInto gives ctx a private copy of the snapshot's IR; the fact base
-// is the caller's to install.
-func (s *snapshot) cloneInto(ctx *Context) {
-	ctx.Prog = ir.CloneProgram(s.prog)
-	ctx.Merged = cloneMergedList(s.merged)
+// fork gives ctx a writable view of the snapshot's IR: programs of its own
+// over the snapshot's frozen functions. The fact base is the caller's to
+// install.
+func (s *snapshot) fork(ctx *Context) {
+	ctx.Prog = s.prog.Freeze()
+	ctx.Merged = freezeMerged(s.merged)
+}
+
+// freezeMerged freezes the merged views' programs and returns views of
+// their own over them. The Merged structs are copies too: a view's
+// aggregate is rebound when a fork is handed out (materialize).
+func freezeMerged(ms []*aggregate.Merged) []*aggregate.Merged {
+	if ms == nil {
+		return nil
+	}
+	out := make([]*aggregate.Merged, len(ms))
+	for i, m := range ms {
+		cp := *m
+		cp.Prog = m.Prog.Freeze()
+		out[i] = &cp
+	}
+	return out
+}
+
+// appendPrograms appends the programs of one IR state to out.
+func appendPrograms(out []*ir.Program, prog *ir.Program, merged []*aggregate.Merged) []*ir.Program {
+	out = append(out, prog)
+	for _, m := range merged {
+		out = append(out, m.Prog)
+	}
+	return out
 }
 
 // reportPatch replays the report/image fields one pass wrote, so a skipped
@@ -175,9 +199,10 @@ type passEntry struct {
 // actually changed. Not safe for concurrent use.
 type Session struct {
 	cfg      Config
-	base     *snapshot // pristine lowered IR, cloned per compile
+	base     *snapshot // pristine lowered IR, forked per compile
 	baseHash uint64
 	hasher   ir.Hasher
+	store    *storeCheck // nil outside tests
 	// trace is a pristine deep copy of cfg.ProfileTrace: interpreting the
 	// trace mutates packets in place (the apps rewrite MACs, TTLs,
 	// labels), so every profile re-run gets fresh clones — a recompile
@@ -207,7 +232,8 @@ func NewSession(prog *ir.Program, cfg Config) (*Session, error) {
 	}
 	s := &Session{
 		cfg:     cfg,
-		base:    &snapshot{prog: ir.CloneProgram(prog)},
+		base:    &snapshot{prog: ir.CloneProgram(prog).Freeze()},
+		store:   newStoreCheck(cfg),
 		trace:   clonePackets(cfg.ProfileTrace),
 		reg:     cfg.Metrics,
 		entries: make([]*passEntry, len(PipelineFor(cfg))),
@@ -281,14 +307,16 @@ func (s *Session) Compile() (*Result, error) {
 	if len(pipeline) != len(s.entries) {
 		return nil, fmt.Errorf("session: pipeline changed size (%d != %d)", len(pipeline), len(s.entries))
 	}
+	s.checkHeld()
 	cfgRun := s.cfg
 	cfgRun.ProfileTrace = clonePackets(s.trace)
 	r := newRunner(nil, cfgRun)
+	r.store = s.store
 	ctx := r.ctx
 
 	// The walk: live is the fact base at the current position, cur the
-	// cached copy of the IR there and curHash its fingerprint;
-	// materialized says ctx holds a private clone of cur.
+	// cached IR there and curHash its fingerprint; materialized says ctx
+	// holds a fork of cur.
 	var live factState
 	cur, curHash := s.base, s.baseHash
 	materialized := false
@@ -362,7 +390,7 @@ func (s *Session) Compile() (*Result, error) {
 			}
 		}
 		ent.key = live.key
-		// A state already held is not cloned again.
+		// A state already held is not captured again.
 		switch {
 		case same:
 			ent.snap = old.snap.withFacts(live.facts)
@@ -370,6 +398,7 @@ func (s *Session) Compile() (*Result, error) {
 			ent.snap = cur.withFacts(live.facts)
 		default:
 			ent.snap = capture(ctx)
+			s.store.pin(ent.snap)
 		}
 		if cutoff {
 			s.reg.Counter(metrics.SessionCutoffs).Inc()
@@ -384,7 +413,8 @@ func (s *Session) Compile() (*Result, error) {
 
 	if !materialized {
 		// The compile ended on a cached pass (possibly a full cache hit):
-		// hand out clones so callers can never disturb the cached state.
+		// hand out a fork, whose frozen functions a caller can only write
+		// through ir.Program.Edit, that is, by copying them.
 		materialize(ctx, cur, &live)
 	}
 	if imageCached && live.valid[FactPlan] {
@@ -402,6 +432,22 @@ func (s *Session) Compile() (*Result, error) {
 	s.reg.Counter(metrics.SessionCompiles).Inc()
 
 	return r.result(), nil
+}
+
+// checkHeld verifies, before a compile, every frozen function the
+// session's states hold: a caller holding a result can reach them
+// (storeCheck.verify).
+func (s *Session) checkHeld() {
+	if s.store == nil {
+		return
+	}
+	progs := appendPrograms(nil, s.base.prog, nil)
+	for _, ent := range s.entries {
+		if ent != nil {
+			progs = appendPrograms(progs, ent.snap.prog, ent.snap.merged)
+		}
+	}
+	s.store.verify("", progs)
 }
 
 // rerunReason decides whether a cached pass execution applies at the
@@ -482,11 +528,11 @@ func sameFact(k FactKind, a, b any) bool {
 	return false
 }
 
-// materialize gives ctx a private copy of a cached IR state. The merged
-// views of a cached state may name the aggregates of an older, equal plan;
-// they are handed out naming the live one's.
+// materialize gives ctx a fork of a cached IR state. The merged views of a
+// cached state may name the aggregates of an older, equal plan; they are
+// handed out naming the live one's.
 func materialize(ctx *Context, snap *snapshot, live *factState) {
-	snap.cloneInto(ctx)
+	snap.fork(ctx)
 	if !live.valid[FactPlan] {
 		return
 	}
@@ -589,22 +635,13 @@ func (p *reportPatch) apply(ctx *Context) {
 	}
 }
 
-// cloneMergedList deep-copies every merged aggregate view.
-func cloneMergedList(ms []*aggregate.Merged) []*aggregate.Merged {
-	if ms == nil {
-		return nil
-	}
-	out := make([]*aggregate.Merged, len(ms))
-	for i, m := range ms {
-		out[i] = m.Clone()
-	}
-	return out
-}
-
 // hashState fingerprints the compilation state: the whole program and every
 // merged aggregate body, each under the aggregate's identity. Two states
 // hash equal only when no pass can tell them apart (modulo 64-bit
 // collisions, which the differential tests would surface as a miscompare).
+// A frozen function's fingerprint is computed once (ir.Hasher.Func), so
+// hashing a state costs a rendering of only the functions written since
+// the state it was forked from.
 func hashState(h *ir.Hasher, prog *ir.Program, merged []*aggregate.Merged) uint64 {
 	h.Reset()
 	h.Program(prog)
@@ -618,4 +655,55 @@ func hashState(h *ir.Hasher, prog *ir.Program, merged []*aggregate.Merged) uint6
 		h.Program(m.Prog)
 	}
 	return h.Sum64()
+}
+
+// storeCheck is the test-time guard on the program store. A Session or
+// Ladder pins every state it freezes, caching its functions'
+// fingerprints. After every pass its runner executes, the frozen functions
+// the pass could reach (the working state's) are verified against them,
+// and before each compile (each climb) every frozen function it holds is,
+// for writes made in between by a caller holding a result.
+type storeCheck struct{ h ir.Hasher }
+
+// newStoreCheck returns the guard in a `go test` binary unless the compile
+// opted out of verification (VerifyOff), and nil — no guard, no cost —
+// otherwise: in production even VerifyOn (the fuzz differential's
+// setting) leaves it off.
+func newStoreCheck(cfg Config) *storeCheck {
+	if !testing.Testing() || cfg.VerifyIR == VerifyOff {
+		return nil
+	}
+	return &storeCheck{}
+}
+
+// pin caches the fingerprint of every function of a state just captured,
+// so that a later write without ir.Program.Edit shows as a mismatch.
+func (c *storeCheck) pin(s *snapshot) {
+	if c != nil {
+		hashState(&c.h, s.prog, s.merged)
+	}
+}
+
+// verify re-fingerprints every frozen function of progs from scratch and
+// panics when one no longer matches its cached fingerprint. Such a
+// function was written in place, not through ir.Program.Edit, and every
+// state sharing it is corrupt; the panic names it and the pass that wrote
+// it ("" for a write between compiles, by a caller holding a result).
+func (c *storeCheck) verify(pass string, progs []*ir.Program) {
+	seen := map[*ir.Func]bool{}
+	for _, p := range progs {
+		for _, f := range p.Funcs {
+			if seen[f] {
+				continue
+			}
+			seen[f] = true
+			switch {
+			case c.h.Intact(f):
+			case pass == "":
+				panic(fmt.Sprintf("driver: frozen function %s was written between compiles without ir.Program.Edit", f.Name))
+			default:
+				panic(fmt.Sprintf("driver: pass %s wrote frozen function %s without ir.Program.Edit", pass, f.Name))
+			}
+		}
+	}
 }

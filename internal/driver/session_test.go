@@ -2,11 +2,13 @@ package driver_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"shangrila/internal/apps"
 	"shangrila/internal/driver"
+	"shangrila/internal/ir"
 	"shangrila/internal/metrics"
 	"shangrila/internal/profiler"
 )
@@ -362,11 +364,15 @@ func TestSessionDecisionRecords(t *testing.T) {
 }
 
 // TestRecompileAllocsBelowCold is the clock-free guard on what the Session
-// is for: a steady-state recompile of one churn delta allocates fewer
-// objects than a cold CompileIR on the same program, trace and controls.
-// (Before the cut-off and the shared snapshots it allocated three times
-// as many.)
+// is for: a steady-state recompile of one churn delta allocates well under
+// a cold CompileIR on the same program, trace and controls. The ceilings
+// are the program store's measurement (3,845 / 4,640 / 5,866 allocations
+// per recompile, against 9,860 / 12,148 / 9,010 per cold compile) plus a
+// tenth; with whole-program clones per snapshot it was 5,016 / 5,431 /
+// 7,072, and before the cut-off and the shared snapshots three times the
+// cold compile's.
 func TestRecompileAllocsBelowCold(t *testing.T) {
+	ceiling := map[string]float64{"l3switch": 4230, "mpls": 5100, "firewall": 6450}
 	for _, a := range apps.All() {
 		c := newChurner(t, a, 1)
 		s := c.session(t, driver.LevelSWC, driver.VerifyOff)
@@ -382,8 +388,59 @@ func TestRecompileAllocsBelowCold(t *testing.T) {
 		})
 		cold := testing.AllocsPerRun(10, func() { c.cold(t, driver.LevelSWC, driver.VerifyOff) })
 		t.Logf("%s: %.0f allocations per recompile, %.0f per cold compile", a.Name, inc, cold)
-		if inc >= cold {
-			t.Errorf("%s: a recompile allocates %.0f objects, a cold compile %.0f", a.Name, inc, cold)
+		if inc > ceiling[a.Name] {
+			t.Errorf("%s: a recompile allocates %.0f objects, ceiling %.0f (a cold compile %.0f)",
+				a.Name, inc, ceiling[a.Name], cold)
 		}
+	}
+}
+
+// TestEditingResultLeavesSession: a result a Session hands out shares the
+// session's frozen functions instead of copying them. A caller that edits
+// them through ir.Program.Edit — the whole program and every merged view,
+// destructively — writes copies of its own, and the session's next
+// recompile is still a cold compile's equal. A caller that writes one in
+// place instead is named by the next compile (under `go test`).
+func TestEditingResultLeavesSession(t *testing.T) {
+	a := apps.L3Switch()
+	s := newSessionFor(t, a, driver.LevelSWC)
+	res, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := []*ir.Program{res.Prog}
+	for _, m := range res.Merged {
+		progs = append(progs, m.Prog)
+	}
+	for _, p := range progs {
+		for name, f := range p.Funcs {
+			if !f.Frozen() {
+				t.Fatalf("the result hands out %s unfrozen", name)
+			}
+			w := p.Edit(name)
+			w.Entry.Instrs, w.NumRegs = nil, 0
+		}
+	}
+	inc, err := s.Recompile(deltaFor(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dumpIR(t, inc), dumpIR(t, coldCompile(t, a, s.Config()))) {
+		t.Fatal("editing a handed-out result through ir.Program.Edit changed the next recompile")
+	}
+
+	f := inc.Prog.Funcs[inc.Prog.Order[0]]
+	f.Entry.Instrs[0].Imm += 99
+	var caught string
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				caught = fmt.Sprint(r)
+			}
+		}()
+		s.Compile()
+	}()
+	if !strings.Contains(caught, f.Name) {
+		t.Errorf("a result function written in place: next compile panicked with %q, want it named", caught)
 	}
 }

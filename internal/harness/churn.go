@@ -258,7 +258,10 @@ func ChurnRun(a *apps.App, opts ...Option) (*ChurnResult, error) {
 		}
 	}
 
-	trc := a.Trace(res.Prog.Types, s.run.Seed+1, s.run.TraceN)
+	trc, err := s.measurementTrace(a, res)
+	if err != nil {
+		return nil, err
+	}
 	var cfg ixp.Config
 	if s.metricsReg != nil {
 		cfg = ixp.DefaultConfig()

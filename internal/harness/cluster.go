@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"shangrila/internal/apps"
@@ -37,8 +38,13 @@ type ClusterParams struct {
 
 // withDefaults fills the zero values. DrainChip's zero value means chip
 // 0, so "no drain" must be set explicitly (DrainChip: -1); NoDrain
-// spares callers the magic number.
-func (p ClusterParams) withDefaults() ClusterParams {
+// spares callers the magic number. A non-finite DrainFrac is an error: it
+// would slip past the range check below and schedule the drain at a
+// meaningless cycle.
+func (p ClusterParams) withDefaults() (ClusterParams, error) {
+	if math.IsNaN(p.DrainFrac) || math.IsInf(p.DrainFrac, 0) {
+		return p, fmt.Errorf("cluster: DrainFrac %v is not a fraction", p.DrainFrac)
+	}
 	if p.Chips <= 0 {
 		p.Chips = 1
 	}
@@ -54,7 +60,7 @@ func (p ClusterParams) withDefaults() ClusterParams {
 	if p.DrainFrac <= 0 || p.DrainFrac >= 1 {
 		p.DrainFrac = 0.5
 	}
-	return p
+	return p, nil
 }
 
 // NoDrain is the DrainChip value for runs without a drain scenario.
@@ -80,7 +86,10 @@ type ClusterResult struct {
 func ClusterRun(a *apps.App, p ClusterParams, opts ...Option) (*ClusterResult, error) {
 	s := defaultSettings()
 	s.apply(opts)
-	p = p.withDefaults()
+	p, err := p.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 
 	res := s.compiled
 	if res == nil {
@@ -90,7 +99,10 @@ func ClusterRun(a *apps.App, p ClusterParams, opts ...Option) (*ClusterResult, e
 			return nil, fmt.Errorf("%s at %v: %w", a.Name, s.level, err)
 		}
 	}
-	trc := a.Trace(res.Prog.Types, s.run.Seed+1, s.run.TraceN)
+	trc, err := s.measurementTrace(a, res)
+	if err != nil {
+		return nil, err
+	}
 
 	wsp := workload.Spec{
 		Seed:        s.run.Seed + 1, // traffic seed, distinct from the profile seed
@@ -100,7 +112,7 @@ func ClusterRun(a *apps.App, p ClusterParams, opts ...Option) (*ClusterResult, e
 		Flows:       p.Flows,
 		ZipfS:       p.ZipfS,
 	}
-	wsp, err := wsp.Normalize()
+	wsp, err = wsp.Normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +169,10 @@ func ClusterRun(a *apps.App, p ClusterParams, opts ...Option) (*ClusterResult, e
 func ClusterScaling(a *apps.App, p ClusterParams, opts ...Option) ([]*ClusterResult, error) {
 	s := defaultSettings()
 	s.apply(opts)
-	p = p.withDefaults()
+	p, err := p.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 
 	res := s.compiled
 	if res == nil {

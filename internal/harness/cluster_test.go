@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"shangrila/internal/apps"
@@ -158,6 +159,24 @@ func TestClusterDeterminism(t *testing.T) {
 		if bk.ClusterGbps <= 0 {
 			t.Errorf("bucket %d: cluster goodput %.3f, want > 0 (forwarding must survive the drain)",
 				i, bk.ClusterGbps)
+		}
+	}
+}
+
+// TestClusterRejectsNonFiniteDrainFrac: NaN passes withDefaults' range
+// test (every comparison with it is false) and would schedule the drain at
+// a garbage cycle, so a non-finite DrainFrac is an error before anything
+// compiles.
+func TestClusterRejectsNonFiniteDrainFrac(t *testing.T) {
+	a := apps.L3Switch()
+	for _, frac := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p := clusterTestParams(2)
+		p.DrainChip, p.DrainFrac = 1, frac
+		if _, err := ClusterRun(a, p); err == nil {
+			t.Errorf("ClusterRun with DrainFrac %v succeeded", frac)
+		}
+		if _, err := ClusterScaling(a, p); err == nil {
+			t.Errorf("ClusterScaling with DrainFrac %v succeeded", frac)
 		}
 	}
 }

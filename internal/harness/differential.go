@@ -173,6 +173,11 @@ func DifferentialWith(cfg DiffConfig, a *apps.App, levels ...driver.Level) *Diff
 	for _, lvl := range levels {
 		rep.Levels = append(rep.Levels, lvl.String())
 	}
+	if cfg.TraceN < 0 {
+		rep.add(Divergence{Kind: DivHost, LevelA: "host", LevelB: "host", PacketIndex: -1,
+			Detail: fmt.Sprintf("DiffConfig.TraceN is %d: no trace to inject", cfg.TraceN)})
+		return rep
+	}
 
 	// Establish the reference: lower once, interpret the trace on the
 	// host. The same packet list is replayed against every level.

@@ -180,6 +180,18 @@ func fuzzFlagDefs(fs *flag.FlagSet) any {
 	return ff
 }
 
+func (ff *fuzzFlags) check() error {
+	switch {
+	case ff.N < 1:
+		return fmt.Errorf("-fuzz-n %d: want at least one program", ff.N)
+	case ff.TraceN < 1:
+		return fmt.Errorf("-fuzz-trace %d: want at least one packet", ff.TraceN)
+	case ff.Budget < 0:
+		return fmt.Errorf("-fuzz-budget %v: want 0 (none) or more", ff.Budget)
+	}
+	return nil
+}
+
 // config resolves the flag surface against the shared context: an unset
 // -fuzz-seed inherits the common -seed so every campaign is replayable
 // from the values echoed in the output.
@@ -244,6 +256,18 @@ func clusterFlagDefs(fs *flag.FlagSet) any {
 	fs.Int64Var(&cf.Epoch, "cluster-epoch", 0, "cluster experiment: scheduler epoch in cycles (0 = default)")
 	fs.Int64Var(&cf.Latency, "cluster-fabric-latency", 0, "cluster experiment: fabric first-delivery offset in cycles")
 	return cf
+}
+
+func (cf *clusterFlags) check() error {
+	switch {
+	case cf.Chips < 1:
+		return fmt.Errorf("-chips %d: want at least one chip", cf.Chips)
+	case cf.Flows < 0:
+		return fmt.Errorf("-cluster-flows %d: want a flow population of 0 (the default) or more", cf.Flows)
+	case !(cf.DrainFrac > 0 && cf.DrainFrac < 1): // NaN fails both
+		return fmt.Errorf("-cluster-drain-frac %v: want a fraction strictly between 0 and 1", cf.DrainFrac)
+	}
+	return nil
 }
 
 // runClusterSeries runs the goodput-scaling series (and drain scenario)

@@ -3,6 +3,7 @@ package harness
 import (
 	"flag"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -59,5 +60,51 @@ func TestCommonFlagsRejectInvalid(t *testing.T) {
 	}
 	if _, err := f.Options(); err != nil {
 		t.Errorf("default options: %v", err)
+	}
+}
+
+// TestExperimentFlagsRejectInvalid parses real argument lists through the
+// registry's BindFlags, as both CLIs do: an experiment flag value the
+// experiment cannot honour is an error naming the flag and the value
+// (the CLIs exit 2 on it), never a silent substitution; the defaults pass.
+func TestExperimentFlagsRejectInvalid(t *testing.T) {
+	check := func(args ...string) error {
+		t.Helper()
+		fs := flag.NewFlagSet("exp", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		bound := Experiments().BindFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatalf("parse %q: %v", args, err)
+		}
+		return Experiments().CheckFlags(bound)
+	}
+	for _, args := range [][]string{
+		{"-chips", "0"},
+		{"-chips", "-2"},
+		{"-cluster-flows", "-1"},
+		{"-cluster-drain-frac", "NaN"},
+		{"-cluster-drain-frac", "+Inf"},
+		{"-cluster-drain-frac", "2"},
+		{"-cluster-drain-frac", "0"},
+		{"-cluster-drain-frac", "1"},
+		{"-fuzz-n", "-2"},
+		{"-fuzz-n", "0"},
+		{"-fuzz-trace", "-4"},
+		{"-fuzz-trace", "0"},
+		{"-fuzz-budget", "-1s"},
+	} {
+		err := check(args...)
+		if err == nil || !strings.Contains(err.Error(), args[0]+" "+args[1]) {
+			t.Errorf("%q: %v, want an error naming the flag and the value", args, err)
+		}
+	}
+	for _, args := range [][]string{
+		nil,
+		{"-chips", "1", "-cluster-flows", "0", "-cluster-drain-frac", "0.25"},
+		{"-fuzz-n", "1", "-fuzz-trace", "1", "-fuzz-budget", "0s"},
+	} {
+		if err := check(args...); err != nil {
+			t.Errorf("%q: %v", args, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package harness_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"shangrila/internal/apps"
@@ -181,4 +182,26 @@ func TestCompileAllocations(t *testing.T) {
 		t.Errorf("compile made %.0f allocations, want < 15000", allocs)
 	}
 	t.Logf("%.0f allocations per compile", allocs)
+}
+
+// TestNegativeTraceRejected: a negative trace length is an error from
+// every runner that generates a trace (the trace generator would panic
+// sizing its output), and a differential records it as a host-side
+// divergence naming DiffConfig.TraceN.
+func TestNegativeTraceRejected(t *testing.T) {
+	a := apps.L3Switch()
+	opts := append(quickCfg().Options(), harness.WithTrace(-1))
+	if _, err := harness.Run(a, opts...); err == nil {
+		t.Error("Run with WithTrace(-1) succeeded")
+	}
+	if _, err := harness.ChurnRun(a, opts...); err == nil {
+		t.Error("ChurnRun with WithTrace(-1) succeeded")
+	}
+	if _, err := harness.ClusterRun(a, harness.ClusterParams{Chips: 1, DrainChip: harness.NoDrain}, opts...); err == nil {
+		t.Error("ClusterRun with WithTrace(-1) succeeded")
+	}
+	rep := harness.DifferentialWith(harness.DiffConfig{TraceN: -1}, a)
+	if d := rep.First(); d.Kind != harness.DivHost || !strings.Contains(d.Detail, "TraceN") {
+		t.Errorf("DifferentialWith(TraceN: -1) = %s, want a host divergence naming TraceN", rep)
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"shangrila/internal/driver"
 	"shangrila/internal/ixp"
 	"shangrila/internal/metrics"
+	"shangrila/internal/packet"
 	"shangrila/internal/rts"
 	"shangrila/internal/workload"
 )
@@ -182,6 +183,16 @@ func WithDumpIR(pass, dir string) Option {
 	}
 }
 
+// measurementTrace generates the cycled measurement trace (seed+1: the
+// paper separates training and evaluation traffic). A negative WithTrace
+// length is an error here, for every runner that reads it.
+func (s *settings) measurementTrace(a *apps.App, res *driver.Result) ([]*packet.Packet, error) {
+	if s.run.TraceN < 0 {
+		return nil, fmt.Errorf("harness: %s: trace length %d is negative", a.Name, s.run.TraceN)
+	}
+	return a.Trace(res.Prog.Types, s.run.Seed+1, s.run.TraceN), nil
+}
+
 func (s *settings) workerCount() int {
 	if s.workers > 0 {
 		return s.workers
@@ -285,7 +296,10 @@ func Run(a *apps.App, opts ...Option) (*Result, error) {
 // measure runs one compiled app on the machine model. Counters reset
 // after warm-up so the steady state is measured.
 func measure(a *apps.App, res *driver.Result, s *settings) (*Result, error) {
-	trc := a.Trace(res.Prog.Types, s.run.Seed+1, s.run.TraceN)
+	trc, err := s.measurementTrace(a, res)
+	if err != nil {
+		return nil, err
+	}
 	var cfg ixp.Config
 	if s.telemetry {
 		cfg = ixp.DefaultConfig()

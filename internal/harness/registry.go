@@ -156,6 +156,26 @@ func (r *ExperimentRegistry) BindFlags(fs *flag.FlagSet) map[string]any {
 	return out
 }
 
+// flagChecker is an experiment flag struct with values the flag package
+// parses but the experiment cannot honour.
+type flagChecker interface{ check() error }
+
+// CheckFlags rejects the out-of-range values BindFlags' structs were
+// parsed into, naming the flag and the value — every experiment's, not only
+// the selected ones', so a mistyped flag never goes unnoticed. The CLIs
+// exit 2 on the error before anything runs, instead of letting a runner
+// substitute a default.
+func (r *ExperimentRegistry) CheckFlags(bound map[string]any) error {
+	for _, e := range r.order {
+		if c, ok := bound[e.Name].(flagChecker); ok {
+			if err := c.check(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // UsageSpec returns the -experiment value syntax, generated from the
 // registry so it cannot drift from what Select accepts.
 func (r *ExperimentRegistry) UsageSpec() string {

@@ -1,9 +1,9 @@
 package ir
 
-// Clone deep-copies a function: fresh blocks and instructions, same
-// register numbering. Aggregation clones PPF bodies so per-aggregate
-// transforms (channel-to-call conversion, inlining, metadata localization)
-// cannot disturb other aggregates or the profiling copy.
+// Clone deep-copies a function: fresh blocks and instructions in the same
+// order, the same register numbering and the same CFG edges. The copy is
+// not frozen. Program.Edit takes its private copies with it, and
+// aggregation its internal-channel helper bodies.
 //
 // The copy's blocks, instructions, operand lists, branch-target lists and
 // CFG edge lists are carved out of one slab each, sized by a counting walk,
@@ -60,13 +60,23 @@ func (f *Func) Clone() *Func {
 		regs = regs[n:]
 		return out
 	}
+	carveBlocks := func(src []*Block) []*Block {
+		if src == nil {
+			return nil
+		}
+		n := len(src)
+		out := targets[:n:n]
+		targets = targets[n:]
+		for i, b := range src {
+			out[i] = copyOf(b)
+		}
+		return out
+	}
 	for bi, b := range f.Blocks {
 		nb := &blocks[bi]
 		nb.ID = b.ID
 		nf.Blocks[bi] = nb
-		// Room for the edges ComputeCFG is about to rebuild.
-		np, ns := len(b.Preds), len(b.Succs)
-		nb.Preds, nb.Succs, targets = targets[:0:np], targets[np:np:np+ns], targets[np+ns:]
+		nb.Preds, nb.Succs = carveBlocks(b.Preds), carveBlocks(b.Succs)
 		n := len(b.Instrs)
 		nb.Instrs, instrPtrs = instrPtrs[:n:n], instrPtrs[n:]
 		for ii, in := range b.Instrs {
@@ -74,24 +84,18 @@ func (f *Func) Clone() *Func {
 			*cp = *in
 			cp.Dst = carveRegs(in.Dst)
 			cp.Args = carveRegs(in.Args)
-			if in.Blocks != nil {
-				nt := len(in.Blocks)
-				cp.Blocks, targets = targets[:nt:nt], targets[nt:]
-				for ti, t := range in.Blocks {
-					cp.Blocks[ti] = copyOf(t)
-				}
-			}
+			cp.Blocks = carveBlocks(in.Blocks)
 			nb.Instrs[ii] = cp
 		}
 		instrs = instrs[n:]
 	}
 	nf.Entry = copyOf(f.Entry)
-	nf.ComputeCFG()
 	return nf
 }
 
 // CloneProgram deep-copies every function of p (sharing the immutable type
-// information).
+// information). The copy shares nothing else with p and is not frozen;
+// Program.Freeze is the copy that shares.
 func CloneProgram(p *Program) *Program {
 	np := &Program{
 		Types:    p.Types,

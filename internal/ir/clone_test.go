@@ -10,15 +10,15 @@ import (
 )
 
 // cloneAllocsPerFunc is what Func.Clone may allocate: the function, its
-// three parameter/class lists, one slab each for blocks, block pointers,
-// instructions, instruction pointers, registers and branch targets + CFG
-// edges, and ComputeCFG's reachability set and stack. Nothing per block,
-// instruction or operand (1,294 allocations for this program before the
-// slabs, 109 after).
-const cloneAllocsPerFunc = 16
+// three parameter/class lists, and one slab each for blocks, block
+// pointers, instructions, instruction pointers, registers and branch
+// targets + CFG edges. Nothing per block, instruction or operand (1,294
+// allocations for this program before the slabs, 109 after, 81 since the
+// copy takes the CFG edges over instead of recomputing them).
+const cloneAllocsPerFunc = 10
 
-// TestCloneAllocations pins the clone every session snapshot, ladder fork
-// and merged aggregate body is made with.
+// TestCloneAllocations pins the copy Program.Edit takes of a frozen
+// function.
 func TestCloneAllocations(t *testing.T) {
 	a := apps.L3Switch()
 	prog, err := driver.LowerSource(a.Name+".baker", a.Source)

@@ -18,6 +18,7 @@ var identityExcludes = map[string]string{
 	"Block.Preds": "derived from the terminators by ComputeCFG",
 	"Block.Succs": "derived from the terminators by ComputeCFG",
 	"Func.Source": "the semantic function the body was lowered from; fixed for the life of a program",
+	"Func.store":  "copy-on-write bookkeeping (frozen, cached fingerprint), not IR",
 }
 
 // identityFunc builds a two-block function with one instruction of every

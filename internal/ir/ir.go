@@ -222,6 +222,8 @@ type Func struct {
 	InProto *types.Protocol
 	// Source is the originating semantic function.
 	Source *types.Func
+
+	store funcStore
 }
 
 // FuncKind mirrors ast.FuncKind without importing ast here.

@@ -87,6 +87,20 @@ func TestCloneIsDeepAndIsomorphic(t *testing.T) {
 	if orig[c.Entry] {
 		t.Fatal("clone entry is the original entry")
 	}
+	// The CFG edges are copied, onto the clone's blocks.
+	for i, b := range c.Blocks {
+		ob := f.Blocks[i]
+		for _, e := range [][2][]*Block{{b.Preds, ob.Preds}, {b.Succs, ob.Succs}} {
+			if len(e[0]) != len(e[1]) {
+				t.Fatalf("b%d: %d edges in the clone, %d in the original", i, len(e[0]), len(e[1]))
+			}
+			for j := range e[0] {
+				if orig[e[0][j]] || e[0][j].ID != e[1][j].ID {
+					t.Errorf("b%d: edge %d leads to b%d of the clone, want the copy of b%d", i, j, e[0][j].ID, e[1][j].ID)
+				}
+			}
+		}
+	}
 }
 
 func TestPrintContainsStructure(t *testing.T) {

@@ -217,17 +217,20 @@ func appendInstr(b []byte, i *Instr, identity bool) []byte {
 	return b
 }
 
-// Hasher fingerprints IR states: FNV-1a over the identity rendering of every
-// function it is given, through one buffer it keeps, so hashing a state
-// allocates nothing once the buffer has grown to the largest function. The
-// zero value is not ready: call Reset first.
+// Hasher fingerprints IR states. A function's fingerprint is FNV-1a over its
+// identity rendering, rendered through one buffer the Hasher keeps, so
+// hashing allocates nothing once the buffer has grown to the largest
+// function; a state's fingerprint folds its functions' fingerprints
+// together. The zero value is not ready: call Reset first.
 type Hasher struct {
 	sum uint64
 	buf []byte
 }
 
+const fnvOffset = 14695981039346656037
+
 // Reset starts a new fingerprint.
-func (h *Hasher) Reset() { h.sum = 14695981039346656037 }
+func (h *Hasher) Reset() { h.sum = fnvOffset }
 
 // Sum64 returns the fingerprint of everything mixed in since Reset.
 func (h *Hasher) Sum64() uint64 { return h.sum }
@@ -247,10 +250,26 @@ func (h *Hasher) String(s string) { h.sum = fnv1a(h.sum, s) }
 // Int mixes in a number.
 func (h *Hasher) Int(n int) { h.sum = (h.sum ^ uint64(n)) * 1099511628211 }
 
-// Func mixes in one function.
+// Func mixes in one function's fingerprint. A frozen function's is computed
+// on first use and cached (see store.go); any other function is rendered
+// afresh every time.
 func (h *Hasher) Func(f *Func) {
+	fp := f.store.fp
+	if !f.store.hashed {
+		fp = h.render(f)
+		if f.store.frozen {
+			f.store.fp, f.store.hashed = fp, true
+		}
+	}
+	for i := 0; i < 64; i += 8 {
+		h.sum = (h.sum ^ fp>>i&0xff) * 1099511628211
+	}
+}
+
+// render computes f's fingerprint from its identity rendering.
+func (h *Hasher) render(f *Func) uint64 {
 	h.buf = appendFunc(h.buf[:0], f, true)
-	h.sum = fnv1a(h.sum, h.buf)
+	return fnv1a(fnvOffset, h.buf)
 }
 
 // Program mixes in every function of p, in Fprint order.

@@ -6,18 +6,18 @@ import "shangrila/internal/ir"
 // The paper notes aggressive inlining both exposes optimization
 // opportunities and merges stack frames, which is essential for keeping the
 // runtime stack in Local Memory (§5.4). Baker forbids recursion, so
-// repeated inlining terminates.
+// repeated inlining terminates. Only a function with a call to inline is
+// written (ir.Program.Edit).
 func InlineAll(p *ir.Program) {
 	// Inline bottom-up: process helpers before their callers so each call
 	// site is expanded at most once per callee body.
 	order := helperTopoOrder(p)
 	for _, name := range order {
-		inlineCallsIn(p, p.Funcs[name])
+		inlineCallsIn(p, name)
 	}
 	for _, name := range p.Order {
-		f := p.Funcs[name]
-		if f.Kind != ir.FuncHelper {
-			inlineCallsIn(p, f)
+		if p.Funcs[name].Kind != ir.FuncHelper {
+			inlineCallsIn(p, name)
 		}
 	}
 }
@@ -53,29 +53,36 @@ func helperTopoOrder(p *ir.Program) []string {
 	return order
 }
 
-// inlineCallsIn replaces every call to a helper in f with the callee body.
-func inlineCallsIn(p *ir.Program, f *ir.Func) {
-	for again := true; again; {
-		again = false
-		for _, b := range f.Blocks {
-			for idx, in := range b.Instrs {
-				if in.Op != ir.OpCall {
-					continue
-				}
-				callee := p.Funcs[in.Callee]
-				if callee == nil || callee.Kind != ir.FuncHelper {
-					continue
-				}
-				inlineCall(f, b, idx, in, callee)
-				again = true
-				break
+// inlineCallsIn replaces every call to a helper in the named function with
+// the callee body. A function without such a call is left alone: every
+// pass keeps its CFG computed, so the ComputeCFG that closes an inlining
+// would change nothing in it.
+func inlineCallsIn(p *ir.Program, name string) {
+	if b, _ := nextCall(p, p.Funcs[name]); b == nil {
+		return
+	}
+	f := p.Edit(name)
+	for b, idx := nextCall(p, f); b != nil; b, idx = nextCall(p, f) {
+		call := b.Instrs[idx]
+		inlineCall(f, b, idx, call, p.Funcs[call.Callee])
+	}
+	f.ComputeCFG()
+}
+
+// nextCall locates the first call to a helper in f: its block and index,
+// or a nil block.
+func nextCall(p *ir.Program, f *ir.Func) (*ir.Block, int) {
+	for _, b := range f.Blocks {
+		for idx, in := range b.Instrs {
+			if in.Op != ir.OpCall {
+				continue
 			}
-			if again {
-				break
+			if callee := p.Funcs[in.Callee]; callee != nil && callee.Kind == ir.FuncHelper {
+				return b, idx
 			}
 		}
 	}
-	f.ComputeCFG()
+	return nil, 0
 }
 
 // inlineCall splices callee's body in place of the call at b.Instrs[idx].

@@ -45,11 +45,13 @@ type Stats struct {
 	AccessesRemoved int // narrow accesses eliminated
 }
 
-// Run applies PAC to every function in the program.
+// Run applies PAC to every function in the program. Each is taken for
+// writing (ir.Program.Edit): the pipeline runs PAC only next to the scalar
+// optimizer, which writes every function anyway.
 func Run(p *ir.Program) *Stats {
 	st := &Stats{}
 	for _, name := range p.Order {
-		runFunc(p.Types, p.Funcs[name], st)
+		runFunc(p.Types, p.Edit(name), st)
 	}
 	return st
 }

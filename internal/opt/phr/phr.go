@@ -41,7 +41,8 @@ type Stats struct {
 
 // Run applies PHR to every ME aggregate's merged entries. The full
 // program (prog) supplies the global view needed to prove a metadata
-// field local to one aggregate.
+// field local to one aggregate. An entry function is taken for writing
+// (ir.Program.Edit) only when it has something to rewrite.
 func Run(prog *ir.Program, plan *aggregate.Plan, merged []*aggregate.Merged) *Stats {
 	st := &Stats{}
 	accessors := fieldAccessors(prog)
@@ -51,7 +52,7 @@ func Run(prog *ir.Program, plan *aggregate.Plan, merged []*aggregate.Merged) *St
 		}
 		for _, e := range m.Entries {
 			localizeMetadata(prog, plan, m, e, accessors, st)
-			eliminatePairs(e.Func, st)
+			eliminatePairs(m.Prog, e.Name, st)
 		}
 	}
 	return st
@@ -131,12 +132,12 @@ func localizeMetadata(prog *ir.Program, plan *aggregate.Plan, m *aggregate.Merge
 			if other == e {
 				continue
 			}
-			if touchesField(prog, other.Func, fld) {
+			if touchesField(prog, m.Func(other), fld) {
 				inOthers = true
 				break
 			}
 		}
-		if !inOthers && touchesField(prog, e.Func, fld) {
+		if !inOthers && touchesField(prog, m.Func(e), fld) {
 			eligible[fld] = true
 		}
 	}
@@ -147,17 +148,21 @@ func localizeMetadata(prog *ir.Program, plan *aggregate.Plan, m *aggregate.Merge
 	// preceded by a store on all paths (otherwise the register would miss
 	// state written outside the aggregate, e.g. rx_port from the Rx
 	// engine).
-	assigned := definitelyAssigned(e.Func, eligible)
+	assigned := definitelyAssigned(m.Func(e), eligible)
 	var flds []*types.ProtoField
 	for fld := range eligible {
 		if assigned[fld] {
 			flds = append(flds, fld)
 		}
 	}
+	if len(flds) == 0 {
+		return
+	}
 	sort.Slice(flds, func(i, j int) bool { return flds[i].BitOff < flds[j].BitOff })
+	fn := m.Prog.Edit(e.Name)
 	for _, fld := range flds {
-		reg := e.Func.NewReg(ir.ClassWord)
-		for _, b := range e.Func.Blocks {
+		reg := fn.NewReg(ir.ClassWord)
+		for _, b := range fn.Blocks {
 			var out []*ir.Instr
 			for _, in := range b.Instrs {
 				if in.Field != fld || (in.Op != ir.OpMetaLoad && in.Op != ir.OpMetaStore) {
@@ -178,7 +183,7 @@ func localizeMetadata(prog *ir.Program, plan *aggregate.Plan, m *aggregate.Merge
 					in.Field = nil
 					in.Dst = []ir.Reg{reg}
 					if fld.Bits < 32 {
-						mr := e.Func.NewReg(ir.ClassWord)
+						mr := fn.NewReg(ir.ClassWord)
 						out = append(out, &ir.Instr{Op: ir.OpConst, Pos: in.Pos,
 							Dst: []ir.Reg{mr}, Imm: uint64(1)<<uint(fld.Bits) - 1})
 						in.Op = ir.OpAnd
@@ -341,10 +346,14 @@ func sameSet(a, b map[*types.ProtoField]bool) bool {
 // with matching protocols collapses to field accesses on ph at a fixed
 // extra offset, with eph aliased to ph. Applies when the decapped protocol
 // has a fixed size (otherwise the offset shift is unknown) and both ends
-// sit in the same block run (same aggregate by construction).
-func eliminatePairs(fn *ir.Func, st *Stats) {
-	for _, b := range fn.Blocks {
-		for i, dec := range b.Instrs {
+// sit in the same block run (same aggregate by construction). The named
+// function of p is taken for writing at the first pair found.
+func eliminatePairs(p *ir.Program, name string, st *Stats) {
+	fn := p.Funcs[name]
+	for bi := 0; bi < len(fn.Blocks); bi++ {
+		b := fn.Blocks[bi]
+		for i := 0; i < len(b.Instrs); i++ {
+			dec := b.Instrs[i]
 			if dec.Op != ir.OpDecap {
 				continue
 			}
@@ -368,6 +377,10 @@ func eliminatePairs(fn *ir.Func, st *Stats) {
 				}
 				if mid.Op == ir.OpEncap && alias[mid.Args[0]] {
 					if usableAsPair(dec, mid) && !usedElsewhere(fn, b, j, alias) {
+						// Edit's copy holds the same instructions at the
+						// same positions.
+						fn = p.Edit(name)
+						b = fn.Blocks[bi]
 						rewritePair(fn, b, i, j, alias, st)
 					}
 					break
@@ -486,6 +499,6 @@ func rewritePair(fn *ir.Func, b *ir.Block, i, j int, alias map[ir.Reg]bool, st *
 	st.PairsEliminated++
 }
 
-// EliminatePairsForTest exposes paired-encapsulation elimination on a
-// single function for unit testing.
-func EliminatePairsForTest(fn *ir.Func, st *Stats) { eliminatePairs(fn, st) }
+// EliminatePairsForTest exposes paired-encapsulation elimination on one
+// function of a program for unit testing.
+func EliminatePairsForTest(p *ir.Program, name string, st *Stats) { eliminatePairs(p, name, st) }

@@ -99,7 +99,7 @@ func pipeline(t *testing.T, prog *ir.Program) (*ir.Func, *phr.Stats) {
 	st := phr.Run(prog, plan, merged)
 	for _, m := range merged {
 		if m.Agg.Target == aggregate.TargetME {
-			return m.Entries[0].Func, st
+			return m.Func(m.Entries[0]), st
 		}
 	}
 	t.Fatal("no ME aggregate")
@@ -156,7 +156,7 @@ module m {
 	testutil.DiffTest(t, src, gen, nil, func(p *ir.Program) {
 		// Run pair elimination directly on the lone PPF.
 		st := &phr.Stats{}
-		phr.EliminatePairsForTest(p.Funcs["m.f"], st)
+		phr.EliminatePairsForTest(p, "m.f", st)
 		if st.PairsEliminated != 1 {
 			t.Errorf("pairs eliminated = %d, want 1", st.PairsEliminated)
 		}
@@ -164,7 +164,7 @@ module m {
 	// And structurally: no encap/decap remain.
 	p := testutil.BuildIR(t, src)
 	st := &phr.Stats{}
-	phr.EliminatePairsForTest(p.Funcs["m.f"], st)
+	phr.EliminatePairsForTest(p, "m.f", st)
 	for _, b := range p.Funcs["m.f"].Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpDecap || in.Op == ir.OpEncap {
@@ -197,7 +197,7 @@ module m {
 }`
 	p := testutil.BuildIR(t, src)
 	st := &phr.Stats{}
-	phr.EliminatePairsForTest(p.Funcs["m.f"], st)
+	phr.EliminatePairsForTest(p, "m.f", st)
 	if st.PairsEliminated != 0 {
 		t.Errorf("escaping handle pair eliminated unsoundly")
 	}

@@ -26,7 +26,9 @@ type Stats struct {
 }
 
 // Optimize runs the scalar pipeline on every function of p according to
-// opts. Inlining runs first so scalar passes clean up the residue.
+// opts. Inlining runs first so scalar passes clean up the residue. The
+// scalar pipeline rewrites in place, so each function it runs on is taken
+// for writing (ir.Program.Edit).
 func Optimize(p *ir.Program, opts Options) Stats {
 	var st Stats
 	if opts.Inline {
@@ -36,7 +38,7 @@ func Optimize(p *ir.Program, opts Options) Stats {
 		return st
 	}
 	for _, name := range p.Order {
-		rounds, converged := OptimizeFunc(p.Funcs[name])
+		rounds, converged := OptimizeFunc(p.Edit(name))
 		if rounds > st.RoundsMax {
 			st.RoundsMax = rounds
 		}

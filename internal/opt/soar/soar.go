@@ -260,18 +260,19 @@ func AnalyzeWithEntries(p *ir.Program, entries map[string]Input) *Stats {
 	for name, l := range a.inputs {
 		st.EntryInputs[name] = exportLat(l)
 	}
+	// A function is taken for writing (ir.Program.Edit) only when one of its
+	// annotations changes: a recompile re-annotates the whole program, and
+	// most of it already carries these exact annotations.
 	for _, name := range p.Order {
 		fn := p.Funcs[name]
-		for _, b := range fn.Blocks {
-			for _, in := range b.Instrs {
+		var w *ir.Func
+		for bi, b := range fn.Blocks {
+			for ii, in := range b.Instrs {
+				var l lat
 				switch in.Op {
 				case ir.OpPktLoad, ir.OpPktStore:
 					st.Accesses++
-					l, ok := a.notes[in]
-					if !ok {
-						l = bottomLat(1)
-					}
-					apply(in, l)
+					l = a.note(in)
 					if l.st == known {
 						st.ResolvedOffset++
 					} else if l.align > 1 {
@@ -279,19 +280,33 @@ func AnalyzeWithEntries(p *ir.Program, entries map[string]Input) *Stats {
 					}
 				case ir.OpEncap, ir.OpDecap:
 					st.EncapsTotal++
-					l, ok := a.notes[in]
-					if !ok {
-						l = bottomLat(1)
-					}
-					apply(in, l)
+					l = a.note(in)
 					if l.st == known {
 						st.EncapsResolved++
 					}
+				default:
+					continue
 				}
+				if annotated(in, l) {
+					continue
+				}
+				if w == nil {
+					w = p.Edit(name)
+				}
+				apply(w.Blocks[bi].Instrs[ii], l)
 			}
 		}
 	}
 	return st
+}
+
+// note is the joined annotation recorded for in (⊥ when the analysis never
+// reached it).
+func (a *analyzer) note(in *ir.Instr) lat {
+	if l, ok := a.notes[in]; ok {
+		return l
+	}
+	return bottomLat(1)
 }
 
 func exportLat(l lat) Input {
@@ -306,6 +321,13 @@ func apply(in *ir.Instr, l lat) {
 	}
 	in.StaticAlign = int(l.align)
 	in.StaticMin = l.min
+}
+
+// annotated reports whether in already carries what apply would write.
+func annotated(in *ir.Instr, l lat) bool {
+	var want ir.Instr
+	apply(&want, l)
+	return in.StaticOff == want.StaticOff && in.StaticAlign == want.StaticAlign && in.StaticMin == want.StaticMin
 }
 
 type analyzer struct {

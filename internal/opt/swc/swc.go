@@ -171,11 +171,11 @@ func SelectCandidates(prog *ir.Program, stats *profiler.Stats, cfg Config) []*Ca
 }
 
 // synthGlobal returns the named synthetic global, creating it on first
-// use. Re-applying SWC over a shared types.Program (an incremental
-// compile session snapshots IR with CloneProgram, which shares Types)
-// must reuse the words it synthesized before — their identity is the
-// contract between already-generated store paths and new check code. A
-// non-synthetic name collision is still an error.
+// use. Re-applying SWC over a shared types.Program (every snapshot of an
+// incremental compile session shares Types) must reuse the words it
+// synthesized before — their identity is the contract between
+// already-generated store paths and new check code. A non-synthetic name
+// collision is still an error.
 func synthGlobal(prog *ir.Program, name, module string, space types.MemSpace) (*types.Global, error) {
 	if g := prog.Types.Globals[name]; g != nil {
 		if !g.Synthetic || g.Space != space {
@@ -230,35 +230,42 @@ func Apply(prog *ir.Program, merged []*aggregate.Merged, cands []*Candidate, cfg
 	// a candidate outside the MEs: control, init, and XScale-aggregate
 	// PPFs in the base program. (ME code never writes candidates: the
 	// write-ratio filter already guaranteed the data path only reads.)
+	// Only a function with such a store is taken for writing
+	// (ir.Program.Edit); every ME entry gets the check prepended.
+	byGlobal := map[*types.Global]*Candidate{}
+	for _, c := range cands {
+		byGlobal[c.Global] = c
+	}
 	for _, name := range prog.Order {
-		fn := prog.Funcs[name]
-		st.StoresTagged += tagStores(fn, cands)
+		st.StoresTagged += tagStores(prog, name, byGlobal)
 	}
 	for _, m := range merged {
 		if m.Agg.Target != aggregate.TargetME {
 			for _, e := range m.Entries {
-				st.StoresTagged += tagStores(e.Func, cands)
+				st.StoresTagged += tagStores(m.Prog, e.Name, byGlobal)
 			}
 			continue
 		}
 		for _, e := range m.Entries {
-			st.LoadsCached += rewriteLoads(e.Func, cands, cfg)
-			prependCheck(e.Func, cands, counter, minLimit)
+			fn := m.Prog.Edit(e.Name)
+			st.LoadsCached += rewriteLoads(fn, byGlobal, cfg)
+			prependCheck(fn, cands, counter, minLimit)
 		}
 	}
 	return st, nil
 }
 
-// tagStores appends "flag <- flag + 1" after every store to a candidate:
-// the store path bumps the structure's update version. Store paths run on
-// the XScale (controls execute run-to-completion at a single simulated
-// instant), so the read-modify-write cannot tear; no ME ever writes the
-// version, so checking MEs cannot race each other into missing an update.
-func tagStores(fn *ir.Func, cands []*Candidate) int {
-	byGlobal := map[*types.Global]*Candidate{}
-	for _, c := range cands {
-		byGlobal[c.Global] = c
+// tagStores appends "flag <- flag + 1" after every store to a candidate in
+// the named function of p: the store path bumps the structure's update
+// version. Store paths run on the XScale (controls execute
+// run-to-completion at a single simulated instant), so the
+// read-modify-write cannot tear; no ME ever writes the version, so checking
+// MEs cannot race each other into missing an update.
+func tagStores(p *ir.Program, name string, byGlobal map[*types.Global]*Candidate) int {
+	if !storesTo(p.Funcs[name], byGlobal) {
+		return 0
 	}
+	fn := p.Edit(name)
 	n := 0
 	for _, b := range fn.Blocks {
 		var out []*ir.Instr
@@ -288,12 +295,20 @@ func tagStores(fn *ir.Func, cands []*Candidate) int {
 	return n
 }
 
-// rewriteLoads converts candidate loads into lookup/miss-fill sequences.
-func rewriteLoads(fn *ir.Func, cands []*Candidate, cfg Config) int {
-	byGlobal := map[*types.Global]*Candidate{}
-	for _, c := range cands {
-		byGlobal[c.Global] = c
+// storesTo reports whether fn stores to a candidate.
+func storesTo(fn *ir.Func, byGlobal map[*types.Global]*Candidate) bool {
+	for _, b := range fn.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpStore && byGlobal[in.Global] != nil {
+				return true
+			}
+		}
 	}
+	return false
+}
+
+// rewriteLoads converts candidate loads into lookup/miss-fill sequences.
+func rewriteLoads(fn *ir.Func, byGlobal map[*types.Global]*Candidate, cfg Config) int {
 	n := 0
 	// Collect first (the rewrite splits blocks).
 	type site struct {

@@ -170,7 +170,7 @@ func TestApplyRewritesLoadsAndKeepsSemantics(t *testing.T) {
 			hot = m
 		}
 	}
-	entry := hot.Entries[0].Func
+	entry := hot.Func(hot.Entries[0])
 	// Structure: cache ops present.
 	var lookups, fills, flushes int
 	for _, b := range entry.Blocks {

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"shangrila/internal/aggregate"
 	"shangrila/internal/apps"
 	"shangrila/internal/bakergen"
 	"shangrila/internal/driver"
@@ -112,7 +111,7 @@ func sameSession(t *testing.T, what string, prog *ir.Program, tr []*packet.Packe
 // accesses, localized metadata and OpCache* in it.
 func sameAggregates(t *testing.T, what string, res *driver.Result, tr []*packet.Packet, ctl []profiler.Control) {
 	t.Helper()
-	entries := map[string]*aggregate.Entry{} // by input channel; "" is rx
+	entries := map[string]*ir.Func{} // by input channel; "" is rx
 	ops := map[ir.Op]bool{}
 	for _, m := range res.Merged {
 		for _, e := range m.Entries {
@@ -120,8 +119,9 @@ func sameAggregates(t *testing.T, what string, res *driver.Result, tr []*packet.
 			if e.In != nil {
 				name = e.In.Name
 			}
-			entries[name] = e
-			for _, b := range e.Func.Blocks {
+			fn := m.Func(e)
+			entries[name] = fn
+			for _, b := range fn.Blocks {
 				for _, in := range b.Instrs {
 					ops[in.Op] = true
 				}
@@ -153,13 +153,13 @@ func sameAggregates(t *testing.T, what string, res *driver.Result, tr []*packet.
 				if m.Chan != nil {
 					name = m.Chan.Name
 				}
-				e := entries[name]
-				if e == nil {
+				fn := entries[name]
+				if fn == nil {
 					log.WriteString("out " + describe([]profiler.OutPacket{m}))
 					continue
 				}
-				msgs, err := h.Run(e.Func, m.P, m.Head)
-				fmt.Fprintf(&log, "%s err=%q\n", e.Func.Name, errText(err))
+				msgs, err := h.Run(fn, m.P, m.Head)
+				fmt.Fprintf(&log, "%s err=%q\n", fn.Name, errText(err))
 				work = append(work, msgs...)
 			}
 		}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"strings"
 
-	"shangrila/internal/aggregate"
 	"shangrila/internal/baker/types"
 	"shangrila/internal/cg"
 	"shangrila/internal/ir"
@@ -43,7 +42,7 @@ type Runtime struct {
 	CaptureLimit int
 
 	sramStackBase   uint32
-	xscaleEntries   map[int]*aggregate.Entry // ring -> entry
+	xscaleEntries   map[int]*ir.Func // ring -> entry function
 	interp          *profiler.Interp
 	combinedEntries []int // per-stage entry PCs when thread-splitting one ME
 }
@@ -100,7 +99,7 @@ func New(img *cg.Image, prog *ir.Program, tr []*packet.Packet, opts Options) (*R
 	r := &Runtime{
 		Img: img, prog: prog, trace: tr,
 		CaptureLimit:  opts.CaptureLimit,
-		xscaleEntries: map[int]*aggregate.Entry{},
+		xscaleEntries: map[int]*ir.Func{},
 	}
 	if opts.Workload != nil {
 		st, err := workload.NewStream(*opts.Workload)
@@ -149,7 +148,7 @@ func New(img *cg.Image, prog *ir.Program, tr []*packet.Packet, opts Options) (*R
 			if !ok {
 				return nil, fmt.Errorf("rts: no ring for XScale input %s", e.In.Name)
 			}
-			r.xscaleEntries[ring] = e
+			r.xscaleEntries[ring] = xm.Func(e)
 			xr = append(xr, ring)
 		}
 	}
@@ -390,7 +389,7 @@ func (r *Runtime) Run(cycles int64) error { return r.M.Run(cycles) }
 
 // xscaleStep interprets one packet on an XScale aggregate entry.
 func (r *Runtime) xscaleStep(m *ixp.Machine, ring int, w0, w1 uint32) int64 {
-	e := r.xscaleEntries[ring]
+	fn := r.xscaleEntries[ring]
 	lay := r.Img.Layout
 	head := w1 >> 16
 	end := w1 & 0xffff
@@ -401,7 +400,7 @@ func (r *Runtime) xscaleStep(m *ixp.Machine, ring int, w0, w1 uint32) int64 {
 		lay.MetaAddr(w0)+lay.MetaAppOff, int(lay.MetaRecBytes-lay.MetaAppOff))...)
 	env := r.interp.Env.(*simEnv)
 	env.track(p, w0, int(end-head), head)
-	if _, err := r.interp.Run(e.Func, []profiler.Value{{P: p, Head: 0}}); err != nil {
+	if _, err := r.interp.Run(fn, []profiler.Value{{P: p, Head: 0}}); err != nil {
 		// Treat interpreter failures as a dropped packet.
 		m.Rings[cg.RingFree].Put(w0, 0)
 		m.Observer().PacketFreed(w0)
