@@ -160,34 +160,36 @@ func Throughput(numMEs int, stages []*Aggregate) float64 {
 	return float64(replicas) / slowest
 }
 
-// Build runs the Figure 7 heuristic over the program using Functional
-// profiler statistics.
-func Build(prog *ir.Program, stats *profiler.Stats, cfg Config) (*Plan, error) {
+// Build runs the Figure 7 heuristic over the program using the Functional
+// profiler's weights: packets injected, per-PPF invocations and executed
+// instructions, and per-channel messages. Nothing else of a profile can
+// change a plan.
+func Build(prog *ir.Program, w *profiler.Weights, cfg Config) (*Plan, error) {
 	if cfg.NumMEs <= 0 {
 		return nil, fmt.Errorf("aggregate: NumMEs must be positive")
 	}
 	if cfg.CodeSizeFn == nil {
 		cfg.CodeSizeFn = EstimateCodeSize
 	}
-	b := &builder{prog: prog, stats: stats, cfg: cfg}
+	b := &builder{prog: prog, weights: w, cfg: cfg}
 	return b.run()
 }
 
 type builder struct {
-	prog  *ir.Program
-	stats *profiler.Stats
-	cfg   Config
+	prog    *ir.Program
+	weights *profiler.Weights
+	cfg     Config
 }
 
 func (b *builder) run() (*Plan, error) {
 	// Initial aggregates: one per PPF, in declaration order.
 	var aggs []*Aggregate
-	total := float64(b.stats.Packets)
+	total := float64(b.weights.Packets)
 	if total == 0 {
 		return nil, fmt.Errorf("aggregate: profile contains no packets")
 	}
 	for _, fn := range b.prog.PPFs() {
-		fs := b.stats.Funcs[fn.Name]
+		fs := b.weights.Funcs[fn.Name]
 		weight := 0.0
 		if fs != nil {
 			weight = float64(fs.Invocations) / total
@@ -316,14 +318,14 @@ func (b *builder) run() (*Plan, error) {
 
 // refresh recomputes an aggregate's cost and code size.
 func (b *builder) refresh(a *Aggregate, all []*Aggregate) {
-	total := float64(b.stats.Packets)
+	total := float64(b.weights.Packets)
 	member := map[string]bool{}
 	for _, f := range a.PPFs {
 		member[f] = true
 	}
 	cost := 0.0
 	for _, f := range a.PPFs {
-		fs := b.stats.Funcs[f]
+		fs := b.weights.Funcs[f]
 		if fs == nil || fs.Invocations == 0 {
 			continue
 		}
@@ -333,7 +335,7 @@ func (b *builder) refresh(a *Aggregate, all []*Aggregate) {
 	// Channel overhead: every message on a channel crossing the aggregate
 	// boundary costs ChannelCost (half attributed to each side, so a
 	// merge of producer and consumer removes the full cost).
-	for chName, msgs := range b.stats.Chans {
+	for chName, msgs := range b.weights.Chans {
 		ch := b.prog.Types.Channels[chName]
 		if ch == nil {
 			continue
@@ -456,9 +458,9 @@ func (b *builder) formPairs(aggs []*Aggregate) []pair {
 			idx[f] = a
 		}
 	}
-	total := float64(b.stats.Packets)
+	total := float64(b.weights.Packets)
 	costs := map[[2]*Aggregate]float64{}
-	for chName, msgs := range b.stats.Chans {
+	for chName, msgs := range b.weights.Chans {
 		ch := b.prog.Types.Channels[chName]
 		if ch == nil || ch.Consumer == "tx" {
 			continue

@@ -138,7 +138,7 @@ func TestThroughputModelEquation1(t *testing.T) {
 
 func TestPlanMergesHotPathAndOffloadsARP(t *testing.T) {
 	prog, stats := profileApp(t)
-	plan, err := aggregate.Build(prog, stats, aggregate.DefaultConfig())
+	plan, err := aggregate.Build(prog, &stats.Weights, aggregate.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestCodeStoreLimitForcesPipeline(t *testing.T) {
 	// Pretend each PPF barely fits alone: merging clsfr+fwd must be
 	// rejected and the pipeline stays at 2 ME stages.
 	cfg.CodeSizeFn = func(f *ir.Func) int { return 2500 }
-	plan, err := aggregate.Build(prog, stats, cfg)
+	plan, err := aggregate.Build(prog, &stats.Weights, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestCodeStoreLimitForcesPipeline(t *testing.T) {
 
 func TestClassifyAndMerge(t *testing.T) {
 	prog, stats := profileApp(t)
-	plan, err := aggregate.Build(prog, stats, aggregate.DefaultConfig())
+	plan, err := aggregate.Build(prog, &stats.Weights, aggregate.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ module m {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := aggregate.Build(prog, stats, aggregate.DefaultConfig())
+	plan, err := aggregate.Build(prog, &stats.Weights, aggregate.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func compile(t *testing.T, opts cg.Options) *cg.Image {
 		t.Fatal(err)
 	}
 	opt.Optimize(prog, opt.Options{Scalar: true, Inline: true})
-	plan, err := aggregate.Build(prog, stats, aggregate.DefaultConfig())
+	plan, err := aggregate.Build(prog, &stats.Weights, aggregate.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,10 @@ func Levels() []Level {
 // Config parameterizes a compilation.
 type Config struct {
 	Level Level
-	// ProfileTrace drives the Functional profiler.
+	// ProfileTrace drives the Functional profiler. A compile only reads it
+	// (the profiler runs a copy of each packet), so one trace can serve any
+	// number of compiles — CompileIR calls, a Ladder's levels, every compile
+	// of a Session — as long as nobody modifies it meanwhile.
 	ProfileTrace []*packet.Packet
 	// Controls populate tables before profiling (and are the same calls a
 	// deployment makes at boot).

@@ -74,10 +74,9 @@ type fork struct {
 // NewLadder prepares the ladder over prog for the given levels (all of
 // Levels() when none are given); cfg.Level is ignored. prog is only read:
 // the first rung starts from a clone, so a caller may keep interpreting it.
-// cfg.ProfileTrace is consumed by the one profile run, as CompileIR
-// consumes it. Dump settings name one level (DumpPrefix), and a shared
-// pass has no single level to be dumped under, so DumpPass is rejected
-// here; dump through CompileIR.
+// cfg.ProfileTrace is read by the one profile run. Dump settings name one
+// level (DumpPrefix), and a shared pass has no single level to be dumped
+// under, so DumpPass is rejected here; dump through CompileIR.
 func NewLadder(prog *ir.Program, cfg Config, levels ...Level) (*Ladder, error) {
 	if cfg.DumpPass != "" {
 		return nil, fmt.Errorf("driver: a level ladder cannot dump pass %q: dumps are per level, compile the level alone", cfg.DumpPass)

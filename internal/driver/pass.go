@@ -17,6 +17,7 @@ import (
 	"shangrila/internal/metrics"
 	"shangrila/internal/opt"
 	"shangrila/internal/opt/soar"
+	"shangrila/internal/opt/swc"
 	"shangrila/internal/profiler"
 )
 
@@ -27,7 +28,8 @@ type FactKind int
 
 const (
 	// FactProfile is the functional profiler's Stats. It is produced by
-	// the profile pass (there is no on-demand provider: profiling needs
+	// the profile pass, together with its views FactWeights and
+	// FactSWCSelection (there is no on-demand provider: profiling needs
 	// the configured trace and control calls).
 	FactProfile FactKind = iota
 	// FactSOAR is the whole-program SOAR analysis. It has an on-demand
@@ -38,10 +40,21 @@ const (
 	// classification and merged per-aggregate programs, produced by the
 	// aggregate pass.
 	FactPlan
+	// FactWeights is the view of the profile that aggregation reads
+	// (profiler.Weights: packets, per-function counts, channel traffic).
+	FactWeights
+	// FactSWCSelection is the view of the profile that SWC reads: the
+	// candidates swc.SelectCandidates picks from it, each a global with its
+	// check limit and estimated hit rate.
+	FactSWCSelection
 	numFacts
 )
 
-var factNames = [...]string{"profile", "soar", "plan"}
+var factNames = [...]string{"profile", "soar", "plan", "weights", "swc_selection"}
+
+// profileFacts are the profile and the views published with it:
+// invalidating or stamping the profile invalidates or stamps them all.
+var profileFacts = [...]FactKind{FactProfile, FactWeights, FactSWCSelection}
 
 func (k FactKind) String() string {
 	if k < 0 || int(k) >= len(factNames) {
@@ -56,10 +69,17 @@ func (k FactKind) String() string {
 type facts struct {
 	valid   [numFacts]bool
 	profile *profiler.Stats
+	weights *profiler.Weights
+	swcSel  *swcSelection
 	soar    *soar.Stats
 	plan    *aggregate.Plan
 	classes map[*types.Channel]aggregate.ChannelClass
 }
+
+// swcSelection is the FactSWCSelection value. The candidates are shared by
+// every compile that reads the fact, so nothing writes them: swc.Apply
+// works on copies.
+type swcSelection struct{ cands []*swc.Candidate }
 
 // Context is the state a Pass operates on: the whole program, the merged
 // per-aggregate programs once aggregation has run, the accumulating report
@@ -110,17 +130,47 @@ func (ctx *Context) noteFactRead(k FactKind) {
 
 // Profile returns the cached profiler stats (nil before the profile pass
 // has run; passes that declare FactProfile in Requires never see nil).
+// A pass that reads less of the profile reads a view instead (Weights,
+// SWCSelection), so that a session re-runs it only when that view changed.
 func (ctx *Context) Profile() *profiler.Stats {
 	ctx.noteFactRead(FactProfile)
 	return ctx.facts.profile
 }
 
-// SetProfile installs the profiler stats fact.
+// Weights returns the profile's weights, the view aggregation reads.
+func (ctx *Context) Weights() *profiler.Weights {
+	ctx.noteFactRead(FactWeights)
+	return ctx.facts.weights
+}
+
+// SWCSelection returns the software-cache candidates selected from the
+// profile, the view SWC reads. They must not be written.
+func (ctx *Context) SWCSelection() []*swc.Candidate {
+	ctx.noteFactRead(FactSWCSelection)
+	if ctx.facts.swcSel == nil {
+		return nil
+	}
+	return ctx.facts.swcSel.cands
+}
+
+// SetProfile installs the profiler stats fact and its weights view.
 func (ctx *Context) SetProfile(s *profiler.Stats) {
-	ctx.facts.profile = s
-	ctx.facts.valid[FactProfile] = true
+	ctx.facts.profile, ctx.facts.weights = s, &s.Weights
+	ctx.publish(FactProfile)
+	ctx.publish(FactWeights)
+}
+
+// SetSWCSelection installs the SWC candidate selection view of the profile.
+func (ctx *Context) SetSWCSelection(cands []*swc.Candidate) {
+	ctx.facts.swcSel = &swcSelection{cands: cands}
+	ctx.publish(FactSWCSelection)
+}
+
+// publish marks a fact just installed valid; its producer may read it.
+func (ctx *Context) publish(k FactKind) {
+	ctx.facts.valid[k] = true
 	if ctx.factGuard != nil {
-		ctx.factGuard[FactProfile] = true // producer may read its own fact
+		ctx.factGuard[k] = true
 	}
 }
 
@@ -157,10 +207,7 @@ func (ctx *Context) Plan() (*aggregate.Plan, map[*types.Channel]aggregate.Channe
 func (ctx *Context) SetPlan(p *aggregate.Plan, classes map[*types.Channel]aggregate.ChannelClass) {
 	ctx.facts.plan = p
 	ctx.facts.classes = classes
-	ctx.facts.valid[FactPlan] = true
-	if ctx.factGuard != nil {
-		ctx.factGuard[FactPlan] = true
-	}
+	ctx.publish(FactPlan)
 }
 
 // optimize runs the scalar optimizer for the running pass and records how
@@ -178,9 +225,15 @@ func (ctx *Context) optimize(p *ir.Program, o opt.Options) {
 
 // Invalidate drops cached facts (a transform that moved packet accesses
 // invalidates FactSOAR, and the next pass requiring it re-analyzes).
+// Dropping the profile drops its views.
 func (ctx *Context) Invalidate(kinds ...FactKind) {
 	for _, k := range kinds {
 		ctx.facts.valid[k] = false
+		if k == FactProfile {
+			for _, v := range profileFacts {
+				ctx.facts.valid[v] = false
+			}
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ func init() {
 		Name:    "profile",
 		Stage:   "functional profiling (§4): interpret the unoptimized IR over the training trace",
 		Enabled: always,
-		New:     func(Config) Pass { return profilePass{} },
+		New:     func(cfg Config) Pass { return profilePass{swc: cfg.swcConfig()} },
 	})
 	RegisterPass(PassInfo{
 		Name:    "inline+scalar",
@@ -102,19 +102,29 @@ func init() {
 }
 
 // profilePass runs the functional profiler on unoptimized IR (Figure 5)
-// and produces the FactProfile stats every global optimization consumes.
-type profilePass struct{}
+// and produces the FactProfile stats every global optimization consumes,
+// with the views its readers take of it: the weights aggregation reads and
+// the SWC candidate selection.
+//
+// The selection is made here, not by the swc pass, so that a Session can
+// compare it before SWC runs: it depends only on the profile, the SWC
+// settings and the program's declared globals, none of which a pass
+// changes. It is made at every level, not only at +SWC, so that the
+// profile pass is one value for all levels and the level ladder shares it;
+// selecting costs a sort of the globals.
+type profilePass struct{ swc swc.Config }
 
 func (profilePass) Name() string            { return "profile" }
 func (profilePass) Requires() []FactKind    { return nil }
 func (profilePass) Invalidates() []FactKind { return nil }
 
-func (profilePass) Run(ctx *Context) error {
+func (p profilePass) Run(ctx *Context) error {
 	stats, err := profiler.ProfileWithControls(ctx.Prog, ctx.Cfg.ProfileTrace, ctx.Cfg.Controls)
 	if err != nil {
 		return err
 	}
 	ctx.SetProfile(stats)
+	ctx.SetSWCSelection(swc.SelectCandidates(ctx.Prog, stats, p.swc))
 	ctx.Report.ProfileStats = stats
 	return nil
 }
@@ -180,14 +190,14 @@ func (aggregatePass) Name() string { return "aggregate" }
 
 func (p aggregatePass) Requires() []FactKind {
 	if p.analyze {
-		return []FactKind{FactProfile, FactSOAR}
+		return []FactKind{FactWeights, FactSOAR}
 	}
-	return []FactKind{FactProfile}
+	return []FactKind{FactWeights}
 }
 func (aggregatePass) Invalidates() []FactKind { return nil }
 
 func (p aggregatePass) Run(ctx *Context) error {
-	plan, err := aggregate.Build(ctx.Prog, ctx.Profile(), p.cfg)
+	plan, err := aggregate.Build(ctx.Prog, ctx.Weights(), p.cfg)
 	if err != nil {
 		return err
 	}
@@ -263,16 +273,22 @@ func (phrPass) Run(ctx *Context) error {
 	return nil
 }
 
-// swcPass selects software-cache candidates from the profile and rewrites
-// the cached globals' access paths.
+// swcPass rewrites the access paths of the software-cache candidates the
+// profile pass selected.
 type swcPass struct{ cfg swc.Config }
 
 func (swcPass) Name() string            { return "swc" }
-func (swcPass) Requires() []FactKind    { return []FactKind{FactProfile, FactPlan} }
+func (swcPass) Requires() []FactKind    { return []FactKind{FactSWCSelection, FactPlan} }
 func (swcPass) Invalidates() []FactKind { return nil }
 
 func (p swcPass) Run(ctx *Context) error {
-	cands := swc.SelectCandidates(ctx.Prog, ctx.Profile(), p.cfg)
+	// Apply gives each candidate its synthetic globals, so it gets copies:
+	// the selection is a published fact.
+	var cands []*swc.Candidate
+	for _, c := range ctx.SWCSelection() {
+		cp := *c
+		cands = append(cands, &cp)
+	}
 	if _, err := swc.Apply(ctx.Prog, ctx.Merged, cands, p.cfg); err != nil {
 		return err
 	}

@@ -17,9 +17,12 @@
 //     key it had then. A key stands for a fact *value*: a producer that
 //     re-runs from the state its cached run saw, reproduces its output IR
 //     and computes an equal fact keeps the cached key (the early cut-off),
-//     so its successors stay reusable although it ran. Requires is the
-//     declared contract (enforced by the fact guard in runPass); the read
-//     log is the measured one.
+//     so its successors stay reusable although it ran. A pass that needs
+//     only part of the profile reads a view of it (FactWeights,
+//     FactSWCSelection), a fact keyed by its own value, so a delta that
+//     changes the profile but not the view leaves the pass cached.
+//     Requires is the declared contract (enforced by the fact guard in
+//     runPass); the read log is the measured one.
 //   - Invalidation stamps: each Delta advances a sequence number and
 //     stamps the facts it declares invalid. A cached result that produced
 //     a fact older than the fact's last invalidation stamp re-runs.
@@ -37,6 +40,7 @@ package driver
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"shangrila/internal/aggregate"
@@ -47,7 +51,6 @@ import (
 	"shangrila/internal/opt/phr"
 	"shangrila/internal/opt/soar"
 	"shangrila/internal/opt/swc"
-	"shangrila/internal/packet"
 	"shangrila/internal/profiler"
 )
 
@@ -82,11 +85,13 @@ type SessionStats struct {
 }
 
 // factRead records how one fact looked when a pass consulted it: absent,
-// or present under a key (see factState).
+// or present under a key (see factState). val is the value itself, which
+// the test-time cut-off check compares with the one a reuse would see.
 type factRead struct {
 	read  bool
 	valid bool
 	key   any
+	val   any
 }
 
 // factState is the fact base at one position of a session's walk down the
@@ -203,12 +208,7 @@ type Session struct {
 	baseHash uint64
 	hasher   ir.Hasher
 	store    *storeCheck // nil outside tests
-	// trace is a pristine deep copy of cfg.ProfileTrace: interpreting the
-	// trace mutates packets in place (the apps rewrite MACs, TTLs,
-	// labels), so every profile re-run gets fresh clones — a recompile
-	// must profile the same packets a cold compile would.
-	trace []*packet.Packet
-	reg   *metrics.Registry
+	reg      *metrics.Registry
 
 	entries []*passEntry // indexed by pipeline position
 	// deltaSeq numbers Delta applications; lastInval stamps each fact
@@ -234,24 +234,11 @@ func NewSession(prog *ir.Program, cfg Config) (*Session, error) {
 		cfg:     cfg,
 		base:    &snapshot{prog: ir.CloneProgram(prog).Freeze()},
 		store:   newStoreCheck(cfg),
-		trace:   clonePackets(cfg.ProfileTrace),
 		reg:     cfg.Metrics,
 		entries: make([]*passEntry, len(PipelineFor(cfg))),
 	}
 	s.baseHash = hashState(&s.hasher, s.base.prog, nil)
 	return s, nil
-}
-
-// clonePackets deep-copies a profile trace.
-func clonePackets(tr []*packet.Packet) []*packet.Packet {
-	if tr == nil {
-		return nil
-	}
-	out := make([]*packet.Packet, len(tr))
-	for i, p := range tr {
-		out[i] = p.Clone()
-	}
-	return out
 }
 
 // Config returns the session's current configuration (Controls grow as
@@ -266,8 +253,48 @@ func (s *Session) Stats() SessionStats {
 	return cp
 }
 
+// DeltaError is a Delta a Session refused before applying it: a control it
+// adds is not one of the program's control functions or has the wrong
+// number of arguments, or it declares a fact kind that does not exist. The
+// session is left as it was.
+type DeltaError struct {
+	// Control names the refused control call; empty when the fault is in
+	// Delta.Invalidates.
+	Control string
+	Reason  string
+}
+
+func (e *DeltaError) Error() string {
+	if e.Control == "" {
+		return "driver: delta: " + e.Reason
+	}
+	return fmt.Sprintf("driver: delta control %q: %s", e.Control, e.Reason)
+}
+
+// checkDelta refuses a delta the session could not apply: every control
+// must name a control function of the program and pass one word per
+// parameter, and every declared fact must exist.
+func (s *Session) checkDelta(d Delta) error {
+	for _, c := range d.AddControls {
+		fn := s.base.prog.Func(c.Name)
+		switch {
+		case fn == nil || fn.Kind != ir.FuncControl:
+			return &DeltaError{Control: c.Name, Reason: "no such control function"}
+		case len(c.Args) != len(fn.Params):
+			return &DeltaError{Control: c.Name,
+				Reason: fmt.Sprintf("%d arguments for %d parameters", len(c.Args), len(fn.Params))}
+		}
+	}
+	for _, k := range d.Invalidates {
+		if k < 0 || k >= numFacts {
+			return &DeltaError{Reason: fmt.Sprintf("unknown fact kind %d", int(k))}
+		}
+	}
+	return nil
+}
+
 // applyDelta mutates the session configuration and stamps the declared
-// invalidations.
+// invalidations; stamping the profile stamps its views.
 func (s *Session) applyDelta(d Delta) {
 	s.deltaSeq++
 	inv := d.Invalidates
@@ -275,8 +302,11 @@ func (s *Session) applyDelta(d Delta) {
 		inv = []FactKind{FactProfile}
 	}
 	for _, k := range inv {
-		if k >= 0 && k < numFacts {
-			s.lastInval[k] = s.deltaSeq
+		s.lastInval[k] = s.deltaSeq
+		if k == FactProfile {
+			for _, v := range profileFacts {
+				s.lastInval[v] = s.deltaSeq
+			}
 		}
 	}
 	if len(d.AddControls) > 0 {
@@ -288,10 +318,22 @@ func (s *Session) applyDelta(d Delta) {
 }
 
 // Recompile applies a policy delta and compiles, reusing every cached pass
-// whose inputs the delta did not touch.
+// whose inputs the delta did not touch. A delta checkDelta refuses is a
+// *DeltaError; one whose compile fails (a control that faults when the
+// profiler replays it, say) is rolled back. Either way the session is left
+// as it was — configuration, stamps and cache — and compiles the next delta
+// as if this one had never been offered.
 func (s *Session) Recompile(d Delta) (*Result, error) {
+	if err := s.checkDelta(d); err != nil {
+		return nil, err
+	}
+	cfg, seq, inval, entries := s.cfg, s.deltaSeq, s.lastInval, slices.Clone(s.entries)
 	s.applyDelta(d)
-	return s.Compile()
+	res, err := s.Compile()
+	if err != nil {
+		s.cfg, s.deltaSeq, s.lastInval, s.entries = cfg, seq, inval, entries
+	}
+	return res, err
 }
 
 // Compile runs the session's pipeline. The first call is a cold compile
@@ -300,17 +342,15 @@ func (s *Session) Recompile(d Delta) (*Result, error) {
 // IR verification exactly as a cold compile), and re-attach to the cache
 // as soon as the state converges again — e.g. a profile-invalidating
 // delta re-profiles, reuses the untouched scalar/SOAR/PAC transforms,
-// re-aggregates, and when that reproduces the plan and the merged bodies
-// runs nothing downstream but the passes that read the profile.
+// re-aggregates only if the profile's weights changed and re-runs SWC only
+// if its candidate selection did, and when neither does runs nothing else.
 func (s *Session) Compile() (*Result, error) {
 	pipeline := PipelineFor(s.cfg)
 	if len(pipeline) != len(s.entries) {
 		return nil, fmt.Errorf("session: pipeline changed size (%d != %d)", len(pipeline), len(s.entries))
 	}
 	s.checkHeld()
-	cfgRun := s.cfg
-	cfgRun.ProfileTrace = clonePackets(s.trace)
-	r := newRunner(nil, cfgRun)
+	r := newRunner(nil, s.cfg)
 	r.store = s.store
 	ctx := r.ctx
 
@@ -328,6 +368,9 @@ func (s *Session) Compile() (*Result, error) {
 		old := s.entries[i]
 		why := s.rerunReason(old, p.Name(), curHash, &live)
 		if why == "" {
+			if cutoffCheck {
+				s.checkCutoff(p, old, cur, &live)
+			}
 			// Skip: replay the cached result's effects.
 			live.replay(old)
 			old.patch.apply(ctx)
@@ -386,7 +429,7 @@ func (s *Session) Compile() (*Result, error) {
 				}
 			}
 			if ctx.factReads[k] && !prodNow {
-				ent.reads[k] = factRead{read: true, valid: pre.valid[k], key: pre.key[k]}
+				ent.reads[k] = factRead{read: true, valid: pre.valid[k], key: pre.key[k], val: factVal(&pre.facts, k)}
 			}
 		}
 		ent.key = live.key
@@ -489,6 +532,10 @@ func (live *factState) replay(ent *passEntry) {
 		switch k {
 		case FactProfile:
 			live.profile = after.profile
+		case FactWeights:
+			live.weights = after.weights
+		case FactSWCSelection:
+			live.swcSel = after.swcSel
 		case FactSOAR:
 			live.soar = after.soar
 		case FactPlan:
@@ -505,6 +552,10 @@ func factVal(f *facts, k FactKind) any {
 	switch k {
 	case FactProfile:
 		return f.profile
+	case FactWeights:
+		return f.weights
+	case FactSWCSelection:
+		return f.swcSel
 	case FactSOAR:
 		return f.soar
 	case FactPlan:
@@ -514,18 +565,74 @@ func factVal(f *facts, k FactKind) any {
 }
 
 // sameFact compares a produced fact with the one the cached run of the same
-// pass produced from the same input IR to the same output IR. The SOAR
-// statistics and the aggregation plan's decisions are compared outright;
-// the channel classes follow from the plan and the IR. A profile is never
-// held equal: the passes that read it read all of it.
+// pass produced from the same input IR to the same output IR. The profile
+// and its views are compared count for count, each on its own, so a reader
+// of a view re-runs only when what it reads changed; the SOAR statistics
+// are compared outright and the aggregation plan by its decisions; the
+// channel classes follow from the plan and the IR.
 func sameFact(k FactKind, a, b any) bool {
 	switch k {
+	case FactProfile:
+		return a.(*profiler.Stats).Equal(b.(*profiler.Stats))
+	case FactWeights:
+		return a.(*profiler.Weights).Equal(b.(*profiler.Weights))
+	case FactSWCSelection:
+		return slices.EqualFunc(a.(*swcSelection).cands, b.(*swcSelection).cands, func(x, y *swc.Candidate) bool {
+			return x.Global == y.Global && x.CheckLimit == y.CheckLimit && x.HitRate == y.HitRate
+		})
 	case FactSOAR:
 		return reflect.DeepEqual(a, b)
 	case FactPlan:
 		return a.(*aggregate.Plan).SameDecisions(b.(*aggregate.Plan))
 	}
 	return false
+}
+
+// cutoffCheck turns on checkCutoff: in a `go test` binary, whatever the
+// compile's VerifyIR, because the session-against-cold tests compile with
+// verification off. The allocation and time measurements of a recompile
+// turn it off (export_test.go).
+var cutoffCheck = testing.Testing()
+
+// checkCutoff is the test-time proof that a view covers everything its
+// reader takes from the profile. A pass about to be reused although the
+// profile or profile view it read is now another, equal, value is run
+// anyway, on a fork of its input state and the live facts, with a private
+// registry and no verification; it must reproduce its cached output
+// fingerprint and every fact it produced, deeply equal — the plan's costs
+// included, which the report shows. Otherwise the pass read something the
+// view leaves out, and the panic names the pass and the view.
+func (s *Session) checkCutoff(p Pass, ent *passEntry, in *snapshot, live *factState) {
+	view := FactKind(-1)
+	for _, k := range profileFacts {
+		if rd := ent.reads[k]; rd.read && rd.valid && factVal(&live.facts, k) != rd.val {
+			view = k
+			break
+		}
+	}
+	if view < 0 {
+		return
+	}
+	cfg := s.cfg
+	cfg.Metrics, cfg.VerifyIR, cfg.DumpPass = nil, VerifyOff, ""
+	r := newRunner(nil, cfg)
+	materialize(r.ctx, in, live)
+	r.ctx.facts = live.facts
+	fail := func(what string) {
+		panic(fmt.Sprintf("driver: pass %s was reused on an equal %v view, but running it gives %s", ent.name, view, what))
+	}
+	if err := r.runPass(p); err != nil {
+		fail("an error: " + err.Error())
+	}
+	if hashState(&s.hasher, r.ctx.Prog, r.ctx.Merged) != ent.outputHash {
+		fail("other IR")
+	}
+	for k := FactKind(0); k < numFacts; k++ {
+		if ent.produced[k] && (!r.ctx.facts.valid[k] ||
+			!reflect.DeepEqual(factVal(&r.ctx.facts, k), factVal(&ent.snap.facts, k))) {
+			fail("another " + k.String() + " fact")
+		}
+	}
 }
 
 // materialize gives ctx a fork of a cached IR state. The merged views of a

@@ -47,11 +47,7 @@ func (c *churner) next() driver.Delta {
 }
 
 func (c *churner) config(lvl driver.Level, verify driver.VerifyMode) driver.Config {
-	tr := make([]*packet.Packet, len(c.trace))
-	for i, p := range c.trace {
-		tr[i] = p.Clone()
-	}
-	return driver.Config{Level: lvl, ProfileTrace: tr, Controls: c.controls, VerifyIR: verify}
+	return driver.Config{Level: lvl, ProfileTrace: c.trace, Controls: c.controls, VerifyIR: verify}
 }
 
 // session starts a warm Session: created and compiled once.
@@ -68,7 +64,7 @@ func (c *churner) session(tb testing.TB, lvl driver.Level, verify driver.VerifyM
 }
 
 // cold is what a caller without a session pays for the current controls:
-// CompileIR on a copy of the lowered program and of the trace.
+// CompileIR on a copy of the lowered program.
 func (c *churner) cold(tb testing.TB, lvl driver.Level, verify driver.VerifyMode) *driver.Result {
 	tb.Helper()
 	res, err := driver.CompileIR(ir.CloneProgram(c.base), c.config(lvl, verify))
@@ -81,9 +77,10 @@ func (c *churner) cold(tb testing.TB, lvl driver.Level, verify driver.VerifyMode
 // BenchmarkRecompileVsCold is the number the Session exists for: one churn
 // delta through a warm Session against driver.CompileIR on the same lowered
 // program, trace and controls, +SWC, the three applications in turn,
-// verification off as in a production compile. The recompile side reports
-// the share of passes it skipped.
+// verification off as in a production compile, and so is the test-time
+// cut-off check. The recompile side reports the share of passes it skipped.
 func BenchmarkRecompileVsCold(b *testing.B) {
+	defer driver.SetCutoffCheck(driver.SetCutoffCheck(false))
 	b.Run("recompile", func(b *testing.B) {
 		var cs []*churner
 		var ss []*driver.Session

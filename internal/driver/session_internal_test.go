@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"shangrila/internal/baker/types"
 	"shangrila/internal/ir"
 	"shangrila/internal/lower"
+	"shangrila/internal/packet"
 	"shangrila/internal/profiler"
 )
 
@@ -148,5 +150,60 @@ func TestHashStateAllocFree(t *testing.T) {
 	prog.Funcs[prog.Order[0]].Blocks[0].Instrs[0].StaticAlign = 8
 	if hashState(&h, prog, nil) == before {
 		t.Error("an alignment annotation did not change the fingerprint")
+	}
+}
+
+// TestCutoffCheckNamesPassAndView: a pass reused on a view that is equal to
+// the one it read, but another object, is run again by the test-time check.
+// A pass that is a function of what it reads passes; one whose output
+// depends on anything else (here, a counter of its own) panics, naming the
+// pass and the view.
+func TestCutoffCheckNamesPassAndView(t *testing.T) {
+	prog := lowerTestProg(t)
+	trace := []*packet.Packet{packet.New(make([]byte, 64), prog.Types.Metadata.Bytes)}
+	s, err := NewSession(prog, Config{Level: LevelBase, ProfileTrace: trace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	profiled := s.entries[0] // the state after the profile pass
+	live := factState{facts: profiled.snap.facts, key: profiled.key}
+	read := *live.weights // what the cached run read: equal, not the same
+	ent := &passEntry{outputHash: hashState(&s.hasher, profiled.snap.prog, nil), snap: profiled.snap}
+	ent.reads[FactWeights] = factRead{read: true, valid: true, key: live.key[FactWeights], val: &read}
+
+	calls := uint64(0)
+	for _, p := range []*fakePass{
+		{name: "reader", requires: []FactKind{FactWeights}, run: func(ctx *Context) error {
+			ctx.Weights()
+			return nil
+		}},
+		{name: "leaky", requires: []FactKind{FactWeights}, run: func(ctx *Context) error {
+			ctx.Weights()
+			f := ctx.Prog.Edit(ctx.Prog.Order[0])
+			calls++
+			f.Entry.Instrs = append([]*ir.Instr{{Op: ir.OpConst, Dst: []ir.Reg{f.NewReg(ir.ClassWord)}, Imm: calls}},
+				f.Entry.Instrs...)
+			return nil
+		}},
+	} {
+		ent.name = p.name
+		var caught string
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					caught = fmt.Sprint(r)
+				}
+			}()
+			s.checkCutoff(p, ent, profiled.snap, &live)
+		}()
+		switch {
+		case p.name == "reader" && caught != "":
+			t.Errorf("a pass that reads only its view: %s", caught)
+		case p.name == "leaky" && (!strings.Contains(caught, "pass leaky") || !strings.Contains(caught, "weights view")):
+			t.Errorf("a pass that depends on more than its view: panic %q, want it and the view named", caught)
+		}
 	}
 }

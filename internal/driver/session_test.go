@@ -2,6 +2,7 @@ package driver_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -246,14 +247,40 @@ func candidateNames(res *driver.Result) string {
 	return strings.Join(names, " ")
 }
 
+// swcRewrite renders what of a compile's SWC selection shapes the rewrite:
+// the cached globals and the smallest check limit, which the entry check
+// counts to. The other limits and the hit rates only reach the report.
+func swcRewrite(res *driver.Result) string {
+	limit := uint32(0)
+	for _, c := range res.Report.SWCCands {
+		if limit == 0 || c.CheckLimit < limit {
+			limit = c.CheckLimit
+		}
+	}
+	return fmt.Sprintf("%s every %d", candidateNames(res), limit)
+}
+
+// swcReport renders everything of a compile's SWC selection.
+func swcReport(res *driver.Result) string {
+	var b strings.Builder
+	for _, c := range res.Report.SWCCands {
+		fmt.Fprintf(&b, "%s/%d/%v ", c.Global.Name, c.CheckLimit, c.HitRate)
+	}
+	return b.String()
+}
+
 // TestSessionProfileDeltaReattaches pins both sides of the early cut-off
-// after a default (profile-invalidating) delta. The profiler re-runs, and
-// so do the two passes that read the profile — aggregation and SWC; the
-// scalar/SOAR/PAC transforms never do. When aggregation reproduces its plan
-// and SWC its candidates and rewrite, nothing else runs. When the plan
-// changes, everything after aggregation runs; when only the candidate set
-// changes, everything after SWC. The firewall under the benchmark's churn
-// stream produces all three within its first dozen deltas.
+// after a default (profile-invalidating) delta. The profiler re-runs; its
+// readers re-run only when the view each reads changed — aggregation when
+// the profile's weights did, SWC when its candidate selection did — and the
+// scalar/SOAR/PAC transforms never do. A re-run that reproduces its output
+// cuts everything after it off: when the plan changes, everything after
+// aggregation runs; when only the rewritten candidates or their check
+// limit changes, everything after SWC; when only what the report shows of
+// the selection does, SWC alone. The firewall under the benchmark's churn
+// stream produces four shapes within its first dozen deltas: only profile,
+// profile aggregate, profile aggregate swc …, and profile aggregate
+// agg-opt ….
 func TestSessionProfileDeltaReattaches(t *testing.T) {
 	t.Run("unchanged", func(t *testing.T) {
 		a := apps.L3Switch()
@@ -265,8 +292,8 @@ func TestSessionProfileDeltaReattaches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := executedPasses(res), "profile aggregate swc"; got != want {
-			t.Errorf("a route add that changes neither plan nor candidates executed %q, want %q", got, want)
+		if got, want := executedPasses(res), "profile"; got != want {
+			t.Errorf("a route add that changes neither weights nor candidates executed %q, want %q", got, want)
 		}
 	})
 	t.Run("changed", func(t *testing.T) {
@@ -279,22 +306,27 @@ func TestSessionProfileDeltaReattaches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := "profile aggregate swc"
+			want := "profile"
+			if !res.Report.ProfileStats.Weights.Equal(&prev.Report.ProfileStats.Weights) {
+				want += " aggregate"
+			}
 			switch {
 			case !res.Report.Plan.SameDecisions(prev.Report.Plan):
-				want = "profile aggregate agg-opt phr swc final-opt codegen"
-			case candidateNames(res) != candidateNames(prev):
-				want = "profile aggregate swc final-opt codegen"
+				want += " agg-opt phr swc final-opt codegen"
+			case swcRewrite(res) != swcRewrite(prev):
+				want += " swc final-opt codegen"
+			case swcReport(res) != swcReport(prev):
+				want += " swc"
 			}
 			if got := executedPasses(res); got != want {
 				t.Errorf("delta %d (plan\n%vwas\n%vcandidates %q, were %q) executed %q, want %q", i,
-					res.Report.Plan, prev.Report.Plan, candidateNames(res), candidateNames(prev), got, want)
+					res.Report.Plan, prev.Report.Plan, swcRewrite(res), swcRewrite(prev), got, want)
 			}
 			seen[want]++
 			prev = res
 		}
-		if len(seen) != 3 {
-			t.Errorf("the stream no longer exercises all three cases: %v", seen)
+		if len(seen) != 4 {
+			t.Errorf("the stream no longer exercises all four shapes: %v", seen)
 		}
 	})
 }
@@ -304,7 +336,7 @@ func TestSessionProfileDeltaReattaches(t *testing.T) {
 // its cached output so that its successors stayed cached. A cold CompileIR
 // records none of it.
 func TestSessionDecisionRecords(t *testing.T) {
-	a := apps.L3Switch()
+	a := apps.Firewall()
 	s := newSessionFor(t, a, driver.LevelSWC)
 	first, err := s.Compile()
 	if err != nil {
@@ -320,6 +352,8 @@ func TestSessionDecisionRecords(t *testing.T) {
 		t.Errorf("first compile counted %d cut-offs", n)
 	}
 
+	// One more allow rule shifts the profile's weights and the rule
+	// table's estimated hit rate, but neither the plan nor the rewrite.
 	res, err := s.Recompile(deltaFor(a))
 	if err != nil {
 		t.Fatal(err)
@@ -329,14 +363,17 @@ func TestSessionDecisionRecords(t *testing.T) {
 		pass, reason string
 	}{
 		{"profile", "stamp"},          // the delta declared its fact stale
-		{"aggregate", "fact_profile"}, // it reads the new profile
-		{"swc", "fact_profile"},       // so does candidate selection
+		{"aggregate", "fact_weights"}, // it reads the new weights
+		{"swc", "fact_swc_selection"}, // and it the new selection
 	} {
 		if n := counters[metrics.PassRerun(want.pass, want.reason).String()]; n != 1 {
 			t.Errorf("%s re-ran for reason %q %d times, want 1 (counters %v)", want.pass, want.reason, n, counters)
 		}
 	}
-	// aggregate and swc reproduced their outputs; the profile is never held equal.
+	if got := executedPasses(res); got != "profile aggregate swc" {
+		t.Errorf("the rule add executed %q, want profile aggregate swc", got)
+	}
+	// aggregate and swc reproduced their outputs; the profile did not.
 	if n := counters[metrics.SessionCutoffs.String()]; n != 2 {
 		t.Errorf("%d cut-offs, want 2", n)
 	}
@@ -363,16 +400,77 @@ func TestSessionDecisionRecords(t *testing.T) {
 	}
 }
 
+// TestBadDeltaLeavesSession: a delta the session refuses — an unknown
+// control, a function that is not a control, a control with the wrong
+// number of arguments, an unknown fact kind — is a *DeltaError naming what
+// it refused, and a delta whose control faults when the profiler replays it
+// fails with the profiler's error, prefixed once. Either way the session is
+// left as it was: the next valid delta executes what it executes on a
+// session that never saw the bad ones, and compiles what a cold compile
+// does.
+func TestBadDeltaLeavesSession(t *testing.T) {
+	a := apps.L3Switch()
+	s, twin := newSessionFor(t, a, driver.LevelSWC), newSessionFor(t, a, driver.LevelSWC)
+	for _, ss := range []*driver.Session{s, twin} {
+		if _, err := ss.Compile(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctl := func(name string, args ...uint32) driver.Delta {
+		return driver.Delta{AddControls: []profiler.Control{{Name: name, Args: args}}}
+	}
+	for _, c := range []struct {
+		d       driver.Delta
+		control string
+	}{
+		{ctl("no_such_control"), "no_such_control"},
+		{ctl("l3switch.l2_clsfr", 0), "l3switch.l2_clsfr"},
+		{ctl("l3switch.add_route", 0x0b000000, 8), "l3switch.add_route"},
+		{driver.Delta{Invalidates: []driver.FactKind{99}}, ""},
+	} {
+		_, err := s.Recompile(c.d)
+		var de *driver.DeltaError
+		if !errors.As(err, &de) || de.Control != c.control {
+			t.Errorf("delta %+v: got %v, want a *DeltaError naming %q", c.d, err, c.control)
+		}
+	}
+	_, err := s.Recompile(ctl("l3switch.set_port_mac", 1<<20, 0, 0))
+	if err == nil || !strings.Contains(err.Error(), "profile: control l3switch.set_port_mac: ") ||
+		strings.Contains(err.Error(), "profile: profile:") {
+		t.Errorf("a faulting control: got %v, want the profile pass's error naming it once", err)
+	}
+	if n := len(s.Config().Controls); n != len(a.Controls) {
+		t.Fatalf("the session kept %d controls after refusing every delta, want %d", n, len(a.Controls))
+	}
+
+	got, err := s.Recompile(deltaFor(a))
+	if err != nil {
+		t.Fatalf("a valid delta after the bad ones: %v", err)
+	}
+	want, err := twin.Recompile(deltaFor(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if executedPasses(got) != executedPasses(want) {
+		t.Errorf("the valid delta executed %q, on a session without the bad ones %q", executedPasses(got), executedPasses(want))
+	}
+	if !bytes.Equal(dumpIR(t, got), dumpIR(t, coldCompile(t, a, s.Config()))) {
+		t.Error("the valid delta after the bad ones differs from a cold compile")
+	}
+}
+
 // TestRecompileAllocsBelowCold is the clock-free guard on what the Session
 // is for: a steady-state recompile of one churn delta allocates well under
 // a cold CompileIR on the same program, trace and controls. The ceilings
-// are the program store's measurement (3,845 / 4,640 / 5,866 allocations
-// per recompile, against 9,860 / 12,148 / 9,010 per cold compile) plus a
-// tenth; with whole-program clones per snapshot it was 5,016 / 5,431 /
-// 7,072, and before the cut-off and the shared snapshots three times the
-// cold compile's.
+// are the profile views' measurement (716 / 263 / 3,863 allocations per
+// recompile, against 8,337 / 10,622 / 7,482 per cold compile) plus a tenth.
+// Re-running aggregation and SWC on every delta and copying the trace for
+// every profile, it was 3,845 / 4,640 / 5,866; with whole-program clones
+// per snapshot 5,016 / 5,431 / 7,072; and before the cut-off and the shared
+// snapshots three times the cold compile's.
 func TestRecompileAllocsBelowCold(t *testing.T) {
-	ceiling := map[string]float64{"l3switch": 4230, "mpls": 5100, "firewall": 6450}
+	defer driver.SetCutoffCheck(driver.SetCutoffCheck(false))
+	ceiling := map[string]float64{"l3switch": 790, "mpls": 290, "firewall": 4250}
 	for _, a := range apps.All() {
 		c := newChurner(t, a, 1)
 		s := c.session(t, driver.LevelSWC, driver.VerifyOff)

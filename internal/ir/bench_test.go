@@ -24,7 +24,7 @@ func BenchmarkFingerprint(b *testing.B) {
 		b.Fatal(err)
 	}
 	opt.Optimize(prog, opt.Options{Scalar: true, Inline: true})
-	plan, err := aggregate.Build(prog, stats, aggregate.DefaultConfig())
+	plan, err := aggregate.Build(prog, &stats.Weights, aggregate.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

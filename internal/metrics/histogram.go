@@ -59,9 +59,7 @@ func (h *Histogram) Record(v int64) {
 	idx := bucketIndex(v)
 	h.mu.Lock()
 	if idx >= len(h.counts) {
-		grown := make([]uint64, idx+1)
-		copy(grown, h.counts)
-		h.counts = grown
+		h.counts = growCounts(h.counts, idx+1)
 	}
 	h.counts[idx]++
 	h.count++
@@ -70,6 +68,22 @@ func (h *Histogram) Record(v int64) {
 		h.max = v
 	}
 	h.mu.Unlock()
+}
+
+// growCounts extends counts to n buckets, zeroing the new ones. Its
+// capacity at least doubles when it has to grow, so a rising latency ramp
+// reallocates a logarithmic number of times, not once per new top bucket,
+// and a histogram refilled after Reset reuses its storage.
+func growCounts(counts []uint64, n int) []uint64 {
+	if n > cap(counts) {
+		grown := make([]uint64, len(counts), max(n, 2*cap(counts)))
+		copy(grown, counts)
+		counts = grown
+	}
+	old := len(counts)
+	counts = counts[:n]
+	clear(counts[old:])
+	return counts
 }
 
 // Count returns the number of recorded samples.
@@ -152,9 +166,7 @@ func (h *Histogram) Merge(src *Histogram) {
 	src.mu.Unlock()
 	h.mu.Lock()
 	if len(counts) > len(h.counts) {
-		grown := make([]uint64, len(counts))
-		copy(grown, h.counts)
-		h.counts = grown
+		h.counts = growCounts(h.counts, len(counts))
 	}
 	for i, c := range counts {
 		h.counts[i] += c

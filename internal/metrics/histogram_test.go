@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 )
@@ -196,5 +197,69 @@ func TestHistogramMerge(t *testing.T) {
 	b.Merge(nil)
 	if got := b.Snapshot(); got != before {
 		t.Errorf("self/nil merge changed the histogram: %+v -> %+v", before, got)
+	}
+}
+
+// latencyRamp is a rising latency series in which most samples open a new
+// top bucket: 751 samples from 1 to 2^22 cycles, 575 new top buckets.
+func latencyRamp() []int64 {
+	var ramp []int64
+	for v := int64(1); v < 1<<22; v += v/64 + 1 {
+		ramp = append(ramp, v)
+	}
+	return ramp
+}
+
+// TestHistogramRecordGrowsGeometrically: a fresh histogram recording a
+// rising ramp reallocates its buckets a logarithmic number of times (it
+// was once per new top bucket, 575 times here), one refilled after Reset
+// not at all, and both report the quantiles of a histogram sized once to
+// the top bucket.
+func TestHistogramRecordGrowsGeometrically(t *testing.T) {
+	ramp := latencyRamp()
+	fresh := testing.AllocsPerRun(5, func() {
+		h := NewHistogram()
+		for _, v := range ramp {
+			h.Record(v)
+		}
+	})
+	if fresh > 12 {
+		t.Errorf("recording a %d-sample ramp allocates %v times, want at most 12", len(ramp), fresh)
+	}
+	h, sized := NewHistogram(), &Histogram{counts: make([]uint64, 0, bucketIndex(math.MaxInt64)+1)}
+	for _, v := range ramp {
+		h.Record(v)
+		sized.Record(v)
+	}
+	if refill := testing.AllocsPerRun(5, func() {
+		h.Reset()
+		for _, v := range ramp {
+			h.Record(v)
+		}
+	}); refill != 0 {
+		t.Errorf("refilling after Reset allocates %v times", refill)
+	}
+	if got, want := h.Snapshot(), sized.Snapshot(); got != want {
+		t.Errorf("grown histogram %+v, sized once %+v", got, want)
+	}
+	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 0.999, 1} {
+		if got, want := h.Quantile(q), sized.Quantile(q); got != want {
+			t.Errorf("q%v: grown %d, sized once %d", q, got, want)
+		}
+	}
+}
+
+// BenchmarkHistogramRecord is one run's latency histogram filled from
+// empty: a fresh histogram records the rising 751-sample ramp (576
+// allocations and 1.4 MB before the buckets grew geometrically, 11 and
+// 16 KB after).
+func BenchmarkHistogramRecord(b *testing.B) {
+	ramp := latencyRamp()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h := NewHistogram()
+		for _, v := range ramp {
+			h.Record(v)
+		}
 	}
 }

@@ -58,8 +58,10 @@ func PassSkips(pass string) Key { return Key("compile.pass." + pass + ".skips") 
 
 // PassRerun counts the times a driver.Session had to execute a named pass
 // for one reason: "cold" (nothing cached), "ir" (the IR entering the pass
-// changed), "fact_profile", "fact_soar", "fact_plan" (a fact the pass reads
-// changed) or "stamp" (a delta declared a fact the pass produces stale).
+// changed), "fact_<fact>" (a fact the pass reads changed: "fact_soar",
+// "fact_plan", "fact_profile", or one of the profile's views,
+// "fact_weights" for aggregation and "fact_swc_selection" for SWC) or
+// "stamp" (a delta declared a fact the pass produces stale).
 func PassRerun(pass, reason string) Key { return Key("compile.pass." + pass + ".rerun." + reason) }
 
 // Session-level incremental-compilation counters: total compiles executed

@@ -87,7 +87,7 @@ func pipeline(t *testing.T, prog *ir.Program) (*ir.Func, *phr.Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := aggregate.Build(prog, stats, aggregate.DefaultConfig())
+	plan, err := aggregate.Build(prog, &stats.Weights, aggregate.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func setup(t *testing.T, prog *ir.Program) (*profiler.Stats, *aggregate.Plan, []
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := aggregate.Build(prog, stats, aggregate.DefaultConfig())
+	plan, err := aggregate.Build(prog, &stats.Weights, aggregate.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

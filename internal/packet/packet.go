@@ -59,6 +59,16 @@ func (p *Packet) Clone() *Packet {
 	}
 }
 
+// CopyFrom makes p a deep copy of q (the same bytes, headroom, metadata and
+// port), reusing p's storage wherever it is large enough: a packet rewritten
+// over and over, as the profiler's scratch packet is, allocates only for a q
+// larger than every packet copied into it before.
+func (p *Packet) CopyFrom(q *Packet) {
+	p.buf = append(p.buf[:0], q.buf...)
+	p.Meta = append(p.Meta[:0], q.Meta...)
+	p.start, p.length, p.Port = q.start, q.length, q.Port
+}
+
 // ReadField reads protocol field f of the header at byte offset head.
 func (p *Packet) ReadField(head int, f *types.ProtoField) (uint32, error) {
 	bitOff := (p.start+head)*8 + f.BitOff

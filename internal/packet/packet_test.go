@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -195,6 +196,40 @@ func TestCloneIsDeep(t *testing.T) {
 	v, _ := p.ReadField(0, eth.Field("type"))
 	if v != 0 {
 		t.Fatal("clone shares storage with original")
+	}
+}
+
+// TestCopyFromReusesStorage: CopyFrom reproduces a packet exactly — headroom
+// included, so an encapsulation that grows the front behaves as on the
+// original — shares nothing with it, and reuses the copy's storage once it
+// has grown.
+func TestCopyFromReusesStorage(t *testing.T) {
+	tp := protoEnv(t)
+	eth := tp.Protocols["ether"]
+	long := New(make([]byte, 96), 4)
+	long.Port = 3
+	if err := long.WriteField(0, eth.Field("type"), 0x0800); err != nil {
+		t.Fatal(err)
+	}
+	var p Packet
+	p.CopyFrom(long)
+	if !bytes.Equal(p.Bytes(), long.Bytes()) || !bytes.Equal(p.Meta, long.Meta) || p.Port != 3 ||
+		len(p.buf) != len(long.buf) || p.start != long.start {
+		t.Fatalf("copy %+v differs from %+v", p, long)
+	}
+	if err := p.WriteField(0, eth.Field("type"), 0x86dd); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := long.ReadField(0, eth.Field("type")); v != 0x0800 {
+		t.Fatal("the copy shares storage with the original")
+	}
+	short := New(make([]byte, 64), 4)
+	if n := testing.AllocsPerRun(10, func() { p.CopyFrom(short); p.CopyFrom(long) }); n != 0 {
+		t.Errorf("copying into grown storage allocates %v times", n)
+	}
+	p.CopyFrom(short)
+	if !bytes.Equal(p.Bytes(), short.Bytes()) || len(p.buf) != len(short.buf) {
+		t.Fatal("a shorter packet copied over a longer one kept its length")
 	}
 }
 

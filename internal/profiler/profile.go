@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"shangrila/internal/baker/types"
@@ -60,25 +61,50 @@ type FuncStats struct {
 	MemAccesses uint64
 }
 
+// Weights is the part of a profile that weighs the program's functions and
+// channels against each other: how many packets were injected, how often
+// and how long each function ran, and how many messages each channel
+// carried. It is all aggregation reads, so two profiles with equal Weights
+// aggregate alike.
+type Weights struct {
+	Packets uint64 // trace packets injected
+	Funcs   map[string]*FuncStats
+	Chans   map[string]uint64 // messages per channel
+}
+
 // Stats is the Functional profiler's output, consumed by the IPA/global
-// optimizer (aggregation, memory mapping, SWC candidate selection).
+// optimizer (aggregation reads its Weights, SWC candidate selection its
+// Globals).
 type Stats struct {
-	Packets   uint64 // trace packets injected
+	Weights
 	Forwarded uint64 // packets reaching tx
 	Dropped   uint64
-	Funcs     map[string]*FuncStats
-	Chans     map[string]uint64 // messages per channel
 	Globals   map[string]*GlobalStats
 }
 
 // InstrsPerPacket returns fn's average executed instructions per
 // invocation.
-func (s *Stats) InstrsPerPacket(fn string) float64 {
-	fs := s.Funcs[fn]
+func (w *Weights) InstrsPerPacket(fn string) float64 {
+	fs := w.Funcs[fn]
 	if fs == nil || fs.Invocations == 0 {
 		return 0
 	}
 	return float64(fs.Instrs) / float64(fs.Invocations)
+}
+
+// Equal reports whether two weights hold the same counts.
+func (w *Weights) Equal(v *Weights) bool {
+	return w.Packets == v.Packets && maps.Equal(w.Chans, v.Chans) &&
+		maps.EqualFunc(w.Funcs, v.Funcs, func(a, b *FuncStats) bool { return *a == *b })
+}
+
+// Equal reports whether two profiles hold the same counts.
+func (s *Stats) Equal(t *Stats) bool {
+	return s.Weights.Equal(&t.Weights) && s.Forwarded == t.Forwarded && s.Dropped == t.Dropped &&
+		maps.EqualFunc(s.Globals, t.Globals, func(a, b *GlobalStats) bool {
+			return a.Reads == b.Reads && a.Writes == b.Writes && a.InCritical == b.InCritical &&
+				maps.Equal(a.LineReads, b.LineReads)
+		})
 }
 
 // hostEnv is the profiler's host-memory execution environment and PPF
@@ -244,7 +270,7 @@ func (e *hostEnv) inject(entry *code, p *packet.Packet, out *[]OutPacket) error 
 		if hc.consumer == nil {
 			fn := e.it.Prog.Func(msg.Chan.Consumer)
 			if fn == nil {
-				return fmt.Errorf("profile: channel %s consumer %q missing", msg.Chan.Name, msg.Chan.Consumer)
+				return fmt.Errorf("channel %s consumer %q missing", msg.Chan.Name, msg.Chan.Consumer)
 			}
 			hc.consumer = e.it.codeOf(fn)
 		}
@@ -259,7 +285,7 @@ func (e *hostEnv) inject(entry *code, p *packet.Packet, out *[]OutPacket) error 
 func (e *hostEnv) runPPF(c *code, p *packet.Packet, head int) error {
 	c.invocations++
 	if _, err := e.it.run(c, []Value{{P: p, Head: head}}); err != nil {
-		return fmt.Errorf("profile: %s: %w", c.fn.Name, err)
+		return fmt.Errorf("%s: %w", c.fn.Name, err)
 	}
 	return nil
 }
@@ -313,7 +339,8 @@ func (e *hostEnv) assemble() {
 }
 
 func newStats() *Stats {
-	return &Stats{Funcs: map[string]*FuncStats{}, Chans: map[string]uint64{}, Globals: map[string]*GlobalStats{}}
+	return &Stats{Weights: Weights{Funcs: map[string]*FuncStats{}, Chans: map[string]uint64{}},
+		Globals: map[string]*GlobalStats{}}
 }
 
 // Control names a control-plane invocation used to populate tables before
@@ -331,16 +358,17 @@ func Profile(prog *ir.Program, tr []*packet.Packet) (*Stats, error) {
 }
 
 // ProfileWithControls is Profile with control-function table setup
-// between init and the packet trace.
+// between init and the packet trace. The trace is only read, so one trace
+// can drive any number of profiles.
 func ProfileWithControls(prog *ir.Program, tr []*packet.Packet, controls []Control) (*Stats, error) {
 	stats := newStats()
 	env := newHostEnv(prog, stats)
 	if err := env.runInits(); err != nil {
-		return nil, fmt.Errorf("profile: %w", err)
+		return nil, err
 	}
 	for _, c := range controls {
 		if err := env.control(c.Name, c.Args); err != nil {
-			return nil, fmt.Errorf("profile: control %s: %w", c.Name, err)
+			return nil, fmt.Errorf("control %s: %w", c.Name, err)
 		}
 	}
 	// Setup traffic (init + table population) must not pollute the
@@ -350,10 +378,15 @@ func ProfileWithControls(prog *ir.Program, tr []*packet.Packet, controls []Contr
 
 	entry, err := env.entry()
 	if err != nil {
-		return nil, fmt.Errorf("profile: %w", err)
+		return nil, err
 	}
+	// The application rewrites the packet it is given (MACs, TTLs,
+	// labels), so each trace packet is copied into one scratch packet
+	// first: the trace is only read.
+	var scratch packet.Packet
 	for _, p := range tr {
-		if err := env.inject(entry, p, nil); err != nil {
+		scratch.CopyFrom(p)
+		if err := env.inject(entry, &scratch, nil); err != nil {
 			return nil, err
 		}
 	}
