@@ -111,6 +111,10 @@ type Context struct {
 	// keyed to the exact fact values a pass observed, not just its
 	// declared Requires.
 	factReads [numFacts]bool
+	// profiles is the profiler state a Session keeps between compiles, for
+	// the profile pass; nil outside a Session, where every profile is a
+	// full one.
+	profiles *profileState
 }
 
 // noteFactRead enforces the Requires contract while a pass runs.

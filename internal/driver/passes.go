@@ -112,6 +112,9 @@ func init() {
 // changes. It is made at every level, not only at +SWC, so that the
 // profile pass is one value for all levels and the level ladder shares it;
 // selecting costs a sort of the globals.
+//
+// In a Session the profile is incremental (profileState): it re-interprets
+// only the trace packets a delta reaches.
 type profilePass struct{ swc swc.Config }
 
 func (profilePass) Name() string            { return "profile" }
@@ -119,7 +122,13 @@ func (profilePass) Requires() []FactKind    { return nil }
 func (profilePass) Invalidates() []FactKind { return nil }
 
 func (p profilePass) Run(ctx *Context) error {
-	stats, err := profiler.ProfileWithControls(ctx.Prog, ctx.Cfg.ProfileTrace, ctx.Cfg.Controls)
+	var stats *profiler.Stats
+	var err error
+	if ctx.profiles != nil {
+		stats, err = ctx.profiles.profile(ctx)
+	} else {
+		stats, err = profiler.ProfileWithControls(ctx.Prog, ctx.Cfg.ProfileTrace, ctx.Cfg.Controls)
+	}
 	if err != nil {
 		return err
 	}

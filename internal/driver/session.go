@@ -215,6 +215,7 @@ type Session struct {
 	// with the sequence of the last delta that declared it invalid.
 	deltaSeq  uint64
 	lastInval [numFacts]uint64
+	prof      profileState
 
 	stats SessionStats
 }
@@ -236,6 +237,7 @@ func NewSession(prog *ir.Program, cfg Config) (*Session, error) {
 		store:   newStoreCheck(cfg),
 		reg:     cfg.Metrics,
 		entries: make([]*passEntry, len(PipelineFor(cfg))),
+		prof:    profileState{full: "cold"},
 	}
 	s.baseHash = hashState(&s.hasher, s.base.prog, nil)
 	return s, nil
@@ -322,7 +324,8 @@ func (s *Session) applyDelta(d Delta) {
 // *DeltaError; one whose compile fails (a control that faults when the
 // profiler replays it, say) is rolled back. Either way the session is left
 // as it was — configuration, stamps and cache — and compiles the next delta
-// as if this one had never been offered.
+// as if this one had never been offered. The kept profiler state is the
+// exception: it is dropped, and the next profile is a full one.
 func (s *Session) Recompile(d Delta) (*Result, error) {
 	if err := s.checkDelta(d); err != nil {
 		return nil, err
@@ -332,6 +335,7 @@ func (s *Session) Recompile(d Delta) (*Result, error) {
 	res, err := s.Compile()
 	if err != nil {
 		s.cfg, s.deltaSeq, s.lastInval, s.entries = cfg, seq, inval, entries
+		s.prof.drop("rollback")
 	}
 	return res, err
 }
@@ -353,6 +357,8 @@ func (s *Session) Compile() (*Result, error) {
 	r := newRunner(nil, s.cfg)
 	r.store = s.store
 	ctx := r.ctx
+	ctx.profiles = &s.prof
+	s.prof.seq = s.deltaSeq
 
 	// The walk: live is the fact base at the current position, cur the
 	// cached IR there and curHash its fingerprint; materialized says ctx
@@ -396,6 +402,7 @@ func (s *Session) Compile() (*Result, error) {
 		preReport := *ctx.Report
 		preImage := ctx.Image
 		ctx.factReads = [numFacts]bool{}
+		s.prof.in = curHash
 
 		if err := r.runPass(p); err != nil {
 			return nil, err
@@ -475,6 +482,91 @@ func (s *Session) Compile() (*Result, error) {
 	s.reg.Counter(metrics.SessionCompiles).Inc()
 
 	return r.result(), nil
+}
+
+// profileState is the profiler state a Session keeps between compiles: a
+// profiler.Incremental, keyed by the fingerprint of the IR it profiles and,
+// inside it, by the number of controls it has applied (Config.Controls only
+// grows; a rolled-back Recompile, which shrinks it, drops the state). A
+// profile on other IR, a failed profile and a rollback all drop it, and
+// the next profile is a full one that keeps a new state. The session's
+// first profile is a plain ProfileWithControls that keeps none, so that a
+// session that never recompiles pays nothing for the state.
+type profileState struct {
+	inc *profiler.Incremental
+	fp  uint64 // the fingerprint of the IR inc profiles
+	// in is the fingerprint of the IR the profile pass is about to run on,
+	// seq the delta sequence number, both set by Compile.
+	in, seq uint64
+	// full says why the next profile is a full one while inc is nil (the
+	// reason label of metrics.ProfileFull); keep, whether it keeps a state.
+	full string
+	keep bool
+}
+
+// drop forgets the kept state, saying why; the first reason stands.
+func (ps *profileState) drop(why string) {
+	if ps.inc != nil {
+		ps.inc, ps.full = nil, why
+	}
+}
+
+// profile is the profile pass's profile in a Session: incremental on the
+// kept state when there is one for this IR, and otherwise a full one that
+// keeps a new state. Every decision is recorded in the session's registry.
+// Under `go test` every profile is also checked against a full
+// ProfileWithControls.
+func (ps *profileState) profile(ctx *Context) (*profiler.Stats, error) {
+	cfg := &ctx.Cfg
+	if ps.inc != nil && ps.fp != ps.in {
+		ps.drop("ir")
+	}
+	var st *profiler.Stats
+	var err error
+	switch {
+	case ps.inc == nil && !ps.keep:
+		ctx.reg.Counter(metrics.ProfileFull(ps.full)).Inc()
+		ps.keep = true
+		if st, err = profiler.ProfileWithControls(ctx.Prog, cfg.ProfileTrace, cfg.Controls); err != nil {
+			ps.full = "error"
+			return nil, err
+		}
+		return st, nil
+	case ps.inc == nil:
+		ctx.reg.Counter(metrics.ProfileFull(ps.full)).Inc()
+		// A program of its own: later passes install their copies of the
+		// functions they rewrite in ctx.Prog.
+		if ps.inc, st, err = profiler.NewIncremental(ctx.Prog.Freeze(), cfg.ProfileTrace, cfg.Controls); err != nil {
+			ps.full = "error"
+			return nil, err
+		}
+		ps.fp = ps.in
+	default:
+		if st, err = ps.inc.Profile(cfg.Controls); err != nil {
+			ps.drop("error")
+			return nil, err
+		}
+		n := ps.inc.Reinterpreted
+		ctx.reg.Counter(metrics.ProfilePacketsReinterpreted).Add(int64(n))
+		ctx.reg.Counter(metrics.ProfilePacketsReused).Add(int64(len(cfg.ProfileTrace) - n))
+	}
+	if cutoffCheck {
+		checkProfile(ctx, st, ps.seq)
+	}
+	return st, nil
+}
+
+// checkProfile is the test-time proof that a Session's profile is the full
+// profile: it profiles again with ProfileWithControls and panics, naming
+// the delta and the first count that differs, unless the two are Equal.
+func checkProfile(ctx *Context, st *profiler.Stats, seq uint64) {
+	full, err := profiler.ProfileWithControls(ctx.Prog, ctx.Cfg.ProfileTrace, ctx.Cfg.Controls)
+	if err != nil {
+		panic(fmt.Sprintf("driver: the session profiled delta %d, a full profile fails: %v", seq, err))
+	}
+	if !st.Equal(full) {
+		panic(fmt.Sprintf("driver: the session's profile after delta %d differs from a full profile in %s", seq, st.Diff(full)))
+	}
 }
 
 // checkHeld verifies, before a compile, every frozen function the

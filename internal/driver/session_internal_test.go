@@ -9,6 +9,7 @@ import (
 	"shangrila/internal/baker/types"
 	"shangrila/internal/ir"
 	"shangrila/internal/lower"
+	"shangrila/internal/metrics"
 	"shangrila/internal/packet"
 	"shangrila/internal/profiler"
 )
@@ -150,6 +151,74 @@ func TestHashStateAllocFree(t *testing.T) {
 	prog.Funcs[prog.Order[0]].Blocks[0].Instrs[0].StaticAlign = 8
 	if hashState(&h, prog, nil) == before {
 		t.Error("an alignment annotation did not change the fingerprint")
+	}
+}
+
+// TestProfileFallbacks: a session's first two profiles are full ones (the
+// first keeps no profiler state, the second keeps it); the kept state is
+// dropped by a rolled-back Recompile and by a profile on other IR, and the
+// next profile is a full one, counted under that reason; otherwise a re-run
+// profile is incremental. (A failed profile is TestSessionDecisionRecords'.)
+func TestProfileFallbacks(t *testing.T) {
+	prog := lowerTestProg(t)
+	trace := []*packet.Packet{packet.New(make([]byte, 64), prog.Types.Metadata.Bytes)}
+	s, err := NewSession(prog, Config{Level: LevelSWC, ProfileTrace: trace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	restamp := Delta{Invalidates: []FactKind{FactProfile}}
+	full := func(want map[string]int64) {
+		t.Helper()
+		res, err := s.Recompile(restamp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := res.Report.Metrics.Counters
+		for _, why := range []string{"cold", "ir", "error", "rollback"} {
+			if n := c[metrics.ProfileFull(why).String()]; n != want[why] {
+				t.Errorf("%d full profiles for %s, want %d", n, why, want[why])
+			}
+		}
+	}
+	full(map[string]int64{"cold": 2})
+	full(map[string]int64{"cold": 2})
+
+	// A dump that cannot be written fails the compile after the profile ran.
+	s.cfg.DumpPass, s.cfg.DumpDir = "aggregate", "/dev/null/dump"
+	if _, err := s.Recompile(Delta{Invalidates: []FactKind{FactProfile, FactPlan}}); err == nil {
+		t.Fatal("an unwritable dump did not fail the recompile")
+	}
+	s.cfg.DumpPass, s.cfg.DumpDir = "", ""
+	full(map[string]int64{"cold": 2, "rollback": 1})
+
+	s.prof.fp ^= 1 // as if the state were kept for another program
+	full(map[string]int64{"cold": 2, "rollback": 1, "ir": 1})
+	full(map[string]int64{"cold": 2, "rollback": 1, "ir": 1})
+}
+
+// TestProfileCheckNamesDeltaAndCount: the test-time check of a Session's
+// profile passes one equal to a full profile and panics on any other,
+// naming the delta and the first count that differs.
+func TestProfileCheckNamesDeltaAndCount(t *testing.T) {
+	prog := lowerTestProg(t)
+	trace := []*packet.Packet{packet.New(make([]byte, 64), prog.Types.Metadata.Bytes)}
+	ctx := newRunner(prog, Config{ProfileTrace: trace}).ctx
+	st, err := profiler.ProfileWithControls(prog, trace, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkProfile(ctx, st, 7)
+	st.Globals["m.counter"].Writes++
+	var caught string
+	func() {
+		defer func() { caught = fmt.Sprint(recover()) }()
+		checkProfile(ctx, st, 7)
+	}()
+	if !strings.Contains(caught, "delta 7") || !strings.Contains(caught, "Globals[m.counter].Writes") {
+		t.Errorf("a profile with one write too many: panic %q, want the delta and the count named", caught)
 	}
 }
 

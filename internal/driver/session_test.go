@@ -351,6 +351,9 @@ func TestSessionDecisionRecords(t *testing.T) {
 	if n := counters[metrics.SessionCutoffs.String()]; n != 0 {
 		t.Errorf("first compile counted %d cut-offs", n)
 	}
+	if n := counters[metrics.ProfileFull("cold").String()]; n != 1 {
+		t.Errorf("first compile: %d cold full profiles, want 1", n)
+	}
 
 	// One more allow rule shifts the profile's weights and the rule
 	// table's estimated hit rate, but neither the plan nor the rewrite.
@@ -377,6 +380,11 @@ func TestSessionDecisionRecords(t *testing.T) {
 	if n := counters[metrics.SessionCutoffs.String()]; n != 2 {
 		t.Errorf("%d cut-offs, want 2", n)
 	}
+	// The session's first recompile profiles in full once more, to keep
+	// the profiler state; the first compile kept none.
+	if n := counters[metrics.ProfileFull("cold").String()]; n != 2 {
+		t.Errorf("%d cold full profiles after the first recompile, want 2", n)
+	}
 
 	// A plan-only invalidation re-runs aggregation on its stamp, and an
 	// unchanged plan cuts everything after it off.
@@ -392,11 +400,91 @@ func TestSessionDecisionRecords(t *testing.T) {
 		t.Errorf("plan-only invalidation executed %q, want only aggregate", got)
 	}
 
+	// A control that faults when the profile replays it fails the
+	// incremental profile, which drops the kept state: the next profile is
+	// a full one, for that reason.
+	if _, err := s.Recompile(driver.Delta{AddControls: []profiler.Control{{Name: "firewall.add_rule",
+		Args: []uint32{1 << 20, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}}}); err == nil {
+		t.Fatal("a rule past the table did not fail the recompile")
+	}
+	if res, err = s.Recompile(deltaFor(a)); err != nil {
+		t.Fatal(err)
+	}
+	counters = res.Report.Metrics.Counters
+	if n := counters[metrics.ProfileFull("error").String()]; n != 1 {
+		t.Errorf("after a failed profile: %d full profiles for an error, want 1", n)
+	}
+	// From there the profile is incremental: a rule rewritten in place
+	// reaches only the packets whose scan gets that far.
+	res, err = s.Recompile(driver.Delta{AddControls: []profiler.Control{{Name: "firewall.add_rule",
+		Args: []uint32{5, 0x0a000000, 0xff000000, 0, 0, 0, 0xffff, 443, 443, 6, 1, 2}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters = res.Report.Metrics.Counters
+	again, reused := counters[metrics.ProfilePacketsReinterpreted.String()], counters[metrics.ProfilePacketsReused.String()]
+	if again == 0 || reused == 0 || again+reused != 256 {
+		t.Errorf("rewriting a rule re-interpreted %d and skipped %d of 256 packets, want some of each", again, reused)
+	}
+
 	cold := coldCompile(t, a, s.Config())
 	for name := range cold.Report.Metrics.Counters {
 		if strings.Contains(name, ".rerun.") || strings.HasPrefix(name, "compile.session.") {
 			t.Errorf("a cold CompileIR recorded %s", name)
 		}
+	}
+}
+
+// TestSessionStreamCensus pins what the repository benchmark's compile_incr
+// workload does on its seed-1 stream, 80 deltas per application at +SWC in
+// turn: which passes the 240 recompiles execute, and how much of the trace
+// their profiles interpret again. A session's first recompile keeps the
+// profiler state, in a full profile, and every later profile is
+// incremental: it re-interprets on average at most 70 of the 512 trace
+// packets.
+func TestSessionStreamCensus(t *testing.T) {
+	var cs []*churner
+	var ss []*driver.Session
+	for _, a := range apps.All() {
+		c := newChurner(t, a, 1)
+		cs = append(cs, c)
+		ss = append(ss, c.session(t, driver.LevelSWC, driver.VerifyOff))
+	}
+	runs := map[string]int{}
+	const deltas = 240
+	for i := 0; i < deltas; i++ {
+		res, err := ss[i%len(ss)].Recompile(cs[i%len(cs)].next())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range strings.Fields(executedPasses(res)) {
+			runs[p]++
+		}
+	}
+	want := map[string]int{"profile": 240, "aggregate": 88, "agg-opt": 24, "phr": 24, "swc": 36, "final-opt": 36, "codegen": 36}
+	for p, n := range want {
+		if runs[p] != n {
+			t.Errorf("%s executed %d times in %d recompiles, want %d", p, runs[p], deltas, n)
+		}
+	}
+	const incremental = deltas - 3 // less each session's first recompile
+	var again int64
+	for i, s := range ss {
+		res, err := s.Compile() // a full cache hit, for the registry's snapshot
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := res.Report.Metrics.Counters
+		a, r := c[metrics.ProfilePacketsReinterpreted.String()], c[metrics.ProfilePacketsReused.String()]
+		t.Logf("%s: %.1f of 512 packets re-interpreted per profile", cs[i].app.Name, float64(a)/float64(incremental/len(ss)))
+		if full := c[metrics.ProfileFull("cold").String()]; full != 2 || a+r != incremental/int64(len(ss))*512 {
+			t.Errorf("%s: %d full profiles and %d incremental packets, want the first two and %d", cs[i].app.Name,
+				full, a+r, incremental/len(ss)*512)
+		}
+		again += a
+	}
+	if mean := float64(again) / incremental; mean > 70 {
+		t.Errorf("a profile re-interprets %.1f of 512 packets on average, want at most 70", mean)
 	}
 }
 
@@ -462,19 +550,20 @@ func TestBadDeltaLeavesSession(t *testing.T) {
 // TestRecompileAllocsBelowCold is the clock-free guard on what the Session
 // is for: a steady-state recompile of one churn delta allocates well under
 // a cold CompileIR on the same program, trace and controls. The ceilings
-// are the profile views' measurement (716 / 263 / 3,863 allocations per
-// recompile, against 8,337 / 10,622 / 7,482 per cold compile) plus a tenth.
-// Re-running aggregation and SWC on every delta and copying the trace for
-// every profile, it was 3,845 / 4,640 / 5,866; with whole-program clones
-// per snapshot 5,016 / 5,431 / 7,072; and before the cut-off and the shared
-// snapshots three times the cold compile's.
+// are the incremental profile's measurement (564 / 129 / 3,763 allocations
+// per recompile, against 8,344 / 10,629 / 7,487 per cold compile) plus a
+// tenth. Profiling the whole trace after every delta it was 716 / 263 /
+// 3,863; re-running aggregation and SWC on every delta and copying the
+// trace for every profile, 3,845 / 4,640 / 5,866; with whole-program
+// clones per snapshot 5,016 / 5,431 / 7,072; and before the cut-off and
+// the shared snapshots three times the cold compile's.
 func TestRecompileAllocsBelowCold(t *testing.T) {
 	defer driver.SetCutoffCheck(driver.SetCutoffCheck(false))
-	ceiling := map[string]float64{"l3switch": 790, "mpls": 290, "firewall": 4250}
+	ceiling := map[string]float64{"l3switch": 625, "mpls": 150, "firewall": 4150}
 	for _, a := range apps.All() {
 		c := newChurner(t, a, 1)
 		s := c.session(t, driver.LevelSWC, driver.VerifyOff)
-		for i := 0; i < 3; i++ { // past the first recompile, which fills nothing new but sizes buffers
+		for i := 0; i < 3; i++ { // past the first recompile, which keeps the profiler state, and buffers' growth
 			if _, err := s.Recompile(c.next()); err != nil {
 				t.Fatal(err)
 			}

@@ -74,28 +74,21 @@ const (
 	SessionCutoffs     = Key("compile.session.cutoffs")
 )
 
+// Incremental-profile decision records of a driver.Session: the trace
+// packets its incremental profiles interpreted again because a delta
+// reached them, and the ones they skipped, each packet once per profile.
+const (
+	ProfilePacketsReinterpreted = Key("compile.profile.packets_reinterpreted")
+	ProfilePacketsReused        = Key("compile.profile.packets_reused")
+)
+
+// ProfileFull counts the times a driver.Session profiled in full instead of
+// incrementally, for one reason: "cold" (nothing kept yet), "ir" (the IR
+// entering the profile pass changed), "error" (a profile failed) or
+// "rollback" (a failed Recompile was undone).
+func ProfileFull(reason string) Key { return Key("compile.profile.full." + reason) }
+
 // StallShareKey is the per-category stall-share gauge family exported from
 // a stall breakdown (category as in ixp.Stall.StallShare, e.g.
 // "mem_queue.dram").
 func StallShareKey(category string) Key { return Key("stall.share." + category) }
-
-// CounterNamed looks up a counter by a runtime-built string name.
-//
-// Deprecated: construct a Key (ideally via a typed constructor above) and
-// call Counter; this shim exists for one release to ease migration.
-func (r *Registry) CounterNamed(name string) *Counter { return r.Counter(Key(name)) }
-
-// GaugeNamed looks up a gauge by a runtime-built string name.
-//
-// Deprecated: construct a Key and call Gauge.
-func (r *Registry) GaugeNamed(name string) *Gauge { return r.Gauge(Key(name)) }
-
-// SeriesNamed looks up a series by a runtime-built string name.
-//
-// Deprecated: construct a Key and call Series.
-func (r *Registry) SeriesNamed(name string, window int) *Series { return r.Series(Key(name), window) }
-
-// HistogramNamed looks up a histogram by a runtime-built string name.
-//
-// Deprecated: construct a Key and call Histogram.
-func (r *Registry) HistogramNamed(name string) *Histogram { return r.Histogram(Key(name)) }

@@ -53,6 +53,7 @@ func (it *Interp) codeOf(fn *ir.Func) *code {
 		}
 		c = &code{fn: fn}
 		it.code[fn] = c
+		it.codes = append(it.codes, c)
 	}
 	return c
 }

@@ -62,6 +62,7 @@ type Interp struct {
 	Env  Env
 
 	code  map[*ir.Func]*code
+	codes []*code  // the shells of code, in the order codeOf made them
 	stack []Value  // register windows of the live activations, callee above caller
 	words []uint32 // OpStore staging
 }

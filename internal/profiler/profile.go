@@ -1,8 +1,10 @@
 package profiler
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 
 	"shangrila/internal/baker/types"
@@ -107,6 +109,68 @@ func (s *Stats) Equal(t *Stats) bool {
 		})
 }
 
+// Diff names the first count in which two profiles differ, "" when they are
+// Equal: the packet counts, then channels, functions and globals in name
+// order.
+func (s *Stats) Diff(t *Stats) string {
+	switch {
+	case s.Packets != t.Packets:
+		return "Packets"
+	case s.Forwarded != t.Forwarded:
+		return "Forwarded"
+	case s.Dropped != t.Dropped:
+		return "Dropped"
+	}
+	for _, name := range unionKeys(s.Chans, t.Chans) {
+		if s.Chans[name] != t.Chans[name] {
+			return "Chans[" + name + "]"
+		}
+	}
+	for _, name := range unionKeys(s.Funcs, t.Funcs) {
+		a, b := s.Funcs[name], t.Funcs[name]
+		switch {
+		case a == nil || b == nil:
+			return "Funcs[" + name + "]"
+		case *a != *b:
+			return fmt.Sprintf("Funcs[%s] (%+v, %+v)", name, *a, *b)
+		}
+	}
+	for _, name := range unionKeys(s.Globals, t.Globals) {
+		a, b := s.Globals[name], t.Globals[name]
+		switch {
+		case a == nil || b == nil:
+			return "Globals[" + name + "]"
+		case a.Reads != b.Reads:
+			return "Globals[" + name + "].Reads"
+		case a.Writes != b.Writes:
+			return "Globals[" + name + "].Writes"
+		case a.InCritical != b.InCritical:
+			return "Globals[" + name + "].InCritical"
+		}
+		for _, line := range unionKeys(a.LineReads, b.LineReads) {
+			if a.LineReads[line] != b.LineReads[line] {
+				return fmt.Sprintf("Globals[%s].LineReads[%d]", name, line)
+			}
+		}
+	}
+	return ""
+}
+
+// unionKeys returns the keys of two maps, sorted.
+func unionKeys[K cmp.Ordered, V any](a, b map[K]V) []K {
+	keys := make([]K, 0, len(a))
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 // hostEnv is the profiler's host-memory execution environment and PPF
 // dispatcher. It counts on dense tables — globals by Global.ID, channels
 // by Channel.ID, functions on the Interp's decoded code — and assemble
@@ -122,6 +186,9 @@ type hostEnv struct {
 	inCrit  int
 	rx      *code             // the PPF wired to rx, once resolved
 	rxPort  *types.ProtoField // metadata field mirroring the receive port, if declared
+	// rec, when set, logs what each packet reads, writes and counts, for
+	// an Incremental profile; nil on every other path.
+	rec *recorder
 }
 
 type hostGlobal struct {
@@ -160,6 +227,9 @@ func (e *hostEnv) global(g *types.Global, off uint32, n int, verb string) (*host
 	}
 	if e.inCrit > 0 {
 		hg.stats.InCritical = true
+		if e.rec != nil {
+			e.rec.crit[g.ID]++
+		}
 	}
 	return hg, nil
 }
@@ -171,6 +241,9 @@ func (e *hostEnv) LoadWords(g *types.Global, off uint32, n int) ([]uint32, error
 	}
 	hg.stats.Reads++
 	hg.lineReads[off/CacheLineBytes]++
+	if e.rec != nil {
+		e.rec.read(hg, off, n)
+	}
 	return hg.words[off/4 : off/4+uint32(n)], nil
 }
 
@@ -181,6 +254,9 @@ func (e *hostEnv) StoreWords(g *types.Global, off uint32, words []uint32) error 
 	}
 	hg.stats.Writes++
 	copy(hg.words[off/4:], words)
+	if e.rec != nil {
+		e.rec.write(hg, off, len(words))
+	}
 	return nil
 }
 
@@ -248,7 +324,17 @@ func (e *hostEnv) entry() (*code, error) {
 // inject runs p through the application: it enters at the rx-wired PPF,
 // then channel messages are dispatched FIFO to consumer PPFs until the
 // system drains. Packets reaching tx are appended to out when non-nil.
+//
+// Every packet starts from an empty channel queue outside any critical
+// section, even when the one before it faulted half-way: a packet's run
+// depends only on its bytes, its port and the global words it reads.
 func (e *hostEnv) inject(entry *code, p *packet.Packet, out *[]OutPacket) error {
+	err := e.dispatch(entry, p, out)
+	e.queue, e.qhead, e.inCrit = e.queue[:0], 0, 0
+	return err
+}
+
+func (e *hostEnv) dispatch(entry *code, p *packet.Packet, out *[]OutPacket) error {
 	e.stats.Packets++
 	if e.rxPort != nil {
 		p.SetMetaField(e.rxPort, p.Port)
@@ -278,7 +364,6 @@ func (e *hostEnv) inject(entry *code, p *packet.Packet, out *[]OutPacket) error 
 			return err
 		}
 	}
-	e.queue, e.qhead = e.queue[:0], 0
 	return nil
 }
 
@@ -302,11 +387,13 @@ func (e *hostEnv) resetCounts() {
 	}
 }
 
-// assemble fills the name-keyed maps of e.stats from the dense counters:
-// an entry for every function, channel and global touched since the last
-// reset, with block entries multiplied out into instruction counts.
-func (e *hostEnv) assemble() {
-	st := e.stats
+// assemble fills the name-keyed maps of st from the dense counters: an
+// entry for every function, channel and global touched since the last
+// reset, with block entries multiplied out into instruction counts. With a
+// recorder, whose counts can go down again, a global was accessed inside a
+// critical section when its count of such accesses is not zero, and only
+// the lines a recorded packet read can have a count.
+func (e *hostEnv) assemble(st *Stats) {
 	for fn, c := range e.it.code {
 		fs := FuncStats{Invocations: c.invocations}
 		for _, b := range c.blocks {
@@ -329,9 +416,18 @@ func (e *hostEnv) assemble() {
 		}
 		gs := hg.stats
 		gs.LineReads = map[uint32]uint64{}
-		for line, n := range hg.lineReads {
-			if n > 0 {
-				gs.LineReads[uint32(line)] = n
+		if e.rec == nil {
+			for line, n := range hg.lineReads {
+				if n > 0 {
+					gs.LineReads[uint32(line)] = n
+				}
+			}
+		} else {
+			gs.InCritical = e.rec.crit[i] > 0
+			for _, line := range e.rec.touched[i] {
+				if n := hg.lineReads[line]; n > 0 {
+					gs.LineReads[line] = n
+				}
 			}
 		}
 		st.Globals[hg.g.Name] = &gs
@@ -390,7 +486,7 @@ func ProfileWithControls(prog *ir.Program, tr []*packet.Packet, controls []Contr
 			return nil, err
 		}
 	}
-	env.assemble()
+	env.assemble(stats)
 	return stats, nil
 }
 
