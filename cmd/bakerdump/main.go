@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"shangrila/internal/apps"
 	"shangrila/internal/baker/lexer"
@@ -23,6 +24,12 @@ import (
 func main() {
 	stage := flag.String("stage", "ir", "dump stage: tokens|ast|types|ir")
 	flag.Parse()
+	switch *stage {
+	case "tokens", "ast", "types", "ir":
+	default:
+		fmt.Fprintf(os.Stderr, "bakerdump: unknown -stage %q (want tokens|ast|types|ir)\n", *stage)
+		os.Exit(2)
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: bakerdump [-stage s] <file.baker|app>")
 		os.Exit(2)
@@ -91,8 +98,13 @@ func main() {
 			}
 		}
 		fmt.Printf("metadata: %dB\n", tp.Metadata.Bytes)
-		for name, g := range tp.Globals {
-			fmt.Printf("global %-28s %-14s %s\n", name, g.Type, g.Space)
+		globals := make([]*types.Global, 0, len(tp.Globals))
+		for _, g := range tp.Globals {
+			globals = append(globals, g)
+		}
+		slices.SortFunc(globals, func(a, b *types.Global) int { return a.ID - b.ID })
+		for _, g := range globals {
+			fmt.Printf("global %-28s %-14s %s\n", g.Name, g.Type, g.Space)
 		}
 		for _, ch := range tp.ChanByID {
 			fmt.Printf("channel %s : %s -> %s\n", ch.Name, ch.Proto.Name, ch.Consumer)
@@ -105,7 +117,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bakerdump: lower: %v\n", err)
 		os.Exit(1)
 	}
-	for _, fname := range ir.Order {
-		fmt.Println(ir.Funcs[fname].String())
+	for _, fn := range ir.Funcs {
+		fmt.Println(fn.String())
 	}
 }

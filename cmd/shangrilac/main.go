@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"shangrila/internal/aggregate"
@@ -26,64 +27,78 @@ import (
 	"shangrila/internal/workload"
 )
 
-func main() {
-	level := flag.Int("O", 6, "optimization level 0..6 (BASE..+SWC)")
-	dumpCGIR := flag.Bool("cgir", false, "disassemble the generated ME code")
-	mes := flag.Int("mes", 6, "microengines available to the aggregation planner")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: shangrilac [flags] <app|file.baker>")
-		flag.Usage()
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command on its arguments: it writes the report to stdout and
+// returns the exit status, 2 for a bad flag or argument and 1 for a
+// program that does not compile.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("shangrilac", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	level := fs.Int("O", 6, "optimization level 0..6 (BASE..+SWC)")
+	dumpCGIR := fs.Bool("cgir", false, "disassemble the generated ME code")
+	mes := fs.Int("mes", 6, "microengines available to the aggregation planner")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: shangrilac [flags] <app|file.baker>")
+		fs.Usage()
+		return 2
 	}
 	if *level < 0 || *level > int(driver.LevelSWC) {
-		fmt.Fprintln(os.Stderr, "shangrilac: -O must be 0..6")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "shangrilac: -O must be 0..6")
+		return 2
+	}
+	if *mes < 1 {
+		fmt.Fprintf(stderr, "shangrilac: -mes %d: need at least one microengine\n", *mes)
+		return 2
 	}
 	lvl := driver.Level(*level)
 
-	res, name, err := compileTarget(flag.Arg(0), lvl, *mes)
+	res, name, err := compileTarget(fs.Arg(0), lvl, *mes)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "shangrilac: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "shangrilac: %v\n", err)
+		return 1
 	}
 	rep := res.Report
-	fmt.Printf("compiled %s at %v\n\n", name, lvl)
-	fmt.Print(rep.Plan.String())
-	fmt.Printf("\nME code stores (limit 4096):\n")
+	fmt.Fprintf(stdout, "compiled %s at %v\n\n", name, lvl)
+	fmt.Fprint(stdout, rep.Plan.String())
+	fmt.Fprintf(stdout, "\nME code stores (limit 4096):\n")
 	for i, c := range res.Image.MECode {
-		fmt.Printf("  aggregate %d (%v): %d instructions, %dB stack\n",
+		fmt.Fprintf(stdout, "  aggregate %d (%v): %d instructions, %dB stack\n",
 			i, c.Agg.PPFs, len(c.Program.Code), c.Program.StackBytes)
 	}
 	if rep.SOAR != nil {
-		fmt.Printf("\nSOAR: %d/%d packet accesses offset-resolved, %d alignment-only; %d/%d encaps resolved\n",
+		fmt.Fprintf(stdout, "\nSOAR: %d/%d packet accesses offset-resolved, %d alignment-only; %d/%d encaps resolved\n",
 			rep.SOAR.ResolvedOffset, rep.SOAR.Accesses, rep.SOAR.ResolvedAlign,
 			rep.SOAR.EncapsResolved, rep.SOAR.EncapsTotal)
 	}
 	if rep.PAC != nil {
-		fmt.Printf("PAC: %d load clusters, %d store clusters, %d accesses removed\n",
+		fmt.Fprintf(stdout, "PAC: %d load clusters, %d store clusters, %d accesses removed\n",
 			rep.PAC.LoadClusters, rep.PAC.StoreClusters, rep.PAC.AccessesRemoved)
 	}
 	if rep.PHR != nil {
-		fmt.Printf("PHR: %d metadata fields localized, %d accesses removed, %d encap pairs eliminated\n",
+		fmt.Fprintf(stdout, "PHR: %d metadata fields localized, %d accesses removed, %d encap pairs eliminated\n",
 			rep.PHR.FieldsLocalized, rep.PHR.AccessesRemoved, rep.PHR.PairsEliminated)
 	}
 	for _, c := range rep.SWCCands {
-		fmt.Printf("SWC: caching %s (est. hit rate %.2f, update check every %d packets)\n",
+		fmt.Fprintf(stdout, "SWC: caching %s (est. hit rate %.2f, update check every %d packets)\n",
 			c.Global.Name, c.HitRate, c.CheckLimit)
 	}
 	if *dumpCGIR {
 		for _, c := range res.Image.MECode {
-			fmt.Printf("\n=== %v ===\n", c.Agg.PPFs)
+			fmt.Fprintf(stdout, "\n=== %v ===\n", c.Agg.PPFs)
 			for pc, in := range c.Program.Code {
-				fmt.Printf("%4d: %v", pc, in)
+				fmt.Fprintf(stdout, "%4d: %v", pc, in)
 				if in.Comment != "" {
-					fmt.Printf("  ; %s", in.Comment)
+					fmt.Fprintf(stdout, "  ; %s", in.Comment)
 				}
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			}
 		}
 	}
+	return 0
 }
 
 // compileTarget resolves the argument to a built-in app or source file.
@@ -101,6 +116,9 @@ func compileTarget(arg string, lvl driver.Level, mes int) (*driver.Result, strin
 	prog, err := driver.LowerSource(arg, string(src))
 	if err != nil {
 		return nil, "", err
+	}
+	if prog.Types.Entry == nil {
+		return nil, "", fmt.Errorf("%s: no PPF is wired from rx, so there is nothing to compile", arg)
 	}
 	// Generic profiling trace: 64-byte frames with randomized bytes in
 	// the rx protocol's fields.

@@ -362,9 +362,8 @@ func (b *builder) refresh(a *Aggregate, all []*Aggregate) {
 // set.
 func (b *builder) chanEndsIn(ch *types.Channel, member map[string]bool) (producerIn, consumerIn bool) {
 	consumerIn = member[ch.Consumer]
-	for _, name := range b.prog.Order {
-		fn := b.prog.Funcs[name]
-		if fn.Kind != ir.FuncPPF || !member[name] {
+	for _, fn := range b.prog.Funcs {
+		if fn.Kind != ir.FuncPPF || !member[fn.Name] {
 			continue
 		}
 		for _, blk := range fn.Blocks {
@@ -385,7 +384,7 @@ func (b *builder) codeSizeWithHelpers(fn string, seen map[string]bool) int {
 		return 0
 	}
 	seen[fn] = true
-	f := b.prog.Funcs[fn]
+	f := b.prog.Func(fn)
 	if f == nil {
 		return 0
 	}
@@ -469,12 +468,11 @@ func (b *builder) formPairs(aggs []*Aggregate) []pair {
 		if cons == nil {
 			continue
 		}
-		for _, name := range b.prog.Order {
-			fn := b.prog.Funcs[name]
+		for _, fn := range b.prog.Funcs {
 			if fn.Kind != ir.FuncPPF {
 				continue
 			}
-			prod := idx[name]
+			prod := idx[fn.Name]
 			if prod == nil || prod == cons {
 				continue
 			}

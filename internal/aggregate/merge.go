@@ -57,7 +57,7 @@ type Merged struct {
 }
 
 // Func returns an entry's function in the view's program.
-func (m *Merged) Func(e *Entry) *ir.Func { return m.Prog.Funcs[e.Name] }
+func (m *Merged) Func(e *Entry) *ir.Func { return m.Prog.Func(e.Name) }
 
 // ClassifyChannels decides every channel's implementation class under the
 // plan. Channels whose producer and consumer share an aggregate become
@@ -66,15 +66,14 @@ func ClassifyChannels(prog *ir.Program, plan *Plan) map[*types.Channel]ChannelCl
 	classes := map[*types.Channel]ChannelClass{}
 	// Producer sets per channel.
 	producers := map[*types.Channel][]string{}
-	for _, name := range prog.Order {
-		fn := prog.Funcs[name]
+	for _, fn := range prog.Funcs {
 		if fn.Kind != ir.FuncPPF {
 			continue
 		}
 		for _, b := range fn.Blocks {
 			for _, in := range b.Instrs {
 				if in.Op == ir.OpChanPut {
-					producers[in.Chan] = append(producers[in.Chan], name)
+					producers[in.Chan] = append(producers[in.Chan], fn.Name)
 				}
 			}
 		}
@@ -178,7 +177,7 @@ func buildOne(prog *ir.Program, plan *Plan, classes map[*types.Channel]ChannelCl
 	needHelper := map[string]bool{}
 	for _, name := range agg.PPFs {
 		var fn *ir.Func
-		for bi, b := range np.Funcs[name].Blocks {
+		for bi, b := range np.Func(name).Blocks {
 			for ii, in := range b.Instrs {
 				if !internal(in) {
 					continue
@@ -203,15 +202,14 @@ func buildOne(prog *ir.Program, plan *Plan, classes map[*types.Channel]ChannelCl
 	}
 	sort.Strings(helperNames)
 	for _, name := range helperNames {
-		orig := np.Funcs[name]
+		orig := np.Func(name)
 		if orig == nil {
 			return nil, fmt.Errorf("aggregate: internal channel consumer %q missing", name)
 		}
 		h := orig.Clone()
 		h.Name = name + "$h"
 		h.Kind = ir.FuncHelper
-		np.Funcs[h.Name] = h
-		np.Order = append(np.Order, h.Name)
+		np.Funcs = append(np.Funcs, h)
 	}
 	// Entries: member PPFs fed by rx, an external channel, or a loopback.
 	var entries []*Entry

@@ -25,7 +25,7 @@ module m {
 
 func TestDominators(t *testing.T) {
 	prog := testutil.BuildIR(t, diamondSrc)
-	f := prog.Funcs["m.f"]
+	f := prog.Func("m.f")
 	dom := analysis.ComputeDominators(f)
 	entry := f.Entry
 	for _, b := range f.Blocks {
@@ -59,7 +59,7 @@ func TestDominators(t *testing.T) {
 
 func TestLiveness(t *testing.T) {
 	prog := testutil.BuildIR(t, diamondSrc)
-	f := prog.Funcs["m.f"]
+	f := prog.Func("m.f")
 	lv := analysis.ComputeLiveness(f)
 	// The handle parameter is used by packet_drop at the end, so it must
 	// be live-out of the entry block.
@@ -79,7 +79,7 @@ func TestLiveness(t *testing.T) {
 
 func TestDefCountsIncludesParams(t *testing.T) {
 	prog := testutil.BuildIR(t, diamondSrc)
-	f := prog.Funcs["m.f"]
+	f := prog.Func("m.f")
 	counts := analysis.DefCounts(f)
 	if counts[f.Params[0]] == 0 {
 		t.Error("param must count as a definition")

@@ -26,9 +26,9 @@ import (
 // Ladder compiles one lowered program at a set of optimization levels,
 // executing (and verifying) each pass prefix the levels have in common
 // once. Levels compile lazily, in ascending order whatever order they are
-// asked for: swc.Apply adds its synthetic globals to the types.Program
-// every rung shares, and a lower level laid out after that would differ
-// from its cold compile. Not safe for concurrent use.
+// asked for: each rung resumes from the fork a lower rung leaves where
+// their pipelines part, so a level cannot compile before the ones below it.
+// Not safe for concurrent use.
 type Ladder struct {
 	base    *ir.Program
 	inPlace bool // the single rung may consume base itself (CompileIR)

@@ -25,8 +25,8 @@ func TestLadderSharedFailure(t *testing.T) {
 		{"pass error", func(*Context) error { return boom },
 			func(err error) bool { return errors.Is(err, boom) }},
 		{"verify error", func(ctx *Context) error {
-			for name := range ctx.Prog.Funcs {
-				ctx.Prog.Edit(name).Entry.Instrs = nil // no terminator
+			for _, f := range ctx.Prog.Funcs {
+				ctx.Prog.Edit(f.Name).Entry.Instrs = nil // no terminator
 			}
 			return nil
 		}, func(err error) bool {
@@ -104,7 +104,7 @@ func TestFrozenWriteCaught(t *testing.T) {
 		name  string
 		write func(ctx *Context) *ir.Func
 	}{
-		{"in place", func(ctx *Context) *ir.Func { return ctx.Prog.Funcs["m.f"] }},
+		{"in place", func(ctx *Context) *ir.Func { return ctx.Prog.Func("m.f") }},
 		{"through Edit", func(ctx *Context) *ir.Func { return ctx.Prog.Edit("m.f") }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,7 +116,7 @@ func TestFrozenWriteCaught(t *testing.T) {
 			}}
 			pipelines := map[Level][]Pass{0: {first, writer}, 1: {first, &fakePass{name: "tail", run: noop}}}
 			prog := lowerTestProg(t)
-			want := prog.Funcs["m.f"].String()
+			want := prog.Func("m.f").String()
 			l := newLadder(prog, Config{}, []Level{0, 1}, func(cfg Config) []Pass { return pipelines[cfg.Level] })
 
 			var caught string
@@ -143,7 +143,7 @@ func TestFrozenWriteCaught(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := res.Prog.Funcs["m.f"].String(); got != want {
+			if got := res.Prog.Func("m.f").String(); got != want {
 				t.Errorf("the level forked before the write compiled from\n%s\nwant\n%s", got, want)
 			}
 		})

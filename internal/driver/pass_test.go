@@ -237,7 +237,7 @@ func TestVerifierCatchesBrokenPass(t *testing.T) {
 	// Corrupt one function with an unreachable empty block: execution never
 	// sees it (the profile pass still succeeds), but the structural check
 	// after the first pass does.
-	prog.Funcs[prog.Order[0]].NewBlock()
+	prog.Funcs[0].NewBlock()
 	_, err = driver.CompileIR(prog, driver.Config{
 		Level:        driver.LevelBase,
 		ProfileTrace: a.Trace(prog.Types, 7, 8),

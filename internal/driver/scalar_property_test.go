@@ -26,12 +26,12 @@ func forEachPassState(t *testing.T, a *apps.App, lvl Level, visit func(stage str
 	cfg := Config{Level: lvl, ProfileTrace: a.Trace(prog.Types, 7, 64), Controls: a.Controls, VerifyIR: VerifyOff}
 	r := newRunner(prog, cfg)
 	walk := func(stage string) {
-		for _, name := range r.ctx.Prog.Order {
-			visit(stage, r.ctx.Prog.Funcs[name])
+		for _, f := range r.ctx.Prog.Funcs {
+			visit(stage, f)
 		}
 		for _, m := range r.ctx.Merged {
-			for _, name := range m.Prog.Order {
-				visit(stage, m.Prog.Funcs[name])
+			for _, f := range m.Prog.Funcs {
+				visit(stage, f)
 			}
 		}
 	}

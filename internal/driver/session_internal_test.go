@@ -148,7 +148,7 @@ func TestHashStateAllocFree(t *testing.T) {
 	if hashState(&h, prog, nil) != before {
 		t.Error("hashing the same state twice gave two fingerprints")
 	}
-	prog.Funcs[prog.Order[0]].Blocks[0].Instrs[0].StaticAlign = 8
+	prog.Funcs[0].Blocks[0].Instrs[0].StaticAlign = 8
 	if hashState(&h, prog, nil) == before {
 		t.Error("an alignment annotation did not change the fingerprint")
 	}
@@ -251,7 +251,7 @@ func TestCutoffCheckNamesPassAndView(t *testing.T) {
 		}},
 		{name: "leaky", requires: []FactKind{FactWeights}, run: func(ctx *Context) error {
 			ctx.Weights()
-			f := ctx.Prog.Edit(ctx.Prog.Order[0])
+			f := ctx.Prog.Edit(ctx.Prog.Funcs[0].Name)
 			calls++
 			f.Entry.Instrs = append([]*ir.Instr{{Op: ir.OpConst, Dst: []ir.Reg{f.NewReg(ir.ClassWord)}, Imm: calls}},
 				f.Entry.Instrs...)

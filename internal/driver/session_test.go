@@ -600,11 +600,11 @@ func TestEditingResultLeavesSession(t *testing.T) {
 		progs = append(progs, m.Prog)
 	}
 	for _, p := range progs {
-		for name, f := range p.Funcs {
+		for _, f := range p.Funcs {
 			if !f.Frozen() {
-				t.Fatalf("the result hands out %s unfrozen", name)
+				t.Fatalf("the result hands out %s unfrozen", f.Name)
 			}
-			w := p.Edit(name)
+			w := p.Edit(f.Name)
 			w.Entry.Instrs, w.NumRegs = nil, 0
 		}
 	}
@@ -616,7 +616,7 @@ func TestEditingResultLeavesSession(t *testing.T) {
 		t.Fatal("editing a handed-out result through ir.Program.Edit changed the next recompile")
 	}
 
-	f := inc.Prog.Funcs[inc.Prog.Order[0]]
+	f := inc.Prog.Funcs[0]
 	f.Entry.Instrs[0].Imm += 99
 	var caught string
 	func() {

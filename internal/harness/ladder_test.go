@@ -19,9 +19,9 @@ import (
 // The three applications, every checked-in fuzz-corpus reproducer and 25
 // generated programs from the fuzz-ci window are compared at all seven
 // levels; the applications and the corpus also in reversed order (every
-// level, +SWC included, compiles before the first is handed back — the
-// ascending-order rule is what keeps swc.Apply's synthetic globals out of
-// the lower levels' layouts) and as the subsets {BASE, +SWC} and {+PHR}.
+// level, +SWC included, compiles before the first is handed back, because
+// each rung resumes from a lower rung's fork) and as the subsets
+// {BASE, +SWC} and {+PHR}.
 func TestLadderMatchesCold(t *testing.T) {
 	type program struct {
 		app    *apps.App

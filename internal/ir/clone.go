@@ -97,14 +97,9 @@ func (f *Func) Clone() *Func {
 // information). The copy shares nothing else with p and is not frozen;
 // Program.Freeze is the copy that shares.
 func CloneProgram(p *Program) *Program {
-	np := &Program{
-		Types:    p.Types,
-		Funcs:    make(map[string]*Func, len(p.Funcs)),
-		Order:    append([]string(nil), p.Order...),
-		NumLocks: p.NumLocks,
-	}
-	for name, f := range p.Funcs {
-		np.Funcs[name] = f.Clone()
+	np := &Program{Types: p.Types, Funcs: make([]*Func, len(p.Funcs)), NumLocks: p.NumLocks}
+	for i, f := range p.Funcs {
+		np.Funcs[i] = f.Clone()
 	}
 	return np
 }

@@ -154,9 +154,8 @@ b1:
 	if got := f.String(); got != want {
 		t.Errorf("function listing:\n%s\nwant:\n%s", got, want)
 	}
-	p := &Program{Funcs: map[string]*Func{"m.f": f, "z.stray": {Name: "z.stray", Kind: FuncInit}, "a.stray": {Name: "a.stray", Kind: FuncControl}},
-		Order: []string{"m.f", "m.gone"}}
-	if got := p.String(); got != want+"control a.stray() {\n}\ninit z.stray() {\n}\n" {
-		t.Errorf("program listing with unlisted functions:\n%s", got)
+	p := &Program{Funcs: []*Func{f, {Name: "z.late", Kind: FuncInit}, {Name: "a.late", Kind: FuncControl}}}
+	if got := p.String(); got != want+"init z.late() {\n}\ncontrol a.late() {\n}\n" {
+		t.Errorf("program listing out of declaration order:\n%s", got)
 	}
 }

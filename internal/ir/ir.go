@@ -320,21 +320,37 @@ func (f *Func) ComputeCFG() {
 // was lowered from.
 type Program struct {
 	Types *types.Program
-	Funcs map[string]*Func
-	// Order preserves deterministic declaration order.
-	Order []string
+	// Funcs holds the functions in declaration order: lowering order, with
+	// functions a pass synthesizes appended.
+	Funcs []*Func
 	// NumLocks is the number of static critical-section locks.
 	NumLocks int
 }
 
 // Func returns the named function or nil.
-func (p *Program) Func(name string) *Func { return p.Funcs[name] }
+func (p *Program) Func(name string) *Func {
+	if i := p.find(name); i >= 0 {
+		return p.Funcs[i]
+	}
+	return nil
+}
+
+// find returns the position of the named function in Funcs, or -1. A
+// program has about ten functions, so a scan costs no more than a map.
+func (p *Program) find(name string) int {
+	for i, f := range p.Funcs {
+		if f.Name == name {
+			return i
+		}
+	}
+	return -1
+}
 
 // PPFs returns the packet processing functions in declaration order.
 func (p *Program) PPFs() []*Func {
 	var out []*Func
-	for _, name := range p.Order {
-		if f := p.Funcs[name]; f.Kind == FuncPPF {
+	for _, f := range p.Funcs {
+		if f.Kind == FuncPPF {
 			out = append(out, f)
 		}
 	}

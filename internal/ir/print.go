@@ -2,7 +2,6 @@ package ir
 
 import (
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -16,55 +15,25 @@ import (
 // fingerprints that rendering. What neither mode shows is listed in
 // identity_test.go, which fails when a new field is in neither.
 
-// Fprint writes every function of the program as readable text. Output is
-// deterministic and byte-stable across runs: functions print in declaration
-// order (Program.Order), and any function present only in the Funcs map —
-// which a transform could leave behind — is appended in sorted name order
-// rather than map order.
+// Fprint writes every function of the program as readable text, in
+// declaration order, so the output is byte-stable across runs.
 func Fprint(w io.Writer, p *Program) error {
 	var buf []byte
-	var err error
-	p.eachFunc(func(fn *Func) {
-		if err == nil {
-			buf = appendFunc(buf[:0], fn, false)
-			_, err = w.Write(buf)
-		}
-	})
-	return err
-}
-
-// eachFunc visits the program's functions in Fprint order.
-func (p *Program) eachFunc(visit func(*Func)) {
-	listed := 0
-	for _, name := range p.Order {
-		if fn := p.Funcs[name]; fn != nil {
-			listed++
-			visit(fn)
+	for _, fn := range p.Funcs {
+		buf = appendFunc(buf[:0], fn, false)
+		if _, err := w.Write(buf); err != nil {
+			return err
 		}
 	}
-	if listed == len(p.Funcs) {
-		return
-	}
-	inOrder := make(map[string]bool, len(p.Order))
-	for _, name := range p.Order {
-		inOrder[name] = true
-	}
-	var rest []string
-	for name := range p.Funcs {
-		if !inOrder[name] {
-			rest = append(rest, name)
-		}
-	}
-	sort.Strings(rest)
-	for _, name := range rest {
-		visit(p.Funcs[name])
-	}
+	return nil
 }
 
 // String renders the whole program (see Fprint).
 func (p *Program) String() string {
 	var b []byte
-	p.eachFunc(func(fn *Func) { b = appendFunc(b, fn, false) })
+	for _, fn := range p.Funcs {
+		b = appendFunc(b, fn, false)
+	}
 	return string(b)
 }
 
@@ -272,7 +241,9 @@ func (h *Hasher) render(f *Func) uint64 {
 	return fnv1a(fnvOffset, h.buf)
 }
 
-// Program mixes in every function of p, in Fprint order.
+// Program mixes in every function of p, in declaration order.
 func (h *Hasher) Program(p *Program) {
-	p.eachFunc(h.Func)
+	for _, fn := range p.Funcs {
+		h.Func(fn)
+	}
 }

@@ -1,5 +1,7 @@
 package ir
 
+import "slices"
+
 // The program store. Functions are shared between programs instead of
 // deep-copied: an incremental compile's snapshots, a level ladder's forks
 // and the merged aggregate views all hold the same *Func until someone
@@ -28,24 +30,18 @@ type funcStore struct {
 func (f *Func) Frozen() bool { return f.store.frozen }
 
 // Freeze marks every function of p frozen and returns a program sharing
-// them: a new Funcs map over the same functions and the same declaration
-// order. Edits through either program copy the function they write, so
-// neither can see the other's. Freezing a frozen program is the cheap way
-// to hand out a writable view of it.
+// them: a copy of the Funcs slice over the same functions. Edits through
+// either program copy the function they write, so neither can see the
+// other's. The slice is copied, not shared, because Edit installs its copy
+// by writing the slice. Freezing a frozen program is the cheap way to hand
+// out a writable view of it.
 func (p *Program) Freeze() *Program {
-	np := &Program{
-		Types:    p.Types,
-		Funcs:    make(map[string]*Func, len(p.Funcs)),
-		Order:    p.Order[:len(p.Order):len(p.Order)], // an append reallocates
-		NumLocks: p.NumLocks,
-	}
-	for name, f := range p.Funcs {
-		if f != nil && !f.store.frozen {
+	for _, f := range p.Funcs {
+		if !f.store.frozen { // a frozen function may be read concurrently
 			f.store.frozen = true
 		}
-		np.Funcs[name] = f
 	}
-	return np
+	return &Program{Types: p.Types, Funcs: slices.Clone(p.Funcs), NumLocks: p.NumLocks}
 }
 
 // Edit returns the named function for writing: the function itself when p
@@ -55,13 +51,16 @@ func (p *Program) Freeze() *Program {
 // frozen function can rewrite it in the copy by index. Nil when p has no
 // such function.
 func (p *Program) Edit(name string) *Func {
-	f := p.Funcs[name]
-	if f == nil || !f.store.frozen {
-		return f
+	i := p.find(name)
+	if i < 0 {
+		return nil
 	}
-	c := f.Clone()
-	p.Funcs[name] = c
-	return c
+	f := p.Funcs[i]
+	if f.store.frozen {
+		f = f.Clone()
+		p.Funcs[i] = f
+	}
+	return f
 }
 
 // Intact re-fingerprints a frozen function from scratch and reports whether

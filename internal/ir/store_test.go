@@ -19,10 +19,10 @@ func programFingerprint(h *Hasher, p *Program) uint64 {
 func TestEditCopiesFrozenFunction(t *testing.T) {
 	var h Hasher
 	for name, flip := range identityFlips {
-		p := &Program{Funcs: map[string]*Func{"m.f": identityFunc()}, Order: []string{"m.f"}}
+		p := &Program{Funcs: []*Func{identityFunc()}}
 		snap := p.Freeze()
-		frozen := snap.Funcs["m.f"]
-		if !frozen.Frozen() || p.Funcs["m.f"] != frozen {
+		frozen := snap.Funcs[0]
+		if !frozen.Frozen() || p.Funcs[0] != frozen {
 			t.Fatalf("%s: Freeze does not share its functions frozen", name)
 		}
 		before := programFingerprint(&h, snap)
@@ -31,7 +31,7 @@ func TestEditCopiesFrozenFunction(t *testing.T) {
 		}
 
 		w := p.Edit("m.f")
-		if w == frozen || w.Frozen() || p.Funcs["m.f"] != w || snap.Funcs["m.f"] != frozen {
+		if w == frozen || w.Frozen() || p.Funcs[0] != w || snap.Funcs[0] != frozen {
 			t.Fatalf("%s: Edit did not install a private copy in the editing program alone", name)
 		}
 		if p.Edit("m.f") != w {
@@ -52,23 +52,30 @@ func TestEditCopiesFrozenFunction(t *testing.T) {
 	}
 }
 
-// TestFreezeSharesOrder: programs frozen from one another share the
-// declaration order, and appending to one leaves the others' alone.
+// TestFreezeSharesOrder: programs frozen from one another share their
+// functions but not their function table, so neither an Edit nor an append
+// through one view reaches another's Funcs.
 func TestFreezeSharesOrder(t *testing.T) {
-	p := &Program{Funcs: map[string]*Func{"m.f": identityFunc()}, Order: make([]string, 1, 8)}
-	p.Order[0] = "m.f"
+	f := identityFunc()
+	p := &Program{Funcs: make([]*Func, 1, 8)}
+	p.Funcs[0] = f
 	q := p.Freeze()
-	q.Order = append(q.Order, "m.g")
-	p.Order = append(p.Order, "m.h")
-	if q.Order[1] != "m.g" {
-		t.Errorf("an append to one frozen view's order reached another's: %v", q.Order)
+	r := q.Freeze()
+	w := q.Edit("m.f")
+	if w == f || p.Funcs[0] != f || r.Funcs[0] != f {
+		t.Errorf("an Edit through one frozen view reached another's Funcs")
+	}
+	g, h := &Func{Name: "m.g"}, &Func{Name: "m.h"}
+	q.Funcs = append(q.Funcs, g)
+	p.Funcs = append(p.Funcs, h)
+	if q.Funcs[1] != g || len(r.Funcs) != 1 {
+		t.Errorf("an append to one frozen view's Funcs reached another's")
 	}
 	if p.Edit("m.none") != nil {
 		t.Error("Edit of a missing function returned one")
 	}
-	f := identityFunc()
-	own := &Program{Funcs: map[string]*Func{"m.f": f}}
-	if own.Edit("m.f") != f {
+	own := &Program{Funcs: []*Func{h}}
+	if own.Edit("m.h") != h {
 		t.Error("Edit copied a function nobody froze")
 	}
 }

@@ -32,6 +32,8 @@ func (e *VerifyError) Error() string {
 
 // Verify checks the structural invariants every pass must preserve:
 //
+//   - a well-formed function table: no nil entry and no two functions with
+//     one name;
 //   - CFG well-formedness: a non-nil entry block that belongs to the
 //     function, every block terminated by exactly one trailing terminator,
 //     and every branch edge targeting a block of the same function with the
@@ -50,19 +52,20 @@ func Verify(p *Program) error {
 	// Size the scratch for the largest function up front, so verifying a
 	// valid program allocates the block index and the bit rows once each.
 	blocks, bits := 0, 0
-	for _, fn := range p.Funcs {
-		if fn != nil {
-			blocks = max(blocks, len(fn.Blocks))
-			bits = max(bits, bitWords(fn)*(len(fn.Blocks)+1))
+	for i, fn := range p.Funcs {
+		if fn == nil {
+			return &VerifyError{Func: fmt.Sprintf("Funcs[%d]", i), Block: -1, Instr: -1,
+				Msg: "nil function"}
 		}
+		if j := p.find(fn.Name); j != i {
+			return &VerifyError{Func: fn.Name, Block: -1, Instr: -1,
+				Msg: fmt.Sprintf("two functions named %s, at Funcs[%d] and Funcs[%d]", fn.Name, j, i)}
+		}
+		blocks = max(blocks, len(fn.Blocks))
+		bits = max(bits, bitWords(fn)*(len(fn.Blocks)+1))
 	}
 	v := verifier{index: make(map[*Block]int, blocks), bits: make([]uint64, bits)}
-	for _, name := range p.Order {
-		fn := p.Funcs[name]
-		if fn == nil {
-			return &VerifyError{Func: name, Block: -1, Instr: -1,
-				Msg: "listed in Order but missing from Funcs"}
-		}
+	for _, fn := range p.Funcs {
 		if err := v.verifyFunc(fn); err != nil {
 			return err
 		}

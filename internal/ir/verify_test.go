@@ -17,11 +17,7 @@ func newTestFunc() (*Program, *Func) {
 	b := fn.NewBlock()
 	fn.Entry = b
 	b.Instrs = append(b.Instrs, &Instr{Op: OpRet})
-	prog := &Program{
-		Funcs: map[string]*Func{fn.Name: fn},
-		Order: []string{fn.Name},
-	}
-	return prog, fn
+	return &Program{Funcs: []*Func{fn}}, fn
 }
 
 func wantVerifyError(t *testing.T, prog *Program, substr string) *VerifyError {
@@ -182,10 +178,19 @@ func TestVerifyRawWidthNotWordMultiple(t *testing.T) {
 	wantVerifyError(t, prog, "raw width 3 is not a positive word multiple")
 }
 
+// TestVerifyOrderMissingFunc: the function table a slice can break, by a
+// second function with one name or by a nil entry, is a *VerifyError.
 func TestVerifyOrderMissingFunc(t *testing.T) {
-	prog, _ := newTestFunc()
-	prog.Order = append(prog.Order, "t.ghost")
-	wantVerifyError(t, prog, "listed in Order but missing from Funcs")
+	prog, fn := newTestFunc()
+	_, g := newTestFunc()
+	g.Name = "t.g"
+	prog.Funcs = append(prog.Funcs, g, fn.Clone())
+	ve := wantVerifyError(t, prog, "two functions named t.f, at Funcs[0] and Funcs[2]")
+	if ve.Func != "t.f" {
+		t.Errorf("duplicate-name error names function %q, want t.f", ve.Func)
+	}
+	prog.Funcs[2] = nil
+	wantVerifyError(t, prog, "Funcs[2]: nil function")
 }
 
 func TestVerifyErrorPositional(t *testing.T) {

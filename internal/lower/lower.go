@@ -13,14 +13,13 @@ import (
 
 // Lower converts a checked program to IR.
 func Lower(tp *types.Program) (*ir.Program, error) {
-	p := &ir.Program{Types: tp, Funcs: map[string]*ir.Func{}}
+	p := &ir.Program{Types: tp}
 	for _, tf := range tp.FuncsInOrder() {
 		lf, err := lowerFunc(p, tp, tf)
 		if err != nil {
 			return nil, err
 		}
-		p.Funcs[tf.Name] = lf
-		p.Order = append(p.Order, tf.Name)
+		p.Funcs = append(p.Funcs, lf)
 	}
 	return p, nil
 }

@@ -47,8 +47,8 @@ func BenchmarkOptimizeFunc(b *testing.B) {
 		b.StopTimer()
 		p := ir.CloneProgram(body)
 		b.StartTimer()
-		for _, name := range p.Order {
-			opt.OptimizeFunc(p.Funcs[name])
+		for _, f := range p.Funcs {
+			opt.OptimizeFunc(f)
 		}
 	}
 	b.ReportMetric(float64(instrs), "instrs")

@@ -112,13 +112,14 @@ module m {
 func TestFixpointMatchesCappedRounds(t *testing.T) {
 	want := testutil.BuildIR(t, loopsSrc)
 	got := testutil.BuildIR(t, loopsSrc)
-	for _, name := range got.Order {
-		capRounds(want.Funcs[name])
-		if _, converged := OptimizeFunc(got.Funcs[name]); !converged {
-			t.Errorf("%s stopped at the round cap", name)
+	for i, g := range got.Funcs {
+		w := want.Funcs[i]
+		capRounds(w)
+		if _, converged := OptimizeFunc(g); !converged {
+			t.Errorf("%s stopped at the round cap", g.Name)
 		}
-		if g, w := got.Funcs[name].String(), want.Funcs[name].String(); g != w {
-			t.Errorf("%s: stopping at the fixpoint changed the IR\ngot:\n%s\ncapped:\n%s", name, g, w)
+		if gs, ws := g.String(), w.String(); gs != ws {
+			t.Errorf("%s: stopping at the fixpoint changed the IR\ngot:\n%s\ncapped:\n%s", g.Name, gs, ws)
 		}
 	}
 }

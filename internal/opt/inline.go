@@ -15,9 +15,9 @@ func InlineAll(p *ir.Program) {
 	for _, name := range order {
 		inlineCallsIn(p, name)
 	}
-	for _, name := range p.Order {
-		if p.Funcs[name].Kind != ir.FuncHelper {
-			inlineCallsIn(p, name)
+	for _, f := range p.Funcs {
+		if f.Kind != ir.FuncHelper {
+			inlineCallsIn(p, f.Name)
 		}
 	}
 }
@@ -32,7 +32,7 @@ func helperTopoOrder(p *ir.Program) []string {
 			return
 		}
 		visited[name] = true
-		f := p.Funcs[name]
+		f := p.Func(name)
 		if f == nil {
 			return
 		}
@@ -47,8 +47,8 @@ func helperTopoOrder(p *ir.Program) []string {
 			order = append(order, name)
 		}
 	}
-	for _, name := range p.Order {
-		visit(name)
+	for _, f := range p.Funcs {
+		visit(f.Name)
 	}
 	return order
 }
@@ -58,13 +58,13 @@ func helperTopoOrder(p *ir.Program) []string {
 // pass keeps its CFG computed, so the ComputeCFG that closes an inlining
 // would change nothing in it.
 func inlineCallsIn(p *ir.Program, name string) {
-	if b, _ := nextCall(p, p.Funcs[name]); b == nil {
+	if b, _ := nextCall(p, p.Func(name)); b == nil {
 		return
 	}
 	f := p.Edit(name)
 	for b, idx := nextCall(p, f); b != nil; b, idx = nextCall(p, f) {
 		call := b.Instrs[idx]
-		inlineCall(f, b, idx, call, p.Funcs[call.Callee])
+		inlineCall(f, b, idx, call, p.Func(call.Callee))
 	}
 	f.ComputeCFG()
 }
@@ -77,7 +77,7 @@ func nextCall(p *ir.Program, f *ir.Func) (*ir.Block, int) {
 			if in.Op != ir.OpCall {
 				continue
 			}
-			if callee := p.Funcs[in.Callee]; callee != nil && callee.Kind == ir.FuncHelper {
+			if callee := p.Func(in.Callee); callee != nil && callee.Kind == ir.FuncHelper {
 				return b, idx
 			}
 		}
@@ -175,50 +175,4 @@ func InstrCount(f *ir.Func) int {
 		n += len(b.Instrs)
 	}
 	return n
-}
-
-// Verify checks basic IR invariants after optimization: every block ends in
-// a terminator, operands are in range, and no instruction uses an
-// obviously-undefined register (params aside). It returns the first
-// violation found, or nil. Used as a pass oracle in tests.
-func Verify(f *ir.Func) error {
-	return verifyFunc(f)
-}
-
-func verifyFunc(f *ir.Func) error {
-	for _, b := range f.Blocks {
-		if b.Terminator() == nil {
-			return errUnterminated(f, b)
-		}
-		for i, in := range b.Instrs {
-			if in.Op.IsTerminator() && i != len(b.Instrs)-1 {
-				return errMidTerminator(f, b)
-			}
-			for _, r := range in.Dst {
-				if int(r) >= f.NumRegs || r < 0 {
-					return errBadReg(f, b, r)
-				}
-			}
-			for _, r := range in.Args {
-				if r != ir.NoReg && (int(r) >= f.NumRegs || r < 0) {
-					return errBadReg(f, b, r)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-type irError struct{ msg string }
-
-func (e *irError) Error() string { return e.msg }
-
-func errUnterminated(f *ir.Func, b *ir.Block) error {
-	return &irError{msg: f.Name + ": block lacks terminator"}
-}
-func errMidTerminator(f *ir.Func, b *ir.Block) error {
-	return &irError{msg: f.Name + ": terminator in middle of block"}
-}
-func errBadReg(f *ir.Func, b *ir.Block, r ir.Reg) error {
-	return &irError{msg: f.Name + ": register out of range"}
 }

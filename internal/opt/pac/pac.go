@@ -50,8 +50,8 @@ type Stats struct {
 // optimizer, which writes every function anyway.
 func Run(p *ir.Program) *Stats {
 	st := &Stats{}
-	for _, name := range p.Order {
-		runFunc(p.Types, p.Edit(name), st)
+	for _, f := range p.Funcs {
+		runFunc(p.Types, p.Edit(f.Name), st)
 	}
 	return st
 }

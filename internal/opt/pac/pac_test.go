@@ -76,12 +76,12 @@ module m {
 			t.Errorf("load clusters = %d, want 1", st.LoadClusters)
 		}
 	})
-	narrow, wide := countAccesses(p.Funcs["m.f"])
+	narrow, wide := countAccesses(p.Func("m.f"))
 	if narrow != 0 || wide != 1 {
 		t.Errorf("after PAC: narrow=%d wide=%d, want 0/1", narrow, wide)
 	}
 	// The wide access must cover dst_hi..type = bytes [0,14) -> words [0,16).
-	for _, b := range p.Funcs["m.f"].Blocks {
+	for _, b := range p.Func("m.f").Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpPktLoad && in.Field == nil {
 				if in.Off != 0 || in.Width != 16 {
@@ -122,7 +122,7 @@ module m {
 	p := testutil.DiffTest(t, src, gen, nil, func(p *ir.Program) {
 		pac.Run(p)
 	})
-	f := p.Funcs["m.f"]
+	f := p.Func("m.f")
 	// ttl and cksum share word 2 of the header: loads combine and stores
 	// combine into one RMW pair.
 	_, wide := countAccesses(f)
@@ -179,7 +179,7 @@ module m {
 			t.Errorf("expected metadata store combining, stats=%+v", st)
 		}
 	})
-	f := p.Funcs["m.f"]
+	f := p.Func("m.f")
 	metaStores := 0
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -254,14 +254,14 @@ module app {
 	}
 	before := testutil.BuildIR(t, src)
 	opt.Optimize(before, opt.Options{Scalar: true, Inline: true})
-	nb, _ := countAccesses(before.Funcs["app.clsfr"])
+	nb, _ := countAccesses(before.Func("app.clsfr"))
 
 	p := testutil.DiffTest(t, src, gen, controls, func(p *ir.Program) {
 		opt.Optimize(p, opt.Options{Scalar: true, Inline: true})
 		pac.Run(p)
 		opt.Optimize(p, opt.Options{Scalar: true})
 	})
-	na, wa := countAccesses(p.Funcs["app.clsfr"])
+	na, wa := countAccesses(p.Func("app.clsfr"))
 	if na+wa >= nb {
 		t.Errorf("PAC did not reduce accesses: %d narrow before, %d narrow + %d wide after",
 			nb, na, wa)

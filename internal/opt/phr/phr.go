@@ -66,8 +66,7 @@ func Run(prog *ir.Program, plan *aggregate.Plan, merged []*aggregate.Merged) *St
 // through a combined access.
 func fieldAccessors(prog *ir.Program) map[*types.ProtoField]map[string]bool {
 	out := map[*types.ProtoField]map[string]bool{}
-	for _, name := range prog.Order {
-		fn := prog.Funcs[name]
+	for _, fn := range prog.Funcs {
 		for _, b := range fn.Blocks {
 			for _, in := range b.Instrs {
 				if in.Op != ir.OpMetaLoad && in.Op != ir.OpMetaStore {
@@ -79,7 +78,7 @@ func fieldAccessors(prog *ir.Program) map[*types.ProtoField]map[string]bool {
 						s = map[string]bool{}
 						out[fld] = s
 					}
-					s[name] = true
+					s[fn.Name] = true
 				}
 			}
 		}
@@ -349,7 +348,7 @@ func sameSet(a, b map[*types.ProtoField]bool) bool {
 // sit in the same block run (same aggregate by construction). The named
 // function of p is taken for writing at the first pair found.
 func eliminatePairs(p *ir.Program, name string, st *Stats) {
-	fn := p.Funcs[name]
+	fn := p.Func(name)
 	for bi := 0; bi < len(fn.Blocks); bi++ {
 		b := fn.Blocks[bi]
 		for i := 0; i < len(b.Instrs); i++ {

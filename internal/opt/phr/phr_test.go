@@ -165,10 +165,10 @@ module m {
 	p := testutil.BuildIR(t, src)
 	st := &phr.Stats{}
 	phr.EliminatePairsForTest(p, "m.f", st)
-	for _, b := range p.Funcs["m.f"].Blocks {
+	for _, b := range p.Func("m.f").Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpDecap || in.Op == ir.OpEncap {
-				t.Errorf("encap/decap survived:\n%s", p.Funcs["m.f"])
+				t.Errorf("encap/decap survived:\n%s", p.Func("m.f"))
 			}
 		}
 	}
@@ -213,16 +213,12 @@ func TestLocalizationPreservesSemantics(t *testing.T) {
 
 	// Execute the merged entry directly as the rx PPF of a synthetic
 	// program view.
-	np := &ir.Program{Types: prog.Types, Funcs: map[string]*ir.Func{}, Order: nil}
 	entry.Kind = ir.FuncPPF
-	np.Funcs[prog.Types.Entry.Name] = entry
-	np.Order = append(np.Order, prog.Types.Entry.Name)
+	np := &ir.Program{Types: prog.Types, Funcs: []*ir.Func{entry}}
 	// Keep control/init functions for table setup.
-	for _, name := range prog.Order {
-		f := prog.Funcs[name]
+	for _, f := range prog.Funcs {
 		if f.Kind == ir.FuncControl || f.Kind == ir.FuncInit {
-			np.Funcs[name] = f
-			np.Order = append(np.Order, name)
+			np.Funcs = append(np.Funcs, f)
 		}
 	}
 	got := testutil.Execute(t, np, gen, [][]any{{"app.add_route", 0, 0x0a000001, 4}})

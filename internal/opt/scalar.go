@@ -37,8 +37,8 @@ func Optimize(p *ir.Program, opts Options) Stats {
 	if !opts.Scalar {
 		return st
 	}
-	for _, name := range p.Order {
-		rounds, converged := OptimizeFunc(p.Edit(name))
+	for _, f := range p.Funcs {
+		rounds, converged := OptimizeFunc(p.Edit(f.Name))
 		if rounds > st.RoundsMax {
 			st.RoundsMax = rounds
 		}

@@ -101,10 +101,8 @@ func TestScalarPreservesSemantics(t *testing.T) {
 	p := testutil.DiffTest(t, appSrc, genTrace, routeControls, func(p *ir.Program) {
 		opt.Optimize(p, opt.Options{Scalar: true})
 	})
-	for _, name := range p.Order {
-		if err := opt.Verify(p.Funcs[name]); err != nil {
-			t.Errorf("verify %s: %v", name, err)
-		}
+	if err := ir.Verify(p); err != nil {
+		t.Errorf("verify: %v", err)
 	}
 }
 
@@ -124,15 +122,15 @@ func TestScalarShrinksCode(t *testing.T) {
 	base := testutil.BuildIR(t, appSrc)
 	optd := testutil.BuildIR(t, appSrc)
 	opt.Optimize(optd, opt.Options{Scalar: true})
-	for _, name := range base.Order {
-		b, o := opt.InstrCount(base.Funcs[name]), opt.InstrCount(optd.Funcs[name])
+	for i, f := range base.Funcs {
+		b, o := opt.InstrCount(f), opt.InstrCount(optd.Funcs[i])
 		if o > b {
-			t.Errorf("%s grew: %d -> %d instructions", name, b, o)
+			t.Errorf("%s grew: %d -> %d instructions", f.Name, b, o)
 		}
 	}
 	// classify's "3 * 0" and the addition of 0 must fold to nothing extra:
 	// expect a strict reduction there.
-	b, o := opt.InstrCount(base.Funcs["app.classify"]), opt.InstrCount(optd.Funcs["app.classify"])
+	b, o := opt.InstrCount(base.Func("app.classify")), opt.InstrCount(optd.Func("app.classify"))
 	if o >= b {
 		t.Errorf("classify not reduced: %d -> %d", b, o)
 	}
@@ -151,7 +149,7 @@ module m {
 	wiring { rx -> f; }
 }`
 	prog := testutil.BuildIR(t, src)
-	f := prog.Funcs["m.f"]
+	f := prog.Func("m.f")
 	opt.OptimizeFunc(f)
 	// The dead arm (store of 111) must be gone.
 	for _, b := range f.Blocks {
@@ -181,7 +179,7 @@ module m {
 	wiring { rx -> f; }
 }`
 	prog := testutil.BuildIR(t, src)
-	f := prog.Funcs["m.f"]
+	f := prog.Func("m.f")
 	opt.OptimizeFunc(f)
 	loads := 0
 	for _, b := range f.Blocks {
@@ -212,7 +210,7 @@ module m {
 	wiring { rx -> f; }
 }`
 	prog := testutil.BuildIR(t, src)
-	f := prog.Funcs["m.f"]
+	f := prog.Func("m.f")
 	opt.OptimizeFunc(f)
 	loads := 0
 	for _, b := range f.Blocks {
@@ -240,7 +238,7 @@ module m {
 	wiring { rx -> f; }
 }`
 	prog := testutil.BuildIR(t, src)
-	f := prog.Funcs["m.f"]
+	f := prog.Func("m.f")
 	opt.OptimizeFunc(f)
 	var stores, pktloads int
 	for _, b := range f.Blocks {

@@ -207,7 +207,7 @@ func AnalyzeWithEntries(p *ir.Program, entries map[string]Input) *Stats {
 		a.inputs[p.Types.Entry.Name] = lat{st: known, off: 0, align: MaxAlign}
 	}
 	for name, in := range entries {
-		if p.Funcs[name] == nil {
+		if p.Func(name) == nil {
 			continue
 		}
 		l := bottomLat(int32(in.Align))
@@ -263,8 +263,7 @@ func AnalyzeWithEntries(p *ir.Program, entries map[string]Input) *Stats {
 	// A function is taken for writing (ir.Program.Edit) only when one of its
 	// annotations changes: a recompile re-annotates the whole program, and
 	// most of it already carries these exact annotations.
-	for _, name := range p.Order {
-		fn := p.Funcs[name]
+	for _, fn := range p.Funcs {
 		var w *ir.Func
 		for bi, b := range fn.Blocks {
 			for ii, in := range b.Instrs {
@@ -291,7 +290,7 @@ func AnalyzeWithEntries(p *ir.Program, entries map[string]Input) *Stats {
 					continue
 				}
 				if w == nil {
-					w = p.Edit(name)
+					w = p.Edit(fn.Name)
 				}
 				apply(w.Blocks[bi].Instrs[ii], l)
 			}

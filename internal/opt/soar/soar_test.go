@@ -63,7 +63,7 @@ module m {
 		t.Errorf("resolved %d of %d accesses, want all", st.ResolvedOffset, st.Accesses)
 	}
 	// f's accesses at offset 0; g's at 14.
-	for _, in := range accessAnnotations(p.Funcs["m.f"]) {
+	for _, in := range accessAnnotations(p.Func("m.f")) {
 		if in.StaticOff != 0 {
 			t.Errorf("f access off = %d, want 0", in.StaticOff)
 		}
@@ -71,7 +71,7 @@ module m {
 			t.Errorf("f access align = %d, want %d", in.StaticAlign, soar.MaxAlign)
 		}
 	}
-	for _, in := range accessAnnotations(p.Funcs["m.g"]) {
+	for _, in := range accessAnnotations(p.Func("m.g")) {
 		if in.StaticOff != 14 {
 			t.Errorf("g access off = %d, want 14", in.StaticOff)
 		}
@@ -101,7 +101,7 @@ module m {
 }`
 	p := testutil.BuildIR(t, src)
 	soar.Analyze(p)
-	for _, in := range accessAnnotations(p.Funcs["m.g"]) {
+	for _, in := range accessAnnotations(p.Func("m.g")) {
 		if in.StaticOff != ir.UnknownOff {
 			t.Errorf("g access off = %d, want unknown", in.StaticOff)
 		}
@@ -144,7 +144,7 @@ func TestMPLSStackJoinIsBottom(t *testing.T) {
 	// pop consumes mp, fed both by f (offset 14) and by itself (offset
 	// 14+4k): the join must be bottom, but word alignment survives (14 vs
 	// 18 -> align 2).
-	for _, in := range accessAnnotations(p.Funcs["m.pop"]) {
+	for _, in := range accessAnnotations(p.Func("m.pop")) {
 		if in.StaticOff != ir.UnknownOff {
 			t.Errorf("pop access off = %d, want unknown (label stack)", in.StaticOff)
 		}
@@ -153,7 +153,7 @@ func TestMPLSStackJoinIsBottom(t *testing.T) {
 		}
 	}
 	// f's single access context is still exact.
-	for _, in := range accessAnnotations(p.Funcs["m.f"]) {
+	for _, in := range accessAnnotations(p.Func("m.f")) {
 		_ = in
 	}
 }
@@ -177,13 +177,13 @@ module m {
 }`
 	p := testutil.BuildIR(t, src)
 	soar.Analyze(p)
-	for _, in := range accessAnnotations(p.Funcs["m.g"]) {
+	for _, in := range accessAnnotations(p.Func("m.g")) {
 		if in.Op == ir.OpPktLoad && in.StaticOff != 0 {
 			t.Errorf("post-encap access off = %d, want 0", in.StaticOff)
 		}
 	}
 	// The encap instruction itself carries its incoming offset (14).
-	for _, b := range p.Funcs["m.g"].Blocks {
+	for _, b := range p.Func("m.g").Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpEncap && in.StaticOff != 14 {
 				t.Errorf("encap incoming off = %d, want 14", in.StaticOff)

@@ -236,8 +236,8 @@ func Apply(prog *ir.Program, merged []*aggregate.Merged, cands []*Candidate, cfg
 	for _, c := range cands {
 		byGlobal[c.Global] = c
 	}
-	for _, name := range prog.Order {
-		st.StoresTagged += tagStores(prog, name, byGlobal)
+	for _, fn := range prog.Funcs {
+		st.StoresTagged += tagStores(prog, fn.Name, byGlobal)
 	}
 	for _, m := range merged {
 		if m.Agg.Target != aggregate.TargetME {
@@ -262,7 +262,7 @@ func Apply(prog *ir.Program, merged []*aggregate.Merged, cands []*Candidate, cfg
 // read-modify-write cannot tear; no ME ever writes the version, so checking
 // MEs cannot race each other into missing an update.
 func tagStores(p *ir.Program, name string, byGlobal map[*types.Global]*Candidate) int {
-	if !storesTo(p.Funcs[name], byGlobal) {
+	if !storesTo(p.Func(name), byGlobal) {
 		return 0
 	}
 	fn := p.Edit(name)

@@ -190,15 +190,11 @@ func TestApplyRewritesLoadsAndKeepsSemantics(t *testing.T) {
 	}
 
 	// Execute the transformed entry as the program.
-	np := &ir.Program{Types: prog.Types, Funcs: map[string]*ir.Func{}}
 	entry.Kind = ir.FuncPPF
-	np.Funcs[prog.Types.Entry.Name] = entry
-	np.Order = append(np.Order, prog.Types.Entry.Name)
-	for _, name := range prog.Order {
-		f := prog.Funcs[name]
+	np := &ir.Program{Types: prog.Types, Funcs: []*ir.Func{entry}}
+	for _, f := range prog.Funcs {
 		if f.Kind == ir.FuncControl || f.Kind == ir.FuncInit {
-			np.Funcs[name] = f
-			np.Order = append(np.Order, name)
+			np.Funcs = append(np.Funcs, f)
 		}
 	}
 	got := testutil.Execute(t, np, gen, controls)

@@ -285,11 +285,10 @@ func (e *hostEnv) NewPacket(proto *types.Protocol) *packet.Packet {
 // runInits runs the program's init functions (they run on the XScale at
 // load time).
 func (e *hostEnv) runInits() error {
-	for _, name := range e.it.Prog.Order {
-		fn := e.it.Prog.Funcs[name]
+	for _, fn := range e.it.Prog.Funcs {
 		if fn.Kind == ir.FuncInit && len(fn.Params) == 0 {
 			if _, err := e.it.Run(fn, nil); err != nil {
-				return fmt.Errorf("init %s: %w", name, err)
+				return fmt.Errorf("init %s: %w", fn.Name, err)
 			}
 		}
 	}

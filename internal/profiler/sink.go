@@ -30,8 +30,7 @@ func sinkOnly(prog *ir.Program) []bool {
 	// into[h] lists the carried sets of the words stored to global h.
 	into := make([][][]uint64, n)
 	steer := make([]uint64, words)
-	for _, name := range prog.Order {
-		fn := prog.Funcs[name]
+	for _, fn := range prog.Funcs {
 		carried := carriedSets(fn, words)
 		of := func(r ir.Reg) []uint64 {
 			if r < 0 || int(r) >= fn.NumRegs {

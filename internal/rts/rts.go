@@ -158,11 +158,10 @@ func New(img *cg.Image, prog *ir.Program, tr []*packet.Packet, opts Options) (*R
 	}
 
 	// Init functions run at load time on the XScale.
-	for _, name := range prog.Order {
-		fn := prog.Funcs[name]
+	for _, fn := range prog.Funcs {
 		if fn.Kind == ir.FuncInit && len(fn.Params) == 0 {
 			if _, err := r.interp.Run(fn, nil); err != nil {
-				return nil, fmt.Errorf("rts: init %s: %w", name, err)
+				return nil, fmt.Errorf("rts: init %s: %w", fn.Name, err)
 			}
 		}
 	}
