@@ -1,6 +1,6 @@
 // The incremental compilation service. A Session keeps the typed fact
-// base and a per-pass result cache alive across compiles, so a
-// control-plane policy delta recompiles in the time of the passes it
+// base and a short history of results per pass alive across compiles, so
+// a control-plane policy delta recompiles in the time of the passes it
 // actually invalidated rather than a cold pipeline run. This is the
 // compile-server precedent ("A Fast Compiler for NetKAT"): the compiler
 // sits in the control loop, so recompilation latency is a data-plane
@@ -10,13 +10,13 @@
 //
 //   - IR identity: a fingerprint (ir.Hasher) of the whole program plus
 //     every merged aggregate body, covering every field a pass can read. A
-//     cached result is only considered when the IR entering the pass is
+//     held result is only considered when the IR entering the pass is
 //     identical to what it saw when it ran.
 //   - Fact reads: the facts the pass consulted, logged through the typed
 //     accessors — including the optional SOARIfValid read — each under the
 //     key it had then. A key stands for a fact *value*: a producer that
-//     re-runs from the state its cached run saw, reproduces its output IR
-//     and computes an equal fact keeps the cached key (the early cut-off),
+//     re-runs from the state a held run saw, reproduces that run's output
+//     IR and computes an equal fact keeps the held key (the early cut-off),
 //     so its successors stay reusable although it ran. A pass that needs
 //     only part of the profile reads a view of it (FactWeights,
 //     FactSWCSelection), a fact keyed by its own value, so a delta that
@@ -24,8 +24,14 @@
 //     Requires is the declared contract (enforced by the fact guard in
 //     runPass); the read log is the measured one.
 //   - Invalidation stamps: each Delta advances a sequence number and
-//     stamps the facts it declares invalid. A cached result that produced
-//     a fact older than the fact's last invalidation stamp re-runs.
+//     stamps the facts it declares invalid. A held result that produced a
+//     fact older than the fact's last invalidation stamp re-runs.
+//
+// Each pipeline position holds up to keepPerPass results, most recently
+// used first, and a compile reuses the first that applies. Under churn the
+// aggregation plan and the SWC rewrite flip between a few states, so a
+// recompile that returns to one the session already compiled reuses it;
+// the cut-off looks through the whole history for the run it reproduced.
 //
 // Because reuse demands identical inputs, an incremental compile is
 // bit-identical to a cold compile of the same configuration — the
@@ -97,8 +103,8 @@ type factRead struct {
 // factState is the fact base at one position of a session's walk down the
 // pipeline, with the key each fact is compared under. A key is the first
 // object that carried the fact's value: a fresh fact is its own key, and
-// one that an early cut-off found equal to the cached fact takes over the
-// cached fact's key.
+// one that an early cut-off found equal to a held fact takes over the held
+// fact's key.
 type factState struct {
 	facts
 	key [numFacts]any
@@ -177,7 +183,7 @@ type reportPatch struct {
 	setPlan, setSWC, setCode, setImage  bool
 }
 
-// passEntry is one cached pass execution.
+// passEntry is one held pass execution. It is never written once made.
 type passEntry struct {
 	name       string
 	inputHash  uint64
@@ -197,11 +203,21 @@ type passEntry struct {
 	timing      PassTiming
 }
 
+// keepPerPass is how many results a Session holds per pipeline position.
+// Under churn the plan and the SWC rewrite flip between two or three
+// states. The profile position's history also keeps the keys of its
+// views, so a longer one lets a candidate selection that returns after a
+// few deltas find its key again: on the benchmark's seed-1 stream swc
+// executes 36 times in 240 recompiles holding one result per position,
+// 22 holding two, 9 holding three and 5 holding four
+// (TestSessionStreamCensus).
+const keepPerPass = 4
+
 // Session is a long-lived incremental compiler for one program at one
-// configuration. It retains the fact base and per-pass snapshots across
-// compiles; Recompile applies a policy delta and re-runs only the passes
-// whose inputs — IR, consulted fact values, or invalidation stamps —
-// actually changed. Not safe for concurrent use.
+// configuration. It retains the fact base and a few snapshots per pass
+// across compiles; Recompile applies a policy delta and re-runs only the
+// passes whose inputs — IR, consulted fact values, or invalidation stamps —
+// match none of the held results. Not safe for concurrent use.
 type Session struct {
 	cfg      Config
 	base     *snapshot // pristine lowered IR, forked per compile
@@ -210,7 +226,11 @@ type Session struct {
 	store    *storeCheck // nil outside tests
 	reg      *metrics.Registry
 
-	entries []*passEntry // indexed by pipeline position
+	// entries holds, per pipeline position, its results most recently used
+	// first, at most keepPerPass. A list is replaced, never written in
+	// place, so a failed Recompile restores the history by restoring the
+	// outer slice.
+	entries [][]*passEntry
 	// deltaSeq numbers Delta applications; lastInval stamps each fact
 	// with the sequence of the last delta that declared it invalid.
 	deltaSeq  uint64
@@ -231,12 +251,14 @@ func NewSession(prog *ir.Program, cfg Config) (*Session, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
+	// The session appends each delta's controls to a list of its own.
+	cfg.Controls = slices.Clone(cfg.Controls)
 	s := &Session{
 		cfg:     cfg,
 		base:    &snapshot{prog: ir.CloneProgram(prog).Freeze()},
 		store:   newStoreCheck(cfg),
 		reg:     cfg.Metrics,
-		entries: make([]*passEntry, len(PipelineFor(cfg))),
+		entries: make([][]*passEntry, len(PipelineFor(cfg))),
 		prof:    profileState{full: "cold"},
 	}
 	s.baseHash = hashState(&s.hasher, s.base.prog, nil)
@@ -244,8 +266,13 @@ func NewSession(prog *ir.Program, cfg Config) (*Session, error) {
 }
 
 // Config returns the session's current configuration (Controls grow as
-// deltas are applied).
-func (s *Session) Config() Config { return s.cfg }
+// deltas are applied). Its Controls are clipped, so appending to them
+// copies them and never reaches the session's.
+func (s *Session) Config() Config {
+	cfg := s.cfg
+	cfg.Controls = slices.Clip(cfg.Controls)
+	return cfg
+}
 
 // Stats returns the session's cumulative incremental-compilation counters.
 func (s *Session) Stats() SessionStats {
@@ -311,20 +338,17 @@ func (s *Session) applyDelta(d Delta) {
 			}
 		}
 	}
-	if len(d.AddControls) > 0 {
-		ctrls := make([]profiler.Control, 0, len(s.cfg.Controls)+len(d.AddControls))
-		ctrls = append(ctrls, s.cfg.Controls...)
-		ctrls = append(ctrls, d.AddControls...)
-		s.cfg.Controls = ctrls
-	}
+	// The list is the session's own and handed out clipped, so the entries
+	// past its length are no one else's; a rollback restores the length.
+	s.cfg.Controls = append(s.cfg.Controls, d.AddControls...)
 }
 
-// Recompile applies a policy delta and compiles, reusing every cached pass
-// whose inputs the delta did not touch. A delta checkDelta refuses is a
+// Recompile applies a policy delta and compiles, reusing every held pass
+// result whose inputs match the compile's. A delta checkDelta refuses is a
 // *DeltaError; one whose compile fails (a control that faults when the
 // profiler replays it, say) is rolled back. Either way the session is left
-// as it was — configuration, stamps and cache — and compiles the next delta
-// as if this one had never been offered. The kept profiler state is the
+// as it was — configuration, stamps and history — and compiles the next
+// delta as if this one had never been offered. The kept profiler state is the
 // exception: it is dropped, and the next profile is a full one.
 func (s *Session) Recompile(d Delta) (*Result, error) {
 	if err := s.checkDelta(d); err != nil {
@@ -341,13 +365,14 @@ func (s *Session) Recompile(d Delta) (*Result, error) {
 }
 
 // Compile runs the session's pipeline. The first call is a cold compile
-// that populates the cache; later calls walk the pipeline reusing cached
-// results until an input diverges, re-execute from there (with post-pass
-// IR verification exactly as a cold compile), and re-attach to the cache
-// as soon as the state converges again — e.g. a profile-invalidating
-// delta re-profiles, reuses the untouched scalar/SOAR/PAC transforms,
-// re-aggregates only if the profile's weights changed and re-runs SWC only
-// if its candidate selection did, and when neither does runs nothing else.
+// that populates the history; later calls walk the pipeline reusing held
+// results until an input matches none, re-execute from there (with
+// post-pass IR verification exactly as a cold compile), and re-attach to
+// the history as soon as the state converges with a held one — e.g. a
+// profile-invalidating delta re-profiles, reuses the untouched
+// scalar/SOAR/PAC transforms, re-aggregates only if no held run read equal
+// weights and re-runs SWC only if none read an equal candidate selection,
+// and when both were read runs nothing else.
 func (s *Session) Compile() (*Result, error) {
 	pipeline := PipelineFor(s.cfg)
 	if len(pipeline) != len(s.entries) {
@@ -371,13 +396,18 @@ func (s *Session) Compile() (*Result, error) {
 	var lastExec, lastSkip []string
 
 	for i, p := range pipeline {
-		old := s.entries[i]
-		why := s.rerunReason(old, p.Name(), curHash, &live)
-		if why == "" {
+		held := s.entries[i]
+		hit, why := s.lookup(held, p.Name(), curHash, &live)
+		if hit >= 0 {
+			old := held[hit]
+			if hit > 0 {
+				s.entries[i] = promote(held, old, hit)
+				s.reg.Counter(metrics.SessionHistoryHits).Inc()
+			}
 			if cutoffCheck {
 				s.checkCutoff(p, old, cur, &live)
 			}
-			// Skip: replay the cached result's effects.
+			// Skip: replay the held result's effects.
 			live.replay(old)
 			old.patch.apply(ctx)
 			imageCached = imageCached || old.patch.setImage
@@ -416,45 +446,32 @@ func (s *Session) Compile() (*Result, error) {
 			timing:      ctx.Report.Passes[len(ctx.Report.Passes)-1],
 			patch:       diffReport(&preReport, ctx.Report, preImage, ctx.Image),
 		}
-		// The early cut-off: the pass ran from the state its cached run saw
-		// and reproduced that run's output IR, so each fact it produced
-		// that equals the cached one keeps the cached key.
-		same := old != nil && old.inputHash == curHash && old.outputHash == ent.outputHash
-		cutoff := same
 		live.facts = ctx.facts
 		for k := FactKind(0); k < numFacts; k++ {
 			val := factVal(&live.facts, k)
-			prodNow := live.valid[k] && (!pre.valid[k] || val != factVal(&pre.facts, k))
-			if prodNow {
-				ent.produced[k] = true
-				ent.prodSeq[k] = s.deltaSeq
-				if same && old.produced[k] && sameFact(k, val, factVal(&old.snap.facts, k)) {
-					live.key[k] = old.key[k]
-				} else {
-					live.key[k] = val
-					cutoff = false
-				}
-			}
-			if ctx.factReads[k] && !prodNow {
+			if live.valid[k] && (!pre.valid[k] || val != factVal(&pre.facts, k)) {
+				ent.produced[k], ent.prodSeq[k] = true, s.deltaSeq
+				live.key[k] = val
+			} else if ctx.factReads[k] {
 				ent.reads[k] = factRead{read: true, valid: pre.valid[k], key: pre.key[k], val: factVal(&pre.facts, k)}
 			}
 		}
+		repl := cutoff(held, ent, &live)
 		ent.key = live.key
 		// A state already held is not captured again.
-		switch {
-		case same:
-			ent.snap = old.snap.withFacts(live.facts)
-		case ent.outputHash == curHash:
+		if j := slices.IndexFunc(held, func(e *passEntry) bool { return e.outputHash == ent.outputHash }); j >= 0 {
+			ent.snap = held[j].snap.withFacts(live.facts)
+		} else if ent.outputHash == curHash {
 			ent.snap = cur.withFacts(live.facts)
-		default:
+		} else {
 			ent.snap = capture(ctx)
 			s.store.pin(ent.snap)
 		}
-		if cutoff {
+		if repl >= 0 {
 			s.reg.Counter(metrics.SessionCutoffs).Inc()
 		}
 		imageCached = imageCached && !ent.patch.setImage
-		s.entries[i] = ent
+		s.entries[i] = promote(held, ent, repl)
 
 		cur, curHash = ent.snap, ent.outputHash
 		executed++
@@ -577,21 +594,38 @@ func (s *Session) checkHeld() {
 		return
 	}
 	progs := appendPrograms(nil, s.base.prog, nil)
-	for _, ent := range s.entries {
-		if ent != nil {
+	for _, held := range s.entries {
+		for _, ent := range held {
 			progs = appendPrograms(progs, ent.snap.prog, ent.snap.merged)
 		}
 	}
 	s.store.verify("", progs)
 }
 
-// rerunReason decides whether a cached pass execution applies at the
-// current walk state — identical input IR, the consulted facts under the
-// keys it saw, and no produced fact invalidated by a later delta — and
-// returns "" when it does, else why the pass has to run (the reason label
-// of metrics.PassRerun).
+// lookup returns the index of the first held result that applies at the
+// current walk state, or -1 and why the pass has to run: "cold" when
+// nothing is held, else the reason the most recent result does not apply.
+func (s *Session) lookup(held []*passEntry, name string, curHash uint64, live *factState) (int, string) {
+	why := "cold"
+	for j, ent := range held {
+		r := s.rerunReason(ent, name, curHash, live)
+		if r == "" {
+			return j, ""
+		}
+		if j == 0 {
+			why = r
+		}
+	}
+	return -1, why
+}
+
+// rerunReason decides whether a held pass execution applies at the current
+// walk state — identical input IR, the consulted facts under the keys it
+// saw, and no produced fact invalidated by a later delta — and returns ""
+// when it does, else why the pass has to run (the reason label of
+// metrics.PassRerun).
 func (s *Session) rerunReason(ent *passEntry, name string, curHash uint64, live *factState) string {
-	if ent == nil || ent.name != name {
+	if ent.name != name {
 		return "cold"
 	}
 	if ent.inputHash != curHash {
@@ -610,7 +644,52 @@ func (s *Session) rerunReason(ent *passEntry, name string, curHash uint64, live 
 	return ""
 }
 
-// replay applies a cached pass's fact-base effects to the walk state:
+// cutoff is the early cut-off of a pass that just executed into ent: each
+// fact it produced that equals one a held run produced from the same input
+// IR to the same output IR takes that run's key in live, so the held
+// results downstream that read it apply again. It returns the index of the
+// held run every produced fact of which was reproduced, the one ent
+// replaces, or -1.
+func cutoff(held []*passEntry, ent *passEntry, live *factState) int {
+	var adopted [numFacts]bool
+	for j, e := range held {
+		if e.inputHash != ent.inputHash || e.outputHash != ent.outputHash {
+			continue
+		}
+		all := true
+		for k := FactKind(0); k < numFacts; k++ {
+			switch {
+			case !ent.produced[k]:
+			case e.produced[k] && sameFact(k, factVal(&live.facts, k), factVal(&e.snap.facts, k)):
+				if !adopted[k] {
+					live.key[k], adopted[k] = e.key[k], true
+				}
+			default:
+				all = false
+			}
+		}
+		if all {
+			return j
+		}
+	}
+	return -1
+}
+
+// promote returns a new history for one position: ent first, then the
+// held results but the one at index drop (none when drop is -1), at most
+// keepPerPass in all. held itself is left as it was.
+func promote(held []*passEntry, ent *passEntry, drop int) []*passEntry {
+	next := make([]*passEntry, 1, min(len(held)+1, keepPerPass))
+	next[0] = ent
+	for j, e := range held {
+		if j != drop && len(next) < keepPerPass {
+			next = append(next, e)
+		}
+	}
+	return next
+}
+
+// replay applies a held pass's fact-base effects to the walk state:
 // produced facts install their cached values and keys, declared
 // invalidations drop theirs, and everything else is untouched.
 func (live *factState) replay(ent *passEntry) {
@@ -656,7 +735,7 @@ func factVal(f *facts, k FactKind) any {
 	return nil
 }
 
-// sameFact compares a produced fact with the one the cached run of the same
+// sameFact compares a produced fact with the one a held run of the same
 // pass produced from the same input IR to the same output IR. The profile
 // and its views are compared count for count, each on its own, so a reader
 // of a view re-runs only when what it reads changed; the SOAR statistics

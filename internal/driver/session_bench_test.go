@@ -41,9 +41,14 @@ func newChurner(tb testing.TB, a *apps.App, seed uint64) *churner {
 // controls.
 func (c *churner) next() driver.Delta {
 	ev := c.stream.Next()
-	ctl := c.app.Churn.State(ev.Item, ev.Version, ev.Withdraw)
-	c.controls = append(c.controls[:len(c.controls):len(c.controls)], ctl)
-	return driver.Delta{AddControls: []profiler.Control{ctl}}
+	return c.add(c.app.Churn.State(ev.Item, ev.Version, ev.Withdraw))
+}
+
+// add appends control calls to the controls and returns the delta that
+// adds them.
+func (c *churner) add(ctls ...profiler.Control) driver.Delta {
+	c.controls = append(c.controls[:len(c.controls):len(c.controls)], ctls...)
+	return driver.Delta{AddControls: ctls}
 }
 
 func (c *churner) config(lvl driver.Level, verify driver.VerifyMode) driver.Config {

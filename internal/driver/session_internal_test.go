@@ -2,9 +2,11 @@ package driver
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"shangrila/internal/apps"
 	"shangrila/internal/baker/parser"
 	"shangrila/internal/baker/types"
 	"shangrila/internal/ir"
@@ -237,7 +239,7 @@ func TestCutoffCheckNamesPassAndView(t *testing.T) {
 	if _, err := s.Compile(); err != nil {
 		t.Fatal(err)
 	}
-	profiled := s.entries[0] // the state after the profile pass
+	profiled := s.entries[0][0] // the state after the profile pass
 	live := factState{facts: profiled.snap.facts, key: profiled.key}
 	read := *live.weights // what the cached run read: equal, not the same
 	ent := &passEntry{outputHash: hashState(&s.hasher, profiled.snap.prog, nil), snap: profiled.snap}
@@ -273,6 +275,57 @@ func TestCutoffCheckNamesPassAndView(t *testing.T) {
 			t.Errorf("a pass that reads only its view: %s", caught)
 		case p.name == "leaky" && (!strings.Contains(caught, "pass leaky") || !strings.Contains(caught, "weights view")):
 			t.Errorf("a pass that depends on more than its view: panic %q, want it and the view named", caught)
+		}
+	}
+}
+
+// TestFailedCompileRestoresHistory: a Recompile that fails after a pass
+// executed — here because the dump after aggregate cannot be written,
+// once profile has run — leaves every position's history as the compile
+// before left it: the same results in the same order, the order a history
+// hit just set included.
+func TestFailedCompileRestoresHistory(t *testing.T) {
+	a := apps.Firewall()
+	prog, err := LowerSource(a.Name+".baker", a.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(prog, Config{Level: LevelSWC, ProfileTrace: a.Trace(prog.Types, 1, 512), Controls: a.Controls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// rule0 switches the first boot rule off (to a destination port no
+	// trace packet carries), which changes the SWC rewrite, or on again.
+	rule0 := func(off bool) Delta {
+		c := a.Controls[0]
+		args := slices.Clone(c.Args)
+		if off {
+			args[7], args[8] = 9, 9
+		}
+		return Delta{AddControls: []profiler.Control{{Name: c.Name, Args: args}}}
+	}
+	if _, err := s.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	var res *Result
+	for _, off := range []bool{true, false} {
+		if res, err = s.Recompile(rule0(off)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res.Report.Metrics.Counters[metrics.SessionHistoryHits.String()] == 0 {
+		t.Fatal("switching rule 0 back on reused no older held result")
+	}
+	held := slices.Clone(s.entries)
+
+	s.cfg.DumpPass, s.cfg.DumpDir = "aggregate", "/dev/null/dump"
+	if res, err = s.Recompile(rule0(true)); err == nil {
+		t.Fatalf("an unwritable dump did not fail the recompile (executed %v)", s.stats.LastExecuted)
+	}
+	s.cfg.DumpPass, s.cfg.DumpDir = "", ""
+	for i := range held {
+		if !slices.Equal(s.entries[i], held[i]) {
+			t.Errorf("position %d holds %v after the failed recompile, %v before", i, s.entries[i], held[i])
 		}
 	}
 }

@@ -65,13 +65,15 @@ func PassSkips(pass string) Key { return Key("compile.pass." + pass + ".skips") 
 func PassRerun(pass, reason string) Key { return Key("compile.pass." + pass + ".rerun." + reason) }
 
 // Session-level incremental-compilation counters: total compiles executed
-// by a driver.Session, how many of those reused at least one cached pass
-// result, and how many re-executed passes reproduced their cached output
-// (IR and facts), so that their successors stayed reusable.
+// by a driver.Session, how many of those reused at least one held pass
+// result, how many re-executed passes reproduced a held output (IR and
+// facts), so that their successors stayed reusable, and how many skips
+// reused a held result other than the most recent one of its pass.
 const (
 	SessionCompiles    = Key("compile.session.compiles")
 	SessionIncremental = Key("compile.session.incremental")
 	SessionCutoffs     = Key("compile.session.cutoffs")
+	SessionHistoryHits = Key("compile.session.history_hits")
 )
 
 // Incremental-profile decision records of a driver.Session: the trace
