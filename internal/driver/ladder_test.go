@@ -29,8 +29,8 @@ func ladderOver(t *testing.T, cfg driver.Config, levels ...driver.Level) (*drive
 }
 
 // TestLadderRunsSharedPassOnce counts pass executions over the seven
-// levels: 25 distinct passes run where seven cold compiles run 53, each of
-// the 25 verified, and every level's report still lists its whole pipeline
+// levels: 28 distinct passes run where seven cold compiles run 60, each of
+// the 28 verified, and every level's report still lists its whole pipeline
 // — the rows it took over from a lower level marked Skipped.
 func TestLadderRunsSharedPassOnce(t *testing.T) {
 	reg := metrics.NewRegistry()
@@ -63,7 +63,7 @@ func TestLadderRunsSharedPassOnce(t *testing.T) {
 		}
 	}
 	want := map[string]int64{"profile": 1, "inline+scalar": 2, "soar": 1, "pac": 1, "aggregate": 3,
-		"agg-opt": 3, "phr": 1, "swc": 1, "final-opt": 5, "codegen": 7}
+		"merge": 3, "agg-opt": 3, "phr": 1, "swc": 1, "final-opt": 5, "codegen": 7}
 	snap := reg.Snapshot()
 	for _, info := range driver.Passes() {
 		runs := snap.Counters[string(metrics.PassRuns(info.Name))]

@@ -37,8 +37,7 @@ const (
 	// requiring it after an invalidation re-analyzes lazily.
 	FactSOAR
 	// FactPlan is the aggregation plan together with its channel
-	// classification and merged per-aggregate programs, produced by the
-	// aggregate pass.
+	// classification, produced by the aggregate pass.
 	FactPlan
 	// FactWeights is the view of the profile that aggregation reads
 	// (profiler.Weights: packets, per-function counts, channel traffic).
@@ -82,7 +81,7 @@ type facts struct {
 type swcSelection struct{ cands []*swc.Candidate }
 
 // Context is the state a Pass operates on: the whole program, the merged
-// per-aggregate programs once aggregation has run, the accumulating report
+// per-aggregate programs once the merge pass has run, the accumulating report
 // and the fact base.
 type Context struct {
 	Cfg    Config

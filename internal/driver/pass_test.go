@@ -42,6 +42,7 @@ func expectedPipeline(lvl driver.Level) []string {
 	add("soar", lvl >= driver.LevelPAC)
 	add("pac", lvl >= driver.LevelPAC)
 	add("aggregate", true)
+	add("merge", true)
 	add("agg-opt", true)
 	add("phr", lvl >= driver.LevelPHR)
 	add("swc", lvl >= driver.LevelSWC)

@@ -1,14 +1,12 @@
 // The registered pipeline passes. Registration order is pipeline order and
 // mirrors the paper's Figure 5 staging: profile → inline/scalar → SOAR →
-// PAC → aggregation → per-aggregate optimization → PHR → SWC → final
-// cleanup → code generation. Each pass declares the analysis facts it
+// PAC → aggregation → merging → per-aggregate optimization → PHR → SWC →
+// final cleanup → code generation. Each pass declares the analysis facts it
 // consumes and the ones its rewrites invalidate; the manager recomputes
 // invalidated on-demand facts lazily when a later pass requires them.
 package driver
 
 import (
-	"fmt"
-
 	"shangrila/internal/aggregate"
 	"shangrila/internal/cg"
 	"shangrila/internal/opt"
@@ -48,11 +46,15 @@ func init() {
 	})
 	RegisterPass(PassInfo{
 		Name:    "aggregate",
-		Stage:   "PPF aggregation and per-aggregate merging (§5.1, Figure 7)",
+		Stage:   "PPF aggregation (§5.1, Figure 7): which PPFs share an ME, how often a stage is duplicated",
 		Enabled: always,
-		New: func(cfg Config) Pass {
-			return aggregatePass{cfg: cfg.aggConfig(), analyze: cfg.Level >= LevelPAC}
-		},
+		New:     func(cfg Config) Pass { return aggregatePass{cfg: cfg.aggConfig()} },
+	})
+	RegisterPass(PassInfo{
+		Name:    "merge",
+		Stage:   "per-aggregate merging: one inlined program per aggregate of the plan",
+		Enabled: always,
+		New:     func(cfg Config) Pass { return mergePass{analyze: cfg.Level >= LevelPAC} },
 	})
 	RegisterPass(PassInfo{
 		Name:    "agg-opt",
@@ -173,36 +175,30 @@ func (soarPass) Run(ctx *Context) error {
 
 // pacPass combines packet accesses across the whole program, then cleans
 // up with the scalar optimizer. The rewrite moves and widens accesses, so
-// the SOAR facts are invalidated; the aggregate pass requires them again,
-// which re-annotates the combined accesses before bodies are merged.
+// it re-analyzes SOAR afterwards: what follows reads the combined accesses
+// annotated — aggregation's code-size estimate, which counts a resolved
+// packet access as cheaper than a dynamic one, and the merged clones.
 type pacPass struct{ scalar bool }
 
 func (pacPass) Name() string            { return "pac" }
 func (pacPass) Requires() []FactKind    { return []FactKind{FactSOAR} }
-func (pacPass) Invalidates() []FactKind { return []FactKind{FactSOAR} }
+func (pacPass) Invalidates() []FactKind { return nil }
 
 func (p pacPass) Run(ctx *Context) error {
 	ctx.Report.PAC = pac.Run(ctx.Prog)
 	ctx.optimize(ctx.Prog, opt.Options{Scalar: p.scalar})
+	ctx.Invalidate(FactSOAR)
+	ctx.SOAR()
 	return nil
 }
 
-// aggregatePass runs the Figure 7 heuristic and builds the merged
-// per-aggregate programs. When the pipeline analyzes (≥ +PAC) it requires
-// fresh SOAR facts so the merged clones carry post-PAC annotations.
-type aggregatePass struct {
-	cfg     aggregate.Config
-	analyze bool
-}
+// aggregatePass runs the Figure 7 heuristic over the profile's weights and
+// classifies every channel under the plan. It decides and does not merge:
+// the merged programs depend only on the plan's decisions (mergePass).
+type aggregatePass struct{ cfg aggregate.Config }
 
-func (aggregatePass) Name() string { return "aggregate" }
-
-func (p aggregatePass) Requires() []FactKind {
-	if p.analyze {
-		return []FactKind{FactWeights, FactSOAR}
-	}
-	return []FactKind{FactWeights}
-}
+func (aggregatePass) Name() string            { return "aggregate" }
+func (aggregatePass) Requires() []FactKind    { return []FactKind{FactWeights} }
 func (aggregatePass) Invalidates() []FactKind { return nil }
 
 func (p aggregatePass) Run(ctx *Context) error {
@@ -211,13 +207,34 @@ func (p aggregatePass) Run(ctx *Context) error {
 		return err
 	}
 	ctx.Report.Plan = plan
-	classes := aggregate.ClassifyChannels(ctx.Prog, plan)
+	ctx.SetPlan(plan, aggregate.ClassifyChannels(ctx.Prog, plan))
+	return nil
+}
+
+// mergePass builds the merged per-aggregate programs of the plan. It reads
+// the plan's decisions only, so a Session whose re-run aggregation decides
+// what a held plan decided keeps the held merge. When the pipeline analyzes
+// (≥ +PAC) it requires the SOAR facts, so the merged clones carry post-PAC
+// annotations.
+type mergePass struct{ analyze bool }
+
+func (mergePass) Name() string { return "merge" }
+
+func (p mergePass) Requires() []FactKind {
+	if p.analyze {
+		return []FactKind{FactPlan, FactSOAR}
+	}
+	return []FactKind{FactPlan}
+}
+func (mergePass) Invalidates() []FactKind { return nil }
+
+func (mergePass) Run(ctx *Context) error {
+	plan, classes := ctx.Plan()
 	merged, err := aggregate.BuildMerged(ctx.Prog, plan, classes)
 	if err != nil {
-		return fmt.Errorf("merge: %w", err)
+		return err
 	}
 	ctx.Merged = merged
-	ctx.SetPlan(plan, classes)
 	return nil
 }
 

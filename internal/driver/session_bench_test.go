@@ -1,6 +1,7 @@
 package driver_test
 
 import (
+	"slices"
 	"testing"
 
 	"shangrila/internal/apps"
@@ -34,7 +35,7 @@ func newChurner(tb testing.TB, a *apps.App, seed uint64) *churner {
 		tb.Fatal(err)
 	}
 	return &churner{app: a, base: prog, trace: a.Trace(prog.Types, seed, 512),
-		controls: a.Controls, stream: stream}
+		controls: slices.Clip(a.Controls), stream: stream}
 }
 
 // next draws the stream's next policy change and appends it to the
@@ -45,9 +46,11 @@ func (c *churner) next() driver.Delta {
 }
 
 // add appends control calls to the controls and returns the delta that
-// adds them.
+// adds them. It appends in place, so the benchmark's timed loop does not
+// copy the growing list: a Session owns a copy of the controls it was
+// given, and every list config handed out keeps its elements.
 func (c *churner) add(ctls ...profiler.Control) driver.Delta {
-	c.controls = append(c.controls[:len(c.controls):len(c.controls)], ctls...)
+	c.controls = append(c.controls, ctls...)
 	return driver.Delta{AddControls: ctls}
 }
 

@@ -357,15 +357,16 @@ func (m *profileModel) step(res *driver.Result, keys *int) (wKey, sKey int) {
 // sessionModel predicts which passes a +SWC session executes from what its
 // results show: the profile's weights and SWC selection, the plan's
 // decisions and the SWC rewrite. Each position after profile is keyed as
-// the session keys it: aggregate by the weights it reads; agg-opt, phr,
-// final-opt and codegen by the IR the plan (and the rewrite) make and the
-// plan's key, which the SOAR fact they read shares; swc by its IR and the
-// selection's key.
+// the session keys it: aggregate by the weights it reads; merge by the
+// plan's key, on IR no delta changes; agg-opt, phr, final-opt and codegen
+// by the IR the plan (and the rewrite) make and the plan's key; swc by its
+// IR and the selection's key. The SOAR fact they read is PAC's, the same
+// in every compile.
 type sessionModel struct {
-	keys                             int
-	plans                            []*aggregate.Plan
-	profile                          profileModel
-	aggregate, aggOpt, swc, finalOpt heldModel
+	keys                                    int
+	plans                                   []*aggregate.Plan
+	profile                                 profileModel
+	aggregate, merge, aggOpt, swc, finalOpt heldModel
 }
 
 // planID names a plan's decisions.
@@ -387,6 +388,9 @@ func (m *sessionModel) step(res *driver.Result) string {
 	if run {
 		ran += " aggregate"
 	}
+	if run, _ := m.merge.step("", fmt.Sprint(pKey), plan, &m.keys); run {
+		ran += " merge"
+	}
 	if run, _ := m.aggOpt.step(plan, fmt.Sprint(pKey), "", &m.keys); run {
 		ran += " agg-opt phr"
 	}
@@ -406,12 +410,14 @@ func (m *sessionModel) step(res *driver.Result) string {
 // profile's weights do not, SWC when its candidate selection does not —
 // and the scalar/SOAR/PAC transforms never do. A re-run that reproduces a
 // held run's output takes that run's keys, so the held results after it
-// apply again: a plan change back to a held plan reuses everything after
-// aggregation, or everything when aggregation's held run for those weights
-// made that plan. The firewall under the benchmark's churn stream produces
-// within its first 24 deltas the four pass lists — only profile; profile
-// aggregate; profile aggregate swc final-opt codegen; everything from
-// aggregate — and the first two also where the plan changed.
+// apply again: a plan whose decisions a held plan made reuses the merged
+// programs and everything after them, or everything when aggregation's
+// held run for those weights made that plan. The firewall under the
+// benchmark's churn stream produces within its first 24 deltas the four
+// pass lists — only profile; profile aggregate; profile aggregate swc
+// final-opt codegen; everything from aggregate — the first two also where
+// the plan changed, and profile aggregate where it did not: the weights
+// moved, the plan held, and merge was skipped.
 func TestSessionProfileDeltaReattaches(t *testing.T) {
 	t.Run("unchanged", func(t *testing.T) {
 		a := apps.L3Switch()
@@ -445,7 +451,9 @@ func TestSessionProfileDeltaReattaches(t *testing.T) {
 					res.Report.Plan, prev.Report.Plan, swcRewrite(res), swcRewrite(prev), got, want)
 			}
 			seen[want]++
-			if !res.Report.Plan.SameDecisions(prev.Report.Plan) {
+			if res.Report.Plan.SameDecisions(prev.Report.Plan) {
+				seen[want+" (plan held)"]++
+			} else {
 				seen[want+" (plan changed)"]++
 			}
 			prev = res
@@ -454,7 +462,8 @@ func TestSessionProfileDeltaReattaches(t *testing.T) {
 			"profile",
 			"profile aggregate",
 			"profile aggregate swc final-opt codegen",
-			"profile aggregate agg-opt phr swc final-opt codegen",
+			"profile aggregate merge agg-opt phr swc final-opt codegen",
+			"profile aggregate (plan held)",
 			"profile (plan changed)",
 			"profile aggregate (plan changed)",
 		} {
@@ -597,7 +606,9 @@ func TestSessionDecisionRecords(t *testing.T) {
 // their profiles interpret again. With one result held per pass the same
 // stream executed aggregate 88 times, agg-opt and phr 24, swc, final-opt
 // and codegen 36: the plan and the SWC rewrite flip between a few states,
-// and the history serves the returns. A session's first recompile keeps
+// and the history serves the returns. Aggregation re-runs whenever the
+// weights match no held run's, but merging only when the plan's decisions
+// match no held plan's: once in the 240. A session's first recompile keeps
 // the profiler state, in a full profile, and every later profile is
 // incremental: it re-interprets on average at most 70 of the 512 trace
 // packets.
@@ -620,7 +631,7 @@ func TestSessionStreamCensus(t *testing.T) {
 			runs[p]++
 		}
 	}
-	want := map[string]int{"profile": 240, "aggregate": 77, "agg-opt": 1, "phr": 1, "swc": 5, "final-opt": 2, "codegen": 2}
+	want := map[string]int{"profile": 240, "aggregate": 77, "merge": 1, "agg-opt": 1, "phr": 1, "swc": 5, "final-opt": 2, "codegen": 2}
 	for p, n := range want {
 		if runs[p] != n {
 			t.Errorf("%s executed %d times in %d recompiles, want %d", p, runs[p], deltas, n)
@@ -643,8 +654,8 @@ func TestSessionStreamCensus(t *testing.T) {
 		again += a
 		hits += c[metrics.SessionHistoryHits.String()]
 	}
-	if hits != 156 {
-		t.Errorf("%d skips reused a held result other than the most recent one, want 156", hits)
+	if hits != 179 {
+		t.Errorf("%d skips reused a held result other than the most recent one, want 179", hits)
 	}
 	if mean := float64(again) / incremental; mean > 70 {
 		t.Errorf("a profile re-interprets %.1f of 512 packets on average, want at most 70", mean)
@@ -905,17 +916,18 @@ func TestSessionOwnsControls(t *testing.T) {
 // TestRecompileAllocsBelowCold is the clock-free guard on what the Session
 // is for: a steady-state recompile of one churn delta allocates well under
 // a cold CompileIR on the same program, trace and controls. The ceilings
-// are the incremental profile's measurement (564 / 129 / 3,763 allocations
-// per recompile, against 8,344 / 10,629 / 7,487 per cold compile) plus a
-// tenth; the Firewall's is the history's (1,669 where one result held per
-// pass made 3,750) plus a tenth. Profiling the whole trace after every
-// delta it was 716 / 263 / 3,863; re-running aggregation and SWC on every
-// delta and copying the trace for every profile, 3,845 / 4,640 / 5,866;
-// with whole-program clones per snapshot 5,016 / 5,431 / 7,072; and before
-// the cut-off and the shared snapshots three times the cold compile's.
+// are the split of aggregation into plan and merge's measurement (201 /
+// 125 / 1,090 allocations per recompile, against 8,347 / 10,634 / 7,494
+// per cold compile) plus a tenth. Re-merging on every re-run of the plan
+// it was 555 / 124 / 1,669; holding one result per pass, 564 / 129 /
+// 3,763; profiling the whole trace after every delta, 716 / 263 / 3,863;
+// re-running aggregation and SWC on every delta and copying the trace for
+// every profile, 3,845 / 4,640 / 5,866; with whole-program clones per
+// snapshot 5,016 / 5,431 / 7,072; and before the cut-off and the shared
+// snapshots three times the cold compile's.
 func TestRecompileAllocsBelowCold(t *testing.T) {
 	defer driver.SetCutoffCheck(driver.SetCutoffCheck(false))
-	ceiling := map[string]float64{"l3switch": 625, "mpls": 150, "firewall": 1850}
+	ceiling := map[string]float64{"l3switch": 220, "mpls": 140, "firewall": 1200}
 	for _, a := range apps.All() {
 		c := newChurner(t, a, 1)
 		s := c.session(t, driver.LevelSWC, driver.VerifyOff)

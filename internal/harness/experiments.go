@@ -3,6 +3,7 @@ package harness
 import (
 	"flag"
 	"fmt"
+	"math"
 	"time"
 
 	"shangrila/internal/apps"
@@ -266,6 +267,19 @@ func (cf *clusterFlags) check() error {
 		return fmt.Errorf("-cluster-flows %d: want a flow population of 0 (the default) or more", cf.Flows)
 	case !(cf.DrainFrac > 0 && cf.DrainFrac < 1): // NaN fails both
 		return fmt.Errorf("-cluster-drain-frac %v: want a fraction strictly between 0 and 1", cf.DrainFrac)
+	// ClusterParams reads a load or exponent of 0 as "the default", so the
+	// flags refuse 0 too; NaN fails every comparison.
+	case !(cf.Load > 0) || math.IsInf(cf.Load, 1):
+		return fmt.Errorf("-cluster-load %v: want a finite load above 0 Gbps per chip", cf.Load)
+	case !(cf.Zipf > 0) || math.IsInf(cf.Zipf, 1):
+		return fmt.Errorf("-cluster-zipf %v: want a finite exponent above 0", cf.Zipf)
+	case cf.Epoch < 0:
+		return fmt.Errorf("-cluster-epoch %d: want 0 (the default) or more cycles", cf.Epoch)
+	case cf.Latency < 0:
+		return fmt.Errorf("-cluster-fabric-latency %d: want 0 or more cycles", cf.Latency)
+	}
+	if _, err := findApp(cf.App); err != nil {
+		return fmt.Errorf("-cluster-app %s: %w", cf.App, err)
 	}
 	return nil
 }

@@ -87,6 +87,16 @@ func TestExperimentFlagsRejectInvalid(t *testing.T) {
 		{"-cluster-drain-frac", "2"},
 		{"-cluster-drain-frac", "0"},
 		{"-cluster-drain-frac", "1"},
+		{"-cluster-load", "0"},
+		{"-cluster-load", "-1"},
+		{"-cluster-load", "NaN"},
+		{"-cluster-load", "+Inf"},
+		{"-cluster-zipf", "-2"},
+		{"-cluster-zipf", "0"},
+		{"-cluster-zipf", "NaN"},
+		{"-cluster-epoch", "-1"},
+		{"-cluster-fabric-latency", "-1"},
+		{"-cluster-app", "nosuch"},
 		{"-fuzz-n", "-2"},
 		{"-fuzz-n", "0"},
 		{"-fuzz-trace", "-4"},
@@ -101,6 +111,8 @@ func TestExperimentFlagsRejectInvalid(t *testing.T) {
 	for _, args := range [][]string{
 		nil,
 		{"-chips", "1", "-cluster-flows", "0", "-cluster-drain-frac", "0.25"},
+		{"-cluster-load", "0.5", "-cluster-zipf", "0.8", "-cluster-epoch", "0", "-cluster-fabric-latency", "0",
+			"-cluster-app", "firewall"},
 		{"-fuzz-n", "1", "-fuzz-trace", "1", "-fuzz-budget", "0s"},
 	} {
 		if err := check(args...); err != nil {

@@ -261,8 +261,9 @@ func AnalyzeWithEntries(p *ir.Program, entries map[string]Input) *Stats {
 		st.EntryInputs[name] = exportLat(l)
 	}
 	// A function is taken for writing (ir.Program.Edit) only when one of its
-	// annotations changes: a recompile re-annotates the whole program, and
-	// most of it already carries these exact annotations.
+	// annotations changes: a re-analysis (after PAC, of a merged program
+	// after its cleanup) finds most functions already carrying these exact
+	// annotations.
 	for _, fn := range p.Funcs {
 		var w *ir.Func
 		for bi, b := range fn.Blocks {
