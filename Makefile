@@ -33,11 +33,14 @@ race:
 # The control-plane and shared-compile claims as a named subset for
 # running alone (`test` runs them too): SWC delayed-update coherency under
 # an update storm, rule-flip convergence, churn report determinism, and
-# the incremental Session and the level ladder held equal to cold compiles.
+# the incremental Session and the level ladder held equal to cold compiles
+# (in the harness over delta sequences and packets, in the driver for one
+# delta per app at every level).
 churn-claims:
 	$(GO) test -count=1 -run \
 		'TestSWCCoherencyUnderChurnStorm|TestFirewallRuleFlipConverges|TestIncrementalPacketDifferential|TestSessionChurnSequenceMatchesCold|TestLadderMatchesCold|TestChurnDeterminism' \
 		./internal/harness/
+	$(GO) test -count=1 -run 'TestSessionIncrementalMatchesColdAllAppsAllLevels' ./internal/driver/
 
 # The repository benchmark (bench/, its own module, so the root ./...
 # never builds it) calls this module's public functions. Its self-tests

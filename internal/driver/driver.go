@@ -16,6 +16,7 @@ package driver
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 
@@ -123,9 +124,10 @@ type PassTiming struct {
 	InstrsBefore int    `json:"instrs_before"`
 	InstrsAfter  int    `json:"instrs_after"`
 	VerifyNanos  int64  `json:"verify_nanos,omitempty"`
-	// Skipped marks a pass an incremental Session recompile satisfied
-	// from its cache instead of executing; Nanos/VerifyNanos are zero and
-	// the sizes are the cached result's.
+	// Skipped marks a pass the compile did not execute: an incremental
+	// Session recompile satisfied it from its cache, or a Ladder level
+	// took it over from a lower level that ran it. Nanos/VerifyNanos are
+	// zero and the sizes are the held result's.
 	Skipped bool `json:"skipped,omitempty"`
 }
 
@@ -140,13 +142,28 @@ type Report struct {
 	SWCCands     []*swc.Candidate
 	// CodeSizes per ME aggregate (CGIR instructions).
 	CodeSizes []int
-	// Passes holds one timing entry per executed pipeline stage, in
-	// execution order.
+	// Passes holds one timing entry per pipeline stage, in pipeline order,
+	// the ones the compile took over marked Skipped.
 	Passes []PassTiming
 	// Metrics is the per-pass instrumentation snapshot
 	// (compile.pass.<name>.{runs,nanos,verify_nanos} counters and
 	// compile.pass.<name>.size_delta gauges).
 	Metrics metrics.Snapshot
+}
+
+// take copies into the report the fields one pass's output sets.
+func (rep *Report) take(o *Report) {
+	rep.Plan = cmp.Or(o.Plan, rep.Plan)
+	rep.ProfileStats = cmp.Or(o.ProfileStats, rep.ProfileStats)
+	rep.SOAR = cmp.Or(o.SOAR, rep.SOAR)
+	rep.PAC = cmp.Or(o.PAC, rep.PAC)
+	rep.PHR = cmp.Or(o.PHR, rep.PHR)
+	if o.SWCCands != nil {
+		rep.SWCCands = o.SWCCands
+	}
+	if o.CodeSizes != nil {
+		rep.CodeSizes = o.CodeSizes
+	}
 }
 
 // irSize counts IR instructions across every function of a program.
@@ -220,7 +237,7 @@ func CompileSource(file, src string, cfg Config) (*Result, error) {
 // post-pass verification, metrics and dump hooks. It is the one-rung level
 // ladder, compiled in place: prog is rewritten and becomes Result.Prog.
 func CompileIR(prog *ir.Program, cfg Config) (*Result, error) {
-	if err := CheckDumpPass(cfg.DumpPass); err != nil {
+	if err := checkConfig(cfg.DumpPass, cfg.Level); err != nil {
 		return nil, err
 	}
 	l := newLadder(prog, cfg, []Level{cfg.Level}, PipelineFor)

@@ -21,7 +21,7 @@ func (s *Session) Held() [][]string {
 	out := make([][]string, len(s.entries))
 	for i, held := range s.entries {
 		for _, ent := range held {
-			out[i] = append(out[i], fmt.Sprintf("%s@%p", ent.name, ent))
+			out[i] = append(out[i], fmt.Sprintf("%s@%p", ent.out.row.Pass, ent))
 		}
 	}
 	return out

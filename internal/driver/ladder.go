@@ -18,7 +18,6 @@ import (
 	"reflect"
 	"slices"
 
-	"shangrila/internal/cg"
 	"shangrila/internal/ir"
 	"shangrila/internal/metrics"
 )
@@ -62,13 +61,12 @@ type rung struct {
 }
 
 // fork is the compilation state at a depth where later rungs leave this
-// rung's pipeline: the IR and fact base (session.go's snapshot), the report
-// so far with its rows marked Skipped, and the image if codegen has run.
+// rung's pipeline: the IR and fact base (session.go's snapshot) and the
+// pass outputs so far, their rows marked Skipped.
 type fork struct {
-	uses   int // rungs still to resume from here
-	snap   *snapshot
-	report Report
-	image  *cg.Image
+	uses int // rungs still to resume from here
+	snap *snapshot
+	outs []passOut
 }
 
 // NewLadder prepares the ladder over prog for the given levels (all of
@@ -83,6 +81,9 @@ func NewLadder(prog *ir.Program, cfg Config, levels ...Level) (*Ladder, error) {
 	}
 	if len(levels) == 0 {
 		levels = Levels()
+	}
+	if err := checkConfig(cfg.DumpPass, levels...); err != nil {
+		return nil, err
 	}
 	return newLadder(prog, cfg, levels, PipelineFor), nil
 }
@@ -172,6 +173,7 @@ func (l *Ladder) climb(r *rung) {
 	cfg.Level = r.level
 	run := newRunner(nil, cfg)
 	run.store = l.store
+	run.outs = make([]passOut, 0, len(r.pipeline))
 	ctx := run.ctx
 	l.checkHeld()
 	switch from := r.from; {
@@ -185,18 +187,15 @@ func (l *Ladder) climb(r *rung) {
 		return
 	default:
 		f := from.forks[r.shared]
-		snap := f.snap
+		snap, outs := f.snap, f.outs
 		if f.uses--; f.uses == 0 {
-			f.snap = nil // the last rung to leave from here lets it go
+			f.snap, f.outs = nil, nil // the last rung to leave from here lets them go
 		}
 		snap.fork(ctx)
 		ctx.facts = snap.facts
-		*ctx.Report = f.report
-		ctx.Report.Level = r.level
-		ctx.Report.Passes = append([]PassTiming(nil), f.report.Passes...)
-		ctx.Image = f.image
-		for _, row := range f.report.Passes {
-			run.reg().Counter(metrics.PassSkips(row.Pass)).Inc()
+		run.outs = append(run.outs, outs...)
+		for _, o := range outs {
+			run.reg().Counter(metrics.PassSkips(o.row.Pass)).Inc()
 		}
 	}
 	for r.done = r.shared; r.done < len(r.pipeline); {
@@ -207,13 +206,10 @@ func (l *Ladder) climb(r *rung) {
 		if f := r.forks[r.done]; f != nil {
 			f.snap = capture(ctx)
 			l.store.pin(f.snap)
-			f.report = *ctx.Report
-			f.report.Passes = make([]PassTiming, len(ctx.Report.Passes))
-			for i, row := range ctx.Report.Passes {
-				row.Nanos, row.VerifyNanos, row.Skipped = 0, 0, true
-				f.report.Passes[i] = row
+			f.outs = make([]passOut, len(run.outs))
+			for i, o := range run.outs {
+				f.outs[i] = o.skipped()
 			}
-			f.image = ctx.Image
 		}
 	}
 	r.res = run.result()

@@ -81,14 +81,17 @@ type facts struct {
 type swcSelection struct{ cands []*swc.Candidate }
 
 // Context is the state a Pass operates on: the whole program, the merged
-// per-aggregate programs once the merge pass has run, the accumulating report
-// and the fact base.
+// per-aggregate programs once the merge pass has run, the running pass's
+// report fields and the fact base.
 type Context struct {
 	Cfg    Config
 	Prog   *ir.Program
 	Merged []*aggregate.Merged
+	// Report holds only the fields the running pass writes: it is empty
+	// when the pass starts, and the runner assembles the compile's Report
+	// from every pass's fields (runner.result).
 	Report *Report
-	// Image is set by the codegen pass.
+	// Image is set by the codegen pass; it too is the running pass's only.
 	Image *cg.Image
 
 	facts facts
@@ -324,6 +327,21 @@ func CheckDumpPass(pass string) error {
 	return fmt.Errorf("driver: unknown dump pass %q (valid: all, %s)", pass, strings.Join(names, ", "))
 }
 
+// checkConfig is the configuration check of every entry point (CompileIR,
+// NewSession, NewLadder): the dump pass must exist (CheckDumpPass), and so
+// must each level compiled, one of Levels().
+func checkConfig(dumpPass string, levels ...Level) error {
+	if err := CheckDumpPass(dumpPass); err != nil {
+		return err
+	}
+	for _, l := range levels {
+		if l < LevelBase || l > LevelSWC {
+			return fmt.Errorf("driver: unknown level %v (valid: %v)", l, Levels())
+		}
+	}
+	return nil
+}
+
 // PipelineFor builds the declarative pipeline for a configuration from the
 // pass registry: every registered pass enabled at cfg.Level, in
 // registration order.
@@ -361,11 +379,33 @@ func (m VerifyMode) enabled() bool {
 	return testing.Testing()
 }
 
+// passOut is what one pass execution produced: its report row, the report
+// fields it wrote and the image, if it made one. A Session holds it with the
+// pass's result and a Ladder fork the outputs of the passes before it; a
+// compile that takes one over appends it with its row marked Skipped.
+type passOut struct {
+	row    PassTiming
+	report Report
+	image  *cg.Image
+}
+
+// skipped is the output as a compile that took it over reports it: the
+// sizes are the held ones, and the row carries no time.
+func (o passOut) skipped() passOut {
+	o.row.Nanos, o.row.VerifyNanos, o.row.Skipped = 0, 0, true
+	return o
+}
+
 // runner executes a pipeline over a Context: per-pass timing, IR size
 // deltas, post-pass verification, metrics and dump hooks.
 type runner struct {
 	ctx    *Context
 	verify bool
+	// outs holds every pass's output, in pipeline order, the passes taken
+	// over from a held result included; result assembles the Report from
+	// it. Ladder rungs and Sessions size it for the whole pipeline: growing
+	// it by append made a recompile measurably slower.
+	outs []passOut
 	// store, when set (under test), checks after each pass that it wrote
 	// no frozen function in place.
 	store *storeCheck
@@ -379,12 +419,7 @@ func newRunner(prog *ir.Program, cfg Config) *runner {
 		reg = metrics.NewRegistry()
 	}
 	return &runner{
-		ctx: &Context{
-			Cfg:    cfg,
-			Prog:   prog,
-			Report: &Report{Level: cfg.Level},
-			reg:    reg,
-		},
+		ctx:    &Context{Cfg: cfg, Prog: prog, reg: reg},
 		verify: cfg.VerifyIR.enabled(),
 	}
 }
@@ -401,10 +436,15 @@ func (r *runner) size() int {
 
 // runPass executes one pass: ensure requirements, run, invalidate, verify,
 // record timing and metrics, dump when selected. All within the pass's
-// timed window except verification, which is accounted separately.
+// timed window except verification, which is accounted separately. The
+// pass writes its report fields and image into an output of its own,
+// appended to r.outs.
 func (r *runner) runPass(p Pass) error {
 	ctx := r.ctx
 	name := p.Name()
+	r.outs = append(r.outs, passOut{})
+	out := &r.outs[len(r.outs)-1]
+	ctx.Report, ctx.Image = &out.report, nil
 	before := r.size()
 	t0 := time.Now()
 	for _, k := range p.Requires() {
@@ -447,13 +487,14 @@ func (r *runner) runPass(p Pass) error {
 		verifyNanos = time.Since(v0).Nanoseconds()
 	}
 
-	ctx.Report.Passes = append(ctx.Report.Passes, PassTiming{
+	out.row = PassTiming{
 		Pass:         name,
 		Nanos:        nanos,
 		InstrsBefore: before,
 		InstrsAfter:  after,
 		VerifyNanos:  verifyNanos,
-	})
+	}
+	out.image = ctx.Image
 	r.reg().Counter(metrics.PassRuns(name)).Inc()
 	r.reg().Counter(metrics.PassNanos(name)).Add(nanos)
 	r.reg().Counter(metrics.PassVerifyNanos(name)).Add(verifyNanos)
@@ -467,17 +508,29 @@ func (r *runner) runPass(p Pass) error {
 
 func (r *runner) reg() *metrics.Registry { return r.ctx.reg }
 
-// result closes one level's compile. The SOAR statistics are published
-// here, by level, not by the soar pass: whether the report shows them is
-// the only thing that would tell the +PAC pipeline from the +SOAR one
-// before codegen, and the level ladder runs what two levels share once.
+// result closes one level's compile. It is the one place a Report is
+// built: from the pass outputs in pipeline order, the rows, each output's
+// fields and the last image. The SOAR statistics are published here, by
+// level, not by the soar pass: whether the report shows them is the only
+// thing that would tell the +PAC pipeline from the +SOAR one before
+// codegen, and the level ladder runs what two levels share once.
 func (r *runner) result() *Result {
 	ctx := r.ctx
-	if ctx.Cfg.Level < LevelSOAR {
-		ctx.Report.SOAR = nil
+	rep := &Report{Level: ctx.Cfg.Level, Passes: make([]PassTiming, len(r.outs))}
+	var img *cg.Image
+	for i := range r.outs {
+		o := &r.outs[i]
+		rep.Passes[i] = o.row
+		rep.take(&o.report)
+		if o.image != nil {
+			img = o.image
+		}
 	}
-	ctx.Report.Metrics = r.reg().Snapshot()
-	return &Result{Image: ctx.Image, Prog: ctx.Prog, Report: ctx.Report, Merged: ctx.Merged}
+	if rep.Level < LevelSOAR {
+		rep.SOAR = nil
+	}
+	rep.Metrics = r.reg().Snapshot()
+	return &Result{Image: img, Prog: ctx.Prog, Report: rep, Merged: ctx.Merged}
 }
 
 // verifyIR checks the whole program and every merged aggregate body.

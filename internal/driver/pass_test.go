@@ -226,6 +226,34 @@ func TestDumpUnknownPassRejected(t *testing.T) {
 	}
 }
 
+// TestUnknownLevelRejected: a level outside Levels() is refused by every
+// entry point, naming it. NewLadder checks each level of its list, and
+// cfg.Level not at all.
+func TestUnknownLevelRejected(t *testing.T) {
+	a := apps.MPLS()
+	prog, err := driver.LowerSource(a.Name+".baker", a.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lvl := range []driver.Level{-1, 7} {
+		cfg := driver.Config{Level: lvl, ProfileTrace: a.Trace(prog.Types, 7, 8), Controls: a.Controls}
+		res, compileErr := driver.CompileIR(prog, cfg)
+		sess, sessionErr := driver.NewSession(prog, cfg)
+		ld, ladderErr := driver.NewLadder(prog, cfg, driver.LevelBase, lvl)
+		for what, err := range map[string]error{"CompileIR": compileErr, "NewSession": sessionErr, "NewLadder": ladderErr} {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("Level(%d)", lvl)) {
+				t.Errorf("%s at level %d: %v, want an error naming the level", what, int(lvl), err)
+			}
+		}
+		if res != nil || sess != nil || ld != nil {
+			t.Errorf("level %d: a refused entry point returned a compile, session or ladder", int(lvl))
+		}
+		if _, err := driver.NewLadder(prog, cfg, driver.LevelBase); err != nil {
+			t.Errorf("NewLadder with cfg.Level %d and a valid list: %v", int(lvl), err)
+		}
+	}
+}
+
 // TestVerifierCatchesBrokenPass runs a compile whose IR is corrupted before
 // CompileIR and checks that the first pass's post-verification reports it
 // with the pass name in the error chain.

@@ -53,9 +53,6 @@ import (
 	"shangrila/internal/cg"
 	"shangrila/internal/ir"
 	"shangrila/internal/metrics"
-	"shangrila/internal/opt/pac"
-	"shangrila/internal/opt/phr"
-	"shangrila/internal/opt/soar"
 	"shangrila/internal/opt/swc"
 	"shangrila/internal/profiler"
 )
@@ -73,21 +70,6 @@ type Delta struct {
 	// invalidation-stamp machinery guarantees a fact can never be reused
 	// past its declared invalidation.
 	Invalidates []FactKind
-}
-
-// SessionStats counts a session's incremental behavior.
-type SessionStats struct {
-	// Compiles is the number of Compile/Recompile calls that ran.
-	Compiles int
-	// Incremental counts compiles that reused at least one cached pass.
-	Incremental int
-	// PassesExecuted and PassesSkipped accumulate across all compiles.
-	PassesExecuted int
-	PassesSkipped  int
-	// LastExecuted and LastSkipped name the passes of the most recent
-	// compile, in pipeline order.
-	LastExecuted []string
-	LastSkipped  []string
 }
 
 // factRead records how one fact looked when a pass consulted it: absent,
@@ -167,25 +149,8 @@ func appendPrograms(out []*ir.Program, prog *ir.Program, merged []*aggregate.Mer
 	return out
 }
 
-// reportPatch replays the report/image fields one pass wrote, so a skipped
-// pass still yields a complete Report.
-type reportPatch struct {
-	profile   *profiler.Stats
-	soarStats *soar.Stats
-	pacStats  *pac.Stats
-	phrStats  *phr.Stats
-	plan      *aggregate.Plan
-	swcCands  []*swc.Candidate
-	codeSizes []int
-	image     *cg.Image
-
-	setProfile, setSOAR, setPAC, setPHR bool
-	setPlan, setSWC, setCode, setImage  bool
-}
-
 // passEntry is one held pass execution. It is never written once made.
 type passEntry struct {
-	name       string
 	inputHash  uint64
 	outputHash uint64
 	// reads holds, for each fact the pass consulted, the state it observed.
@@ -199,8 +164,10 @@ type passEntry struct {
 	key         [numFacts]any
 	invalidates []FactKind
 	snap        *snapshot
-	patch       reportPatch
-	timing      PassTiming
+	// out is the pass's output, which a compile reusing the execution
+	// reports (the pass's own fields only: an output held from another
+	// compile says nothing of what earlier passes report in this one).
+	out passOut
 }
 
 // keepPerPass is how many results a Session holds per pipeline position.
@@ -236,8 +203,9 @@ type Session struct {
 	deltaSeq  uint64
 	lastInval [numFacts]uint64
 	prof      profileState
-
-	stats SessionStats
+	// outs has room for the pipeline's outputs; each compile's runner
+	// reuses it, since the result copies out what it reports.
+	outs []passOut
 }
 
 // NewSession clones prog into a pristine base and prepares an incremental
@@ -245,7 +213,7 @@ type Session struct {
 // accumulates compile.pass.* and compile.session.* counters across
 // compiles.
 func NewSession(prog *ir.Program, cfg Config) (*Session, error) {
-	if err := CheckDumpPass(cfg.DumpPass); err != nil {
+	if err := checkConfig(cfg.DumpPass, cfg.Level); err != nil {
 		return nil, err
 	}
 	if cfg.Metrics == nil {
@@ -253,13 +221,15 @@ func NewSession(prog *ir.Program, cfg Config) (*Session, error) {
 	}
 	// The session appends each delta's controls to a list of its own.
 	cfg.Controls = slices.Clone(cfg.Controls)
+	n := len(PipelineFor(cfg))
 	s := &Session{
 		cfg:     cfg,
 		base:    &snapshot{prog: ir.CloneProgram(prog).Freeze()},
 		store:   newStoreCheck(cfg),
 		reg:     cfg.Metrics,
-		entries: make([][]*passEntry, len(PipelineFor(cfg))),
+		entries: make([][]*passEntry, n),
 		prof:    profileState{full: "cold"},
+		outs:    make([]passOut, 0, n),
 	}
 	s.baseHash = hashState(&s.hasher, s.base.prog, nil)
 	return s, nil
@@ -272,14 +242,6 @@ func (s *Session) Config() Config {
 	cfg := s.cfg
 	cfg.Controls = slices.Clip(cfg.Controls)
 	return cfg
-}
-
-// Stats returns the session's cumulative incremental-compilation counters.
-func (s *Session) Stats() SessionStats {
-	cp := s.stats
-	cp.LastExecuted = append([]string(nil), s.stats.LastExecuted...)
-	cp.LastSkipped = append([]string(nil), s.stats.LastSkipped...)
-	return cp
 }
 
 // DeltaError is a Delta a Session refused before applying it: a control it
@@ -380,7 +342,7 @@ func (s *Session) Compile() (*Result, error) {
 	}
 	s.checkHeld()
 	r := newRunner(nil, s.cfg)
-	r.store = s.store
+	r.store, r.outs = s.store, s.outs[:0]
 	ctx := r.ctx
 	ctx.profiles = &s.prof
 	s.prof.seq = s.deltaSeq
@@ -390,10 +352,7 @@ func (s *Session) Compile() (*Result, error) {
 	// holds a fork of cur.
 	var live factState
 	cur, curHash := s.base, s.baseHash
-	materialized := false
-	imageCached := false
-	executed, skipped := 0, 0
-	var lastExec, lastSkip []string
+	materialized, reused := false, false
 
 	for i, p := range pipeline {
 		held := s.entries[i]
@@ -409,15 +368,10 @@ func (s *Session) Compile() (*Result, error) {
 			}
 			// Skip: replay the held result's effects.
 			live.replay(old)
-			old.patch.apply(ctx)
-			imageCached = imageCached || old.patch.setImage
+			r.outs = append(r.outs, old.out.skipped())
 			cur, curHash, materialized = old.snap, old.outputHash, false
-			row := old.timing
-			row.Nanos, row.VerifyNanos, row.Skipped = 0, 0, true
-			ctx.Report.Passes = append(ctx.Report.Passes, row)
-			s.reg.Counter(metrics.PassSkips(old.name)).Inc()
-			skipped++
-			lastSkip = append(lastSkip, old.name)
+			s.reg.Counter(metrics.PassSkips(old.out.row.Pass)).Inc()
+			reused = true
 			continue
 		}
 		s.reg.Counter(metrics.PassRerun(p.Name(), why)).Inc()
@@ -429,8 +383,6 @@ func (s *Session) Compile() (*Result, error) {
 		ctx.facts = live.facts
 
 		pre := live
-		preReport := *ctx.Report
-		preImage := ctx.Image
 		ctx.factReads = [numFacts]bool{}
 		s.prof.in = curHash
 
@@ -439,12 +391,10 @@ func (s *Session) Compile() (*Result, error) {
 		}
 
 		ent := &passEntry{
-			name:        p.Name(),
 			inputHash:   curHash,
 			outputHash:  hashState(&s.hasher, ctx.Prog, ctx.Merged),
 			invalidates: p.Invalidates(),
-			timing:      ctx.Report.Passes[len(ctx.Report.Passes)-1],
-			patch:       diffReport(&preReport, ctx.Report, preImage, ctx.Image),
+			out:         r.outs[len(r.outs)-1],
 		}
 		live.facts = ctx.facts
 		for k := FactKind(0); k < numFacts; k++ {
@@ -470,12 +420,8 @@ func (s *Session) Compile() (*Result, error) {
 		if repl >= 0 {
 			s.reg.Counter(metrics.SessionCutoffs).Inc()
 		}
-		imageCached = imageCached && !ent.patch.setImage
 		s.entries[i] = promote(held, ent, repl)
-
 		cur, curHash = ent.snap, ent.outputHash
-		executed++
-		lastExec = append(lastExec, ent.name)
 	}
 
 	if !materialized {
@@ -484,18 +430,14 @@ func (s *Session) Compile() (*Result, error) {
 		// through ir.Program.Edit, that is, by copying them.
 		materialize(ctx, cur, &live)
 	}
-	if imageCached && live.valid[FactPlan] {
-		ctx.Image = rebindImage(ctx.Image, live.plan, ctx.Merged)
+	for i := range r.outs {
+		if o := &r.outs[i]; o.image != nil && o.row.Skipped && live.valid[FactPlan] {
+			o.image = rebindImage(o.image, live.plan, ctx.Merged)
+		}
 	}
-
-	s.stats.Compiles++
-	if skipped > 0 {
-		s.stats.Incremental++
+	if reused {
 		s.reg.Counter(metrics.SessionIncremental).Inc()
 	}
-	s.stats.PassesExecuted += executed
-	s.stats.PassesSkipped += skipped
-	s.stats.LastExecuted, s.stats.LastSkipped = lastExec, lastSkip
 	s.reg.Counter(metrics.SessionCompiles).Inc()
 
 	return r.result(), nil
@@ -625,7 +567,7 @@ func (s *Session) lookup(held []*passEntry, name string, curHash uint64, live *f
 // when it does, else why the pass has to run (the reason label of
 // metrics.PassRerun).
 func (s *Session) rerunReason(ent *passEntry, name string, curHash uint64, live *factState) string {
-	if ent.name != name {
+	if ent.out.row.Pass != name {
 		return "cold"
 	}
 	if ent.inputHash != curHash {
@@ -790,7 +732,7 @@ func (s *Session) checkCutoff(p Pass, ent *passEntry, in *snapshot, live *factSt
 	materialize(r.ctx, in, live)
 	r.ctx.facts = live.facts
 	fail := func(what string) {
-		panic(fmt.Sprintf("driver: pass %s was reused on an equal %v view, but running it gives %s", ent.name, view, what))
+		panic(fmt.Sprintf("driver: pass %s was reused on an equal %v view, but running it gives %s", ent.out.row.Pass, view, what))
 	}
 	if err := r.runPass(p); err != nil {
 		fail("an error: " + err.Error())
@@ -837,80 +779,6 @@ func rebindImage(img *cg.Image, plan *aggregate.Plan, merged []*aggregate.Merged
 		cp.XScale[i] = merged[m.Agg.ID]
 	}
 	return &cp
-}
-
-// diffReport captures which report/image fields a pass wrote.
-func diffReport(before, after *Report, imgBefore, imgAfter *cg.Image) reportPatch {
-	var p reportPatch
-	if before.ProfileStats != after.ProfileStats {
-		p.profile, p.setProfile = after.ProfileStats, true
-	}
-	if before.SOAR != after.SOAR {
-		p.soarStats, p.setSOAR = after.SOAR, true
-	}
-	if before.PAC != after.PAC {
-		p.pacStats, p.setPAC = after.PAC, true
-	}
-	if before.PHR != after.PHR {
-		p.phrStats, p.setPHR = after.PHR, true
-	}
-	if before.Plan != after.Plan {
-		p.plan, p.setPlan = after.Plan, true
-	}
-	if sliceChanged(len(before.SWCCands), len(after.SWCCands), func() bool {
-		return &before.SWCCands[0] == &after.SWCCands[0]
-	}) {
-		p.swcCands, p.setSWC = after.SWCCands, true
-	}
-	if sliceChanged(len(before.CodeSizes), len(after.CodeSizes), func() bool {
-		return &before.CodeSizes[0] == &after.CodeSizes[0]
-	}) {
-		p.codeSizes, p.setCode = after.CodeSizes, true
-	}
-	if imgBefore != imgAfter {
-		p.image, p.setImage = imgAfter, true
-	}
-	return p
-}
-
-// sliceChanged reports whether a slice field was rewritten, comparing
-// length and backing-array identity (sameHead is only called when both
-// lengths are equal and non-zero).
-func sliceChanged(lenBefore, lenAfter int, sameHead func() bool) bool {
-	if lenBefore != lenAfter {
-		return true
-	}
-	if lenAfter == 0 {
-		return false
-	}
-	return !sameHead()
-}
-
-func (p *reportPatch) apply(ctx *Context) {
-	if p.setProfile {
-		ctx.Report.ProfileStats = p.profile
-	}
-	if p.setSOAR {
-		ctx.Report.SOAR = p.soarStats
-	}
-	if p.setPAC {
-		ctx.Report.PAC = p.pacStats
-	}
-	if p.setPHR {
-		ctx.Report.PHR = p.phrStats
-	}
-	if p.setPlan {
-		ctx.Report.Plan = p.plan
-	}
-	if p.setSWC {
-		ctx.Report.SWCCands = p.swcCands
-	}
-	if p.setCode {
-		ctx.Report.CodeSizes = p.codeSizes
-	}
-	if p.setImage {
-		ctx.Image = p.image
-	}
 }
 
 // hashState fingerprints the compilation state: the whole program and every

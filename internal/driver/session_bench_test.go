@@ -7,6 +7,7 @@ import (
 	"shangrila/internal/apps"
 	"shangrila/internal/driver"
 	"shangrila/internal/ir"
+	"shangrila/internal/metrics"
 	"shangrila/internal/packet"
 	"shangrila/internal/profiler"
 	"shangrila/internal/workload"
@@ -97,19 +98,28 @@ func BenchmarkRecompileVsCold(b *testing.B) {
 			cs = append(cs, c)
 			ss = append(ss, c.session(b, driver.LevelSWC, driver.VerifyOff))
 		}
+		last := make([]*driver.Result, len(ss))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ss[i%len(ss)].Recompile(cs[i%len(cs)].next()); err != nil {
+			res, err := ss[i%len(ss)].Recompile(cs[i%len(cs)].next())
+			if err != nil {
 				b.Fatal(err)
 			}
+			last[i%len(ss)] = res
 		}
 		b.StopTimer()
-		var passes, skipped int
-		for _, s := range ss {
-			st := s.Stats()
-			passes += (st.Compiles - 1) * len(driver.PipelineFor(s.Config())) // less the warm-up compile
-			skipped += st.PassesSkipped
+		// Each session's counters, as its last result reports them.
+		var passes, skipped int64
+		for _, res := range last {
+			if res == nil {
+				continue
+			}
+			c := res.Report.Metrics.Counters
+			passes += (c[metrics.SessionCompiles.String()] - 1) * int64(len(res.Report.Passes)) // less the warm-up compile
+			for _, row := range res.Report.Passes {
+				skipped += c[metrics.PassSkips(row.Pass).String()]
+			}
 		}
 		b.ReportMetric(float64(skipped)/float64(passes), "skip_ratio")
 	})

@@ -260,7 +260,7 @@ func TestCutoffCheckNamesPassAndView(t *testing.T) {
 			return nil
 		}},
 	} {
-		ent.name = p.name
+		ent.out.row.Pass = p.name
 		var caught string
 		func() {
 			defer func() {
@@ -320,7 +320,7 @@ func TestFailedCompileRestoresHistory(t *testing.T) {
 
 	s.cfg.DumpPass, s.cfg.DumpDir = "aggregate", "/dev/null/dump"
 	if res, err = s.Recompile(rule0(true)); err == nil {
-		t.Fatalf("an unwritable dump did not fail the recompile (executed %v)", s.stats.LastExecuted)
+		t.Fatalf("an unwritable dump did not fail the recompile (passes %+v)", res.Report.Passes)
 	}
 	s.cfg.DumpPass, s.cfg.DumpDir = "", ""
 	for i := range held {

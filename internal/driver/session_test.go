@@ -161,9 +161,9 @@ func TestSessionIncrementalMatchesColdAllAppsAllLevels(t *testing.T) {
 					t.Errorf("%v: incremental final IR differs from cold compile", lvl)
 				}
 
-				st := s.Stats()
-				if st.Compiles != 2 || st.Incremental != 1 {
-					t.Errorf("%v: session stats = %+v, want 2 compiles / 1 incremental", lvl, st)
+				compiles := snap.Counters[metrics.SessionCompiles.String()]
+				if incr := snap.Counters[metrics.SessionIncremental.String()]; compiles != 2 || incr != 1 {
+					t.Errorf("%v: %d compiles / %d incremental, want 2 / 1", lvl, compiles, incr)
 				}
 			}
 		})

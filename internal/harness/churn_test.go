@@ -335,7 +335,8 @@ func churnDelta(a *apps.App) driver.Delta {
 // TestIncrementalPacketDifferential: an incrementally recompiled image
 // must be packet-for-packet identical to a cold compile of the same
 // post-delta configuration — every transmitted frame byte-equal — for
-// every app at every optimization level.
+// every app at every optimization level, and so must the compile itself:
+// IR, image and report (compareCompiles).
 func TestIncrementalPacketDifferential(t *testing.T) {
 	for _, a := range apps.All() {
 		a := a
@@ -369,6 +370,9 @@ func TestIncrementalPacketDifferential(t *testing.T) {
 				cold, err := driver.CompileIR(coldProg, coldCfg)
 				if err != nil {
 					t.Fatalf("%v: cold compile: %v", lvl, err)
+				}
+				if diff := compareCompiles(inc, cold); diff != "" {
+					t.Fatalf("%v: incremental recompile differs from a cold compile in %s", lvl, diff)
 				}
 
 				capture := func(res *driver.Result) []rts.TxPkt {
@@ -439,9 +443,17 @@ func sessionMatchesCold(t *testing.T, a *apps.App, lvl driver.Level, deltas []pr
 		if err != nil {
 			t.Fatalf("%s at %v: cold compile %d: %v", a.Name, lvl, i, err)
 		}
+		var executed []string
+		for _, row := range inc.Report.Passes {
+			if row.Skipped {
+				skipped++
+			} else {
+				executed = append(executed, row.Pass)
+			}
+		}
 		if diff := compareCompiles(inc, cold); diff != "" {
 			t.Fatalf("%s at %v: recompile %d (executed %v) differs from a cold compile in %s",
-				a.Name, lvl, i, sess.Stats().LastExecuted, diff)
+				a.Name, lvl, i, executed, diff)
 		}
 		for j, m := range inc.Merged {
 			if m.Agg != inc.Report.Plan.Aggregates[j] {
@@ -449,7 +461,7 @@ func sessionMatchesCold(t *testing.T, a *apps.App, lvl driver.Level, deltas []pr
 			}
 		}
 	}
-	return sess.Stats().PassesSkipped
+	return skipped
 }
 
 // TestSessionChurnSequenceMatchesCold: incremental ≡ cold is a property of
