@@ -508,6 +508,7 @@ func (ps *profileState) profile(ctx *Context) (*profiler.Stats, error) {
 		n := ps.inc.Reinterpreted
 		ctx.reg.Counter(metrics.ProfilePacketsReinterpreted).Add(int64(n))
 		ctx.reg.Counter(metrics.ProfilePacketsReused).Add(int64(len(cfg.ProfileTrace) - n))
+		ctx.reg.Counter(metrics.ProfilePacketsChecked).Add(int64(ps.inc.Checked))
 	}
 	if cutoffCheck {
 		checkProfile(ctx, st, ps.seq)

@@ -78,10 +78,13 @@ const (
 
 // Incremental-profile decision records of a driver.Session: the trace
 // packets its incremental profiles interpreted again because a delta
-// reached them, and the ones they skipped, each packet once per profile.
+// reached them, and the ones they skipped, each packet once per profile;
+// and the packets whose read logs they compared, the only ones a delta's
+// writes could reach.
 const (
 	ProfilePacketsReinterpreted = Key("compile.profile.packets_reinterpreted")
 	ProfilePacketsReused        = Key("compile.profile.packets_reused")
+	ProfilePacketsChecked       = Key("compile.profile.packets_checked")
 )
 
 // ProfileFull counts the times a driver.Session profiled in full instead of

@@ -22,24 +22,30 @@ type slot struct {
 
 // block is one basic block's side-table entry. Every instruction of an
 // entered block runs unless the activation fails, and a failed run yields
-// no statistics, so entered × the static counts is the exact dynamic count.
+// no statistics, so the static costs of the blocks an activation enters
+// sum to its exact dynamic counts.
 type block struct {
-	start   int32  // first slot
-	instrs  uint32 // instructions, charged to the step budget on entry
-	mem     uint32 // of which global, packet and metadata accesses
-	entered uint64
+	start int32  // first slot
+	cost  uint64 // instructions, plus memUnit per global, packet or metadata access among them
 }
+
+// memUnit is a memory access in a cost: the low half of a cost counts
+// instructions, charged to the step budget on a block's entry, and the
+// high half the memory accesses among them.
+const memUnit = 1 << 32
 
 // code is one function's decoded body. slots is nil until the function is
 // first activated: callers hold the shell so a call needs no lookup.
 type code struct {
 	fn          *ir.Func
+	id          int32 // index in Interp.codes
 	slots       []slot
 	ext         []int32
 	blocks      []block
 	entry       uint32  // fn.Entry's index in blocks
 	calls       []*code // OpCall callees, indexed by slot.imm
 	invocations uint64  // activations as a PPF (runPPF)
+	instrs, mem uint64  // executed by the activations that returned
 }
 
 func (c *code) list(s *slot) []int32 { return c.ext[s.ext : s.ext+s.n] }
@@ -51,7 +57,7 @@ func (it *Interp) codeOf(fn *ir.Func) *code {
 		if it.code == nil {
 			it.code = map[*ir.Func]*code{}
 		}
-		c = &code{fn: fn}
+		c = &code{fn: fn, id: int32(len(it.codes))}
 		it.code[fn] = c
 		it.codes = append(it.codes, c)
 	}
@@ -117,7 +123,7 @@ func (it *Interp) decode(c *code) error {
 	var calls []*code
 	for bi, b := range fn.Blocks {
 		blk := &blocks[bi]
-		blk.start, blk.instrs = int32(len(slots)), uint32(len(b.Instrs))
+		blk.start, blk.cost = int32(len(slots)), uint64(len(b.Instrs))
 		for i, in := range b.Instrs {
 			if in.Op <= ir.OpInvalid || int(in.Op) >= len(arity) {
 				return execErr(in, "interp: unhandled op %s", in.Op)
@@ -181,7 +187,7 @@ func (it *Interp) decode(c *code) error {
 				if list(in.Dst); in.Op == ir.OpStore {
 					list(in.Args[1:])
 				}
-				blk.mem++
+				blk.cost += memUnit
 			case ir.OpPktLoad, ir.OpPktStore, ir.OpMetaLoad, ir.OpMetaStore:
 				vals := in.Dst
 				if nd == 0 {
@@ -196,7 +202,7 @@ func (it *Interp) decode(c *code) error {
 					s.imm, s.alt = uint32(in.Off), uint32(in.Width)
 					list(vals)
 				}
-				blk.mem++
+				blk.cost += memUnit
 			case ir.OpDecap:
 				if in.Imm >= uint64(len(it.Prog.Types.ProtoByID)) {
 					bad = fmt.Sprintf("unknown protocol ID %d", in.Imm)

@@ -65,6 +65,9 @@ type Interp struct {
 	codes []*code  // the shells of code, in the order codeOf made them
 	stack []Value  // register windows of the live activations, callee above caller
 	words []uint32 // OpStore staging
+	// rec, set only on an Incremental's work env, counts what each
+	// activation of the packet being recorded executed.
+	rec *recorder
 }
 
 // execErr is a user-level runtime error positioned at in.
@@ -110,12 +113,11 @@ func (it *Interp) window(c *code, base int) []Value {
 func (it *Interp) exec(c *code, base int) (Value, error) {
 	top := base + c.fn.NumRegs
 	regs := it.stack[base:top]
-	steps := 0
+	var cost uint64 // of the blocks entered so far
 	bi := c.entry
 	for {
 		b := &c.blocks[bi]
-		b.entered++
-		if steps += int(b.instrs); steps > MaxSteps {
+		if cost += b.cost; uint32(cost) > MaxSteps {
 			return Value{}, fmt.Errorf("interp: %s exceeded %d steps (infinite loop?)", c.fn.Name, MaxSteps)
 		}
 		pc := b.start
@@ -186,6 +188,11 @@ func (it *Interp) exec(c *code, base int) (Value, error) {
 				}
 				break body
 			case ir.OpRet:
+				c.instrs += cost % memUnit
+				c.mem += cost / memUnit
+				if it.rec != nil {
+					it.rec.ran(c, cost)
+				}
 				if s.a < 0 {
 					return Value{}, nil
 				}

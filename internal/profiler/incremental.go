@@ -3,7 +3,7 @@ package profiler
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 
 	"shangrila/internal/ir"
 	"shangrila/internal/packet"
@@ -11,21 +11,24 @@ import (
 
 // Incremental is a profile of one program over one trace that is kept
 // between profiles while the control list grows, so that a profile after a
-// control-plane delta re-interprets only the trace packets the delta
-// reaches.
+// control-plane delta costs what the trace packets the delta reaches do.
 //
 // It keeps the host environment at its control state (the inits and the
 // controls applied so far) and, for every trace packet, what the packet did
 // the last time it ran: its first-read log (each global word it read before
 // writing it, with the value read), its write log (each word it wrote, with
-// the value it left) and its contribution to the counts. A profile applies
-// the new controls, then walks the trace in order over a working copy of
-// the table state. A packet whose logged words all still hold their logged
-// values runs exactly as before, because the executor is deterministic and
-// a packet's run depends only on its bytes, its port and the words it reads
-// before it writes them; it is skipped and its write log applied. Any other
-// packet is interpreted again, its old contribution taken out of the counts
-// and its new one put in.
+// the value it left) and its contribution to the counts. An index maps
+// each logged word to the packets whose first-read log holds it. A profile
+// applies the new controls, then walks the trace in order over a working
+// copy of the table state. A packet whose logged words all still hold their
+// logged values runs exactly as before, because the executor is
+// deterministic and a packet's run depends only on its bytes, its port and
+// the words it reads before it writes them; it is skipped and its write
+// log applied. Any other packet is interpreted again, its old contribution
+// taken out of the counts and its new one put in. A logged word can hold
+// another value only if the new controls changed it or a packet interpreted
+// again before it changed what it leaves there, so only the readers of
+// those words are checked at all.
 //
 // Sink-only globals (sinkOnly) are kept out of both logs: what they hold
 // steers nothing, so their words in the working copy may go stale. Their
@@ -37,26 +40,29 @@ type Incremental struct {
 	work  *hostEnv // counts: the sum of pkts' contributions; words: the working copy
 	rec   *recorder
 	pkts  []pktLog // by trace position
-	// dirty spans, per logged global, the words controls wrote since the
-	// last profile (the control env's recorder fills it).
-	dirty   []span
+	idx   index
+	// err is the failure that left the state half-updated; once set, every
+	// Profile fails.
+	err     error
 	scratch packet.Packet // what a re-interpreted packet runs on
 
 	// Reinterpreted is the number of trace packets the last profile
-	// interpreted; the others were skipped.
-	Reinterpreted int
+	// interpreted, and Checked the number whose logged words it compared;
+	// the others were skipped unlooked-at.
+	Reinterpreted, Checked int
 }
 
 // NewIncremental profiles prog over tr after the given controls, as
 // ProfileWithControls does, and keeps what a later Profile needs. Neither
 // the program nor the trace may change while the Incremental is in use.
 func NewIncremental(prog *ir.Program, tr []*packet.Packet, controls []Control) (*Incremental, *Stats, error) {
-	n := len(prog.Types.Globals)
 	sink := sinkOnly(prog)
 	in := &Incremental{trace: tr, ctl: newHostEnv(prog, &Stats{}), work: newHostEnv(prog, &Stats{}),
-		rec: newRecorder(sink, n), pkts: make([]pktLog, len(tr)), dirty: make([]span, n)}
-	in.work.rec = in.rec
-	in.ctl.rec = &recorder{sink: sink, crit: make([]uint64, n), dirty: in.dirty}
+		pkts: make([]pktLog, len(tr))}
+	in.idx = newIndex(len(in.work.mem), len(tr))
+	in.rec = newRecorder(in.work, sink)
+	in.work.rec, in.work.it.rec = in.rec, in.rec
+	in.ctl.rec = &recorder{sink: sink, dirtyAt: make([]bool, len(in.ctl.mem)), crit: make([]uint64, len(in.ctl.globals))}
 	if err := in.ctl.runInits(); err != nil {
 		return nil, nil, err
 	}
@@ -70,12 +76,18 @@ func NewIncremental(prog *ir.Program, tr []*packet.Packet, controls []Control) (
 // Profile applies the controls past the ones already applied — controls
 // must extend the list the Incremental was made or last profiled with —
 // and returns the profile over the trace, equal to ProfileWithControls'.
-// After an error the Incremental must not be used again.
+// A failed profile leaves the Incremental unusable: every later Profile
+// returns an error that wraps the failure.
 func (in *Incremental) Profile(controls []Control) (*Stats, error) {
+	if in.err != nil {
+		return nil, fmt.Errorf("profiler: unusable since an earlier profile failed: %w", in.err)
+	}
 	if len(controls) < in.nctl {
 		return nil, fmt.Errorf("profiler: %d controls, fewer than the %d already applied", len(controls), in.nctl)
 	}
-	return in.profile(controls, false)
+	st, err := in.profile(controls, false)
+	in.err = err
+	return st, err
 }
 
 func (in *Incremental) profile(controls []Control, all bool) (*Stats, error) {
@@ -86,45 +98,49 @@ func (in *Incremental) profile(controls []Control, all bool) (*Stats, error) {
 	}
 	in.nctl = len(controls)
 	// The working copy becomes the control state again: it differs from it
-	// only in the words the last walk wrote, which are the words of the
-	// packets' write logs, and in the words the controls since wrote.
-	work, ctl := in.work, in.ctl
-	for i := range work.globals {
-		d := in.dirty[i]
-		in.dirty[i] = span{}
-		switch {
-		case in.rec.sink[i]:
-		case all:
-			copy(work.globals[i].words, ctl.globals[i].words)
-		case d.lo < d.hi:
-			copy(work.globals[i].words[d.lo:d.hi], ctl.globals[i].words[d.lo:d.hi])
+	// only in the words a write log has held and in the words the controls
+	// since changed, whose readers are checked. A word a control wrote
+	// back to the value it held changed nothing.
+	work, ctl, x := in.work, in.ctl, &in.idx
+	clear(x.check)
+	if all {
+		copy(work.mem, ctl.mem)
+	}
+	for _, d := range ctl.rec.dirty {
+		ctl.rec.dirtyAt[d.w] = false
+		if v := ctl.mem[d.w]; v != d.v {
+			work.mem[d.w] = v
+			x.reach(x.ids[d.w] - 1)
 		}
 	}
-	if !all {
-		for i := range in.pkts {
-			for _, w := range in.pkts[i].writes {
-				work.globals[w.g].words[w.w] = ctl.globals[w.g].words[w.w]
-			}
-		}
+	ctl.rec.dirty = ctl.rec.dirty[:0]
+	for _, w := range x.kept {
+		work.mem[w] = ctl.mem[w]
 	}
 	entry, err := work.entry()
 	if err != nil {
 		return nil, err
 	}
-	in.Reinterpreted = 0
-	for i, p := range in.trace {
+	in.Reinterpreted, in.Checked = 0, 0
+	for i := 0; i < len(in.trace); i++ {
+		if !all {
+			// Skip to the next packet to check or whose writes to apply.
+			if i = x.next(i); i >= len(in.trace) {
+				break
+			}
+		}
 		lg := &in.pkts[i]
-		if !all && work.holds(lg.reads) {
+		if !all && in.runsAsBefore(i, lg) {
 			work.apply(lg.writes)
 			continue
 		}
 		work.subtract(&lg.c)
 		in.rec.begin(work, lg)
-		in.scratch.CopyFrom(p)
+		in.scratch.CopyFrom(in.trace[i])
 		if err := work.inject(entry, &in.scratch, nil); err != nil {
 			return nil, err
 		}
-		in.rec.end(work)
+		in.rec.end(work, x, i)
 		in.Reinterpreted++
 	}
 	st := newStats()
@@ -133,11 +149,19 @@ func (in *Incremental) profile(controls []Control, all bool) (*Stats, error) {
 	return st, nil
 }
 
-// wordVal is one global word, by Global.ID and word index, with a value.
-type wordVal struct {
-	g    int32
-	w, v uint32
+// runsAsBefore reports whether the packet at position i, whose logs are lg,
+// would run as it last did: it is not marked to be checked, or every word
+// of its first-read log still holds its logged value.
+func (in *Incremental) runsAsBefore(i int, lg *pktLog) bool {
+	if in.idx.check[i/64]&(1<<(i%64)) == 0 {
+		return true
+	}
+	in.Checked++
+	return in.work.holds(lg.reads)
 }
+
+// wordVal is one global word, by its index in hostEnv.mem, with a value.
+type wordVal struct{ w, v uint32 }
 
 // count is one counter of a contribution: what i and j index depends on
 // the list it is in.
@@ -146,12 +170,17 @@ type count struct {
 	n    uint64
 }
 
+// fcount is one function's share of a contribution.
+type fcount struct {
+	i                 int32  // code.id
+	invs, instrs, mem uint64 // activations as a PPF, instructions and memory accesses executed
+}
+
 // contrib is one packet's share of every count a profile reports. Reads
 // are its line reads summed per global.
 type contrib struct {
-	blocks []count // Interp.codes index, block index: entries
-	invs   []count // Interp.codes index: activations as a PPF
-	lines  []count // Global.ID, cache line: reads
+	funcs  []fcount
+	lines  []count // hostEnv.lines index (j): reads
 	writes []count // Global.ID: writes
 	crits  []count // Global.ID: accesses inside a critical section
 	chans  []count // Channel.ID: messages
@@ -169,7 +198,7 @@ type pktLog struct {
 // holds reports whether every logged word still holds its logged value.
 func (e *hostEnv) holds(reads []wordVal) bool {
 	for _, r := range reads {
-		if e.globals[r.g].words[r.w] != r.v {
+		if e.mem[r.w] != r.v {
 			return false
 		}
 	}
@@ -179,23 +208,20 @@ func (e *hostEnv) holds(reads []wordVal) bool {
 // apply writes logged values back.
 func (e *hostEnv) apply(writes []wordVal) {
 	for _, w := range writes {
-		e.globals[w.g].words[w.w] = w.v
+		e.mem[w.w] = w.v
 	}
 }
 
 // subtract takes a contribution out of the counts.
 func (e *hostEnv) subtract(c *contrib) {
-	codes := e.it.codes
-	for _, x := range c.blocks {
-		codes[x.i].blocks[x.j].entered -= x.n
-	}
-	for _, x := range c.invs {
-		codes[x.i].invocations -= x.n
+	for _, x := range c.funcs {
+		cd := e.it.codes[x.i]
+		cd.invocations -= x.invs
+		cd.instrs -= x.instrs
+		cd.mem -= x.mem
 	}
 	for _, x := range c.lines {
-		hg := &e.globals[x.i]
-		hg.lineReads[x.j] -= x.n
-		hg.stats.Reads -= x.n
+		e.lines[x.j] -= x.n // and assemble sums a global's reads from its lines
 	}
 	for _, x := range c.writes {
 		e.globals[x.i].stats.Writes -= x.n
@@ -211,44 +237,144 @@ func (e *hostEnv) subtract(c *contrib) {
 	e.stats.Dropped -= c.dropped
 }
 
-// span is the words [lo, hi) of a global; empty when lo >= hi.
-type span struct{ lo, hi uint32 }
+// index is what lets a profile find the packets a delta can reach without
+// looking at the others: for every logged word, the trace positions whose
+// first-read log holds it; the positions whose write log is not empty; and
+// every word a write log has held, which are the only words a walk can
+// leave other than the control state.
+type index struct {
+	stride  int      // uint64s per set of trace positions
+	ids     []int32  // by word: 1 + the word's number, 0 until a log holds it
+	readers []uint64 // by word number, stride each: the positions whose first-read log holds it
+	writers []uint64 // the positions whose write log is not empty
+	check   []uint64 // the positions the walk under way checks
+	kept    []uint32 // every word a write log has held, once each
+	inKept  []bool   // by word number
+}
+
+func newIndex(words, positions int) index {
+	s := (positions + 63) / 64
+	return index{stride: s, ids: make([]int32, words), writers: make([]uint64, s), check: make([]uint64, s)}
+}
+
+// number returns the number of word w, giving it one on first sight.
+func (x *index) number(w uint32) int {
+	if x.ids[w] == 0 {
+		x.readers = append(x.readers, make([]uint64, x.stride)...)
+		x.inKept = append(x.inKept, false)
+		x.ids[w] = int32(len(x.inKept))
+	}
+	return int(x.ids[w] - 1)
+}
+
+// reach marks the readers of word number n, if any, to be checked.
+func (x *index) reach(n int32) {
+	if n >= 0 {
+		for k, b := range x.readers[int(n)*x.stride : int(n+1)*x.stride] {
+			x.check[k] |= b
+		}
+	}
+}
+
+// update moves the packet at position i from its old read log to its new
+// one, and notes whether it writes. The readers of the words its writes
+// changed are checked: gone, the words of its old write log it no longer
+// leaves as they were, and fresh, the words it writes when its new write
+// log is not the old one. Those join the kept words.
+func (x *index) update(i int, old, reads, gone, fresh []wordVal, writes bool) {
+	k, bit := i/64, uint64(1)<<(i%64)
+	// The logs agree up to where the runs part: only the rest moves.
+	p := 0
+	for p < len(old) && p < len(reads) && old[p].w == reads[p].w {
+		p++
+	}
+	for _, r := range old[p:] {
+		x.readers[int(x.ids[r.w]-1)*x.stride+k] &^= bit
+	}
+	for _, r := range reads[p:] {
+		x.readers[x.number(r.w)*x.stride+k] |= bit
+	}
+	for _, w := range gone {
+		x.reach(x.ids[w.w] - 1)
+	}
+	for _, w := range fresh {
+		n := x.number(w.w)
+		x.reach(int32(n))
+		if !x.inKept[n] {
+			x.inKept[n] = true
+			x.kept = append(x.kept, w.w)
+		}
+	}
+	x.writers[k] &^= bit
+	if writes {
+		x.writers[k] |= bit
+	}
+}
+
+// next returns the first position from i on that the walk checks or whose
+// write log is not empty; past the last position when there is none.
+func (x *index) next(i int) int {
+	for k := i / 64; k < x.stride; k++ {
+		m := x.check[k] | x.writers[k]
+		if k == i/64 {
+			m &= ^uint64(0) << (i % 64)
+		}
+		if m != 0 {
+			return k*64 + bits.TrailingZeros64(m)
+		}
+	}
+	return x.stride * 64
+}
+
+// mark is a first-touch mark: the epoch of the last recorded packet that
+// touched what it marks, and where that packet's count of it is in its list.
+type mark struct {
+	epoch uint32
+	at    int32
+}
 
 // recorder logs one packet at a time: the hooks of hostEnv's global
-// accesses fill its logs, and end turns the counts since begin into its
-// contribution. Outside a packet (the control env's recorder) it only
-// spans the words written to each logged global in dirty.
+// accesses, of its dispatch and of the Interp's returns fill its logs and
+// its contribution as the packet runs. Outside a packet (the control env's
+// recorder) it only lists the words written to logged globals.
 type recorder struct {
-	sink  []bool // by Global.ID: sink-only, kept out of the logs
-	dirty []span // by Global.ID
-	// marks holds, per word of a logged global (allocated on first
-	// access), 2·epoch once the packet being recorded read the word first
-	// and 2·epoch+1 once it wrote it.
-	marks [][]uint32
-	epoch uint32
-	log   *pktLog  // the packet being recorded, nil outside one
-	lines []uint64 // its line reads, Global.ID<<32 | line
+	sink []bool // by Global.ID: sink-only, kept out of the logs
+	// dirty lists, once each, the words written outside a packet since the
+	// profile last took the list, with the value each held before; dirtyAt
+	// marks them, by word.
+	dirty   []wordVal
+	dirtyAt []bool
+	// marks holds, per word, 2·epoch once the packet being recorded read
+	// the word first and 2·epoch+1 once it wrote it.
+	marks []uint32
+	// The first-touch marks of what a contribution counts: a packet's
+	// count of a thing is added on its first touch of it and incremented
+	// after. A cache line's count is instead its counter's rise from
+	// before the first read to the end of the packet, so lines, by the
+	// env's line counter, holds only epochs.
+	lines   []uint32
+	funcs   []mark // by code.id
+	gwrites []mark // by Global.ID
+	gcrits  []mark // by Global.ID
+	chans   []mark // by Channel.ID
+	epoch   uint32
+	log     *pktLog // the packet being recorded, nil outside one
 	// Its logs and contribution are built here and then kept in log, in
 	// the storage log already has when they fit and else in storage cut
 	// from the pools: a packet allocates nothing of its own.
 	reads, writes []wordVal
+	gone          []wordVal // what end finds changed in the old write log
 	c             contrib
+	was           struct{ packets, forwarded, dropped uint64 } // when it began
 	wordPool      []wordVal
+	funcPool      []fcount
 	countPool     []count
 	crit          []uint64 // by Global.ID: accesses inside a critical section
 	// touched lists, per global, every line a recorded packet has read:
-	// the lines whose counts can be other than zero. seen marks them.
+	// the lines whose counts can be other than zero. seen marks them, by
+	// the env's line counter.
 	touched [][]uint32
-	seen    [][]bool
-
-	// The counts when the packet began.
-	was struct {
-		blocks                      [][]uint64 // by Interp.codes index, then block
-		invs                        []uint64
-		writes, crits               []uint64 // by Global.ID
-		chans                       []uint64 // by Channel.ID
-		packets, forwarded, dropped uint64
-	}
+	seen    []bool
 }
 
 // poolChunk is how many elements a pool allocates at a time.
@@ -267,174 +393,183 @@ func keep[T any](dst, src []T, pool *[]T) []T {
 	return append(dst[:0], src...)
 }
 
-func newRecorder(sink []bool, globals int) *recorder {
-	return &recorder{sink: sink, marks: make([][]uint32, globals), crit: make([]uint64, globals),
-		touched: make([][]uint32, globals), seen: make([][]bool, globals)}
+// newRecorder returns a recorder of the packets run on e.
+func newRecorder(e *hostEnv, sink []bool) *recorder {
+	n := len(e.globals)
+	return &recorder{sink: sink, marks: make([]uint32, len(e.mem)), lines: make([]uint32, len(e.lines)),
+		gwrites: make([]mark, n), gcrits: make([]mark, n), chans: make([]mark, len(e.chans)),
+		crit: make([]uint64, n), touched: make([][]uint32, n), seen: make([]bool, len(e.lines))}
 }
 
 // begin starts recording lg, which is about to run on e.
 func (r *recorder) begin(e *hostEnv, lg *pktLog) {
 	if r.epoch == math.MaxUint32/2 { // 2·epoch+1 would wrap: start the marks over
-		for _, m := range r.marks {
-			clear(m)
-		}
+		clear(r.marks)
+		clear(r.lines)
+		clear(r.funcs)
+		clear(r.gwrites)
+		clear(r.gcrits)
+		clear(r.chans)
 		r.epoch = 0
 	}
 	r.epoch++
 	r.log = lg
-	r.reads, r.writes, r.lines = r.reads[:0], r.writes[:0], r.lines[:0]
-	was := &r.was
-	codes := e.it.codes
-	for len(was.blocks) < len(codes) {
-		was.blocks = append(was.blocks, nil)
-	}
-	was.invs = was.invs[:0]
-	for i, c := range codes {
-		b := was.blocks[i][:0]
-		for j := range c.blocks {
-			b = append(b, c.blocks[j].entered)
-		}
-		was.blocks[i] = b
-		was.invs = append(was.invs, c.invocations)
-	}
-	was.writes, was.crits = was.writes[:0], was.crits[:0]
-	for i := range e.globals {
-		was.writes = append(was.writes, e.globals[i].stats.Writes)
-		was.crits = append(was.crits, r.crit[i])
-	}
-	was.chans = was.chans[:0]
-	for _, hc := range e.chans {
-		was.chans = append(was.chans, hc.puts)
-	}
-	was.packets, was.forwarded, was.dropped = e.stats.Packets, e.stats.Forwarded, e.stats.Dropped
+	r.reads, r.writes = r.reads[:0], r.writes[:0]
+	c := &r.c
+	c.funcs, c.lines, c.writes, c.crits, c.chans = c.funcs[:0], c.lines[:0], c.writes[:0], c.crits[:0], c.chans[:0]
+	r.was.packets, r.was.forwarded, r.was.dropped = e.stats.Packets, e.stats.Forwarded, e.stats.Dropped
 }
 
-// end closes the packet begin started: the write log takes the values the
-// packet left, and the counts since begin become its contribution.
-func (r *recorder) end(e *hostEnv) {
-	lg, was := r.log, &r.was
+// end closes the packet begin started, at trace position i: the write log
+// takes the values the packet left, the index moves to the new logs, and
+// the logs and contribution are kept.
+func (r *recorder) end(e *hostEnv, x *index, i int) {
+	lg := r.log
 	r.log = nil
-	for i := range r.writes {
-		w := &r.writes[i]
-		w.v = e.globals[w.g].words[w.w]
+	for k := range r.writes {
+		w := &r.writes[k]
+		w.v = e.mem[w.w]
 	}
+	for k := range r.c.lines {
+		l := &r.c.lines[k]
+		l.n = e.lines[l.j] - l.n
+	}
+	// The packet's writes are as before if it left every word of its old
+	// write log as that log has it, and wrote as many words.
+	wrote, gone := 2*r.epoch+1, r.gone[:0]
+	for _, w := range lg.writes {
+		if r.marks[w.w] != wrote || e.mem[w.w] != w.v {
+			gone = append(gone, w)
+		}
+	}
+	r.gone = gone
+	var fresh []wordVal
+	if len(gone) > 0 || len(lg.writes) != len(r.writes) {
+		fresh = r.writes
+	}
+	x.update(i, lg.reads, r.reads, gone, fresh, len(r.writes) > 0)
 	lg.reads = keep(lg.reads, r.reads, &r.wordPool)
 	lg.writes = keep(lg.writes, r.writes, &r.wordPool)
-	c := &r.c
-	c.blocks, c.invs = c.blocks[:0], c.invs[:0]
-	for i, cd := range e.it.codes {
-		var was []uint64
-		inv := uint64(0)
-		if i < len(r.was.invs) {
-			was, inv = r.was.blocks[i], r.was.invs[i]
-		}
-		for j := range cd.blocks {
-			n := cd.blocks[j].entered
-			if j < len(was) {
-				n -= was[j]
-			}
-			if n != 0 {
-				c.blocks = append(c.blocks, count{int32(i), int32(j), n})
-			}
-		}
-		if n := cd.invocations - inv; n != 0 {
-			c.invs = append(c.invs, count{int32(i), 0, n})
-		}
-	}
-	c.lines = c.lines[:0]
-	slices.Sort(r.lines)
-	for k, key := range r.lines {
-		if k > 0 && key == r.lines[k-1] {
-			c.lines[len(c.lines)-1].n++
-			continue
-		}
-		g, line := int(key>>32), uint32(key)
-		c.lines = append(c.lines, count{int32(g), int32(line), 1})
-		if r.seen[g] == nil {
-			r.seen[g] = make([]bool, len(e.globals[g].lineReads))
-		}
-		if !r.seen[g][line] {
-			r.seen[g][line] = true
-			r.touched[g] = append(r.touched[g], line)
-		}
-	}
-	c.writes, c.crits = c.writes[:0], c.crits[:0]
-	for i := range e.globals {
-		if n := e.globals[i].stats.Writes - was.writes[i]; n != 0 {
-			c.writes = append(c.writes, count{int32(i), 0, n})
-		}
-		if n := r.crit[i] - was.crits[i]; n != 0 {
-			c.crits = append(c.crits, count{int32(i), 0, n})
-		}
-	}
-	c.chans = c.chans[:0]
-	for i, hc := range e.chans {
-		if n := hc.puts - was.chans[i]; n != 0 {
-			c.chans = append(c.chans, count{int32(i), 0, n})
-		}
-	}
-	kept := &lg.c
-	for _, l := range []struct{ dst, src *[]count }{{&kept.blocks, &c.blocks}, {&kept.invs, &c.invs},
-		{&kept.lines, &c.lines}, {&kept.writes, &c.writes}, {&kept.crits, &c.crits}, {&kept.chans, &c.chans}} {
-		*l.dst = keep(*l.dst, *l.src, &r.countPool)
-	}
-	kept.packets = e.stats.Packets - was.packets
-	kept.forwarded = e.stats.Forwarded - was.forwarded
-	kept.dropped = e.stats.Dropped - was.dropped
+	c, kept := &r.c, &lg.c
+	kept.funcs = keep(kept.funcs, c.funcs, &r.funcPool)
+	kept.lines = keep(kept.lines, c.lines, &r.countPool)
+	kept.writes = keep(kept.writes, c.writes, &r.countPool)
+	kept.crits = keep(kept.crits, c.crits, &r.countPool)
+	kept.chans = keep(kept.chans, c.chans, &r.countPool)
+	kept.packets = e.stats.Packets - r.was.packets
+	kept.forwarded = e.stats.Forwarded - r.was.forwarded
+	kept.dropped = e.stats.Dropped - r.was.dropped
 }
 
-// marksOf returns the marks of a logged global of n words.
-func (r *recorder) marksOf(g int, n int) []uint32 {
-	m := r.marks[g]
-	if m == nil {
-		m = make([]uint32, n)
-		r.marks[g] = m
+// tally counts one touch of what m marks, {i, j} in list: a new count on
+// the packet's first touch, one more after.
+func (r *recorder) tally(m *mark, list *[]count, i, j int32) {
+	if m.epoch == r.epoch {
+		(*list)[m.at].n++
+		return
 	}
-	return m
+	*m = mark{r.epoch, int32(len(*list))}
+	*list = append(*list, count{i, j, 1})
 }
 
-// read logs an n-word read at byte offset off: its cache line, and each
-// word the packet has neither read nor written before, with its value.
+// fn returns the packet's count of the function with code.id id, made on
+// first touch.
+func (r *recorder) fn(id int32) *fcount {
+	for int(id) >= len(r.funcs) {
+		r.funcs = append(r.funcs, mark{})
+	}
+	m := &r.funcs[id]
+	if m.epoch != r.epoch {
+		*m = mark{r.epoch, int32(len(r.c.funcs))}
+		r.c.funcs = append(r.c.funcs, fcount{i: id})
+	}
+	return &r.c.funcs[m.at]
+}
+
+// invoke counts an activation of c as a PPF.
+func (r *recorder) invoke(c *code) {
+	if r.log != nil {
+		r.fn(c.id).invs++
+	}
+}
+
+// ran counts what an activation of c executed, its cost.
+func (r *recorder) ran(c *code, cost uint64) {
+	if r.log != nil {
+		f := r.fn(c.id)
+		f.instrs += cost % memUnit
+		f.mem += cost / memUnit
+	}
+}
+
+// put counts a message on channel ch.
+func (r *recorder) put(ch int) {
+	if r.log != nil {
+		r.tally(&r.chans[ch], &r.c.chans, int32(ch), 0)
+	}
+}
+
+// critical counts an access to global g inside a critical section.
+func (r *recorder) critical(g int) {
+	r.crit[g]++
+	if r.log != nil {
+		r.tally(&r.gcrits[g], &r.c.crits, int32(g), 0)
+	}
+}
+
+// read notes an n-word read at byte offset off, already counted in its
+// cache line, and logs each word the packet has neither read nor written
+// before, with its value.
 func (r *recorder) read(hg *hostGlobal, off uint32, n int) {
 	if r.log == nil {
 		return
 	}
-	g := hg.g.ID
-	r.lines = append(r.lines, uint64(g)<<32|uint64(off/CacheLineBytes))
+	g, line := hg.g.ID, off/CacheLineBytes
+	if at := hg.line0 + line; r.lines[at] != r.epoch {
+		r.lines[at] = r.epoch
+		r.c.lines = append(r.c.lines, count{j: int32(at), n: hg.lineReads[line] - 1})
+		if !r.seen[at] {
+			r.seen[at] = true
+			r.touched[g] = append(r.touched[g], line)
+		}
+	}
 	if r.sink[g] {
 		return
 	}
-	marks, first := r.marksOf(g, len(hg.words)), 2*r.epoch
-	for w := off / 4; w < off/4+uint32(n); w++ {
-		if marks[w] < first {
-			marks[w] = first
-			r.reads = append(r.reads, wordVal{int32(g), w, hg.words[w]})
+	first := 2 * r.epoch
+	for k := off / 4; k < off/4+uint32(n); k++ {
+		if w := hg.base + k; r.marks[w] < first {
+			r.marks[w] = first
+			r.reads = append(r.reads, wordVal{w, hg.words[k]})
 		}
 	}
 }
 
-// write logs each word of an n-word write at byte offset off that the
-// packet has not written before; outside a packet it widens the global's
-// dirty span over the words.
+// write counts a write and logs each word of an n-word write at byte
+// offset off that the packet has not written before; outside a packet it
+// lists the words in dirty. It runs before the words change.
 func (r *recorder) write(hg *hostGlobal, off uint32, n int) {
 	g := hg.g.ID
+	if r.log != nil {
+		r.tally(&r.gwrites[g], &r.c.writes, int32(g), 0)
+	}
 	if r.sink[g] {
 		return
 	}
 	if r.log == nil {
-		d, lo, hi := &r.dirty[g], off/4, off/4+uint32(n)
-		if d.lo >= d.hi {
-			*d = span{lo, hi}
-		} else {
-			d.lo, d.hi = min(d.lo, lo), max(d.hi, hi)
+		for k := off / 4; k < off/4+uint32(n); k++ {
+			if w := hg.base + k; !r.dirtyAt[w] {
+				r.dirtyAt[w] = true
+				r.dirty = append(r.dirty, wordVal{w, hg.words[k]})
+			}
 		}
 		return
 	}
-	marks, wrote := r.marksOf(g, len(hg.words)), 2*r.epoch+1
-	for w := off / 4; w < off/4+uint32(n); w++ {
-		if marks[w] != wrote {
-			marks[w] = wrote
-			r.writes = append(r.writes, wordVal{g: int32(g), w: w})
+	wrote := 2*r.epoch + 1
+	for w := hg.base + off/4; w < hg.base+off/4+uint32(n); w++ {
+		if r.marks[w] != wrote {
+			r.marks[w] = wrote
+			r.writes = append(r.writes, wordVal{w: w})
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"shangrila/internal/apps"
 	"shangrila/internal/bakergen"
 	"shangrila/internal/driver"
 	"shangrila/internal/profiler"
@@ -116,32 +117,40 @@ func incrementalMatchesFull(t *testing.T, seed uint64, steer bool) (again int) {
 	return again
 }
 
-// BenchmarkIncrementalProfile is the profile a Session recompile runs: one
-// churn delta's controls, then the 512-packet trace of L3-Switch,
-// re-interpreting only the packets the delta reaches.
+// BenchmarkIncrementalProfile is the profile a Session recompile runs, for
+// each application: one churn delta's controls, then the 512-packet trace,
+// re-interpreting only the packets the delta reaches. The Firewall's read
+// logs are about five times L3-Switch's, so its staleness checks cost most.
 func BenchmarkIncrementalProfile(b *testing.B) {
-	a, prog := l3switchLowered(b)
-	tr := a.Trace(prog.Types, 1, 512)
-	stream, err := workload.NewChurnStream(workload.ChurnSpec{Seed: 1, UpdatesPerSec: 1000,
-		Items: len(a.Churn.Targets), WithdrawFraction: 0.25})
-	if err != nil {
-		b.Fatal(err)
+	for _, a := range apps.All() {
+		b.Run(a.Name, func(b *testing.B) {
+			prog, err := driver.LowerSource(a.Name+".baker", a.Source)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr := a.Trace(prog.Types, 1, 512)
+			stream, err := workload.NewChurnStream(workload.ChurnSpec{Seed: 1, UpdatesPerSec: 1000,
+				Items: len(a.Churn.Targets), WithdrawFraction: 0.25})
+			if err != nil {
+				b.Fatal(err)
+			}
+			controls := slices.Clone(a.Controls)
+			inc, _, err := profiler.NewIncremental(prog, tr, controls)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			again := 0
+			for i := 0; i < b.N; i++ {
+				ev := stream.Next()
+				controls = append(controls, a.Churn.State(ev.Item, ev.Version, ev.Withdraw))
+				if _, err := inc.Profile(controls); err != nil {
+					b.Fatal(err)
+				}
+				again += inc.Reinterpreted
+			}
+			b.ReportMetric(float64(again)/float64(b.N), "reinterpreted/op")
+		})
 	}
-	controls := slices.Clone(a.Controls)
-	inc, _, err := profiler.NewIncremental(prog, tr, controls)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	again := 0
-	for i := 0; i < b.N; i++ {
-		ev := stream.Next()
-		controls = append(controls, a.Churn.State(ev.Item, ev.Version, ev.Withdraw))
-		if _, err := inc.Profile(controls); err != nil {
-			b.Fatal(err)
-		}
-		again += inc.Reinterpreted
-	}
-	b.ReportMetric(float64(again)/float64(b.N), "reinterpreted/op")
 }

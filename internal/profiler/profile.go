@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"shangrila/internal/baker/types"
 	"shangrila/internal/ir"
@@ -37,19 +36,27 @@ func (g *GlobalStats) EstHitRate() float64 {
 	if g.Reads == 0 {
 		return 0
 	}
-	counts := make([]uint64, 0, len(g.LineReads))
+	// top holds the largest counts seen so far, in descending order.
+	var top [SWCacheEntries]uint64
+	n := 0
 	for _, c := range g.LineReads {
-		counts = append(counts, c)
-	}
-	sort.Slice(counts, func(i, j int) bool { return counts[i] > counts[j] })
-	var top uint64
-	for i, c := range counts {
-		if i >= SWCacheEntries {
-			break
+		if n == len(top) && c <= top[n-1] {
+			continue
 		}
-		top += c
+		if n < len(top) {
+			n++
+		}
+		i := n - 1
+		for ; i > 0 && top[i-1] < c; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = c
 	}
-	return float64(top) / float64(g.Reads)
+	var sum uint64
+	for _, c := range top[:n] {
+		sum += c
+	}
+	return float64(sum) / float64(g.Reads)
 }
 
 // FuncStats aggregates one function's dynamic behaviour.
@@ -180,6 +187,8 @@ type hostEnv struct {
 	it      *Interp
 	stats   *Stats
 	globals []hostGlobal // by Global.ID
+	mem     []uint32     // every global's words
+	lines   []uint64     // every global's line counters
 	chans   []hostChan   // by Channel.ID
 	queue   []OutPacket  // pending channel messages (FIFO); qhead is the next one
 	qhead   int
@@ -187,7 +196,8 @@ type hostEnv struct {
 	rx      *code             // the PPF wired to rx, once resolved
 	rxPort  *types.ProtoField // metadata field mirroring the receive port, if declared
 	// rec, when set, logs what each packet reads, writes and counts, for
-	// an Incremental profile; nil on every other path.
+	// an Incremental profile; nil on every other path. The work env's
+	// Interp carries it too.
 	rec *recorder
 }
 
@@ -195,7 +205,10 @@ type hostGlobal struct {
 	g         *types.Global
 	words     []uint32    // backing store
 	lineReads []uint64    // by cache line
-	stats     GlobalStats // LineReads is filled from lineReads by assemble
+	stats     GlobalStats // LineReads is filled from lineReads by assemble, and Reads too with a recorder
+	// base and line0 are where words and lineReads start in the env's mem
+	// and lines.
+	base, line0 uint32
 }
 
 type hostChan struct {
@@ -209,8 +222,24 @@ func newHostEnv(prog *ir.Program, stats *Stats) *hostEnv {
 		globals: make([]hostGlobal, len(tp.Globals)), chans: make([]hostChan, len(tp.ChanByID))}
 	env.it = &Interp{Prog: prog, Env: env}
 	for _, g := range tp.Globals {
-		words := make([]uint32, (g.Type.SizeBytes()+3)/4)
-		env.globals[g.ID] = hostGlobal{g: g, words: words, lineReads: make([]uint64, len(words)*4/CacheLineBytes+1)}
+		env.globals[g.ID].g = g
+	}
+	// Every global's words are cut from one backing store, and its line
+	// counters from one array, in Global.ID order.
+	words, lines := 0, 0
+	for i := range env.globals {
+		n := (env.globals[i].g.Type.SizeBytes() + 3) / 4
+		words, lines = words+n, lines+n*4/CacheLineBytes+1
+	}
+	env.mem, env.lines = make([]uint32, words), make([]uint64, lines)
+	words, lines = 0, 0
+	for i := range env.globals {
+		hg := &env.globals[i]
+		n := (hg.g.Type.SizeBytes() + 3) / 4
+		nl := n*4/CacheLineBytes + 1
+		hg.base, hg.line0 = uint32(words), uint32(lines)
+		hg.words, hg.lineReads = env.mem[words:words+n:words+n], env.lines[lines:lines+nl:lines+nl]
+		words, lines = words+n, lines+nl
 	}
 	return env
 }
@@ -228,7 +257,7 @@ func (e *hostEnv) global(g *types.Global, off uint32, n int, verb string) (*host
 	if e.inCrit > 0 {
 		hg.stats.InCritical = true
 		if e.rec != nil {
-			e.rec.crit[g.ID]++
+			e.rec.critical(g.ID)
 		}
 	}
 	return hg, nil
@@ -253,10 +282,10 @@ func (e *hostEnv) StoreWords(g *types.Global, off uint32, words []uint32) error 
 		return err
 	}
 	hg.stats.Writes++
-	copy(hg.words[off/4:], words)
-	if e.rec != nil {
+	if e.rec != nil { // before the words change: a control's write logs what they held
 		e.rec.write(hg, off, len(words))
 	}
+	copy(hg.words[off/4:], words)
 	return nil
 }
 
@@ -265,6 +294,9 @@ func (e *hostEnv) ChannelPut(ch *types.Channel, p *packet.Packet, head int) erro
 		return fmt.Errorf("channel %s is not part of the program", ch.Name)
 	}
 	e.chans[ch.ID].puts++
+	if e.rec != nil {
+		e.rec.put(ch.ID)
+	}
 	e.queue = append(e.queue, OutPacket{Chan: ch, P: p, Head: head})
 	return nil
 }
@@ -368,6 +400,9 @@ func (e *hostEnv) dispatch(entry *code, p *packet.Packet, out *[]OutPacket) erro
 
 func (e *hostEnv) runPPF(c *code, p *packet.Packet, head int) error {
 	c.invocations++
+	if e.rec != nil {
+		e.rec.invoke(c)
+	}
 	if _, err := e.it.run(c, []Value{{P: p, Head: head}}); err != nil {
 		return fmt.Errorf("%s: %w", c.fn.Name, err)
 	}
@@ -388,19 +423,15 @@ func (e *hostEnv) resetCounts() {
 
 // assemble fills the name-keyed maps of st from the dense counters: an
 // entry for every function, channel and global touched since the last
-// reset, with block entries multiplied out into instruction counts. With a
-// recorder, whose counts can go down again, a global was accessed inside a
-// critical section when its count of such accesses is not zero, and only
-// the lines a recorded packet read can have a count.
+// reset. With a recorder, whose counts can go down again, a global was
+// accessed inside a critical section when its count of such accesses is
+// not zero, its reads are what its line counters hold (an Incremental
+// takes a packet's reads out of those only), and only the lines a
+// recorded packet read can have a count.
 func (e *hostEnv) assemble(st *Stats) {
 	for fn, c := range e.it.code {
-		fs := FuncStats{Invocations: c.invocations}
-		for _, b := range c.blocks {
-			fs.Instrs += b.entered * uint64(b.instrs)
-			fs.MemAccesses += b.entered * uint64(b.mem)
-		}
-		if fs.Invocations+fs.Instrs > 0 {
-			st.Funcs[fn.Name] = &fs
+		if c.invocations+c.instrs > 0 {
+			st.Funcs[fn.Name] = &FuncStats{Invocations: c.invocations, Instrs: c.instrs, MemAccesses: c.mem}
 		}
 	}
 	for id, hc := range e.chans {
@@ -410,26 +441,33 @@ func (e *hostEnv) assemble(st *Stats) {
 	}
 	for i := range e.globals {
 		hg := &e.globals[i]
-		if hg.stats.Reads+hg.stats.Writes == 0 {
+		reads, crit := hg.stats.Reads, hg.stats.InCritical
+		if e.rec != nil {
+			reads, crit = 0, e.rec.crit[i] > 0
+			for _, line := range e.rec.touched[i] {
+				reads += hg.lineReads[line]
+			}
+		}
+		if reads+hg.stats.Writes == 0 {
 			continue
 		}
-		gs := hg.stats
-		gs.LineReads = map[uint32]uint64{}
+		gs := &GlobalStats{Reads: reads, Writes: hg.stats.Writes, InCritical: crit}
 		if e.rec == nil {
+			gs.LineReads = map[uint32]uint64{}
 			for line, n := range hg.lineReads {
 				if n > 0 {
 					gs.LineReads[uint32(line)] = n
 				}
 			}
 		} else {
-			gs.InCritical = e.rec.crit[i] > 0
+			gs.LineReads = make(map[uint32]uint64, len(e.rec.touched[i]))
 			for _, line := range e.rec.touched[i] {
 				if n := hg.lineReads[line]; n > 0 {
 					gs.LineReads[line] = n
 				}
 			}
 		}
-		st.Globals[hg.g.Name] = &gs
+		st.Globals[hg.g.Name] = gs
 	}
 }
 

@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"sort"
 	"testing"
 
 	"shangrila/internal/baker/parser"
@@ -274,5 +275,66 @@ module m {
 	_, err = Profile(ip, []*packet.Packet{packet.New(make([]byte, 64), 4)})
 	if err == nil {
 		t.Fatal("expected runaway-loop error")
+	}
+}
+
+// estHitRateBySort is EstHitRate as a sort of every line count: the share
+// of reads on the 16 most-read lines.
+func estHitRateBySort(g *GlobalStats) float64 {
+	if g.Reads == 0 {
+		return 0
+	}
+	var counts []uint64
+	for _, c := range g.LineReads {
+		counts = append(counts, c)
+	}
+	sort.Slice(counts, func(i, j int) bool { return counts[i] > counts[j] })
+	var top uint64
+	for i, c := range counts {
+		if i < SWCacheEntries {
+			top += c
+		}
+	}
+	return float64(top) / float64(g.Reads)
+}
+
+// TestEstHitRateMatchesSort: EstHitRate keeps the 16 largest line counts
+// as it goes instead of sorting them all, and its result is bit-identical
+// to the sort's — with ties across the 16th place, fewer than 16 lines, no
+// lines and no reads.
+func TestEstHitRateMatchesSort(t *testing.T) {
+	lines := func(counts ...uint64) map[uint32]uint64 {
+		m := map[uint32]uint64{}
+		for i, c := range counts {
+			m[uint32(i)*7] = c
+		}
+		return m
+	}
+	var ramp, flat, steps []uint64
+	for i := uint64(0); i < 40; i++ {
+		ramp = append(ramp, i*i+1)
+		flat = append(flat, 5)
+		steps = append(steps, 1+i/3) // ties straddle the 16th place
+	}
+	cases := []struct {
+		name string
+		g    GlobalStats
+	}{
+		{"no reads", GlobalStats{}},
+		{"reads, no lines", GlobalStats{Reads: 9}},
+		{"one line", GlobalStats{Reads: 7, LineReads: lines(7)}},
+		{"fewer than 16", GlobalStats{Reads: 100, LineReads: lines(3, 1, 4, 1, 5, 9, 2, 6)}},
+		{"exactly 16", GlobalStats{Reads: 200, LineReads: lines(ramp[:16]...)}},
+		{"ramp of 40", GlobalStats{Reads: 30000, LineReads: lines(ramp...)}},
+		{"all tied", GlobalStats{Reads: 200, LineReads: lines(flat...)}},
+		{"ties at the 16th", GlobalStats{Reads: 1000, LineReads: lines(steps...)}},
+		{"zero counts", GlobalStats{Reads: 3, LineReads: lines(0, 0, 3, 0)}},
+		{"huge counts", GlobalStats{Reads: 1 << 62, LineReads: lines(1<<60, 1<<59, 3, 1<<60)}},
+	}
+	for _, c := range cases {
+		got, want := c.g.EstHitRate(), estHitRateBySort(&c.g)
+		if got != want {
+			t.Errorf("%s: EstHitRate %v, by sort %v", c.name, got, want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"shangrila/internal/packet"
@@ -116,23 +117,26 @@ module m {
 	}
 }
 
-// TestIncrementalEpochWraps: the recorder's per-word marks start over
-// before their epoch would wrap, and the profiles on either side of that
-// still equal full ones.
+// TestIncrementalEpochWraps: the recorder's marks — per word, per cache
+// line, per function, per global's writes and critical accesses, and per
+// channel — start over before their epoch would wrap, and the profiles on
+// either side of that still equal full ones.
 func TestIncrementalEpochWraps(t *testing.T) {
 	prog := lowerSrc(t, `
 protocol p { x:32; y:32; demux { 8 }; }
 module m {
 	uint tbl[4];
 	uint hits;
+	channel mid : p;
 	channel out : p;
 	ppf f(p ph) {
 		uint i = ph->x & 3;
-		tbl[i] = tbl[i] + 1;
-		if ((tbl[i] & 2) == 2) { hits += 1; packet_drop(ph); } else { channel_put(out, ph); }
+		critical { tbl[i] = tbl[i] + 1; }
+		if ((tbl[i] & 2) == 2) { hits += 1; packet_drop(ph); } else { channel_put(mid, ph); }
 	}
+	ppf g(p ph) { channel_put(out, ph); }
 	control func set_tbl(uint i, uint v) { tbl[i & 3] = v; }
-	wiring { rx -> f; out -> tx; }
+	wiring { rx -> f; mid -> g; out -> tx; }
 }`)
 	var tr []*packet.Packet
 	for i := 0; i < 16; i++ {
@@ -145,7 +149,8 @@ module m {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.rec.epoch = math.MaxUint32/2 - 3
+	r := in.rec
+	r.epoch = math.MaxUint32/2 - 3
 	for d := uint32(0); d < 8; d++ {
 		controls = append(controls, Control{Name: "m.set_tbl", Args: []uint32{d, d * 5}})
 		got, err := in.Profile(controls)
@@ -157,10 +162,41 @@ module m {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Fatalf("write %d, epoch %d: the incremental profile differs from a full one in %s", d, in.rec.epoch, got.Diff(want))
+			t.Fatalf("write %d, epoch %d: the incremental profile differs from a full one in %s", d, r.epoch, got.Diff(want))
 		}
 	}
-	if in.rec.epoch > 1000 {
-		t.Errorf("epoch %d: the marks never started over", in.rec.epoch)
+	if r.epoch > 1000 {
+		t.Fatalf("epoch %d: the marks never started over", r.epoch)
+	}
+	// Every array holds marks now; the next packet's begin at the last
+	// epoch must clear them all.
+	arrays := func() []struct {
+		name  string
+		marks []mark
+	} {
+		epochs := func(ms []uint32) []mark {
+			marks := make([]mark, len(ms))
+			for i, m := range ms {
+				marks[i].epoch = m
+			}
+			return marks
+		}
+		return []struct {
+			name  string
+			marks []mark
+		}{{"word", epochs(r.marks)}, {"line", epochs(r.lines)}, {"function", r.funcs}, {"write", r.gwrites},
+			{"critical", r.gcrits}, {"channel", r.chans}}
+	}
+	for _, a := range arrays() {
+		if !slices.ContainsFunc(a.marks, func(m mark) bool { return m.epoch != 0 }) {
+			t.Errorf("no %s mark was made: the test does not reach that array", a.name)
+		}
+	}
+	r.epoch = math.MaxUint32 / 2
+	r.begin(in.work, &pktLog{})
+	for _, a := range arrays() {
+		if i := slices.IndexFunc(a.marks, func(m mark) bool { return m.epoch != 0 }); i >= 0 {
+			t.Errorf("%s mark %d holds epoch %d after the marks started over", a.name, i, a.marks[i].epoch)
+		}
 	}
 }
