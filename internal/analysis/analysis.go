@@ -55,17 +55,18 @@ func (s Bits) ForEach(fn func(i int)) {
 
 // Dominators holds the immediate dominator of every block, computed with
 // the iterative Cooper–Harvey–Kennedy algorithm. Both arrays are indexed by
-// Block.ID, which ComputeCFG keeps dense.
+// Block.ID, which ComputeCFG keeps dense. The zero value is ready for
+// Compute, which reuses the storage of the call before it.
 type Dominators struct {
 	idom  []int // the entry's is itself; -1 marks a block no path reaches
 	order []int // reverse postorder index
+	walk  postorder
 }
 
-// ComputeDominators builds dominator information for f (call f.ComputeCFG
-// first).
-func ComputeDominators(f *ir.Func) *Dominators {
-	rpo := ReversePostorder(f)
-	d := &Dominators{idom: make([]int, len(f.Blocks)), order: make([]int, len(f.Blocks))}
+// Compute fills d with the dominators of f (call f.ComputeCFG first).
+func (d *Dominators) Compute(f *ir.Func) {
+	rpo := d.walk.reversed(f)
+	d.idom, d.order = resize(d.idom, len(f.Blocks)), resize(d.order, len(f.Blocks))
 	for i := range d.idom {
 		d.idom[i] = -1
 	}
@@ -97,7 +98,6 @@ func ComputeDominators(f *ir.Func) *Dominators {
 			}
 		}
 	}
-	return d
 }
 
 func (d *Dominators) intersect(a, b int) int {
@@ -129,25 +129,39 @@ func (d *Dominators) Dominates(a, b *ir.Block) bool {
 // ReversePostorder returns the blocks of f reachable from its entry in
 // reverse postorder (call f.ComputeCFG first: visits are marked by Block.ID).
 func ReversePostorder(f *ir.Func) []*ir.Block {
-	post := make([]*ir.Block, 0, len(f.Blocks))
-	seen := make([]bool, len(f.Blocks))
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		seen[b.ID] = true
-		for _, s := range b.Succs {
-			if !seen[s.ID] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
-	}
+	var w postorder
+	return w.reversed(f)
+}
+
+// postorder is a depth-first walk's storage, kept by its owner across
+// walks.
+type postorder struct {
+	post []*ir.Block
+	seen []bool
+}
+
+// reversed returns the blocks reachable from f's entry in reverse
+// postorder, in w's own storage.
+func (w *postorder) reversed(f *ir.Func) []*ir.Block {
+	w.post, w.seen = w.post[:0], resize(w.seen, len(f.Blocks))
 	if f.Entry != nil {
-		dfs(f.Entry)
+		w.visit(f.Entry)
 	}
+	post := w.post
 	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
 		post[i], post[j] = post[j], post[i]
 	}
 	return post
+}
+
+func (w *postorder) visit(b *ir.Block) {
+	w.seen[b.ID] = true
+	for _, s := range b.Succs {
+		if !w.seen[s.ID] {
+			w.visit(s)
+		}
+	}
+	w.post = append(w.post, b)
 }
 
 // SolveBackward computes the least solution of the backward union problem
@@ -156,13 +170,15 @@ func ReversePostorder(f *ir.Func) []*ir.Block {
 //	in[b]  = gen[b] ∪ (out[b] − kill[b])
 //
 // over blocks 0..len(succs)-1. gen and kill hold one row of
-// len(gen)/len(succs) words per block; in and out come back in the same
-// layout. The least fixpoint is unique, so the sweep order only affects how
-// many sweeps it takes.
-func SolveBackward(succs [][]int, gen, kill []uint64) (in, out []uint64) {
-	in, out = make([]uint64, len(gen)), make([]uint64, len(gen))
+// len(gen)/len(succs) words per block; the solution is written to in and
+// out, which the caller provides with len(gen) words each and whose
+// contents are overwritten. The least fixpoint is unique, so the sweep
+// order only affects how many sweeps it takes.
+func SolveBackward(succs [][]int, gen, kill, in, out []uint64) {
+	clear(in)
+	clear(out)
 	if len(succs) == 0 {
-		return in, out
+		return
 	}
 	w := len(gen) / len(succs)
 	for changed := true; changed; {
@@ -182,14 +198,17 @@ func SolveBackward(succs [][]int, gen, kill []uint64) (in, out []uint64) {
 			}
 		}
 	}
-	return in, out
 }
 
 // Liveness holds per-block live-in/live-out register sets, one row per
-// Block.ID.
+// Block.ID. The zero value is ready for Compute, which reuses the storage
+// of the call before it.
 type Liveness struct {
-	words   int
-	in, out []uint64
+	words     int
+	in, out   []uint64
+	gen, kill []uint64
+	succs     [][]int
+	flat      []int // succs' backing array
 }
 
 // In returns the registers live on entry to b.
@@ -198,19 +217,17 @@ func (lv *Liveness) In(b *ir.Block) Bits { return lv.in[b.ID*lv.words : (b.ID+1)
 // Out returns the registers live on exit from b.
 func (lv *Liveness) Out(b *ir.Block) Bits { return lv.out[b.ID*lv.words : (b.ID+1)*lv.words] }
 
-// ComputeLiveness solves backward liveness over f (call f.ComputeCFG
+// Compute solves backward liveness over f into lv (call f.ComputeCFG
 // first: rows are indexed by Block.ID).
-func ComputeLiveness(f *ir.Func) *Liveness {
+func (lv *Liveness) Compute(f *ir.Func) {
 	n, w := len(f.Blocks), (f.NumRegs+63)>>6
-	gen, kill := make([]uint64, n*w), make([]uint64, n*w)
-	succs := make([][]int, n)
-	edges := 0
+	lv.words = w
+	lv.gen, lv.kill = resize(lv.gen, n*w), resize(lv.kill, n*w)
+	lv.in, lv.out = resize(lv.in, n*w), resize(lv.out, n*w)
+	lv.succs = resize(lv.succs, n)
+	lv.flat = lv.flat[:0]
 	for _, b := range f.Blocks {
-		edges += len(b.Succs)
-	}
-	flat := make([]int, 0, edges)
-	for _, b := range f.Blocks {
-		g, k := Bits(gen[b.ID*w:(b.ID+1)*w]), Bits(kill[b.ID*w:(b.ID+1)*w])
+		g, k := Bits(lv.gen[b.ID*w:(b.ID+1)*w]), Bits(lv.kill[b.ID*w:(b.ID+1)*w])
 		for _, in := range b.Instrs {
 			for _, u := range in.Args {
 				if u != ir.NoReg && !k.Has(int(u)) {
@@ -221,20 +238,24 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 				k.Set(int(d))
 			}
 		}
-		first := len(flat)
 		for _, s := range b.Succs {
-			flat = append(flat, s.ID)
+			lv.flat = append(lv.flat, s.ID)
 		}
-		succs[b.ID] = flat[first:]
 	}
-	lv := &Liveness{words: w}
-	lv.in, lv.out = SolveBackward(succs, gen, kill)
-	return lv
+	// Slice succs out of flat only once it has stopped growing.
+	at := 0
+	for _, b := range f.Blocks {
+		lv.succs[b.ID] = lv.flat[at : at+len(b.Succs)]
+		at += len(b.Succs)
+	}
+	SolveBackward(lv.succs, lv.gen, lv.kill, lv.in, lv.out)
 }
 
-// DefCounts returns, per register, how many instructions define it.
-func DefCounts(f *ir.Func) []int {
-	counts := make([]int, f.NumRegs)
+// DefCounts returns, per register of f, how many instructions define it,
+// parameters included. It counts into counts' storage when that is large
+// enough.
+func DefCounts(f *ir.Func, counts []int) []int {
+	counts = resize(counts, f.NumRegs)
 	for _, p := range f.Params {
 		counts[p]++
 	}
@@ -246,4 +267,15 @@ func DefCounts(f *ir.Func) []int {
 		}
 	}
 	return counts
+}
+
+// resize returns s with length n and every element zero, reusing s's
+// storage when its capacity allows.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -26,7 +26,8 @@ module m {
 func TestDominators(t *testing.T) {
 	prog := testutil.BuildIR(t, diamondSrc)
 	f := prog.Func("m.f")
-	dom := analysis.ComputeDominators(f)
+	var dom analysis.Dominators
+	dom.Compute(f)
 	entry := f.Entry
 	for _, b := range f.Blocks {
 		if !dom.Dominates(entry, b) {
@@ -60,7 +61,8 @@ func TestDominators(t *testing.T) {
 func TestLiveness(t *testing.T) {
 	prog := testutil.BuildIR(t, diamondSrc)
 	f := prog.Func("m.f")
-	lv := analysis.ComputeLiveness(f)
+	var lv analysis.Liveness
+	lv.Compute(f)
 	// The handle parameter is used by packet_drop at the end, so it must
 	// be live-out of the entry block.
 	h := f.Params[0]
@@ -80,9 +82,17 @@ func TestLiveness(t *testing.T) {
 func TestDefCountsIncludesParams(t *testing.T) {
 	prog := testutil.BuildIR(t, diamondSrc)
 	f := prog.Func("m.f")
-	counts := analysis.DefCounts(f)
+	counts := analysis.DefCounts(f, nil)
 	if counts[f.Params[0]] == 0 {
 		t.Error("param must count as a definition")
+	}
+	// Counting into storage left over from a larger count starts from zero.
+	dirty := make([]int, f.NumRegs+3)
+	for i := range dirty {
+		dirty[i] = 7
+	}
+	if again := analysis.DefCounts(f, dirty); !reflect.DeepEqual(again, counts) {
+		t.Errorf("DefCounts into used storage = %v, want %v", again, counts)
 	}
 }
 
@@ -100,7 +110,11 @@ func TestSolveBackward(t *testing.T) {
 	row(gen, 1).Set(65)
 	row(kill, 1).Set(65)
 	row(gen, 2).Set(0)
-	in, out := analysis.SolveBackward(succs, gen, kill)
+	in, out := make([]uint64, 3*w), make([]uint64, 3*w)
+	for i := range in {
+		in[i], out[i] = ^uint64(0), ^uint64(0) // overwritten, not added to
+	}
+	analysis.SolveBackward(succs, gen, kill, in, out)
 	members := func(s analysis.Bits) (m []int) {
 		s.ForEach(func(i int) { m = append(m, i) })
 		return m
@@ -121,7 +135,8 @@ func TestSolveBackward(t *testing.T) {
 }
 
 // BenchmarkComputeLiveness solves liveness for the largest function of the
-// lowered L3-Switch (its route-insertion control function: three loops).
+// lowered L3-Switch (its route-insertion control function: three loops),
+// into storage kept across iterations as the optimizer keeps it.
 func BenchmarkComputeLiveness(b *testing.B) {
 	prog := testutil.BuildIR(b, apps.L3Switch().Source)
 	var f *ir.Func
@@ -130,9 +145,10 @@ func BenchmarkComputeLiveness(b *testing.B) {
 			f = g
 		}
 	}
+	var lv analysis.Liveness
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.ComputeLiveness(f)
+		lv.Compute(f)
 	}
 }

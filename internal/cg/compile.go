@@ -118,6 +118,22 @@ func compileAggregate(prog *ir.Program, m *aggregate.Merged, layout *Layout,
 	ringOf map[string]int, chanFacts map[string]soar.Input,
 	classes map[*types.Channel]aggregate.ChannelClass, opts Options) (*Compiled, error) {
 
+	c, nvreg, err := lowerAggregate(prog, m, layout, ringOf, chanFacts, classes, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := Allocate(c.Program, nvreg); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// lowerAggregate emits the dispatch loop plus every entry body as one
+// program in virtual registers, and returns it with their count.
+func lowerAggregate(prog *ir.Program, m *aggregate.Merged, layout *Layout,
+	ringOf map[string]int, chanFacts map[string]soar.Input,
+	classes map[*types.Channel]aggregate.ChannelClass, opts Options) (*Compiled, int, error) {
+
 	l := &lowerer{
 		opts:   opts,
 		layout: layout,
@@ -183,7 +199,7 @@ func compileAggregate(prog *ir.Program, m *aggregate.Merged, layout *Layout,
 		l.emitBccImm(CEq, v0, InvalidPktID, nextLabel)
 
 		if err := l.lowerEntry(prog, m.Func(e), v0, v1, fact); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		l.emitBr("dispatch")
 		l.label(nextLabel)
@@ -193,22 +209,18 @@ func compileAggregate(prog *ir.Program, m *aggregate.Merged, layout *Layout,
 	l.emitBr("dispatch")
 
 	if l.err != nil {
-		return nil, l.err
+		return nil, 0, l.err
 	}
 	// Patch branch targets.
 	for idx, lab := range l.fixups {
 		t, ok := l.labels[lab]
 		if !ok {
-			return nil, fmt.Errorf("cg: unresolved label %q", lab)
+			return nil, 0, fmt.Errorf("cg: unresolved label %q", lab)
 		}
 		l.code[idx].Target = t
 	}
-	p := &Program{Name: m.Agg.PPFs[0], Code: l.code}
-	if err := Allocate(p, l.nvreg); err != nil {
-		return nil, err
-	}
-	c.Program = p
-	return c, nil
+	c.Program = &Program{Name: m.Agg.PPFs[0], Code: l.code}
+	return c, l.nvreg, nil
 }
 
 func containsBlock(list []*ir.Block, b *ir.Block) bool {

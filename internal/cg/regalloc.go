@@ -1,8 +1,9 @@
 package cg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"shangrila/internal/analysis"
 	"shangrila/internal/cg/stackalloc"
@@ -38,22 +39,26 @@ func Allocate(p *Program, nvreg int) error {
 }
 
 type interval struct {
-	vreg       PReg
+	vreg       PReg // 0, a physical register, until the code mentions it
 	start, end int
 	bank       int
 	phys       PReg // NoPReg if spilled
 	slot       int  // spill slot index, -1 otherwise
 }
 
+// allocator's per-register tables are slices indexed by vreg − NumRegs;
+// they grow when assignBanks adds copy registers.
 type allocator struct {
 	p     *Program
 	nvreg int
-	bank  map[PReg]int
-	ivals map[PReg]*interval
+	bank  []int8     // 0 or 1; noBank until assigned
+	ivals []interval // the hull of every register the code mentions
 	err   error
 
 	frame *stackalloc.Frame
 }
+
+const noBank = -1
 
 func isVirtual(r PReg) bool { return int(r) >= NumRegs }
 
@@ -124,15 +129,24 @@ func regOperands(in *Instr, defs, uses []*PReg) ([]*PReg, []*PReg) {
 // cross-bank copies when both operands of an instruction already share a
 // bank.
 func (a *allocator) assignBanks() {
-	a.bank = map[PReg]int{}
+	a.bank = make([]int8, a.nvreg)
+	for i := range a.bank {
+		a.bank[i] = noBank
+	}
 	balance := 0
 	get := func(v PReg) (int, bool) {
-		b, ok := a.bank[v]
-		return b, ok
+		b := a.bank[v-NumRegs]
+		return int(b), b != noBank
 	}
-	set := func(v PReg, b int) { a.bank[v] = b }
+	set := func(v PReg, b int) { a.bank[v-NumRegs] = int8(b) }
+	// fresh adds a copy register.
+	fresh := func() PReg {
+		a.bank = append(a.bank, noBank)
+		a.nvreg++
+		return PReg(NumRegs + a.nvreg - 1)
+	}
 
-	var out []*Instr
+	out := make([]*Instr, 0, len(a.p.Code))
 	for _, in := range a.p.Code {
 		twoSrc := in.Op == IALU && in.ALU != AMov && in.ALU != ANot && in.ALU != ANeg ||
 			in.Op == IBcc || in.Op == ICAMWrite || in.Op == IRingPut
@@ -149,8 +163,7 @@ func (a *allocator) assignBanks() {
 				set(in.SrcA, 1-bb)
 			case ba == bb:
 				// Copy SrcB into a fresh vreg of the opposite bank.
-				t := PReg(NumRegs + a.nvreg)
-				a.nvreg++
+				t := fresh()
 				set(t, 1-ba)
 				out = append(out, &Instr{Op: IALU, ALU: AMov, Dst: t, SrcA: in.SrcB,
 					Comment: "bank-conflict copy"})
@@ -158,8 +171,7 @@ func (a *allocator) assignBanks() {
 			}
 		} else if twoSrc && isVirtual(in.SrcA) && in.SrcA == in.SrcB {
 			// Same register on both sides: duplicate through a copy.
-			t := PReg(NumRegs + a.nvreg)
-			a.nvreg++
+			t := fresh()
 			ba, ok := get(in.SrcA)
 			if !ok {
 				ba = 0
@@ -213,31 +225,13 @@ func (a *allocator) assignBanks() {
 func (a *allocator) computeIntervals() {
 	code := a.p.Code
 	n := len(code)
-	// Leaders.
-	leader := make([]bool, n+1)
-	leader[0] = true
-	for i, in := range code {
-		switch in.Op {
-		case IBr, IBcc, IBccImm:
-			if in.Target <= n {
-				leader[in.Target] = true
-			}
-			if i+1 <= n {
-				leader[i+1] = true
-			}
-		}
-	}
-	var starts []int
-	for i := 0; i < n; i++ {
-		if leader[i] {
-			starts = append(starts, i)
-		}
-	}
+	starts := a.p.BlockBoundaries()
+	nb := len(starts)
 	blockOf := make([]int, n)
-	ends := make([]int, len(starts))
+	ends := make([]int, nb)
 	for bi, s := range starts {
 		e := n
-		if bi+1 < len(starts) {
+		if bi+1 < nb {
 			e = starts[bi+1]
 		}
 		ends[bi] = e
@@ -245,32 +239,35 @@ func (a *allocator) computeIntervals() {
 			blockOf[i] = bi
 		}
 	}
-	succs := make([][]int, len(starts))
+	// At most two successors per block, in one backing array.
+	succs, flat := make([][]int, nb), make([]int, 0, 2*nb)
 	for bi, s := range starts {
 		e := ends[bi]
 		if e == s {
 			continue
 		}
-		last := code[e-1]
-		switch last.Op {
+		from := len(flat)
+		switch last := code[e-1]; last.Op {
 		case IBr:
-			succs[bi] = append(succs[bi], blockOf[min(last.Target, n-1)])
+			flat = append(flat, blockOf[min(last.Target, n-1)])
 		case IBcc, IBccImm:
-			succs[bi] = append(succs[bi], blockOf[min(last.Target, n-1)])
+			flat = append(flat, blockOf[min(last.Target, n-1)])
 			if e < n {
-				succs[bi] = append(succs[bi], blockOf[e])
+				flat = append(flat, blockOf[e])
 			}
 		case IHalt:
 		default:
 			if e < n {
-				succs[bi] = append(succs[bi], blockOf[e])
+				flat = append(flat, blockOf[e])
 			}
 		}
+		succs[bi] = flat[from:len(flat):len(flat)]
 	}
 	// Block gen/kill over vreg indices, solved by the shared bitset solver.
 	w := (a.nvreg + 63) >> 6
+	sets := make([]uint64, 4*nb*w)
+	gen, kill, liveIn, liveOut := sets[:nb*w], sets[nb*w:2*nb*w], sets[2*nb*w:3*nb*w], sets[3*nb*w:]
 	row := func(sets []uint64, bi int) analysis.Bits { return sets[bi*w : (bi+1)*w] }
-	gen, kill := make([]uint64, len(starts)*w), make([]uint64, len(starts)*w)
 	var db, ub [maxOperands]*PReg
 	for bi, s := range starts {
 		g, k := row(gen, bi), row(kill, bi)
@@ -288,21 +285,15 @@ func (a *allocator) computeIntervals() {
 			}
 		}
 	}
-	liveIn, liveOut := analysis.SolveBackward(succs, gen, kill)
+	analysis.SolveBackward(succs, gen, kill, liveIn, liveOut)
 	// Hull intervals.
-	a.ivals = map[PReg]*interval{}
+	a.ivals = make([]interval, a.nvreg)
 	touch := func(v PReg, i int) {
-		iv := a.ivals[v]
-		if iv == nil {
-			iv = &interval{vreg: v, start: i, end: i, bank: a.bank[v], slot: -1, phys: NoPReg}
-			a.ivals[v] = iv
+		iv := &a.ivals[v-NumRegs]
+		if iv.vreg == 0 {
+			*iv = interval{vreg: v, start: i, end: i, bank: int(a.bank[v-NumRegs]), slot: -1, phys: NoPReg}
 		}
-		if i < iv.start {
-			iv.start = i
-		}
-		if i > iv.end {
-			iv.end = i
-		}
+		iv.start, iv.end = min(iv.start, i), max(iv.end, i)
 	}
 	for i, in := range code {
 		defs, uses := regOperands(in, db[:0], ub[:0])
@@ -323,49 +314,49 @@ func (a *allocator) computeIntervals() {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // scan performs per-bank linear scan. Registers written by multi-word
 // memory bursts, ring gets or CAM lookups cannot be spilled (one
 // instruction would need several assembler temps), so the victim search
 // skips them.
 func (a *allocator) scan() error {
 	a.frame = stackalloc.NewFrame(stackalloc.DefaultConfig())
-	unspillable := map[PReg]bool{}
+	unspillable := make([]bool, a.nvreg) // by vreg − NumRegs
 	var db, ub [maxOperands]*PReg
 	for _, in := range a.p.Code {
 		defs, _ := regOperands(in, db[:0], ub[:0])
 		if len(defs) > 1 {
 			for _, d := range defs {
 				if isVirtual(*d) {
-					unspillable[*d] = true
+					unspillable[*d-NumRegs] = true
 				}
 			}
 		}
 	}
-	var ivals []*interval
-	for _, iv := range a.ivals {
-		ivals = append(ivals, iv)
-	}
-	sort.Slice(ivals, func(i, j int) bool {
-		if ivals[i].start != ivals[j].start {
-			return ivals[i].start < ivals[j].start
+	ivals := make([]*interval, 0, len(a.ivals))
+	for i := range a.ivals {
+		if a.ivals[i].vreg != 0 {
+			ivals = append(ivals, &a.ivals[i])
 		}
-		return ivals[i].vreg < ivals[j].vreg
+	}
+	slices.SortFunc(ivals, func(x, y *interval) int {
+		if x.start != y.start {
+			return cmp.Compare(x.start, y.start)
+		}
+		return cmp.Compare(x.vreg, y.vreg)
 	})
-	free := [2][]PReg{}
+	// Free registers are taken from the front and returned to the back; a
+	// bank's free and active lists together hold its registers, so each
+	// fits an array of BankSize.
+	var freeA, freeB [BankSize]PReg
+	var activeA, activeB [BankSize]*interval
+	free := [2][]PReg{freeA[:0], freeB[:0]}
+	active := [2][]*interval{activeA[:0], activeB[:0]}
 	for r := PReg(0); r < regsPerBankA; r++ {
 		free[0] = append(free[0], r)
 	}
 	for r := PReg(BankSize); r < BankSize+regsPerBankB; r++ {
 		free[1] = append(free[1], r)
 	}
-	var active [2][]*interval
 	expire := func(bank, at int) {
 		kept := active[bank][:0]
 		for _, iv := range active[bank] {
@@ -382,18 +373,18 @@ func (a *allocator) scan() error {
 		expire(b, iv.start)
 		if len(free[b]) > 0 {
 			iv.phys = free[b][0]
-			free[b] = free[b][1:]
+			free[b] = free[b][:copy(free[b], free[b][1:])]
 			active[b] = append(active[b], iv)
 			continue
 		}
 		// Spill the active interval with the furthest end (or this one),
 		// skipping unspillable burst registers.
 		var victim *interval
-		if !unspillable[iv.vreg] {
+		if !unspillable[iv.vreg-NumRegs] {
 			victim = iv
 		}
 		for _, cand := range active[b] {
-			if unspillable[cand.vreg] {
+			if unspillable[cand.vreg-NumRegs] {
 				continue
 			}
 			if victim == nil || cand.end > victim.end {
@@ -424,7 +415,7 @@ func (a *allocator) scan() error {
 // rewrite replaces vregs with physical registers, inserting spill loads
 // and stores through the assembler temps.
 func (a *allocator) rewrite() {
-	var out []*Instr
+	out := make([]*Instr, 0, len(a.p.Code))
 	remap := make([]int, len(a.p.Code)+1)
 	spillMem := func(iv *interval, store bool, tmp PReg) *Instr {
 		loc := a.frame.Slot(iv.slot)
@@ -444,19 +435,19 @@ func (a *allocator) rewrite() {
 			AddrOff: off, NWords: 1, Data: []PReg{tmp}, Class: cls,
 			Comment: fmt.Sprintf("spill v%d", int(iv.vreg))}
 	}
+	tmps := [...]PReg{RegTmpA, RegTmpB}
 	var db, ub [maxOperands]*PReg
 	for i, in := range a.p.Code {
 		remap[i] = len(out)
 		defs, uses := regOperands(in, db[:0], ub[:0])
-		tmps := []PReg{RegTmpA, RegTmpB}
 		ti := 0
-		var post []*Instr
+		var post *Instr // the store of a spilled destination
 		for _, u := range uses {
 			if !isVirtual(*u) {
 				continue
 			}
-			iv := a.ivals[*u]
-			if iv == nil {
+			iv := &a.ivals[*u-NumRegs]
+			if iv.vreg == 0 {
 				*u = RegTmpA
 				continue
 			}
@@ -473,13 +464,12 @@ func (a *allocator) rewrite() {
 			out = append(out, spillMem(iv, false, t))
 			*u = t
 		}
-		spilledDefs := 0
 		for _, d := range defs {
 			if !isVirtual(*d) {
 				continue
 			}
-			iv := a.ivals[*d]
-			if iv == nil {
+			iv := &a.ivals[*d-NumRegs]
+			if iv.vreg == 0 {
 				*d = RegTmpA
 				continue
 			}
@@ -487,16 +477,17 @@ func (a *allocator) rewrite() {
 				*d = iv.phys
 				continue
 			}
-			if spilledDefs > 0 {
+			if post != nil {
 				a.err = fmt.Errorf("cg: instruction defines more than one spilled register")
 				return
 			}
-			spilledDefs++
 			*d = RegTmpA
-			post = append(post, spillMem(iv, true, RegTmpA))
+			post = spillMem(iv, true, RegTmpA)
 		}
 		out = append(out, in)
-		out = append(out, post...)
+		if post != nil {
+			out = append(out, post)
+		}
 	}
 	remap[len(a.p.Code)] = len(out)
 	for _, in := range out {

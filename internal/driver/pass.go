@@ -226,6 +226,7 @@ func (ctx *Context) optimize(p *ir.Program, o opt.Options) {
 	if g := ctx.reg.Gauge(metrics.PassOptRoundsMax(ctx.pass)); float64(st.RoundsMax) > g.Value() {
 		g.Set(float64(st.RoundsMax))
 	}
+	ctx.reg.Counter(metrics.PassOptRounds(ctx.pass)).Add(int64(st.Rounds))
 	ctx.reg.Counter(metrics.PassOptUnconverged(ctx.pass)).Add(int64(st.Unconverged))
 }
 

@@ -100,9 +100,10 @@ func referenceLiveness(f *ir.Func) (in, out map[*ir.Block]map[ir.Reg]bool) {
 
 func TestLivenessMatchesReference(t *testing.T) {
 	funcs := 0
+	var lv analysis.Liveness // one for every state, as the optimizer keeps it
 	forEachScalarInput(t, func(where string, f *ir.Func) {
 		funcs++
-		lv := analysis.ComputeLiveness(f)
+		lv.Compute(f)
 		in, out := referenceLiveness(f)
 		for _, b := range f.Blocks {
 			for r := 0; r < f.NumRegs; r++ {

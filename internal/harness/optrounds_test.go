@@ -14,7 +14,9 @@ import (
 )
 
 // TestOptRoundsRecorded: every pass that runs the scalar optimizer reports
-// how its fixpoint iteration went, at all seven levels, and every run of it
+// how its fixpoint iteration went, at all seven levels (the most rounds one
+// function needed, the rounds of all its functions together, which are at
+// least that many, and the functions the cap stopped), and every run of it
 // — the three applications' and every fuzz-corpus program's — reaches its
 // fixpoint inside the round cap. (The applications' loops and
 // branch-assigned variables used to stop at the cap, in a round that left
@@ -47,16 +49,17 @@ func TestOptRoundsRecorded(t *testing.T) {
 			snap := res.Report.Metrics
 			for _, pt := range res.Report.Passes {
 				rounds, ran := snap.Gauges[string(metrics.PassOptRoundsMax(pt.Pass))]
+				total, summed := snap.Counters[string(metrics.PassOptRounds(pt.Pass))]
 				n, counted := snap.Counters[string(metrics.PassOptUnconverged(pt.Pass))]
 				scalar := lvl >= driver.LevelO1 && (pt.Pass == "inline+scalar" || pt.Pass == "pac" ||
 					pt.Pass == "agg-opt" || pt.Pass == "final-opt")
-				if ran != scalar || counted != scalar {
-					t.Errorf("%s at %v: pass %s records rounds=%v unconverged=%v, runs the optimizer=%v",
-						a.Name, lvl, pt.Pass, ran, counted, scalar)
+				if ran != scalar || summed != scalar || counted != scalar {
+					t.Errorf("%s at %v: pass %s records rounds_max=%v rounds=%v unconverged=%v, runs the optimizer=%v",
+						a.Name, lvl, pt.Pass, ran, summed, counted, scalar)
 				}
-				if scalar && (rounds < 1 || n < 0) {
-					t.Errorf("%s at %v: pass %s: opt_rounds_max %v with opt_unconverged %d",
-						a.Name, lvl, pt.Pass, rounds, n)
+				if scalar && (rounds < 1 || float64(total) < rounds || n < 0) {
+					t.Errorf("%s at %v: pass %s: opt_rounds_max %v, opt_rounds %d, opt_unconverged %d",
+						a.Name, lvl, pt.Pass, rounds, total, n)
 				}
 				capped += n
 			}

@@ -48,6 +48,10 @@ func PassSizeDelta(pass string) Key { return Key("compile.pass." + pass + ".size
 // needed on any one function inside a named compiler pass.
 func PassOptRoundsMax(pass string) Key { return Key("compile.pass." + pass + ".opt_rounds_max") }
 
+// PassOptRounds counts the scalar optimizer's fixpoint rounds inside a
+// named compiler pass, summed over the functions it optimized.
+func PassOptRounds(pass string) Key { return Key("compile.pass." + pass + ".opt_rounds") }
+
 // PassOptUnconverged counts the functions the scalar optimizer left still
 // changing at its round cap inside a named compiler pass.
 func PassOptUnconverged(pass string) Key { return Key("compile.pass." + pass + ".opt_unconverged") }

@@ -1,29 +1,16 @@
-package opt
+package opt_test
 
 import (
+	"fmt"
 	"testing"
 
+	"shangrila/internal/aggregate"
+	"shangrila/internal/apps"
 	"shangrila/internal/ir"
+	"shangrila/internal/opt"
+	"shangrila/internal/profiler"
 	"shangrila/internal/testutil"
 )
-
-// capRounds is OptimizeFunc without the fixpoint exit for rounds that only
-// rewrite: every round whose passes report a change runs, up to the cap, as
-// the optimizer did before it recognised an identity round.
-func capRounds(f *ir.Func) {
-	defs, cse := make([]regDef, f.NumRegs), newCSETable(f)
-	for rounds := 0; rounds < maxRounds; rounds++ {
-		singleDefs(f, defs)
-		changed := propagate(f, defs)
-		changed = foldBranches(f, defs) || changed
-		changed = localCSE(f, cse) || changed
-		changed = deadCode(f) || changed
-		changed = mergeBlocks(f) || changed
-		if !changed {
-			return
-		}
-	}
-}
 
 // pingPongLoop builds
 //
@@ -64,19 +51,19 @@ func pingPongLoop() *ir.Func {
 	return f
 }
 
-// TestFixpointStopsPingPong: the ping-pong loop is recognised as converged
-// within three rounds, and leaves exactly the IR that running every round
-// up to the cap leaves.
+// TestFixpointStopsPingPong: the ping-pong loop's first round is already
+// an identity, its change log says so, and the IR is exactly what running
+// every round up to the cap leaves.
 func TestFixpointStopsPingPong(t *testing.T) {
 	capped := pingPongLoop()
-	capRounds(capped)
+	opt.CapRounds(capped)
 	f := pingPongLoop()
-	rounds, converged := OptimizeFunc(f)
-	if !converged || rounds > 3 {
-		t.Fatalf("OptimizeFunc = %d rounds, converged %v; want converged within 3\n%s", rounds, converged, f)
+	rounds, converged := opt.OptimizeFunc(f)
+	if !converged || rounds != 1 {
+		t.Fatalf("OptimizeFunc = %d rounds, converged %v; want converged in 1\n%s", rounds, converged, f)
 	}
 	if got, want := f.String(), capped.String(); got != want {
-		t.Fatalf("stopping at the fixpoint changed the IR\ngot:\n%s\nafter %d rounds:\n%s", got, maxRounds, want)
+		t.Fatalf("stopping at the fixpoint changed the IR\ngot:\n%s\nafter %d rounds:\n%s", got, opt.MaxRounds, want)
 	}
 }
 
@@ -106,20 +93,63 @@ module m {
 	wiring { rx -> f; }
 }`
 
-// TestFixpointMatchesCappedRounds: on lowered loops and branch-assigned
-// variables, the functions that used to stop at the round cap, stopping at
-// the fixpoint leaves the same IR.
+// TestFixpointMatchesCappedRounds: stopping at the fixpoint leaves the IR
+// that CapRounds leaves (every round up to the cap, a fresh scratch per
+// function), on lowered loops and branch-assigned variables (the functions
+// that used to stop at the round cap), on every lowered function of the
+// three applications and on their merged ME bodies. The programs go
+// through Optimize whole, so one scratch and one CSE clock serve all their
+// functions, as in every compile.
 func TestFixpointMatchesCappedRounds(t *testing.T) {
-	want := testutil.BuildIR(t, loopsSrc)
-	got := testutil.BuildIR(t, loopsSrc)
-	for i, g := range got.Funcs {
-		w := want.Funcs[i]
-		capRounds(w)
-		if _, converged := OptimizeFunc(g); !converged {
-			t.Errorf("%s stopped at the round cap", g.Name)
-		}
-		if gs, ws := g.String(), w.String(); gs != ws {
-			t.Errorf("%s: stopping at the fixpoint changed the IR\ngot:\n%s\ncapped:\n%s", g.Name, gs, ws)
+	type input struct {
+		name        string
+		prog, again *ir.Program // two copies
+	}
+	inputs := []input{{"loops", testutil.BuildIR(t, loopsSrc), testutil.BuildIR(t, loopsSrc)}}
+	for _, a := range apps.All() {
+		inputs = append(inputs, input{a.Name, testutil.BuildIR(t, a.Source), testutil.BuildIR(t, a.Source)})
+		for i, body := range mergedME(t, a) {
+			inputs = append(inputs, input{fmt.Sprintf("%s merged ME %d", a.Name, i), body, ir.CloneProgram(body)})
 		}
 	}
+	for _, in := range inputs {
+		for _, f := range in.again.Funcs {
+			opt.CapRounds(f)
+		}
+		if st := opt.Optimize(in.prog, opt.Options{Scalar: true}); st.Unconverged != 0 {
+			t.Errorf("%s: %d functions stopped at the round cap", in.name, st.Unconverged)
+		}
+		for i, g := range in.prog.Funcs {
+			if gs, ws := g.String(), in.again.Funcs[i].String(); gs != ws {
+				t.Errorf("%s: %s: stopping at the fixpoint changed the IR\ngot:\n%s\ncapped:\n%s", in.name, g.Name, gs, ws)
+			}
+		}
+	}
+}
+
+// mergedME returns app a's ME aggregate bodies as the agg-opt pass
+// receives them: profiled, inlined, scalar-optimized and merged.
+func mergedME(tb testing.TB, a *apps.App) []*ir.Program {
+	tb.Helper()
+	prog := testutil.BuildIR(tb, a.Source)
+	stats, err := profiler.ProfileWithControls(prog, a.Trace(prog.Types, 7, 512), a.Controls)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opt.Optimize(prog, opt.Options{Scalar: true, Inline: true})
+	plan, err := aggregate.Build(prog, &stats.Weights, aggregate.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	merged, err := aggregate.BuildMerged(prog, plan, aggregate.ClassifyChannels(prog, plan))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var bodies []*ir.Program
+	for _, m := range merged {
+		if m.Agg.Target == aggregate.TargetME {
+			bodies = append(bodies, m.Prog)
+		}
+	}
+	return bodies
 }
