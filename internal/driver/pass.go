@@ -52,7 +52,7 @@ const (
 var factNames = [...]string{"profile", "soar", "plan", "weights", "swc_selection"}
 
 // profileFacts are the profile and the views published with it:
-// invalidating or stamping the profile invalidates or stamps them all.
+// invalidating the profile invalidates them all.
 var profileFacts = [...]FactKind{FactProfile, FactWeights, FactSWCSelection}
 
 func (k FactKind) String() string {

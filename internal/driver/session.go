@@ -6,7 +6,7 @@
 // sits in the control loop, so recompilation latency is a data-plane
 // metric, not a build step.
 //
-// Reuse is keyed three ways, all recorded when a pass executes:
+// Reuse is keyed two ways, both recorded when a pass executes:
 //
 //   - IR identity: a fingerprint (ir.Hasher) of the whole program plus
 //     every merged aggregate body, covering every field a pass can read. A
@@ -23,9 +23,9 @@
 //     changes the profile but not the view leaves the pass cached.
 //     Requires is the declared contract (enforced by the fact guard in
 //     runPass); the read log is the measured one.
-//   - Invalidation stamps: each Delta advances a sequence number and
-//     stamps the facts it declares invalid. A held result that produced a
-//     fact older than the fact's last invalidation stamp re-runs.
+//
+// One rule comes on top of the keys: a delta adds controls, which the
+// profile replays, so a held profile applies only at the delta it ran at.
 //
 // Each pipeline position holds up to keepPerPass results, most recently
 // used first, and a compile reuses the first that applies. Under churn the
@@ -35,12 +35,7 @@
 //
 // Because reuse demands identical inputs, an incremental compile is
 // bit-identical to a cold compile of the same configuration — the
-// differential tests pin this per app × level and over delta sequences. The
-// one escape hatch is deliberate: a Delta that under-declares (say,
-// invalidates only FactPlan while also adding controls) keeps the stale
-// profile by construction. That is the same trade the paper's
-// delayed-update cache makes — staleness bounded by an explicit
-// declaration — and it is opt-in per delta.
+// differential tests pin this per app × level and over delta sequences.
 package driver
 
 import (
@@ -63,13 +58,6 @@ type Delta struct {
 	// AddControls appends control calls to the session's Config.Controls
 	// (the boot-time table population the profiler replays).
 	AddControls []profiler.Control
-	// Invalidates lists the facts the delta makes stale. Nil means
-	// {FactProfile}: new control state changes the training profile, and
-	// everything derived from it re-runs as needed. Declaring less is the
-	// explicit stale-fact trade (profile reuse under churn); the
-	// invalidation-stamp machinery guarantees a fact can never be reused
-	// past its declared invalidation.
-	Invalidates []FactKind
 }
 
 // factRead records how one fact looked when a pass consulted it: absent,
@@ -156,14 +144,13 @@ type passEntry struct {
 	// reads holds, for each fact the pass consulted, the state it observed.
 	reads [numFacts]factRead
 	// produced marks facts this execution computed (including on-demand
-	// ensure computation during the requirement phase); prodSeq is the
-	// delta sequence number current at that time, key the key each was
-	// published under. The values themselves are in snap.facts.
-	produced    [numFacts]bool
-	prodSeq     [numFacts]uint64
-	key         [numFacts]any
-	invalidates []FactKind
-	snap        *snapshot
+	// ensure computation during the requirement phase), key the key each
+	// was published under. The values themselves are in snap.facts.
+	produced [numFacts]bool
+	key      [numFacts]any
+	// seq is the delta sequence number the pass executed at.
+	seq  uint64
+	snap *snapshot
 	// out is the pass's output, which a compile reusing the execution
 	// reports (the pass's own fields only: an output held from another
 	// compile says nothing of what earlier passes report in this one).
@@ -183,10 +170,13 @@ const keepPerPass = 4
 // Session is a long-lived incremental compiler for one program at one
 // configuration. It retains the fact base and a few snapshots per pass
 // across compiles; Recompile applies a policy delta and re-runs only the
-// passes whose inputs — IR, consulted fact values, or invalidation stamps —
-// match none of the held results. Not safe for concurrent use.
+// passes whose inputs — IR, consulted fact values, or the controls a profile
+// saw — match none of the held results. Not safe for concurrent use.
 type Session struct {
-	cfg      Config
+	cfg Config
+	// pipeline is built once: the fields that shape it (Level, Agg, SWC)
+	// never change after NewSession.
+	pipeline []Pass
 	base     *snapshot // pristine lowered IR, forked per compile
 	baseHash uint64
 	hasher   ir.Hasher
@@ -198,11 +188,9 @@ type Session struct {
 	// place, so a failed Recompile restores the history by restoring the
 	// outer slice.
 	entries [][]*passEntry
-	// deltaSeq numbers Delta applications; lastInval stamps each fact
-	// with the sequence of the last delta that declared it invalid.
-	deltaSeq  uint64
-	lastInval [numFacts]uint64
-	prof      profileState
+	// deltaSeq numbers Delta applications.
+	deltaSeq uint64
+	prof     profileState
 	// outs has room for the pipeline's outputs; each compile's runner
 	// reuses it, since the result copies out what it reports.
 	outs []passOut
@@ -221,15 +209,16 @@ func NewSession(prog *ir.Program, cfg Config) (*Session, error) {
 	}
 	// The session appends each delta's controls to a list of its own.
 	cfg.Controls = slices.Clone(cfg.Controls)
-	n := len(PipelineFor(cfg))
+	pipeline := PipelineFor(cfg)
 	s := &Session{
-		cfg:     cfg,
-		base:    &snapshot{prog: ir.CloneProgram(prog).Freeze()},
-		store:   newStoreCheck(cfg),
-		reg:     cfg.Metrics,
-		entries: make([][]*passEntry, n),
-		prof:    profileState{full: "cold"},
-		outs:    make([]passOut, 0, n),
+		cfg:      cfg,
+		pipeline: pipeline,
+		base:     &snapshot{prog: ir.CloneProgram(prog).Freeze()},
+		store:    newStoreCheck(cfg),
+		reg:      cfg.Metrics,
+		entries:  make([][]*passEntry, len(pipeline)),
+		prof:     profileState{full: "cold"},
+		outs:     make([]passOut, 0, len(pipeline)),
 	}
 	s.baseHash = hashState(&s.hasher, s.base.prog, nil)
 	return s, nil
@@ -246,25 +235,20 @@ func (s *Session) Config() Config {
 
 // DeltaError is a Delta a Session refused before applying it: a control it
 // adds is not one of the program's control functions or has the wrong
-// number of arguments, or it declares a fact kind that does not exist. The
-// session is left as it was.
+// number of arguments. The session is left as it was.
 type DeltaError struct {
-	// Control names the refused control call; empty when the fault is in
-	// Delta.Invalidates.
+	// Control names the refused control call.
 	Control string
 	Reason  string
 }
 
 func (e *DeltaError) Error() string {
-	if e.Control == "" {
-		return "driver: delta: " + e.Reason
-	}
 	return fmt.Sprintf("driver: delta control %q: %s", e.Control, e.Reason)
 }
 
 // checkDelta refuses a delta the session could not apply: every control
 // must name a control function of the program and pass one word per
-// parameter, and every declared fact must exist.
+// parameter.
 func (s *Session) checkDelta(d Delta) error {
 	for _, c := range d.AddControls {
 		fn := s.base.prog.Func(c.Name)
@@ -276,51 +260,28 @@ func (s *Session) checkDelta(d Delta) error {
 				Reason: fmt.Sprintf("%d arguments for %d parameters", len(c.Args), len(fn.Params))}
 		}
 	}
-	for _, k := range d.Invalidates {
-		if k < 0 || k >= numFacts {
-			return &DeltaError{Reason: fmt.Sprintf("unknown fact kind %d", int(k))}
-		}
-	}
 	return nil
-}
-
-// applyDelta mutates the session configuration and stamps the declared
-// invalidations; stamping the profile stamps its views.
-func (s *Session) applyDelta(d Delta) {
-	s.deltaSeq++
-	inv := d.Invalidates
-	if inv == nil {
-		inv = []FactKind{FactProfile}
-	}
-	for _, k := range inv {
-		s.lastInval[k] = s.deltaSeq
-		if k == FactProfile {
-			for _, v := range profileFacts {
-				s.lastInval[v] = s.deltaSeq
-			}
-		}
-	}
-	// The list is the session's own and handed out clipped, so the entries
-	// past its length are no one else's; a rollback restores the length.
-	s.cfg.Controls = append(s.cfg.Controls, d.AddControls...)
 }
 
 // Recompile applies a policy delta and compiles, reusing every held pass
 // result whose inputs match the compile's. A delta checkDelta refuses is a
 // *DeltaError; one whose compile fails (a control that faults when the
 // profiler replays it, say) is rolled back. Either way the session is left
-// as it was — configuration, stamps and history — and compiles the next
-// delta as if this one had never been offered. The kept profiler state is the
-// exception: it is dropped, and the next profile is a full one.
+// as it was — configuration, delta sequence and history — and compiles the
+// next delta as if this one had never been offered. The kept profiler state
+// is the exception: it is dropped, and the next profile is a full one.
 func (s *Session) Recompile(d Delta) (*Result, error) {
 	if err := s.checkDelta(d); err != nil {
 		return nil, err
 	}
-	cfg, seq, inval, entries := s.cfg, s.deltaSeq, s.lastInval, slices.Clone(s.entries)
-	s.applyDelta(d)
+	cfg, seq, entries := s.cfg, s.deltaSeq, slices.Clone(s.entries)
+	s.deltaSeq++
+	// The list is the session's own and handed out clipped, so the entries
+	// past its length are no one else's; a rollback restores the length.
+	s.cfg.Controls = append(s.cfg.Controls, d.AddControls...)
 	res, err := s.Compile()
 	if err != nil {
-		s.cfg, s.deltaSeq, s.lastInval, s.entries = cfg, seq, inval, entries
+		s.cfg, s.deltaSeq, s.entries = cfg, seq, entries
 		s.prof.drop("rollback")
 	}
 	return res, err
@@ -331,15 +292,11 @@ func (s *Session) Recompile(d Delta) (*Result, error) {
 // results until an input matches none, re-execute from there (with
 // post-pass IR verification exactly as a cold compile), and re-attach to
 // the history as soon as the state converges with a held one — e.g. a
-// profile-invalidating delta re-profiles, reuses the untouched
-// scalar/SOAR/PAC transforms, re-aggregates only if no held run read equal
-// weights and re-runs SWC only if none read an equal candidate selection,
-// and when both were read runs nothing else.
+// delta re-profiles, reuses the untouched scalar/SOAR/PAC transforms,
+// re-aggregates only if no held run read equal weights and re-runs SWC only
+// if none read an equal candidate selection, and when both were read runs
+// nothing else.
 func (s *Session) Compile() (*Result, error) {
-	pipeline := PipelineFor(s.cfg)
-	if len(pipeline) != len(s.entries) {
-		return nil, fmt.Errorf("session: pipeline changed size (%d != %d)", len(pipeline), len(s.entries))
-	}
 	s.checkHeld()
 	r := newRunner(nil, s.cfg)
 	r.store, r.outs = s.store, s.outs[:0]
@@ -354,9 +311,9 @@ func (s *Session) Compile() (*Result, error) {
 	cur, curHash := s.base, s.baseHash
 	materialized, reused := false, false
 
-	for i, p := range pipeline {
+	for i, p := range s.pipeline {
 		held := s.entries[i]
-		hit, why := s.lookup(held, p.Name(), curHash, &live)
+		hit, why := s.lookup(held, curHash, &live)
 		if hit >= 0 {
 			old := held[hit]
 			if hit > 0 {
@@ -367,7 +324,7 @@ func (s *Session) Compile() (*Result, error) {
 				s.checkCutoff(p, old, cur, &live)
 			}
 			// Skip: replay the held result's effects.
-			live.replay(old)
+			live.replay(old, p.Invalidates())
 			r.outs = append(r.outs, old.out.skipped())
 			cur, curHash, materialized = old.snap, old.outputHash, false
 			s.reg.Counter(metrics.PassSkips(old.out.row.Pass)).Inc()
@@ -384,23 +341,22 @@ func (s *Session) Compile() (*Result, error) {
 
 		pre := live
 		ctx.factReads = [numFacts]bool{}
-		s.prof.in = curHash
 
 		if err := r.runPass(p); err != nil {
 			return nil, err
 		}
 
 		ent := &passEntry{
-			inputHash:   curHash,
-			outputHash:  hashState(&s.hasher, ctx.Prog, ctx.Merged),
-			invalidates: p.Invalidates(),
-			out:         r.outs[len(r.outs)-1],
+			inputHash:  curHash,
+			outputHash: hashState(&s.hasher, ctx.Prog, ctx.Merged),
+			seq:        s.deltaSeq,
+			out:        r.outs[len(r.outs)-1],
 		}
 		live.facts = ctx.facts
 		for k := FactKind(0); k < numFacts; k++ {
 			val := factVal(&live.facts, k)
 			if live.valid[k] && (!pre.valid[k] || val != factVal(&pre.facts, k)) {
-				ent.produced[k], ent.prodSeq[k] = true, s.deltaSeq
+				ent.produced[k] = true
 				live.key[k] = val
 			} else if ctx.factReads[k] {
 				ent.reads[k] = factRead{read: true, valid: pre.valid[k], key: pre.key[k], val: factVal(&pre.facts, k)}
@@ -444,19 +400,17 @@ func (s *Session) Compile() (*Result, error) {
 }
 
 // profileState is the profiler state a Session keeps between compiles: a
-// profiler.Incremental, keyed by the fingerprint of the IR it profiles and,
-// inside it, by the number of controls it has applied (Config.Controls only
-// grows; a rolled-back Recompile, which shrinks it, drops the state). A
-// profile on other IR, a failed profile and a rollback all drop it, and
-// the next profile is a full one that keeps a new state. The session's
-// first profile is a plain ProfileWithControls that keeps none, so that a
-// session that never recompiles pays nothing for the state.
+// profiler.Incremental, keyed by the number of controls it has applied
+// (Config.Controls only grows; a rolled-back Recompile, which shrinks it,
+// drops the state). It needs no key for the IR: the profile pass is the
+// pipeline's first, so it always profiles the session's base. A failed
+// profile and a rollback drop the state, and the next profile is a full one
+// that keeps a new state. The session's first profile is a plain
+// ProfileWithControls that keeps none, so that a session that never
+// recompiles pays nothing for the state.
 type profileState struct {
 	inc *profiler.Incremental
-	fp  uint64 // the fingerprint of the IR inc profiles
-	// in is the fingerprint of the IR the profile pass is about to run on,
-	// seq the delta sequence number, both set by Compile.
-	in, seq uint64
+	seq uint64 // the delta sequence number, set by Compile
 	// full says why the next profile is a full one while inc is nil (the
 	// reason label of metrics.ProfileFull); keep, whether it keeps a state.
 	full string
@@ -471,15 +425,12 @@ func (ps *profileState) drop(why string) {
 }
 
 // profile is the profile pass's profile in a Session: incremental on the
-// kept state when there is one for this IR, and otherwise a full one that
-// keeps a new state. Every decision is recorded in the session's registry.
-// Under `go test` every profile is also checked against a full
+// kept state when there is one, and otherwise a full one that keeps a new
+// state. Every decision is recorded in the session's registry. Under
+// `go test` every profile is also checked against a full
 // ProfileWithControls.
 func (ps *profileState) profile(ctx *Context) (*profiler.Stats, error) {
 	cfg := &ctx.Cfg
-	if ps.inc != nil && ps.fp != ps.in {
-		ps.drop("ir")
-	}
 	var st *profiler.Stats
 	var err error
 	switch {
@@ -499,7 +450,6 @@ func (ps *profileState) profile(ctx *Context) (*profiler.Stats, error) {
 			ps.full = "error"
 			return nil, err
 		}
-		ps.fp = ps.in
 	default:
 		if st, err = ps.inc.Profile(cfg.Controls); err != nil {
 			ps.drop("error")
@@ -548,10 +498,10 @@ func (s *Session) checkHeld() {
 // lookup returns the index of the first held result that applies at the
 // current walk state, or -1 and why the pass has to run: "cold" when
 // nothing is held, else the reason the most recent result does not apply.
-func (s *Session) lookup(held []*passEntry, name string, curHash uint64, live *factState) (int, string) {
+func (s *Session) lookup(held []*passEntry, curHash uint64, live *factState) (int, string) {
 	why := "cold"
 	for j, ent := range held {
-		r := s.rerunReason(ent, name, curHash, live)
+		r := s.rerunReason(ent, curHash, live)
 		if r == "" {
 			return j, ""
 		}
@@ -564,13 +514,10 @@ func (s *Session) lookup(held []*passEntry, name string, curHash uint64, live *f
 
 // rerunReason decides whether a held pass execution applies at the current
 // walk state — identical input IR, the consulted facts under the keys it
-// saw, and no produced fact invalidated by a later delta — and returns ""
-// when it does, else why the pass has to run (the reason label of
+// saw, and, for a profile, no delta since it ran — and returns "" when it
+// does, else why the pass has to run (the reason label of
 // metrics.PassRerun).
-func (s *Session) rerunReason(ent *passEntry, name string, curHash uint64, live *factState) string {
-	if ent.out.row.Pass != name {
-		return "cold"
-	}
+func (s *Session) rerunReason(ent *passEntry, curHash uint64, live *factState) string {
 	if ent.inputHash != curHash {
 		return "ir"
 	}
@@ -579,10 +526,8 @@ func (s *Session) rerunReason(ent *passEntry, name string, curHash uint64, live 
 			return "fact_" + FactKind(k).String()
 		}
 	}
-	for k := FactKind(0); k < numFacts; k++ {
-		if ent.produced[k] && ent.prodSeq[k] < s.lastInval[k] {
-			return "stamp"
-		}
+	if ent.produced[FactProfile] && ent.seq < s.deltaSeq {
+		return "controls"
 	}
 	return ""
 }
@@ -633,9 +578,9 @@ func promote(held []*passEntry, ent *passEntry, drop int) []*passEntry {
 }
 
 // replay applies a held pass's fact-base effects to the walk state:
-// produced facts install their cached values and keys, declared
-// invalidations drop theirs, and everything else is untouched.
-func (live *factState) replay(ent *passEntry) {
+// produced facts install their cached values and keys, the facts its pass
+// invalidates drop theirs, and everything else is untouched.
+func (live *factState) replay(ent *passEntry, invalidates []FactKind) {
 	after := &ent.snap.facts
 	for k := FactKind(0); k < numFacts; k++ {
 		if !ent.produced[k] {
@@ -656,7 +601,7 @@ func (live *factState) replay(ent *passEntry) {
 			live.plan, live.classes = after.plan, after.classes
 		}
 	}
-	for _, k := range ent.invalidates {
+	for _, k := range invalidates {
 		live.valid[k] = false
 	}
 }

@@ -158,9 +158,9 @@ func TestHashStateAllocFree(t *testing.T) {
 
 // TestProfileFallbacks: a session's first two profiles are full ones (the
 // first keeps no profiler state, the second keeps it); the kept state is
-// dropped by a rolled-back Recompile and by a profile on other IR, and the
-// next profile is a full one, counted under that reason; otherwise a re-run
-// profile is incremental. (A failed profile is TestSessionDecisionRecords'.)
+// dropped by a rolled-back Recompile, and the next profile is a full one,
+// counted under that reason; otherwise a re-run profile is incremental. (A
+// failed profile is TestSessionDecisionRecords'.)
 func TestProfileFallbacks(t *testing.T) {
 	prog := lowerTestProg(t)
 	trace := []*packet.Packet{packet.New(make([]byte, 64), prog.Types.Metadata.Bytes)}
@@ -171,15 +171,14 @@ func TestProfileFallbacks(t *testing.T) {
 	if _, err := s.Compile(); err != nil {
 		t.Fatal(err)
 	}
-	restamp := Delta{Invalidates: []FactKind{FactProfile}}
 	full := func(want map[string]int64) {
 		t.Helper()
-		res, err := s.Recompile(restamp)
+		res, err := s.Recompile(Delta{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := res.Report.Metrics.Counters
-		for _, why := range []string{"cold", "ir", "error", "rollback"} {
+		for _, why := range []string{"cold", "error", "rollback"} {
 			if n := c[metrics.ProfileFull(why).String()]; n != want[why] {
 				t.Errorf("%d full profiles for %s, want %d", n, why, want[why])
 			}
@@ -189,16 +188,13 @@ func TestProfileFallbacks(t *testing.T) {
 	full(map[string]int64{"cold": 2})
 
 	// A dump that cannot be written fails the compile after the profile ran.
-	s.cfg.DumpPass, s.cfg.DumpDir = "aggregate", "/dev/null/dump"
-	if _, err := s.Recompile(Delta{Invalidates: []FactKind{FactProfile, FactPlan}}); err == nil {
+	s.cfg.DumpPass, s.cfg.DumpDir = "profile", "/dev/null/dump"
+	if _, err := s.Recompile(Delta{}); err == nil {
 		t.Fatal("an unwritable dump did not fail the recompile")
 	}
 	s.cfg.DumpPass, s.cfg.DumpDir = "", ""
 	full(map[string]int64{"cold": 2, "rollback": 1})
-
-	s.prof.fp ^= 1 // as if the state were kept for another program
-	full(map[string]int64{"cold": 2, "rollback": 1, "ir": 1})
-	full(map[string]int64{"cold": 2, "rollback": 1, "ir": 1})
+	full(map[string]int64{"cold": 2, "rollback": 1})
 }
 
 // TestProfileCheckNamesDeltaAndCount: the test-time check of a Session's

@@ -196,40 +196,6 @@ func TestSessionFullCacheHit(t *testing.T) {
 	}
 }
 
-// TestSessionFactPlanOnlyDelta pins the invalidation semantics: a delta
-// declaring only FactPlan stale must skip the profile and scalar/SOAR/PAC
-// passes (their facts and IR inputs are untouched) while re-running
-// aggregation and everything downstream of the fresh plan.
-func TestSessionFactPlanOnlyDelta(t *testing.T) {
-	a := apps.L3Switch()
-	s := newSessionFor(t, a, driver.LevelSWC)
-	if _, err := s.Compile(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Recompile(driver.Delta{Invalidates: []driver.FactKind{driver.FactPlan}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	skipped := map[string]bool{}
-	for _, pt := range res.Report.Passes {
-		if pt.Skipped {
-			skipped[pt.Pass] = true
-		}
-	}
-	// The profile and the scalar/SOAR/PAC transforms are untouched by a
-	// plan-only invalidation; aggregation itself must re-run. (Passes
-	// downstream of aggregation may be legitimately reused again once the
-	// rebuilt plan converges to bit-identical IR.)
-	for _, want := range []string{"profile", "inline+scalar", "soar", "pac"} {
-		if !skipped[want] {
-			t.Errorf("pass %q re-ran on a FactPlan-only delta", want)
-		}
-	}
-	if skipped["aggregate"] {
-		t.Error("aggregate pass reused despite its produced fact being invalidated")
-	}
-}
-
 // executedPasses names the passes of one compile that ran, in order.
 func executedPasses(res *driver.Result) string {
 	var names []string
@@ -321,8 +287,8 @@ func modelPromote[E any](held []E, e E, drop int) []E {
 	return next
 }
 
-// profileModel models the profile position, which runs after every default
-// delta: each of its views takes the key of an equal view some held profile
+// profileModel models the profile position, which runs after every delta:
+// each of its views takes the key of an equal view some held profile
 // published, or a fresh one, and an execution replaces a held one only
 // when the whole profile is equal.
 type profileModel struct{ held []profileEntry }
@@ -404,11 +370,11 @@ func (m *sessionModel) step(res *driver.Result) string {
 }
 
 // TestSessionProfileDeltaReattaches pins both sides of the early cut-off
-// after a default (profile-invalidating) delta, against every result the
-// session still holds. The profiler re-runs; its readers re-run only when
-// the view each reads matches no held run's — aggregation when the
-// profile's weights do not, SWC when its candidate selection does not —
-// and the scalar/SOAR/PAC transforms never do. A re-run that reproduces a
+// after a delta, against every result the session still holds. The
+// profiler re-runs; its readers re-run only when the view each reads
+// matches no held run's — aggregation when the profile's weights do not,
+// SWC when its candidate selection does not — and the scalar/SOAR/PAC
+// transforms never do. A re-run that reproduces a
 // held run's output takes that run's keys, so the held results after it
 // apply again: a plan whose decisions a held plan made reuses the merged
 // programs and everything after them, or everything when aggregation's
@@ -509,7 +475,7 @@ func TestSessionDecisionRecords(t *testing.T) {
 	for _, want := range []struct {
 		pass, reason string
 	}{
-		{"profile", "stamp"},          // the delta declared its fact stale
+		{"profile", "controls"},       // the delta added a control
 		{"aggregate", "fact_weights"}, // it reads the new weights
 		{"swc", "fact_swc_selection"}, // and it the new selection
 	} {
@@ -530,18 +496,18 @@ func TestSessionDecisionRecords(t *testing.T) {
 		t.Errorf("%d cold full profiles after the first recompile, want 2", n)
 	}
 
-	// A plan-only invalidation re-runs aggregation on its stamp, and an
-	// unchanged plan cuts everything after it off.
-	res, err = s.Recompile(driver.Delta{Invalidates: []driver.FactKind{driver.FactPlan}})
+	// A delta that adds no control re-runs the profile, which reproduces
+	// the held one: the cut-off skips every later pass.
+	res, err = s.Recompile(driver.Delta{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	counters = res.Report.Metrics.Counters
-	if n := counters[metrics.PassRerun("aggregate", "stamp").String()]; n != 1 {
-		t.Errorf("aggregate re-ran on a stamp %d times, want 1", n)
+	if n := counters[metrics.PassRerun("profile", "controls").String()]; n != 2 {
+		t.Errorf("profile re-ran on new controls %d times, want 2", n)
 	}
-	if got := executedPasses(res); got != "aggregate" {
-		t.Errorf("plan-only invalidation executed %q, want only aggregate", got)
+	if got := executedPasses(res); got != "profile" {
+		t.Errorf("an empty delta executed %q, want only profile", got)
 	}
 
 	// A control that faults when the profile replays it fails the
@@ -559,18 +525,23 @@ func TestSessionDecisionRecords(t *testing.T) {
 		t.Errorf("after a failed profile: %d full profiles for an error, want 1", n)
 	}
 	// From there the profile is incremental: a rule rewritten in place
-	// reaches only the packets whose scan gets that far.
+	// reaches only the packets whose scan gets that far. (The counters
+	// also hold the empty delta's incremental profile.)
+	packets := func(k metrics.Key) int64 { return counters[k.String()] }
+	again, reused, checked := packets(metrics.ProfilePacketsReinterpreted), packets(metrics.ProfilePacketsReused),
+		packets(metrics.ProfilePacketsChecked)
 	res, err = s.Recompile(driver.Delta{AddControls: []profiler.Control{{Name: "firewall.add_rule",
 		Args: []uint32{5, 0x0a000000, 0xff000000, 0, 0, 0, 0xffff, 443, 443, 6, 1, 2}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	counters = res.Report.Metrics.Counters
-	again, reused := counters[metrics.ProfilePacketsReinterpreted.String()], counters[metrics.ProfilePacketsReused.String()]
+	again, reused, checked = packets(metrics.ProfilePacketsReinterpreted)-again, packets(metrics.ProfilePacketsReused)-reused,
+		packets(metrics.ProfilePacketsChecked)-checked
 	if again == 0 || reused == 0 || again+reused != 256 {
 		t.Errorf("rewriting a rule re-interpreted %d and skipped %d of 256 packets, want some of each", again, reused)
 	}
-	if checked := counters[metrics.ProfilePacketsChecked.String()]; checked < again || checked > 256 {
+	if checked < again || checked > 256 {
 		t.Errorf("rewriting a rule checked %d packets, re-interpreting %d: want at least those and at most 256", checked, again)
 	}
 	if n := counters[metrics.SessionHistoryHits.String()]; n != 0 {
@@ -768,7 +739,7 @@ func TestSessionHistoryBound(t *testing.T) {
 
 // TestBadDeltaLeavesSession: a delta the session refuses — an unknown
 // control, a function that is not a control, a control with the wrong
-// number of arguments, an unknown fact kind — is a *DeltaError naming what
+// number of arguments — is a *DeltaError naming what
 // it refused, and a delta whose control faults when the profiler replays it
 // fails with the profiler's error, prefixed once. Either way the session is
 // left as it was — after a history hit too, its history in the order the
@@ -793,7 +764,6 @@ func TestBadDeltaLeavesSession(t *testing.T) {
 		{ctl("no_such_control"), "no_such_control"},
 		{ctl("l3switch.l2_clsfr", 0), "l3switch.l2_clsfr"},
 		{ctl("l3switch.add_route", 0x0b000000, 8), "l3switch.add_route"},
-		{driver.Delta{Invalidates: []driver.FactKind{99}}, ""},
 	} {
 		_, err := s.Recompile(c.d)
 		var de *driver.DeltaError

@@ -72,7 +72,7 @@ func TestOfferedLoadAccuracy(t *testing.T) {
 func TestLatencyRecorded(t *testing.T) {
 	m := runLoop(t, 1)
 	st := m.Snapshot()
-	lat := m.LatencySnapshot()
+	lat := m.Observer().Latency()
 	if lat.Count == 0 || lat.Count != st.TxPackets {
 		t.Fatalf("latency samples %d, want one per transmitted packet (%d)",
 			lat.Count, st.TxPackets)
@@ -83,13 +83,13 @@ func TestLatencyRecorded(t *testing.T) {
 	// Reset discards the window's samples but keeps in-flight stamps:
 	// continuing the run keeps producing samples.
 	m.ResetStats()
-	if m.LatencySnapshot().Count != 0 {
+	if m.Observer().Latency().Count != 0 {
 		t.Error("latency histogram survived ResetStats")
 	}
 	if err := m.Run(100_000); err != nil {
 		t.Fatal(err)
 	}
-	if m.LatencySnapshot().Count == 0 {
+	if m.Observer().Latency().Count == 0 {
 		t.Error("no latency samples after warm-up reset")
 	}
 }

@@ -1444,36 +1444,6 @@ func (m *Machine) Snapshot() Stats {
 	return s
 }
 
-// NoteRxPacket counts one received packet.
-//
-// Deprecated: use Observer().RxPacket — the Note* family moved onto the
-// Observer surface; this shim lasts one release.
-func (m *Machine) NoteRxPacket(id uint32, frameBytes int) { m.Observer().RxPacket(id, frameBytes) }
-
-// NoteRxDropped counts one saturation loss at the Rx ring.
-//
-// Deprecated: use Observer().RxDrop.
-func (m *Machine) NoteRxDropped(frameBytes int) { m.Observer().RxDrop(frameBytes) }
-
-// NoteFreedPacket counts one dropped-or-recycled packet.
-//
-// Deprecated: use Observer().PacketFreed.
-func (m *Machine) NoteFreedPacket(id uint32) { m.Observer().PacketFreed(id) }
-
-// LatencySnapshot summarizes the Rx→Tx latency (in core cycles) of every
-// packet transmitted since the last stats reset.
-//
-// Deprecated: use Observer().Latency.
-func (m *Machine) LatencySnapshot() metrics.HistogramSnapshot {
-	return m.Observer().Latency()
-}
-
-// RingMaxOcc returns each ring's high-water occupancy since the last
-// stats reset, indexed by ring number.
-//
-// Deprecated: use Observer().RingMaxOcc.
-func (m *Machine) RingMaxOcc() []int { return m.Observer().RingMaxOcc() }
-
 // SetPC places a thread at an absolute entry point (the runtime uses this
 // to split one ME's threads across pipeline stages when fewer MEs than
 // stages are enabled).

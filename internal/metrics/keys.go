@@ -65,7 +65,7 @@ func PassSkips(pass string) Key { return Key("compile.pass." + pass + ".skips") 
 // changed), "fact_<fact>" (a fact the pass reads changed: "fact_soar",
 // "fact_plan", "fact_profile", or one of the profile's views,
 // "fact_weights" for aggregation and "fact_swc_selection" for SWC) or
-// "stamp" (a delta declared a fact the pass produces stale).
+// "controls" (a profile held from before the latest delta's controls).
 func PassRerun(pass, reason string) Key { return Key("compile.pass." + pass + ".rerun." + reason) }
 
 // Session-level incremental-compilation counters: total compiles executed
@@ -92,9 +92,8 @@ const (
 )
 
 // ProfileFull counts the times a driver.Session profiled in full instead of
-// incrementally, for one reason: "cold" (nothing kept yet), "ir" (the IR
-// entering the profile pass changed), "error" (a profile failed) or
-// "rollback" (a failed Recompile was undone).
+// incrementally, for one reason: "cold" (nothing kept yet), "error" (a
+// profile failed) or "rollback" (a failed Recompile was undone).
 func ProfileFull(reason string) Key { return Key("compile.profile.full." + reason) }
 
 // StallShareKey is the per-category stall-share gauge family exported from
