@@ -189,16 +189,11 @@ func (b *builder) run() (*Plan, error) {
 		return nil, fmt.Errorf("aggregate: profile contains no packets")
 	}
 	for _, fn := range b.prog.PPFs() {
-		fs := b.weights.Funcs[fn.Name]
-		weight := 0.0
-		if fs != nil {
-			weight = float64(fs.Invocations) / total
-		}
 		a := &Aggregate{
 			ID:     len(aggs),
 			PPFs:   []string{fn.Name},
 			Dup:    1,
-			Weight: weight,
+			Weight: float64(b.funcStats(fn.Name).Invocations) / total,
 		}
 		aggs = append(aggs, a)
 	}
@@ -325,8 +320,8 @@ func (b *builder) refresh(a *Aggregate, all []*Aggregate) {
 	}
 	cost := 0.0
 	for _, f := range a.PPFs {
-		fs := b.weights.Funcs[f]
-		if fs == nil || fs.Invocations == 0 {
+		fs := b.funcStats(f)
+		if fs.Invocations == 0 {
 			continue
 		}
 		w := float64(fs.Invocations) / total
@@ -334,13 +329,13 @@ func (b *builder) refresh(a *Aggregate, all []*Aggregate) {
 	}
 	// Channel overhead: every message on a channel crossing the aggregate
 	// boundary costs ChannelCost (half attributed to each side, so a
-	// merge of producer and consumer removes the full cost).
-	for chName, msgs := range b.weights.Chans {
-		ch := b.prog.Types.Channels[chName]
-		if ch == nil {
+	// merge of producer and consumer removes the full cost). Channels are
+	// summed in ID order, so a cost has one rounding.
+	for id, msgs := range b.weights.Chans {
+		if msgs == 0 {
 			continue
 		}
-		producerIn, consumerIn := b.chanEndsIn(ch, member)
+		producerIn, consumerIn := b.chanEndsIn(b.prog.Types.ChanByID[id], member)
 		w := float64(msgs) / total
 		if producerIn != consumerIn {
 			cost += w * b.cfg.ChannelCost
@@ -356,6 +351,15 @@ func (b *builder) refresh(a *Aggregate, all []*Aggregate) {
 		size += b.codeSizeWithHelpers(f, seen)
 	}
 	a.CodeSize = size
+}
+
+// funcStats returns the named function's profiled counts, zero for one the
+// profile did not run.
+func (b *builder) funcStats(name string) profiler.FuncStats {
+	if i := b.prog.Index(name); i >= 0 && i < len(b.weights.Funcs) {
+		return b.weights.Funcs[i]
+	}
+	return profiler.FuncStats{}
 }
 
 // chanEndsIn reports whether ch's producers / consumer lie in the member
@@ -459,9 +463,9 @@ func (b *builder) formPairs(aggs []*Aggregate) []pair {
 	}
 	total := float64(b.weights.Packets)
 	costs := map[[2]*Aggregate]float64{}
-	for chName, msgs := range b.weights.Chans {
-		ch := b.prog.Types.Channels[chName]
-		if ch == nil || ch.Consumer == "tx" {
+	for id, msgs := range b.weights.Chans {
+		ch := b.prog.Types.ChanByID[id]
+		if msgs == 0 || ch.Consumer == "tx" {
 			continue
 		}
 		cons := idx[ch.Consumer]
@@ -490,7 +494,10 @@ func (b *builder) formPairs(aggs []*Aggregate) []pair {
 		if pairs[i].chanCost != pairs[j].chanCost {
 			return pairs[i].chanCost > pairs[j].chanCost
 		}
-		return pairs[i].a.ID < pairs[j].a.ID // determinism
+		if pairs[i].a.ID != pairs[j].a.ID {
+			return pairs[i].a.ID < pairs[j].a.ID
+		}
+		return pairs[i].b.ID < pairs[j].b.ID
 	})
 	return pairs
 }

@@ -1,10 +1,14 @@
 package aggregate_test
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"shangrila/internal/aggregate"
 	"shangrila/internal/baker/types"
+	"shangrila/internal/bakergen"
+	"shangrila/internal/driver"
 	"shangrila/internal/ir"
 	"shangrila/internal/packet"
 	"shangrila/internal/profiler"
@@ -156,6 +160,39 @@ func TestPlanMergesHotPathAndOffloadsARP(t *testing.T) {
 	}
 	if plan.Replicas != 6 {
 		t.Errorf("replicas = %d, want 6 (whole pipeline fits one ME)", plan.Replicas)
+	}
+}
+
+// TestBuildDeterministic: Build sums channel costs in one fixed order, so
+// one set of weights gives one plan with the same Cost bits on every call.
+// Generated program 58 over a 100-packet trace has aggregate costs whose
+// float sums round differently in different orders.
+func TestBuildDeterministic(t *testing.T) {
+	a := bakergen.NewSpec(58).Build()
+	prog, err := driver.LowerSource(a.Name+".baker", a.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := profiler.ProfileWithControls(prog, a.Trace(prog.Types, 1, 100), a.Controls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	var wantBits []uint64
+	for i := 0; i < 50; i++ {
+		plan, err := aggregate.Build(prog, &stats.Weights, aggregate.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bits []uint64
+		for _, ag := range plan.Aggregates {
+			bits = append(bits, math.Float64bits(ag.Cost))
+		}
+		if i == 0 {
+			want, wantBits = plan.String(), bits
+		} else if got := plan.String(); got != want || !slices.Equal(bits, wantBits) {
+			t.Fatalf("call %d: plan\n%s(cost bits %x), first call\n%s(cost bits %x)", i, got, bits, want, wantBits)
+		}
 	}
 }
 

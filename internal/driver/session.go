@@ -475,7 +475,7 @@ func checkProfile(ctx *Context, st *profiler.Stats, seq uint64) {
 		panic(fmt.Sprintf("driver: the session profiled delta %d, a full profile fails: %v", seq, err))
 	}
 	if !st.Equal(full) {
-		panic(fmt.Sprintf("driver: the session's profile after delta %d differs from a full profile in %s", seq, st.Diff(full)))
+		panic(fmt.Sprintf("driver: the session's profile after delta %d differs from a full profile in %s", seq, st.Diff(ctx.Prog, full)))
 	}
 }
 

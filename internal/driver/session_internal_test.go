@@ -209,7 +209,7 @@ func TestProfileCheckNamesDeltaAndCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkProfile(ctx, st, 7)
-	st.Globals["m.counter"].Writes++
+	st.Globals[prog.Types.Globals["m.counter"].ID].Writes++
 	var caught string
 	func() {
 		defer func() { caught = fmt.Sprint(recover()) }()

@@ -329,15 +329,15 @@ type Program struct {
 
 // Func returns the named function or nil.
 func (p *Program) Func(name string) *Func {
-	if i := p.find(name); i >= 0 {
+	if i := p.Index(name); i >= 0 {
 		return p.Funcs[i]
 	}
 	return nil
 }
 
-// find returns the position of the named function in Funcs, or -1. A
+// Index returns the position of the named function in Funcs, or -1. A
 // program has about ten functions, so a scan costs no more than a map.
-func (p *Program) find(name string) int {
+func (p *Program) Index(name string) int {
 	for i, f := range p.Funcs {
 		if f.Name == name {
 			return i

@@ -51,7 +51,7 @@ func (p *Program) Freeze() *Program {
 // frozen function can rewrite it in the copy by index. Nil when p has no
 // such function.
 func (p *Program) Edit(name string) *Func {
-	i := p.find(name)
+	i := p.Index(name)
 	if i < 0 {
 		return nil
 	}

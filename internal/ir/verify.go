@@ -57,7 +57,7 @@ func Verify(p *Program) error {
 			return &VerifyError{Func: fmt.Sprintf("Funcs[%d]", i), Block: -1, Instr: -1,
 				Msg: "nil function"}
 		}
-		if j := p.find(fn.Name); j != i {
+		if j := p.Index(fn.Name); j != i {
 			return &VerifyError{Func: fn.Name, Block: -1, Instr: -1,
 				Msg: fmt.Sprintf("two functions named %s, at Funcs[%d] and Funcs[%d]", fn.Name, j, i)}
 		}

@@ -129,8 +129,13 @@ type Stats struct {
 	StoresTagged int
 }
 
-// SelectCandidates picks cacheable globals from profile statistics.
+// SelectCandidates picks cacheable globals from profile statistics, in name
+// order (which orders the globals Apply synthesizes). A global the profile
+// never saw accessed is never a candidate.
 func SelectCandidates(prog *ir.Program, stats *profiler.Stats, cfg Config) []*Candidate {
+	if stats.Packets == 0 {
+		return nil
+	}
 	var names []string
 	for name := range prog.Types.Globals {
 		names = append(names, name)
@@ -142,8 +147,8 @@ func SelectCandidates(prog *ir.Program, stats *profiler.Stats, cfg Config) []*Ca
 		if g.Synthetic {
 			continue
 		}
-		gs := stats.Globals[name]
-		if gs == nil || stats.Packets == 0 {
+		gs := &stats.Globals[g.ID]
+		if gs.Reads+gs.Writes == 0 {
 			continue
 		}
 		reads := float64(gs.Reads) / float64(stats.Packets)

@@ -217,3 +217,34 @@ func TestSyntheticGlobalsRegistered(t *testing.T) {
 		t.Errorf("counter global wrong: %+v", cnt)
 	}
 }
+
+// TestUntouchedGlobalNeverCandidate: with no floor on reads per packet or
+// on the hit rate, a global the trace read is a candidate and one it never
+// touched is not, though it has no writes, no lock and no reads to fail a
+// ratio.
+func TestUntouchedGlobalNeverCandidate(t *testing.T) {
+	prog := testutil.BuildIR(t, `
+protocol ether { dst_hi:16; dst_lo:32; src_hi:16; src_lo:32; type:16; demux { 14 }; }
+metadata { rx_port:16; next_hop:16; }
+module app {
+	uint hot[4];
+	uint unused[4];
+	channel out : ether;
+	ppf fwd(ether ph) { ph->meta.next_hop = hot[ph->dst_lo & 3]; channel_put(out, ph); }
+	wiring { rx -> fwd; out -> tx; }
+}`)
+	stats, err := profiler.Profile(prog, gen(prog.Types))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := swc.DefaultConfig()
+	cfg.MinReadsPerPacket, cfg.MinHitRate = 0, 0
+	cands := swc.SelectCandidates(prog, stats, cfg)
+	if len(cands) != 1 || cands[0].Global.Name != "app.hot" {
+		var names []string
+		for _, c := range cands {
+			names = append(names, c.Global.Name)
+		}
+		t.Errorf("candidates %v, want [app.hot]", names)
+	}
+}

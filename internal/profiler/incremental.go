@@ -143,7 +143,7 @@ func (in *Incremental) profile(controls []Control, all bool) (*Stats, error) {
 		in.rec.end(work, x, i)
 		in.Reinterpreted++
 	}
-	st := newStats()
+	st := &Stats{}
 	st.Packets, st.Forwarded, st.Dropped = work.stats.Packets, work.stats.Forwarded, work.stats.Dropped
 	work.assemble(st)
 	return st, nil

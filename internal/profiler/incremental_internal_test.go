@@ -73,7 +73,7 @@ module m {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Fatalf("mode %d: the incremental profile differs from a full one in %s", step.mode, got.Diff(want))
+			t.Fatalf("mode %d: the incremental profile differs from a full one in %s", step.mode, got.Diff(prog, want))
 		}
 		if in.Reinterpreted != step.again || in.Checked != step.checked {
 			t.Errorf("mode %d: %d packets interpreted again and %d checked, want %d and %d",

@@ -81,13 +81,13 @@ func incrementalMatchesFull(t *testing.T, seed uint64, steer bool) (again int) {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Fatalf("%s (steered %v), delta %d: the incremental profile differs from a full one in %s", a.Name, steer, d, got.Diff(want))
+			t.Fatalf("%s (steered %v), delta %d: the incremental profile differs from a full one in %s", a.Name, steer, d, got.Diff(prog, want))
 		}
 		if d == 40 {
 			break
 		}
 		var unread []uint32
-		if gs := got.Globals["fz.tbl"]; gs != nil {
+		if gs := got.Globals[prog.Types.Globals["fz.tbl"].ID]; gs.LineReads != nil {
 			for i := range table {
 				if gs.LineReads[uint32(i)*4/profiler.CacheLineBytes] == 0 {
 					unread = append(unread, uint32(i))

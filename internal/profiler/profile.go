@@ -1,9 +1,9 @@
 package profiler
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 
 	"shangrila/internal/baker/types"
@@ -76,9 +76,9 @@ type FuncStats struct {
 // carried. It is all aggregation reads, so two profiles with equal Weights
 // aggregate alike.
 type Weights struct {
-	Packets uint64 // trace packets injected
-	Funcs   map[string]*FuncStats
-	Chans   map[string]uint64 // messages per channel
+	Packets uint64      // trace packets injected
+	Funcs   []FuncStats // by position in ir.Program.Funcs
+	Chans   []uint64    // messages, by Channel.ID
 }
 
 // Stats is the Functional profiler's output, consumed by the IPA/global
@@ -88,38 +88,29 @@ type Stats struct {
 	Weights
 	Forwarded uint64 // packets reaching tx
 	Dropped   uint64
-	Globals   map[string]*GlobalStats
-}
-
-// InstrsPerPacket returns fn's average executed instructions per
-// invocation.
-func (w *Weights) InstrsPerPacket(fn string) float64 {
-	fs := w.Funcs[fn]
-	if fs == nil || fs.Invocations == 0 {
-		return 0
-	}
-	return float64(fs.Instrs) / float64(fs.Invocations)
+	// Globals is by Global.ID, one entry per declared global: the synthetic
+	// globals SWC adds after them have none.
+	Globals []GlobalStats
 }
 
 // Equal reports whether two weights hold the same counts.
 func (w *Weights) Equal(v *Weights) bool {
-	return w.Packets == v.Packets && maps.Equal(w.Chans, v.Chans) &&
-		maps.EqualFunc(w.Funcs, v.Funcs, func(a, b *FuncStats) bool { return *a == *b })
+	return w.Packets == v.Packets && slices.Equal(w.Chans, v.Chans) && slices.Equal(w.Funcs, v.Funcs)
 }
 
 // Equal reports whether two profiles hold the same counts.
 func (s *Stats) Equal(t *Stats) bool {
 	return s.Weights.Equal(&t.Weights) && s.Forwarded == t.Forwarded && s.Dropped == t.Dropped &&
-		maps.EqualFunc(s.Globals, t.Globals, func(a, b *GlobalStats) bool {
+		slices.EqualFunc(s.Globals, t.Globals, func(a, b GlobalStats) bool {
 			return a.Reads == b.Reads && a.Writes == b.Writes && a.InCritical == b.InCritical &&
 				maps.Equal(a.LineReads, b.LineReads)
 		})
 }
 
-// Diff names the first count in which two profiles differ, "" when they are
-// Equal: the packet counts, then channels, functions and globals in name
-// order.
-func (s *Stats) Diff(t *Stats) string {
+// Diff names the first count in which two profiles of prog differ, "" when
+// they are Equal: the packet counts, then channels, functions and globals
+// in position order.
+func (s *Stats) Diff(prog *ir.Program, t *Stats) string {
 	switch {
 	case s.Packets != t.Packets:
 		return "Packets"
@@ -127,61 +118,55 @@ func (s *Stats) Diff(t *Stats) string {
 		return "Forwarded"
 	case s.Dropped != t.Dropped:
 		return "Dropped"
+	case len(s.Chans) != len(t.Chans) || len(s.Funcs) != len(t.Funcs) || len(s.Globals) != len(t.Globals):
+		return fmt.Sprintf("the number of channels, functions or globals (%d/%d/%d, %d/%d/%d)",
+			len(s.Chans), len(s.Funcs), len(s.Globals), len(t.Chans), len(t.Funcs), len(t.Globals))
 	}
-	for _, name := range unionKeys(s.Chans, t.Chans) {
-		if s.Chans[name] != t.Chans[name] {
-			return "Chans[" + name + "]"
+	for id, n := range s.Chans {
+		if n != t.Chans[id] {
+			return "Chans[" + prog.Types.ChanByID[id].Name + "]"
 		}
 	}
-	for _, name := range unionKeys(s.Funcs, t.Funcs) {
-		a, b := s.Funcs[name], t.Funcs[name]
-		switch {
-		case a == nil || b == nil:
-			return "Funcs[" + name + "]"
-		case *a != *b:
-			return fmt.Sprintf("Funcs[%s] (%+v, %+v)", name, *a, *b)
+	for i, a := range s.Funcs {
+		if a != t.Funcs[i] {
+			return fmt.Sprintf("Funcs[%s] (%+v, %+v)", prog.Funcs[i].Name, a, t.Funcs[i])
 		}
 	}
-	for _, name := range unionKeys(s.Globals, t.Globals) {
-		a, b := s.Globals[name], t.Globals[name]
+	names := make([]string, len(s.Globals))
+	for _, g := range prog.Types.Globals {
+		if g.ID < len(names) {
+			names[g.ID] = g.Name
+		}
+	}
+	for id := range s.Globals {
+		a, b := &s.Globals[id], &t.Globals[id]
 		switch {
-		case a == nil || b == nil:
-			return "Globals[" + name + "]"
 		case a.Reads != b.Reads:
-			return "Globals[" + name + "].Reads"
+			return "Globals[" + names[id] + "].Reads"
 		case a.Writes != b.Writes:
-			return "Globals[" + name + "].Writes"
+			return "Globals[" + names[id] + "].Writes"
 		case a.InCritical != b.InCritical:
-			return "Globals[" + name + "].InCritical"
+			return "Globals[" + names[id] + "].InCritical"
 		}
-		for _, line := range unionKeys(a.LineReads, b.LineReads) {
-			if a.LineReads[line] != b.LineReads[line] {
-				return fmt.Sprintf("Globals[%s].LineReads[%d]", name, line)
+		if !maps.Equal(a.LineReads, b.LineReads) {
+			low := uint32(math.MaxUint32) // the lowest line whose counts differ
+			for _, m := range [...]map[uint32]uint64{a.LineReads, b.LineReads} {
+				for line := range m {
+					if a.LineReads[line] != b.LineReads[line] {
+						low = min(low, line)
+					}
+				}
 			}
+			return fmt.Sprintf("Globals[%s].LineReads[%d]", names[id], low)
 		}
 	}
 	return ""
 }
 
-// unionKeys returns the keys of two maps, sorted.
-func unionKeys[K cmp.Ordered, V any](a, b map[K]V) []K {
-	keys := make([]K, 0, len(a))
-	for k := range a {
-		keys = append(keys, k)
-	}
-	for k := range b {
-		if _, ok := a[k]; !ok {
-			keys = append(keys, k)
-		}
-	}
-	slices.Sort(keys)
-	return keys
-}
-
 // hostEnv is the profiler's host-memory execution environment and PPF
 // dispatcher. It counts on dense tables — globals by Global.ID, channels
 // by Channel.ID, functions on the Interp's decoded code — and assemble
-// turns them into the name-keyed Stats maps once, at the end of a profile.
+// copies them into the Stats slices once, at the end of a profile.
 type hostEnv struct {
 	tp      *types.Program
 	it      *Interp
@@ -421,25 +406,30 @@ func (e *hostEnv) resetCounts() {
 	}
 }
 
-// assemble fills the name-keyed maps of st from the dense counters: an
-// entry for every function, channel and global touched since the last
-// reset. With a recorder, whose counts can go down again, a global was
-// accessed inside a critical section when its count of such accesses is
-// not zero, its reads are what its line counters hold (an Incremental
-// takes a packet's reads out of those only), and only the lines a
-// recorded packet read can have a count.
+// assemble fills the slices of st from the dense counters, leaving zero
+// every function, channel and global not touched since the last reset.
+// With a recorder, whose counts can go down again, a global was accessed
+// inside a critical section when its count of such accesses is not zero,
+// its reads are what its line counters hold (an Incremental takes a
+// packet's reads out of those only), and only the lines a recorded packet
+// read can have a count.
 func (e *hostEnv) assemble(st *Stats) {
-	for fn, c := range e.it.code {
-		if c.invocations+c.instrs > 0 {
-			st.Funcs[fn.Name] = &FuncStats{Invocations: c.invocations, Instrs: c.instrs, MemAccesses: c.mem}
+	st.Funcs = make([]FuncStats, len(e.it.Prog.Funcs))
+	for i, fn := range e.it.Prog.Funcs {
+		if c := e.it.code[fn]; c != nil {
+			st.Funcs[i] = FuncStats{Invocations: c.invocations, Instrs: c.instrs, MemAccesses: c.mem}
 		}
 	}
+	st.Chans = make([]uint64, len(e.chans))
 	for id, hc := range e.chans {
-		if hc.puts > 0 {
-			st.Chans[e.tp.ChanByID[id].Name] = hc.puts
-		}
+		st.Chans[id] = hc.puts
 	}
-	for i := range e.globals {
+	declared := 0
+	for declared < len(e.globals) && !e.globals[declared].g.Synthetic {
+		declared++
+	}
+	st.Globals = make([]GlobalStats, declared)
+	for i := range st.Globals {
 		hg := &e.globals[i]
 		reads, crit := hg.stats.Reads, hg.stats.InCritical
 		if e.rec != nil {
@@ -451,7 +441,8 @@ func (e *hostEnv) assemble(st *Stats) {
 		if reads+hg.stats.Writes == 0 {
 			continue
 		}
-		gs := &GlobalStats{Reads: reads, Writes: hg.stats.Writes, InCritical: crit}
+		gs := &st.Globals[i]
+		*gs = GlobalStats{Reads: reads, Writes: hg.stats.Writes, InCritical: crit}
 		if e.rec == nil {
 			gs.LineReads = map[uint32]uint64{}
 			for line, n := range hg.lineReads {
@@ -467,13 +458,7 @@ func (e *hostEnv) assemble(st *Stats) {
 				}
 			}
 		}
-		st.Globals[hg.g.Name] = gs
 	}
-}
-
-func newStats() *Stats {
-	return &Stats{Weights: Weights{Funcs: map[string]*FuncStats{}, Chans: map[string]uint64{}},
-		Globals: map[string]*GlobalStats{}}
 }
 
 // Control names a control-plane invocation used to populate tables before
@@ -494,7 +479,7 @@ func Profile(prog *ir.Program, tr []*packet.Packet) (*Stats, error) {
 // between init and the packet trace. The trace is only read, so one trace
 // can drive any number of profiles.
 func ProfileWithControls(prog *ir.Program, tr []*packet.Packet, controls []Control) (*Stats, error) {
-	stats := newStats()
+	stats := &Stats{}
 	env := newHostEnv(prog, stats)
 	if err := env.runInits(); err != nil {
 		return nil, err
@@ -534,7 +519,7 @@ func ProfileWithControls(prog *ir.Program, tr []*packet.Packet, controls []Contr
 type Session struct {
 	Prog *ir.Program
 	// Stats carries the live packet counters (Packets, Forwarded, Dropped);
-	// its per-function, channel and global maps are only assembled by
+	// its per-function, channel and global slices are only filled by
 	// Profile.
 	Stats *Stats
 	env   *hostEnv
@@ -554,7 +539,7 @@ type OutPacket struct {
 // NewSession builds a functional execution session, running init
 // functions.
 func NewSession(prog *ir.Program) (*Session, error) {
-	s := &Session{Prog: prog, Stats: newStats()}
+	s := &Session{Prog: prog, Stats: &Stats{}}
 	s.env = newHostEnv(prog, s.Stats)
 	if err := s.env.runInits(); err != nil {
 		return nil, err

@@ -192,30 +192,26 @@ func TestProfileStats(t *testing.T) {
 	if stats.Dropped != 5 {
 		t.Errorf("dropped = %d, want 5", stats.Dropped)
 	}
-	if stats.Chans["app.ip_cc"] != 10 {
-		t.Errorf("ip_cc msgs = %d, want 10", stats.Chans["app.ip_cc"])
+	tp := s.Prog.Types
+	if n := stats.Chans[tp.Channels["app.ip_cc"].ID]; n != 10 {
+		t.Errorf("ip_cc msgs = %d, want 10", n)
 	}
-	if stats.Chans["app.out_cc"] != 5 {
-		t.Errorf("out_cc msgs = %d, want 5", stats.Chans["app.out_cc"])
+	if n := stats.Chans[tp.Channels["app.out_cc"].ID]; n != 5 {
+		t.Errorf("out_cc msgs = %d, want 5", n)
 	}
-	clsfr := stats.Funcs["app.clsfr"]
-	if clsfr == nil || clsfr.Invocations != 10 {
+	if clsfr := stats.Funcs[s.Prog.Index("app.clsfr")]; clsfr.Invocations != 10 {
 		t.Fatalf("clsfr stats = %+v", clsfr)
 	}
-	fwd := stats.Funcs["app.fwd"]
-	if fwd == nil || fwd.Invocations != 10 || fwd.Instrs == 0 {
+	if fwd := stats.Funcs[s.Prog.Index("app.fwd")]; fwd.Invocations != 10 || fwd.Instrs == 0 {
 		t.Fatalf("fwd stats = %+v", fwd)
 	}
 	// table is read-heavy: hit-rate estimate should be near 1 (one line).
-	gs := stats.Globals["app.table"]
-	if gs == nil || gs.Reads == 0 {
+	gs := stats.Globals[tp.Globals["app.table"].ID]
+	if gs.Reads == 0 {
 		t.Fatalf("table stats = %+v", gs)
 	}
 	if hr := gs.EstHitRate(); hr < 0.5 {
 		t.Errorf("table est hit rate = %.2f, want high", hr)
-	}
-	if stats.InstrsPerPacket("app.fwd") <= 0 {
-		t.Error("InstrsPerPacket returned 0")
 	}
 }
 
@@ -247,8 +243,8 @@ module m {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs := stats.Globals["m.counter"]
-	if gs == nil || !gs.InCritical {
+	gs := stats.Globals[tp.Globals["m.counter"].ID]
+	if !gs.InCritical {
 		t.Fatalf("counter critical tracking: %+v", gs)
 	}
 	if gs.Reads != 3 || gs.Writes != 3 {

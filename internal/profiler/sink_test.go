@@ -162,7 +162,7 @@ module m {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Fatalf("write %d, epoch %d: the incremental profile differs from a full one in %s", d, r.epoch, got.Diff(want))
+			t.Fatalf("write %d, epoch %d: the incremental profile differs from a full one in %s", d, r.epoch, got.Diff(prog, want))
 		}
 	}
 	if r.epoch > 1000 {
