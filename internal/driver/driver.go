@@ -5,13 +5,13 @@
 // matches the paper's evaluation (§6.2): BASE < -O1 < -O2 < +PAC < +SOAR
 // < +PHR < +SWC, cumulative.
 //
-// The pipeline is a composable pass manager: each stage is a registered
-// Pass with declared analysis requirements over a typed fact base (profile
-// stats, SOAR facts, aggregation plan), and CompileIR runs the declarative
-// per-Level pipeline built from the registry. After every pass the manager
-// can verify IR invariants (Config.VerifyIR — on by default under `go
-// test`), records per-pass time/size-delta/verify-time through
-// internal/metrics, and can dump any stage's IR (Config.DumpPass).
+// The pipeline is a pass manager: each stage is a Pass that reads a typed
+// fact base (profile stats, SOAR facts, aggregation plan) through logged
+// accessors, and CompileIR runs the per-Level pipeline PipelineFor lists.
+// After every pass the manager can verify IR invariants (Config.VerifyIR —
+// on by default under `go test`), records per-pass time/size-delta/verify-
+// time through internal/metrics, and can dump any stage's IR
+// (Config.DumpPass).
 package driver
 
 import (
@@ -233,7 +233,7 @@ func CompileSource(file, src string, cfg Config) (*Result, error) {
 }
 
 // CompileIR runs the pipeline from lowered IR: the per-Level pass sequence
-// built from the registry (PipelineFor), executed by the pass manager with
+// of PipelineFor, executed by the pass manager with
 // post-pass verification, metrics and dump hooks. It is the one-rung level
 // ladder, compiled in place: prog is rewritten and becomes Result.Prog.
 func CompileIR(prog *ir.Program, cfg Config) (*Result, error) {

@@ -22,8 +22,8 @@ import (
 )
 
 // FactKind identifies one cached analysis result in the compilation fact
-// base. Passes declare the facts they require; the pass manager makes them
-// available before Run and drops the ones a transform invalidates.
+// base. A pass reads a fact through the Context accessors, which log the
+// read; the log is what an incremental Session keys the pass's reuse on.
 type FactKind int
 
 const (
@@ -32,9 +32,8 @@ const (
 	// FactSWCSelection (there is no on-demand provider: profiling needs
 	// the configured trace and control calls).
 	FactProfile FactKind = iota
-	// FactSOAR is the whole-program SOAR analysis. It has an on-demand
-	// provider (soar.Analyze, which also annotates the IR in place), so
-	// requiring it after an invalidation re-analyzes lazily.
+	// FactSOAR is the whole-program SOAR analysis. Context.SOAR computes
+	// it on demand (soar.Analyze, which also annotates the IR in place).
 	FactSOAR
 	// FactPlan is the aggregation plan together with its channel
 	// classification, produced by the aggregate pass.
@@ -51,8 +50,7 @@ const (
 
 var factNames = [...]string{"profile", "soar", "plan", "weights", "swc_selection"}
 
-// profileFacts are the profile and the views published with it:
-// invalidating the profile invalidates them all.
+// profileFacts are the profile and the views published with it.
 var profileFacts = [...]FactKind{FactProfile, FactWeights, FactSWCSelection}
 
 func (k FactKind) String() string {
@@ -99,19 +97,10 @@ type Context struct {
 	// pass names the running pass, for the metrics its helpers record.
 	pass string
 
-	// factGuard, when non-nil, is the set of facts the running pass
-	// declared in Requires (or produced itself during this Run). Reading
-	// any other fact through the typed accessors records a violation:
-	// that is the undeclared dependency that would let an incremental
-	// recompile silently reuse a stale analysis. Installed around
-	// Pass.Run only — ensure and the manager itself read freely.
-	factGuard map[FactKind]bool
-	guardErr  error
-	// factReads logs which facts the current pass consulted (including
-	// the exempt optional SOARIfValid read). The incremental Session uses
-	// it to record each cached pass result's true input set, so reuse is
-	// keyed to the exact fact values a pass observed, not just its
-	// declared Requires.
+	// factReads logs which facts the running pass consulted through the
+	// typed accessors; runPass clears it. The incremental Session records
+	// it with each pass result, so reuse is keyed to the exact fact values
+	// a pass observed.
 	factReads [numFacts]bool
 	// profiles is the profiler state a Session keeps between compiles, for
 	// the profile pass; nil outside a Session, where every profile is a
@@ -119,25 +108,15 @@ type Context struct {
 	profiles *profileState
 }
 
-// noteFactRead enforces the Requires contract while a pass runs.
-// SOARIfValid is deliberately not routed here: it is the documented
-// optional read (the code generator forwards SOAR facts when a pipeline
-// happens to have them and passes nil otherwise), so it cannot create a
-// hidden hard dependency.
+// noteFactRead logs a read of fact k by the running pass.
 func (ctx *Context) noteFactRead(k FactKind) {
 	ctx.factReads[k] = true
-	if ctx.factGuard == nil || ctx.factGuard[k] {
-		return
-	}
-	if ctx.guardErr == nil {
-		ctx.guardErr = fmt.Errorf("undeclared read of %v fact (missing Requires declaration)", k)
-	}
 }
 
 // Profile returns the cached profiler stats (nil before the profile pass
-// has run; passes that declare FactProfile in Requires never see nil).
-// A pass that reads less of the profile reads a view instead (Weights,
-// SWCSelection), so that a session re-runs it only when that view changed.
+// has run). A pass that reads less of the profile reads a view instead
+// (Weights, SWCSelection), so that a session re-runs it only when that
+// view changed.
 func (ctx *Context) Profile() *profiler.Stats {
 	ctx.noteFactRead(FactProfile)
 	return ctx.facts.profile
@@ -172,16 +151,13 @@ func (ctx *Context) SetSWCSelection(cands []*swc.Candidate) {
 	ctx.publish(FactSWCSelection)
 }
 
-// publish marks a fact just installed valid; its producer may read it.
+// publish marks a fact just installed valid.
 func (ctx *Context) publish(k FactKind) {
 	ctx.facts.valid[k] = true
-	if ctx.factGuard != nil {
-		ctx.factGuard[k] = true
-	}
 }
 
 // SOAR returns the whole-program SOAR facts, analyzing (and annotating the
-// IR) on demand when the cache is empty or invalidated.
+// IR) on demand when the cache holds none.
 func (ctx *Context) SOAR() *soar.Stats {
 	ctx.noteFactRead(FactSOAR)
 	if !ctx.facts.valid[FactSOAR] {
@@ -193,10 +169,9 @@ func (ctx *Context) SOAR() *soar.Stats {
 
 // SOARIfValid returns the cached SOAR facts without computing them: nil at
 // levels whose pipeline never analyzes (the code generator passes nil on).
-// It is exempt from the Requires guard — an optional read by design — but
-// still logged in factReads so incremental reuse keys on it.
+// The read is logged like any other, so incremental reuse keys on it.
 func (ctx *Context) SOARIfValid() *soar.Stats {
-	ctx.factReads[FactSOAR] = true
+	ctx.noteFactRead(FactSOAR)
 	if !ctx.facts.valid[FactSOAR] {
 		return nil
 	}
@@ -230,43 +205,13 @@ func (ctx *Context) optimize(p *ir.Program, o opt.Options) {
 	ctx.reg.Counter(metrics.PassOptUnconverged(ctx.pass)).Add(int64(st.Unconverged))
 }
 
-// Invalidate drops cached facts (a transform that moved packet accesses
-// invalidates FactSOAR, and the next pass requiring it re-analyzes).
-// Dropping the profile drops its views.
-func (ctx *Context) Invalidate(kinds ...FactKind) {
-	for _, k := range kinds {
-		ctx.facts.valid[k] = false
-		if k == FactProfile {
-			for _, v := range profileFacts {
-				ctx.facts.valid[v] = false
-			}
-		}
-	}
-}
-
-// ensure makes one required fact available, computing it when an on-demand
-// provider exists and failing loudly on a mis-ordered pipeline otherwise.
-func (ctx *Context) ensure(k FactKind) error {
-	if ctx.facts.valid[k] {
-		return nil
-	}
-	if k == FactSOAR {
-		ctx.SOAR()
-		return nil
-	}
-	return fmt.Errorf("required %v fact not produced by an earlier pass", k)
-}
-
-// Pass is one stage of the compilation pipeline.
+// Pass is one stage of the compilation pipeline. What it depends on is
+// what its Run reads: the IR, and the facts it consults through the Context
+// accessors, which log each read.
 type Pass interface {
 	// Name is the stable pass identifier used in Report.Passes, metrics
 	// names and -dump-ir selection.
 	Name() string
-	// Requires lists the analysis facts the manager must make available
-	// before Run.
-	Requires() []FactKind
-	// Invalidates lists the facts Run leaves stale.
-	Invalidates() []FactKind
 	Run(*Context) error
 }
 
@@ -276,50 +221,47 @@ type afterSizer interface {
 	AfterSize(*Context) int
 }
 
-// PassInfo is one registry entry: the pass name, the paper stage it
-// implements, the levels at which the default pipeline schedules it, and
-// its constructor.
-type PassInfo struct {
-	Name string
-	// Stage maps the pass to the paper's Figure 5 pipeline stage.
-	Stage string
-	// Enabled reports whether the default pipeline schedules the pass at
-	// the given cumulative level.
-	Enabled func(Level) bool
-	// New builds the pass for one compilation.
-	New func(cfg Config) Pass
-}
-
-var passRegistry []PassInfo
-
-// RegisterPass adds a pass to the registry in pipeline order. It panics on
-// a duplicate name: names key metrics, dumps and report rows.
-func RegisterPass(info PassInfo) {
-	for _, p := range passRegistry {
-		if p.Name == info.Name {
-			panic(fmt.Sprintf("driver: duplicate pass %q", info.Name))
-		}
+// PipelineFor builds the pipeline for a configuration, in the paper's
+// Figure 5 order: every pass the level enables, with its flags set from the
+// level.
+func PipelineFor(cfg Config) []Pass {
+	l := cfg.Level
+	ps := []Pass{
+		profilePass{swc: cfg.swcConfig()},
+		inlineScalarPass{scalar: l >= LevelO1},
 	}
-	passRegistry = append(passRegistry, info)
+	if l >= LevelPAC {
+		ps = append(ps, soarPass{}, pacPass{scalar: l >= LevelO1})
+	}
+	ps = append(ps,
+		aggregatePass{cfg: cfg.aggConfig()},
+		mergePass{},
+		aggOptPass{scalar: l >= LevelO1, pac: l >= LevelPAC})
+	if l >= LevelPHR {
+		ps = append(ps, phrPass{})
+	}
+	if l >= LevelSWC {
+		ps = append(ps, swcPass{cfg: cfg.swcConfig()})
+	}
+	return append(ps,
+		finalOptPass{scalar: l >= LevelO1, phrCombine: l >= LevelPHR, annotate: l >= LevelPAC},
+		codegenPass{opts: cg.Options{O2: l >= LevelO2, SOAR: l >= LevelSOAR, PHR: l >= LevelPHR, SWC: l >= LevelSWC}})
 }
 
-// Passes returns the registered passes in pipeline order.
-func Passes() []PassInfo {
-	return append([]PassInfo(nil), passRegistry...)
-}
-
-// PassNames returns every registered pass name in pipeline order.
+// PassNames returns every pass name in pipeline order: the +SWC pipeline
+// schedules them all.
 func PassNames() []string {
-	names := make([]string, len(passRegistry))
-	for i, p := range passRegistry {
-		names[i] = p.Name
+	ps := PipelineFor(Config{Level: LevelSWC})
+	names := make([]string, len(ps))
+	for i, p := range ps {
+		names[i] = p.Name()
 	}
 	return names
 }
 
-// CheckDumpPass rejects a Config.DumpPass that names no registered pass, so
-// a misspelt -dump-ir fails instead of silently dumping nothing. Empty (no
-// dump) and "all" are valid.
+// CheckDumpPass rejects a Config.DumpPass that names no pass, so a misspelt
+// -dump-ir fails instead of silently dumping nothing. Empty (no dump) and
+// "all" are valid.
 func CheckDumpPass(pass string) error {
 	names := PassNames()
 	if pass == "" || pass == "all" || slices.Contains(names, pass) {
@@ -341,19 +283,6 @@ func checkConfig(dumpPass string, levels ...Level) error {
 		}
 	}
 	return nil
-}
-
-// PipelineFor builds the declarative pipeline for a configuration from the
-// pass registry: every registered pass enabled at cfg.Level, in
-// registration order.
-func PipelineFor(cfg Config) []Pass {
-	var out []Pass
-	for _, info := range passRegistry {
-		if info.Enabled == nil || info.Enabled(cfg.Level) {
-			out = append(out, info.New(cfg))
-		}
-	}
-	return out
 }
 
 // VerifyMode controls post-pass IR verification.
@@ -435,43 +364,28 @@ func (r *runner) size() int {
 	return n
 }
 
-// runPass executes one pass: ensure requirements, run, invalidate, verify,
-// record timing and metrics, dump when selected. All within the pass's
-// timed window except verification, which is accounted separately. The
-// pass writes its report fields and image into an output of its own,
-// appended to r.outs.
+// runPass executes one pass: run it with a fresh read log, verify, record
+// timing and metrics, dump when selected. All within the pass's timed
+// window except verification, which is accounted separately. The pass
+// writes its report fields and image into an output of its own, appended
+// to r.outs.
 func (r *runner) runPass(p Pass) error {
 	ctx := r.ctx
 	name := p.Name()
 	r.outs = append(r.outs, passOut{})
 	out := &r.outs[len(r.outs)-1]
 	ctx.Report, ctx.Image = &out.report, nil
+	ctx.factReads = [numFacts]bool{}
 	before := r.size()
 	t0 := time.Now()
-	for _, k := range p.Requires() {
-		if err := ctx.ensure(k); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-	}
-	ctx.factGuard = make(map[FactKind]bool, len(p.Requires()))
-	for _, k := range p.Requires() {
-		ctx.factGuard[k] = true
-	}
-	ctx.guardErr = nil
 	ctx.pass = name
 	err := p.Run(ctx)
 	if r.store != nil {
 		r.store.verify(name, appendPrograms(nil, ctx.Prog, ctx.Merged))
 	}
-	guardErr := ctx.guardErr
-	ctx.factGuard, ctx.guardErr = nil, nil
 	if err != nil {
 		return fmt.Errorf("%s: %w", name, err)
 	}
-	if guardErr != nil {
-		return fmt.Errorf("%s: %w", name, guardErr)
-	}
-	ctx.Invalidate(p.Invalidates()...)
 	nanos := time.Since(t0).Nanoseconds()
 
 	after := r.size()

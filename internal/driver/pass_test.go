@@ -28,8 +28,8 @@ func compileApp(t *testing.T, a *apps.App, lvl driver.Level, cfg driver.Config) 
 	return res
 }
 
-// expectedPipeline mirrors the registry's Enabled predicates: the names
-// PipelineFor must schedule at each level, in registration order.
+// expectedPipeline is the names PipelineFor must schedule at each level,
+// in pipeline order.
 func expectedPipeline(lvl driver.Level) []string {
 	var names []string
 	add := func(name string, on bool) {
@@ -51,23 +51,16 @@ func expectedPipeline(lvl driver.Level) []string {
 	return names
 }
 
-func TestRegistryOrder(t *testing.T) {
+// TestPassNames: PassNames lists every pass, in pipeline order.
+func TestPassNames(t *testing.T) {
 	want := expectedPipeline(driver.LevelSWC) // all passes enabled
 	got := driver.PassNames()
 	if len(got) != len(want) {
-		t.Fatalf("registry has %d passes %v, want %d %v", len(got), got, len(want), want)
+		t.Fatalf("PassNames has %d passes %v, want %d %v", len(got), got, len(want), want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("registry[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-	for _, info := range driver.Passes() {
-		if info.Stage == "" {
-			t.Errorf("pass %q has no paper-stage description", info.Name)
-		}
-		if info.New == nil {
-			t.Errorf("pass %q has no constructor", info.Name)
+			t.Errorf("PassNames()[%d] = %q, want %q", i, got[i], want[i])
 		}
 	}
 }
@@ -201,7 +194,7 @@ func TestDumpSinglePass(t *testing.T) {
 	}
 }
 
-// TestDumpUnknownPassRejected: a dump pass no registered pass is named is
+// TestDumpUnknownPassRejected: a dump pass no pass is named is
 // an error from both entry points, listing the valid names, and dumps
 // nothing.
 func TestDumpUnknownPassRejected(t *testing.T) {

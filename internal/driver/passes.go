@@ -1,9 +1,9 @@
-// The registered pipeline passes. Registration order is pipeline order and
-// mirrors the paper's Figure 5 staging: profile → inline/scalar → SOAR →
-// PAC → aggregation → merging → per-aggregate optimization → PHR → SWC →
-// final cleanup → code generation. Each pass declares the analysis facts it
-// consumes and the ones its rewrites invalidate; the manager recomputes
-// invalidated on-demand facts lazily when a later pass requires them.
+// The pipeline passes, in the order PipelineFor schedules them, which is
+// the paper's Figure 5 staging: profile → inline/scalar → SOAR → PAC →
+// aggregation → merging → per-aggregate optimization → PHR → SWC → final
+// cleanup → code generation. A pass consumes analysis facts through the
+// Context accessors, which log each read: that log is the one record of
+// what a pass depends on, and an incremental Session keys reuse on it.
 package driver
 
 import (
@@ -17,96 +17,10 @@ import (
 	"shangrila/internal/profiler"
 )
 
-func init() {
-	always := func(Level) bool { return true }
-	fromPAC := func(l Level) bool { return l >= LevelPAC }
-	RegisterPass(PassInfo{
-		Name:    "profile",
-		Stage:   "functional profiling (§4): interpret the unoptimized IR over the training trace",
-		Enabled: always,
-		New:     func(cfg Config) Pass { return profilePass{swc: cfg.swcConfig()} },
-	})
-	RegisterPass(PassInfo{
-		Name:    "inline+scalar",
-		Stage:   "inlining (mandatory for ME codegen) and -O1 scalar optimization",
-		Enabled: always,
-		New:     func(cfg Config) Pass { return inlineScalarPass{scalar: cfg.Level >= LevelO1} },
-	})
-	RegisterPass(PassInfo{
-		Name:    "soar",
-		Stage:   "static offset and alignment resolution (§5.3.2)",
-		Enabled: fromPAC,
-		New:     func(Config) Pass { return soarPass{} },
-	})
-	RegisterPass(PassInfo{
-		Name:    "pac",
-		Stage:   "packet access combining on the whole program (§5.3.1)",
-		Enabled: fromPAC,
-		New:     func(cfg Config) Pass { return pacPass{scalar: cfg.Level >= LevelO1} },
-	})
-	RegisterPass(PassInfo{
-		Name:    "aggregate",
-		Stage:   "PPF aggregation (§5.1, Figure 7): which PPFs share an ME, how often a stage is duplicated",
-		Enabled: always,
-		New:     func(cfg Config) Pass { return aggregatePass{cfg: cfg.aggConfig()} },
-	})
-	RegisterPass(PassInfo{
-		Name:    "merge",
-		Stage:   "per-aggregate merging: one inlined program per aggregate of the plan",
-		Enabled: always,
-		New:     func(cfg Config) Pass { return mergePass{analyze: cfg.Level >= LevelPAC} },
-	})
-	RegisterPass(PassInfo{
-		Name:    "agg-opt",
-		Stage:   "per-aggregate scalar cleanup, SOAR annotation and cross-PPF PAC",
-		Enabled: always,
-		New: func(cfg Config) Pass {
-			return aggOptPass{scalar: cfg.Level >= LevelO1, pac: cfg.Level >= LevelPAC}
-		},
-	})
-	RegisterPass(PassInfo{
-		Name:    "phr",
-		Stage:   "packet handling removal: metadata localization, encap pair elimination (§5.3.3)",
-		Enabled: func(l Level) bool { return l >= LevelPHR },
-		New:     func(Config) Pass { return phrPass{} },
-	})
-	RegisterPass(PassInfo{
-		Name:    "swc",
-		Stage:   "delayed-update software-controlled caching (§5.2)",
-		Enabled: func(l Level) bool { return l >= LevelSWC },
-		New:     func(cfg Config) Pass { return swcPass{cfg: cfg.swcConfig()} },
-	})
-	RegisterPass(PassInfo{
-		Name:    "final-opt",
-		Stage:   "post-PHR combining and final scalar cleanup of the merged bodies",
-		Enabled: always,
-		New: func(cfg Config) Pass {
-			return finalOptPass{
-				scalar:     cfg.Level >= LevelO1,
-				phrCombine: cfg.Level >= LevelPHR,
-				annotate:   cfg.Level >= LevelPAC,
-			}
-		},
-	})
-	RegisterPass(PassInfo{
-		Name:    "codegen",
-		Stage:   "CGIR lowering, dual-bank register allocation, stack layout (§5.4)",
-		Enabled: always,
-		New: func(cfg Config) Pass {
-			return codegenPass{opts: cg.Options{
-				O2:   cfg.Level >= LevelO2,
-				SOAR: cfg.Level >= LevelSOAR,
-				PHR:  cfg.Level >= LevelPHR,
-				SWC:  cfg.Level >= LevelSWC,
-			}}
-		},
-	})
-}
-
-// profilePass runs the functional profiler on unoptimized IR (Figure 5)
-// and produces the FactProfile stats every global optimization consumes,
-// with the views its readers take of it: the weights aggregation reads and
-// the SWC candidate selection.
+// profilePass is functional profiling (§4): it interprets the unoptimized
+// IR over the training trace (Figure 5) and produces the FactProfile stats
+// every global optimization consumes, with the views its readers take of
+// it: the weights aggregation reads and the SWC candidate selection.
 //
 // The selection is made here, not by the swc pass, so that a Session can
 // compare it before SWC runs: it depends only on the profile, the SWC
@@ -119,9 +33,7 @@ func init() {
 // only the trace packets a delta reaches.
 type profilePass struct{ swc swc.Config }
 
-func (profilePass) Name() string            { return "profile" }
-func (profilePass) Requires() []FactKind    { return nil }
-func (profilePass) Invalidates() []FactKind { return nil }
+func (profilePass) Name() string { return "profile" }
 
 func (p profilePass) Run(ctx *Context) error {
 	var stats *profiler.Stats
@@ -141,65 +53,57 @@ func (p profilePass) Run(ctx *Context) error {
 }
 
 // inlineScalarPass inlines every call (calls become merged bodies, as the
-// paper turns them into branches with globally allocated registers) and
-// runs the -O1 scalar optimizer when enabled.
+// paper turns them into branches with globally allocated registers; ME code
+// generation needs it) and runs the -O1 scalar optimizer when enabled.
 type inlineScalarPass struct{ scalar bool }
 
-func (inlineScalarPass) Name() string         { return "inline+scalar" }
-func (inlineScalarPass) Requires() []FactKind { return nil }
-
-// Inlining rewrites every function body, so any earlier SOAR annotation is
-// stale (none exists in the default pipeline; declared for robustness).
-func (inlineScalarPass) Invalidates() []FactKind { return []FactKind{FactSOAR} }
+func (inlineScalarPass) Name() string { return "inline+scalar" }
 
 func (p inlineScalarPass) Run(ctx *Context) error {
 	ctx.optimize(ctx.Prog, opt.Options{Scalar: p.scalar, Inline: true})
 	return nil
 }
 
-// soarPass makes the whole-program SOAR facts available (the manager's
-// ensure step performs the analysis) and notes them for the report, which
-// shows them at +SOAR and above (runner.result) — whether the code
-// generator exploits the facts is the separate +SOAR level of the
-// evaluation axis.
+// soarPass is static offset and alignment resolution (§5.3.2) on the
+// whole program: it analyzes, making the SOAR facts available, and notes
+// them for the report, which shows them at +SOAR and above (runner.result)
+// — whether the code generator exploits the facts is the separate +SOAR
+// level of the evaluation axis.
 type soarPass struct{}
 
-func (soarPass) Name() string            { return "soar" }
-func (soarPass) Requires() []FactKind    { return []FactKind{FactSOAR} }
-func (soarPass) Invalidates() []FactKind { return nil }
+func (soarPass) Name() string { return "soar" }
 
 func (soarPass) Run(ctx *Context) error {
 	ctx.Report.SOAR = ctx.SOAR()
 	return nil
 }
 
-// pacPass combines packet accesses across the whole program, then cleans
-// up with the scalar optimizer. The rewrite moves and widens accesses, so
-// it re-analyzes SOAR afterwards: what follows reads the combined accesses
-// annotated — aggregation's code-size estimate, which counts a resolved
-// packet access as cheaper than a dynamic one, and the merged clones.
+// pacPass combines packet accesses across the whole program (§5.3.1), then
+// cleans up with the scalar optimizer. The rewrite moves and widens
+// accesses, so it re-analyzes SOAR afterwards: what follows reads the
+// combined accesses annotated — aggregation's code-size estimate, which
+// counts a resolved packet access as cheaper than a dynamic one, and the
+// merged clones.
 type pacPass struct{ scalar bool }
 
-func (pacPass) Name() string            { return "pac" }
-func (pacPass) Requires() []FactKind    { return []FactKind{FactSOAR} }
-func (pacPass) Invalidates() []FactKind { return nil }
+func (pacPass) Name() string { return "pac" }
 
 func (p pacPass) Run(ctx *Context) error {
 	ctx.Report.PAC = pac.Run(ctx.Prog)
 	ctx.optimize(ctx.Prog, opt.Options{Scalar: p.scalar})
-	ctx.Invalidate(FactSOAR)
+	ctx.facts.valid[FactSOAR] = false
 	ctx.SOAR()
 	return nil
 }
 
-// aggregatePass runs the Figure 7 heuristic over the profile's weights and
-// classifies every channel under the plan. It decides and does not merge:
-// the merged programs depend only on the plan's decisions (mergePass).
+// aggregatePass is PPF aggregation (§5.1): the Figure 7 heuristic decides,
+// over the profile's weights, which PPFs share an ME and how often a stage
+// is duplicated, and every channel is classified under the plan. It decides
+// and does not merge: the merged programs depend only on the plan's
+// decisions (mergePass).
 type aggregatePass struct{ cfg aggregate.Config }
 
-func (aggregatePass) Name() string            { return "aggregate" }
-func (aggregatePass) Requires() []FactKind    { return []FactKind{FactWeights} }
-func (aggregatePass) Invalidates() []FactKind { return nil }
+func (aggregatePass) Name() string { return "aggregate" }
 
 func (p aggregatePass) Run(ctx *Context) error {
 	plan, err := aggregate.Build(ctx.Prog, ctx.Weights(), p.cfg)
@@ -211,22 +115,14 @@ func (p aggregatePass) Run(ctx *Context) error {
 	return nil
 }
 
-// mergePass builds the merged per-aggregate programs of the plan. It reads
-// the plan's decisions only, so a Session whose re-run aggregation decides
-// what a held plan decided keeps the held merge. When the pipeline analyzes
-// (≥ +PAC) it requires the SOAR facts, so the merged clones carry post-PAC
-// annotations.
-type mergePass struct{ analyze bool }
+// mergePass builds the merged per-aggregate programs of the plan, one
+// inlined program per aggregate. It reads the plan's decisions only, so a
+// Session whose re-run aggregation decides what a held plan decided keeps
+// the held merge. At +PAC and above the merged clones carry the annotations
+// pac's re-analysis left in the program.
+type mergePass struct{}
 
 func (mergePass) Name() string { return "merge" }
-
-func (p mergePass) Requires() []FactKind {
-	if p.analyze {
-		return []FactKind{FactPlan, FactSOAR}
-	}
-	return []FactKind{FactPlan}
-}
-func (mergePass) Invalidates() []FactKind { return nil }
 
 func (mergePass) Run(ctx *Context) error {
 	plan, classes := ctx.Plan()
@@ -255,19 +151,11 @@ func annotateMerged(ctx *Context, m *aggregate.Merged) {
 }
 
 // aggOptPass optimizes each ME aggregate's merged body: scalar cleanup,
-// then PAC across former PPF boundaries. It rewrites the merged programs
-// only, so the whole-program facts stay valid.
+// then SOAR annotation and PAC across former PPF boundaries. It rewrites
+// the merged programs only, so the whole-program facts stay valid.
 type aggOptPass struct{ scalar, pac bool }
 
 func (aggOptPass) Name() string { return "agg-opt" }
-
-func (p aggOptPass) Requires() []FactKind {
-	if p.pac {
-		return []FactKind{FactPlan, FactSOAR}
-	}
-	return []FactKind{FactPlan}
-}
-func (aggOptPass) Invalidates() []FactKind { return nil }
 
 func (p aggOptPass) Run(ctx *Context) error {
 	for _, m := range ctx.Merged {
@@ -284,14 +172,12 @@ func (p aggOptPass) Run(ctx *Context) error {
 	return nil
 }
 
-// phrPass removes packet handling overhead inside the merged bodies. The
-// whole program is read-only input (it supplies the global accessor view),
-// so no whole-program fact is invalidated.
+// phrPass removes packet handling overhead inside the merged bodies
+// (§5.3.3): metadata localization and encap pair elimination. The whole
+// program is read-only input (it supplies the global accessor view).
 type phrPass struct{}
 
-func (phrPass) Name() string            { return "phr" }
-func (phrPass) Requires() []FactKind    { return []FactKind{FactPlan} }
-func (phrPass) Invalidates() []FactKind { return nil }
+func (phrPass) Name() string { return "phr" }
 
 func (phrPass) Run(ctx *Context) error {
 	plan, _ := ctx.Plan()
@@ -299,13 +185,11 @@ func (phrPass) Run(ctx *Context) error {
 	return nil
 }
 
-// swcPass rewrites the access paths of the software-cache candidates the
-// profile pass selected.
+// swcPass is delayed-update software-controlled caching (§5.2): it
+// rewrites the access paths of the candidates the profile pass selected.
 type swcPass struct{ cfg swc.Config }
 
-func (swcPass) Name() string            { return "swc" }
-func (swcPass) Requires() []FactKind    { return []FactKind{FactSWCSelection, FactPlan} }
-func (swcPass) Invalidates() []FactKind { return nil }
+func (swcPass) Name() string { return "swc" }
 
 func (p swcPass) Run(ctx *Context) error {
 	// Apply gives each candidate its synthetic globals, so it gets copies:
@@ -329,14 +213,6 @@ type finalOptPass struct{ scalar, phrCombine, annotate bool }
 
 func (finalOptPass) Name() string { return "final-opt" }
 
-func (p finalOptPass) Requires() []FactKind {
-	if p.annotate || p.phrCombine {
-		return []FactKind{FactPlan, FactSOAR}
-	}
-	return []FactKind{FactPlan}
-}
-func (finalOptPass) Invalidates() []FactKind { return nil }
-
 func (p finalOptPass) Run(ctx *Context) error {
 	for _, m := range ctx.Merged {
 		if m.Agg.Target != aggregate.TargetME {
@@ -354,13 +230,12 @@ func (p finalOptPass) Run(ctx *Context) error {
 	return nil
 }
 
-// codegenPass lowers the merged aggregates to CGIR and produces the
+// codegenPass is code generation (§5.4): CGIR lowering of the merged
+// aggregates, dual-bank register allocation and stack layout, producing the
 // loadable image. Its "after" size reports generated CGIR instructions.
 type codegenPass struct{ opts cg.Options }
 
-func (codegenPass) Name() string            { return "codegen" }
-func (codegenPass) Requires() []FactKind    { return []FactKind{FactPlan} }
-func (codegenPass) Invalidates() []FactKind { return nil }
+func (codegenPass) Name() string { return "codegen" }
 
 func (p codegenPass) Run(ctx *Context) error {
 	plan, classes := ctx.Plan()

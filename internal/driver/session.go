@@ -20,9 +20,8 @@
 //     so its successors stay reusable although it ran. A pass that needs
 //     only part of the profile reads a view of it (FactWeights,
 //     FactSWCSelection), a fact keyed by its own value, so a delta that
-//     changes the profile but not the view leaves the pass cached.
-//     Requires is the declared contract (enforced by the fact guard in
-//     runPass); the read log is the measured one.
+//     changes the profile but not the view leaves the pass cached. The
+//     read log is the only record of the facts a pass depends on.
 //
 // One rule comes on top of the keys: a delta adds controls, which the
 // profile replays, so a held profile applies only at the delta it ran at.
@@ -143,9 +142,9 @@ type passEntry struct {
 	outputHash uint64
 	// reads holds, for each fact the pass consulted, the state it observed.
 	reads [numFacts]factRead
-	// produced marks facts this execution computed (including on-demand
-	// ensure computation during the requirement phase), key the key each
-	// was published under. The values themselves are in snap.facts.
+	// produced marks facts this execution computed (an on-demand SOAR
+	// analysis included), key the key each was published under. The values
+	// themselves are in snap.facts.
 	produced [numFacts]bool
 	key      [numFacts]any
 	// seq is the delta sequence number the pass executed at.
@@ -324,7 +323,7 @@ func (s *Session) Compile() (*Result, error) {
 				s.checkCutoff(p, old, cur, &live)
 			}
 			// Skip: replay the held result's effects.
-			live.replay(old, p.Invalidates())
+			live.replay(old)
 			r.outs = append(r.outs, old.out.skipped())
 			cur, curHash, materialized = old.snap, old.outputHash, false
 			s.reg.Counter(metrics.PassSkips(old.out.row.Pass)).Inc()
@@ -340,8 +339,6 @@ func (s *Session) Compile() (*Result, error) {
 		ctx.facts = live.facts
 
 		pre := live
-		ctx.factReads = [numFacts]bool{}
-
 		if err := r.runPass(p); err != nil {
 			return nil, err
 		}
@@ -578,9 +575,9 @@ func promote(held []*passEntry, ent *passEntry, drop int) []*passEntry {
 }
 
 // replay applies a held pass's fact-base effects to the walk state:
-// produced facts install their cached values and keys, the facts its pass
-// invalidates drop theirs, and everything else is untouched.
-func (live *factState) replay(ent *passEntry, invalidates []FactKind) {
+// produced facts install their cached values and keys, and everything else
+// is untouched.
+func (live *factState) replay(ent *passEntry) {
 	after := &ent.snap.facts
 	for k := FactKind(0); k < numFacts; k++ {
 		if !ent.produced[k] {
@@ -600,9 +597,6 @@ func (live *factState) replay(ent *passEntry, invalidates []FactKind) {
 		case FactPlan:
 			live.plan, live.classes = after.plan, after.classes
 		}
-	}
-	for _, k := range invalidates {
-		live.valid[k] = false
 	}
 }
 

@@ -10,10 +10,7 @@
 // hand across the two banks, and a tight dispatch loop.
 package handtuned
 
-import (
-	"shangrila/internal/cg"
-	"shangrila/internal/ixp"
-)
+import "shangrila/internal/cg"
 
 // Register plan for the L3 forwarder kernel (bank A / bank B split chosen
 // by hand, as an assembly programmer would).
@@ -107,30 +104,4 @@ func L3Forwarder(sramTableBase uint32) *cg.Program {
 	emit(&cg.Instr{Op: cg.IBccImm, Cond: cg.CEq, SrcA: rOK, Imm: 0, Target: put})
 	emit(&cg.Instr{Op: cg.IBr, Target: loop})
 	return &cg.Program{Name: "handtuned-l3", Code: code}
-}
-
-// Run measures the hand-tuned kernel's forwarding rate on n MEs (the
-// reference point compiled code is compared against).
-func Run(prog *cg.Program, numMEs int, warmup, measure int64) (float64, error) {
-	cfg := ixp.DefaultConfig()
-	cfg.RingSlots = 256
-	m, err := ixp.New(cfg, ixp.WithMedia(&ixp.FixedDescMedia{}))
-	if err != nil {
-		return 0, err
-	}
-	m.GrowRing(cg.RingFree, 600)
-	for id := 0; id < 512; id++ {
-		m.Rings[cg.RingFree].Put(uint32(id), 64<<16|128)
-	}
-	for me := 0; me < numMEs; me++ {
-		m.LoadProgram(me, prog)
-	}
-	if err := m.Run(warmup); err != nil {
-		return 0, err
-	}
-	m.ResetStats()
-	if err := m.Run(measure); err != nil {
-		return 0, err
-	}
-	return m.Snapshot().Gbps(cfg.ClockMHz), nil
 }

@@ -12,7 +12,7 @@ import (
 
 func TestHandTunedKernelRuns(t *testing.T) {
 	prog := handtuned.L3Forwarder(0)
-	g, err := handtuned.Run(prog, 6, 50_000, 300_000)
+	g, err := harness.RunKernel(prog, 6, 50_000, 300_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestHandTunedKernelRuns(t *testing.T) {
 // line-rate target; our compiled app does strictly more work — bridging,
 // ARP, a two-level trie — so a 2x envelope is the acceptance band).
 func TestCompiledApproachesHandTuned(t *testing.T) {
-	hand, err := handtuned.Run(handtuned.L3Forwarder(0), 6, 50_000, 300_000)
+	hand, err := harness.RunKernel(handtuned.L3Forwarder(0), 6, 50_000, 300_000)
 	if err != nil {
 		t.Fatal(err)
 	}

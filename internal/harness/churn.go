@@ -9,7 +9,6 @@ import (
 	"shangrila/internal/apps"
 	"shangrila/internal/driver"
 	"shangrila/internal/ir"
-	"shangrila/internal/ixp"
 	"shangrila/internal/metrics"
 	"shangrila/internal/profiler"
 	"shangrila/internal/rts"
@@ -262,13 +261,8 @@ func ChurnRun(a *apps.App, opts ...Option) (*ChurnResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cfg ixp.Config
-	if s.metricsReg != nil {
-		cfg = ixp.DefaultConfig()
-		cfg.Metrics = s.metricsReg
-	}
 	rt, err := rts.New(res.Image, res.Prog, trc, rts.Options{
-		NumMEs: s.run.NumMEs, Cfg: cfg, Workload: &wsp,
+		NumMEs: s.run.NumMEs, Workload: &wsp,
 	})
 	if err != nil {
 		return nil, err

@@ -25,7 +25,6 @@ type settings struct {
 	level          driver.Level
 	telemetry      bool
 	sampleInterval int64
-	sampleWindow   int
 	compiled       *driver.Result
 	workload       *workload.Spec
 	workers        int
@@ -34,7 +33,6 @@ type settings struct {
 	dumpDir        string
 	stalls         bool
 	chromeTrace    io.Writer
-	metricsReg     *metrics.Registry
 	churn          *workload.ChurnSpec
 	swcMaxCheck    uint32
 }
@@ -98,12 +96,6 @@ func WithTelemetry(interval int64) Option {
 	}
 }
 
-// WithSampleWindow bounds each telemetry series to the last n samples
-// (0 keeps every sample).
-func WithSampleWindow(n int) Option {
-	return func(s *settings) { s.sampleWindow = n }
-}
-
 // WithCompiled supplies an already-compiled image, skipping compilation.
 // The result's level is taken from the compile report; WithLevel is
 // ignored.
@@ -152,13 +144,6 @@ func WithStallBreakdown() Option {
 // concurrently and drop the writer rather than interleave documents.
 func WithChromeTrace(w io.Writer) Option {
 	return func(s *settings) { s.chromeTrace = w }
-}
-
-// WithMetricsRegistry hands the measurement a registry via ixp.Config so
-// run-time telemetry (and compile-time pass counters, when the same
-// registry is passed to the driver) share one namespace the caller owns.
-func WithMetricsRegistry(reg *metrics.Registry) Option {
-	return func(s *settings) { s.metricsReg = reg }
 }
 
 // WithWorkers bounds sweep parallelism (Run ignores it). 0 or negative
@@ -304,13 +289,6 @@ func measure(a *apps.App, res *driver.Result, s *settings) (*Result, error) {
 	if s.telemetry {
 		cfg = ixp.DefaultConfig()
 		cfg.SampleInterval = s.sampleInterval
-		cfg.SampleWindow = s.sampleWindow
-	}
-	if s.metricsReg != nil {
-		if cfg.NumMEs == 0 {
-			cfg = ixp.DefaultConfig()
-		}
-		cfg.Metrics = s.metricsReg
 	}
 	var wl *workload.Spec
 	if s.workload != nil {
