@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check race churn-claims bench-check verify fuzz-ci bench-smoke bench-loadlatency bench-churn bench-cluster clean
+.PHONY: all build test vet fmt-check race churn-claims bench-check verify fuzz-ci bench-smoke clean
 
 all: verify
 
@@ -78,36 +78,18 @@ fuzz-ci: build
 		-report fuzz_report.json
 	@test -s fuzz_report.json && echo "fuzz-ci: report OK"
 
-# Quick end-to-end pass over the evaluation binary: short windows, report
-# written to a scratch location.
+# Quick end-to-end pass over the evaluation binary, into one report CI
+# archives: Table 1, the load-latency sweep (BASE and the -O default,
+# +SWC), the churn timelines under a control-plane update storm with the
+# full-vs-incremental compile-latency comparison, and the 4-chip cluster's
+# goodput scaling and chip drain, every chip advancing on its own worker;
+# short windows, stall breakdowns on every sweep point, and one
+# representative run as a Chrome trace_event file.
 bench-smoke: build
-	$(GO) run ./cmd/shangrila-bench -quick -experiment table1 -report /tmp/bench_report.json
-	@test -s /tmp/bench_report.json && echo "bench-smoke: report OK"
-
-# Short load-latency sweep: goodput/drop/latency curves per app at BASE
-# and the -O default (+SWC), exported into the bench report with stall
-# breakdowns, plus one representative run as a Chrome trace_event file.
-bench-loadlatency: build
-	$(GO) run ./cmd/shangrila-bench -quick -experiment loadlatency -stalls \
-		-report bench_report.json -trace trace.json
-	@test -s bench_report.json && echo "bench-loadlatency: report OK"
-	@test -s trace.json && echo "bench-loadlatency: trace OK"
-
-# Short churn experiment: per-app goodput/latency timelines under a
-# control-plane update storm plus the full-vs-incremental compile-latency
-# comparison, written to its own report so CI can archive the timelines.
-bench-churn: build
-	$(GO) run ./cmd/shangrila-bench -quick -experiment churn -report churn_report.json
-	@test -s churn_report.json && echo "bench-churn: report OK"
-
-# Short multi-NPU cluster experiment: goodput scaling at doubling chip
-# counts plus the chip-drain scenario on a 4-chip line card, every chip
-# advancing on its own worker, written to its own report so CI can
-# archive the topology and per-chip series.
-bench-cluster: build
-	$(GO) run ./cmd/shangrila-bench -quick -experiment cluster -chips 4 -workers 4 \
-		-report cluster_report.json
-	@test -s cluster_report.json && echo "bench-cluster: report OK"
+	$(GO) run ./cmd/shangrila-bench -quick -experiment table1,loadlatency,churn,cluster -stalls -workers 4 \
+		-trace trace.json -report bench_report.json
+	@test -s bench_report.json && echo "bench-smoke: report OK"
+	@test -s trace.json && echo "bench-smoke: trace OK"
 
 clean:
-	rm -f bench_report.json trace.json churn_report.json cluster_report.json fuzz_report.json
+	rm -f bench_report.json trace.json fuzz_report.json

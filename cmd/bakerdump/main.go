@@ -36,15 +36,12 @@ func main() {
 	}
 	name := flag.Arg(0)
 	var src string
-	for _, a := range apps.All() {
-		if a.Name == name {
-			src = a.Source
-		}
-	}
-	if src == "" {
+	if a, appErr := apps.ByName(name); appErr == nil {
+		src = a.Source
+	} else {
 		b, err := os.ReadFile(name)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bakerdump: %v\n", err)
+			fmt.Fprintf(os.Stderr, "bakerdump: %v, and cannot read it as a file: %v\n", appErr, err)
 			os.Exit(1)
 		}
 		src = string(b)

@@ -1,14 +1,14 @@
-// Command shangrila-bench regenerates the paper's evaluation through the
-// experiment registry: every experiment (Figure 6's memory
-// micro-benchmark, Table 1's per-packet access counts, the Figures 13-15
-// forwarding-rate sweeps, load–latency curves, control-plane churn
-// timelines, the multi-NPU cluster scaling/drain scenarios, and the
-// compiler-fuzzing campaign of seeded random Baker programs checked
-// against the host reference interpreter) self-registers with its name,
-// synopsis and private flags, and the CLI generates its usage text and
-// -experiment value set from the registry — run `shangrila-bench -h` for
-// the authoritative list. Unknown experiment names are rejected with the
-// valid set and a nonzero exit.
+// Command shangrila-bench regenerates the paper's evaluation from the
+// suite harness.Experiments lists: Figure 6's memory micro-benchmark,
+// Table 1's per-packet access counts, the Figures 13-15 forwarding-rate
+// sweeps, load–latency curves, control-plane churn timelines, the
+// multi-NPU cluster scaling/drain scenarios, and the compiler-fuzzing
+// campaign of seeded random Baker programs checked against the host
+// reference interpreter. The usage text and the -experiment value set
+// are generated from that list — run `shangrila-bench -h` for the
+// authoritative one. Unknown experiment names and flag values the
+// experiments cannot honour are rejected with a nonzero exit before
+// anything runs.
 //
 // Every run prints the resolved traffic/generator seed so any result —
 // including a fuzz divergence — can be replayed exactly with -seed (or
@@ -34,49 +34,76 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"shangrila/internal/apps"
 	"shangrila/internal/harness"
 )
 
-func main() {
-	registry := harness.Experiments()
-	common := harness.RegisterCommonFlags(flag.CommandLine)
-	exp := flag.String("experiment", "all",
-		"experiments to run, comma-separated: "+registry.UsageSpec())
-	quick := flag.Bool("quick", false, "shorter measurement windows (noisier)")
-	report := flag.String("report", "bench_report.json", "machine-readable report path (empty disables)")
-	workers := flag.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS)")
-	stalls := flag.Bool("stalls", false, "attach per-ME stall breakdowns to every sweep point")
-	tracePath := flag.String("trace", "", "write one representative traced run as Chrome trace_event JSON")
-	prof := harness.RegisterProfileFlags(flag.CommandLine)
-	expFlags := registry.BindFlags(flag.CommandLine)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: shangrila-bench [-experiment %s] [flags]\n\nexperiments:\n%s\nflags:\n",
-			registry.UsageSpec(), registry.Synopses())
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	selected, err := registry.Select(*exp)
+// run is the command on its arguments: it writes the tables to stdout and
+// the report to -report, and returns the exit status, 2 for a bad flag
+// and 1 for an experiment or an output that fails.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("shangrila-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	flags := harness.RegisterFlags(fs)
+	suite := harness.Experiments()
+	spec, w := "all", 0
+	for _, e := range suite {
+		spec += "|" + e.Name
+		w = max(w, len(e.Name))
+	}
+	exp := fs.String("experiment", "all", "experiments to run, comma-separated: "+spec)
+	quick := fs.Bool("quick", false, "shorter measurement windows (noisier)")
+	report := fs.String("report", "bench_report.json", "machine-readable report path (empty disables)")
+	workers := fs.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS)")
+	stalls := fs.Bool("stalls", false, "attach per-ME stall breakdowns to every sweep point")
+	tracePath := fs.String("trace", "", "write one representative traced run as Chrome trace_event JSON")
+	fs.Usage = func() {
+		out := fs.Output()
+		fmt.Fprintf(out, "usage: shangrila-bench [-experiment %s] [flags]\n\nexperiments:\n", spec)
+		for _, e := range suite {
+			fmt.Fprintf(out, "  %-*s  %s\n", w, e.Name, e.Synopsis)
+		}
+		fmt.Fprint(out, "\nflags:\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	selected, err := harness.SelectExperiments(*exp)
 	if err == nil {
-		err = registry.CheckFlags(expFlags)
+		err = flags.Check()
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "shangrila-bench: %v\n", err)
-		os.Exit(2)
-	}
-	if err := prof.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "shangrila-bench: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "shangrila-bench: %v\n", err)
+		return 2
 	}
 
+	if err := flags.Start(); err != nil {
+		fmt.Fprintf(stderr, "shangrila-bench: %v\n", err)
+		return 1
+	}
+	defer func() {
+		if err := flags.Stop(); err != nil {
+			fmt.Fprintf(stderr, "shangrila-bench: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
+
 	cfg := harness.DefaultRunConfig()
-	cfg.Seed = common.Seed
+	cfg.Seed = flags.Seed
 	figWarm, figMeas := int64(60_000), int64(400_000)
 	loads := harness.DefaultLoads()
 	if *quick {
@@ -84,12 +111,7 @@ func main() {
 		figWarm, figMeas = 30_000, 150_000
 		loads = []float64{0.5, 1.5, 3}
 	}
-	opts, err := common.Options()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "shangrila-bench: %v\n", err)
-		os.Exit(2)
-	}
-	opts = append(opts,
+	opts := append(flags.Options(),
 		harness.WithTelemetry(0),
 		harness.WithWorkers(*workers),
 	)
@@ -98,9 +120,9 @@ func main() {
 	}
 
 	ctx := &harness.ExpContext{
-		Out:     os.Stdout,
+		Out:     stdout,
 		Quick:   *quick,
-		Common:  common,
+		Flags:   flags,
 		Opts:    opts,
 		Cfg:     cfg,
 		FigWarm: figWarm,
@@ -108,78 +130,66 @@ func main() {
 		Loads:   loads,
 		Report:  harness.NewReportBuilder(),
 	}
-	fmt.Printf("seed %d (replay with -seed %d)\n", common.Seed, common.Seed)
+	fmt.Fprintf(stdout, "seed %d (replay with -seed %d)\n", flags.Seed, flags.Seed)
 	// An experiment failure (e.g. a diverging fuzz campaign) must not lose
 	// the report: whatever sections were built — including the failing
 	// campaign's minimized reproducers — are still written before exiting
 	// nonzero, so CI can archive the evidence.
-	var expErr error
 	for _, e := range selected {
 		ctx.Report.RecordExperiment(e.Name)
-		if err := e.Run(ctx, expFlags[e.Name]); err != nil {
-			fmt.Fprintf(os.Stderr, "shangrila-bench: %s: %v\n", e.Name, err)
-			expErr = err
+		if err := e.Run(ctx); err != nil {
+			fmt.Fprintf(stderr, "shangrila-bench: %s: %v\n", e.Name, err)
+			code = 1
 			break
 		}
 	}
 
-	if *tracePath != "" && expErr == nil {
+	if *tracePath != "" && code == 0 {
 		// Sweep points run concurrently and never stream Chrome traces
 		// (one JSON document per writer), so trace one representative
 		// point — the first app at the requested -O level — with a
 		// dedicated Run.
-		lvl, err := common.DriverLevel()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shangrila-bench: trace: %v\n", err)
-			os.Exit(2)
-		}
 		f, err := os.Create(*tracePath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "shangrila-bench: trace: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "shangrila-bench: trace: %v\n", err)
+			return 1
 		}
 		app := apps.All()[0]
 		tOpts := append(append([]harness.Option{}, opts...),
-			harness.WithLevel(lvl),
+			harness.WithLevel(flags.DriverLevel()),
 			harness.WithWindows(cfg.Warmup, cfg.Measure),
 			harness.WithStallBreakdown(),
 			harness.WithChromeTrace(f))
 		if _, err := harness.Run(app, tOpts...); err != nil {
 			f.Close()
-			fmt.Fprintf(os.Stderr, "shangrila-bench: trace: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "shangrila-bench: trace: %v\n", err)
+			return 1
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "shangrila-bench: trace: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "shangrila-bench: trace: %v\n", err)
+			return 1
 		}
-		fmt.Printf("wrote %s (Chrome trace_event JSON, %s at %v)\n", *tracePath, app.Name, lvl)
+		fmt.Fprintf(stdout, "wrote %s (Chrome trace_event JSON, %s at %v)\n", *tracePath, app.Name, flags.DriverLevel())
 	}
 
 	if *report != "" && !ctx.Report.Empty() {
 		f, err := os.Create(*report)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "shangrila-bench: report: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "shangrila-bench: report: %v\n", err)
+			return 1
 		}
 		rep := ctx.Report.Report()
 		if err := rep.WriteJSON(f); err != nil {
 			f.Close()
-			fmt.Fprintf(os.Stderr, "shangrila-bench: report: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "shangrila-bench: report: %v\n", err)
+			return 1
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "shangrila-bench: report: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "shangrila-bench: report: %v\n", err)
+			return 1
 		}
-		fmt.Printf("wrote %s (seed %d; %d sweep points, %d load curves, %d churn timelines, %d cluster runs, %d fuzz campaigns)\n",
-			*report, common.Seed, len(rep.Points), len(rep.LoadLatency), len(rep.Churn), len(rep.Cluster), len(rep.Fuzz))
+		fmt.Fprintf(stdout, "wrote %s (seed %d; %d sweep points, %d load curves, %d churn timelines, %d cluster runs, %d fuzz campaigns)\n",
+			*report, flags.Seed, len(rep.Points), len(rep.LoadLatency), len(rep.Churn), len(rep.Cluster), len(rep.Fuzz))
 	}
-	if err := prof.Stop(); err != nil {
-		fmt.Fprintf(os.Stderr, "shangrila-bench: %v\n", err)
-		os.Exit(1)
-	}
-	if expErr != nil {
-		os.Exit(1)
-	}
+	return code
 }

@@ -103,15 +103,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // compileTarget resolves the argument to a built-in app or source file.
 func compileTarget(arg string, lvl driver.Level, mes int) (*driver.Result, string, error) {
-	for _, a := range apps.All() {
-		if a.Name == arg {
-			res, err := compileWithMEs(a, lvl, mes)
-			return res, a.Name, err
-		}
+	a, appErr := apps.ByName(arg)
+	if appErr == nil {
+		res, err := compileWithMEs(a, lvl, mes)
+		return res, a.Name, err
 	}
 	src, err := os.ReadFile(arg)
 	if err != nil {
-		return nil, "", fmt.Errorf("%q is not a built-in app (l3switch|mpls|firewall) and cannot be read: %v", arg, err)
+		return nil, "", fmt.Errorf("%v, and cannot read it as a file: %v", appErr, err)
 	}
 	prog, err := driver.LowerSource(arg, string(src))
 	if err != nil {

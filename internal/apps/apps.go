@@ -6,6 +6,8 @@
 package apps
 
 import (
+	"fmt"
+
 	"shangrila/internal/baker/types"
 	"shangrila/internal/packet"
 	"shangrila/internal/profiler"
@@ -44,6 +46,19 @@ func (a *App) Trace(tp *types.Program, seed uint64, n int) []*packet.Packet {
 // All returns the three benchmark applications.
 func All() []*App {
 	return []*App{L3Switch(), MPLS(), Firewall()}
+}
+
+// ByName returns the benchmark application called name; the error for
+// any other name lists the valid ones.
+func ByName(name string) (*App, error) {
+	var names []string
+	for _, a := range All() {
+		if a.Name == name {
+			return a, nil
+		}
+		names = append(names, a.Name)
+	}
+	return nil, fmt.Errorf("unknown app %q (valid: %v)", name, names)
 }
 
 // common protocol prelude shared by the applications. MAC addresses are

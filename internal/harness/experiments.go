@@ -1,226 +1,222 @@
 package harness
 
 import (
-	"flag"
 	"fmt"
-	"math"
-	"time"
+	"io"
+	"slices"
+	"strings"
 
 	"shangrila/internal/apps"
 	"shangrila/internal/driver"
 )
 
-// The built-in evaluation suite, self-registered into the default
-// experiment registry. Each entry owns its synopsis, private flags and
-// runner; the CLIs generate usage text and dispatch from the registry,
-// and every experiment's machine-readable output flows through the one
-// ReportBuilder in the context.
-
-func init() {
-	RegisterExperiment(&Experiment{
-		Name:     "fig6",
-		Synopsis: "memory micro-benchmark (Figure 6 budget rules)",
-		Run: func(ctx *ExpContext, _ any) error {
-			pts, err := Figure6(ctx.FigWarm, ctx.FigMeas)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(ctx.Out, FormatFigure6(pts))
-			return nil
-		},
-	})
-
-	RegisterExperiment(&Experiment{
-		Name:     "table1",
-		Synopsis: "per-packet dynamic memory accesses across levels (Table 1)",
-		Run: func(ctx *ExpContext, _ any) error {
-			rows, err := Table1(ctx.Cfg, ctx.Opts...)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(ctx.Out, "Table 1 — dynamic memory accesses per packet")
-			fmt.Fprintln(ctx.Out, FormatTable1(rows))
-			ctx.Report.AddResults(rows)
-			return nil
-		},
-	})
-
-	registerFigure("fig13", "Figure 13: L3-Switch", apps.L3Switch)
-	registerFigure("fig14", "Figure 14: Firewall", apps.Firewall)
-	registerFigure("fig15", "Figure 15: MPLS", apps.MPLS)
-
-	RegisterExperiment(&Experiment{
-		Name:     "loadlatency",
-		Synopsis: "goodput/latency vs offered load, BASE vs -O (Figure 9 shape)",
-		Run: func(ctx *ExpContext, _ any) error {
-			lvl, err := ctx.Common.DriverLevel()
-			if err != nil {
-				return err
-			}
-			shape, err := ctx.Common.TrafficShape()
-			if err != nil {
-				return err
-			}
-			// BASE is the contrast curve; -O picks the optimized one.
-			levels := []driver.Level{driver.LevelBase}
-			if lvl != driver.LevelBase {
-				levels = append(levels, lvl)
-			}
-			curves, err := LoadLatency(apps.All(), levels, ctx.Loads,
-				ctx.Options(WithWindows(ctx.Cfg.Warmup, ctx.Cfg.Measure), WithWorkload(shape))...)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(ctx.Out, "Load–latency curves (offered load sweep, Figure 9 shape)")
-			fmt.Fprintln(ctx.Out, FormatLoadLatency(curves))
-			ctx.Report.AddLoadCurves(curves)
-			return nil
-		},
-	})
-
-	RegisterExperiment(&Experiment{
-		Name:     "churn",
-		Synopsis: "goodput/latency timelines under control-plane update storms",
-		Run: func(ctx *ExpContext, _ any) error {
-			lvl, err := ctx.Common.DriverLevel()
-			if err != nil {
-				return err
-			}
-			results, err := ChurnExperiment(apps.All(),
-				ctx.Options(WithLevel(lvl), WithWindows(ctx.FigWarm, ctx.FigMeas))...)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(ctx.Out, "Control-plane churn — goodput/latency under update storms")
-			fmt.Fprintln(ctx.Out, FormatChurn(results))
-			ctx.Report.AddChurn(results)
-			return nil
-		},
-		RunApp: func(ctx *ExpContext, a *apps.App, _ any) error {
-			lvl, err := ctx.Common.DriverLevel()
-			if err != nil {
-				return err
-			}
-			res, err := ChurnRun(a,
-				ctx.Options(WithLevel(lvl), WithWindows(ctx.Cfg.Warmup, ctx.Cfg.Measure))...)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(ctx.Out, FormatChurn([]*ChurnResult{res}))
-			ctx.Report.AddChurn([]*ChurnResult{res})
-			return nil
-		},
-	})
-
-	RegisterExperiment(&Experiment{
-		Name:     "cluster",
-		Synopsis: "multi-NPU line card: goodput scaling, flow-hash imbalance, drain",
-		Flags:    clusterFlagDefs,
-		Run: func(ctx *ExpContext, flags any) error {
-			cf := flags.(*clusterFlags)
-			a, err := findApp(cf.App)
-			if err != nil {
-				return err
-			}
-			return runClusterSeries(ctx, a, cf)
-		},
-		RunApp: func(ctx *ExpContext, a *apps.App, flags any) error {
-			return runClusterSeries(ctx, a, flags.(*clusterFlags))
-		},
-	})
-
-	RegisterExperiment(&Experiment{
-		Name:     "fuzz",
-		Synopsis: "compiler fuzzing: random Baker programs, host-vs-compiled differential",
-		Flags:    fuzzFlagDefs,
-		Run: func(ctx *ExpContext, flags any) error {
-			ff := flags.(*fuzzFlags)
-			res := RunFuzz(ff.config(ctx))
-			fmt.Fprintln(ctx.Out, res)
-			ctx.Report.AddFuzz(res)
-			if !res.OK() {
-				return fmt.Errorf("%d of %d programs diverged (replay with -fuzz-seed %d)",
-					res.Divergent, res.Programs, res.Seed)
-			}
-			return nil
-		},
-		RunApp: func(ctx *ExpContext, a *apps.App, flags any) error {
-			// Against one explicit app the experiment is the differential
-			// oracle itself: every level vs the host reference.
-			ff := flags.(*fuzzFlags)
-			seed := ff.Seed
-			if seed == 0 {
-				seed = ctx.Common.Seed
-			}
-			rep := DifferentialWith(DiffConfig{Seed: seed, TraceN: ff.TraceN}, a)
-			fmt.Fprintf(ctx.Out, "differential (seed %d): %s\n", seed, rep)
-			if !rep.OK() {
-				return fmt.Errorf("fuzz: %s diverged (seed %d)", a.Name, seed)
-			}
-			return nil
-		},
-	})
+// ExpContext is the shared environment the CLI hands every experiment:
+// where to print, the checked flags and resolved harness options, the
+// standard measurement windows (full or -quick), and the report builder
+// every experiment's machine-readable output lands in.
+type ExpContext struct {
+	Out   io.Writer
+	Quick bool
+	Flags *Flags
+	// Opts are the resolved cross-experiment options (seed, workers,
+	// telemetry, stall breakdowns...). Experiments append their
+	// own and must not mutate the shared slice in place.
+	Opts []Option
+	// Cfg is the standard run configuration; FigWarm/FigMeas are the
+	// shorter figure-sweep windows; Loads is the load–latency sweep.
+	Cfg              RunConfig
+	FigWarm, FigMeas int64
+	Loads            []float64
+	// Report collects every experiment's machine-readable results on
+	// the single canonical path (schema v6).
+	Report *ReportBuilder
 }
 
-// fuzzFlags is the fuzz experiment's private flag surface.
-type fuzzFlags struct {
-	N        int
-	Seed     uint64
-	TraceN   int
-	Budget   time.Duration
-	Minimize bool
+// Options returns a copy of the shared option slice with extra appended,
+// safe for per-experiment extension.
+func (ctx *ExpContext) Options(extra ...Option) []Option {
+	return append(append([]Option{}, ctx.Opts...), extra...)
 }
 
-func fuzzFlagDefs(fs *flag.FlagSet) any {
-	ff := &fuzzFlags{}
-	fs.IntVar(&ff.N, "fuzz-n", 50, "fuzz experiment: generated programs per campaign")
-	fs.Uint64Var(&ff.Seed, "fuzz-seed", 0, "fuzz experiment: first generator seed (0 = use -seed)")
-	fs.IntVar(&ff.TraceN, "fuzz-trace", 12, "fuzz experiment: packets injected per program")
-	fs.DurationVar(&ff.Budget, "fuzz-budget", 0, "fuzz experiment: wall-clock budget (0 = none)")
-	fs.BoolVar(&ff.Minimize, "fuzz-minimize", true, "fuzz experiment: delta-debug divergent programs")
-	return ff
+// Experiment is one entry of the evaluation suite: its -experiment name,
+// the one-line synopsis the usage text shows, and its runners.
+type Experiment struct {
+	Name     string
+	Synopsis string
+	// Run executes the experiment across its own app selection.
+	Run func(ctx *ExpContext) error
+	// RunApp, when non-nil, runs the experiment against one explicit
+	// app — the single-app CLI (ixpsim) dispatches through it.
+	RunApp func(ctx *ExpContext, a *apps.App) error
 }
 
-func (ff *fuzzFlags) check() error {
-	switch {
-	case ff.N < 1:
-		return fmt.Errorf("-fuzz-n %d: want at least one program", ff.N)
-	case ff.TraceN < 1:
-		return fmt.Errorf("-fuzz-trace %d: want at least one packet", ff.TraceN)
-	case ff.Budget < 0:
-		return fmt.Errorf("-fuzz-budget %v: want 0 (none) or more", ff.Budget)
-	}
-	return nil
-}
-
-// config resolves the flag surface against the shared context: an unset
-// -fuzz-seed inherits the common -seed so every campaign is replayable
-// from the values echoed in the output.
-func (ff *fuzzFlags) config(ctx *ExpContext) FuzzConfig {
-	seed := ff.Seed
-	if seed == 0 {
-		seed = ctx.Common.Seed
-	}
-	n := ff.N
-	if ctx.Quick && n > 10 {
-		n = 10
-	}
-	return FuzzConfig{
-		N:        n,
-		Seed:     seed,
-		TraceN:   ff.TraceN,
-		Budget:   ff.Budget,
-		Minimize: ff.Minimize,
+// Experiments returns the evaluation suite in run order: the paper's
+// Figure 6, Table 1 and Figures 13–15, then the load–latency, churn,
+// cluster and fuzz experiments. Every experiment's machine-readable
+// output flows through the one ReportBuilder in the context.
+func Experiments() []Experiment {
+	return []Experiment{
+		{
+			Name:     "fig6",
+			Synopsis: "memory micro-benchmark (Figure 6 budget rules)",
+			Run: func(ctx *ExpContext) error {
+				pts, err := Figure6(ctx.FigWarm, ctx.FigMeas)
+				if err != nil {
+					return err
+				}
+				fmt.Fprintln(ctx.Out, FormatFigure6(pts))
+				return nil
+			},
+		},
+		{
+			Name:     "table1",
+			Synopsis: "per-packet dynamic memory accesses across levels (Table 1)",
+			Run: func(ctx *ExpContext) error {
+				rows, err := Table1(ctx.Cfg, ctx.Opts...)
+				if err != nil {
+					return err
+				}
+				fmt.Fprintln(ctx.Out, "Table 1 — dynamic memory accesses per packet")
+				fmt.Fprintln(ctx.Out, FormatTable1(rows))
+				ctx.Report.AddResults(rows)
+				return nil
+			},
+		},
+		figure("fig13", "Figure 13: L3-Switch", apps.L3Switch),
+		figure("fig14", "Figure 14: Firewall", apps.Firewall),
+		figure("fig15", "Figure 15: MPLS", apps.MPLS),
+		{
+			Name:     "loadlatency",
+			Synopsis: "goodput/latency vs offered load, BASE vs -O (Figure 9 shape)",
+			Run: func(ctx *ExpContext) error {
+				// BASE is the contrast curve; -O picks the optimized one.
+				levels := []driver.Level{driver.LevelBase}
+				if lvl := ctx.Flags.DriverLevel(); lvl != driver.LevelBase {
+					levels = append(levels, lvl)
+				}
+				curves, err := LoadLatency(apps.All(), levels, ctx.Loads,
+					ctx.Options(WithWindows(ctx.Cfg.Warmup, ctx.Cfg.Measure), WithWorkload(ctx.Flags.TrafficShape()))...)
+				if err != nil {
+					return err
+				}
+				fmt.Fprintln(ctx.Out, "Load–latency curves (offered load sweep, Figure 9 shape)")
+				fmt.Fprintln(ctx.Out, FormatLoadLatency(curves))
+				ctx.Report.AddLoadCurves(curves)
+				return nil
+			},
+		},
+		{
+			Name:     "churn",
+			Synopsis: "goodput/latency timelines under control-plane update storms",
+			Run: func(ctx *ExpContext) error {
+				results, err := ChurnExperiment(apps.All(),
+					ctx.Options(WithLevel(ctx.Flags.DriverLevel()), WithWindows(ctx.FigWarm, ctx.FigMeas))...)
+				if err != nil {
+					return err
+				}
+				fmt.Fprintln(ctx.Out, "Control-plane churn — goodput/latency under update storms")
+				fmt.Fprintln(ctx.Out, FormatChurn(results))
+				ctx.Report.AddChurn(results)
+				return nil
+			},
+			RunApp: func(ctx *ExpContext, a *apps.App) error {
+				res, err := ChurnRun(a,
+					ctx.Options(WithLevel(ctx.Flags.DriverLevel()), WithWindows(ctx.Cfg.Warmup, ctx.Cfg.Measure))...)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(ctx.Out, FormatChurn([]*ChurnResult{res}))
+				ctx.Report.AddChurn([]*ChurnResult{res})
+				return nil
+			},
+		},
+		{
+			Name:     "cluster",
+			Synopsis: "multi-NPU line card: goodput scaling, flow-hash imbalance, drain",
+			Run: func(ctx *ExpContext) error {
+				a, err := apps.ByName(ctx.Flags.ClusterApp)
+				if err != nil {
+					return err
+				}
+				return runClusterSeries(ctx, a)
+			},
+			RunApp: runClusterSeries,
+		},
+		{
+			Name:     "fuzz",
+			Synopsis: "compiler fuzzing: random Baker programs, host-vs-compiled differential",
+			Run: func(ctx *ExpContext) error {
+				res := RunFuzz(ctx.Flags.fuzzConfig(ctx.Quick))
+				fmt.Fprintln(ctx.Out, res)
+				ctx.Report.AddFuzz(res)
+				if !res.OK() {
+					return fmt.Errorf("%d of %d programs diverged (replay with -fuzz-seed %d)",
+						res.Divergent, res.Programs, res.Seed)
+				}
+				return nil
+			},
+			RunApp: func(ctx *ExpContext, a *apps.App) error {
+				// Against one explicit app the experiment is the differential
+				// oracle itself: every level vs the host reference.
+				seed := ctx.Flags.fuzzSeed()
+				rep := DifferentialWith(DiffConfig{Seed: seed, TraceN: ctx.Flags.FuzzTrace}, a)
+				fmt.Fprintf(ctx.Out, "differential (seed %d): %s\n", seed, rep)
+				if !rep.OK() {
+					return fmt.Errorf("fuzz: %s diverged (seed %d)", a.Name, seed)
+				}
+				return nil
+			},
+		},
 	}
 }
 
-// registerFigure registers one forwarding-rate figure sweep (rate vs
-// enabled MEs per optimization level for one app).
-func registerFigure(name, title string, app func() *apps.App) {
-	RegisterExperiment(&Experiment{
+// SelectExperiments resolves an -experiment value: "all" (or empty)
+// selects every experiment; otherwise a comma-separated list of names.
+// Unknown names are an error listing the valid set — the CLI turns that
+// into a nonzero exit instead of silently running nothing. The selection
+// runs in suite order regardless of how the list was spelled.
+func SelectExperiments(spec string) ([]Experiment, error) {
+	all := Experiments()
+	if spec == "" || spec == "all" {
+		return all, nil
+	}
+	valid := "all"
+	for _, e := range all {
+		valid += "|" + e.Name
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		if name == "all" {
+			return all, nil
+		}
+		if !slices.ContainsFunc(all, func(e Experiment) bool { return e.Name == name }) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, valid)
+		}
+		want[name] = true
+	}
+	if len(want) == 0 {
+		return nil, fmt.Errorf("empty experiment selection (valid: %s)", valid)
+	}
+	var out []Experiment
+	for _, e := range all {
+		if want[e.Name] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
+
+// figure is one forwarding-rate figure sweep (rate vs enabled MEs per
+// optimization level for one app).
+func figure(name, title string, app func() *apps.App) Experiment {
+	return Experiment{
 		Name:     name,
 		Synopsis: title + " forwarding rate vs enabled MEs per level",
-		Run: func(ctx *ExpContext, _ any) error {
+		Run: func(ctx *ExpContext) error {
 			series, results, err := FigureResults(app(), ctx.Cfg, 6, ctx.Opts...)
 			if err != nil {
 				return err
@@ -229,85 +225,30 @@ func registerFigure(name, title string, app func() *apps.App) {
 			ctx.Report.AddResults(results)
 			return nil
 		},
-	})
-}
-
-// clusterFlags is the cluster experiment's private flag surface.
-type clusterFlags struct {
-	Chips     int
-	App       string
-	Flows     int
-	Zipf      float64
-	Load      float64
-	Drain     bool
-	DrainFrac float64
-	Epoch     int64
-	Latency   int64
-}
-
-func clusterFlagDefs(fs *flag.FlagSet) any {
-	cf := &clusterFlags{}
-	fs.IntVar(&cf.Chips, "chips", 4, "cluster experiment: NPUs on the simulated line card")
-	fs.StringVar(&cf.App, "cluster-app", "l3switch", "cluster experiment: application to replicate per chip")
-	fs.IntVar(&cf.Flows, "cluster-flows", 1_000_000, "cluster experiment: concurrent flow population")
-	fs.Float64Var(&cf.Zipf, "cluster-zipf", 1.1, "cluster experiment: Zipf flow-popularity exponent")
-	fs.Float64Var(&cf.Load, "cluster-load", 2.5, "cluster experiment: offered Gbps per chip")
-	fs.BoolVar(&cf.Drain, "cluster-drain", true, "cluster experiment: include the chip-drain scenario")
-	fs.Float64Var(&cf.DrainFrac, "cluster-drain-frac", 0.5, "cluster experiment: drain point as a fraction of the measure window")
-	fs.Int64Var(&cf.Epoch, "cluster-epoch", 0, "cluster experiment: scheduler epoch in cycles (0 = default)")
-	fs.Int64Var(&cf.Latency, "cluster-fabric-latency", 0, "cluster experiment: fabric first-delivery offset in cycles")
-	return cf
-}
-
-func (cf *clusterFlags) check() error {
-	switch {
-	case cf.Chips < 1:
-		return fmt.Errorf("-chips %d: want at least one chip", cf.Chips)
-	case cf.Flows < 0:
-		return fmt.Errorf("-cluster-flows %d: want a flow population of 0 (the default) or more", cf.Flows)
-	case !(cf.DrainFrac > 0 && cf.DrainFrac < 1): // NaN fails both
-		return fmt.Errorf("-cluster-drain-frac %v: want a fraction strictly between 0 and 1", cf.DrainFrac)
-	// ClusterParams reads a load or exponent of 0 as "the default", so the
-	// flags refuse 0 too; NaN fails every comparison.
-	case !(cf.Load > 0) || math.IsInf(cf.Load, 1):
-		return fmt.Errorf("-cluster-load %v: want a finite load above 0 Gbps per chip", cf.Load)
-	case !(cf.Zipf > 0) || math.IsInf(cf.Zipf, 1):
-		return fmt.Errorf("-cluster-zipf %v: want a finite exponent above 0", cf.Zipf)
-	case cf.Epoch < 0:
-		return fmt.Errorf("-cluster-epoch %d: want 0 (the default) or more cycles", cf.Epoch)
-	case cf.Latency < 0:
-		return fmt.Errorf("-cluster-fabric-latency %d: want 0 or more cycles", cf.Latency)
 	}
-	if _, err := findApp(cf.App); err != nil {
-		return fmt.Errorf("-cluster-app %s: %w", cf.App, err)
-	}
-	return nil
 }
 
 // runClusterSeries runs the goodput-scaling series (and drain scenario)
 // for one app and records it in the report.
-func runClusterSeries(ctx *ExpContext, a *apps.App, cf *clusterFlags) error {
+func runClusterSeries(ctx *ExpContext, a *apps.App) error {
+	f := ctx.Flags
 	p := ClusterParams{
-		Chips:         cf.Chips,
-		PerChipGbps:   cf.Load,
-		Flows:         cf.Flows,
-		ZipfS:         cf.Zipf,
-		Arrival:       ctx.Common.Arrival,
-		Sizes:         ctx.Common.Sizes,
-		FabricLatency: cf.Latency,
-		Epoch:         cf.Epoch,
-		DrainFrac:     cf.DrainFrac,
+		Chips:         f.Chips,
+		PerChipGbps:   f.ClusterLoad,
+		Flows:         f.ClusterFlows,
+		ZipfS:         f.ClusterZipf,
+		Arrival:       f.Arrival,
+		Sizes:         f.Sizes,
+		FabricLatency: f.ClusterFabricLatency,
+		Epoch:         f.ClusterEpoch,
+		DrainFrac:     f.ClusterDrainFrac,
 		DrainChip:     NoDrain,
 	}
-	if cf.Drain {
-		p.DrainChip = cf.Chips - 1 // drain the last chip mid-run
-	}
-	lvl, err := ctx.Common.DriverLevel()
-	if err != nil {
-		return err
+	if f.ClusterDrain {
+		p.DrainChip = f.Chips - 1 // drain the last chip mid-run
 	}
 	results, err := ClusterScaling(a, p,
-		ctx.Options(WithLevel(lvl), WithWindows(ctx.FigWarm, ctx.FigMeas))...)
+		ctx.Options(WithLevel(f.DriverLevel()), WithWindows(ctx.FigWarm, ctx.FigMeas))...)
 	if err != nil {
 		return err
 	}
@@ -315,16 +256,4 @@ func runClusterSeries(ctx *ExpContext, a *apps.App, cf *clusterFlags) error {
 	fmt.Fprintln(ctx.Out, FormatCluster(results))
 	ctx.Report.AddCluster(results)
 	return nil
-}
-
-// findApp resolves a benchmark application by name.
-func findApp(name string) (*apps.App, error) {
-	var names []string
-	for _, a := range apps.All() {
-		if a.Name == name {
-			return a, nil
-		}
-		names = append(names, a.Name)
-	}
-	return nil, fmt.Errorf("unknown app %q (valid: %v)", name, names)
 }

@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// parseCommon parses args through RegisterCommonFlags on a fresh FlagSet,
-// the way both CLIs read their shared flags.
-func parseCommon(t *testing.T, args ...string) *CommonFlags {
+// parseFlags parses args through RegisterFlags on a fresh FlagSet, the
+// way both CLIs read their shared flags.
+func parseFlags(t *testing.T, args ...string) *Flags {
 	t.Helper()
-	fs := flag.NewFlagSet("common", flag.ContinueOnError)
+	fs := flag.NewFlagSet("flags", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	f := RegisterCommonFlags(fs)
+	f := RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %q: %v", args, err)
 	}
@@ -21,62 +21,51 @@ func parseCommon(t *testing.T, args ...string) *CommonFlags {
 }
 
 // TestCommonFlagsRejectInvalid: every shared flag value the commands
-// cannot honour is an error before anything runs, never a silent
-// fallback, and the defaults select legacy trace playback with the churn
-// experiment's default storm.
+// cannot honour is a Check error before anything runs, never a silent
+// fallback — the level and the traffic shape included, whether or not
+// -gbps or the experiment reading them is selected — and the defaults
+// select legacy trace playback with the churn experiment's default storm.
 func TestCommonFlagsRejectInvalid(t *testing.T) {
-	options := func(f *CommonFlags) error { _, err := f.Options(); return err }
-	level := func(f *CommonFlags) error { _, err := f.DriverLevel(); return err }
-	for _, c := range []struct {
-		args  []string
-		check func(*CommonFlags) error
-	}{
-		{[]string{"-O", "7"}, level},
-		{[]string{"-gbps", "-1"}, options},
-		{[]string{"-gbps", "1", "-arrival", "bogus"}, options},
-		{[]string{"-churn-arrival", "bogus"}, options},
-		{[]string{"-swc-check-limit", "4294967296"}, options},
-		{[]string{"-gbps", "NaN"}, options},
-		{[]string{"-gbps", "+Inf"}, options},
-		{[]string{"-gbps", "1", "-zipf", "NaN"}, options},
-		{[]string{"-churn-rate", "NaN"}, options},
-		{[]string{"-churn-rate", "Inf"}, options},
-		{[]string{"-dump-ir", "bogus"}, options},
+	for _, args := range [][]string{
+		{"-O", "7"},
+		{"-O", "-1"},
+		{"-gbps", "-1"},
+		{"-gbps", "1", "-arrival", "bogus"},
+		{"-arrival", "bogus"},
+		{"-churn-arrival", "bogus"},
+		{"-swc-check-limit", "4294967296"},
+		{"-gbps", "NaN"},
+		{"-gbps", "+Inf"},
+		{"-gbps", "1", "-zipf", "NaN"},
+		{"-churn-rate", "NaN"},
+		{"-churn-rate", "Inf"},
+		{"-dump-ir", "bogus"},
 	} {
-		if err := c.check(parseCommon(t, c.args...)); err == nil {
-			t.Errorf("%q accepted, want an error", c.args)
+		if err := parseFlags(t, args...).Check(); err == nil {
+			t.Errorf("%q accepted, want an error", args)
 		}
 	}
 
-	f := parseCommon(t)
-	if _, err := f.DriverLevel(); err != nil {
-		t.Errorf("default -O: %v", err)
+	f := parseFlags(t)
+	if err := f.Check(); err != nil {
+		t.Errorf("default flags: %v", err)
 	}
-	if sp, err := f.WorkloadSpec(); sp != nil || err != nil {
-		t.Errorf("default workload = %+v, %v; want nil, nil", sp, err)
+	if sp := f.WorkloadSpec(); sp != nil {
+		t.Errorf("default workload = %+v, want nil", sp)
 	}
-	if sp, err := f.ChurnSpec(); sp != nil || err != nil {
-		t.Errorf("default churn spec = %+v, %v; want nil, nil", sp, err)
-	}
-	if _, err := f.Options(); err != nil {
-		t.Errorf("default options: %v", err)
+	if sp := f.ChurnSpec(); sp != nil {
+		t.Errorf("default churn spec = %+v, want nil", sp)
 	}
 }
 
-// TestExperimentFlagsRejectInvalid parses real argument lists through the
-// registry's BindFlags, as both CLIs do: an experiment flag value the
-// experiment cannot honour is an error naming the flag and the value
-// (the CLIs exit 2 on it), never a silent substitution; the defaults pass.
+// TestExperimentFlagsRejectInvalid parses real argument lists through
+// RegisterFlags, as both CLIs do: an experiment flag value the experiment
+// cannot honour is a Check error naming the flag and the value (the CLIs
+// exit 2 on it), never a silent substitution; the defaults pass.
 func TestExperimentFlagsRejectInvalid(t *testing.T) {
 	check := func(args ...string) error {
 		t.Helper()
-		fs := flag.NewFlagSet("exp", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		bound := Experiments().BindFlags(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Fatalf("parse %q: %v", args, err)
-		}
-		return Experiments().CheckFlags(bound)
+		return parseFlags(t, args...).Check()
 	}
 	for _, args := range [][]string{
 		{"-chips", "0"},

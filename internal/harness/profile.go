@@ -1,43 +1,19 @@
 package harness
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
-// ProfileFlags is the host-side profiling surface shared by cmd/ixpsim
-// and cmd/shangrila-bench: a CPU profile over the whole command and a
-// heap profile written at exit. Both files feed `go tool pprof` directly;
-// they profile the simulator itself (the Go process), not the simulated
-// machine — for simulated-cycle attribution use -stalls/-trace.
-type ProfileFlags struct {
-	CPUProfile string
-	MemProfile string
-
-	cpuFile *os.File
-}
-
-// RegisterProfileFlags registers -cpuprofile and -memprofile on fs and
-// returns the struct the parsed values land in.
-func RegisterProfileFlags(fs *flag.FlagSet) *ProfileFlags {
-	f := &ProfileFlags{}
-	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a host CPU profile for `go tool pprof` to this file")
-	fs.StringVar(&f.MemProfile, "memprofile", "", "write a host heap profile for `go tool pprof` to this file at exit")
-	return f
-}
-
-// Start begins CPU profiling when -cpuprofile was given. It must be
-// paired with Stop; the usual shape is
-//
-//	if err := prof.Start(); err != nil { ... }
-//	defer prof.Stop()
-//
-// taking care that Stop also runs on the error exits (os.Exit skips
-// deferred calls).
-func (f *ProfileFlags) Start() error {
+// Start begins CPU profiling when -cpuprofile was given. Both files feed
+// `go tool pprof` directly; they profile the command itself (the Go
+// process), not the simulated machine — for simulated-cycle attribution
+// use -stalls/-trace. Start must be paired with a deferred Stop, so a
+// command returns its exit status rather than calling os.Exit, which
+// skips deferred calls and would leave an empty CPU profile.
+func (f *Flags) Start() error {
 	if f.CPUProfile == "" {
 		return nil
 	}
@@ -56,7 +32,7 @@ func (f *ProfileFlags) Start() error {
 // Stop finishes the CPU profile and writes the heap profile, as
 // requested. It is idempotent so error paths and the normal exit can
 // both call it.
-func (f *ProfileFlags) Stop() error {
+func (f *Flags) Stop() error {
 	if f.cpuFile != nil {
 		pprof.StopCPUProfile()
 		err := f.cpuFile.Close()

@@ -48,7 +48,7 @@ type ReportPoint struct {
 type BenchReport struct {
 	Schema string `json:"schema"`
 	// Experiments names the experiments that contributed to this report,
-	// in execution order — the registry records each one uniformly.
+	// in execution order, as the CLIs record each one they run.
 	Experiments []string      `json:"experiments,omitempty"`
 	Points      []ReportPoint `json:"points"`
 	// LoadLatency holds load–latency curves when the loadlatency
