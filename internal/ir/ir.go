@@ -33,6 +33,13 @@ const (
 	ClassHandle
 )
 
+func (c RegClass) String() string {
+	if c == ClassHandle {
+		return "handle"
+	}
+	return "word"
+}
+
 // Op enumerates IR operations.
 type Op int
 

@@ -42,6 +42,10 @@ func (e *VerifyError) Error() string {
 //     register is written before it is read (parameters count as entry
 //     definitions), and every operand is within the function's register
 //     space with a recorded class;
+//   - register classes: a mov's source and destination share a class, eq
+//     and ne compare two registers of one class into a word, constants,
+//     arithmetic, ordered comparisons and conditional branches take and
+//     make words, and a call's arguments match its callee's ParamClasses;
 //   - packet/metadata access typing: handles where handles are required,
 //     field accesses naming a field that fits one machine word, raw
 //     (post-PAC) accesses with positive word-multiple widths and matching
@@ -64,7 +68,7 @@ func Verify(p *Program) error {
 		blocks = max(blocks, len(fn.Blocks))
 		bits = max(bits, bitWords(fn)*(len(fn.Blocks)+1))
 	}
-	v := verifier{index: make(map[*Block]int, blocks), bits: make([]uint64, bits)}
+	v := verifier{prog: p, index: make(map[*Block]int, blocks), bits: make([]uint64, bits)}
 	for _, fn := range p.Funcs {
 		if err := v.verifyFunc(fn); err != nil {
 			return err
@@ -78,7 +82,8 @@ func Verify(p *Program) error {
 // blocks it has: the verifier runs after every pass of every compile under
 // `go test`, on the success path every time.
 type verifier struct {
-	fn *Func
+	prog *Program
+	fn   *Func
 	// index maps each block of fn to its position in fn.Blocks: the
 	// membership test for branch targets and the row of bits it owns.
 	index map[*Block]int
@@ -185,6 +190,49 @@ func (v *verifier) verifyInstr(b *Block, idx int, in *Instr) error {
 		}
 	}
 	class := func(r Reg) RegClass { return fn.RegClasses[r] }
+
+	// Register classes. The operand counts of these ops are not checked
+	// here, so only the operands present are.
+	words := func(regs []Reg) error {
+		for _, r := range regs {
+			if class(r) != ClassWord {
+				return v.errf(b, idx, in, "%v: operand %v is a handle, want a word", in.Op, r)
+			}
+		}
+		return nil
+	}
+	switch in.Op {
+	case OpMov:
+		if len(in.Dst) == 1 && len(in.Args) == 1 && class(in.Dst[0]) != class(in.Args[0]) {
+			return v.errf(b, idx, in, "mov of %s %v into %s %v", class(in.Args[0]), in.Args[0],
+				class(in.Dst[0]), in.Dst[0])
+		}
+	case OpEq, OpNe:
+		if len(in.Args) == 2 && class(in.Args[0]) != class(in.Args[1]) {
+			return v.errf(b, idx, in, "%v compares %s %v with %s %v", in.Op, class(in.Args[0]), in.Args[0],
+				class(in.Args[1]), in.Args[1])
+		}
+		if err := words(in.Dst); err != nil {
+			return err
+		}
+	case OpConst, OpAdd, OpSub, OpMul, OpDivU, OpRemU, OpAnd, OpOr, OpXor, OpShl, OpShrU, OpShrS,
+		OpNot, OpNeg, OpLtU, OpLeU, OpLtS, OpLeS, OpCondBr:
+		if err := words(in.Dst); err != nil {
+			return err
+		}
+		if err := words(in.Args); err != nil {
+			return err
+		}
+	case OpCall:
+		if callee := v.prog.Func(in.Callee); callee != nil {
+			for i, a := range in.Args {
+				if i < len(callee.ParamClasses) && class(a) != callee.ParamClasses[i] {
+					return v.errf(b, idx, in, "call passes %s %v for %s parameter %d of %s",
+						class(a), a, callee.ParamClasses[i], i, in.Callee)
+				}
+			}
+		}
+	}
 
 	// Terminator arity and edge targets.
 	switch in.Op {

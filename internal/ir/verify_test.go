@@ -157,6 +157,78 @@ func TestVerifyHandleClass(t *testing.T) {
 	wantVerifyError(t, prog, "handle operand %v1 has class word")
 }
 
+// TestVerifyMovClass: a mov copies a register into one of its own class.
+func TestVerifyMovClass(t *testing.T) {
+	prog, fn := newTestFunc()
+	w := fn.NewReg(ClassWord)
+	fn.Entry.Instrs = []*Instr{
+		{Op: OpMov, Dst: []Reg{w}, Args: []Reg{fn.Params[0]}},
+		{Op: OpRet},
+	}
+	wantVerifyError(t, prog, "mov of handle %v0 into word %v1")
+}
+
+// TestVerifyEqClass: eq and ne compare two registers of one class, handles
+// by identity, and write a word.
+func TestVerifyEqClass(t *testing.T) {
+	prog, fn := newTestFunc()
+	w := fn.NewReg(ClassWord)
+	d := fn.NewReg(ClassWord)
+	fn.Entry.Instrs = []*Instr{
+		{Op: OpConst, Dst: []Reg{w}},
+		{Op: OpNe, Dst: []Reg{d}, Args: []Reg{fn.Params[0], w}},
+		{Op: OpRet},
+	}
+	wantVerifyError(t, prog, "ne compares handle %v0 with word %v1")
+
+	prog, fn = newTestFunc()
+	h := fn.NewReg(ClassHandle)
+	fn.Entry.Instrs = []*Instr{
+		{Op: OpEq, Dst: []Reg{h}, Args: []Reg{fn.Params[0], fn.Params[0]}},
+		{Op: OpRet},
+	}
+	wantVerifyError(t, prog, "eq: operand %v1 is a handle, want a word")
+}
+
+// TestVerifyArithmeticWords: arithmetic takes words.
+func TestVerifyArithmeticWords(t *testing.T) {
+	prog, fn := newTestFunc()
+	w := fn.NewReg(ClassWord)
+	fn.Entry.Instrs = []*Instr{
+		{Op: OpConst, Dst: []Reg{w}, Imm: 1},
+		{Op: OpAdd, Dst: []Reg{w}, Args: []Reg{w, fn.Params[0]}},
+		{Op: OpRet},
+	}
+	wantVerifyError(t, prog, "add: operand %v0 is a handle, want a word")
+}
+
+// TestVerifyCondBrWord: a conditional branch tests a word.
+func TestVerifyCondBrWord(t *testing.T) {
+	prog, fn := newTestFunc()
+	thn, els := fn.NewBlock(), fn.NewBlock()
+	thn.Instrs = []*Instr{{Op: OpRet}}
+	els.Instrs = []*Instr{{Op: OpRet}}
+	fn.Entry.Instrs = []*Instr{{Op: OpCondBr, Args: []Reg{fn.Params[0]}, Blocks: []*Block{thn, els}}}
+	wantVerifyError(t, prog, "condbr: operand %v0 is a handle, want a word")
+}
+
+// TestVerifyCallArgClasses: a call's arguments match the classes of its
+// callee's parameters.
+func TestVerifyCallArgClasses(t *testing.T) {
+	prog, fn := newTestFunc()
+	callee := &Func{Name: "t.g", Kind: FuncHelper}
+	callee.Params = []Reg{callee.NewReg(ClassWord)}
+	callee.ParamClasses = []RegClass{ClassWord}
+	callee.Entry = callee.NewBlock()
+	callee.Entry.Instrs = []*Instr{{Op: OpRet}}
+	prog.Funcs = append(prog.Funcs, callee)
+	fn.Entry.Instrs = []*Instr{
+		{Op: OpCall, Args: []Reg{fn.Params[0]}, Callee: "t.g"},
+		{Op: OpRet},
+	}
+	wantVerifyError(t, prog, "call passes handle %v0 for word parameter 0 of t.g")
+}
+
 func TestVerifyRawWidthMismatch(t *testing.T) {
 	prog, fn := newTestFunc()
 	d := fn.NewReg(ClassWord)

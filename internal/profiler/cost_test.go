@@ -131,3 +131,26 @@ func BenchmarkProfile(b *testing.B) {
 	}
 	b.ReportMetric(512, "packets/op")
 }
+
+// TestDecodeFusesConstants is a census of the constant superinstructions:
+// decode fuses 171 of the 210 OpConst instructions of the three apps'
+// lowered IR (81 %) into the word op, comparison or table load after them.
+// A refactor that switches fusion off, or narrows it, fails here; no
+// wall-clock time is checked.
+func TestDecodeFusesConstants(t *testing.T) {
+	consts, fused := 0, 0
+	for _, a := range apps.All() {
+		prog, err := driver.LowerSource(a.Name+".baker", a.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, f, err := profiler.FusedConsts(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+		consts, fused = consts+c, fused+f
+	}
+	if consts == 0 || 4*fused < 3*consts {
+		t.Errorf("decode fused %d of %d constants, want at least three quarters", fused, consts)
+	}
+}

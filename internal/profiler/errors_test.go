@@ -54,6 +54,9 @@ module m {
 		{name: "global index out of range", wantErr: "global m.tbl access at byte 36 out of range (size 32)",
 			body: `ppf f(p ph) { ph->y = tbl[ph->x + 9]; channel_put(out, ph); }
 			wiring { rx -> f; out -> tx; }`},
+		{name: "wrapping global offset", wantErr: "global m.tbl access at byte 4294967292 out of range (size 32)",
+			body: `ppf f(p ph) { ph->y = tbl[ph->x + 0x3fffffff]; channel_put(out, ph); }
+			wiring { rx -> f; out -> tx; }`},
 		{name: "infinite loop", wantErr: "exceeded 10000000 steps",
 			body: `ppf f(p ph) { while (1) { } channel_put(out, ph); }
 			wiring { rx -> f; out -> tx; }`},
@@ -94,14 +97,17 @@ module m {
 var handPos = token.Pos{File: "hand", Line: 3, Col: 7}
 
 // handFunc wraps instrs, positioned at handPos, in a one-block function of
-// four registers whose parameter %v0 is a packet handle.
+// four registers whose parameter %v0 is a packet handle and whose other
+// registers are words.
 func handFunc(instrs ...*ir.Instr) *ir.Func {
 	b := &ir.Block{}
 	for _, in := range instrs {
 		in.Pos = handPos
 		b.Instrs = append(b.Instrs, in)
 	}
-	return &ir.Func{Name: "m.hand", Params: []ir.Reg{0}, Blocks: []*ir.Block{b}, Entry: b, NumRegs: 4}
+	return &ir.Func{Name: "m.hand", Params: []ir.Reg{0}, ParamClasses: []ir.RegClass{ir.ClassHandle},
+		Blocks: []*ir.Block{b}, Entry: b, NumRegs: 4,
+		RegClasses: []ir.RegClass{ir.ClassHandle, ir.ClassWord, ir.ClassWord, ir.ClassWord}}
 }
 
 func ret() *ir.Instr { return &ir.Instr{Op: ir.OpRet} }
@@ -142,9 +148,9 @@ func TestNilHandleIsAnError(t *testing.T) {
 		{Op: ir.OpMetaLoad, Dst: d, Args: h, Width: 4},
 		{Op: ir.OpMetaStore, Args: w, Field: tag},
 		{Op: ir.OpMetaStore, Args: w, Width: 4},
-		{Op: ir.OpDecap, Dst: d, Args: h, Imm: uint64(p.ID), Proto: p},
-		{Op: ir.OpEncap, Dst: d, Args: h, Proto: p},
-		{Op: ir.OpPktCopy, Dst: d, Args: h},
+		{Op: ir.OpDecap, Dst: h, Args: h, Imm: uint64(p.ID), Proto: p},
+		{Op: ir.OpEncap, Dst: h, Args: h, Proto: p},
+		{Op: ir.OpPktCopy, Dst: h, Args: h},
 		{Op: ir.OpAddTail, Args: w},
 		{Op: ir.OpRemoveTail, Args: w},
 		{Op: ir.OpPktLength, Dst: d, Args: h},
@@ -209,6 +215,12 @@ func TestDecodeRejectsMalformedIR(t *testing.T) {
 		{"call with too few arguments", "0 arguments", &ir.Instr{Op: ir.OpCall, Dst: d, Callee: "m.help"}},
 		{"call with two results", "2 results", &ir.Instr{Op: ir.OpCall, Dst: []ir.Reg{1, 2}, Args: []ir.Reg{1}, Callee: "m.help"}},
 		{"terminator inside a block", "br inside block", &ir.Instr{Op: ir.OpBr, Blocks: []*ir.Block{stray}}},
+		{"word register as a handle", "pktload takes its handle from word register %v1", &ir.Instr{Op: ir.OpPktLoad, Dst: d, Args: []ir.Reg{1}, Field: x}},
+		{"handle result in a word register", "pktcopy writes its handle to word register %v2", &ir.Instr{Op: ir.OpPktCopy, Dst: d, Args: h}},
+		{"handle register as a word", "add reads handle register %v0", &ir.Instr{Op: ir.OpAdd, Dst: d, Args: []ir.Reg{1, 0}}},
+		{"mixed-class mov", "mov mixes the classes of %v2 and %v0", &ir.Instr{Op: ir.OpMov, Dst: d, Args: h}},
+		{"mixed-class eq", "eq mixes the classes of %v0 and %v1", &ir.Instr{Op: ir.OpEq, Dst: d, Args: []ir.Reg{0, 1}}},
+		{"handle call argument for a word parameter", "call passes %v0 for parameter", &ir.Instr{Op: ir.OpCall, Dst: d, Args: h, Callee: "m.help"}},
 	}
 	for _, c := range cases {
 		mustFailAt(t, c.name, prog, handFunc(c.in, ret()), Value{P: packet.New(make([]byte, 8), 4)}, c.want)
@@ -231,7 +243,7 @@ func TestDecodeRejectsMalformedIR(t *testing.T) {
 
 	// Function-level shape: these have no instruction to blame. A block
 	// without a terminator fails only when execution runs off its end.
-	open := handFunc(&ir.Instr{Op: ir.OpMov, Dst: d, Args: h})
+	open := handFunc(&ir.Instr{Op: ir.OpMov, Dst: d, Args: []ir.Reg{1}})
 	dead := handFunc(ret())
 	dead.Blocks = append(dead.Blocks, &ir.Block{ID: 1})
 	empty := handFunc(&ir.Instr{Op: ir.OpBr, Blocks: []*ir.Block{{ID: 1}}})
@@ -240,12 +252,16 @@ func TestDecodeRejectsMalformedIR(t *testing.T) {
 	noEntry.Entry = stray
 	badParam := handFunc(ret())
 	badParam.Params = []ir.Reg{7}
+	shortClasses := handFunc(ret())
+	shortClasses.RegClasses = shortClasses.RegClasses[:2]
 	for _, c := range []struct {
 		name, want string
 		fn         *ir.Func
 	}{{"unterminated block", "m.hand block b0 fell through", open}, {"unreachable empty block", "", dead},
 		{"branch to an empty block", "m.hand block b1 fell through", empty},
-		{"entry outside the function", "m.hand has no entry", noEntry}, {"parameter past the window", "m.hand parameter", badParam}} {
+		{"entry outside the function", "m.hand has no entry", noEntry}, {"parameter past the window", "m.hand parameter", badParam},
+		{"short class table", "m.hand has 2 register classes for 4 registers", shortClasses},
+		{"ignored cache operand past the window", "", handFunc(&ir.Instr{Op: ir.OpCacheFlush, Args: []ir.Reg{9}}, ret())}} {
 		s, _ := NewSession(prog)
 		_, err := s.env.it.Run(c.fn, []Value{{}})
 		if (err == nil) != (c.want == "") || err != nil && !strings.Contains(err.Error(), c.want) {
@@ -260,5 +276,25 @@ func TestDecodeRejectsMalformedIR(t *testing.T) {
 	if _, err := Profile(prog, []*packet.Packet{packet.New(make([]byte, 8), 4)}); err == nil ||
 		!strings.Contains(err.Error(), "hand:3:7: interp: const with 0 results") {
 		t.Errorf("call of a malformed callee: got %v", err)
+	}
+}
+
+// TestWideGlobalAccessBounds: a global access is in range only when all of
+// its words are, so a two-word load whose first word is the global's last
+// fails at its own position with the executor's bound, whether the global
+// is read in place or through the Env.
+func TestWideGlobalAccessBounds(t *testing.T) {
+	prog := handProg(t)
+	tbl := prog.Types.Globals["m.tbl"]
+	wide := handFunc(&ir.Instr{Op: ir.OpLoad, Dst: []ir.Reg{1, 2}, Global: tbl, Off: 12, Width: 8}, ret())
+	const want = "hand:3:7: global m.tbl access at byte 12 out of range (size 16)"
+	s, err := NewSession(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range []*Interp{s.env.it, {Prog: prog, Env: s.env}} {
+		if _, err := it.Run(wide, []Value{{}}); err == nil || err.Error() != want {
+			t.Errorf("host %v: got %v, want %q", it.host != nil, err, want)
+		}
 	}
 }

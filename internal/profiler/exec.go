@@ -16,11 +16,17 @@ import (
 	"shangrila/internal/packet"
 )
 
-// Value is a register value: a 32-bit word or a packet handle. A handle
-// is the pair (packet, header offset): the head_ptr belongs to the handle,
-// not the packet (Figure 3 of the paper).
+// Value is a register value at Run's boundary: a 32-bit word or a packet
+// handle. A handle is the pair (packet, header offset): the head_ptr
+// belongs to the handle, not the packet (Figure 3 of the paper).
 type Value struct {
 	W    uint32
+	P    *packet.Packet
+	Head int
+}
+
+// handle is a handle-class register.
+type handle struct {
 	P    *packet.Packet
 	Head int
 }
@@ -54,17 +60,21 @@ const MaxSteps = 10_000_000
 // Interp executes IR functions against an Env. Each function is decoded
 // into slots (decode.go) on its first activation and the decoded form
 // lives on the Interp, so the IR must not change while the Interp is in
-// use. Registers live on one stack that activations carve windows from.
-// An Interp is not safe for concurrent use and Env methods must not call
-// back into Run.
+// use. Registers live in two banks by class, a word stack and a handle
+// stack, that activations carve windows from. An Interp is not safe for
+// concurrent use and Env methods must not call back into Run.
 type Interp struct {
 	Prog *ir.Program
 	Env  Env
 
 	code  map[*ir.Func]*code
 	codes []*code  // the shells of code, in the order codeOf made them
-	stack []Value  // register windows of the live activations, callee above caller
-	words []uint32 // OpStore staging
+	ws    []uint32 // word windows of the live activations, callee above caller
+	hs    []handle // handle windows, likewise
+	stage []uint32 // OpStore staging
+	// host, set when Env is the profiler's own hostEnv, lets decode
+	// resolve its globals (opHostLoad, opHostStore).
+	host *hostEnv
 	// rec, set only on an Incremental's work env, counts what each
 	// activation of the packet being recorded executed.
 	rec *recorder
@@ -89,30 +99,46 @@ func (it *Interp) run(c *code, args []Value) (Value, error) {
 	if err := it.decode(c); err != nil {
 		return Value{}, err
 	}
-	win := it.window(c, 0)
-	for i, p := range c.fn.Params {
-		win[p] = args[i]
+	it.window(c, 0, 0)
+	for i, p := range c.params {
+		if p >= 0 {
+			it.ws[p] = args[i].W
+		} else {
+			it.hs[^p] = handle{args[i].P, args[i].Head}
+		}
 	}
-	return it.exec(c, 0)
+	return it.exec(c, 0, 0)
 }
 
-// window returns c's zeroed register window at stack offset base, growing
-// the stack if needed; windows handed out earlier must then be re-sliced.
-func (it *Interp) window(c *code, base int) []Value {
-	top := base + c.fn.NumRegs
-	if top > len(it.stack) {
-		it.stack = append(it.stack[:base], make([]Value, max(top, 2*len(it.stack))-base)...)
+// window clears c's register windows at word offset wb and handle offset
+// hb, growing the stacks if needed; windows handed out earlier must then be
+// re-sliced. Only the handle window holds pointers.
+func (it *Interp) window(c *code, wb, hb int) {
+	if top := wb + int(c.nw); top > len(it.ws) {
+		it.ws = append(it.ws[:wb], make([]uint32, max(top, 2*len(it.ws))-wb)...)
 	}
-	win := it.stack[base:top]
-	clear(win)
-	return win
+	if top := hb + int(c.nh); top > len(it.hs) {
+		it.hs = append(it.hs[:hb], make([]handle, max(top, 2*len(it.hs))-hb)...)
+	}
+	clear(it.ws[wb : wb+int(c.nw)])
+	clear(it.hs[hb : hb+int(c.nh)])
 }
 
-// exec runs decoded function c whose window, parameters already in place,
-// starts at stack offset base.
-func (it *Interp) exec(c *code, base int) (Value, error) {
-	top := base + c.fn.NumRegs
-	regs := it.stack[base:top]
+// returned adds an activation's cost to its function's counts.
+func (it *Interp) returned(c *code, cost uint64) {
+	c.instrs += cost % memUnit
+	c.mem += cost / memUnit
+	if it.rec != nil {
+		it.rec.ran(c, cost)
+	}
+}
+
+// exec runs decoded function c whose windows, parameters already in place,
+// start at word offset wb and handle offset hb.
+func (it *Interp) exec(c *code, wb, hb int) (Value, error) {
+	wtop, htop := wb+int(c.nw), hb+int(c.nh)
+	words, handles := it.ws[wb:wtop], it.hs[hb:htop]
+	host := it.host
 	var cost uint64 // of the blocks entered so far
 	bi := c.entry
 	for {
@@ -127,131 +153,274 @@ func (it *Interp) exec(c *code, base int) (Value, error) {
 			pc++
 			switch s.op {
 			case ir.OpConst:
-				regs[s.dst] = Value{W: s.imm}
+				words[s.dst] = s.imm
 			case ir.OpMov:
-				regs[s.dst] = regs[s.a]
+				words[s.dst] = words[s.a]
 			case ir.OpAdd:
-				regs[s.dst] = Value{W: regs[s.a].W + regs[s.b].W}
+				words[s.dst] = words[s.a] + words[s.b]
 			case ir.OpSub:
-				regs[s.dst] = Value{W: regs[s.a].W - regs[s.b].W}
+				words[s.dst] = words[s.a] - words[s.b]
 			case ir.OpMul:
-				regs[s.dst] = Value{W: regs[s.a].W * regs[s.b].W}
+				words[s.dst] = words[s.a] * words[s.b]
 			case ir.OpDivU:
-				if regs[s.b].W == 0 {
+				if words[s.b] == 0 {
 					return Value{}, execErr(s.in, "division by zero")
 				}
-				regs[s.dst] = Value{W: regs[s.a].W / regs[s.b].W}
+				words[s.dst] = words[s.a] / words[s.b]
 			case ir.OpRemU:
-				if regs[s.b].W == 0 {
+				if words[s.b] == 0 {
 					return Value{}, execErr(s.in, "modulo by zero")
 				}
-				regs[s.dst] = Value{W: regs[s.a].W % regs[s.b].W}
+				words[s.dst] = words[s.a] % words[s.b]
 			case ir.OpAnd:
-				regs[s.dst] = Value{W: regs[s.a].W & regs[s.b].W}
+				words[s.dst] = words[s.a] & words[s.b]
 			case ir.OpOr:
-				regs[s.dst] = Value{W: regs[s.a].W | regs[s.b].W}
+				words[s.dst] = words[s.a] | words[s.b]
 			case ir.OpXor:
-				regs[s.dst] = Value{W: regs[s.a].W ^ regs[s.b].W}
+				words[s.dst] = words[s.a] ^ words[s.b]
 			case ir.OpShl:
-				regs[s.dst] = Value{W: regs[s.a].W << (regs[s.b].W & 31)}
+				words[s.dst] = words[s.a] << (words[s.b] & 31)
 			case ir.OpShrU:
-				regs[s.dst] = Value{W: regs[s.a].W >> (regs[s.b].W & 31)}
+				words[s.dst] = words[s.a] >> (words[s.b] & 31)
 			case ir.OpShrS:
-				regs[s.dst] = Value{W: uint32(int32(regs[s.a].W) >> (regs[s.b].W & 31))}
+				words[s.dst] = uint32(int32(words[s.a]) >> (words[s.b] & 31))
 			case ir.OpNot:
-				regs[s.dst] = Value{W: ^regs[s.a].W}
+				words[s.dst] = ^words[s.a]
 			case ir.OpNeg:
-				regs[s.dst] = Value{W: -regs[s.a].W}
-			case ir.OpEq, ir.OpNe:
-				// Handles compare by identity.
-				x, y := regs[s.a], regs[s.b]
-				eq := x.W == y.W
-				if x.P != nil || y.P != nil {
-					eq = x.P == y.P
-				}
-				regs[s.dst] = boolVal(eq == (s.op == ir.OpEq))
+				words[s.dst] = -words[s.a]
+			case ir.OpEq:
+				words[s.dst] = b2u(words[s.a] == words[s.b])
+			case ir.OpNe:
+				words[s.dst] = b2u(words[s.a] != words[s.b])
 			case ir.OpLtU:
-				regs[s.dst] = boolVal(regs[s.a].W < regs[s.b].W)
+				words[s.dst] = b2u(words[s.a] < words[s.b])
 			case ir.OpLeU:
-				regs[s.dst] = boolVal(regs[s.a].W <= regs[s.b].W)
+				words[s.dst] = b2u(words[s.a] <= words[s.b])
 			case ir.OpLtS:
-				regs[s.dst] = boolVal(int32(regs[s.a].W) < int32(regs[s.b].W))
+				words[s.dst] = b2u(int32(words[s.a]) < int32(words[s.b]))
 			case ir.OpLeS:
-				regs[s.dst] = boolVal(int32(regs[s.a].W) <= int32(regs[s.b].W))
+				words[s.dst] = b2u(int32(words[s.a]) <= int32(words[s.b]))
 			case ir.OpBr:
 				bi = s.imm
 				break body
 			case ir.OpCondBr:
 				bi = s.imm
-				if regs[s.a].W == 0 {
+				if words[s.a] == 0 {
 					bi = s.alt
 				}
 				break body
 			case ir.OpRet:
-				c.instrs += cost % memUnit
-				c.mem += cost / memUnit
-				if it.rec != nil {
-					it.rec.ran(c, cost)
-				}
+				it.returned(c, cost)
 				if s.a < 0 {
 					return Value{}, nil
 				}
-				return regs[s.a], nil
+				return Value{W: words[s.a]}, nil
 			case ir.OpCall:
 				cc := c.calls[s.imm]
 				if err := it.decode(cc); err != nil {
 					return Value{}, err
 				}
-				win := it.window(cc, top)
-				regs = it.stack[base:top]
+				it.window(cc, wtop, htop)
+				words, handles = it.ws[wb:wtop], it.hs[hb:htop]
+				cw, ch := it.ws[wtop:], it.hs[htop:]
 				for i, a := range c.list(s) {
-					win[cc.fn.Params[i]] = regs[a]
+					if p := cc.params[i]; p >= 0 {
+						cw[p] = words[a]
+					} else {
+						ch[^p] = handles[a]
+					}
 				}
-				rv, err := it.exec(cc, top)
+				rv, err := it.exec(cc, wtop, htop)
 				if err != nil {
 					return Value{}, err
 				}
-				regs = it.stack[base:top] // a deeper call may have grown the stack
-				if s.dst >= 0 {
-					regs[s.dst] = rv
+				words, handles = it.ws[wb:wtop], it.hs[hb:htop] // a deeper call may have grown the stacks
+				switch {
+				case s.dst < 0:
+				case s.alt == uint32(ir.ClassHandle):
+					handles[s.dst] = handle{rv.P, rv.Head}
+				default:
+					words[s.dst] = rv.W
 				}
 			case ir.OpLoad:
-				off, err := effAddr(s, regs)
-				if err != nil {
-					return Value{}, err
+				off, ok := effAddr(s, words)
+				if !ok {
+					return Value{}, rangeErr(s, off)
 				}
-				words, err := it.Env.LoadWords(s.in.Global, off, int(s.n))
+				ws, err := it.Env.LoadWords(s.in.Global, off, int(s.n))
 				if err != nil {
 					return Value{}, execErr(s.in, "%v", err)
 				}
-				if s.n == 1 {
-					regs[s.dst] = Value{W: words[0]}
-				} else {
-					for i, d := range c.list(s) {
-						regs[d] = Value{W: words[i]}
-					}
+				for i, d := range c.list(s) {
+					words[d] = ws[i]
 				}
 			case ir.OpStore:
-				off, err := effAddr(s, regs)
-				if err != nil {
-					return Value{}, err
+				off, ok := effAddr(s, words)
+				if !ok {
+					return Value{}, rangeErr(s, off)
 				}
-				words := it.words[:0]
-				if s.n == 1 {
-					words = append(words, regs[s.b].W)
-				} else {
-					for _, a := range c.list(s) {
-						words = append(words, regs[a].W)
-					}
+				ws := it.stage[:0]
+				for _, a := range c.list(s) {
+					ws = append(ws, words[a])
 				}
-				it.words = words
-				if err := it.Env.StoreWords(s.in.Global, off, words); err != nil {
+				it.stage = ws
+				if err := it.Env.StoreWords(s.in.Global, off, ws); err != nil {
 					return Value{}, execErr(s.in, "%v", err)
 				}
+			case opScaledLoad:
+				words[s.c] = s.k
+				words[s.a] = words[s.b] * s.k
+				fallthrough
+			case opHostLoad:
+				off, ok := effAddr(s, words)
+				if !ok {
+					return Value{}, rangeErr(s, off)
+				}
+				// hostEnv.LoadWords' bookkeeping, in its order; effAddr's
+				// bound keeps the words inside the global.
+				hg := &host.globals[s.g]
+				if host.inCrit > 0 {
+					host.critical(hg)
+				}
+				hg.stats.Reads++
+				hg.lineReads[off/CacheLineBytes]++
+				if host.rec != nil {
+					host.rec.read(hg, off, int(s.n))
+				}
+				ws := hg.words[off/4:]
+				if s.n == 1 {
+					words[s.dst] = ws[0]
+				} else {
+					for i, d := range c.list(s) {
+						words[d] = ws[i]
+					}
+				}
+			case opHostStore:
+				off, ok := effAddr(s, words)
+				if !ok {
+					return Value{}, rangeErr(s, off)
+				}
+				// hostEnv.StoreWords' bookkeeping, in its order.
+				hg := &host.globals[s.g]
+				if host.inCrit > 0 {
+					host.critical(hg)
+				}
+				hg.stats.Writes++
+				if host.rec != nil { // before the words change
+					host.rec.write(hg, off, int(s.n))
+				}
+				ws := hg.words[off/4:]
+				if s.n == 1 {
+					ws[0] = words[s.b]
+				} else {
+					for i, a := range c.list(s) {
+						ws[i] = words[a]
+					}
+				}
+			case opHMov:
+				handles[s.dst] = handles[s.a]
+			case opHEq:
+				words[s.dst] = b2u(handles[s.a].P == handles[s.b].P)
+			case opHNe:
+				words[s.dst] = b2u(handles[s.a].P != handles[s.b].P)
+			case opHRet:
+				it.returned(c, cost)
+				h := handles[s.a]
+				return Value{P: h.P, Head: h.Head}, nil
+			case opMovK:
+				words[s.c] = s.k
+				words[s.dst] = s.k
+			case opAddK:
+				words[s.c] = s.k
+				words[s.dst] = words[s.a] + s.k
+			case opSubK:
+				words[s.c] = s.k
+				words[s.dst] = words[s.a] - s.k
+			case opMulK:
+				words[s.c] = s.k
+				words[s.dst] = words[s.a] * s.k
+			case opAndK:
+				words[s.c] = s.k
+				words[s.dst] = words[s.a] & s.k
+			case opOrK:
+				words[s.c] = s.k
+				words[s.dst] = words[s.a] | s.k
+			case opXorK:
+				words[s.c] = s.k
+				words[s.dst] = words[s.a] ^ s.k
+			case opShlK:
+				words[s.c] = s.k
+				words[s.dst] = words[s.a] << (s.k & 31)
+			case opShrUK:
+				words[s.c] = s.k
+				words[s.dst] = words[s.a] >> (s.k & 31)
+			case opShrSK:
+				words[s.c] = s.k
+				words[s.dst] = uint32(int32(words[s.a]) >> (s.k & 31))
+			case opEqK:
+				words[s.c] = s.k
+				words[s.dst] = b2u(words[s.a] == s.k)
+			case opNeK:
+				words[s.c] = s.k
+				words[s.dst] = b2u(words[s.a] != s.k)
+			case opLtUK:
+				words[s.c] = s.k
+				words[s.dst] = b2u(words[s.a] < s.k)
+			case opLeUK:
+				words[s.c] = s.k
+				words[s.dst] = b2u(words[s.a] <= s.k)
+			case opLtSK:
+				words[s.c] = s.k
+				words[s.dst] = b2u(int32(words[s.a]) < int32(s.k))
+			case opLeSK:
+				words[s.c] = s.k
+				words[s.dst] = b2u(int32(words[s.a]) <= int32(s.k))
+			case opEqBr:
+				bi = branch(words, s, words[s.a] == words[s.b])
+				break body
+			case opNeBr:
+				bi = branch(words, s, words[s.a] != words[s.b])
+				break body
+			case opLtUBr:
+				bi = branch(words, s, words[s.a] < words[s.b])
+				break body
+			case opLeUBr:
+				bi = branch(words, s, words[s.a] <= words[s.b])
+				break body
+			case opLtSBr:
+				bi = branch(words, s, int32(words[s.a]) < int32(words[s.b]))
+				break body
+			case opLeSBr:
+				bi = branch(words, s, int32(words[s.a]) <= int32(words[s.b]))
+				break body
+			case opEqKBr:
+				words[s.c] = s.k
+				bi = branch(words, s, words[s.a] == s.k)
+				break body
+			case opNeKBr:
+				words[s.c] = s.k
+				bi = branch(words, s, words[s.a] != s.k)
+				break body
+			case opLtUKBr:
+				words[s.c] = s.k
+				bi = branch(words, s, words[s.a] < s.k)
+				break body
+			case opLeUKBr:
+				words[s.c] = s.k
+				bi = branch(words, s, words[s.a] <= s.k)
+				break body
+			case opLtSKBr:
+				words[s.c] = s.k
+				bi = branch(words, s, int32(words[s.a]) < int32(s.k))
+				break body
+			case opLeSKBr:
+				words[s.c] = s.k
+				bi = branch(words, s, int32(words[s.a]) <= int32(s.k))
+				break body
 			case ir.OpPktCreate:
-				regs[s.dst] = Value{P: it.Env.NewPacket(s.in.Proto)}
+				handles[s.dst] = handle{P: it.Env.NewPacket(s.in.Proto)}
 			case ir.OpPktDrop:
-				it.Env.Drop(regs[s.a].P)
+				it.Env.Drop(handles[s.a].P)
 			case ir.OpLockAcquire:
 				it.Env.Lock(int(s.imm))
 			case ir.OpLockRelease:
@@ -261,7 +430,7 @@ func (it *Interp) exec(c *code, base int) (Value, error) {
 				// load path then reads the home location, which is
 				// semantically the coherent behaviour.
 				for _, d := range c.list(s) {
-					regs[d] = Value{}
+					words[d] = 0
 				}
 			case ir.OpCacheFill, ir.OpCacheFlush:
 				// No-ops on the host.
@@ -269,7 +438,7 @@ func (it *Interp) exec(c *code, base int) (Value, error) {
 				return Value{}, fmt.Errorf("interp: %s block b%d fell through without terminator", c.fn.Name, s.imm)
 			default:
 				// What remains works on the packet behind the handle in a.
-				h := regs[s.a]
+				h := handles[s.a]
 				p := h.P
 				if p == nil {
 					return Value{}, execErr(s.in, "%s through nil handle", s.op)
@@ -278,60 +447,58 @@ func (it *Interp) exec(c *code, base int) (Value, error) {
 				switch s.op {
 				case ir.OpPktLoad:
 					if f := s.in.Field; f != nil {
-						var v uint32
-						v, err = p.ReadField(h.Head, f)
-						regs[s.dst] = Value{W: v}
+						words[s.dst], err = p.ReadField(h.Head, f)
 					} else if raw, rerr := p.ReadRaw(h.Head, int(int32(s.imm)), int(s.alt)); rerr != nil {
 						err = rerr
 					} else {
 						for i, d := range c.list(s) {
-							regs[d] = Value{W: beWord(raw[i*4:])}
+							words[d] = beWord(raw[i*4:])
 						}
 					}
 				case ir.OpPktStore:
 					if f := s.in.Field; f != nil {
-						err = p.WriteField(h.Head, f, regs[s.b].W)
+						err = p.WriteField(h.Head, f, words[s.b])
 					} else if raw, rerr := p.ReadRaw(h.Head, int(int32(s.imm)), int(s.alt)); rerr != nil {
 						err = rerr
 					} else {
 						for i, a := range c.list(s) {
-							putBEWord(raw[i*4:], regs[a].W)
+							putBEWord(raw[i*4:], words[a])
 						}
 					}
 				case ir.OpMetaLoad:
 					if f := s.in.Field; f != nil {
-						regs[s.dst] = Value{W: p.MetaField(f)}
+						words[s.dst] = p.MetaField(f)
 					} else if int(s.imm+s.alt) > len(p.Meta) {
 						err = fmt.Errorf("raw metadata read out of range")
 					} else {
 						for i, d := range c.list(s) {
-							regs[d] = Value{W: beWord(p.Meta[int(s.imm)+i*4:])}
+							words[d] = beWord(p.Meta[int(s.imm)+i*4:])
 						}
 					}
 				case ir.OpMetaStore:
 					if f := s.in.Field; f != nil {
-						p.SetMetaField(f, regs[s.b].W)
+						p.SetMetaField(f, words[s.b])
 					} else if int(s.imm+s.alt) > len(p.Meta) {
 						err = fmt.Errorf("raw metadata write out of range")
 					} else {
 						for i, a := range c.list(s) {
-							putBEWord(p.Meta[int(s.imm)+i*4:], regs[a].W)
+							putBEWord(p.Meta[int(s.imm)+i*4:], words[a])
 						}
 					}
 				case ir.OpDecap:
 					h.Head, err = p.Decap(h.Head, it.Prog.Types.ProtoByID[s.imm], it.Prog.Types.Consts)
-					regs[s.dst] = Value{P: p, Head: h.Head}
+					handles[s.dst] = h
 				case ir.OpEncap:
 					h.Head, err = p.Encap(h.Head, s.in.Proto)
-					regs[s.dst] = Value{P: p, Head: h.Head}
+					handles[s.dst] = h
 				case ir.OpPktCopy:
-					regs[s.dst] = Value{P: p.Clone(), Head: h.Head}
+					handles[s.dst] = handle{p.Clone(), h.Head}
 				case ir.OpAddTail:
-					p.AddTail(int(regs[s.b].W))
+					p.AddTail(int(words[s.b]))
 				case ir.OpRemoveTail:
-					err = p.RemoveTail(int(regs[s.b].W))
+					err = p.RemoveTail(int(words[s.b]))
 				case ir.OpPktLength:
-					regs[s.dst] = Value{W: uint32(p.Len())}
+					words[s.dst] = uint32(p.Len())
 				case ir.OpChanPut:
 					err = it.Env.ChannelPut(s.in.Chan, p, h.Head)
 				}
@@ -343,26 +510,38 @@ func (it *Interp) exec(c *code, base int) (Value, error) {
 	}
 }
 
-// effAddr is a global access's byte offset, which must leave room for one
-// word (Baker has no bounds checking on the ME, but the profiler flags an
-// out-of-range index as a program bug).
-func effAddr(s *slot, regs []Value) (uint32, error) {
-	off := s.imm
-	if s.a >= 0 {
-		off += regs[s.a].W
+// branch writes a fused comparison's result and returns the block it
+// branches to.
+func branch(words []uint32, s *slot, taken bool) uint32 {
+	words[s.dst] = b2u(taken)
+	if taken {
+		return s.imm
 	}
-	if off+4 > s.alt {
-		return 0, execErr(s.in, "global %s access at byte %d out of range (size %d)",
-			s.in.Global.Name, off, s.alt)
-	}
-	return off, nil
+	return s.alt
 }
 
-func boolVal(b bool) Value {
-	if b {
-		return Value{W: 1}
+// effAddr is a global access's byte offset and whether the whole access
+// is inside the global. The offset wraps in 32 bits, as the ME's address
+// arithmetic does, and the bound is checked in 64: Baker has no bounds
+// checking on the ME, but the profiler flags an out-of-range index as a
+// program bug (rangeErr).
+func effAddr(s *slot, words []uint32) (uint32, bool) {
+	off := s.imm
+	if s.a >= 0 {
+		off += words[s.a]
 	}
-	return Value{}
+	return off, uint64(off)+4*uint64(s.n) <= uint64(s.alt)
+}
+
+func rangeErr(s *slot, off uint32) error {
+	return execErr(s.in, "global %s access at byte %d out of range (size %d)", s.in.Global.Name, off, s.alt)
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func beWord(b []byte) uint32 {

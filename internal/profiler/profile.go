@@ -205,7 +205,7 @@ func newHostEnv(prog *ir.Program, stats *Stats) *hostEnv {
 	tp := prog.Types
 	env := &hostEnv{tp: tp, stats: stats, rxPort: tp.Metadata.Field("rx_port"),
 		globals: make([]hostGlobal, len(tp.Globals)), chans: make([]hostChan, len(tp.ChanByID))}
-	env.it = &Interp{Prog: prog, Env: env}
+	env.it = &Interp{Prog: prog, Env: env, host: env}
 	for _, g := range tp.Globals {
 		env.globals[g.ID].g = g
 	}
@@ -230,7 +230,8 @@ func newHostEnv(prog *ir.Program, stats *Stats) *hostEnv {
 }
 
 // global returns g's backing and counters after checking that the n-word
-// access at off is inside it.
+// access at off is inside it, and notes an access inside a critical
+// section.
 func (e *hostEnv) global(g *types.Global, off uint32, n int, verb string) (*hostGlobal, error) {
 	if g.ID >= len(e.globals) || e.globals[g.ID].g != g {
 		return nil, fmt.Errorf("global %s is not part of the program", g.Name)
@@ -240,14 +241,22 @@ func (e *hostEnv) global(g *types.Global, off uint32, n int, verb string) (*host
 		return nil, fmt.Errorf("global %s %s out of range (off %d, %d words)", g.Name, verb, off, n)
 	}
 	if e.inCrit > 0 {
-		hg.stats.InCritical = true
-		if e.rec != nil {
-			e.rec.critical(g.ID)
-		}
+		e.critical(hg)
 	}
 	return hg, nil
 }
 
+// critical notes an access to hg inside a critical section.
+func (e *hostEnv) critical(hg *hostGlobal) {
+	hg.stats.InCritical = true
+	if e.rec != nil {
+		e.rec.critical(hg.g.ID)
+	}
+}
+
+// LoadWords and StoreWords serve the Interps that have no host (and
+// Session.ReadGlobalWord): exec does the same bookkeeping in place for the
+// globals decode resolved (opHostLoad, opHostStore).
 func (e *hostEnv) LoadWords(g *types.Global, off uint32, n int) ([]uint32, error) {
 	hg, err := e.global(g, off, n, "read")
 	if err != nil {
@@ -398,7 +407,7 @@ func (e *hostEnv) runPPF(c *code, p *packet.Packet, head int) error {
 // contents. Function counters live on the Interp's decoded code, so a fresh
 // Interp starts them (and the consumers resolved against it) from nothing.
 func (e *hostEnv) resetCounts() {
-	e.it, e.rx = &Interp{Prog: e.it.Prog, Env: e}, nil
+	e.it, e.rx = &Interp{Prog: e.it.Prog, Env: e, host: e}, nil
 	clear(e.chans)
 	for i := range e.globals {
 		e.globals[i].stats = GlobalStats{}

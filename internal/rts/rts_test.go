@@ -1,8 +1,10 @@
 package rts_test
 
 import (
+	"strings"
 	"testing"
 
+	"shangrila/internal/apps"
 	"shangrila/internal/cg"
 	"shangrila/internal/driver"
 	"shangrila/internal/packet"
@@ -325,5 +327,31 @@ func TestNewRejectsOversizeTracePacket(t *testing.T) {
 		if err == nil || err.Error() != c.want {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestControlRejectsWrappingOffset: a control whose index times the entry
+// stride wraps 32 bits is an out-of-range access, not a store below the
+// table. MPLS's ilm entries are 12 bytes, and 357913941 × 12 = 2³²−4, so
+// the offset of add_ilm's first store plus one word wraps to 0.
+func TestControlRejectsWrappingOffset(t *testing.T) {
+	a := apps.MPLS()
+	prog, err := driver.LowerSource(a.Name+".baker", a.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := a.Trace(prog.Types, 1, 64)
+	res, err := driver.CompileIR(prog, driver.Config{Level: driver.LevelSWC, ProfileTrace: tr, Controls: a.Controls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := rts.New(res.Image, res.Prog, tr, rts.Options{NumMEs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = rt.Control("mplsapp.add_ilm", 357913941, 7, 8, 9)
+	const want = "global mplsapp.ilm access at byte 4294967292 out of range"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("add_ilm(357913941, ...): got %v, want an error containing %q", err, want)
 	}
 }
