@@ -5,7 +5,7 @@ package ixp
 // compare went through an interface method table. Events are plain values
 // and the structure is a hierarchical timing wheel:
 //
-//   - A wheel of wheelSize buckets covers the near future [base,
+//   - A wheel of wheelSize (2048) buckets covers the near future [base,
 //     base+wheelSize). Pushing appends to the bucket time&wheelMask — O(1),
 //     no comparisons — and because simulated time partitions the window,
 //     each live bucket holds events of exactly one timestamp, already in
@@ -23,8 +23,16 @@ package ixp
 //     preserved.
 //
 //   - Events scheduled before base (a control-plane At() aimed at the
-//     past) go to the `past` heap, which peek consults first. In steady
-//     state it is empty and costs one length check per peek.
+//     past, or an ME the wakeup drain resumes after its peek moved the
+//     base past now: one to three schedules in a thousand) go to the
+//     `past` heap, which peek consults first. It is almost always empty
+//     and costs one length check per peek.
+//
+// Footprint: the first push allocates the wheel, 2048 bucket headers of
+// 32 bytes and a slab of bucketCap 24-byte events per bucket, 256 KiB per
+// machine. Every simulated point starts a fresh machine and each lap of
+// the wheel sweeps all of it, so the window is sized to the horizon the
+// model schedules, not beyond.
 //
 // Ordering guarantee: pops are strictly ascending in (time, seq), exactly
 // as a single min-heap over the same keys would produce — every
@@ -49,13 +57,17 @@ const (
 // machine's callback registry and events carry only their index (cb).
 // Pointer-free events mean no write barriers on the wheel's hot push
 // path and nothing for the garbage collector to scan in the buckets.
+//
+// The narrow fields pack after cb so an event is 24 bytes, not 32: me
+// fits 16 bits because Config.Validate bounds NumMEs by maxMEs, and
+// thread fits 8 because it bounds ThreadsPerME by 64.
 type event struct {
 	time   int64
 	seq    int64
-	kind   evKind
-	me     int32
-	thread int32
 	cb     int32 // callback registry index; meaningful for evCallback only
+	me     uint16
+	kind   evKind
+	thread uint8
 }
 
 // before is the queue order: earliest time first, schedule order breaking
@@ -68,7 +80,12 @@ func (e *event) before(o *event) bool {
 }
 
 const (
-	wheelSize = 4096 // covers typical memory/ring/media horizons (≤ ~2k cycles)
+	// wheelSize is the window the model schedules into: memory, ring and
+	// media horizons stay under 2k cycles, so fewer than one schedule in
+	// a thousand of the steady and fuzz shapes lands beyond it
+	// (TestWheelCoversScheduleHorizon), where a 1024-bucket window sends
+	// over a tenth of the steady +SWC schedules to the far heap.
+	wheelSize = 2048
 	wheelMask = wheelSize - 1
 	// bucketCap is each bucket's initial capacity, carved from one slab on
 	// first push. Most timestamps carry at most a few events, so a fresh
@@ -98,8 +115,12 @@ type eventQueue struct {
 	// buckets one by one.
 	occ  [wheelSize / 64]uint64
 	far  heap4 // time >= base+wheelSize
-	past heap4 // time < base (control-plane At aimed backward)
+	past heap4 // time < base (an At aimed backward, a schedule after a peek)
 	n    int   // total events across wheel and heaps
+	// farPushes and pastPushes count the pushes that missed the wheel,
+	// on those cold paths only: the window's fit to the model is their
+	// share of all schedules.
+	farPushes, pastPushes int64
 }
 
 func (q *eventQueue) len() int { return q.n }
@@ -121,8 +142,10 @@ func (q *eventQueue) push(e event) {
 	}
 	switch d := e.time - q.base; {
 	case d < 0:
+		q.pastPushes++
 		q.past.push(e)
 	case d >= wheelSize:
+		q.farPushes++
 		q.far.push(e)
 	default:
 		idx := int(e.time) & wheelMask

@@ -1,6 +1,7 @@
 package ixp
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -149,6 +150,47 @@ func TestEventQueueFarMigration(t *testing.T) {
 	}
 	if len(got) != len(times) {
 		t.Fatalf("popped %d of %d", len(got), len(times))
+	}
+}
+
+// TestEventQueueMixedArrivals builds one timestamp with more than
+// bucketCap events, arriving three ways through the machine's At: three
+// pushed beyond the window wait in the far heap and migrate when the base
+// advances, three more are pushed directly into the migrated bucket, and
+// a callback aimed before the base goes to the past heap. Every callback
+// must run in (time, seq) order, and the queue's tallies must name the
+// far and past arrivals.
+func TestEventQueueMixedArrivals(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumRings, cfg.SampleInterval = 0, 0
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const far = wheelSize + 10
+	var got []int
+	rec := func(id int) func() { return func() { got = append(got, id) } }
+	m.At(0, rec(1))
+	for id := 2; id <= 4; id++ {
+		m.At(far, rec(id)) // beyond [0, wheelSize): far heap
+	}
+	m.At(20, func() {
+		rec(5)()
+		for id := 6; id <= 8; id++ {
+			m.At(far, rec(id)) // inside [20, 20+wheelSize): direct
+		}
+		m.At(5, rec(9)) // before the base: past heap
+	})
+	if err := m.Run(far + 100); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{1, 5, 9, 2, 3, 4, 6, 7, 8}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("callbacks ran in order %v, want %v", got, want)
+	}
+	c := m.QueueCounts()
+	if c.Schedules != 9 || c.Far != 3 || c.Past != 1 {
+		t.Errorf("queue counts %+v, want 9 schedules, 3 far, 1 past", c)
 	}
 }
 

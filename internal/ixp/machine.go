@@ -71,6 +71,10 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
+// maxMEs is the most MEs a machine can have: an event names its ME in a
+// uint16.
+const maxMEs = 1 << 16
+
 // Validate rejects configurations that would make the timing model divide
 // by zero or produce NaN/Inf rates (zero or negative clock, port rate,
 // structural sizes).
@@ -78,6 +82,8 @@ func (c *Config) Validate() error {
 	switch {
 	case c.NumMEs <= 0:
 		return fmt.Errorf("ixp: config: NumMEs must be positive (got %d)", c.NumMEs)
+	case c.NumMEs > maxMEs:
+		return fmt.Errorf("ixp: config: NumMEs must be at most %d (got %d); an event names its ME in 16 bits", maxMEs, c.NumMEs)
 	case c.ThreadsPerME <= 0:
 		return fmt.Errorf("ixp: config: ThreadsPerME must be positive (got %d)", c.ThreadsPerME)
 	case c.ThreadsPerME > 64:
@@ -682,7 +688,7 @@ func (m *Machine) schedule(t int64, kind evKind, me, thread int, fn func()) {
 		}
 	}
 	m.seq++
-	m.q.push(event{time: t, seq: m.seq, kind: kind, me: int32(me), thread: int32(thread), cb: cb})
+	m.q.push(event{time: t, seq: m.seq, kind: kind, me: uint16(me), thread: uint8(thread), cb: cb})
 }
 
 // takeCB claims a scheduled callback out of the registry, freeing its slot.
@@ -698,6 +704,18 @@ func (m *Machine) At(t int64, fn func()) { m.schedule(t, evCallback, 0, 0, fn) }
 
 // Now returns the current simulation time in cycles.
 func (m *Machine) Now() int64 { return m.now }
+
+// QueueCounts tallies the event core since construction: every schedule,
+// and those that missed the wheel's window — Far beyond it, Past before
+// its base. It sits outside Stats, so no report or golden carries it.
+type QueueCounts struct {
+	Schedules, Far, Past int64
+}
+
+// QueueCounts returns the event core's tallies.
+func (m *Machine) QueueCounts() QueueCounts {
+	return QueueCounts{Schedules: m.seq, Far: m.q.farPushes, Past: m.q.pastPushes}
+}
 
 // Err returns the first machine-check error (bad address, bad opcode).
 func (m *Machine) Err() error { return m.err }

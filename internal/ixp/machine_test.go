@@ -331,6 +331,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.PortGbps = 0 },
 		func(c *Config) { c.PortGbps = -1 },
 		func(c *Config) { c.NumMEs = 0 },
+		func(c *Config) { c.NumMEs = maxMEs + 1 },
 		func(c *Config) { c.ThreadsPerME = -1 },
 		func(c *Config) { c.ThreadsPerME = 65 },
 		func(c *Config) { c.ScratchBytes = 0 },

@@ -123,3 +123,23 @@ func TestNewAllocatesLittle(t *testing.T) {
 	}
 	runtime.KeepAlive(m)
 }
+
+// TestFirstScheduleFootprint bounds the event wheel a machine allocates
+// on its first schedule: 2048 buckets of 32-byte headers and four 24-byte
+// events each are 256 KiB, where 4096 buckets of 32-byte events were
+// 640 KiB. Every simulated point builds a fresh machine and each lap of
+// the wheel sweeps all of it.
+func TestFirstScheduleFootprint(t *testing.T) {
+	m, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.At(0, func() {})
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 288<<10 {
+		t.Errorf("the first schedule allocated %d bytes, want < 288 KiB", got)
+	}
+	runtime.KeepAlive(m)
+}
