@@ -51,6 +51,7 @@ import (
 
 	"shangrila/internal/apps"
 	"shangrila/internal/harness"
+	"shangrila/internal/ixp"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -83,7 +84,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		return 2
 	}
-	if err := flags.Check(); err != nil {
+	err := flags.Check()
+	switch maxMEs := ixp.DefaultConfig().NumMEs; {
+	case err != nil: // the shared flags' error stands
+	case *mes < 1 || *mes > maxMEs:
+		err = fmt.Errorf("-mes %d: want 1..%d enabled MEs (the machine has %d)", *mes, maxMEs, maxMEs)
+	case *cycles < 0:
+		err = fmt.Errorf("-cycles %d: want 0 or more measured cycles", *cycles)
+	case *warm < 0:
+		err = fmt.Errorf("-warmup %d: want 0 or more warm-up cycles", *warm)
+	}
+	if err != nil {
 		fmt.Fprintf(stderr, "ixpsim: %v\n", err)
 		return 2
 	}
@@ -120,26 +131,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}()
 
-	lvl := flags.DriverLevel()
-	opts := append(flags.Options(),
-		harness.WithLevel(lvl),
-		harness.WithMEs(*mes),
-		harness.WithWindows(*warm, *cycles),
-		harness.WithTrace(384),
-		harness.WithTelemetry(0),
-	)
-	if *stalls {
-		opts = append(opts, harness.WithStallBreakdown())
-	}
+	cfg := flags.RunConfig()
+	cfg.NumMEs = *mes
+	cfg.Warmup, cfg.Measure = *warm, *cycles
+	cfg.Telemetry, cfg.Stalls = true, *stalls
 	if isExp {
-		cfg := harness.DefaultRunConfig()
-		cfg.Seed = flags.Seed
-		cfg.NumMEs = *mes
-		cfg.Warmup, cfg.Measure = *warm, *cycles
 		ctx := &harness.ExpContext{
 			Out:     stdout,
 			Flags:   flags,
-			Opts:    opts,
 			Cfg:     cfg,
 			FigWarm: *warm,
 			FigMeas: *cycles,
@@ -162,9 +161,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		defer f.Close() // for the error exits; the success path checks Close
 		traceFile = f
-		opts = append(opts, harness.WithChromeTrace(f))
+		cfg.ChromeTrace = f
 	}
-	r, err := harness.Run(app, opts...)
+	r, err := cfg.Run(app)
 	if err != nil {
 		fmt.Fprintf(stderr, "ixpsim: %v\n", err)
 		return 1
@@ -177,7 +176,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stdout, "wrote %s (Chrome trace_event JSON; open in chrome://tracing)\n", *tracePath)
 	}
 	fmt.Fprintf(stdout, "%s at %v on %d ME(s), seed %d: %.2f Gbps (%d packets in %.2f ms simulated)\n",
-		app.Name, lvl, *mes, flags.Seed, r.Gbps, r.TxPackets, float64(*cycles)/600e3)
+		app.Name, cfg.Level, *mes, flags.Seed, r.Gbps, r.TxPackets, float64(*cycles)/600e3)
 	fmt.Fprintf(stdout, "pipeline: %d stage(s), code %v instructions\n", r.Stages, r.CodeSizes)
 	if r.Workload != nil {
 		fmt.Fprintf(stdout, "\noffered %.2f Gbps (%s arrivals, %s sizes): goodput %.2f Gbps, drop %.2f%%\n",

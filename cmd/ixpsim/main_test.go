@@ -25,6 +25,10 @@ func TestRejectsBadInput(t *testing.T) {
 		{[]string{"-cluster-drain-frac", "2", "l3switch"}, "-cluster-drain-frac 2"},
 		{[]string{"-chips", "0", "l3switch"}, "-chips 0"},
 		{[]string{"-fuzz-n", "-2", "l3switch"}, "-fuzz-n -2"},
+		{[]string{"-mes", "0", "l3switch"}, "-mes 0"},
+		{[]string{"-mes", "9", "l3switch"}, "-mes 9"},
+		{[]string{"-cycles", "-5", "l3switch"}, "-cycles -5"},
+		{[]string{"-warmup", "-1", "l3switch"}, "-warmup -1"},
 		{[]string{"-experiment", "nope", "l3switch"}, `unknown experiment "nope" (valid: churn|cluster|fuzz)`},
 		{[]string{"nosuch"}, `unknown app "nosuch" (valid: [l3switch mpls firewall])`},
 	} {

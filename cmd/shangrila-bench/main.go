@@ -102,8 +102,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}()
 
-	cfg := harness.DefaultRunConfig()
-	cfg.Seed = flags.Seed
+	cfg := flags.RunConfig()
+	cfg.Telemetry, cfg.Stalls, cfg.Workers = true, *stalls, *workers
 	figWarm, figMeas := int64(60_000), int64(400_000)
 	loads := harness.DefaultLoads()
 	if *quick {
@@ -111,19 +111,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		figWarm, figMeas = 30_000, 150_000
 		loads = []float64{0.5, 1.5, 3}
 	}
-	opts := append(flags.Options(),
-		harness.WithTelemetry(0),
-		harness.WithWorkers(*workers),
-	)
-	if *stalls {
-		opts = append(opts, harness.WithStallBreakdown())
-	}
 
 	ctx := &harness.ExpContext{
 		Out:     stdout,
 		Quick:   *quick,
 		Flags:   flags,
-		Opts:    opts,
 		Cfg:     cfg,
 		FigWarm: figWarm,
 		FigMeas: figMeas,
@@ -145,22 +137,19 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *tracePath != "" && code == 0 {
-		// Sweep points run concurrently and never stream Chrome traces
-		// (one JSON document per writer), so trace one representative
-		// point — the first app at the requested -O level — with a
-		// dedicated Run.
+		// Sweep points run concurrently and a sweep refuses a Chrome
+		// trace (one JSON document per writer), so trace one
+		// representative point — the first app at the requested -O
+		// level — with a dedicated Run.
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			fmt.Fprintf(stderr, "shangrila-bench: trace: %v\n", err)
 			return 1
 		}
 		app := apps.All()[0]
-		tOpts := append(append([]harness.Option{}, opts...),
-			harness.WithLevel(flags.DriverLevel()),
-			harness.WithWindows(cfg.Warmup, cfg.Measure),
-			harness.WithStallBreakdown(),
-			harness.WithChromeTrace(f))
-		if _, err := harness.Run(app, tOpts...); err != nil {
+		tcfg := cfg
+		tcfg.Stalls, tcfg.ChromeTrace = true, f
+		if _, err := tcfg.Run(app); err != nil {
 			f.Close()
 			fmt.Fprintf(stderr, "shangrila-bench: trace: %v\n", err)
 			return 1
@@ -169,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintf(stderr, "shangrila-bench: trace: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "wrote %s (Chrome trace_event JSON, %s at %v)\n", *tracePath, app.Name, flags.DriverLevel())
+		fmt.Fprintf(stdout, "wrote %s (Chrome trace_event JSON, %s at %v)\n", *tracePath, app.Name, cfg.Level)
 	}
 
 	if *report != "" && !ctx.Report.Empty() {

@@ -19,14 +19,12 @@ func main() {
 	app := apps.L3Switch()
 
 	fmt.Println("=== compiling L3-Switch at BASE and +SWC ===")
+	cfg := harness.DefaultRunConfig()
+	cfg.NumMEs, cfg.Seed = 6, 7
+	cfg.Warmup, cfg.Measure = 100_000, 500_000
 	for _, lvl := range []driver.Level{driver.LevelBase, driver.LevelSWC} {
-		r, err := harness.Run(app,
-			harness.WithLevel(lvl),
-			harness.WithMEs(6),
-			harness.WithWindows(100_000, 500_000),
-			harness.WithSeed(7),
-			harness.WithTrace(384),
-		)
+		cfg.Level = lvl
+		r, err := cfg.Run(app)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -82,8 +82,7 @@ func main() {
 			harness.WithCompiled(res),
 			harness.WithMEs(6),
 			harness.WithWindows(100_000, 500_000),
-			harness.WithSeed(7),
-			harness.WithTrace(384))
+			harness.WithSeed(7))
 		if err != nil {
 			log.Fatal(err)
 		}

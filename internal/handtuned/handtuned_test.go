@@ -37,9 +37,11 @@ func TestCompiledApproachesHandTuned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := harness.Run(app, append(harness.RunConfig{
-		NumMEs: 6, Warmup: 100_000, Measure: 400_000, Seed: 7, TraceN: 384,
-	}.Options(), harness.WithCompiled(res))...)
+	cfg := harness.DefaultRunConfig()
+	cfg.NumMEs, cfg.Seed, cfg.TraceN = 6, 7, 384
+	cfg.Warmup, cfg.Measure = 100_000, 400_000
+	cfg.Compiled = res
+	r, err := cfg.Run(app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +55,8 @@ func TestCompiledApproachesHandTuned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := harness.Run(app, append(harness.RunConfig{
-		NumMEs: 6, Warmup: 100_000, Measure: 400_000, Seed: 7, TraceN: 384,
-	}.Options(), harness.WithCompiled(base))...)
+	cfg.Compiled = base
+	rb, err := cfg.Run(app)
 	if err != nil {
 		t.Fatal(err)
 	}

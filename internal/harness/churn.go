@@ -141,13 +141,13 @@ func nanoPercentile(sorted []int64, p int) int64 {
 // session) against single-delta incremental recompiles through a warm
 // driver.Session, feeding the session the same churn policy states the
 // runtime applies.
-func measureCompileLatency(a *apps.App, sp workload.ChurnSpec, s *settings) (*ChurnCompileLatency, error) {
+func measureCompileLatency(a *apps.App, sp workload.ChurnSpec, c RunConfig) (*ChurnCompileLatency, error) {
 	lowered := func() (*ir.Program, driver.Config, error) {
 		prog, err := driver.LowerSource(a.Name+".baker", a.Source)
 		if err != nil {
 			return nil, driver.Config{}, err
 		}
-		cfg := driverConfig(a, s.level, a.Trace(prog.Types, s.run.Seed, profileTraceN), s)
+		cfg := c.driverConfig(a, a.Trace(prog.Types, c.Seed, profileTraceN))
 		cfg.DumpPass, cfg.DumpDir = "", "" // latency sampling never dumps
 		return prog, cfg, nil
 	}
@@ -212,22 +212,19 @@ func measureCompileLatency(a *apps.App, sp workload.ChurnSpec, s *settings) (*Ch
 }
 
 // ChurnRun measures one app under a control-plane update storm. The
-// churn stream comes from WithChurn (default: defaultChurnSpec), the
-// data-plane workload from WithWorkload (default: 1.5 Gbps fixed 64B),
-// and WithSWCMaxCheck bounds how stale any ME's cached view may get.
-func ChurnRun(a *apps.App, opts ...Option) (*ChurnResult, error) {
-	s := defaultSettings()
-	s.apply(opts)
-
+// churn stream comes from cfg.Churn (default: defaultChurnSpec), the
+// data-plane workload from cfg.Workload (default: 1.5 Gbps fixed 64B),
+// and cfg.SWCMaxCheck bounds how stale any ME's cached view may get.
+func ChurnRun(a *apps.App, cfg RunConfig) (*ChurnResult, error) {
 	csp := defaultChurnSpec()
-	if s.churn != nil {
-		csp = *s.churn
+	if cfg.Churn != nil {
+		csp = *cfg.Churn
 		if csp.UpdatesPerSec == 0 {
 			csp.UpdatesPerSec = defaultChurnSpec().UpdatesPerSec
 		}
 	}
 	if csp.Seed == 0 {
-		csp.Seed = s.run.Seed + 2 // distinct from profile (seed) and traffic (seed+1)
+		csp.Seed = cfg.Seed + 2 // distinct from profile (seed) and traffic (seed+1)
 	}
 	if csp.Items == 0 && a.Churn != nil {
 		csp.Items = len(a.Churn.Targets)
@@ -238,31 +235,28 @@ func ChurnRun(a *apps.App, opts ...Option) (*ChurnResult, error) {
 	}
 
 	wsp := defaultChurnWorkload()
-	if s.workload != nil {
-		wsp = *s.workload
+	if cfg.Workload != nil {
+		wsp = *cfg.Workload
 	}
 	if wsp.Seed == 0 {
-		wsp.Seed = s.run.Seed + 1
+		wsp.Seed = cfg.Seed + 1
 	}
 	wsp, err = wsp.Normalize()
 	if err != nil {
 		return nil, err
 	}
 
-	res := s.compiled
-	if res == nil {
-		res, err = compile(a, s.level, s.run.Seed, &s)
-		if err != nil {
-			return nil, fmt.Errorf("%s at %v: %w", a.Name, s.level, err)
-		}
+	res, err := cfg.image(a)
+	if err != nil {
+		return nil, err
 	}
 
-	trc, err := s.measurementTrace(a, res)
+	trc, err := cfg.measurementTrace(a, res)
 	if err != nil {
 		return nil, err
 	}
 	rt, err := rts.New(res.Image, res.Prog, trc, rts.Options{
-		NumMEs: s.run.NumMEs, Workload: &wsp,
+		NumMEs: cfg.NumMEs, Workload: &wsp,
 	})
 	if err != nil {
 		return nil, err
@@ -272,11 +266,11 @@ func ChurnRun(a *apps.App, opts ...Option) (*ChurnResult, error) {
 			return nil, fmt.Errorf("%s control %s: %w", a.Name, c.Name, err)
 		}
 	}
-	if err := rt.Run(s.run.Warmup); err != nil {
+	if err := rt.Run(cfg.Warmup); err != nil {
 		return nil, fmt.Errorf("%s warmup: %w", a.Name, err)
 	}
 
-	ups, err := churnEvents(a, csp, rt.M.Cfg.ClockMHz, rt.M.Now(), s.run.Measure)
+	ups, err := churnEvents(a, csp, rt.M.Cfg.ClockMHz, rt.M.Now(), cfg.Measure)
 	if err != nil {
 		return nil, err
 	}
@@ -286,22 +280,22 @@ func ChurnRun(a *apps.App, opts ...Option) (*ChurnResult, error) {
 	out := &ChurnResult{
 		App:      a.Name,
 		Level:    res.Report.Level.String(),
-		NumMEs:   s.run.NumMEs,
-		Seed:     s.run.Seed,
+		NumMEs:   cfg.NumMEs,
+		Seed:     cfg.Seed,
 		Engine:   engName,
 		Shards:   engShards,
 		Churn:    csp,
 		Workload: wsp,
 	}
 
-	bucket := s.run.Measure / churnBuckets
+	bucket := cfg.Measure / churnBuckets
 	applied := 0
 	for i := 0; i < churnBuckets; i++ {
 		rt.M.ResetStats()
 		start := rt.M.Now()
 		span := bucket
 		if i == churnBuckets-1 {
-			span = s.run.Measure - int64(i)*bucket // absorb rounding
+			span = cfg.Measure - int64(i)*bucket // absorb rounding
 		}
 		if err := rt.Run(span); err != nil {
 			return nil, fmt.Errorf("%s churn bucket %d: %w", a.Name, i, err)
@@ -324,7 +318,7 @@ func ChurnRun(a *apps.App, opts ...Option) (*ChurnResult, error) {
 	}
 	out.Updates = *st
 
-	cl, err := measureCompileLatency(a, csp, &s)
+	cl, err := measureCompileLatency(a, csp, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -333,14 +327,14 @@ func ChurnRun(a *apps.App, opts ...Option) (*ChurnResult, error) {
 }
 
 // ChurnExperiment runs the churn experiment for every app that declares
-// a churn policy, at the configured level (default +SWC).
-func ChurnExperiment(appList []*apps.App, opts ...Option) ([]*ChurnResult, error) {
+// a churn policy, at cfg.Level.
+func ChurnExperiment(appList []*apps.App, cfg RunConfig) ([]*ChurnResult, error) {
 	var out []*ChurnResult
 	for _, a := range appList {
 		if a.Churn == nil {
 			continue
 		}
-		r, err := ChurnRun(a, opts...)
+		r, err := ChurnRun(a, cfg)
 		if err != nil {
 			return nil, err
 		}

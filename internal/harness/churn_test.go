@@ -15,14 +15,14 @@ import (
 	"shangrila/internal/workload"
 )
 
-// churnTestOpts keeps churn measurement runs short.
-func churnTestOpts() []Option {
-	return []Option{
-		WithMEs(4),
-		WithWindows(60_000, 400_000),
-		WithTrace(192),
-		WithSeed(7),
-	}
+// churnTestCfg keeps churn measurement runs short, with the
+// software-cache check interval clamped to 64 packets.
+func churnTestCfg(sp *workload.ChurnSpec) RunConfig {
+	cfg := DefaultRunConfig()
+	cfg.NumMEs, cfg.Seed, cfg.TraceN = 4, 7, 192
+	cfg.Warmup, cfg.Measure = 60_000, 400_000
+	cfg.Churn, cfg.SWCMaxCheck = sp, 64
+	return cfg
 }
 
 // TestChurnRunTimeline: the churn experiment applies updates mid-run,
@@ -31,8 +31,7 @@ func churnTestOpts() []Option {
 // than the cold pipeline.
 func TestChurnRunTimeline(t *testing.T) {
 	sp := &workload.ChurnSpec{UpdatesPerSec: 60_000, Burst: 2}
-	r, err := ChurnRun(apps.L3Switch(), append(churnTestOpts(),
-		WithChurn(sp), WithSWCMaxCheck(64))...)
+	r, err := ChurnRun(apps.L3Switch(), churnTestCfg(sp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +79,8 @@ func TestChurnRunTimeline(t *testing.T) {
 // scheduler width.
 func TestChurnDeterminism(t *testing.T) {
 	report := func() []byte {
-		rs, err := ChurnExperiment([]*apps.App{apps.L3Switch()},
-			append(churnTestOpts(),
-				WithChurn(&workload.ChurnSpec{UpdatesPerSec: 40_000, Arrival: workload.ChurnArrivalPoisson, WithdrawFraction: 0.25}),
-				WithSWCMaxCheck(64))...)
+		rs, err := ChurnExperiment([]*apps.App{apps.L3Switch()}, churnTestCfg(
+			&workload.ChurnSpec{UpdatesPerSec: 40_000, Arrival: workload.ChurnArrivalPoisson, WithdrawFraction: 0.25}))
 		if err != nil {
 			t.Fatal(err)
 		}

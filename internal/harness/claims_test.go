@@ -61,7 +61,9 @@ func TestPaperClaimsMonotoneRates(t *testing.T) {
 			var prev float64
 			var base, swc float64
 			for _, lvl := range driver.Levels() {
-				r, err := harness.Run(a, append(cfg.Options(), harness.WithLevel(lvl))...)
+				c := cfg
+				c.Level = lvl
+				r, err := c.Run(a)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,12 +101,12 @@ func TestPaperClaimsMonotoneRates(t *testing.T) {
 func TestPaperClaimsStallAttribution(t *testing.T) {
 	loads := []float64{0.5, 1, 1.5, 2, 3}
 	sweep := func(lvl driver.Level) []harness.LoadPoint {
+		cfg := harness.DefaultRunConfig()
+		cfg.Warmup, cfg.Measure = 60_000, 300_000
+		cfg.TraceN, cfg.Stalls = 128, true
 		curves, err := harness.LoadLatency(
 			[]*apps.App{apps.L3Switch()},
-			[]driver.Level{lvl}, loads,
-			harness.WithWindows(60_000, 300_000),
-			harness.WithTrace(128),
-			harness.WithStallBreakdown())
+			[]driver.Level{lvl}, loads, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,8 +205,8 @@ func TestPaperClaimsSaturation(t *testing.T) {
 		var out []float64
 		for n := 1; n <= 6; n++ {
 			c := cfg
-			c.NumMEs = n
-			r, err := harness.Run(a, append(c.Options(), harness.WithCompiled(res))...)
+			c.NumMEs, c.Compiled = n, res
+			r, err := c.Run(a)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -77,35 +77,28 @@ type ClusterResult struct {
 	cluster.Result
 }
 
-// ClusterRun compiles (unless WithCompiled) and measures one multi-NPU
-// cluster: p.Chips identical chips (WithMEs engines each) behind the
-// flow-hash balancer, warmed and measured over the WithWindows cycles.
-// WithWorkers sets how many chips advance concurrently — results are
-// bit-identical at any value, and a one-chip cluster with zero fabric
+// ClusterRun compiles (unless cfg.Compiled is set) and measures one
+// multi-NPU cluster: p.Chips identical chips (cfg.NumMEs engines each)
+// behind the flow-hash balancer, warmed and measured over cfg's cycle
+// windows. cfg.Workers sets how many chips advance concurrently — results
+// are bit-identical at any value, and a one-chip cluster with zero fabric
 // latency is bit-identical to the plain single-machine path.
-func ClusterRun(a *apps.App, p ClusterParams, opts ...Option) (*ClusterResult, error) {
-	s := defaultSettings()
-	s.apply(opts)
+func ClusterRun(a *apps.App, p ClusterParams, cfg RunConfig) (*ClusterResult, error) {
 	p, err := p.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-
-	res := s.compiled
-	if res == nil {
-		var err error
-		res, err = compile(a, s.level, s.run.Seed, &s)
-		if err != nil {
-			return nil, fmt.Errorf("%s at %v: %w", a.Name, s.level, err)
-		}
+	res, err := cfg.image(a)
+	if err != nil {
+		return nil, err
 	}
-	trc, err := s.measurementTrace(a, res)
+	trc, err := cfg.measurementTrace(a, res)
 	if err != nil {
 		return nil, err
 	}
 
 	wsp := workload.Spec{
-		Seed:        s.run.Seed + 1, // traffic seed, distinct from the profile seed
+		Seed:        cfg.Seed + 1, // traffic seed, distinct from the profile seed
 		Arrival:     p.Arrival,
 		Sizes:       p.Sizes,
 		OfferedGbps: p.PerChipGbps * float64(p.Chips),
@@ -119,13 +112,13 @@ func ClusterRun(a *apps.App, p ClusterParams, opts ...Option) (*ClusterResult, e
 
 	chips := make([]cluster.ChipConfig, p.Chips)
 	for i := range chips {
-		chips[i] = cluster.ChipConfig{NumMEs: s.run.NumMEs}
+		chips[i] = cluster.ChipConfig{NumMEs: cfg.NumMEs}
 	}
 	var drain *cluster.DrainPlan
 	if p.DrainChip >= 0 {
 		drain = &cluster.DrainPlan{
 			Chip:    p.DrainChip,
-			AtCycle: s.run.Warmup + int64(p.DrainFrac*float64(s.run.Measure)),
+			AtCycle: cfg.Warmup + int64(p.DrainFrac*float64(cfg.Measure)),
 		}
 	}
 	cl, err := cluster.New(cluster.Config{
@@ -138,10 +131,10 @@ func ClusterRun(a *apps.App, p ClusterParams, opts ...Option) (*ClusterResult, e
 		FabricLatency: p.FabricLatency,
 		Epoch:         p.Epoch,
 		Buckets:       p.Buckets,
-		Workers:       s.workers,
-		Warmup:        s.run.Warmup,
-		Measure:       s.run.Measure,
-		Seed:          s.run.Seed,
+		Workers:       cfg.Workers,
+		Warmup:        cfg.Warmup,
+		Measure:       cfg.Measure,
+		Seed:          cfg.Seed,
 		Drain:         drain,
 	})
 	if err != nil {
@@ -154,8 +147,8 @@ func ClusterRun(a *apps.App, p ClusterParams, opts ...Option) (*ClusterResult, e
 	return &ClusterResult{
 		App:        a.Name,
 		Level:      res.Report.Level.String(),
-		MEsPerChip: s.run.NumMEs,
-		Seed:       s.run.Seed,
+		MEsPerChip: cfg.NumMEs,
+		Seed:       cfg.Seed,
 		Workload:   wsp,
 		Result:     *r,
 	}, nil
@@ -166,23 +159,14 @@ func ClusterRun(a *apps.App, p ClusterParams, opts ...Option) (*ClusterResult, e
 // when p.DrainChip is set and more than one chip is configured, one
 // drain scenario at the full chip count. The app compiles once; every
 // point reuses the image.
-func ClusterScaling(a *apps.App, p ClusterParams, opts ...Option) ([]*ClusterResult, error) {
-	s := defaultSettings()
-	s.apply(opts)
+func ClusterScaling(a *apps.App, p ClusterParams, cfg RunConfig) ([]*ClusterResult, error) {
 	p, err := p.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-
-	res := s.compiled
-	if res == nil {
-		var err error
-		res, err = compile(a, s.level, s.run.Seed, &s)
-		if err != nil {
-			return nil, fmt.Errorf("%s at %v: %w", a.Name, s.level, err)
-		}
+	if cfg.Compiled, err = cfg.image(a); err != nil {
+		return nil, err
 	}
-	shared := append(append([]Option{}, opts...), WithCompiled(res))
 
 	var counts []int
 	for n := 1; n < p.Chips; n *= 2 {
@@ -195,7 +179,7 @@ func ClusterScaling(a *apps.App, p ClusterParams, opts ...Option) ([]*ClusterRes
 		pn := p
 		pn.Chips = n
 		pn.DrainChip = NoDrain
-		r, err := ClusterRun(a, pn, shared...)
+		r, err := ClusterRun(a, pn, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("cluster %d chips: %w", n, err)
 		}
@@ -205,7 +189,7 @@ func ClusterScaling(a *apps.App, p ClusterParams, opts ...Option) ([]*ClusterRes
 		if p.DrainChip >= p.Chips {
 			return nil, fmt.Errorf("cluster: drain chip %d out of range (have %d chips)", p.DrainChip, p.Chips)
 		}
-		r, err := ClusterRun(a, p, shared...)
+		r, err := ClusterRun(a, p, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("cluster drain: %w", err)
 		}

@@ -10,14 +10,14 @@ import (
 	"shangrila/internal/workload"
 )
 
-// clusterTestOpts keeps cluster measurement runs short.
-func clusterTestOpts() []Option {
-	return []Option{
-		WithMEs(2),
-		WithWindows(30_000, 160_000),
-		WithTrace(128),
-		WithSeed(7),
-	}
+// clusterTestCfg keeps cluster measurement runs of the compiled image
+// res short.
+func clusterTestCfg(res *driver.Result) RunConfig {
+	cfg := DefaultRunConfig()
+	cfg.NumMEs, cfg.Seed, cfg.TraceN = 2, 7, 128
+	cfg.Warmup, cfg.Measure = 30_000, 160_000
+	cfg.Compiled = res
+	return cfg
 }
 
 // clusterTestParams is a small flow population so the Zipf sampler setup
@@ -43,9 +43,9 @@ func TestClusterSingleChipMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := append(clusterTestOpts(), WithCompiled(res))
+	cfg := clusterTestCfg(res)
 
-	cr, err := ClusterRun(a, clusterTestParams(1), opts...)
+	cr, err := ClusterRun(a, clusterTestParams(1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,8 @@ func TestClusterSingleChipMatchesRun(t *testing.T) {
 	// The exact spec ClusterRun derives: traffic seed = seed+1, offered
 	// load = PerChipGbps × 1 chip.
 	sp := workload.Spec{Seed: 8, OfferedGbps: 2.5, Flows: 2048, ZipfS: 1.1}
-	r, err := Run(a, append(opts, WithWorkload(&sp))...)
+	cfg.Workload = &sp
+	r, err := cfg.Run(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +95,9 @@ func TestClusterDeterminism(t *testing.T) {
 	p.DrainChip = 3
 
 	series := func(workers int) ([]*ClusterResult, []byte) {
-		rs, err := ClusterScaling(a, p, append(clusterTestOpts(),
-			WithCompiled(res), WithWorkers(workers))...)
+		cfg := clusterTestCfg(res)
+		cfg.Workers = workers
+		rs, err := ClusterScaling(a, p, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -172,10 +174,10 @@ func TestClusterRejectsNonFiniteDrainFrac(t *testing.T) {
 	for _, frac := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		p := clusterTestParams(2)
 		p.DrainChip, p.DrainFrac = 1, frac
-		if _, err := ClusterRun(a, p); err == nil {
+		if _, err := ClusterRun(a, p, DefaultRunConfig()); err == nil {
 			t.Errorf("ClusterRun with DrainFrac %v succeeded", frac)
 		}
-		if _, err := ClusterScaling(a, p); err == nil {
+		if _, err := ClusterScaling(a, p, DefaultRunConfig()); err == nil {
 			t.Errorf("ClusterScaling with DrainFrac %v succeeded", frac)
 		}
 	}

@@ -11,19 +11,18 @@ import (
 )
 
 // ExpContext is the shared environment the CLI hands every experiment:
-// where to print, the checked flags and resolved harness options, the
-// standard measurement windows (full or -quick), and the report builder
-// every experiment's machine-readable output lands in.
+// where to print, the checked flags, the run configuration, the shorter
+// figure-sweep windows (full or -quick), and the report builder every
+// experiment's machine-readable output lands in.
 type ExpContext struct {
 	Out   io.Writer
 	Quick bool
 	Flags *Flags
-	// Opts are the resolved cross-experiment options (seed, workers,
-	// telemetry, stall breakdowns...). Experiments append their
-	// own and must not mutate the shared slice in place.
-	Opts []Option
-	// Cfg is the standard run configuration; FigWarm/FigMeas are the
-	// shorter figure-sweep windows; Loads is the load–latency sweep.
+	// Cfg is the standard run configuration every experiment starts from
+	// (seed, level, telemetry, workers, stall breakdowns, IR debugging,
+	// workload and churn specs...). Experiments change their copy.
+	// FigWarm/FigMeas are the shorter figure-sweep windows; Loads is the
+	// load–latency sweep.
 	Cfg              RunConfig
 	FigWarm, FigMeas int64
 	Loads            []float64
@@ -32,10 +31,11 @@ type ExpContext struct {
 	Report *ReportBuilder
 }
 
-// Options returns a copy of the shared option slice with extra appended,
-// safe for per-experiment extension.
-func (ctx *ExpContext) Options(extra ...Option) []Option {
-	return append(append([]Option{}, ctx.Opts...), extra...)
+// figCfg is ctx.Cfg with the shorter figure-sweep windows.
+func (ctx *ExpContext) figCfg() RunConfig {
+	cfg := ctx.Cfg
+	cfg.Warmup, cfg.Measure = ctx.FigWarm, ctx.FigMeas
+	return cfg
 }
 
 // Experiment is one entry of the evaluation suite: its -experiment name,
@@ -72,7 +72,7 @@ func Experiments() []Experiment {
 			Name:     "table1",
 			Synopsis: "per-packet dynamic memory accesses across levels (Table 1)",
 			Run: func(ctx *ExpContext) error {
-				rows, err := Table1(ctx.Cfg, ctx.Opts...)
+				rows, err := Table1(ctx.Cfg)
 				if err != nil {
 					return err
 				}
@@ -91,11 +91,12 @@ func Experiments() []Experiment {
 			Run: func(ctx *ExpContext) error {
 				// BASE is the contrast curve; -O picks the optimized one.
 				levels := []driver.Level{driver.LevelBase}
-				if lvl := ctx.Flags.DriverLevel(); lvl != driver.LevelBase {
+				if lvl := ctx.Cfg.Level; lvl != driver.LevelBase {
 					levels = append(levels, lvl)
 				}
-				curves, err := LoadLatency(apps.All(), levels, ctx.Loads,
-					ctx.Options(WithWindows(ctx.Cfg.Warmup, ctx.Cfg.Measure), WithWorkload(ctx.Flags.TrafficShape()))...)
+				cfg := ctx.Cfg
+				cfg.Workload = ctx.Flags.TrafficShape()
+				curves, err := LoadLatency(apps.All(), levels, ctx.Loads, cfg)
 				if err != nil {
 					return err
 				}
@@ -109,8 +110,7 @@ func Experiments() []Experiment {
 			Name:     "churn",
 			Synopsis: "goodput/latency timelines under control-plane update storms",
 			Run: func(ctx *ExpContext) error {
-				results, err := ChurnExperiment(apps.All(),
-					ctx.Options(WithLevel(ctx.Flags.DriverLevel()), WithWindows(ctx.FigWarm, ctx.FigMeas))...)
+				results, err := ChurnExperiment(apps.All(), ctx.figCfg())
 				if err != nil {
 					return err
 				}
@@ -120,8 +120,7 @@ func Experiments() []Experiment {
 				return nil
 			},
 			RunApp: func(ctx *ExpContext, a *apps.App) error {
-				res, err := ChurnRun(a,
-					ctx.Options(WithLevel(ctx.Flags.DriverLevel()), WithWindows(ctx.Cfg.Warmup, ctx.Cfg.Measure))...)
+				res, err := ChurnRun(a, ctx.Cfg)
 				if err != nil {
 					return err
 				}
@@ -217,7 +216,7 @@ func figure(name, title string, app func() *apps.App) Experiment {
 		Name:     name,
 		Synopsis: title + " forwarding rate vs enabled MEs per level",
 		Run: func(ctx *ExpContext) error {
-			series, results, err := FigureResults(app(), ctx.Cfg, 6, ctx.Opts...)
+			series, results, err := FigureResults(app(), ctx.Cfg, 6)
 			if err != nil {
 				return err
 			}
@@ -247,8 +246,7 @@ func runClusterSeries(ctx *ExpContext, a *apps.App) error {
 	if f.ClusterDrain {
 		p.DrainChip = f.Chips - 1 // drain the last chip mid-run
 	}
-	results, err := ClusterScaling(a, p,
-		ctx.Options(WithLevel(f.DriverLevel()), WithWindows(ctx.FigWarm, ctx.FigMeas))...)
+	results, err := ClusterScaling(a, p, ctx.figCfg())
 	if err != nil {
 		return err
 	}

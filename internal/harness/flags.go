@@ -18,7 +18,7 @@ import (
 // shape, the fuzz and cluster experiments' settings and host profiling.
 // Per-command flags (cycle windows, report paths, worker counts) stay with
 // their commands. The commands call Check once after parsing; the methods
-// that build specs and options assume it passed.
+// that build specs and the run configuration assume it passed.
 type Flags struct {
 	Level    int
 	Seed     uint64
@@ -114,7 +114,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 // the error before anything runs, instead of letting a runner substitute
 // a default.
 func (f *Flags) Check() error {
-	if !slices.Contains(driver.Levels(), f.DriverLevel()) {
+	if !slices.Contains(driver.Levels(), driver.Level(f.Level)) {
 		return fmt.Errorf("unknown optimization level -O %d", f.Level)
 	}
 	if f.DumpIR != "" || f.DumpDir != "" {
@@ -180,9 +180,6 @@ func (f *Flags) Check() error {
 	return nil
 }
 
-// DriverLevel returns the -O flag as a driver level.
-func (f *Flags) DriverLevel() driver.Level { return driver.Level(f.Level) }
-
 // dumpPass is the -dump-ir pass name; -dump-ir-dir alone dumps them all.
 func (f *Flags) dumpPass() string {
 	if f.DumpIR == "" {
@@ -224,28 +221,23 @@ func (f *Flags) WorkloadSpec() *workload.Spec {
 	return sp
 }
 
-// Options converts the shared flags into harness options (seed, IR
-// debugging, and the workload engine when -gbps is set). The level is
-// not included — commands that measure a single level pass
-// WithLevel(f.DriverLevel()) themselves, while sweeps iterate levels.
-func (f *Flags) Options() []Option {
-	opts := []Option{WithSeed(f.Seed)}
+// RunConfig returns DefaultRunConfig with the shared flags applied: seed,
+// level, IR debugging, the SWC check clamp, the churn stream and the
+// workload engine when -gbps is set. Sweeps override the level per point.
+func (f *Flags) RunConfig() RunConfig {
+	cfg := DefaultRunConfig()
+	cfg.Seed = f.Seed
+	cfg.Level = driver.Level(f.Level)
 	if f.DumpIR != "" || f.DumpDir != "" {
-		opts = append(opts, WithDumpIR(f.dumpPass(), f.DumpDir))
+		cfg.DumpPass, cfg.DumpDir = f.dumpPass(), f.DumpDir
 	}
 	if f.VerifyIR {
-		opts = append(opts, WithVerifyIR(driver.VerifyOn))
+		cfg.VerifyIR = driver.VerifyOn
 	}
-	if sp := f.WorkloadSpec(); sp != nil {
-		opts = append(opts, WithWorkload(sp))
-	}
-	if csp := f.ChurnSpec(); csp != nil {
-		opts = append(opts, WithChurn(csp))
-	}
-	if f.SWCCheckLimit != 0 {
-		opts = append(opts, WithSWCMaxCheck(uint32(f.SWCCheckLimit)))
-	}
-	return opts
+	cfg.Workload = f.WorkloadSpec()
+	cfg.Churn = f.ChurnSpec()
+	cfg.SWCMaxCheck = uint32(f.SWCCheckLimit)
+	return cfg
 }
 
 // fuzzConfig resolves the fuzz flags: an unset -fuzz-seed inherits -seed

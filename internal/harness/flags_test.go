@@ -3,8 +3,12 @@ package harness
 import (
 	"flag"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
+
+	"shangrila/internal/driver"
+	"shangrila/internal/workload"
 )
 
 // parseFlags parses args through RegisterFlags on a fresh FlagSet, the
@@ -106,6 +110,48 @@ func TestExperimentFlagsRejectInvalid(t *testing.T) {
 	} {
 		if err := check(args...); err != nil {
 			t.Errorf("%q: %v", args, err)
+		}
+	}
+}
+
+// TestFlagsRunConfig: the shared flags land in the fields of the one run
+// configuration both CLIs start from, and the defaults are
+// DefaultRunConfig at +SWC.
+func TestFlagsRunConfig(t *testing.T) {
+	def := DefaultRunConfig()
+	def.Level = driver.LevelSWC
+	with := func(set func(*RunConfig)) RunConfig {
+		cfg := def
+		set(&cfg)
+		return cfg
+	}
+	for _, tc := range []struct {
+		args []string
+		want RunConfig
+	}{
+		{nil, def},
+		{[]string{"-seed", "99"}, with(func(c *RunConfig) { c.Seed = 99 })},
+		{[]string{"-O", "3"}, with(func(c *RunConfig) { c.Level = driver.LevelPAC })},
+		{[]string{"-gbps", "2", "-arrival", "poisson", "-sizes", "imix", "-flows", "64", "-zipf", "1.1"},
+			with(func(c *RunConfig) {
+				c.Workload = &workload.Spec{Arrival: workload.ArrivalPoisson, Sizes: workload.SizesIMIX,
+					OfferedGbps: 2, Flows: 64, ZipfS: 1.1}
+			})},
+		{[]string{"-churn-rate", "500", "-churn-burst", "3", "-churn-arrival", "poisson"},
+			with(func(c *RunConfig) {
+				c.Churn = &workload.ChurnSpec{UpdatesPerSec: 500, Burst: 3, Arrival: workload.ChurnArrivalPoisson}
+			})},
+		{[]string{"-swc-check-limit", "64"}, with(func(c *RunConfig) { c.SWCMaxCheck = 64 })},
+		{[]string{"-dump-ir", "swc"}, with(func(c *RunConfig) { c.DumpPass = "swc" })},
+		{[]string{"-dump-ir-dir", "out"}, with(func(c *RunConfig) { c.DumpPass, c.DumpDir = "all", "out" })},
+		{[]string{"-verify-ir"}, with(func(c *RunConfig) { c.VerifyIR = driver.VerifyOn })},
+	} {
+		f := parseFlags(t, tc.args...)
+		if err := f.Check(); err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		if got := f.RunConfig(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%q: RunConfig() =\n%+v\nwant\n%+v", tc.args, got, tc.want)
 		}
 	}
 }

@@ -3,8 +3,9 @@
 // counts, and Figures 13–15's packet forwarding rates for L3-Switch,
 // Firewall and MPLS across optimization levels and enabled-ME counts.
 //
-// The evaluation engine measures one point with Run(app, ...Option) and
-// fans whole parameter sweeps across worker goroutines with Sweep.
+// The evaluation engine measures one point with RunConfig.Run and fans
+// whole parameter sweeps across worker goroutines with Sweep; every runner
+// reads its settings from one RunConfig.
 package harness
 
 import (
@@ -17,78 +18,58 @@ import (
 	"shangrila/internal/packet"
 )
 
-// RunConfig controls one measured simulation.
-type RunConfig struct {
-	NumMEs  int
-	Warmup  int64 // cycles before measurement starts (queues fill)
-	Measure int64 // measured cycles
-	Seed    uint64
-	TraceN  int // distinct packets in the cycled trace
-}
-
-// DefaultRunConfig returns the standard measurement window: long enough
-// for thousands of packets at line rate, short enough to sweep many
-// configurations.
-func DefaultRunConfig() RunConfig {
-	return RunConfig{
-		NumMEs:  6,
-		Warmup:  150_000,
-		Measure: 900_000,
-		Seed:    1234,
-		TraceN:  384,
-	}
-}
-
-// Options converts a RunConfig to the equivalent Option list (bridge for
-// pre-redesign callers).
-func (c RunConfig) Options() []Option {
-	return []Option{
-		WithMEs(c.NumMEs),
-		WithWindows(c.Warmup, c.Measure),
-		WithSeed(c.Seed),
-		WithTrace(c.TraceN),
-	}
-}
-
 // profileTraceN is the length of the profile trace a compile trains on.
 const profileTraceN = 512
 
 // Compile compiles an app at a level, generating its profile trace from
 // its own generator.
 func Compile(a *apps.App, lvl driver.Level, seed uint64) (*driver.Result, error) {
-	s := defaultSettings()
-	return compile(a, lvl, seed, &s)
+	c := DefaultRunConfig()
+	c.Level, c.Seed = lvl, seed
+	return c.compile(a)
 }
 
-// compile is Compile with the resolved option set: verification mode and
-// IR dump selection thread through to the driver configuration.
-func compile(a *apps.App, lvl driver.Level, seed uint64, s *settings) (*driver.Result, error) {
+// compile compiles a at c.Level on a profile trace of seed c.Seed; c's
+// verification mode, IR dump selection and SWC clamp thread through to
+// the driver configuration.
+func (c RunConfig) compile(a *apps.App) (*driver.Result, error) {
 	prog, err := driver.LowerSource(a.Name+".baker", a.Source)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Name, err)
 	}
-	ptrace := a.Trace(prog.Types, seed, profileTraceN)
-	return driver.CompileIR(prog, driverConfig(a, lvl, ptrace, s))
+	return driver.CompileIR(prog, c.driverConfig(a, a.Trace(prog.Types, c.Seed, profileTraceN)))
+}
+
+// image is c.Compiled, or a's compile at c.Level when that is nil.
+func (c RunConfig) image(a *apps.App) (*driver.Result, error) {
+	if c.Compiled != nil {
+		return c.Compiled, nil
+	}
+	res, err := c.compile(a)
+	if err != nil {
+		return nil, fmt.Errorf("%s at %v: %w", a.Name, c.Level, err)
+	}
+	return res, nil
 }
 
 // driverConfig assembles the driver configuration shared by cold
 // compiles and incremental sessions.
-func driverConfig(a *apps.App, lvl driver.Level, ptrace []*packet.Packet, s *settings) driver.Config {
+func (c RunConfig) driverConfig(a *apps.App, ptrace []*packet.Packet) driver.Config {
 	cfg := driver.Config{
-		Level:        lvl,
+		Level:        c.Level,
 		ProfileTrace: ptrace,
 		Controls:     a.Controls,
-		VerifyIR:     s.verify,
-		DumpPass:     s.dumpPass,
-		DumpDir:      s.dumpDir,
-		DumpPrefix:   a.Name + "-" + lvl.String(),
+		VerifyIR:     c.VerifyIR,
+		DumpPass:     c.DumpPass,
+		DumpDir:      c.DumpDir,
+		DumpPrefix:   a.Name + "-" + c.Level.String(),
 	}
-	if s.swcMaxCheck != 0 {
+	if c.SWCMaxCheck != 0 {
 		// Start from the defaults: the driver only substitutes them for
 		// the all-zero config, and a bare MaxCheckLimit would otherwise
 		// zero every selection threshold.
 		cfg.SWC = swc.DefaultConfig()
-		cfg.SWC.MaxCheckLimit = s.swcMaxCheck
+		cfg.SWC.MaxCheckLimit = c.SWCMaxCheck
 	}
 	return cfg
 }
@@ -105,7 +86,7 @@ func Table1Levels() []driver.Level {
 
 // Table1 measures the per-packet dynamic memory access table for every
 // app, fanning the app × level grid across the sweep runner's workers.
-func Table1(cfg RunConfig, opts ...Option) ([]*Result, error) {
+func Table1(cfg RunConfig) ([]*Result, error) {
 	var points []Point
 	for _, a := range apps.All() {
 		for _, lvl := range Table1Levels() {
@@ -114,7 +95,7 @@ func Table1(cfg RunConfig, opts ...Option) ([]*Result, error) {
 			})
 		}
 	}
-	return Sweep(points, append(cfg.Options(), opts...)...)
+	return Sweep(points, cfg)
 }
 
 // FormatTable1 renders rows in the paper's Table 1 shape.
@@ -146,17 +127,12 @@ type FigureSeries struct {
 	Gbps  []float64 // index 0 = 1 ME
 }
 
-// FigureRates sweeps optimization levels × ME counts for one app
+// FigureResults sweeps optimization levels × ME counts for one app
 // (Figures 13, 14, 15) on the parallel sweep runner: each level compiles
-// once, and its per-ME-count measurements share the compiled image.
-func FigureRates(a *apps.App, cfg RunConfig, maxMEs int, opts ...Option) ([]*FigureSeries, error) {
-	series, _, err := FigureResults(a, cfg, maxMEs, opts...)
-	return series, err
-}
-
-// FigureResults is FigureRates plus the underlying per-point results (for
-// report export).
-func FigureResults(a *apps.App, cfg RunConfig, maxMEs int, opts ...Option) ([]*FigureSeries, []*Result, error) {
+// once, and its per-ME-count measurements share the compiled image. It
+// returns the curves and the underlying per-point results (for report
+// export).
+func FigureResults(a *apps.App, cfg RunConfig, maxMEs int) ([]*FigureSeries, []*Result, error) {
 	levels := driver.Levels()
 	var points []Point
 	for _, lvl := range levels {
@@ -164,7 +140,7 @@ func FigureResults(a *apps.App, cfg RunConfig, maxMEs int, opts ...Option) ([]*F
 			points = append(points, Point{App: a, Level: lvl, NumMEs: n, Seed: cfg.Seed})
 		}
 	}
-	results, err := Sweep(points, append(cfg.Options(), opts...)...)
+	results, err := Sweep(points, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -14,13 +14,17 @@ import (
 
 // quickCfg keeps test sweeps fast; the bench harness uses longer windows.
 func quickCfg() harness.RunConfig {
-	return harness.RunConfig{
-		NumMEs:  4,
-		Warmup:  80_000,
-		Measure: 250_000,
-		Seed:    7,
-		TraceN:  256,
-	}
+	cfg := harness.DefaultRunConfig()
+	cfg.NumMEs, cfg.Seed, cfg.TraceN = 4, 7, 256
+	cfg.Warmup, cfg.Measure = 80_000, 250_000
+	return cfg
+}
+
+// quickAt is quickCfg at level lvl.
+func quickAt(lvl driver.Level) harness.RunConfig {
+	cfg := quickCfg()
+	cfg.Level = lvl
+	return cfg
 }
 
 // TestAllAppsAllLevelsCompileAndRun is the whole-repro integration test:
@@ -31,7 +35,7 @@ func TestAllAppsAllLevelsCompileAndRun(t *testing.T) {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
 			for _, lvl := range driver.Levels() {
-				r, err := harness.Run(a, append(quickCfg().Options(), harness.WithLevel(lvl))...)
+				r, err := quickAt(lvl).Run(a)
 				if err != nil {
 					t.Fatalf("%v: %v", lvl, err)
 				}
@@ -56,10 +60,12 @@ func TestRunRejectsNegativeWindows(t *testing.T) {
 		{-1, 1000},
 		{1000, -1},
 	} {
-		_, err := harness.Run(apps.L3Switch(), append(quickCfg().Options(), harness.WithWindows(c.warmup, c.measure))...)
+		cfg := quickCfg()
+		cfg.Warmup, cfg.Measure = c.warmup, c.measure
+		_, err := cfg.Run(apps.L3Switch())
 		var be *ixp.BudgetError
 		if !errors.As(err, &be) || be.Cycles != -1 {
-			t.Errorf("WithWindows(%d, %d): err = %v, want a BudgetError for -1", c.warmup, c.measure, err)
+			t.Errorf("windows (%d, %d): err = %v, want a BudgetError for -1", c.warmup, c.measure, err)
 		}
 	}
 }
@@ -72,7 +78,7 @@ func TestOptimizationReducesAccessesPaperShape(t *testing.T) {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
 			get := func(lvl driver.Level) *harness.Result {
-				r, err := harness.Run(a, append(quickCfg().Options(), harness.WithLevel(lvl))...)
+				r, err := quickAt(lvl).Run(a)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -192,15 +198,16 @@ func TestCompileAllocations(t *testing.T) {
 // divergence naming DiffConfig.TraceN.
 func TestNegativeTraceRejected(t *testing.T) {
 	a := apps.L3Switch()
-	opts := append(quickCfg().Options(), harness.WithTrace(-1))
-	if _, err := harness.Run(a, opts...); err == nil {
-		t.Error("Run with WithTrace(-1) succeeded")
+	cfg := quickCfg()
+	cfg.TraceN = -1
+	if _, err := cfg.Run(a); err == nil {
+		t.Error("Run with TraceN -1 succeeded")
 	}
-	if _, err := harness.ChurnRun(a, opts...); err == nil {
-		t.Error("ChurnRun with WithTrace(-1) succeeded")
+	if _, err := harness.ChurnRun(a, cfg); err == nil {
+		t.Error("ChurnRun with TraceN -1 succeeded")
 	}
-	if _, err := harness.ClusterRun(a, harness.ClusterParams{Chips: 1, DrainChip: harness.NoDrain}, opts...); err == nil {
-		t.Error("ClusterRun with WithTrace(-1) succeeded")
+	if _, err := harness.ClusterRun(a, harness.ClusterParams{Chips: 1, DrainChip: harness.NoDrain}, cfg); err == nil {
+		t.Error("ClusterRun with TraceN -1 succeeded")
 	}
 	rep := harness.DifferentialWith(harness.DiffConfig{TraceN: -1}, a)
 	if d := rep.First(); d.Kind != harness.DivHost || !strings.Contains(d.Detail, "TraceN") {

@@ -14,9 +14,11 @@ import (
 // TestWheelCoversScheduleHorizon holds the event wheel's window to the
 // horizon the model schedules: in every simulating shape the benchmark
 // and the fuzzer run, at most one schedule in a thousand may land beyond
-// the window in the far heap. The bound has teeth: with a 1024-bucket
-// wheel the steady shape at +SWC sends over a tenth of its schedules
-// there.
+// the window in the far heap, and none before it in the past heap. The
+// far bound has teeth: with a 1024-bucket wheel the steady shape at +SWC
+// sends over a tenth of its schedules there. So does the past one: a
+// wakeup drain that peeks through the wheel moves its base past the
+// clock and sends 0.1–0.3 % of the schedules there.
 //
 // Shapes: the three apps at BASE and +SWC in the steady shape (six MEs,
 // a 384-packet trace, 150 k cycles of warm-up and 1 M measured), and
@@ -29,6 +31,10 @@ func TestWheelCoversScheduleHorizon(t *testing.T) {
 		if c.Schedules == 0 || c.Far*1000 > c.Schedules {
 			t.Errorf("%s: %d of %d schedules went beyond the wheel's window, want at most 0.1 %%",
 				name, c.Far, c.Schedules)
+		}
+		if c.Past != 0 {
+			t.Errorf("%s: %d of %d schedules went before the wheel's base, want none",
+				name, c.Past, c.Schedules)
 		}
 	}
 	for _, lvl := range []driver.Level{driver.LevelBase, driver.LevelSWC} {

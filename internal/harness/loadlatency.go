@@ -27,7 +27,7 @@ type LoadPoint struct {
 	// Latency summarizes Rx→Tx cycles of transmitted packets.
 	Latency metrics.HistogramSnapshot `json:"latency_cycles"`
 	// Stalls is the per-ME stall breakdown at this offered load, non-nil
-	// when the sweep ran with WithStallBreakdown. Reading it across the
+	// when the sweep ran with RunConfig.Stalls. Reading it across the
 	// curve shows what the latency knee is made of (§6.2: DRAM queueing).
 	Stalls *ixp.StallReport `json:"stall_breakdown,omitempty"`
 }
@@ -54,27 +54,25 @@ func DefaultLoads() []float64 {
 // LoadLatency sweeps offered load for every app × level combination,
 // producing one curve per combination. Each combination compiles once;
 // all load points fan out across the sweep workers. The workload shape
-// (arrival process, size mix, flow locality) comes from WithWorkload; a
-// nil/absent spec uses fixed arrivals of 64B frames. The spec's own
-// OfferedGbps is ignored — `loads` drives it.
-func LoadLatency(appList []*apps.App, levels []driver.Level, loads []float64, opts ...Option) ([]*LoadCurve, error) {
+// (arrival process, size mix, flow locality) comes from cfg.Workload; a
+// nil spec uses fixed arrivals of 64B frames. The spec's own OfferedGbps
+// is ignored — `loads` drives it.
+func LoadLatency(appList []*apps.App, levels []driver.Level, loads []float64, cfg RunConfig) ([]*LoadCurve, error) {
 	if len(loads) == 0 {
 		loads = DefaultLoads()
 	}
-	s := defaultSettings()
-	s.apply(opts)
 	var points []Point
 	for _, a := range appList {
 		for _, lvl := range levels {
 			for _, g := range loads {
 				points = append(points, Point{
-					App: a, Level: lvl, NumMEs: s.run.NumMEs,
-					Seed: s.run.Seed, OfferedGbps: g,
+					App: a, Level: lvl, NumMEs: cfg.NumMEs,
+					Seed: cfg.Seed, OfferedGbps: g,
 				})
 			}
 		}
 	}
-	results, err := Sweep(points, opts...)
+	results, err := Sweep(points, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +82,7 @@ func LoadLatency(appList []*apps.App, levels []driver.Level, loads []float64, op
 		for _, lvl := range levels {
 			c := &LoadCurve{
 				App: a.Name, Level: lvl.String(),
-				NumMEs: s.run.NumMEs, Seed: s.run.Seed,
+				NumMEs: cfg.NumMEs, Seed: cfg.Seed,
 			}
 			for range loads {
 				r := results[i]

@@ -13,12 +13,11 @@ import (
 
 var kneeLoads = []float64{0.25, 0.5, 1, 1.5, 2, 2.5, 3}
 
-func kneeOpts(workers int) []Option {
-	return []Option{
-		WithWindows(60_000, 300_000),
-		WithTrace(128),
-		WithWorkers(workers),
-	}
+func kneeCfg(workers int) RunConfig {
+	cfg := DefaultRunConfig()
+	cfg.Warmup, cfg.Measure = 60_000, 300_000
+	cfg.TraceN, cfg.Workers = 128, workers
+	return cfg
 }
 
 // TestLoadLatencyKnee is the acceptance shape for the paper's Figure 9
@@ -29,7 +28,7 @@ func TestLoadLatencyKnee(t *testing.T) {
 	curves, err := LoadLatency(
 		[]*apps.App{apps.L3Switch()},
 		[]driver.Level{driver.Level(3)}, // O3 = +PAC
-		kneeLoads, kneeOpts(0)...)
+		kneeLoads, kneeCfg(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +100,9 @@ func TestLoadLatencyDeterminism(t *testing.T) {
 	shape := &workload.Spec{Arrival: workload.ArrivalPoisson, Sizes: workload.SizesIMIX, ZipfS: 1.1}
 
 	report := func(workers int) []byte {
-		curves, err := LoadLatency(appsList, levels, loads,
-			append(kneeOpts(workers), WithWorkload(shape))...)
+		cfg := kneeCfg(workers)
+		cfg.Workload = shape
+		curves, err := LoadLatency(appsList, levels, loads, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,11 +125,12 @@ func TestLoadLatencyDeterminism(t *testing.T) {
 // through to the Result and the report point.
 func TestRunWithWorkload(t *testing.T) {
 	sp := &workload.Spec{OfferedGbps: 3, Sizes: workload.SizesIMIX}
-	r, err := Run(apps.MPLS(),
-		WithLevel(driver.LevelSWC),
-		WithWindows(40_000, 150_000),
-		WithTrace(64),
-		WithWorkload(sp))
+	cfg := DefaultRunConfig()
+	cfg.Level, cfg.TraceN = driver.LevelSWC, 64
+	cfg.Warmup, cfg.Measure = 40_000, 150_000
+	legacyCfg := cfg
+	cfg.Workload = sp
+	r, err := cfg.Run(apps.MPLS())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +153,7 @@ func TestRunWithWorkload(t *testing.T) {
 		t.Errorf("report point lost workload fields: %+v", p)
 	}
 	// Legacy mode leaves the workload fields zero.
-	legacy, err := Run(apps.MPLS(), WithLevel(driver.LevelSWC),
-		WithWindows(40_000, 150_000), WithTrace(64))
+	legacy, err := legacyCfg.Run(apps.MPLS())
 	if err != nil {
 		t.Fatal(err)
 	}

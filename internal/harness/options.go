@@ -15,172 +15,132 @@ import (
 	"shangrila/internal/workload"
 )
 
-// Option configures a Run or Sweep call. Options compose left to right;
-// later options override earlier ones.
-type Option func(*settings)
+// RunConfig is the one description of a measured run, read by every
+// runner: Run and its method form, Sweep, Table1, FigureResults,
+// LoadLatency, ChurnRun, ChurnExperiment, ClusterRun and ClusterScaling.
+// Start from DefaultRunConfig and set fields; sweeps override NumMEs,
+// Seed and Level per point.
+type RunConfig struct {
+	NumMEs  int    // enabled packet-processing microengines
+	Warmup  int64  // cycles before measurement starts (queues fill)
+	Measure int64  // measured cycles
+	Seed    uint64 // profile trace seed; the measurement trace uses Seed+1
+	TraceN  int    // distinct packets in the cycled measurement trace
 
-// settings is the resolved option set for one measurement.
-type settings struct {
-	run            RunConfig
-	level          driver.Level
-	telemetry      bool
-	sampleInterval int64
-	compiled       *driver.Result
-	workload       *workload.Spec
-	workers        int
-	verify         driver.VerifyMode
-	dumpPass       string
-	dumpDir        string
-	stalls         bool
-	chromeTrace    io.Writer
-	churn          *workload.ChurnSpec
-	swcMaxCheck    uint32
+	// Level is the optimization level a runner compiles at (+SWC, the
+	// paper's full pipeline, in DefaultRunConfig).
+	Level driver.Level
+	// Compiled, when non-nil, is an already compiled image: runners skip
+	// compilation and take the level from its report, ignoring Level.
+	// Sweep compiles per point and refuses it.
+	Compiled *driver.Result
+
+	// VerifyIR is the compiler's post-pass IR verification mode
+	// (driver.VerifyAuto: on under `go test`, off otherwise).
+	VerifyIR driver.VerifyMode
+	// DumpPass, when non-empty, dumps the IR after the named compiler
+	// pass ("all" dumps every pass): to <DumpDir>/<app>-<level>-<NN>-<pass>.ir
+	// with DumpDir set, to stdout otherwise.
+	DumpPass, DumpDir string
+	// SWCMaxCheck clamps the software-cache update-check interval
+	// (Equation 2's limit) so MEs observe control-plane updates within at
+	// most that many packets. 0 keeps the error-rate-derived interval.
+	SWCMaxCheck uint32
+
+	// Workload, when non-nil, drives the machine from a deterministic
+	// open-loop traffic stream instead of the closed-loop line-rate trace
+	// playback: the spec's arrival process, size mix and Zipf flow
+	// locality shape arrivals, saturation losses are counted instead of
+	// retried, and the Result gains offered load, drop causes and the
+	// Rx→Tx latency histogram. A spec with Seed 0 inherits Seed+1, like
+	// the trace. LoadLatency reads it as the shape and drives the load.
+	Workload *workload.Spec
+	// Churn is the churn experiment's control-plane update stream (nil
+	// keeps ChurnRun's default storm). A spec with Seed 0 inherits Seed+2;
+	// Items 0 churns every policy item the app declares.
+	Churn *workload.ChurnSpec
+
+	// Telemetry collects the simulator's utilization, saturation and
+	// occupancy summaries into Result.Telemetry, with series sampled every
+	// telemetryInterval cycles.
+	Telemetry bool
+	// Stalls attaches a cycle-level stall tracer to the measured machine:
+	// every simulated cycle of the measurement window is attributed to
+	// compute, per-level memory latency, per-level memory-controller
+	// queueing, ring backpressure, or idle. The conservative per-ME
+	// breakdown lands in Result.Stalls, in the bench report's
+	// stall_breakdown section, and as stall.share.* gauges in the
+	// machine's metrics registry.
+	Stalls bool
+	// ChromeTrace, when non-nil, receives the measured run (warm-up
+	// included) as a Chrome trace_event JSON document viewable in
+	// chrome://tracing or Perfetto. Run only: Sweep measures many points
+	// concurrently and refuses a config that sets it.
+	ChromeTrace io.Writer
+	// Workers bounds sweep parallelism (0 or negative: GOMAXPROCS) and
+	// how many cluster chips advance concurrently (0 or negative: one).
+	// Run ignores it.
+	Workers int
 }
 
-func defaultSettings() settings {
-	return settings{
-		run:            DefaultRunConfig(),
-		level:          driver.LevelSWC,
-		sampleInterval: 10_000,
+// telemetryInterval is the cycle period of the telemetry series.
+const telemetryInterval = 10_000
+
+// DefaultRunConfig returns the standard measurement: +SWC on six MEs over
+// a window long enough for thousands of packets at line rate, short
+// enough to sweep many configurations.
+func DefaultRunConfig() RunConfig {
+	return RunConfig{
+		NumMEs:  6,
+		Warmup:  150_000,
+		Measure: 900_000,
+		Seed:    1234,
+		TraceN:  384,
+		Level:   driver.LevelSWC,
 	}
 }
 
-func (s *settings) apply(opts []Option) {
-	for _, o := range opts {
-		o(s)
-	}
-}
+// Option sets fields of the DefaultRunConfig that the package-level Run
+// measures. Options compose left to right; later ones override earlier
+// ones.
+type Option func(*RunConfig)
 
-// WithLevel selects the optimization level (default +SWC, the paper's
-// full pipeline).
-func WithLevel(lvl driver.Level) Option {
-	return func(s *settings) { s.level = lvl }
-}
-
-// WithMEs sets the number of enabled packet-processing microengines.
+// WithMEs sets RunConfig.NumMEs.
 func WithMEs(n int) Option {
-	return func(s *settings) { s.run.NumMEs = n }
+	return func(c *RunConfig) { c.NumMEs = n }
 }
 
-// WithSeed sets the seed for both the profile trace and the measurement
-// trace (the measurement trace uses seed+1, as the paper separates
-// training and evaluation traffic).
+// WithSeed sets RunConfig.Seed.
 func WithSeed(seed uint64) Option {
-	return func(s *settings) { s.run.Seed = seed }
-}
-
-// WithTrace sets the number of distinct packets in the cycled
-// measurement trace.
-func WithTrace(n int) Option {
-	return func(s *settings) { s.run.TraceN = n }
+	return func(c *RunConfig) { c.Seed = seed }
 }
 
 // WithWindows sets the warm-up and measured cycle windows.
 func WithWindows(warmup, measure int64) Option {
-	return func(s *settings) {
-		s.run.Warmup = warmup
-		s.run.Measure = measure
+	return func(c *RunConfig) {
+		c.Warmup = warmup
+		c.Measure = measure
 	}
 }
 
-// WithTelemetry enables simulator telemetry collection. interval is the
-// sampling period in cycles (0 keeps the default of 10k cycles); the
-// sampled series land in Result.Telemetry.Series alongside the aggregate
-// utilization/saturation/occupancy summaries.
-func WithTelemetry(interval int64) Option {
-	return func(s *settings) {
-		s.telemetry = true
-		if interval > 0 {
-			s.sampleInterval = interval
-		}
-	}
-}
-
-// WithCompiled supplies an already-compiled image, skipping compilation.
-// The result's level is taken from the compile report; WithLevel is
-// ignored.
+// WithCompiled sets RunConfig.Compiled.
 func WithCompiled(res *driver.Result) Option {
-	return func(s *settings) { s.compiled = res }
-}
-
-// WithWorkload drives the machine from a deterministic open-loop traffic
-// stream instead of the legacy closed-loop line-rate trace playback: the
-// spec's arrival process, size mix and Zipf flow locality shape arrivals,
-// saturation losses are counted instead of retried, and the Result gains
-// offered load, drop causes and the Rx→Tx latency histogram. A spec with
-// Seed 0 inherits the measurement seed (WithSeed + 1, like the trace).
-func WithWorkload(sp *workload.Spec) Option {
-	return func(s *settings) { s.workload = sp }
-}
-
-// WithChurn sets the control-plane update stream for the churn
-// experiment (nil keeps ChurnRun's default storm). A spec with Seed 0
-// inherits the measurement seed; Items 0 churns every policy item the
-// app declares.
-func WithChurn(sp *workload.ChurnSpec) Option {
-	return func(s *settings) { s.churn = sp }
-}
-
-// WithSWCMaxCheck clamps the software-cache update-check interval
-// (Equation 2's limit) so MEs observe control-plane updates within at
-// most n packets. 0 keeps the unclamped error-rate-derived interval.
-func WithSWCMaxCheck(n uint32) Option {
-	return func(s *settings) { s.swcMaxCheck = n }
-}
-
-// WithStallBreakdown attaches a cycle-level stall tracer to the measured
-// machine: every simulated cycle of the measurement window is attributed
-// to compute, per-level memory latency, per-level memory-controller
-// queueing, ring backpressure, or idle. The conservative per-ME breakdown
-// lands in Result.Stalls, in the bench report's stall_breakdown section,
-// and as stall.share.* gauges in the machine's metrics registry.
-func WithStallBreakdown() Option {
-	return func(s *settings) { s.stalls = true }
-}
-
-// WithChromeTrace streams the measured run (warm-up included) to w as a
-// Chrome trace_event JSON document viewable in chrome://tracing or
-// Perfetto. Run-only: Sweep and LoadLatency measure many points
-// concurrently and drop the writer rather than interleave documents.
-func WithChromeTrace(w io.Writer) Option {
-	return func(s *settings) { s.chromeTrace = w }
-}
-
-// WithWorkers bounds sweep parallelism (Run ignores it). 0 or negative
-// means GOMAXPROCS.
-func WithWorkers(n int) Option {
-	return func(s *settings) { s.workers = n }
-}
-
-// WithVerifyIR sets the compiler's post-pass IR verification mode (default
-// driver.VerifyAuto: on under `go test`, off otherwise).
-func WithVerifyIR(m driver.VerifyMode) Option {
-	return func(s *settings) { s.verify = m }
-}
-
-// WithDumpIR dumps the IR after the named compiler pass ("all" dumps every
-// pass). With dir non-empty each dump is written to
-// <dir>/<app>-<level>-<NN>-<pass>.ir; otherwise dumps go to stdout.
-func WithDumpIR(pass, dir string) Option {
-	return func(s *settings) {
-		s.dumpPass = pass
-		s.dumpDir = dir
-	}
+	return func(c *RunConfig) { c.Compiled = res }
 }
 
 // measurementTrace generates the cycled measurement trace (seed+1: the
-// paper separates training and evaluation traffic). A negative WithTrace
-// length is an error here, for every runner that reads it.
-func (s *settings) measurementTrace(a *apps.App, res *driver.Result) ([]*packet.Packet, error) {
-	if s.run.TraceN < 0 {
-		return nil, fmt.Errorf("harness: %s: trace length %d is negative", a.Name, s.run.TraceN)
+// paper separates training and evaluation traffic). A negative TraceN
+// is an error here, for every runner that reads it.
+func (c RunConfig) measurementTrace(a *apps.App, res *driver.Result) ([]*packet.Packet, error) {
+	if c.TraceN < 0 {
+		return nil, fmt.Errorf("harness: %s: trace length %d is negative", a.Name, c.TraceN)
 	}
-	return a.Trace(res.Prog.Types, s.run.Seed+1, s.run.TraceN), nil
+	return a.Trace(res.Prog.Types, c.Seed+1, c.TraceN), nil
 }
 
-func (s *settings) workerCount() int {
-	if s.workers > 0 {
-		return s.workers
+func (c RunConfig) workerCount() int {
+	if c.Workers > 0 {
+		return c.Workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -222,13 +182,13 @@ type Result struct {
 	Stages                       int
 	// CompilePasses are the per-stage compile timings (Figure 5 pipeline).
 	CompilePasses []driver.PassTiming
-	// Telemetry is non-nil when the point ran with WithTelemetry.
+	// Telemetry is non-nil when the point ran with RunConfig.Telemetry.
 	Telemetry *Telemetry
 	// Stalls is the conservative per-ME stall breakdown over the measured
-	// window, non-nil when the point ran with WithStallBreakdown.
+	// window, non-nil when the point ran with RunConfig.Stalls.
 	Stalls *ixp.StallReport
 
-	// Workload-mode accounting (WithWorkload): the load the stream
+	// Workload-mode accounting (RunConfig.Workload): the load the stream
 	// offered over the measured window, how many packets arrived versus
 	// were lost to Rx-ring saturation, channel-ring backpressure events,
 	// packets the application itself dropped, and the Rx→Tx latency
@@ -257,75 +217,78 @@ func (r *Result) Total() float64 {
 	return r.PktScratch + r.PktSRAM + r.PktDRAM + r.AppScratch + r.AppSRAM
 }
 
-// Run compiles (unless WithCompiled) and measures one data point:
+// Run measures one data point of DefaultRunConfig with opts applied:
 //
-//	res, err := harness.Run(apps.L3Switch(),
-//	    harness.WithLevel(driver.LevelPAC),
-//	    harness.WithMEs(4),
-//	    harness.WithSeed(7),
-//	    harness.WithTelemetry(0))
+//	res, err := harness.Run(apps.L3Switch(), harness.WithMEs(4), harness.WithSeed(7))
 func Run(a *apps.App, opts ...Option) (*Result, error) {
-	s := defaultSettings()
-	s.apply(opts)
-	res := s.compiled
-	if res == nil {
-		var err error
-		res, err = compile(a, s.level, s.run.Seed, &s)
-		if err != nil {
-			return nil, fmt.Errorf("%s at %v: %w", a.Name, s.level, err)
-		}
+	c := DefaultRunConfig()
+	for _, o := range opts {
+		o(&c)
 	}
-	return measure(a, res, &s)
+	return c.Run(a)
+}
+
+// Run compiles a (unless c.Compiled is set) and measures one data point:
+//
+//	cfg := harness.DefaultRunConfig()
+//	cfg.Level, cfg.NumMEs, cfg.Telemetry = driver.LevelPAC, 4, true
+//	res, err := cfg.Run(apps.L3Switch())
+func (c RunConfig) Run(a *apps.App) (*Result, error) {
+	res, err := c.image(a)
+	if err != nil {
+		return nil, err
+	}
+	return c.measure(a, res)
 }
 
 // measure runs one compiled app on the machine model. Counters reset
 // after warm-up so the steady state is measured.
-func measure(a *apps.App, res *driver.Result, s *settings) (*Result, error) {
-	trc, err := s.measurementTrace(a, res)
+func (c RunConfig) measure(a *apps.App, res *driver.Result) (*Result, error) {
+	trc, err := c.measurementTrace(a, res)
 	if err != nil {
 		return nil, err
 	}
 	var cfg ixp.Config
-	if s.telemetry {
+	if c.Telemetry {
 		cfg = ixp.DefaultConfig()
-		cfg.SampleInterval = s.sampleInterval
+		cfg.SampleInterval = telemetryInterval
 	}
 	var wl *workload.Spec
-	if s.workload != nil {
-		sp := *s.workload
+	if c.Workload != nil {
+		sp := *c.Workload
 		if sp.Seed == 0 {
-			sp.Seed = s.run.Seed + 1
+			sp.Seed = c.Seed + 1
 		}
 		wl = &sp
 	}
 	rt, err := rts.New(res.Image, res.Prog, trc, rts.Options{
-		NumMEs: s.run.NumMEs, Cfg: cfg, Workload: wl,
+		NumMEs: c.NumMEs, Cfg: cfg, Workload: wl,
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range a.Controls {
-		if err := rt.Control(c.Name, c.Args...); err != nil {
-			return nil, fmt.Errorf("%s control %s: %w", a.Name, c.Name, err)
+	for _, ctl := range a.Controls {
+		if err := rt.Control(ctl.Name, ctl.Args...); err != nil {
+			return nil, fmt.Errorf("%s control %s: %w", a.Name, ctl.Name, err)
 		}
 	}
 	var chrome *ixp.ChromeTracer
 	var tracers []ixp.Tracer
-	if s.stalls {
+	if c.Stalls {
 		tracers = append(tracers, ixp.NewStallTracer(rt.M.Cfg.NumMEs, rt.M.Cfg.ThreadsPerME))
 	}
-	if s.chromeTrace != nil {
+	if c.ChromeTrace != nil {
 		chrome = ixp.NewChromeTracer(rt.M.Cfg.ClockMHz)
 		tracers = append(tracers, chrome)
 	}
 	if len(tracers) > 0 {
 		rt.M.Observer().SetTracer(ixp.MultiTracer(tracers...))
 	}
-	if err := rt.Run(s.run.Warmup); err != nil {
+	if err := rt.Run(c.Warmup); err != nil {
 		return nil, fmt.Errorf("%s warmup: %w", a.Name, err)
 	}
 	rt.M.ResetStats()
-	if err := rt.Run(s.run.Measure); err != nil {
+	if err := rt.Run(c.Measure); err != nil {
 		return nil, fmt.Errorf("%s measure: %w", a.Name, err)
 	}
 	st := rt.M.Snapshot()
@@ -333,8 +296,8 @@ func measure(a *apps.App, res *driver.Result, s *settings) (*Result, error) {
 	out := &Result{
 		App:           a.Name,
 		Level:         res.Report.Level,
-		NumMEs:        s.run.NumMEs,
-		Seed:          s.run.Seed,
+		NumMEs:        c.NumMEs,
+		Seed:          c.Seed,
 		Engine:        engName,
 		Shards:        engShards,
 		Gbps:          st.Gbps(rt.M.Cfg.ClockMHz),
@@ -348,15 +311,15 @@ func measure(a *apps.App, res *driver.Result, s *settings) (*Result, error) {
 		Stages:        len(res.Image.MECode),
 		CompilePasses: res.Report.Passes,
 	}
-	if s.telemetry {
-		out.Telemetry = collectTelemetry(rt.M, &st, s)
+	if c.Telemetry {
+		out.Telemetry = collectTelemetry(rt.M, &st)
 	}
-	if s.stalls {
+	if c.Stalls {
 		out.Stalls = rt.M.Observer().StallReport()
 		exportStallShares(rt.M.Observer().Metrics(), out.Stalls)
 	}
 	if chrome != nil {
-		if err := chrome.WriteJSON(s.chromeTrace); err != nil {
+		if err := chrome.WriteJSON(c.ChromeTrace); err != nil {
 			return nil, fmt.Errorf("%s trace: %w", a.Name, err)
 		}
 	}
@@ -375,9 +338,9 @@ func measure(a *apps.App, res *driver.Result, s *settings) (*Result, error) {
 
 // collectTelemetry derives the summary metrics from the post-warmup
 // snapshot and attaches the sampled series.
-func collectTelemetry(m *ixp.Machine, st *ixp.Stats, s *settings) *Telemetry {
+func collectTelemetry(m *ixp.Machine, st *ixp.Stats) *Telemetry {
 	tel := &Telemetry{
-		SampleInterval: s.sampleInterval,
+		SampleInterval: telemetryInterval,
 		CtrlSaturation: map[string]float64{
 			"scratch": st.Saturation(cg.MemScratch),
 			"sram":    st.Saturation(cg.MemSRAM),

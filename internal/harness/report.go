@@ -31,10 +31,10 @@ type ReportPoint struct {
 	Stages        int                 `json:"stages,omitempty"`
 	CompilePasses []driver.PassTiming `json:"compile_passes,omitempty"`
 	Telemetry     *Telemetry          `json:"telemetry,omitempty"`
-	// Stalls is the conservative per-ME stall breakdown (WithStallBreakdown).
+	// Stalls is the conservative per-ME stall breakdown (RunConfig.Stalls).
 	Stalls *ixp.StallReport `json:"stall_breakdown,omitempty"`
 
-	// Workload-mode fields (set when the point ran with WithWorkload).
+	// Workload-mode fields (set when the point ran with RunConfig.Workload).
 	Workload      *workload.Spec             `json:"workload,omitempty"`
 	OfferedGbps   float64                    `json:"offered_gbps,omitempty"`
 	RxPackets     uint64                     `json:"rx_packets,omitempty"`

@@ -44,8 +44,8 @@ type compileEntry struct {
 	err  error
 }
 
-func (c *compileOnce) get(a *apps.App, lvl driver.Level, seed uint64, s *settings) (*driver.Result, error) {
-	key := compileKey{app: a.Name, level: lvl, seed: seed}
+func (c *compileOnce) get(a *apps.App, cfg RunConfig) (*driver.Result, error) {
+	key := compileKey{app: a.Name, level: cfg.Level, seed: cfg.Seed}
 	c.mu.Lock()
 	e, ok := c.cache[key]
 	if !ok {
@@ -54,22 +54,31 @@ func (c *compileOnce) get(a *apps.App, lvl driver.Level, seed uint64, s *setting
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		e.res, e.err = compile(a, lvl, seed, s)
+		e.res, e.err = cfg.compile(a)
 	})
 	return e.res, e.err
 }
 
-// Sweep measures every point on a worker pool. Each (app, level, seed)
-// combination compiles exactly once; simulation points fan out across
-// min(WithWorkers, len(points)) goroutines (default GOMAXPROCS). Results
-// are returned in point order regardless of completion order — the same
-// points with the same seeds produce the same results at any worker
-// count, because each point's simulation is single-threaded and seeded.
-// The first error cancels unstarted points.
-func Sweep(points []Point, opts ...Option) ([]*Result, error) {
-	base := defaultSettings()
-	base.apply(opts)
-	workers := base.workerCount()
+// Sweep measures every point under cfg, with the point's app, level, ME
+// count and seed (and offered load, when set) in place of cfg's. Each
+// (app, level, seed) combination compiles exactly once; simulation points
+// fan out across min(cfg.Workers, len(points)) goroutines (default
+// GOMAXPROCS). Results are returned in point order regardless of
+// completion order — the same points with the same seeds produce the same
+// results at any worker count, because each point's simulation is
+// single-threaded and seeded. The first error cancels unstarted points.
+// A config with a ChromeTrace writer is an error: concurrent points would
+// interleave one document, so callers trace a single representative point
+// with RunConfig.Run instead. So is one with a Compiled image, which no
+// point's own level and seed would reach.
+func Sweep(points []Point, cfg RunConfig) ([]*Result, error) {
+	switch {
+	case cfg.ChromeTrace != nil:
+		return nil, fmt.Errorf("harness: a sweep of %d points cannot stream one Chrome trace; trace a single point with Run", len(points))
+	case cfg.Compiled != nil:
+		return nil, fmt.Errorf("harness: a sweep compiles each point at its own level and seed; it cannot take a Compiled image")
+	}
+	workers := cfg.workerCount()
 	if workers > len(points) {
 		workers = len(points)
 	}
@@ -89,29 +98,23 @@ func Sweep(points []Point, opts ...Option) ([]*Result, error) {
 			defer wg.Done()
 			for i := range next {
 				p := points[i]
-				res, err := compiler.get(p.App, p.Level, p.Seed, &base)
+				c := cfg
+				c.NumMEs, c.Seed, c.Level = p.NumMEs, p.Seed, p.Level
+				res, err := compiler.get(p.App, c)
 				if err != nil {
 					errs[i] = fmt.Errorf("%s at %v: %w", p.App.Name, p.Level, err)
 					failed.Store(true)
 					continue
 				}
-				s := base
-				s.run.NumMEs = p.NumMEs
-				s.run.Seed = p.Seed
-				s.level = p.Level
-				// One trace document per writer: concurrent points would
-				// interleave, so sweeps never stream Chrome traces. Callers
-				// trace a single representative point with Run instead.
-				s.chromeTrace = nil
 				if p.OfferedGbps > 0 {
 					var sp workload.Spec
-					if base.workload != nil {
-						sp = *base.workload
+					if cfg.Workload != nil {
+						sp = *cfg.Workload
 					}
 					sp.OfferedGbps = p.OfferedGbps
-					s.workload = &sp
+					c.Workload = &sp
 				}
-				results[i], errs[i] = measure(p.App, res, &s)
+				results[i], errs[i] = c.measure(p.App, res)
 				if errs[i] != nil {
 					failed.Store(true)
 				}

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"runtime"
+	"strings"
 	"testing"
 
 	"shangrila/internal/apps"
@@ -23,13 +24,11 @@ func sweepTestPoints() []Point {
 	return points
 }
 
-func sweepOpts(workers int) []Option {
-	return []Option{
-		WithWindows(60_000, 200_000),
-		WithTrace(128),
-		WithTelemetry(20_000),
-		WithWorkers(workers),
-	}
+func sweepCfg(workers int) RunConfig {
+	cfg := DefaultRunConfig()
+	cfg.Warmup, cfg.Measure = 60_000, 200_000
+	cfg.TraceN, cfg.Telemetry, cfg.Workers = 128, true, workers
+	return cfg
 }
 
 // TestSweepDeterminism requires byte-identical canonical reports from a
@@ -37,11 +36,11 @@ func sweepOpts(workers int) []Option {
 // several scheduler widths with `go test -run TestSweep -cpu 1,4`.
 func TestSweepDeterminism(t *testing.T) {
 	points := sweepTestPoints()
-	serial, err := Sweep(points, sweepOpts(1)...)
+	serial, err := Sweep(points, sweepCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Sweep(points, sweepOpts(runtime.GOMAXPROCS(0))...)
+	parallel, err := Sweep(points, sweepCfg(runtime.GOMAXPROCS(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestSweepDeterminism(t *testing.T) {
 // telemetry the bench report promises.
 func TestSweepTelemetry(t *testing.T) {
 	points := sweepTestPoints()[:2]
-	results, err := Sweep(points, sweepOpts(2)...)
+	results, err := Sweep(points, sweepCfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,5 +103,32 @@ func TestSweepTelemetry(t *testing.T) {
 		if len(r.CompilePasses) == 0 {
 			t.Errorf("point %d: no compile pass timings", i)
 		}
+	}
+}
+
+// TestSweepRejectsRunOnlyFields: a Chrome-trace writer is one document for
+// one run, and a compiled image is one level at one seed, so a sweep given
+// either is an error before anything compiles, never an input dropped in
+// silence, and so is every runner that sweeps.
+func TestSweepRejectsRunOnlyFields(t *testing.T) {
+	var buf bytes.Buffer
+	traced := sweepCfg(1)
+	traced.ChromeTrace = &buf
+	compiled := sweepCfg(1)
+	compiled.Compiled = &driver.Result{}
+	for _, tc := range []struct {
+		cfg  RunConfig
+		want string
+	}{{traced, "Chrome trace"}, {compiled, "Compiled image"}} {
+		if _, err := Sweep(sweepTestPoints(), tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Sweep: err = %v, want an error naming the %s", err, tc.want)
+		}
+		_, err := LoadLatency([]*apps.App{apps.L3Switch()}, []driver.Level{driver.LevelSWC}, []float64{1}, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("LoadLatency: err = %v, want an error naming the %s", err, tc.want)
+		}
+	}
+	if buf.Len() != 0 {
+		t.Errorf("a refused sweep wrote %d trace bytes", buf.Len())
 	}
 }

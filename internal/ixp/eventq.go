@@ -23,10 +23,12 @@ package ixp
 //     preserved.
 //
 //   - Events scheduled before base (a control-plane At() aimed at the
-//     past, or an ME the wakeup drain resumes after its peek moved the
-//     base past now: one to three schedules in a thousand) go to the
-//     `past` heap, which peek consults first. It is almost always empty
-//     and costs one length check per peek.
+//     past, or a schedule at the clock after a Run stopped at its
+//     deadline short of the next event) go to the `past` heap, which
+//     every pop consults first. It is almost always empty and costs one
+//     length check per pop. Nothing in the event loop moves the base
+//     past the clock: the wakeup drain asks dueBy, which reads only the
+//     `past` head and the cursor's bucket.
 //
 // Footprint: the first push allocates the wheel, 2048 bucket headers of
 // 32 bytes and a slab of bucketCap 24-byte events per bucket, 256 KiB per
@@ -115,7 +117,7 @@ type eventQueue struct {
 	// buckets one by one.
 	occ  [wheelSize / 64]uint64
 	far  heap4 // time >= base+wheelSize
-	past heap4 // time < base (an At aimed backward, a schedule after a peek)
+	past heap4 // time < base (an At aimed backward, a schedule after a deadline stop)
 	n    int   // total events across wheel and heaps
 	// farPushes and pastPushes count the pushes that missed the wheel,
 	// on those cold paths only: the window's fit to the model is their
@@ -158,7 +160,7 @@ func (q *eventQueue) push(e event) {
 
 // locate advances the wheel to the earliest pending event and returns its
 // bucket. It only moves the cursor/base bookkeeping — no event is removed
-// — so peek and pop share it. Callers guarantee the wheel or overflow is
+// — so pop and popUntil share it. Callers guarantee the wheel or overflow is
 // non-empty and the past heap is empty.
 func (q *eventQueue) locate() *bucket {
 	if q.inWheel == 0 {
@@ -226,18 +228,28 @@ func (q *eventQueue) migrate() {
 	}
 }
 
-// peek returns the earliest event without removing it, or nil when the
-// queue is empty. The pointer is into the queue's backing storage: it is
-// invalidated by the next push or pop.
-func (q *eventQueue) peek() *event {
+// dueBy returns the earliest event if it is due at or before now, or nil,
+// without moving the wheel. It reads only the `past` head and the
+// cursor's bucket: the event loop's clock never passes the base (a wheel
+// pop sets the base to the popped time, a `past` pop takes a time before
+// it), so an event due by now is in `past`, which holds only times before
+// the base, or at the base, in buckets[cursor]. The pointer is
+// into the queue's backing storage: the next push or pop invalidates it.
+func (q *eventQueue) dueBy(now int64) *event {
 	if q.past.len() > 0 {
-		return &q.past.ev[0]
-	}
-	if q.n == 0 {
+		if e := &q.past.ev[0]; e.time <= now {
+			return e
+		}
 		return nil
 	}
-	b := q.locate()
-	return &b.ev[b.head]
+	if q.inWheel == 0 {
+		return nil
+	}
+	b := &q.buckets[q.cursor]
+	if b.head < len(b.ev) && b.ev[b.head].time <= now {
+		return &b.ev[b.head]
+	}
+	return nil
 }
 
 // pop removes and returns the earliest event.

@@ -769,14 +769,16 @@ func (m *Machine) Run(cycles int64) error {
 			m.readyThread(int(ev.me), int(ev.thread))
 			// Drain further wakeups sharing this timestamp: they are the
 			// next pops regardless, so handling them here preserves event
-			// order while skipping the dispatch loop.
-			h := m.q.peek()
+			// order while skipping the dispatch loop. dueBy leaves the
+			// wheel's base at the clock, so the activations resumeWoken
+			// schedules at m.now land in the wheel, not the past heap.
+			h := m.q.dueBy(m.now)
 			for h != nil && h.kind == evReady && h.time == m.now {
 				e := m.q.pop()
 				m.readyThread(int(e.me), int(e.thread))
-				h = m.q.peek()
+				h = m.q.dueBy(m.now)
 			}
-			m.resumeWoken(h != nil && h.time <= m.now)
+			m.resumeWoken(h != nil)
 		case evRxTick:
 			m.rxTick()
 		case evTxTick:
