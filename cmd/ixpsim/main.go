@@ -13,9 +13,10 @@
 // behind the flow-hash load balancer and prints the goodput-scaling and
 // drain series; -experiment fuzz runs the app through the differential
 // oracle — every optimization level checked packet-for-packet against
-// the host reference interpreter. Unknown names are rejected with the valid set
-// and a nonzero exit, and so is -trace, which only a plain measurement
-// writes.
+// the host reference interpreter. Unknown names are rejected with the
+// valid set and a nonzero exit, and so are -trace and -stalls, which only
+// a plain measurement reads, and -gbps with cluster or fuzz, which do not
+// run the workload engine.
 //
 // Every plain measurement echoes the resolved -seed so a run (or a
 // divergence) can be replayed exactly.
@@ -71,7 +72,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			appExps[e.Name] = e
 		}
 	}
-	mes := fs.Int("mes", 6, "enabled packet-processing MEs (1..6)")
+	maxMEs := ixp.DefaultConfig().NumMEs
+	mes := fs.Int("mes", 6, fmt.Sprintf("enabled packet-processing MEs (1..%d)", maxMEs))
 	cycles := fs.Int64("cycles", 1_000_000, "measured simulation cycles (600 MHz core)")
 	warm := fs.Int64("warmup", 150_000, "warm-up cycles before counters reset")
 	stalls := fs.Bool("stalls", false, "print the per-ME stall breakdown of the measured window")
@@ -84,8 +86,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		return 2
 	}
+	e, isExp := appExps[*exp]
 	err := flags.Check()
-	switch maxMEs := ixp.DefaultConfig().NumMEs; {
+	switch {
 	case err != nil: // the shared flags' error stands
 	case *mes < 1 || *mes > maxMEs:
 		err = fmt.Errorf("-mes %d: want 1..%d enabled MEs (the machine has %d)", *mes, maxMEs, maxMEs)
@@ -93,6 +96,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		err = fmt.Errorf("-cycles %d: want 0 or more measured cycles", *cycles)
 	case *warm < 0:
 		err = fmt.Errorf("-warmup %d: want 0 or more warm-up cycles", *warm)
+	case *exp != "" && !isExp:
+		err = fmt.Errorf("unknown experiment %q (valid: %s)", *exp, strings.Join(expNames, "|"))
+	case isExp && *tracePath != "":
+		err = fmt.Errorf("-trace %s: only a plain measurement writes a trace, not -experiment %s", *tracePath, *exp)
+	case isExp && *stalls:
+		err = fmt.Errorf("-stalls: only a plain measurement prints a stall breakdown, not -experiment %s", *exp)
+	case (*exp == "cluster" || *exp == "fuzz") && flags.Gbps != 0:
+		err = fmt.Errorf("-gbps %v: -experiment %s does not run the workload engine", flags.Gbps, *exp)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "ixpsim: %v\n", err)
@@ -105,16 +116,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	app, err := apps.ByName(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintf(stderr, "ixpsim: %v\n", err)
-		return 2
-	}
-	e, isExp := appExps[*exp]
-	switch {
-	case *exp != "" && !isExp:
-		fmt.Fprintf(stderr, "ixpsim: unknown experiment %q (valid: %s)\n", *exp, strings.Join(expNames, "|"))
-		return 2
-	case isExp && *tracePath != "":
-		fmt.Fprintf(stderr, "ixpsim: -trace %s: only a plain measurement writes a trace, not -experiment %s\n",
-			*tracePath, *exp)
 		return 2
 	}
 
@@ -137,13 +138,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	cfg.Telemetry, cfg.Stalls = true, *stalls
 	if isExp {
 		ctx := &harness.ExpContext{
-			Out:     stdout,
-			Flags:   flags,
-			Cfg:     cfg,
-			FigWarm: *warm,
-			FigMeas: *cycles,
-			Loads:   harness.DefaultLoads(),
-			Report:  harness.NewReportBuilder(),
+			Out:    stdout,
+			Flags:  flags,
+			Cfg:    cfg,
+			Report: harness.NewReportBuilder(),
 		}
 		ctx.Report.RecordExperiment(e.Name)
 		if err := e.RunApp(ctx, app); err != nil {

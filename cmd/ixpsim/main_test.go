@@ -19,6 +19,11 @@ func TestRejectsBadInput(t *testing.T) {
 		{[]string{"-O", "7", "l3switch"}, "-O 7"},
 		{[]string{"-arrival", "bogus", "l3switch"}, `arrival process "bogus"`},
 		{[]string{"-experiment", "fuzz", "-trace", "out.json", "mpls"}, "-trace out.json: only a plain measurement writes a trace, not -experiment fuzz"},
+		{[]string{"-experiment", "churn", "-stalls", "firewall"}, "-stalls: only a plain measurement prints a stall breakdown, not -experiment churn"},
+		{[]string{"-experiment", "cluster", "-stalls", "l3switch"}, "-stalls: only a plain measurement prints a stall breakdown, not -experiment cluster"},
+		{[]string{"-experiment", "fuzz", "-stalls", "mpls"}, "-stalls: only a plain measurement prints a stall breakdown, not -experiment fuzz"},
+		{[]string{"-experiment", "cluster", "-gbps", "0.5", "l3switch"}, "-gbps 0.5: -experiment cluster does not run the workload engine"},
+		{[]string{"-experiment", "fuzz", "-gbps", "2", "mpls"}, "-gbps 2: -experiment fuzz does not run the workload engine"},
 		{[]string{"-gbps", "NaN", "l3switch"}, "OfferedGbps must be a finite number (got NaN)"},
 		{[]string{"-dump-ir", "bogus", "l3switch"}, `unknown dump pass "bogus"`},
 		{[]string{"-churn-rate", "NaN", "l3switch"}, "UpdatesPerSec must be a finite number (got NaN)"},

@@ -104,23 +104,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	cfg := flags.RunConfig()
 	cfg.Telemetry, cfg.Stalls, cfg.Workers = true, *stalls, *workers
-	figWarm, figMeas := int64(60_000), int64(400_000)
-	loads := harness.DefaultLoads()
 	if *quick {
 		cfg.Warmup, cfg.Measure = 60_000, 250_000
-		figWarm, figMeas = 30_000, 150_000
-		loads = []float64{0.5, 1.5, 3}
 	}
 
 	ctx := &harness.ExpContext{
-		Out:     stdout,
-		Quick:   *quick,
-		Flags:   flags,
-		Cfg:     cfg,
-		FigWarm: figWarm,
-		FigMeas: figMeas,
-		Loads:   loads,
-		Report:  harness.NewReportBuilder(),
+		Out:    stdout,
+		Quick:  *quick,
+		Flags:  flags,
+		Cfg:    cfg,
+		Report: harness.NewReportBuilder(),
 	}
 	fmt.Fprintf(stdout, "seed %d (replay with -seed %d)\n", flags.Seed, flags.Seed)
 	// An experiment failure (e.g. a diverging fuzz campaign) must not lose

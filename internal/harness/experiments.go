@@ -11,30 +11,31 @@ import (
 )
 
 // ExpContext is the shared environment the CLI hands every experiment:
-// where to print, the checked flags, the run configuration, the shorter
-// figure-sweep windows (full or -quick), and the report builder every
-// experiment's machine-readable output lands in.
+// where to print, whether -quick asked for shorter runs, the checked
+// flags, the run configuration and the report builder every experiment's
+// machine-readable output lands in.
 type ExpContext struct {
 	Out   io.Writer
 	Quick bool
 	Flags *Flags
 	// Cfg is the standard run configuration every experiment starts from
-	// (seed, level, telemetry, workers, stall breakdowns, IR debugging,
-	// workload and churn specs...). Experiments change their copy.
-	// FigWarm/FigMeas are the shorter figure-sweep windows; Loads is the
-	// load–latency sweep.
-	Cfg              RunConfig
-	FigWarm, FigMeas int64
-	Loads            []float64
+	// (seed, level, windows, telemetry, workers, stall breakdowns, IR
+	// debugging, workload and churn specs...). Experiments change their
+	// copy.
+	Cfg RunConfig
 	// Report collects every experiment's machine-readable results on
 	// the single canonical path (schema v6).
 	Report *ReportBuilder
 }
 
-// figCfg is ctx.Cfg with the shorter figure-sweep windows.
+// figCfg is ctx.Cfg with the suite's shorter fig6, churn and cluster
+// windows: 60k warm-up and 400k measured cycles (30k and 150k if Quick).
 func (ctx *ExpContext) figCfg() RunConfig {
 	cfg := ctx.Cfg
-	cfg.Warmup, cfg.Measure = ctx.FigWarm, ctx.FigMeas
+	cfg.Warmup, cfg.Measure = 60_000, 400_000
+	if ctx.Quick {
+		cfg.Warmup, cfg.Measure = 30_000, 150_000
+	}
 	return cfg
 }
 
@@ -60,7 +61,8 @@ func Experiments() []Experiment {
 			Name:     "fig6",
 			Synopsis: "memory micro-benchmark (Figure 6 budget rules)",
 			Run: func(ctx *ExpContext) error {
-				pts, err := Figure6(ctx.FigWarm, ctx.FigMeas)
+				cfg := ctx.figCfg()
+				pts, err := Figure6(cfg.Warmup, cfg.Measure)
 				if err != nil {
 					return err
 				}
@@ -94,9 +96,13 @@ func Experiments() []Experiment {
 				if lvl := ctx.Cfg.Level; lvl != driver.LevelBase {
 					levels = append(levels, lvl)
 				}
+				var loads []float64 // LoadLatency's default sweep
+				if ctx.Quick {
+					loads = []float64{0.5, 1.5, 3}
+				}
 				cfg := ctx.Cfg
 				cfg.Workload = ctx.Flags.TrafficShape()
-				curves, err := LoadLatency(apps.All(), levels, ctx.Loads, cfg)
+				curves, err := LoadLatency(apps.All(), levels, loads, cfg)
 				if err != nil {
 					return err
 				}
@@ -137,9 +143,11 @@ func Experiments() []Experiment {
 				if err != nil {
 					return err
 				}
-				return runClusterSeries(ctx, a)
+				return runClusterSeries(ctx, a, ctx.figCfg())
 			},
-			RunApp: runClusterSeries,
+			RunApp: func(ctx *ExpContext, a *apps.App) error {
+				return runClusterSeries(ctx, a, ctx.Cfg)
+			},
 		},
 		{
 			Name:     "fuzz",
@@ -228,8 +236,8 @@ func figure(name, title string, app func() *apps.App) Experiment {
 }
 
 // runClusterSeries runs the goodput-scaling series (and drain scenario)
-// for one app and records it in the report.
-func runClusterSeries(ctx *ExpContext, a *apps.App) error {
+// for one app under cfg and records it in the report.
+func runClusterSeries(ctx *ExpContext, a *apps.App, cfg RunConfig) error {
 	f := ctx.Flags
 	p := ClusterParams{
 		Chips:         f.Chips,
@@ -246,7 +254,7 @@ func runClusterSeries(ctx *ExpContext, a *apps.App) error {
 	if f.ClusterDrain {
 		p.DrainChip = f.Chips - 1 // drain the last chip mid-run
 	}
-	results, err := ClusterScaling(a, p, ctx.figCfg())
+	results, err := ClusterScaling(a, p, cfg)
 	if err != nil {
 		return err
 	}

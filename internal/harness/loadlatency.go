@@ -45,12 +45,6 @@ type LoadCurve struct {
 	Points   []LoadPoint   `json:"points"`
 }
 
-// DefaultLoads spans well under to well past the model's per-port service
-// capacity, in Gbps.
-func DefaultLoads() []float64 {
-	return []float64{0.25, 0.5, 1, 1.5, 2, 2.5, 3}
-}
-
 // LoadLatency sweeps offered load for every app × level combination,
 // producing one curve per combination. Each combination compiles once;
 // all load points fan out across the sweep workers. The workload shape
@@ -59,7 +53,8 @@ func DefaultLoads() []float64 {
 // is ignored — `loads` drives it.
 func LoadLatency(appList []*apps.App, levels []driver.Level, loads []float64, cfg RunConfig) ([]*LoadCurve, error) {
 	if len(loads) == 0 {
-		loads = DefaultLoads()
+		// Well under to well past the model's per-port service capacity.
+		loads = []float64{0.25, 0.5, 1, 1.5, 2, 2.5, 3}
 	}
 	var points []Point
 	for _, a := range appList {
