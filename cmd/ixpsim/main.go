@@ -15,8 +15,10 @@
 // oracle — every optimization level checked packet-for-packet against
 // the host reference interpreter. Unknown names are rejected with the
 // valid set and a nonzero exit, and so are -trace and -stalls, which only
-// a plain measurement reads, and -gbps with cluster or fuzz, which do not
-// run the workload engine.
+// a plain measurement reads, -gbps with cluster or fuzz, which do not
+// run the workload engine, and any of -O, -mes, -cycles, -warmup,
+// -dump-ir, -dump-ir-dir and -swc-check-limit with fuzz, whose
+// differential reads only -seed, -fuzz-seed and -fuzz-trace.
 //
 // Every plain measurement echoes the resolved -seed so a run (or a
 // divergence) can be replayed exactly.
@@ -87,6 +89,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 	e, isExp := appExps[*exp]
+	var fuzzIgnored string
+	if *exp == "fuzz" {
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "O", "mes", "cycles", "warmup", "dump-ir", "dump-ir-dir", "swc-check-limit":
+				if fuzzIgnored == "" {
+					fuzzIgnored = f.Name
+				}
+			}
+		})
+	}
 	err := flags.Check()
 	switch {
 	case err != nil: // the shared flags' error stands
@@ -104,6 +117,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		err = fmt.Errorf("-stalls: only a plain measurement prints a stall breakdown, not -experiment %s", *exp)
 	case (*exp == "cluster" || *exp == "fuzz") && flags.Gbps != 0:
 		err = fmt.Errorf("-gbps %v: -experiment %s does not run the workload engine", flags.Gbps, *exp)
+	case fuzzIgnored != "":
+		err = fmt.Errorf("-%s: -experiment fuzz reads only -seed, -fuzz-seed and -fuzz-trace", fuzzIgnored)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "ixpsim: %v\n", err)

@@ -24,6 +24,13 @@ func TestRejectsBadInput(t *testing.T) {
 		{[]string{"-experiment", "fuzz", "-stalls", "mpls"}, "-stalls: only a plain measurement prints a stall breakdown, not -experiment fuzz"},
 		{[]string{"-experiment", "cluster", "-gbps", "0.5", "l3switch"}, "-gbps 0.5: -experiment cluster does not run the workload engine"},
 		{[]string{"-experiment", "fuzz", "-gbps", "2", "mpls"}, "-gbps 2: -experiment fuzz does not run the workload engine"},
+		{[]string{"-experiment", "fuzz", "-O", "0", "l3switch"}, "-O: -experiment fuzz reads only -seed, -fuzz-seed and -fuzz-trace"},
+		{[]string{"-experiment", "fuzz", "-mes", "2", "l3switch"}, "-mes: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-cycles", "5000", "mpls"}, "-cycles: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-warmup", "0", "mpls"}, "-warmup: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-dump-ir", "all", "firewall"}, "-dump-ir: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-dump-ir-dir", "ir", "firewall"}, "-dump-ir-dir: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-swc-check-limit", "3", "l3switch"}, "-swc-check-limit: -experiment fuzz reads only"},
 		{[]string{"-gbps", "NaN", "l3switch"}, "OfferedGbps must be a finite number (got NaN)"},
 		{[]string{"-dump-ir", "bogus", "l3switch"}, `unknown dump pass "bogus"`},
 		{[]string{"-churn-rate", "NaN", "l3switch"}, "UpdatesPerSec must be a finite number (got NaN)"},

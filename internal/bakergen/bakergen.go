@@ -11,7 +11,7 @@
 // The fuzzing oracle is differential: a generated program has no
 // hand-written expected output; instead the harness requires every
 // optimization level to transmit exactly the frames the host reference
-// interpreter produces (harness.Differential). To make that comparison
+// interpreter produces (harness.DifferentialWith). To make that comparison
 // sound under out-of-order ME completion, generated programs are
 // engineered so per-packet output is independent of cross-packet state:
 // every injected packet carries a unique 32-bit seq field (so frames are

@@ -1,14 +1,14 @@
-// Package cluster simulates a multi-NPU line card: N independently
-// configured IXP machines joined by an inter-chip switch fabric and
-// fronted by an ECMP flow-hash load balancer. One deterministic workload
-// stream (millions of concurrent Zipf flows) is sharded across the chips
-// by flow hash; each chip runs its own compiled image behind an
-// ixp.FabricPort whose gap-chained deliveries reproduce the scheduled
-// arrival times exactly, so a one-chip cluster is bit-identical to a
-// plain single-machine run. A round-robin scheduler advances every chip
-// in fixed lookahead epochs — chips are independent between barriers
-// (the balancer is open-loop), so epochs may execute on any number of
-// workers without changing a single observable bit.
+// Package cluster simulates a multi-NPU line card: N IXP machines joined
+// by an inter-chip switch fabric and fronted by an ECMP flow-hash load
+// balancer. One deterministic workload stream (millions of concurrent
+// Zipf flows) is sharded across the chips by flow hash; each chip runs
+// its own compiled image behind an ixp.FabricPort whose gap-chained
+// deliveries reproduce the scheduled arrival times exactly, so a
+// one-chip cluster is bit-identical to a plain single-machine run. A
+// round-robin scheduler advances every chip in fixed lookahead epochs —
+// chips are independent between barriers (the balancer is open-loop), so
+// epochs may execute on any number of workers without changing a single
+// observable bit.
 package cluster
 
 import (
@@ -25,14 +25,6 @@ import (
 	"shangrila/internal/workload"
 )
 
-// ChipConfig shapes one NPU in the cluster. The zero value gives the
-// default machine (rts resolves a zero Cfg to ixp.DefaultConfig) with
-// one packet-processing ME.
-type ChipConfig struct {
-	NumMEs int
-	Cfg    ixp.Config // zero value = calibrated IXP2400 defaults
-}
-
 // DrainPlan takes one chip out of the ECMP set mid-run: the balancer
 // stops routing arrivals due at or after AtCycle to Chip, and the
 // scheduler drains the chip's fabric port at the next epoch barrier.
@@ -44,15 +36,17 @@ type DrainPlan struct {
 
 // Config assembles a cluster run. Image/Prog/Trace/Controls come from
 // one compile — every chip loads the same application (a line card runs
-// one forwarding program replicated per NPU).
+// one forwarding program replicated per NPU) on the calibrated IXP2400
+// model (ixp.DefaultConfig) with MEsPerChip packet-processing MEs.
 type Config struct {
 	Image    *cg.Image
 	Prog     *ir.Program
 	Trace    []*packet.Packet
 	Controls []profiler.Control
 
-	Chips    []ChipConfig
-	Workload workload.Spec // the aggregate offered load, pre-sharding
+	Chips      int
+	MEsPerChip int
+	Workload   workload.Spec // the aggregate offered load, pre-sharding
 
 	// FabricLatency defers each chip's first delivery by this many
 	// cycles (the balancer + fabric traversal). Constant per-hop latency
@@ -69,9 +63,6 @@ type Config struct {
 	// drain application and bucket boundaries.
 	Epoch int64
 
-	// Buckets is the measurement timeline resolution (default 8).
-	Buckets int
-
 	// Workers bounds how many chips advance concurrently within an
 	// epoch (default 1; capped at the chip count). Results are
 	// bit-identical at any value.
@@ -85,8 +76,9 @@ type Config struct {
 }
 
 const (
-	defaultEpoch   = 10_000
-	defaultBuckets = 8
+	defaultEpoch = 10_000
+	// buckets is the measurement timeline resolution.
+	buckets = 8
 )
 
 // Topology is the report-facing description of the cluster layout.
@@ -164,7 +156,7 @@ type Cluster struct {
 // New builds the cluster: the shared balancer, then per chip a fabric
 // port and a runtime whose machine uses the port as its media.
 func New(cfg Config) (*Cluster, error) {
-	if len(cfg.Chips) == 0 {
+	if cfg.Chips <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one chip")
 	}
 	if cfg.FabricLatency < 0 {
@@ -176,33 +168,16 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Epoch == 0 {
 		cfg.Epoch = defaultEpoch
 	}
-	if cfg.Buckets <= 0 {
-		cfg.Buckets = defaultBuckets
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	if cfg.Workers > len(cfg.Chips) {
-		cfg.Workers = len(cfg.Chips)
+	if cfg.Workers > cfg.Chips {
+		cfg.Workers = cfg.Chips
 	}
-	if d := cfg.Drain; d != nil && (d.Chip < 0 || d.Chip >= len(cfg.Chips)) {
-		return nil, fmt.Errorf("cluster: drain chip %d out of range (have %d chips)", d.Chip, len(cfg.Chips))
+	if d := cfg.Drain; d != nil && (d.Chip < 0 || d.Chip >= cfg.Chips) {
+		return nil, fmt.Errorf("cluster: drain chip %d out of range (have %d chips)", d.Chip, cfg.Chips)
 	}
-	// The cluster timeline is in cycles, so every chip must tick at one
-	// clock rate (heterogeneity lives in ME counts and memory
-	// parameters).
-	clock := 0.0
-	for i, cc := range cfg.Chips {
-		c := cc.Cfg.ClockMHz
-		if cc.Cfg.NumMEs == 0 { // zero Cfg resolves to defaults inside rts
-			c = ixp.DefaultConfig().ClockMHz
-		}
-		if i == 0 {
-			clock = c
-		} else if c != clock {
-			return nil, fmt.Errorf("cluster: chip %d clock %v MHz differs from chip 0's %v MHz; the epoch timeline needs a shared clock", i, c, clock)
-		}
-	}
+	clock := ixp.DefaultConfig().ClockMHz
 
 	wsp, err := cfg.Workload.Normalize()
 	if err != nil {
@@ -210,7 +185,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	cfg.Workload = wsp
 
-	bal, err := newBalancer(wsp, cfg.Seed, clock, len(cfg.Chips))
+	bal, err := newBalancer(wsp, cfg.Seed, clock, cfg.Chips)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
@@ -219,14 +194,10 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	cl := &Cluster{cfg: cfg, bal: bal, clockMHz: clock, workers: cfg.Workers}
-	for i, cc := range cfg.Chips {
+	for i := 0; i < cfg.Chips; i++ {
 		port := ixp.NewFabricPort(&chipFeed{b: bal, chip: i}, nil, cfg.FabricLatency)
-		numMEs := cc.NumMEs
-		if numMEs <= 0 {
-			numMEs = 1
-		}
 		rt, err := rts.New(cfg.Image, cfg.Prog, cfg.Trace, rts.Options{
-			NumMEs: numMEs, Cfg: cc.Cfg, Media: port,
+			NumMEs: cfg.MEsPerChip, Media: port,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: chip %d: %w", i, err)
@@ -320,7 +291,7 @@ func (c *Cluster) Warm() error {
 }
 
 // Measure runs the measured window in epoch steps, cutting bucket
-// boundaries at Buckets even slices of the timeline, and assembles the
+// boundaries at buckets even slices of the timeline, and assembles the
 // result. Per-chip counters accumulate across the whole window (one
 // reset at measure start); buckets are cumulative-snapshot diffs, so
 // the final per-chip statistics and the merged latency distribution
@@ -328,7 +299,7 @@ func (c *Cluster) Warm() error {
 func (c *Cluster) Measure() (*Result, error) {
 	routedBase := c.bal.Routed()
 	measure := c.cfg.Measure
-	nb := c.cfg.Buckets
+	nb := buckets
 	start := c.now
 	res := &Result{Topology: c.topology()}
 
@@ -364,7 +335,7 @@ func (c *Cluster) Measure() (*Result, error) {
 		drained := c.cfg.Drain != nil && c.cfg.Drain.Chip == i
 		cr := ChipResult{
 			Chip:        i,
-			MEs:         len(ch.rt.M.MEs),
+			MEs:         c.cfg.MEsPerChip,
 			Engine:      engName,
 			Shards:      engShards,
 			Drained:     drained,

@@ -17,7 +17,7 @@ func TestNewRejectsNegativeTiming(t *testing.T) {
 		{"fabric latency", Config{FabricLatency: -1000}, "fabric latency -1000"},
 		{"epoch", Config{Epoch: -5}, "epoch -5"},
 	} {
-		c.cfg.Chips = []ChipConfig{{}}
+		c.cfg.Chips, c.cfg.MEsPerChip = 1, 1
 		_, err := New(c.cfg)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: New = %v, want an error containing %q", c.name, err, c.want)

@@ -81,10 +81,6 @@ type Config struct {
 	// VerifyIR controls post-pass IR verification. The zero value
 	// (VerifyAuto) verifies under `go test` and skips otherwise.
 	VerifyIR VerifyMode
-	// Metrics receives per-pass instrumentation (compile.pass.<name>.*
-	// counters and gauges). Nil uses a private registry; either way the
-	// collected data is exported in Report.Metrics.
-	Metrics *metrics.Registry
 	// DumpPass selects a pass after which the whole IR (program plus
 	// merged aggregate bodies) is printed; "all" dumps every pass.
 	DumpPass string
@@ -221,15 +217,6 @@ func LowerSource(file, src string) (*ir.Program, error) {
 		return nil, fmt.Errorf("lower: %w", err)
 	}
 	return prog, nil
-}
-
-// CompileSource runs the full pipeline over Baker source text.
-func CompileSource(file, src string, cfg Config) (*Result, error) {
-	prog, err := LowerSource(file, src)
-	if err != nil {
-		return nil, err
-	}
-	return CompileIR(prog, cfg)
 }
 
 // CompileIR runs the pipeline from lowered IR: the per-Level pass sequence

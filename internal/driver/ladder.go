@@ -34,6 +34,9 @@ type Ladder struct {
 	cfg     Config
 	rungs   []*rung     // ascending by level
 	store   *storeCheck // nil outside tests
+	// reg is the ladder's own registry: every rung's compile.pass.*
+	// counters accumulate in it, and each Report.Metrics snapshots it.
+	reg *metrics.Registry
 }
 
 // rung is one level's compile: its pipeline, where it leaves an earlier
@@ -91,10 +94,7 @@ func NewLadder(prog *ir.Program, cfg Config, levels ...Level) (*Ladder, error) {
 // newLadder plans the rungs: ascending levels, each resuming from the
 // earliest rung that shares its longest pass prefix.
 func newLadder(prog *ir.Program, cfg Config, levels []Level, pipelineFor func(Config) []Pass) *Ladder {
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
-	l := &Ladder{base: prog, cfg: cfg, store: newStoreCheck(cfg)}
+	l := &Ladder{base: prog, cfg: cfg, store: newStoreCheck(cfg), reg: metrics.NewRegistry()}
 	levels = slices.Clone(levels)
 	slices.Sort(levels)
 	for _, lvl := range levels {
@@ -171,7 +171,7 @@ func (l *Ladder) climb(r *rung) {
 	r.climbed = true
 	cfg := l.cfg
 	cfg.Level = r.level
-	run := newRunner(nil, cfg)
+	run := newRunner(nil, cfg, l.reg)
 	run.store = l.store
 	run.outs = make([]passOut, 0, len(r.pipeline))
 	ctx := run.ctx

@@ -32,11 +32,13 @@ func ladderOver(t *testing.T, cfg driver.Config, levels ...driver.Level) (*drive
 // TestLadderRunsSharedPassOnce counts pass executions over the seven
 // levels: 28 distinct passes run where seven cold compiles run 60, each of
 // the 28 verified, and every level's report still lists its whole pipeline
-// — the rows it took over from a lower level marked Skipped.
+// — the rows it took over from a lower level marked Skipped. The counts
+// come from the last rung's Report.Metrics, a snapshot of the ladder's
+// registry after every rung has climbed.
 func TestLadderRunsSharedPassOnce(t *testing.T) {
-	reg := metrics.NewRegistry()
-	ld, _ := ladderOver(t, driver.Config{VerifyIR: driver.VerifyOn, Metrics: reg})
+	ld, _ := ladderOver(t, driver.Config{VerifyIR: driver.VerifyOn})
 	executed := map[string]int{}
+	var snap metrics.Snapshot
 	for _, lvl := range driver.Levels() {
 		res, err := ld.Compile(lvl)
 		if err != nil {
@@ -62,10 +64,10 @@ func TestLadderRunsSharedPassOnce(t *testing.T) {
 		if (res.Report.SOAR != nil) != (lvl >= driver.LevelSOAR) {
 			t.Errorf("%v: Report.SOAR = %v", lvl, res.Report.SOAR)
 		}
+		snap = res.Report.Metrics
 	}
 	want := map[string]int64{"profile": 1, "inline+scalar": 2, "soar": 1, "pac": 1, "aggregate": 3,
 		"merge": 3, "agg-opt": 3, "phr": 1, "swc": 1, "final-opt": 5, "codegen": 7}
-	snap := reg.Snapshot()
 	for _, name := range expectedPipeline(driver.LevelSWC) {
 		runs := snap.Counters[string(metrics.PassRuns(name))]
 		if runs != want[name] || int64(executed[name]) != runs {

@@ -8,6 +8,7 @@ import (
 	"shangrila/internal/apps"
 	"shangrila/internal/bakergen"
 	"shangrila/internal/ir"
+	"shangrila/internal/metrics"
 )
 
 // TestMergeReadsOnlyPlanDecisions pins what lets a Session keep its merged
@@ -30,7 +31,7 @@ func TestMergeReadsOnlyPlanDecisions(t *testing.T) {
 			}
 			cfg := Config{Level: lvl, ProfileTrace: a.Trace(prog.Types, 7, 64), Controls: a.Controls,
 				VerifyIR: VerifyOff}
-			r := newRunner(prog, cfg)
+			r := newRunner(prog, cfg, metrics.NewRegistry())
 			for _, p := range PipelineFor(cfg) {
 				if p.Name() == "merge" {
 					break

@@ -343,11 +343,9 @@ type runner struct {
 	dumpSeq int
 }
 
-func newRunner(prog *ir.Program, cfg Config) *runner {
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+// newRunner prepares a compile over prog whose instruments land in reg,
+// the registry of the Ladder, Session or check that owns the runner.
+func newRunner(prog *ir.Program, cfg Config, reg *metrics.Registry) *runner {
 	return &runner{
 		ctx:    &Context{Cfg: cfg, Prog: prog, reg: reg},
 		verify: cfg.VerifyIR.enabled(),

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"shangrila/internal/apps"
+	"shangrila/internal/metrics"
 )
 
 // TestPassReads pins the read log: the facts each pass of each level's
@@ -36,7 +37,7 @@ func TestPassReads(t *testing.T) {
 			}
 			cfg := Config{Level: lvl, ProfileTrace: a.Trace(prog.Types, 7, 64), Controls: a.Controls,
 				VerifyIR: VerifyOff}
-			r := newRunner(prog, cfg)
+			r := newRunner(prog, cfg, metrics.NewRegistry())
 			w := want(lvl)
 			seen := map[string]bool{}
 			for _, p := range PipelineFor(cfg) {

@@ -7,6 +7,7 @@ import (
 	"shangrila/internal/apps"
 	"shangrila/internal/bakergen"
 	"shangrila/internal/ir"
+	"shangrila/internal/metrics"
 	"shangrila/internal/opt"
 )
 
@@ -24,7 +25,7 @@ func forEachPassState(t *testing.T, a *apps.App, lvl Level, visit func(stage str
 		t.Fatalf("%s: %v", a.Name, err)
 	}
 	cfg := Config{Level: lvl, ProfileTrace: a.Trace(prog.Types, 7, 64), Controls: a.Controls, VerifyIR: VerifyOff}
-	r := newRunner(prog, cfg)
+	r := newRunner(prog, cfg, metrics.NewRegistry())
 	walk := func(stage string) {
 		for _, f := range r.ctx.Prog.Funcs {
 			visit(stage, f)

@@ -196,15 +196,11 @@ type Session struct {
 }
 
 // NewSession clones prog into a pristine base and prepares an incremental
-// session. cfg.Metrics, when nil, becomes a session-private registry that
-// accumulates compile.pass.* and compile.session.* counters across
-// compiles.
+// session. The session owns a registry that accumulates compile.pass.*
+// and compile.session.* counters across compiles (Report.Metrics).
 func NewSession(prog *ir.Program, cfg Config) (*Session, error) {
 	if err := checkConfig(cfg.DumpPass, cfg.Level); err != nil {
 		return nil, err
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
 	}
 	// The session appends each delta's controls to a list of its own.
 	cfg.Controls = slices.Clone(cfg.Controls)
@@ -214,7 +210,7 @@ func NewSession(prog *ir.Program, cfg Config) (*Session, error) {
 		pipeline: pipeline,
 		base:     &snapshot{prog: ir.CloneProgram(prog).Freeze()},
 		store:    newStoreCheck(cfg),
-		reg:      cfg.Metrics,
+		reg:      metrics.NewRegistry(),
 		entries:  make([][]*passEntry, len(pipeline)),
 		prof:     profileState{full: "cold"},
 		outs:     make([]passOut, 0, len(pipeline)),
@@ -297,7 +293,7 @@ func (s *Session) Recompile(d Delta) (*Result, error) {
 // nothing else.
 func (s *Session) Compile() (*Result, error) {
 	s.checkHeld()
-	r := newRunner(nil, s.cfg)
+	r := newRunner(nil, s.cfg, s.reg)
 	r.store, r.outs = s.store, s.outs[:0]
 	ctx := r.ctx
 	ctx.profiles = &s.prof
@@ -667,8 +663,8 @@ func (s *Session) checkCutoff(p Pass, ent *passEntry, in *snapshot, live *factSt
 		return
 	}
 	cfg := s.cfg
-	cfg.Metrics, cfg.VerifyIR, cfg.DumpPass = nil, VerifyOff, ""
-	r := newRunner(nil, cfg)
+	cfg.VerifyIR, cfg.DumpPass = VerifyOff, ""
+	r := newRunner(nil, cfg, metrics.NewRegistry())
 	materialize(r.ctx, in, live)
 	r.ctx.facts = live.facts
 	fail := func(what string) {

@@ -58,7 +58,7 @@ module m {
 // succeeds and is logged for the session's reuse keying.
 func TestFactReadLogged(t *testing.T) {
 	prog := lowerTestProg(t)
-	r := newRunner(prog, Config{VerifyIR: VerifyOff})
+	r := newRunner(prog, Config{VerifyIR: VerifyOff}, metrics.NewRegistry())
 	r.ctx.SetProfile(&profiler.Stats{})
 
 	good := &fakePass{
@@ -81,7 +81,7 @@ func TestFactReadLogged(t *testing.T) {
 // keyed on the SOAR fact's state.
 func TestSOARIfValidLogged(t *testing.T) {
 	prog := lowerTestProg(t)
-	r := newRunner(prog, Config{VerifyIR: VerifyOff})
+	r := newRunner(prog, Config{VerifyIR: VerifyOff}, metrics.NewRegistry())
 
 	p := &fakePass{
 		name: "optional-reader",
@@ -166,7 +166,7 @@ func TestProfileFallbacks(t *testing.T) {
 func TestProfileCheckNamesDeltaAndCount(t *testing.T) {
 	prog := lowerTestProg(t)
 	trace := []*packet.Packet{packet.New(make([]byte, 64), prog.Types.Metadata.Bytes)}
-	ctx := newRunner(prog, Config{ProfileTrace: trace}).ctx
+	ctx := newRunner(prog, Config{ProfileTrace: trace}, metrics.NewRegistry()).ctx
 	st, err := profiler.ProfileWithControls(prog, trace, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,6 @@ type ClusterParams struct {
 
 	FabricLatency int64 // first-delivery offset in cycles
 	Epoch         int64 // scheduler lookahead (0 = cluster default)
-	Buckets       int   // timeline resolution (0 = cluster default)
 
 	// DrainChip >= 0 schedules a mid-run ECMP drain of that chip at
 	// DrainFrac of the measure window (default 0.5).
@@ -110,10 +109,6 @@ func ClusterRun(a *apps.App, p ClusterParams, cfg RunConfig) (*ClusterResult, er
 		return nil, err
 	}
 
-	chips := make([]cluster.ChipConfig, p.Chips)
-	for i := range chips {
-		chips[i] = cluster.ChipConfig{NumMEs: cfg.NumMEs}
-	}
 	var drain *cluster.DrainPlan
 	if p.DrainChip >= 0 {
 		drain = &cluster.DrainPlan{
@@ -126,11 +121,11 @@ func ClusterRun(a *apps.App, p ClusterParams, cfg RunConfig) (*ClusterResult, er
 		Prog:          res.Prog,
 		Trace:         trc,
 		Controls:      a.Controls,
-		Chips:         chips,
+		Chips:         p.Chips,
+		MEsPerChip:    cfg.NumMEs,
 		Workload:      wsp,
 		FabricLatency: p.FabricLatency,
 		Epoch:         p.Epoch,
-		Buckets:       p.Buckets,
 		Workers:       cfg.Workers,
 		Warmup:        cfg.Warmup,
 		Measure:       cfg.Measure,

@@ -81,6 +81,32 @@ func TestClusterSingleChipMatchesRun(t *testing.T) {
 	}
 }
 
+// TestClusterChipMEsEnabled: each chip's result reports the MEs enabled
+// for packet processing (the run's NumMEs, the report's mes_per_chip),
+// not the machine's ME slots.
+func TestClusterChipMEsEnabled(t *testing.T) {
+	a := apps.L3Switch()
+	res, err := Compile(a, driver.LevelSWC, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := clusterTestCfg(res)
+	cfg.NumMEs = 4
+	cfg.Warmup, cfg.Measure = 10_000, 20_000
+	cr, err := ClusterRun(a, clusterTestParams(2), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr.MEsPerChip != 4 || len(cr.Chips) != 2 {
+		t.Fatalf("mes_per_chip %d over %d chips, want 4 over 2", cr.MEsPerChip, len(cr.Chips))
+	}
+	for _, c := range cr.Chips {
+		if c.MEs != cr.MEsPerChip {
+			t.Errorf("chip %d reports %d MEs, want %d", c.Chip, c.MEs, cr.MEsPerChip)
+		}
+	}
+}
+
 // TestClusterDeterminism: the full scaling series (including the drain
 // scenario) produces a byte-identical canonical report at any worker
 // count, and the drain scenario shows the redistribution it exists to

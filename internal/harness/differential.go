@@ -85,7 +85,7 @@ type DiffReport struct {
 	Divergences []Divergence `json:"divergences,omitempty"`
 	// LevelCycles records, per matched level, the simulated cycles the
 	// compiled build ran until every reference frame had appeared —
-	// chunk-granular (multiples of ChunkCycles) and fully deterministic,
+	// chunk-granular (multiples of diffChunkCycles) and fully deterministic,
 	// which is what makes the fuzz performance metamorphism check
 	// (PerfBound) reproducible.
 	LevelCycles map[string]int64 `json:"level_cycles,omitempty"`
@@ -115,15 +115,22 @@ func (r *DiffReport) String() string {
 }
 
 // DiffConfig tunes a differential run; the zero value picks defaults
-// sized for fuzzing throughput (small trace, two MEs, bounded cycles).
+// sized for fuzzing throughput (a small trace).
 type DiffConfig struct {
-	Seed         uint64 // trace seed (default 1235)
-	TraceN       int    // distinct packets injected (default 24)
-	NumMEs       int    // MEs per compiled run (default 2)
-	ChunkCycles  int64  // cycles per run slice between capture checks (default 60k)
-	MaxCycles    int64  // total cycle budget per level (default 600k)
-	CaptureLimit int    // max frames captured (default 8*TraceN)
+	Seed   uint64 // trace seed (default 1235)
+	TraceN int    // distinct packets injected (default 24)
 }
+
+// The compiled side of every differential: two MEs, run in
+// diffChunkCycles slices between capture checks up to diffMaxCycles per
+// level, capturing at most diffCapturePerPacket frames per injected
+// packet.
+const (
+	diffMEs              = 2
+	diffChunkCycles      = 60_000
+	diffMaxCycles        = 600_000
+	diffCapturePerPacket = 8
+)
 
 func (c *DiffConfig) fill() {
 	if c.Seed == 0 {
@@ -132,21 +139,9 @@ func (c *DiffConfig) fill() {
 	if c.TraceN == 0 {
 		c.TraceN = 24
 	}
-	if c.NumMEs == 0 {
-		c.NumMEs = 2
-	}
-	if c.ChunkCycles == 0 {
-		c.ChunkCycles = 60_000
-	}
-	if c.MaxCycles == 0 {
-		c.MaxCycles = 600_000
-	}
-	if c.CaptureLimit == 0 {
-		c.CaptureLimit = 8 * c.TraceN
-	}
 }
 
-// Differential checks that the app produces identical packet-level
+// DifferentialWith checks that the app produces identical packet-level
 // output at every given level (all of driver.Levels() when none are
 // given), with ir.Verify forced on after every pass. It never returns
 // nil; all failures — compile, verify, runtime, frame mismatches — are
@@ -159,11 +154,6 @@ func (c *DiffConfig) fill() {
 // is simulated before the next level compiles. A pass that fails is
 // reported at every level whose pipeline contains it, as cold compiles
 // would report it.
-func Differential(a *apps.App, levels ...driver.Level) *DiffReport {
-	return DifferentialWith(DiffConfig{}, a, levels...)
-}
-
-// DifferentialWith is Differential with an explicit configuration.
 func DifferentialWith(cfg DiffConfig, a *apps.App, levels ...driver.Level) *DiffReport {
 	cfg.fill()
 	if len(levels) == 0 {
@@ -267,8 +257,9 @@ func (rep *DiffReport) diffLevel(a *apps.App, lvl driver.Level, res *driver.Resu
 		priv[i] = p.Clone()
 	}
 	trc = priv
+	captureLimit := diffCapturePerPacket * cfg.TraceN
 	rt, err := rts.New(res.Image, res.Prog, trc, rts.Options{
-		NumMEs: cfg.NumMEs, CaptureLimit: cfg.CaptureLimit})
+		NumMEs: diffMEs, CaptureLimit: captureLimit})
 	if err != nil {
 		rep.add(Divergence{Kind: DivRun, LevelA: "host", LevelB: name,
 			PacketIndex: -1, Detail: err.Error()})
@@ -291,13 +282,13 @@ func (rep *DiffReport) diffLevel(a *apps.App, lvl driver.Level, res *driver.Resu
 	checked := 0
 	used := int64(0) // simulated cycles actually run at this level
 	matched := func() bool { return len(seen) == len(refSet) }
-	for cycles := int64(0); cycles < cfg.MaxCycles && !matched(); cycles += cfg.ChunkCycles {
-		if err := rt.Run(cfg.ChunkCycles); err != nil {
+	for cycles := int64(0); cycles < diffMaxCycles && !matched(); cycles += diffChunkCycles {
+		if err := rt.Run(diffChunkCycles); err != nil {
 			rep.add(Divergence{Kind: DivRun, LevelA: "host", LevelB: name,
 				PacketIndex: -1, Detail: err.Error()})
 			return
 		}
-		used += cfg.ChunkCycles
+		used += diffChunkCycles
 		for ; checked < len(rt.TxCapture); checked++ {
 			f := string(rt.TxCapture[checked].Frame)
 			if _, ok := refSet[f]; !ok {
@@ -308,7 +299,7 @@ func (rep *DiffReport) diffLevel(a *apps.App, lvl driver.Level, res *driver.Resu
 			}
 			seen[f] = true
 		}
-		if len(rt.TxCapture) >= cfg.CaptureLimit {
+		if len(rt.TxCapture) >= captureLimit {
 			break // capture full; nothing further can change the verdict
 		}
 	}
@@ -318,7 +309,7 @@ func (rep *DiffReport) diffLevel(a *apps.App, lvl driver.Level, res *driver.Resu
 				rep.add(Divergence{Kind: DivMissing, LevelA: "host", LevelB: name,
 					PacketIndex: refSet[f],
 					Detail: fmt.Sprintf("reference frame %d never transmitted within %d cycles (%d/%d seen): %x",
-						refSet[f], cfg.MaxCycles, len(seen), len(refSet), f)})
+						refSet[f], diffMaxCycles, len(seen), len(refSet), f)})
 				return
 			}
 		}

@@ -273,7 +273,7 @@ func TestAppsPacketDifferential(t *testing.T) {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
 			t.Parallel()
-			rep := Differential(a)
+			rep := DifferentialWith(DiffConfig{}, a)
 			if !rep.OK() {
 				t.Errorf("%s", rep)
 			}

@@ -18,7 +18,7 @@ import (
 // FuzzConfig parameterizes one compiler-fuzzing campaign: N seeded random
 // Baker programs (seeds Seed, Seed+1, ...) each compiled at every
 // optimization level with the IR verifier forced on and checked against
-// the host reference interpreter through Differential. Every program also
+// the host reference interpreter through DifferentialWith. Every program also
 // contributes one invalid mutant (a rotating frontend-defect class) that
 // the parser/typechecker must reject with a positioned error — the
 // campaign covers the frontend's error paths, not just the happy path.
@@ -42,9 +42,6 @@ type FuzzConfig struct {
 	// Minimize delta-debugs every divergent program down to a minimal
 	// reproducer before reporting it.
 	Minimize bool
-	// Levels restricts the differential comparison; nil means every
-	// driver level.
-	Levels []driver.Level
 }
 
 // FuzzFailure is one divergent program: the seed that produced it, the
@@ -225,13 +222,12 @@ func fuzzProgram(cfg FuzzConfig, seed uint64) fuzzOne {
 	one := fuzzOne{done: true, features: spec.Features()}
 
 	dc := DiffConfig{Seed: seed, TraceN: cfg.TraceN}
-	dc.fill() // concrete ChunkCycles up front: PerfBound needs it below
-	rep := DifferentialWith(dc, spec.Build(), cfg.Levels...)
+	rep := DifferentialWith(dc, spec.Build())
 	if rep.OK() {
 		// Functional match at every level — now the cross-level
 		// performance metamorphism: the optimized builds must not be
 		// grossly slower (in simulated cycles) than BASE.
-		if perf := perfDivergences(rep, dc.ChunkCycles); len(perf) != 0 {
+		if perf := perfDivergences(rep, diffChunkCycles); len(perf) != 0 {
 			f := &FuzzFailure{Seed: seed, Spec: string(mustSpecJSON(spec))}
 			for _, d := range perf {
 				f.Divergences = append(f.Divergences, d.String())
@@ -242,9 +238,9 @@ func fuzzProgram(cfg FuzzConfig, seed uint64) fuzzOne {
 	if !rep.OK() {
 		if cfg.Minimize {
 			spec = bakergen.Minimize(spec, func(c *bakergen.Spec) bool {
-				return !DifferentialWith(dc, c.Build(), cfg.Levels...).OK()
+				return !DifferentialWith(dc, c.Build()).OK()
 			})
-			rep = DifferentialWith(dc, spec.Build(), cfg.Levels...)
+			rep = DifferentialWith(dc, spec.Build())
 		}
 		f := &FuzzFailure{Seed: seed, Spec: string(mustSpecJSON(spec))}
 		for _, d := range rep.Divergences {

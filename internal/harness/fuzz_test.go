@@ -80,9 +80,7 @@ func TestPerfDivergences(t *testing.T) {
 // input the fuzz performance check consumes.
 func TestDifferentialRecordsLevelCycles(t *testing.T) {
 	spec := bakergen.NewSpec(501)
-	dc := DiffConfig{Seed: 501, TraceN: 8}
-	dc.fill()
-	rep := DifferentialWith(dc, spec.Build())
+	rep := DifferentialWith(DiffConfig{Seed: 501, TraceN: 8}, spec.Build())
 	if !rep.OK() {
 		t.Fatalf("differential diverged:\n%s", rep)
 	}
@@ -91,11 +89,11 @@ func TestDifferentialRecordsLevelCycles(t *testing.T) {
 		if !ok {
 			t.Fatalf("no cycle record for matched level %s: %v", name, rep.LevelCycles)
 		}
-		if cyc <= 0 || cyc%dc.ChunkCycles != 0 {
-			t.Fatalf("level %s cycles %d not a positive multiple of chunk %d", name, cyc, dc.ChunkCycles)
+		if cyc <= 0 || cyc%diffChunkCycles != 0 {
+			t.Fatalf("level %s cycles %d not a positive multiple of chunk %d", name, cyc, diffChunkCycles)
 		}
 	}
-	if divs := perfDivergences(rep, dc.ChunkCycles); len(divs) != 0 {
+	if divs := perfDivergences(rep, diffChunkCycles); len(divs) != 0 {
 		t.Fatalf("clean program flagged by perf check: %v", divs)
 	}
 }

@@ -166,10 +166,10 @@ func passRows(r *driver.Result) []driver.PassTiming {
 // the verdict and cycle counts of the ascending one.
 func TestDifferentialLevelOrder(t *testing.T) {
 	a := apps.L3Switch()
-	up := Differential(a)
+	up := DifferentialWith(DiffConfig{}, a)
 	levels := driver.Levels()
 	slices.Reverse(levels)
-	down := Differential(a, levels...)
+	down := DifferentialWith(DiffConfig{}, a, levels...)
 	if !up.OK() || !down.OK() {
 		t.Fatalf("differential diverges:\n%s\n%s", up, down)
 	}

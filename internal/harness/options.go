@@ -68,9 +68,8 @@ type RunConfig struct {
 	// every simulated cycle of the measurement window is attributed to
 	// compute, per-level memory latency, per-level memory-controller
 	// queueing, ring backpressure, or idle. The conservative per-ME
-	// breakdown lands in Result.Stalls, in the bench report's
-	// stall_breakdown section, and as stall.share.* gauges in the
-	// machine's metrics registry.
+	// breakdown lands in Result.Stalls and in the bench report's
+	// stall_breakdown section.
 	Stalls bool
 	// ChromeTrace, when non-nil, receives the measured run (warm-up
 	// included) as a Chrome trace_event JSON document viewable in
@@ -316,7 +315,6 @@ func (c RunConfig) measure(a *apps.App, res *driver.Result) (*Result, error) {
 	}
 	if c.Stalls {
 		out.Stalls = rt.M.Observer().StallReport()
-		exportStallShares(rt.M.Observer().Metrics(), out.Stalls)
 	}
 	if chrome != nil {
 		if err := chrome.WriteJSON(c.ChromeTrace); err != nil {
@@ -353,19 +351,4 @@ func collectTelemetry(m *ixp.Machine, st *ixp.Stats) *Telemetry {
 	}
 	tel.Series = m.Observer().Metrics().Snapshot().Series
 	return tel
-}
-
-// exportStallShares publishes the breakdown's active-ME category shares as
-// gauges so the stall summary rides along any metrics export.
-func exportStallShares(reg *metrics.Registry, rep *ixp.StallReport) {
-	if rep == nil {
-		return
-	}
-	tot := rep.ActiveTotals()
-	for _, cat := range []string{
-		"compute", "ring", "idle", "mem_latency", "mem_queue",
-		"mem_queue.scratch", "mem_queue.sram", "mem_queue.dram",
-	} {
-		reg.Gauge(metrics.StallShareKey(cat)).Set(tot.StallShare(cat))
-	}
 }

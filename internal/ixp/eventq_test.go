@@ -328,10 +328,11 @@ func wakeMachine(t *testing.T) (*Machine, *runRecorder) {
 	cfg.ScratchLatency, cfg.ScratchSvcBase, cfg.ScratchSvcWord = 10, 0, 0
 	cfg.SRAMLatency, cfg.SRAMSvcBase, cfg.SRAMSvcWord = 12, 0, 0
 	rec := &runRecorder{}
-	m, err := New(cfg, WithTracer(rec))
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Observer().SetTracer(rec)
 	load := func(level cg.MemLevel) *cg.Instr {
 		return &cg.Instr{Op: cg.IMem, Level: level, Addr: cg.NoPReg, AddrOff: 64,
 			NWords: 1, Data: []cg.PReg{3}, Class: cg.ClassAppData}
@@ -413,10 +414,11 @@ func TestWakeZeroLatencyAdvances(t *testing.T) {
 	cfg.DRAMLatency, cfg.DRAMSvcBase, cfg.DRAMSvcWord = 0, 0, 0
 	cfg.LocalLatency = 0
 	rec := &runRecorder{}
-	m, err := New(cfg, WithTracer(rec))
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Observer().SetTracer(rec)
 	mem := func(level cg.MemLevel, store bool) *cg.Instr {
 		return &cg.Instr{Op: cg.IMem, Level: level, Store: store, Addr: cg.NoPReg,
 			AddrOff: 64, NWords: 1, Data: []cg.PReg{3}, Class: cg.ClassAppData}

@@ -74,9 +74,6 @@ func (p *FabricPort) SetSink(s FabricSink) { p.sink = s }
 // running (the cluster scheduler drains at epoch barriers).
 func (p *FabricPort) Drain() { p.draining = true }
 
-// Draining reports whether the port has been drained.
-func (p *FabricPort) Draining() bool { return p.draining }
-
 // Inject implements Media.
 func (p *FabricPort) Inject(m *Machine) float64 {
 	if !p.started {

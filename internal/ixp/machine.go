@@ -39,10 +39,6 @@ type Config struct {
 	DRAMLatency, DRAMSvcBase, DRAMSvcWord          int64
 	LocalLatency                                   int64
 
-	// ChargeDMA models Rx/Tx engines consuming DRAM/SRAM bandwidth for
-	// packet payload and metadata movement.
-	ChargeDMA bool
-
 	ScratchBytes int
 	SRAMBytes    int
 	DRAMBytes    int
@@ -54,21 +50,12 @@ type Config struct {
 	// queue depth, and per-ring occupancy are appended to the machine's
 	// metrics registry as time-series.
 	SampleInterval int64
-	// SampleWindow bounds each telemetry series to the most recent N
-	// samples (0 keeps every sample).
-	SampleWindow int
 
 	// NumRings and RingSlots describe the scratch-ring topology: NumRings
 	// rings of RingSlots descriptor pairs each. The runtime folds the
 	// compiled image's layout into these before constructing the machine.
 	NumRings  int
 	RingSlots int
-
-	// Metrics, when non-nil, is the registry the machine's telemetry lands
-	// in — the harness hands one registry down so compile-time and run-time
-	// instruments share a namespace. Nil gives the machine a private
-	// registry (reachable via Observer.Metrics).
-	Metrics *metrics.Registry
 }
 
 // maxMEs is the most MEs a machine can have: an event names its ME in a
@@ -104,8 +91,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("ixp: config: CAMEntries must be positive (got %d)", c.CAMEntries)
 	case c.SampleInterval < 0:
 		return fmt.Errorf("ixp: config: SampleInterval must be non-negative (got %d)", c.SampleInterval)
-	case c.SampleWindow < 0:
-		return fmt.Errorf("ixp: config: SampleWindow must be non-negative (got %d)", c.SampleWindow)
 	case c.NumRings < 0:
 		return fmt.Errorf("ixp: config: NumRings must be non-negative (got %d)", c.NumRings)
 	case c.NumRings > 0 && c.RingSlots <= 0:
@@ -126,8 +111,6 @@ func DefaultConfig() Config {
 		SRAMLatency: 90, SRAMSvcBase: 8, SRAMSvcWord: 1,
 		DRAMLatency: 120, DRAMSvcBase: 20, DRAMSvcWord: 1,
 		LocalLatency: 3,
-
-		ChargeDMA: true,
 
 		ScratchBytes: 16 << 10,
 		SRAMBytes:    8 << 20,
@@ -474,8 +457,8 @@ type Machine struct {
 
 // New builds a machine from a configuration (ring topology included),
 // shaped by functional options: WithMedia supplies the traffic source
-// and sink (machines without media only execute code), WithTracer
-// attaches the event sink, WithMetrics overrides the telemetry registry.
+// and sink (machines without media only execute code). Every machine
+// owns its telemetry registry (Observer.Metrics).
 // Options apply before validation, so zero or negative clock, port rate
 // or structural sizes are rejected here with a descriptive error instead
 // of surfacing later as NaN/Inf rates.
@@ -490,14 +473,10 @@ func New(cfg Config, opts ...Option) (*Machine, error) {
 		return nil, err
 	}
 	cfg = m.Cfg
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
 	m.Scratch = make([]byte, cfg.ScratchBytes)
 	m.sram.limit = cfg.SRAMBytes
 	m.dram.limit = cfg.DRAMBytes
-	m.reg = reg
+	m.reg = metrics.NewRegistry()
 	m.lat = metrics.NewHistogram()
 	m.rxStamp = map[uint32]int64{}
 	m.lastME = make([]int64, cfg.NumMEs)
@@ -543,11 +522,6 @@ func (m *Machine) GrowRing(i, slots int) {
 	}
 	m.Rings[i] = nr
 }
-
-// Metrics returns the machine's telemetry registry. Time-series are only
-// populated when Cfg.SampleInterval is positive; the registry itself is
-// always available for callers that want to attach their own instruments.
-func (m *Machine) Metrics() *metrics.Registry { return m.reg }
 
 // LoadProgram installs code on an ME and starts its threads. The program
 // is predecoded into block-structured form here, once; execution never
@@ -1247,9 +1221,6 @@ func (c *Config) RxIntervalOrDefault() int64 {
 // packet data in efficient interleaved 64-byte bursts, so its occupancy
 // per frame is charged at a quarter of the ME word rate.
 func (m *Machine) ChargeRxDMA(frameBytes, metaWords int) {
-	if !m.Cfg.ChargeDMA {
-		return
-	}
 	m.ctrl[2].access(m.now, (frameBytes+15)/16, &m.stats)
 	m.ctrl[1].access(m.now, metaWords, &m.stats)
 }
@@ -1265,9 +1236,7 @@ func (m *Machine) txTick() {
 	if m.media != nil {
 		frame = m.media.Transmit(m, w0, w1)
 	}
-	if m.Cfg.ChargeDMA {
-		m.ctrl[2].access(m.now, (frame+15)/16, &m.stats)
-	}
+	m.ctrl[2].access(m.now, (frame+15)/16, &m.stats)
 	m.stats.TxPackets++
 	m.stats.TxBits += uint64(frame * 8)
 	latency := int64(-1)
@@ -1307,26 +1276,25 @@ func levelName(level cg.MemLevel) string {
 // per-controller queue backlog, and per-ring occupancy at this instant.
 func (m *Machine) sampleTick() {
 	interval := m.Cfg.SampleInterval
-	w := m.Cfg.SampleWindow
 	dt := float64(interval)
 	for i := range m.MEs {
 		d := m.stats.MEBusy[i] - m.lastME[i]
 		m.lastME[i] = m.stats.MEBusy[i]
-		m.reg.Series(metrics.MEUtil(i), w).Append(m.now, float64(d)/dt)
+		m.reg.Series(metrics.MEUtil(i)).Append(m.now, float64(d)/dt)
 	}
 	for _, c := range m.ctrl {
 		d := m.stats.Busy[c.level] - m.lastBusy[c.level]
 		m.lastBusy[c.level] = m.stats.Busy[c.level]
 		name := levelName(c.level)
-		m.reg.Series(metrics.CtrlSat(name), w).Append(m.now, float64(d)/dt)
+		m.reg.Series(metrics.CtrlSat(name)).Append(m.now, float64(d)/dt)
 		backlog := c.nextFree - m.now
 		if backlog < 0 {
 			backlog = 0
 		}
-		m.reg.Series(metrics.CtrlQueue(name), w).Append(m.now, float64(backlog))
+		m.reg.Series(metrics.CtrlQueue(name)).Append(m.now, float64(backlog))
 	}
 	for i, r := range m.Rings {
-		m.reg.Series(metrics.RingOcc(i), w).Append(m.now, float64(r.Len()))
+		m.reg.Series(metrics.RingOcc(i)).Append(m.now, float64(r.Len()))
 	}
 	m.schedule(m.now+interval, evSample, 0, 0, nil)
 }

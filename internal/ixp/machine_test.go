@@ -279,7 +279,7 @@ func TestPortRateCapsThroughput(t *testing.T) {
 
 func TestTelemetrySampling(t *testing.T) {
 	m := runLoop(t, 1) // SampleInterval 10k over 200k cycles
-	snap := m.Metrics().Snapshot()
+	snap := m.Observer().Metrics().Snapshot()
 	util := snap.Series["me0.util"]
 	if len(util) < 15 {
 		t.Fatalf("me0.util has %d samples, want ~20", len(util))

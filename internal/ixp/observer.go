@@ -3,12 +3,11 @@ package ixp
 import "shangrila/internal/metrics"
 
 // Observer is the machine's observability surface: the packet-accounting
-// hooks media implementations and the runtime call, the snapshot accessors
-// the harness reads, and tracer attachment. It replaces the ad-hoc
-// Machine.Note* family so external packages stop reaching into machine
-// internals — everything an outside component may observe or account goes
-// through this one type. An Observer is a cheap value (one pointer); take
-// it fresh from Machine.Observer whenever needed.
+// hooks media implementations and the runtime call, the accessors the
+// harness reads (latency, ring occupancy, telemetry registry, ME labels)
+// and tracer attachment. Everything an outside component may observe or
+// account goes through this one type. An Observer is a cheap value (one
+// pointer); take it fresh from Machine.Observer whenever needed.
 type Observer struct {
 	m *Machine
 }
@@ -67,10 +66,7 @@ func (o Observer) SetMELabel(i int, label string) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot accessors (machine → harness)
-
-// Snapshot returns an immutable deep copy of the run statistics.
-func (o Observer) Snapshot() Stats { return o.m.Snapshot() }
+// Accessors (machine → harness)
 
 // Latency summarizes the Rx→Tx latency (in core cycles) of every packet
 // transmitted since the last stats reset.
@@ -92,8 +88,8 @@ func (o Observer) RingMaxOcc() []int {
 	return out
 }
 
-// Metrics returns the machine's telemetry registry (the one Config.Metrics
-// supplied, or the machine's private registry).
+// Metrics returns the machine's own telemetry registry. Time-series are
+// only populated when Cfg.SampleInterval is positive.
 func (o Observer) Metrics() *metrics.Registry { return o.m.reg }
 
 // MELabels returns the per-ME program labels (indexes past the last
@@ -118,9 +114,6 @@ func (o Observer) InFlight() int { return len(o.m.rxStamp) }
 // event loop, so installing mid-run starts the stream at the current
 // cycle.
 func (o Observer) SetTracer(t Tracer) { o.m.tracer = t }
-
-// Tracer returns the installed event sink (nil when tracing is off).
-func (o Observer) Tracer() Tracer { return o.m.tracer }
 
 // StallReport builds the breakdown of an attached StallTracer over the
 // window since the last stats reset, labelled with the ME program labels.

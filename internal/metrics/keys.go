@@ -95,8 +95,3 @@ const (
 // incrementally, for one reason: "cold" (nothing kept yet), "error" (a
 // profile failed) or "rollback" (a failed Recompile was undone).
 func ProfileFull(reason string) Key { return Key("compile.profile.full." + reason) }
-
-// StallShareKey is the per-category stall-share gauge family exported from
-// a stall breakdown (category as in ixp.Stall.StallShare, e.g.
-// "mem_queue.dram").
-func StallShareKey(category string) Key { return Key("stall.share." + category) }

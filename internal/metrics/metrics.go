@@ -1,9 +1,8 @@
 // Package metrics provides the lightweight instrumentation substrate for
-// the evaluation engine: named counters, gauges, and windowed time-series
-// sampled on simulator cycles. The IXP model records per-ME utilization,
-// per-controller saturation and per-ring occupancy through a Registry;
-// the harness exports the collected data as JSON or CSV alongside the
-// paper's tables and figures.
+// the evaluation engine: named counters, gauges, histograms and
+// time-series sampled on simulator cycles. The IXP model records per-ME
+// utilization, per-controller saturation and per-ring occupancy through a
+// Registry; the harness reads a Snapshot of it into its reports.
 //
 // Instruments are goroutine-safe: the sweep runner measures many machine
 // instances concurrently, and each machine owns a private Registry, but
@@ -12,7 +11,6 @@
 package metrics
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -57,38 +55,24 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-// Series is a windowed time-series: appending beyond the window drops the
-// oldest samples. A window of 0 keeps every sample.
+// Series is a time-series that keeps every sample appended to it.
 type Series struct {
 	mu      sync.Mutex
-	window  int
 	samples []Sample
 }
 
-// Append records v at cycle t, evicting the oldest sample when the window
-// is full.
+// Append records v at cycle t.
 func (s *Series) Append(t int64, v float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.window > 0 && len(s.samples) == s.window {
-		copy(s.samples, s.samples[1:])
-		s.samples = s.samples[:len(s.samples)-1]
-	}
 	s.samples = append(s.samples, Sample{T: t, V: v})
 }
 
-// Samples returns a copy of the retained samples in append order.
+// Samples returns a copy of the samples in append order.
 func (s *Series) Samples() []Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Sample(nil), s.samples...)
-}
-
-// Len returns the number of retained samples.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.samples)
 }
 
 // Registry holds named instruments. Instruments are created on first use
@@ -135,20 +119,19 @@ func (r *Registry) Gauge(name Key) *Gauge {
 	return g
 }
 
-// Series returns the named series, creating it with the given window if
-// needed. The window of an existing series is not changed.
-func (r *Registry) Series(name Key, window int) *Series {
+// Series returns the named series, creating it if needed.
+func (r *Registry) Series(name Key) *Series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s, ok := r.series[string(name)]
 	if !ok {
-		s = &Series{window: window}
+		s = &Series{}
 		r.series[string(name)] = s
 	}
 	return s
 }
 
-// Snapshot is an immutable, export-ready copy of a registry's contents.
+// Snapshot is an immutable copy of a registry's contents.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
@@ -187,15 +170,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return snap
-}
-
-// SeriesNames returns the snapshot's series names in sorted order
-// (deterministic iteration for exports and tests).
-func (s Snapshot) SeriesNames() []string {
-	names := make([]string, 0, len(s.Series))
-	for n := range s.Series {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,9 +1,6 @@
 package metrics
 
 import (
-	"bytes"
-	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -25,7 +22,7 @@ func TestCounterGaugeSeries(t *testing.T) {
 	if got := g.Value(); got != 7.25 {
 		t.Errorf("gauge = %v, want 7.25", got)
 	}
-	s := r.Series("util", 0)
+	s := r.Series("util")
 	for i := int64(0); i < 4; i++ {
 		s.Append(i*100, float64(i))
 	}
@@ -35,92 +32,18 @@ func TestCounterGaugeSeries(t *testing.T) {
 	}
 }
 
-func TestSeriesWindowEvictsOldest(t *testing.T) {
-	s := &Series{window: 3}
-	for i := int64(0); i < 10; i++ {
-		s.Append(i, float64(i))
-	}
-	got := s.Samples()
-	if len(got) != 3 {
-		t.Fatalf("len = %d, want 3", len(got))
-	}
-	for i, want := range []int64{7, 8, 9} {
-		if got[i].T != want {
-			t.Errorf("sample %d at t=%d, want %d", i, got[i].T, want)
-		}
-	}
-}
-
 func TestSnapshotDetached(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("n").Inc()
-	r.Series("s", 0).Append(1, 1)
+	r.Series("s").Append(1, 1)
 	snap := r.Snapshot()
 	r.Counter("n").Add(100)
-	r.Series("s", 0).Append(2, 2)
+	r.Series("s").Append(2, 2)
 	if snap.Counters["n"] != 1 {
 		t.Errorf("snapshot counter mutated: %d", snap.Counters["n"])
 	}
 	if len(snap.Series["s"]) != 1 {
 		t.Errorf("snapshot series mutated: %v", snap.Series["s"])
-	}
-}
-
-func TestJSONDeterministicAndRoundTrips(t *testing.T) {
-	mk := func() Snapshot {
-		r := NewRegistry()
-		r.Counter("b").Add(2)
-		r.Counter("a").Add(1)
-		r.Gauge("g").Set(0.5)
-		r.Series("z", 0).Append(10, 1.5)
-		r.Series("y", 0).Append(20, 2.5)
-		return r.Snapshot()
-	}
-	var b1, b2 bytes.Buffer
-	if err := mk().WriteJSON(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := mk().WriteJSON(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Error("JSON export not byte-identical for identical registries")
-	}
-	var back Snapshot
-	if err := json.Unmarshal(b1.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Counters["a"] != 1 || back.Series["y"][0].V != 2.5 {
-		t.Errorf("round trip lost data: %+v", back)
-	}
-}
-
-func TestCSVExport(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("tx").Add(3)
-	r.Gauge("sat").Set(0.75)
-	s := r.Series("me0.util", 0)
-	s.Append(1000, 0.5)
-	s.Append(2000, 0.625)
-	var b bytes.Buffer
-	if err := r.Snapshot().WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	want := []string{
-		"kind,name,cycle,value",
-		"counter,tx,,3",
-		"gauge,sat,,0.75",
-		"series,me0.util,1000,0.5",
-		"series,me0.util,2000,0.625",
-	}
-	if len(lines) != len(want) {
-		t.Fatalf("lines = %v", lines)
-	}
-	for i := range want {
-		if lines[i] != want[i] {
-			t.Errorf("line %d = %q, want %q", i, lines[i], want[i])
-		}
 	}
 }
 
@@ -134,7 +57,7 @@ func TestConcurrentUpdates(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				r.Counter("c").Inc()
 				r.Gauge("g").Set(float64(i))
-				r.Series("s", 64).Append(int64(i), float64(w))
+				r.Series("s").Append(int64(i), float64(w))
 			}
 		}(w)
 	}
@@ -142,7 +65,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
 	}
-	if n := r.Series("s", 64).Len(); n != 64 {
-		t.Errorf("windowed series kept %d, want 64", n)
+	if n := len(r.Series("s").Samples()); n != 8000 {
+		t.Errorf("series kept %d samples, want 8000", n)
 	}
 }

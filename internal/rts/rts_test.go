@@ -113,7 +113,7 @@ func compileAt(t testing.TB, lvl driver.Level) *driver.Result {
 		}
 		ptr = append(ptr, p)
 	}
-	res, err := driver.CompileSource("mini.baker", miniRouter, driver.Config{
+	res, err := driver.CompileIR(base, driver.Config{
 		Level:        lvl,
 		ProfileTrace: ptr,
 		Controls:     routerControls,
