@@ -16,9 +16,9 @@
 // the host reference interpreter. Unknown names are rejected with the
 // valid set and a nonzero exit, and so are -trace and -stalls, which only
 // a plain measurement reads, -gbps with cluster or fuzz, which do not
-// run the workload engine, and any of -O, -mes, -cycles, -warmup,
-// -dump-ir, -dump-ir-dir and -swc-check-limit with fuzz, whose
-// differential reads only -seed, -fuzz-seed and -fuzz-trace.
+// run the workload engine, and any other flag set with fuzz, whose
+// differential reads only -seed, -fuzz-seed and -fuzz-trace (besides
+// -cpuprofile and -memprofile, which profile any run).
 //
 // Every plain measurement echoes the resolved -seed so a run (or a
 // divergence) can be replayed exactly.
@@ -89,11 +89,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 	e, isExp := appExps[*exp]
+	// The fuzz differential reads only these flags; any other set with it
+	// would be ignored, so it is refused (-trace, -stalls and -gbps with
+	// their own errors below).
 	var fuzzIgnored string
 	if *exp == "fuzz" {
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "O", "mes", "cycles", "warmup", "dump-ir", "dump-ir-dir", "swc-check-limit":
+			case "seed", "fuzz-seed", "fuzz-trace", "experiment", "cpuprofile", "memprofile":
+			default:
 				if fuzzIgnored == "" {
 					fuzzIgnored = f.Name
 				}
@@ -118,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	case (*exp == "cluster" || *exp == "fuzz") && flags.Gbps != 0:
 		err = fmt.Errorf("-gbps %v: -experiment %s does not run the workload engine", flags.Gbps, *exp)
 	case fuzzIgnored != "":
-		err = fmt.Errorf("-%s: -experiment fuzz reads only -seed, -fuzz-seed and -fuzz-trace", fuzzIgnored)
+		err = fmt.Errorf("-%s: -experiment fuzz reads only -seed, -fuzz-seed and -fuzz-trace (and -cpuprofile, -memprofile)", fuzzIgnored)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "ixpsim: %v\n", err)

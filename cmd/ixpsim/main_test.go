@@ -31,6 +31,18 @@ func TestRejectsBadInput(t *testing.T) {
 		{[]string{"-experiment", "fuzz", "-dump-ir", "all", "firewall"}, "-dump-ir: -experiment fuzz reads only"},
 		{[]string{"-experiment", "fuzz", "-dump-ir-dir", "ir", "firewall"}, "-dump-ir-dir: -experiment fuzz reads only"},
 		{[]string{"-experiment", "fuzz", "-swc-check-limit", "3", "l3switch"}, "-swc-check-limit: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-fuzz-n", "5", "l3switch"}, "-fuzz-n: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-fuzz-minimize=false", "mpls"}, "-fuzz-minimize: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-fuzz-budget", "1s", "mpls"}, "-fuzz-budget: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-verify-ir", "firewall"}, "-verify-ir: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-flows", "16", "l3switch"}, "-flows: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-zipf", "1.1", "l3switch"}, "-zipf: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-arrival", "poisson", "mpls"}, "-arrival: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-sizes", "imix", "mpls"}, "-sizes: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-gbps", "0", "firewall"}, "-gbps: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-churn-rate", "100", "l3switch"}, "-churn-rate: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-chips", "2", "l3switch"}, "-chips: -experiment fuzz reads only"},
+		{[]string{"-experiment", "fuzz", "-cluster-drain=false", "firewall"}, "-cluster-drain: -experiment fuzz reads only"},
 		{[]string{"-gbps", "NaN", "l3switch"}, "OfferedGbps must be a finite number (got NaN)"},
 		{[]string{"-dump-ir", "bogus", "l3switch"}, `unknown dump pass "bogus"`},
 		{[]string{"-churn-rate", "NaN", "l3switch"}, "UpdatesPerSec must be a finite number (got NaN)"},

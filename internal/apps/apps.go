@@ -148,29 +148,31 @@ const ETH_ARP  = 0x0806;
 const ETH_MPLS = 0x8847;
 `
 
+// The header shapes the generators write, each field list in the order
+// its values are drawn. They are declarations, never written; a trace
+// resolves each once (Gen.Header).
+var (
+	etherShape = &trace.Shape{Proto: "ether",
+		Fields: []string{"dst_hi", "dst_lo", "src_hi", "src_lo", "type"}}
+	ipShape = &trace.Shape{Proto: "ipv4", Size: 20,
+		Fields: []string{"ver", "hlen", "length", "ttl", "proto", "cksum", "src", "dst"}}
+	// ipShortShape is the inner header of bridged and labelled frames.
+	ipShortShape = &trace.Shape{Proto: "ipv4", Size: 20,
+		Fields: []string{"ver", "hlen", "ttl", "dst"}}
+	ipSrcShape = &trace.Shape{Proto: "ipv4", Size: 20, Fields: []string{"src"}}
+	l4Shape    = &trace.Shape{Proto: "l4", Fields: []string{"sport", "dport"}}
+)
+
 // buildIP constructs an Ethernet/IPv4(/L4) frame.
-func buildIP(tp *types.Program, r *workload.Source, dstMACHi, dstMACLo, dstIP uint32,
+func buildIP(g *Gen, r *workload.Source, dstMACHi, dstMACLo, dstIP uint32,
 	proto uint32, sport, dport uint32, withL4 bool) *packet.Packet {
-	layers := []trace.Layer{
-		{Proto: tp.Protocols["ether"], Fields: []trace.Field{
-			{Name: "dst_hi", Value: dstMACHi}, {Name: "dst_lo", Value: dstMACLo},
-			{Name: "src_hi", Value: 0x0002}, {Name: "src_lo", Value: r.Uint32()},
-			{Name: "type", Value: 0x0800}}},
-		{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{
-			{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "length", Value: 46},
-			{Name: "ttl", Value: 32 + uint32(r.Intn(32))},
-			{Name: "proto", Value: proto}, {Name: "cksum", Value: r.Uint32() & 0xffff},
-			{Name: "src", Value: r.Uint32()}, {Name: "dst", Value: dstIP}}, Size: 20},
-		{Proto: tp.Protocols["l4"], Fields: []trace.Field{
-			{Name: "sport", Value: sport}, {Name: "dport", Value: dport}}},
-	}
-	if !withL4 {
-		// Sliced off rather than appended, so no layer leaves the stack.
-		layers = layers[:2]
-	}
-	p, err := trace.Build(layers, 64, tp.Metadata.Bytes)
-	if err != nil {
-		panic(err)
+	p := g.Packet(frameLen)
+	w := p.Bytes()
+	eth, ip := g.Header(etherShape), g.Header(ipShape)
+	eth.Put(w, 0, dstMACHi, dstMACLo, 0x0002, r.Uint32(), 0x0800)
+	ip.Put(w, eth.Size, 4, 5, 46, 32+uint32(r.Intn(32)), proto, r.Uint32()&0xffff, r.Uint32(), dstIP)
+	if withL4 {
+		g.Header(l4Shape).Put(w, eth.Size+ip.Size, sport, dport)
 	}
 	p.Port = uint32(r.Intn(3))
 	return p

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"shangrila/internal/baker/types"
 	"shangrila/internal/packet"
 	"shangrila/internal/profiler"
 	"shangrila/internal/workload"
@@ -229,51 +228,48 @@ func Firewall() *App {
 func fwTraffic() TraceSpec {
 	return TraceSpec{Cases: []TraceCase{
 		{Name: "web-allow", Weight: 45, // rule 0
-			Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
+			Build: func(g *Gen, r *workload.Source, i int) *packet.Packet {
 				src := 0x0a000000 | (r.Uint32() & 0x00ffffff)
 				dst := 0xc0a80000 | (r.Uint32() & 0xffff)
-				p := buildIP(tp, r, 0x0a00, 0x5e00000f, dst, 6, 1024+uint32(r.Intn(60000)), 80, true)
-				setIPSrc(tp, p, src)
+				p := buildIP(g, r, 0x0a00, 0x5e00000f, dst, 6, 1024+uint32(r.Intn(60000)), 80, true)
+				setIPSrc(g, p, src)
 				return p
 			}},
 		{Name: "dns-allow", Weight: 15, // rule 1
-			Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
+			Build: func(g *Gen, r *workload.Source, i int) *packet.Packet {
 				src := 0x0a000000 | (r.Uint32() & 0x00ffffff)
-				p := buildIP(tp, r, 0x0a00, 0x5e00000f, 0x08080808, 17, 1024+uint32(r.Intn(60000)), 53, true)
-				setIPSrc(tp, p, src)
+				p := buildIP(g, r, 0x0a00, 0x5e00000f, 0x08080808, 17, 1024+uint32(r.Intn(60000)), 53, true)
+				setIPSrc(g, p, src)
 				return p
 			}},
 		{Name: "return-allow", Weight: 10, // rule 3
-			Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
+			Build: func(g *Gen, r *workload.Source, i int) *packet.Packet {
 				src := 0xc0a80000 | (r.Uint32() & 0xffff)
 				dst := 0x0a000000 | (r.Uint32() & 0x00ffffff)
-				p := buildIP(tp, r, 0x0a00, 0x5e00000f, dst, 6, 80, 1024+uint32(r.Intn(60000)), true)
-				setIPSrc(tp, p, src)
+				p := buildIP(g, r, 0x0a00, 0x5e00000f, dst, 6, 80, 1024+uint32(r.Intn(60000)), true)
+				setIPSrc(g, p, src)
 				return p
 			}},
 		{Name: "telnet-deny", Weight: 10, // rule 2
-			Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
-				return buildIP(tp, r, 0x0a00, 0x5e00000f, r.Uint32(), 6, 40000, 23, true)
+			Build: func(g *Gen, r *workload.Source, i int) *packet.Packet {
+				return buildIP(g, r, 0x0a00, 0x5e00000f, r.Uint32(), 6, 40000, 23, true)
 			}},
 		{Name: "blacklist-deny", Weight: 10, // rule 5
-			Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
+			Build: func(g *Gen, r *workload.Source, i int) *packet.Packet {
 				src := 0x31330000 | (r.Uint32() & 0xffff)
-				p := buildIP(tp, r, 0x0a00, 0x5e00000f, r.Uint32(), 6, 40000, 8080, true)
-				setIPSrc(tp, p, src)
+				p := buildIP(g, r, 0x0a00, 0x5e00000f, r.Uint32(), 6, 40000, 8080, true)
+				setIPSrc(g, p, src)
 				return p
 			}},
 		{Name: "default-deny", Weight: 10, // unmatched
-			Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
-				return buildIP(tp, r, 0x0a00, 0x5e00000f, 0x7f000001, 132, 7, 7, true)
+			Build: func(g *Gen, r *workload.Source, i int) *packet.Packet {
+				return buildIP(g, r, 0x0a00, 0x5e00000f, 0x7f000001, 132, 7, 7, true)
 			}},
 	}}
 }
 
 // setIPSrc rewrites the IPv4 source of a freshly built Ethernet/IPv4
 // packet.
-func setIPSrc(tp *types.Program, p *packet.Packet, src uint32) {
-	f := tp.Protocols["ipv4"].Field("src")
-	if err := p.WriteField(14, f, src); err != nil {
-		panic(err)
-	}
+func setIPSrc(g *Gen, p *packet.Packet, src uint32) {
+	g.Header(ipSrcShape).Put(p.Bytes(), g.Header(etherShape).Size, src)
 }

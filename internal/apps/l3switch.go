@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"shangrila/internal/baker/types"
 	"shangrila/internal/packet"
 	"shangrila/internal/profiler"
 	"shangrila/internal/trace"
@@ -265,40 +264,30 @@ func L3Switch() *App {
 	}
 }
 
+// arpShape is the ARP request header of the control-path case.
+var arpShape = &trace.Shape{Proto: "arp", Fields: []string{"htype", "ptype", "op"}}
+
 // l3Traffic declares the L3-Switch mix: every 200th packet an ARP
 // (control path), every 7th-mod-3 a bridged frame, the rest routed IP.
 func l3Traffic() TraceSpec {
 	return TraceSpec{Cases: []TraceCase{
 		{Name: "arp", Every: 200, Offset: 199,
-			Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
-				p, err := trace.Build([]trace.Layer{
-					{Proto: tp.Protocols["ether"], Fields: []trace.Field{
-						{Name: "dst_hi", Value: 0xffff}, {Name: "dst_lo", Value: 0xffffffff},
-						{Name: "src_hi", Value: 0x0002}, {Name: "src_lo", Value: r.Uint32()},
-						{Name: "type", Value: 0x0806}}},
-					{Proto: tp.Protocols["arp"], Fields: []trace.Field{
-						{Name: "htype", Value: 1}, {Name: "ptype", Value: 0x0800}, {Name: "op", Value: 1}}},
-				}, 64, tp.Metadata.Bytes)
-				if err != nil {
-					panic(err)
-				}
+			Build: func(g *Gen, r *workload.Source, i int) *packet.Packet {
+				p := g.Packet(frameLen)
+				w := p.Bytes()
+				eth := g.Header(etherShape)
+				eth.Put(w, 0, 0xffff, 0xffffffff, 0x0002, r.Uint32(), 0x0806)
+				g.Header(arpShape).Put(w, eth.Size, 1, 0x0800, 1)
 				p.Port = uint32(r.Intn(3))
 				return p
 			}},
 		{Name: "bridged", Every: 7, Offset: 3, // dst MAC != router MAC
-			Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
-				p, err := trace.Build([]trace.Layer{
-					{Proto: tp.Protocols["ether"], Fields: []trace.Field{
-						{Name: "dst_hi", Value: 0x0002}, {Name: "dst_lo", Value: uint32(r.Intn(64))},
-						{Name: "src_hi", Value: 0x0002}, {Name: "src_lo", Value: uint32(r.Intn(64))},
-						{Name: "type", Value: 0x0800}}},
-					{Proto: tp.Protocols["ipv4"], Fields: []trace.Field{
-						{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "ttl", Value: 17},
-						{Name: "dst", Value: r.Uint32()}}, Size: 20},
-				}, 64, tp.Metadata.Bytes)
-				if err != nil {
-					panic(err)
-				}
+			Build: func(g *Gen, r *workload.Source, i int) *packet.Packet {
+				p := g.Packet(frameLen)
+				w := p.Bytes()
+				eth := g.Header(etherShape)
+				eth.Put(w, 0, 0x0002, uint32(r.Intn(64)), 0x0002, uint32(r.Intn(64)), 0x0800)
+				g.Header(ipShortShape).Put(w, eth.Size, 4, 5, 17, r.Uint32())
 				p.Port = uint32(r.Intn(3))
 				return p
 			}},
@@ -306,7 +295,7 @@ func l3Traffic() TraceSpec {
 		// belongs to a handful of hot flows (the skew that makes route
 		// entries cacheable, §5.2); the tail spreads across the full table.
 		{Name: "routed", Weight: 1,
-			Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
+			Build: func(g *Gen, r *workload.Source, i int) *packet.Packet {
 				var dst uint32
 				if r.Intn(10) < 7 {
 					dst = l3HotDsts[r.Intn(len(l3HotDsts))]
@@ -315,7 +304,7 @@ func l3Traffic() TraceSpec {
 				}
 				port := uint32(r.Intn(3))
 				hi, lo := routerMAC(port)
-				p := buildIP(tp, r, hi, lo, dst, 6, 0, 0, false)
+				p := buildIP(g, r, hi, lo, dst, 6, 0, 0, false)
 				p.Port = port
 				return p
 			}},

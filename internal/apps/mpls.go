@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"shangrila/internal/baker/types"
 	"shangrila/internal/packet"
 	"shangrila/internal/profiler"
 	"shangrila/internal/trace"
@@ -255,31 +254,25 @@ func MPLS() *App {
 	}
 }
 
-func buildMPLS(tp *types.Program, r *workload.Source, labels []uint32, innerTTL uint32) *packet.Packet {
-	layers := []trace.Layer{
-		{Proto: tp.Protocols["ether"], Fields: []trace.Field{
-			{Name: "dst_hi", Value: 0x0a00}, {Name: "dst_lo", Value: 0x5e000000},
-			{Name: "src_hi", Value: 0x0002}, {Name: "src_lo", Value: r.Uint32()},
-			{Name: "type", Value: 0x8847}}},
-	}
+// mplsShape is one label stack entry.
+var mplsShape = &trace.Shape{Proto: "mpls", Fields: []string{"label", "exp", "s", "mttl"}}
+
+func buildMPLS(g *Gen, r *workload.Source, labels []uint32, innerTTL uint32) *packet.Packet {
+	p := g.Packet(frameLen)
+	w := p.Bytes()
+	eth, shim := g.Header(etherShape), g.Header(mplsShape)
+	eth.Put(w, 0, 0x0a00, 0x5e000000, 0x0002, r.Uint32(), 0x8847)
+	base := eth.Size
 	for i, l := range labels {
 		s := uint32(0)
 		if i == len(labels)-1 {
 			s = 1
 		}
-		layers = append(layers, trace.Layer{Proto: tp.Protocols["mpls"],
-			Fields: []trace.Field{{Name: "label", Value: l}, {Name: "exp", Value: 0},
-				{Name: "s", Value: s}, {Name: "mttl", Value: 33}}})
+		shim.Put(w, base, l, 0, s, 33)
+		base += shim.Size
 	}
-	layers = append(layers, trace.Layer{Proto: tp.Protocols["ipv4"],
-		Fields: []trace.Field{{Name: "ver", Value: 4}, {Name: "hlen", Value: 5},
-			{Name: "ttl", Value: innerTTL},
-			{Name: "dst", Value: r.AddrInPrefix(trace.Prefix{Addr: 0x0a010000, Len: 16})}},
-		Size: 20})
-	p, err := trace.Build(layers, 64, tp.Metadata.Bytes)
-	if err != nil {
-		panic(err)
-	}
+	g.Header(ipShortShape).Put(w, base, 4, 5, innerTTL,
+		r.AddrInPrefix(trace.Prefix{Addr: 0x0a010000, Len: 16}))
 	p.Port = uint32(r.Intn(3))
 	return p
 }
@@ -290,35 +283,35 @@ func buildMPLS(tp *types.Program, r *workload.Source, labels []uint32, innerTTL 
 func mplsTraffic() TraceSpec {
 	return TraceSpec{Cases: []TraceCase{
 		{Name: "swap", Weight: 55, // transit swap
-			Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
+			Build: func(g *Gen, r *workload.Source, i int) *packet.Packet {
 				l := mplsPlan.swap[r.Intn(len(mplsPlan.swap))]
-				return buildMPLS(tp, r, []uint32{l}, 19)
+				return buildMPLS(g, r, []uint32{l}, 19)
 			}},
 		{Name: "pop", Weight: 10, // single pop to IP exit
-			Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
+			Build: func(g *Gen, r *workload.Source, i int) *packet.Packet {
 				l := mplsPlan.pop[r.Intn(len(mplsPlan.pop))]
-				return buildMPLS(tp, r, []uint32{l}, 19)
+				return buildMPLS(g, r, []uint32{l}, 19)
 			}},
 		{Name: "stacked-pop", Weight: 10, // outer pop(s), then a swap below
-			Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
+			Build: func(g *Gen, r *workload.Source, i int) *packet.Packet {
 				depth := 1 + r.Intn(2)
-				var labels []uint32
+				labels := make([]uint32, 0, 3)
 				for d := 0; d < depth; d++ {
 					labels = append(labels, mplsPlan.pop[r.Intn(len(mplsPlan.pop))])
 				}
 				labels = append(labels, mplsPlan.swap[r.Intn(len(mplsPlan.swap))])
-				return buildMPLS(tp, r, labels, 19)
+				return buildMPLS(g, r, labels, 19)
 			}},
 		{Name: "push", Weight: 8,
-			Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
+			Build: func(g *Gen, r *workload.Source, i int) *packet.Packet {
 				l := mplsPlan.push[r.Intn(len(mplsPlan.push))]
-				return buildMPLS(tp, r, []uint32{l}, 19)
+				return buildMPLS(g, r, []uint32{l}, 19)
 			}},
 		{Name: "fec", Weight: 17, // unlabeled IP -> FEC imposition
-			Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
+			Build: func(g *Gen, r *workload.Source, i int) *packet.Packet {
 				net := mplsFECNets[r.Intn(len(mplsFECNets))]
 				dst := net<<16 | (r.Uint32() & 0xffff)
-				return buildIP(tp, r, 0x0a00, 0x5e000000, dst, 6, 0, 0, false)
+				return buildIP(g, r, 0x0a00, 0x5e000000, dst, 6, 0, 0, false)
 			}},
 	}}
 }

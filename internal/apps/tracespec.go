@@ -5,6 +5,7 @@ import (
 
 	"shangrila/internal/baker/types"
 	"shangrila/internal/packet"
+	"shangrila/internal/trace"
 	"shangrila/internal/workload"
 )
 
@@ -41,9 +42,51 @@ type TraceCase struct {
 	Offset int
 	// Weight is the selection weight among the weighted cases.
 	Weight int
-	// Build constructs the packet for index i. It may draw from r; the
-	// sequence of draws is part of the app's deterministic identity.
-	Build func(tp *types.Program, r *workload.Source, i int) *packet.Packet
+	// Build constructs the packet for index i through g. It may draw from
+	// r; the sequence of draws is part of the app's deterministic identity.
+	Build func(g *Gen, r *workload.Source, i int) *packet.Packet
+}
+
+// Gen is one trace's generation context: the program's types, the headers
+// the cases write, each resolved on first use, and the arena every packet
+// is carved from. GenerateCounted makes one per trace, so traces generated
+// in parallel share nothing.
+type Gen struct {
+	tp      *types.Program
+	arena   *packet.Arena
+	headers map[*trace.Shape]*trace.Header
+}
+
+// frameLen is the size of the packets the hand-written apps generate
+// (minimum-size frames), which sizes a trace's arena.
+const frameLen = 64
+
+func newGen(tp *types.Program, n int) *Gen {
+	return &Gen{
+		tp:      tp,
+		arena:   packet.NewArena(n, frameLen, tp.Metadata.Bytes),
+		headers: make(map[*trace.Shape]*trace.Header),
+	}
+}
+
+// Header returns s resolved against the trace's program. A shape the
+// program cannot resolve is a malformed spec, and panics.
+func (g *Gen) Header(s *trace.Shape) *trace.Header {
+	h, ok := g.headers[s]
+	if !ok {
+		var err error
+		if h, err = s.Resolve(g.tp); err != nil {
+			panic(err)
+		}
+		g.headers[s] = h
+	}
+	return h
+}
+
+// Packet returns a zeroed packet of length bytes with the program's
+// metadata record, carved from the trace's arena.
+func (g *Gen) Packet(length int) *packet.Packet {
+	return g.arena.NewZero(length, g.tp.Metadata.Bytes)
 }
 
 // Generate produces n packets from the spec using a seeded SplitMix64
@@ -70,13 +113,14 @@ func (s TraceSpec) GenerateCounted(tp *types.Program, seed uint64, n int) ([]*pa
 	}
 	out := make([]*packet.Packet, 0, n)
 	counts := make(map[string]int)
+	g := newGen(tp, n)
 	for i := 0; i < n; i++ {
 		c, ok := s.pick(weighted, total, r, i)
 		if !ok {
 			panic(fmt.Sprintf("apps: TraceSpec has no case for packet index %d", i))
 		}
 		counts[c.Name]++
-		out = append(out, c.Build(tp, r, i))
+		out = append(out, c.Build(g, r, i))
 	}
 	return out, counts
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"shangrila/internal/apps"
-	"shangrila/internal/baker/types"
 	"shangrila/internal/packet"
 	"shangrila/internal/profiler"
 	"shangrila/internal/trace"
@@ -290,14 +289,28 @@ func (s *Spec) Build() *apps.App {
 // stack is present) a varying shim depth.
 func (s *Spec) traceSpec() apps.TraceSpec {
 	spec := s.Clone() // detach from later mutation by the minimizer
+	base, inner := spec.Base.shape(), spec.Inner.shape()
+	var mid, shim *trace.Shape
+	if spec.Mid != nil {
+		mid = spec.Mid.shape()
+	}
+	if spec.Stack != nil {
+		shim = spec.Stack.Shim.shape()
+	}
 	return apps.TraceSpec{Cases: []apps.TraceCase{{
 		Name: "fuzz", Weight: 1,
-		Build: func(tp *types.Program, r *workload.Source, i int) *packet.Packet {
+		Build: func(g *apps.Gen, r *workload.Source, i int) *packet.Packet {
+			// The packet's length depends on the stack depth, drawn after
+			// the outer headers' values, so every header's values are drawn
+			// first and wait in vals, in header order.
+			var valBuf [64]uint32
+			var layerBuf [8]*trace.Shape
 			seq := uint32(i)
-			layers := []trace.Layer{protoLayer(tp, &spec.Base, r, trace.Field{Name: "seq", Value: seq})}
+			vals := spec.Base.draw(valBuf[:0], r, "seq", seq)
+			layers := append(layerBuf[:0], base)
 			if spec.Mid != nil {
-				layers = append(layers, protoLayer(tp, spec.Mid, r,
-					trace.Field{Name: "hl", Value: uint32(spec.Mid.SizeBytes() / 4)}))
+				vals = spec.Mid.draw(vals, r, "hl", uint32(spec.Mid.SizeBytes()/4))
+				layers = append(layers, mid)
 			}
 			if spec.Stack != nil {
 				depth := 1 + r.Intn(spec.Stack.MaxDepth)
@@ -306,21 +319,27 @@ func (s *Spec) traceSpec() apps.TraceSpec {
 					if d == depth-1 {
 						bos = 1
 					}
-					layers = append(layers, protoLayer(tp, &spec.Stack.Shim, r,
-						trace.Field{Name: "s", Value: bos}))
+					vals = spec.Stack.Shim.draw(vals, r, "s", bos)
+					layers = append(layers, shim)
 				}
 			}
-			layers = append(layers, protoLayer(tp, &spec.Inner, r, trace.Field{Name: "seq", Value: seq}))
+			vals = spec.Inner.draw(vals, r, "seq", seq)
+			layers = append(layers, inner)
 			hdr := 0
 			for _, l := range layers {
-				hdr += l.Size
+				hdr += g.Header(l).Size
 			}
-			p, err := trace.Build(layers, hdr+spec.Payload, tp.Metadata.Bytes)
-			if err != nil {
-				panic(fmt.Sprintf("bakergen: trace build: %v", err))
+			p := g.Packet(hdr + spec.Payload)
+			w := p.Bytes()
+			at := 0
+			for _, l := range layers {
+				h := g.Header(l)
+				h.Put(w, at, vals[:len(l.Fields)]...)
+				vals = vals[len(l.Fields):]
+				at += h.Size
 			}
 			for b := hdr; b < hdr+spec.Payload; b++ {
-				p.Bytes()[b] = byte(r.Uint32())
+				w[b] = byte(r.Uint32())
 			}
 			p.Port = uint32(r.Intn(3))
 			return p
@@ -328,25 +347,30 @@ func (s *Spec) traceSpec() apps.TraceSpec {
 	}}}
 }
 
-// protoLayer fills one header layer in p.Fields order, which is also the
-// order of its draws: the forced field as given, every other field uniformly
-// random in its width.
-func protoLayer(tp *types.Program, p *Proto, r *workload.Source, forced trace.Field) trace.Layer {
-	tproto := tp.Protocols[p.Name]
-	if tproto == nil {
-		panic("bakergen: protocol " + p.Name + " missing from compiled program")
-	}
-	fields := make([]trace.Field, len(p.Fields))
+// shape is the header shape of p that its trace writes: every field, in
+// p.Fields order.
+func (p *Proto) shape() *trace.Shape {
+	names := make([]string, len(p.Fields))
 	for i, f := range p.Fields {
-		if f.Name == forced.Name {
-			fields[i] = forced
+		names[i] = f.Name
+	}
+	return &trace.Shape{Proto: p.Name, Size: p.SizeBytes(), Fields: names}
+}
+
+// draw appends the values of one header to vals in p.Fields order, which
+// is also the order of its draws: the forced field as given, every other
+// field uniformly random in its width.
+func (p *Proto) draw(vals []uint32, r *workload.Source, forced string, v uint32) []uint32 {
+	for _, f := range p.Fields {
+		if f.Name == forced {
+			vals = append(vals, v)
 			continue
 		}
 		mask := uint32(1)<<uint(f.Bits) - 1
 		if f.Bits >= 32 {
 			mask = ^uint32(0)
 		}
-		fields[i] = trace.Field{Name: f.Name, Value: r.Uint32() & mask}
+		vals = append(vals, r.Uint32()&mask)
 	}
-	return trace.Layer{Proto: tproto, Fields: fields, Size: p.SizeBytes()}
+	return vals
 }

@@ -134,15 +134,25 @@ func lowerAggregate(prog *ir.Program, m *aggregate.Merged, layout *Layout,
 	ringOf map[string]int, chanFacts map[string]soar.Input,
 	classes map[*types.Channel]aggregate.ChannelClass, opts Options) (*Compiled, int, error) {
 
+	irLen := 0
+	for _, e := range m.Entries {
+		for _, b := range m.Func(e).Blocks {
+			irLen += len(b.Instrs)
+		}
+	}
 	l := &lowerer{
 		opts:   opts,
 		layout: layout,
 		tp:     prog.Types,
 		chans:  chanFacts,
-		labels: map[string]int{},
-		fixups: map[int]string{},
 		ringOf: ringOf,
+		// Lowering the three applications emits 1.4 to 2.5 CGIR
+		// instructions per IR instruction with O2 and SOAR on and up to 8.5
+		// without. Chunks of a quarter of the IR length keep the unused tail
+		// of the last one small next to the code.
+		chunk: max(irLen/4, 16),
 	}
+	l.code = make([]*Instr, 0, 2*irLen)
 	c := &Compiled{Agg: m.Agg}
 
 	// Entry polling order matters for liveness: loopback channels (an
@@ -176,8 +186,9 @@ func lowerAggregate(prog *ir.Program, m *aggregate.Merged, layout *Layout,
 		return ii < ij
 	})
 
-	l.label("dispatch")
-	for ei, e := range entries {
+	dispatch := l.newLabel()
+	l.place(dispatch)
+	for _, e := range entries {
 		ring := RingRx
 		var fact soar.Input
 		fact = soar.Input{Known: true, Off: 0, Align: 8}
@@ -190,34 +201,34 @@ func lowerAggregate(prog *ir.Program, m *aggregate.Merged, layout *Layout,
 			}
 		}
 		c.InputRings = append(c.InputRings, ring)
-		nextLabel := fmt.Sprintf("entry%d_next", ei)
+		next := l.newLabel()
 		// Poll this input: descriptor pair (pktID, head<<16|end).
 		v0 := l.newVReg()
 		v1 := l.newVReg()
-		l.emit(&Instr{Op: IRingGet, Ring: ring, Dst: v0, Dst2: v1,
+		l.emit(Instr{Op: IRingGet, Ring: ring, Dst: v0, Dst2: v1,
 			Class: ClassPacketRing, Comment: "poll " + labelName(e)})
-		l.emitBccImm(CEq, v0, InvalidPktID, nextLabel)
+		l.emitBccImm(CEq, v0, InvalidPktID, next)
 
 		if err := l.lowerEntry(prog, m.Func(e), v0, v1, fact); err != nil {
 			return nil, 0, err
 		}
-		l.emitBr("dispatch")
-		l.label(nextLabel)
+		l.emitBr(dispatch)
+		l.place(next)
 	}
 	// Nothing available on any input: yield and retry.
-	l.emit(&Instr{Op: ICtxArb})
-	l.emitBr("dispatch")
+	l.emit(Instr{Op: ICtxArb})
+	l.emitBr(dispatch)
 
 	if l.err != nil {
 		return nil, 0, l.err
 	}
 	// Patch branch targets.
-	for idx, lab := range l.fixups {
-		t, ok := l.labels[lab]
-		if !ok {
-			return nil, 0, fmt.Errorf("cg: unresolved label %q", lab)
+	for _, f := range l.fixups {
+		t := l.labels[f.to]
+		if t < 0 {
+			return nil, 0, fmt.Errorf("cg: unresolved label %d", f.to)
 		}
-		l.code[idx].Target = t
+		l.code[f.at].Target = t
 	}
 	c.Program = &Program{Name: m.Agg.PPFs[0], Code: l.code}
 	return c, l.nvreg, nil
@@ -271,9 +282,14 @@ func (l *lowerer) lowerEntry(prog *ir.Program, fn *ir.Func, v0, v1 PReg, fact so
 // lowerBody emits CGIR for the function CFG. Blocks are laid out in their
 // slice order; OpRet becomes a branch to the end label.
 func (l *lowerer) lowerBody(prog *ir.Program, fn *ir.Func) error {
-	done := fmt.Sprintf("%s_done_%d", fn.Name, len(l.code))
-	blockLabel := func(b *ir.Block) string {
-		return fmt.Sprintf("%s_b%d_%s", fn.Name, b.ID, done)
+	l.done = l.newLabel()
+	l.nblocks = 0
+	for _, b := range fn.Blocks {
+		l.nblocks = max(l.nblocks, b.ID+1)
+	}
+	l.blocks = label(len(l.labels))
+	for i := 0; i < l.nblocks; i++ {
+		l.newLabel()
 	}
 	// Lay blocks out in reverse postorder: dominators precede dominated
 	// blocks, so values defined along the way (e.g. the CAM entry of a
@@ -285,19 +301,27 @@ func (l *lowerer) lowerBody(prog *ir.Program, fn *ir.Func) error {
 		}
 	}
 	for _, b := range blocks {
-		l.label(blockLabel(b))
+		l.place(l.blockLabel(b))
 		for _, in := range b.Instrs {
-			if err := l.lowerInstr(prog, fn, in, blockLabel, done); err != nil {
+			if err := l.lowerInstr(prog, fn, in); err != nil {
 				return err
 			}
 		}
 	}
-	l.label(done)
+	l.place(l.done)
 	return l.err
 }
 
-func (l *lowerer) lowerInstr(prog *ir.Program, fn *ir.Func, in *ir.Instr,
-	blockLabel func(*ir.Block) string, done string) error {
+// blockLabel is the label of block b of the body being lowered.
+func (l *lowerer) blockLabel(b *ir.Block) label {
+	if b.ID < 0 || b.ID >= l.nblocks {
+		l.failf("branch to block %d, outside the body's %d", b.ID, l.nblocks)
+		return l.done
+	}
+	return l.blocks + label(b.ID)
+}
+
+func (l *lowerer) lowerInstr(prog *ir.Program, fn *ir.Func, in *ir.Instr) error {
 
 	isHandle := func(r ir.Reg) bool {
 		return int(r) < len(fn.RegClasses) && fn.RegClasses[r] == ir.ClassHandle
@@ -331,21 +355,20 @@ func (l *lowerer) lowerInstr(prog *ir.Program, fn *ir.Func, in *ir.Instr,
 			ra, rb = l.vregOf(a), l.vregOf(b)
 		}
 		dst := l.vregOf(in.Dst[0])
-		tLab := fmt.Sprintf("cmp_t_%d", len(l.code))
-		eLab := fmt.Sprintf("cmp_e_%d", len(l.code))
+		tLab, eLab := l.newLabel(), l.newLabel()
 		l.emitBcc(condFor(in.Op), ra, rb, tLab)
 		l.emitImmed(dst, 0)
 		l.emitBr(eLab)
-		l.label(tLab)
+		l.place(tLab)
 		l.emitImmed(dst, 1)
-		l.label(eLab)
+		l.place(eLab)
 	case ir.OpBr:
-		l.emitBr(blockLabel(in.Blocks[0]))
+		l.emitBr(l.blockLabel(in.Blocks[0]))
 	case ir.OpCondBr:
-		l.emitBccImm(CNe, l.vregOf(in.Args[0]), 0, blockLabel(in.Blocks[0]))
-		l.emitBr(blockLabel(in.Blocks[1]))
+		l.emitBccImm(CNe, l.vregOf(in.Args[0]), 0, l.blockLabel(in.Blocks[0]))
+		l.emitBr(l.blockLabel(in.Blocks[1]))
 	case ir.OpRet:
-		l.emitBr(done)
+		l.emitBr(l.done)
 	case ir.OpCall:
 		return fmt.Errorf("cg: %s: residual call to %q (ME code must be fully inlined)", fn.Name, in.Callee)
 	case ir.OpLoad, ir.OpStore:
@@ -367,7 +390,7 @@ func (l *lowerer) lowerInstr(prog *ir.Program, fn *ir.Func, in *ir.Instr,
 		z := l.newVReg()
 		l.emitImmed(z, 0)
 		okd := l.newVReg()
-		l.emit(&Instr{Op: IRingPut, Ring: RingFree, SrcA: h.pkt, SrcB: z,
+		l.emit(Instr{Op: IRingPut, Ring: RingFree, SrcA: h.pkt, SrcB: z,
 			Dst: okd, Class: ClassPacketRing, Comment: "drop: free buffer"})
 	case ir.OpAddTail, ir.OpRemoveTail:
 		h := l.handleOf(in.Args[0])
@@ -379,7 +402,7 @@ func (l *lowerer) lowerInstr(prog *ir.Program, fn *ir.Func, in *ir.Instr,
 		l.emitALU(op, h.length, h.length, n)
 		// Persist the new length for Tx/other aggregates.
 		maddr := l.metaAddr(h)
-		l.emit(&Instr{Op: IMem, Level: MemSRAM, Store: true, Addr: maddr,
+		l.emit(Instr{Op: IMem, Level: MemSRAM, Store: true, Addr: maddr,
 			AddrOff: MetaLenOff, NWords: 1, Data: []PReg{h.length},
 			Class: ClassPacketMeta, Comment: "length update"})
 	case ir.OpPktLength:
@@ -396,7 +419,7 @@ func (l *lowerer) lowerInstr(prog *ir.Program, fn *ir.Func, in *ir.Instr,
 	case ir.OpCacheFill:
 		l.lowerCacheFill(in)
 	case ir.OpCacheFlush:
-		l.emit(&Instr{Op: ICAMClear, Comment: "swc flush " + in.Global.Name})
+		l.emit(Instr{Op: ICAMClear, Comment: "swc flush " + in.Global.Name})
 	default:
 		return fmt.Errorf("cg: unhandled IR op %s", in.Op)
 	}
@@ -478,7 +501,7 @@ func (l *lowerer) globalAccess(in *ir.Instr) {
 		for i, d := range in.Dst {
 			data[i] = l.vregOf(d)
 		}
-		l.emit(&Instr{Op: IMem, Level: level, Addr: addr, AddrOff: off,
+		l.emit(Instr{Op: IMem, Level: level, Addr: addr, AddrOff: off,
 			NWords: len(data), Data: data, Class: class, Comment: g.Name})
 		return
 	}
@@ -486,7 +509,7 @@ func (l *lowerer) globalAccess(in *ir.Instr) {
 	for _, a := range in.Args[1:] {
 		data = append(data, l.vregOf(a))
 	}
-	l.emit(&Instr{Op: IMem, Level: level, Store: true, Addr: addr, AddrOff: off,
+	l.emit(Instr{Op: IMem, Level: level, Store: true, Addr: addr, AddrOff: off,
 		NWords: len(data), Data: data, Class: class, Comment: g.Name})
 }
 
@@ -538,7 +561,7 @@ func (l *lowerer) lowerDecap(in *ir.Instr) {
 	// PHR off: head_ptr RMW in SRAM metadata.
 	maddr := l.metaAddr(src)
 	cur := l.newVReg()
-	l.emit(&Instr{Op: IMem, Level: MemSRAM, Addr: maddr, AddrOff: MetaHeadOff,
+	l.emit(Instr{Op: IMem, Level: MemSRAM, Addr: maddr, AddrOff: MetaHeadOff,
 		NWords: 1, Data: []PReg{cur}, Class: ClassPacketMeta, Comment: "head_ptr RMW read"})
 	out := l.newVReg()
 	if sizeReg == NoPReg {
@@ -546,7 +569,7 @@ func (l *lowerer) lowerDecap(in *ir.Instr) {
 	} else {
 		l.emitALU(AAdd, out, cur, sizeReg)
 	}
-	l.emit(&Instr{Op: IMem, Level: MemSRAM, Store: true, Addr: maddr,
+	l.emit(Instr{Op: IMem, Level: MemSRAM, Store: true, Addr: maddr,
 		AddrOff: MetaHeadOff, NWords: 1, Data: []PReg{out},
 		Class: ClassPacketMeta, Comment: "head_ptr RMW write"})
 	nh.headReg = out
@@ -582,11 +605,11 @@ func (l *lowerer) lowerEncap(in *ir.Instr) {
 	}
 	maddr := l.metaAddr(src)
 	cur := l.newVReg()
-	l.emit(&Instr{Op: IMem, Level: MemSRAM, Addr: maddr, AddrOff: MetaHeadOff,
+	l.emit(Instr{Op: IMem, Level: MemSRAM, Addr: maddr, AddrOff: MetaHeadOff,
 		NWords: 1, Data: []PReg{cur}, Class: ClassPacketMeta, Comment: "head_ptr RMW read"})
 	out := l.newVReg()
 	l.emitALUImm(ASub, out, cur, uint32(size))
-	l.emit(&Instr{Op: IMem, Level: MemSRAM, Store: true, Addr: maddr,
+	l.emit(Instr{Op: IMem, Level: MemSRAM, Store: true, Addr: maddr,
 		AddrOff: MetaHeadOff, NWords: 1, Data: []PReg{out},
 		Class: ClassPacketMeta, Comment: "head_ptr RMW write"})
 	nh.headReg = out
@@ -615,9 +638,9 @@ func (l *lowerer) lowerChanPut(in *ir.Instr) {
 	d2 := l.newVReg()
 	l.emitALU(AOr, d2, desc, h.length)
 	okr := l.newVReg()
-	lab := fmt.Sprintf("put_retry_%d", len(l.code))
-	l.label(lab)
-	l.emit(&Instr{Op: IRingPut, Ring: ring, SrcA: h.pkt, SrcB: d2, Dst: okr,
+	lab := l.newLabel()
+	l.place(lab)
+	l.emit(Instr{Op: IRingPut, Ring: ring, SrcA: h.pkt, SrcB: d2, Dst: okr,
 		Class: ClassPacketRing, Comment: "chanput " + in.Chan.Name})
 	l.emitBccImm(CEq, okr, 0, lab) // downstream full: spin (backpressure)
 }
@@ -627,10 +650,10 @@ func (l *lowerer) lowerChanPut(in *ir.Instr) {
 func (l *lowerer) lowerLock(in *ir.Instr, acquire bool) {
 	addr := l.layout.LockBase + uint32(in.Imm)*4
 	if acquire {
-		lab := fmt.Sprintf("lock_retry_%d", len(l.code))
-		l.label(lab)
+		lab := l.newLabel()
+		l.place(lab)
 		old := l.newVReg()
-		l.emit(&Instr{Op: IMem, Level: MemScratch, Addr: NoPReg, AddrOff: addr,
+		l.emit(Instr{Op: IMem, Level: MemScratch, Addr: NoPReg, AddrOff: addr,
 			NWords: 1, Data: []PReg{old}, Atomic: true, Class: ClassAppData,
 			Comment: fmt.Sprintf("lock %d test-and-set", in.Imm)})
 		l.emitBccImm(CNe, old, 0, lab)
@@ -638,7 +661,7 @@ func (l *lowerer) lowerLock(in *ir.Instr, acquire bool) {
 	}
 	z := l.newVReg()
 	l.emitImmed(z, 0)
-	l.emit(&Instr{Op: IMem, Level: MemScratch, Store: true, Addr: NoPReg,
+	l.emit(Instr{Op: IMem, Level: MemScratch, Store: true, Addr: NoPReg,
 		AddrOff: addr, NWords: 1, Data: []PReg{z}, Class: ClassAppData,
 		Comment: fmt.Sprintf("lock %d release", in.Imm)})
 }
@@ -658,7 +681,7 @@ func (l *lowerer) lowerCacheLookup(in *ir.Instr) {
 	}
 	hit := l.vregOf(in.Dst[0])
 	entry := l.vregOf(in.Dst[1])
-	l.emit(&Instr{Op: ICAMLookup, Dst: hit, Dst2: entry, SrcA: key,
+	l.emit(Instr{Op: ICAMLookup, Dst: hit, Dst2: entry, SrcA: key,
 		Comment: "swc lookup " + in.Global.Name})
 	// Line address in Local Memory: SWCLineBase + entry*32.
 	la := l.newVReg()
@@ -668,7 +691,7 @@ func (l *lowerer) lowerCacheLookup(in *ir.Instr) {
 		data[i] = l.vregOf(in.Dst[i+2])
 	}
 	if len(data) > 0 {
-		l.emit(&Instr{Op: IMem, Level: MemLocal, Addr: la,
+		l.emit(Instr{Op: IMem, Level: MemLocal, Addr: la,
 			AddrOff: l.layout.SWCLineBase, NWords: len(data), Data: data,
 			Class: ClassNone, Comment: "swc line read"})
 	}
@@ -686,7 +709,7 @@ func (l *lowerer) lowerCacheFill(in *ir.Instr) {
 	} else {
 		l.emitImmed(key, base+uint32(in.Off))
 	}
-	l.emit(&Instr{Op: ICAMWrite, SrcA: entry, SrcB: key,
+	l.emit(Instr{Op: ICAMWrite, SrcA: entry, SrcB: key,
 		Comment: "swc tag " + in.Global.Name})
 	la := l.newVReg()
 	l.emitALUImm(AShl, la, entry, 5)
@@ -695,7 +718,7 @@ func (l *lowerer) lowerCacheFill(in *ir.Instr) {
 		data = append(data, l.vregOf(a))
 	}
 	if len(data) > 0 {
-		l.emit(&Instr{Op: IMem, Level: MemLocal, Store: true, Addr: la,
+		l.emit(Instr{Op: IMem, Level: MemLocal, Store: true, Addr: la,
 			AddrOff: l.layout.SWCLineBase, NWords: len(data), Data: data,
 			Class: ClassNone, Comment: "swc line write"})
 	}
@@ -706,7 +729,7 @@ func (l *lowerer) lowerPktCopy(in *ir.Instr) {
 	src := l.handleOf(in.Args[0])
 	nid := l.newVReg()
 	junk := l.newVReg()
-	l.emit(&Instr{Op: IRingGet, Ring: RingFree, Dst: nid, Dst2: junk,
+	l.emit(Instr{Op: IRingGet, Ring: RingFree, Dst: nid, Dst2: junk,
 		Class: ClassPacketRing, Comment: "alloc buffer (packet_copy)"})
 	// Copy loop: 64 bytes per iteration, len/64+1 iterations.
 	sAddr := l.newVReg()
@@ -716,23 +739,22 @@ func (l *lowerer) lowerPktCopy(in *ir.Instr) {
 	cnt := l.newVReg()
 	l.emitALUImm(AShrU, cnt, src.length, 6)
 	l.emitALUImm(AAdd, cnt, cnt, 1)
-	lab := fmt.Sprintf("copy_loop_%d", len(l.code))
-	endLab := fmt.Sprintf("copy_done_%d", len(l.code))
-	l.label(lab)
+	lab, endLab := l.newLabel(), l.newLabel()
+	l.place(lab)
 	l.emitBccImm(CEq, cnt, 0, endLab)
 	buf := make([]PReg, 16)
 	for i := range buf {
 		buf[i] = l.newVReg()
 	}
-	l.emit(&Instr{Op: IMem, Level: MemDRAM, Addr: sAddr, AddrOff: 0,
+	l.emit(Instr{Op: IMem, Level: MemDRAM, Addr: sAddr, AddrOff: 0,
 		NWords: 16, Data: buf, Class: ClassPacketData, Comment: "copy read"})
-	l.emit(&Instr{Op: IMem, Level: MemDRAM, Store: true, Addr: dAddr, AddrOff: 0,
+	l.emit(Instr{Op: IMem, Level: MemDRAM, Store: true, Addr: dAddr, AddrOff: 0,
 		NWords: 16, Data: buf, Class: ClassPacketData, Comment: "copy write"})
 	l.emitALUImm(AAdd, sAddr, sAddr, 64)
 	l.emitALUImm(AAdd, dAddr, dAddr, 64)
 	l.emitALUImm(ASub, cnt, cnt, 1)
 	l.emitBr(lab)
-	l.label(endLab)
+	l.place(endLab)
 	// Copy the metadata record.
 	sm := l.metaAddr(src)
 	nh := &handleInfo{pkt: nid, length: src.length,
@@ -746,9 +768,9 @@ func (l *lowerer) lowerPktCopy(in *ir.Instr) {
 	for i := range mb {
 		mb[i] = l.newVReg()
 	}
-	l.emit(&Instr{Op: IMem, Level: MemSRAM, Addr: sm, AddrOff: 0,
+	l.emit(Instr{Op: IMem, Level: MemSRAM, Addr: sm, AddrOff: 0,
 		NWords: mwords, Data: mb, Class: ClassPacketMeta, Comment: "meta copy read"})
-	l.emit(&Instr{Op: IMem, Level: MemSRAM, Store: true, Addr: dm, AddrOff: 0,
+	l.emit(Instr{Op: IMem, Level: MemSRAM, Store: true, Addr: dm, AddrOff: 0,
 		NWords: mwords, Data: mb, Class: ClassPacketMeta, Comment: "meta copy write"})
 	l.handles[in.Dst[0]] = nh
 }
@@ -758,7 +780,7 @@ func (l *lowerer) lowerPktCopy(in *ir.Instr) {
 func (l *lowerer) lowerPktCreate(in *ir.Instr) {
 	nid := l.newVReg()
 	junk := l.newVReg()
-	l.emit(&Instr{Op: IRingGet, Ring: RingFree, Dst: nid, Dst2: junk,
+	l.emit(Instr{Op: IRingGet, Ring: RingFree, Dst: nid, Dst2: junk,
 		Class: ClassPacketRing, Comment: "alloc buffer (packet_create)"})
 	size := in.Proto.FixedSize
 	if size < 0 {
@@ -770,7 +792,7 @@ func (l *lowerer) lowerPktCreate(in *ir.Instr) {
 		headStatic: int32(l.layout.BufHeadroom), headReg: NoPReg, align: 8}
 	// Persist length in the metadata record.
 	maddr := l.metaAddr(h)
-	l.emit(&Instr{Op: IMem, Level: MemSRAM, Store: true, Addr: maddr,
+	l.emit(Instr{Op: IMem, Level: MemSRAM, Store: true, Addr: maddr,
 		AddrOff: MetaLenOff, NWords: 1, Data: []PReg{lenReg},
 		Class: ClassPacketMeta, Comment: "length init"})
 	l.handles[in.Dst[0]] = h
@@ -820,7 +842,7 @@ func (l *lowerer) compileDemux(src *handleInfo, from *types.Protocol, site *ir.I
 	for i := range words {
 		words[i] = l.newVReg()
 	}
-	l.emit(&Instr{Op: IMem, Level: MemDRAM, Addr: addr, AddrOff: off,
+	l.emit(Instr{Op: IMem, Level: MemDRAM, Addr: addr, AddrOff: off,
 		NWords: nwords, Data: words, Class: ClassPacketData,
 		Comment: "demux field read (" + from.Name + ")"})
 

@@ -37,9 +37,14 @@ type lowerer struct {
 	chans  map[string]soar.Input // SOAR channel facts (by channel name)
 
 	code    []*Instr
+	slab    []Instr // the chunk emit carves the next Instrs from
+	chunk   int     // Instrs per chunk, sized from the aggregate's IR
 	nvreg   int
-	labels  map[string]int // label -> instruction index
-	fixups  map[int]string // instruction index -> label
+	labels  []int   // label -> instruction index, -1 until placed
+	fixups  []fixup // branches, patched with their label's index
+	blocks  label   // the label of block 0 of the body being lowered,
+	nblocks int     // followed by one per block ID below nblocks
+	done    label   // the end of the body being lowered
 	handles map[ir.Reg]*handleInfo
 	regmap  map[ir.Reg]PReg // IR reg -> virtual CGIR reg
 	ringOf  map[string]int  // channel name -> ring id
@@ -63,40 +68,61 @@ func (l *lowerer) newVReg() PReg {
 	return r
 }
 
-func (l *lowerer) emit(in *Instr) *Instr {
-	l.code = append(l.code, in)
-	return in
+// emit appends in to the code. Instrs are carved from chunks of l.chunk,
+// so lowering allocates per chunk and not per instruction.
+func (l *lowerer) emit(in Instr) {
+	if len(l.slab) == cap(l.slab) {
+		l.slab = make([]Instr, 0, l.chunk)
+	}
+	l.slab = append(l.slab, in)
+	l.code = append(l.code, &l.slab[len(l.slab)-1])
 }
 
 func (l *lowerer) emitALU(op ALUOp, dst, a, b PReg) {
-	l.emit(&Instr{Op: IALU, ALU: op, Dst: dst, SrcA: a, SrcB: b})
+	l.emit(Instr{Op: IALU, ALU: op, Dst: dst, SrcA: a, SrcB: b})
 }
 
 func (l *lowerer) emitALUImm(op ALUOp, dst, a PReg, imm uint32) {
-	l.emit(&Instr{Op: IALUImm, ALU: op, Dst: dst, SrcA: a, Imm: imm})
+	l.emit(Instr{Op: IALUImm, ALU: op, Dst: dst, SrcA: a, Imm: imm})
 }
 
 func (l *lowerer) emitImmed(dst PReg, imm uint32) {
-	l.emit(&Instr{Op: IImmed, Dst: dst, Imm: imm})
+	l.emit(Instr{Op: IImmed, Dst: dst, Imm: imm})
 }
 
-func (l *lowerer) emitBr(label string) {
-	l.fixups[len(l.code)] = label
-	l.emit(&Instr{Op: IBr})
+// label names a branch target: newLabel makes one, place binds it to the
+// next instruction emitted, and every branch to it is patched once the
+// aggregate is lowered.
+type label int
+
+// fixup is a branch at code index at whose Target is to's index.
+type fixup struct {
+	at int
+	to label
 }
 
-func (l *lowerer) emitBcc(cond CondOp, a, b PReg, label string) {
-	l.fixups[len(l.code)] = label
-	l.emit(&Instr{Op: IBcc, Cond: cond, SrcA: a, SrcB: b})
+func (l *lowerer) newLabel() label {
+	l.labels = append(l.labels, -1)
+	return label(len(l.labels) - 1)
 }
 
-func (l *lowerer) emitBccImm(cond CondOp, a PReg, imm uint32, label string) {
-	l.fixups[len(l.code)] = label
-	l.emit(&Instr{Op: IBccImm, Cond: cond, SrcA: a, Imm: imm})
+func (l *lowerer) place(lab label) {
+	l.labels[lab] = len(l.code)
 }
 
-func (l *lowerer) label(name string) {
-	l.labels[name] = len(l.code)
+func (l *lowerer) emitBr(to label) {
+	l.fixups = append(l.fixups, fixup{len(l.code), to})
+	l.emit(Instr{Op: IBr})
+}
+
+func (l *lowerer) emitBcc(cond CondOp, a, b PReg, to label) {
+	l.fixups = append(l.fixups, fixup{len(l.code), to})
+	l.emit(Instr{Op: IBcc, Cond: cond, SrcA: a, SrcB: b})
+}
+
+func (l *lowerer) emitBccImm(cond CondOp, a PReg, imm uint32, to label) {
+	l.fixups = append(l.fixups, fixup{len(l.code), to})
+	l.emit(Instr{Op: IBccImm, Cond: cond, SrcA: a, Imm: imm})
 }
 
 func (l *lowerer) failf(format string, args ...any) {
@@ -140,13 +166,13 @@ func (l *lowerer) genericOverhead() {
 	// the thread's Local Memory stack frame.
 	tmp := l.newVReg()
 	l.emitImmed(tmp, 0)
-	l.emit(&Instr{Op: IMem, Level: MemLocal, Store: true, Addr: RegSP,
+	l.emit(Instr{Op: IMem, Level: MemLocal, Store: true, Addr: RegSP,
 		AddrOff: 176, NWords: 4, Data: []PReg{tmp, tmp, tmp, tmp}, Class: ClassNone,
 		Comment: "generic access routine: spill args"})
 	for i := 0; i < 14; i++ {
 		l.emitALUImm(AAdd, tmp, tmp, 1)
 	}
-	l.emit(&Instr{Op: IMem, Level: MemLocal, Store: false, Addr: RegSP,
+	l.emit(Instr{Op: IMem, Level: MemLocal, Store: false, Addr: RegSP,
 		AddrOff: 176, NWords: 4, Data: []PReg{tmp, tmp, tmp, tmp}, Class: ClassNone,
 		Comment: "generic access routine: restore"})
 }
@@ -171,7 +197,7 @@ func (l *lowerer) headForAccess(h *handleInfo, in *ir.Instr) (reg PReg, static i
 	// the instruction saving to SOAR).
 	maddr := l.metaAddr(h)
 	head := l.newVReg()
-	l.emit(&Instr{Op: IMem, Level: MemSRAM, Addr: maddr, AddrOff: MetaHeadOff,
+	l.emit(Instr{Op: IMem, Level: MemSRAM, Addr: maddr, AddrOff: MetaHeadOff,
 		NWords: 1, Data: []PReg{head}, Class: ClassPacketMeta,
 		Comment: "head_ptr read"})
 	al := 1
@@ -272,7 +298,7 @@ func (l *lowerer) pktAccess(in *ir.Instr) {
 				data[i] = l.newVReg()
 			}
 		}
-		l.emit(&Instr{Op: IMem, Level: MemDRAM, Addr: addr, AddrOff: constOff,
+		l.emit(Instr{Op: IMem, Level: MemDRAM, Addr: addr, AddrOff: constOff,
 			NWords: nwords, Data: data, Class: ClassPacketData})
 		if in.Field != nil {
 			l.extractField(in, data, wlo)
@@ -292,11 +318,11 @@ func (l *lowerer) pktAccess(in *ir.Instr) {
 		}
 		if !covers {
 			// Read-modify-write.
-			l.emit(&Instr{Op: IMem, Level: MemDRAM, Addr: addr, AddrOff: constOff,
+			l.emit(Instr{Op: IMem, Level: MemDRAM, Addr: addr, AddrOff: constOff,
 				NWords: nwords, Data: data, Class: ClassPacketData})
 		}
 		l.insertField(in, data, wlo)
-		l.emit(&Instr{Op: IMem, Level: MemDRAM, Store: true, Addr: addr,
+		l.emit(Instr{Op: IMem, Level: MemDRAM, Store: true, Addr: addr,
 			AddrOff: constOff, NWords: nwords, Data: data, Class: ClassPacketData})
 		return
 	}
@@ -307,7 +333,7 @@ func (l *lowerer) pktAccess(in *ir.Instr) {
 	for len(data) < nwords {
 		data = append(data, data[len(data)-1])
 	}
-	l.emit(&Instr{Op: IMem, Level: MemDRAM, Store: true, Addr: addr,
+	l.emit(Instr{Op: IMem, Level: MemDRAM, Store: true, Addr: addr,
 		AddrOff: constOff, NWords: nwords, Data: data, Class: ClassPacketData})
 }
 
@@ -387,7 +413,7 @@ func (l *lowerer) metaAccess(in *ir.Instr) {
 				return out
 			}())
 		}
-		l.emit(&Instr{Op: IMem, Level: MemSRAM, Addr: maddr, AddrOff: off,
+		l.emit(Instr{Op: IMem, Level: MemSRAM, Addr: maddr, AddrOff: off,
 			NWords: nwords, Data: data, Class: ClassPacketMeta})
 		if in.Field != nil {
 			l.extractField(in, data, wlo)
@@ -400,10 +426,10 @@ func (l *lowerer) metaAccess(in *ir.Instr) {
 		for i := range data {
 			data[i] = l.newVReg()
 		}
-		l.emit(&Instr{Op: IMem, Level: MemSRAM, Addr: maddr, AddrOff: off,
+		l.emit(Instr{Op: IMem, Level: MemSRAM, Addr: maddr, AddrOff: off,
 			NWords: nwords, Data: data, Class: ClassPacketMeta})
 		l.insertField(in, data, wlo)
-		l.emit(&Instr{Op: IMem, Level: MemSRAM, Store: true, Addr: maddr,
+		l.emit(Instr{Op: IMem, Level: MemSRAM, Store: true, Addr: maddr,
 			AddrOff: off, NWords: nwords, Data: data, Class: ClassPacketMeta})
 		return
 	}
@@ -414,6 +440,6 @@ func (l *lowerer) metaAccess(in *ir.Instr) {
 	for len(data) < nwords {
 		data = append(data, data[len(data)-1])
 	}
-	l.emit(&Instr{Op: IMem, Level: MemSRAM, Store: true, Addr: maddr,
+	l.emit(Instr{Op: IMem, Level: MemSRAM, Store: true, Addr: maddr,
 		AddrOff: off, NWords: nwords, Data: data, Class: ClassPacketMeta})
 }

@@ -37,9 +37,51 @@ func New(wire []byte, metaBytes int) *Packet {
 // through Bytes. Buffer and metadata share one allocation; the buffer's
 // capacity ends where the metadata begins, so growing it reallocates.
 func NewZero(length, metaBytes int) *Packet {
+	p := carve(make([]byte, Headroom+length+metaBytes), length)
+	return &p
+}
+
+// carve lays a packet of length bytes out over mem, which holds exactly its
+// headroom, its bytes and its metadata record. Both slices are
+// capacity-clipped, so growing either reallocates and never writes past mem.
+func carve(mem []byte, length int) Packet {
 	n := Headroom + length
-	mem := make([]byte, n+metaBytes)
-	return &Packet{buf: mem[:n:n], start: Headroom, length: length, Meta: mem[n:]}
+	return Packet{buf: mem[:n:n], start: Headroom, length: length, Meta: mem[n:len(mem):len(mem)]}
+}
+
+// Arena carves packets from one byte slab and one []Packet, so a trace of n
+// packets costs a few allocations instead of two per packet. Every packet's
+// buffer and metadata are capacity-clipped to its own bytes, as NewZero's
+// are: growing either reallocates it and never writes into a neighbour. A
+// slab that runs out is replaced by a fresh one of the same size; the
+// packets already carved keep theirs. An Arena is not safe for concurrent
+// use.
+type Arena struct {
+	slabBytes, slabPackets int // the size of each fresh slab
+	bytes                  []byte
+	packets                []Packet
+}
+
+// NewArena returns an arena sized for n packets of length bytes, each with
+// a metadata record of metaBytes. Nothing is allocated before the first
+// packet.
+func NewArena(n, length, metaBytes int) *Arena {
+	return &Arena{slabBytes: n * (Headroom + length + metaBytes), slabPackets: max(n, 1)}
+}
+
+// NewZero is the package's NewZero, carved from the arena.
+func (a *Arena) NewZero(length, metaBytes int) *Packet {
+	need := Headroom + length + metaBytes
+	if len(a.bytes) < need {
+		a.bytes = make([]byte, max(need, a.slabBytes))
+	}
+	if len(a.packets) == 0 {
+		a.packets = make([]Packet, a.slabPackets)
+	}
+	p := &a.packets[0]
+	*p = carve(a.bytes[:need], length)
+	a.bytes, a.packets = a.bytes[need:], a.packets[1:]
+	return p
 }
 
 // Bytes returns the current packet contents from the packet start.

@@ -249,3 +249,32 @@ func TestAddRemoveTail(t *testing.T) {
 		t.Fatal("expected error removing more than payload")
 	}
 }
+
+// TestArenaCarvesLikeNewZero: an arena packet has NewZero's shape — zeroed,
+// its buffer and metadata capacity-clipped to their own bytes — including
+// the packets carved after the first slab and []Packet run out and one
+// larger than a whole slab.
+func TestArenaCarvesLikeNewZero(t *testing.T) {
+	a := NewArena(2, 8, 4)
+	var got []*Packet
+	for _, n := range []int{8, 8, 8, 100, 8} {
+		p := a.NewZero(n, 4)
+		if p.Len() != n || len(p.buf) != Headroom+n || cap(p.buf) != len(p.buf) ||
+			len(p.Meta) != 4 || cap(p.Meta) != 4 || p.start != Headroom {
+			t.Fatalf("packet of %d bytes: len %d, buf %d/%d, meta %d/%d, start %d",
+				n, p.Len(), len(p.buf), cap(p.buf), len(p.Meta), cap(p.Meta), p.start)
+		}
+		for _, q := range got {
+			for i := range q.buf {
+				q.buf[i] = 0xff
+			}
+			for i := range q.Meta {
+				q.Meta[i] = 0xff
+			}
+		}
+		if bytes.Count(p.buf, []byte{0}) != len(p.buf) || bytes.Count(p.Meta, []byte{0}) != len(p.Meta) {
+			t.Fatalf("packet of %d bytes shares storage with an earlier one", n)
+		}
+		got = append(got, p)
+	}
+}

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"shangrila/internal/baker/parser"
@@ -67,6 +69,55 @@ func TestBuildErrors(t *testing.T) {
 	eth := tp.Protocols["ether"]
 	if _, err := Build([]Layer{{Proto: eth, Fields: []Field{{Name: "bogus", Value: 1}}}}, 64, 4); err == nil {
 		t.Fatal("unknown field must error")
+	}
+}
+
+// TestShapeResolve: a resolved shape writes the same bytes as Build given
+// the same fields, its size follows the protocol (Size only for a dynamic
+// demux), and an unknown field or protocol is an error naming it.
+func TestShapeResolve(t *testing.T) {
+	tp := env(t)
+	eth := &Shape{Proto: "ether", Size: 99, Fields: []string{"dst_lo", "type"}}
+	ip := &Shape{Proto: "ipv4", Size: 20, Fields: []string{"ver", "hlen", "dst"}}
+	he, err := eth.Resolve(tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi, err := ip.Resolve(tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if he.Size != 14 || hi.Size != 20 {
+		t.Fatalf("sizes %d, %d; want 14 (fixed), 20 (Size)", he.Size, hi.Size)
+	}
+	want, err := Build([]Layer{
+		{Proto: tp.Protocols["ether"], Fields: []Field{{Name: "dst_lo", Value: 7}, {Name: "type", Value: 0x0800}}},
+		{Proto: tp.Protocols["ipv4"], Fields: []Field{{Name: "ver", Value: 4}, {Name: "hlen", Value: 5}, {Name: "dst", Value: 0x0a000001}}, Size: 20},
+	}, 64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 64)
+	he.Put(got, 0, 7, 0x0800)
+	hi.Put(got, he.Size, 4, 5, 0x0a000001)
+	if string(got) != string(want.Bytes()) {
+		t.Fatalf("Put wrote %x, Build %x", got, want.Bytes())
+	}
+
+	var fe *FieldError
+	_, err = (&Shape{Proto: "ether", Fields: []string{"type", "bogus"}}).Resolve(tp)
+	if !errors.As(err, &fe) || fe.Proto != "ether" || fe.Field != "bogus" {
+		t.Errorf("unknown field: %v, want a *FieldError naming ether.bogus", err)
+	}
+	_, err = Build([]Layer{{Proto: tp.Protocols["ether"], Fields: []Field{{Name: "bogus"}}}}, 64, 4)
+	if !errors.As(err, &fe) || fe.Field != "bogus" {
+		t.Errorf("Build with an unknown field: %v, want a *FieldError", err)
+	}
+	if _, err := (&Shape{Proto: "nosuch"}).Resolve(tp); err == nil || !strings.Contains(err.Error(), "nosuch") {
+		t.Errorf("unknown protocol: %v, want an error naming it", err)
+	}
+	if _, err := (&Shape{Proto: "ipv4"}).Resolve(tp); err == nil {
+		t.Error("dynamic header without Size resolved")
 	}
 }
 
