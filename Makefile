@@ -48,9 +48,9 @@ churn-claims:
 # when a refactor renames or removes something it uses, instead of at
 # the next benchmark run. -smoke writes no history entry; its traces
 # land in bench/out/, which is ignored. The compile side's layer
-# benchmarks (scalar optimizer, liveness, register allocator, functional
-# profiler, the fuzz differential, a Session recompile against CompileIR,
-# profile-trace generation, re-fingerprinting a frozen state) run once
+# benchmarks (scalar optimizer, SOAR, PAC, liveness, register allocator,
+# functional profiler, the fuzz differential, a Session recompile against
+# CompileIR, profile-trace generation, re-fingerprinting a frozen state) run once
 # each for the same reason: so they cannot rot, and so do the latency
 # histogram's fill from empty and the simulator's three (the event core's
 # zero-alloc round trip on compute and on the blocking path, and the stall
@@ -58,7 +58,7 @@ churn-claims:
 bench-check:
 	$(GO) -C bench test ./...
 	$(GO) -C bench run . -smoke
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/opt/ ./internal/analysis/ ./internal/cg/ ./internal/profiler/ ./internal/harness/ ./internal/driver/ ./internal/apps/ ./internal/ir/ ./internal/metrics/
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/opt/ ./internal/opt/soar/ ./internal/opt/pac/ ./internal/analysis/ ./internal/cg/ ./internal/profiler/ ./internal/harness/ ./internal/driver/ ./internal/apps/ ./internal/ir/ ./internal/metrics/
 	$(GO) test -run xxx -bench 'BenchmarkEventCore$$|BenchmarkEventCoreBlocking|BenchmarkTracerOverhead' -benchtime 1x ./internal/ixp/
 
 # Tier-1 verification: everything CI gates on, every test run once.

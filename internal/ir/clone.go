@@ -41,7 +41,7 @@ func (f *Func) Clone() *Func {
 	// positions (ComputeCFG leaves them so), by search otherwise; nil for a
 	// block f does not list.
 	copyOf := func(b *Block) *Block {
-		if b != nil && b.ID >= 0 && b.ID < len(f.Blocks) && f.Blocks[b.ID] == b {
+		if f.Positioned(b) {
 			return &blocks[b.ID]
 		}
 		for i, ob := range f.Blocks {

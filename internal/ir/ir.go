@@ -273,54 +273,93 @@ func (f *Func) NewBlock() *Block {
 	return b
 }
 
-// ComputeCFG rebuilds Preds/Succs from terminators and prunes unreachable
-// blocks.
+// Positioned reports whether b is f's block at position b.ID, as
+// ComputeCFG leaves every block; false for nil and for a block f does not
+// list.
+func (f *Func) Positioned(b *Block) bool {
+	return b != nil && b.ID >= 0 && b.ID < len(f.Blocks) && f.Blocks[b.ID] == b
+}
+
+// ComputeCFG rebuilds Preds/Succs from terminators, prunes the blocks
+// unreachable from the entry and numbers the rest by position.
+//
+// Only f's own blocks are walked: a branch target that is not in f.Blocks
+// (ir.Verify reports it) reaches nothing, whatever its ID, and gets no
+// Preds. The edge lists are carved out of one slab each, sized by
+// counting the edges first; each has its capacity clipped, so a pass
+// appending to one reallocates rather than running into its neighbour.
 func (f *Func) ComputeCFG() {
-	for _, b := range f.Blocks {
-		b.Preds = b.Preds[:0]
-		b.Succs = b.Succs[:0]
+	n := len(f.Blocks)
+	for i, b := range f.Blocks {
+		b.ID = i
 	}
-	for _, b := range f.Blocks {
-		t := b.Terminator()
-		if t == nil {
-			continue
-		}
-		for _, s := range t.Blocks {
-			b.Succs = append(b.Succs, s)
-		}
-	}
-	// Reachability from entry.
-	reach := map[*Block]bool{}
-	var stack []*Block
-	if f.Entry != nil {
-		stack = append(stack, f.Entry)
-		reach[f.Entry] = true
+	// reach marks the blocks the walk from the entry finds; stack is its
+	// worklist, and then each block's predecessor count.
+	buf := make([]int32, 2*n)
+	reach, stack := buf[:n:n], buf[n:n]
+	if f.Positioned(f.Entry) {
+		reach[f.Entry.ID] = 1
+		stack = append(stack, int32(f.Entry.ID))
 	}
 	for len(stack) > 0 {
-		b := stack[len(stack)-1]
+		b := f.Blocks[stack[len(stack)-1]]
 		stack = stack[:len(stack)-1]
+		if t := b.Terminator(); t != nil {
+			for _, s := range t.Blocks {
+				if f.Positioned(s) && reach[s.ID] == 0 {
+					reach[s.ID] = 1
+					stack = append(stack, int32(s.ID))
+				}
+			}
+		}
+	}
+	npred := buf[n:]
+	clear(npred)
+	nSuccs, nPreds := 0, 0
+	for i, b := range f.Blocks {
+		if t := b.Terminator(); reach[i] != 0 && t != nil {
+			nSuccs += len(t.Blocks)
+			for _, s := range t.Blocks {
+				if f.Positioned(s) {
+					npred[s.ID]++
+					nPreds++
+				}
+			}
+		}
+	}
+	succs := make([]*Block, nSuccs)
+	preds := make([]*Block, nPreds)
+	for i, b := range f.Blocks {
+		b.Preds, b.Succs = nil, nil
+		if reach[i] == 0 {
+			continue
+		}
+		np := int(npred[i])
+		b.Preds, preds = preds[:0:np], preds[np:]
+		if t := b.Terminator(); t != nil && len(t.Blocks) > 0 {
+			ns := len(t.Blocks)
+			b.Succs, succs = succs[:ns:ns], succs[ns:]
+			copy(b.Succs, t.Blocks)
+		}
+	}
+	for i, b := range f.Blocks {
+		if reach[i] == 0 {
+			continue
+		}
 		for _, s := range b.Succs {
-			if !reach[s] {
-				reach[s] = true
-				stack = append(stack, s)
+			if f.Positioned(s) {
+				s.Preds = append(s.Preds, b)
 			}
 		}
 	}
 	kept := f.Blocks[:0]
-	for _, b := range f.Blocks {
-		if reach[b] {
+	for i, b := range f.Blocks {
+		if reach[i] != 0 {
+			b.ID = len(kept)
 			kept = append(kept, b)
 		}
 	}
 	f.Blocks = kept
-	for i, b := range f.Blocks {
-		b.ID = i
-	}
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs {
-			s.Preds = append(s.Preds, b)
-		}
-	}
 }
 
 // Program is the IR for a whole Baker application plus the semantic model it

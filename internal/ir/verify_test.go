@@ -280,3 +280,41 @@ func TestVerifyErrorPositional(t *testing.T) {
 		t.Errorf("error %q lacks positional prefix t.f b1[0]", got)
 	}
 }
+
+// TestComputeCFGForeignSuccessor: a branch to a block the function does not
+// list reaches nothing, even when that block's ID is the position of one of
+// the function's unreachable blocks and it branches there; ComputeCFG
+// neither panics nor keeps that block, gives the foreign block no Preds,
+// and Verify still reports the edge.
+func TestComputeCFGForeignSuccessor(t *testing.T) {
+	prog, fn := newTestFunc()
+	live := fn.NewBlock()
+	live.Instrs = []*Instr{{Op: OpRet}}
+	dead := fn.NewBlock()
+	dead.Instrs = []*Instr{{Op: OpRet}}
+	orphan := &Block{ID: dead.ID, Instrs: []*Instr{{Op: OpBr, Blocks: []*Block{dead}}}}
+	c := fn.NewReg(ClassWord)
+	fn.Entry.Instrs = []*Instr{
+		{Op: OpConst, Dst: []Reg{c}, Imm: 1},
+		{Op: OpCondBr, Args: []Reg{c}, Blocks: []*Block{live, orphan}},
+	}
+	fn.ComputeCFG()
+	if len(fn.Blocks) != 2 || fn.Blocks[0] != fn.Entry || fn.Blocks[1] != live {
+		t.Fatalf("blocks after ComputeCFG = %d, want entry and live only", len(fn.Blocks))
+	}
+	if len(orphan.Preds) != 0 {
+		t.Errorf("foreign block got %d preds", len(orphan.Preds))
+	}
+	if len(fn.Entry.Succs) != 2 || len(live.Preds) != 1 || live.Preds[0] != fn.Entry {
+		t.Errorf("entry succs %d, live preds %d; want 2 and 1", len(fn.Entry.Succs), len(live.Preds))
+	}
+	wantVerifyError(t, prog, "which is not a block of t.f")
+
+	// A nil target is skipped the same way.
+	fn.Entry.Instrs[1].Blocks = []*Block{live, nil}
+	fn.ComputeCFG()
+	if len(fn.Blocks) != 2 {
+		t.Fatalf("blocks after ComputeCFG = %d, want 2", len(fn.Blocks))
+	}
+	wantVerifyError(t, prog, "nil branch target")
+}

@@ -24,7 +24,7 @@
 package pac
 
 import (
-	"sort"
+	"slices"
 
 	"shangrila/internal/baker/types"
 	"shangrila/internal/ir"
@@ -47,11 +47,16 @@ type Stats struct {
 
 // Run applies PAC to every function in the program. Each is taken for
 // writing (ir.Program.Edit): the pipeline runs PAC only next to the scalar
-// optimizer, which writes every function anyway.
+// optimizer, which writes every function anyway. One scratch serves every
+// block of every function.
 func Run(p *ir.Program) *Stats {
 	st := &Stats{}
+	var s scratch
 	for _, f := range p.Funcs {
-		runFunc(p.Types, p.Edit(f.Name), st)
+		fn := p.Edit(f.Name)
+		for _, b := range fn.Blocks {
+			s.combineBlock(fn, b, st)
+		}
 	}
 	return st
 }
@@ -68,6 +73,15 @@ const (
 
 func (k accKind) isLoad() bool { return k == pktLoad || k == metaLoad || k == globalLoad }
 func (k accKind) isMeta() bool { return k == metaLoad || k == metaStore }
+
+// domain indexes storeSink: 0 for packet data, 1 for metadata.
+func (k accKind) domain() int {
+	if k.isMeta() {
+		return 1
+	}
+	return 0
+}
+
 func (k accKind) maxBytes() int {
 	if k == globalLoad {
 		return MaxGlobalCombineBytes
@@ -113,12 +127,6 @@ func (c *cluster) span() (lo, hi int) {
 	return lo, hi
 }
 
-func runFunc(tp *types.Program, f *ir.Func, st *Stats) {
-	for _, b := range f.Blocks {
-		combineBlock(tp, f, b, st)
-	}
-}
-
 type rewrite struct {
 	insertAt int // instruction index the sequence replaces/precedes
 	seq      []*ir.Instr
@@ -135,105 +143,218 @@ type hbase struct {
 	delta int32
 }
 
-func combineBlock(tp *types.Program, f *ir.Func, b *ir.Block, st *Stats) {
-	alias := map[ir.Reg]hbase{}
-	resolve := func(r ir.Reg) hbase {
-		if a, ok := alias[r]; ok {
-			return a
-		}
-		return hbase{base: r}
-	}
-	isHandle := func(r ir.Reg) bool {
-		return r != ir.NoReg && int(r) < len(f.RegClasses) && f.RegClasses[r] == ir.ClassHandle
-	}
-	open := map[[2]interface{}]*cluster{} // key: (kind, base handle)
-	var done []*cluster
+// openKey names an open cluster: an access kind and the handle's alias
+// base for packet and metadata accesses, or the global and its index
+// register for global loads.
+type openKey struct {
+	kind   accKind
+	global string
+	reg    ir.Reg
+}
 
+// openCluster is one entry of the open-cluster table. A block holds a few
+// open clusters at a time, so the table is a list searched by key.
+type openCluster struct {
+	key openKey
+	c   *cluster
+}
+
+// scratch is the storage one Run keeps for all its blocks. Everything in
+// it is back in its idle state when combineBlock returns: alias maps every
+// register to itself, removed and inserts are empty, and the cluster
+// records are free for the next block.
+type scratch struct {
+	f *ir.Func
+	b *ir.Block
+
+	// alias holds each handle register's aliasing base and displacement
+	// (a register with none is its own base), by register; set lists the
+	// registers the current block gave one, to reset at its end.
+	alias []hbase
+	set   []ir.Reg
+	open  []openCluster
+	done  []*cluster
 	// A flushed store cluster's wide store sinks to its last member's
 	// index, which may be *after* a store member's original position. A
 	// later load must therefore never hoist above that sink point (by
 	// joining a load cluster whose first access precedes it), or it would
-	// read the pre-store memory. Track the sink high-water mark per
-	// domain (packet data / metadata).
-	storeSink := map[bool]int{} // key: kind.isMeta()
+	// read the pre-store memory. storeSink tracks the sink high-water mark
+	// per domain (accKind.domain).
+	storeSink [2]int
+	// Cluster records, carved in chunks and reused block to block together
+	// with their accs; used counts the ones the current block holds.
+	clusters []*cluster
+	used     int
+	// The rewrite: by instruction index, whether the access there is
+	// folded into a combination, and the sequence inserted before it.
+	removed []bool
+	inserts [][]*ir.Instr
+}
 
-	flush := func(c *cluster) {
-		if c != nil && len(c.accs) >= 2 {
+// newCluster carves an empty cluster record.
+func (s *scratch) newCluster(kind accKind, handle ir.Reg, g *types.Global) *cluster {
+	if s.used == len(s.clusters) {
+		chunk := make([]cluster, 16)
+		for i := range chunk {
+			s.clusters = append(s.clusters, &chunk[i])
+		}
+	}
+	c := s.clusters[s.used]
+	s.used++
+	c.kind, c.handle, c.global, c.accs = kind, handle, g, c.accs[:0]
+	return c
+}
+
+func (s *scratch) resolve(r ir.Reg) hbase {
+	if r < 0 || int(r) >= len(s.alias) {
+		return hbase{base: r}
+	}
+	return s.alias[r]
+}
+
+func (s *scratch) setAlias(r ir.Reg, h hbase) {
+	s.alias[r] = h
+	s.set = append(s.set, r)
+}
+
+func (s *scratch) isHandle(r ir.Reg) bool {
+	return r != ir.NoReg && int(r) < len(s.f.RegClasses) && s.f.RegClasses[r] == ir.ClassHandle
+}
+
+func (s *scratch) flush(c *cluster) {
+	if c != nil && len(c.accs) >= 2 {
+		if !c.kind.isLoad() {
+			d := c.kind.domain()
+			s.storeSink[d] = max(s.storeSink[d], c.accs[len(c.accs)-1].idx)
+		}
+		s.done = append(s.done, c)
+	}
+}
+
+func (s *scratch) flushAll() {
+	for _, o := range s.open {
+		s.flush(o.c)
+	}
+	s.open = s.open[:0]
+}
+
+func (s *scratch) flushWhere(pred func(*cluster) bool) {
+	kept := s.open[:0]
+	for _, o := range s.open {
+		if pred(o.c) {
+			s.flush(o.c)
+		} else {
+			kept = append(kept, o)
+		}
+	}
+	s.open = kept
+}
+
+// lookup returns the open cluster under k, or nil.
+func (s *scratch) lookup(k openKey) *cluster {
+	for _, o := range s.open {
+		if o.key == k {
+			return o.c
+		}
+	}
+	return nil
+}
+
+// put makes c the open cluster under k, or closes k's entry when c is nil.
+func (s *scratch) put(k openKey, c *cluster) {
+	for i, o := range s.open {
+		if o.key == k {
+			if c == nil {
+				s.open = slices.Delete(s.open, i, i+1)
+			} else {
+				s.open[i].c = c
+			}
+			return
+		}
+	}
+	if c != nil {
+		s.open = append(s.open, openCluster{k, c})
+	}
+}
+
+// killDefs flushes clusters whose pending combination an instruction's
+// definitions invalidate: the cluster's handle / index register, or a
+// buffered store value.
+func (s *scratch) killDefs(in *ir.Instr) {
+	for _, d := range in.Dst {
+		s.flushWhere(func(c *cluster) bool {
+			if c.handle == d {
+				return true
+			}
 			if !c.kind.isLoad() {
-				if s := c.accs[len(c.accs)-1].idx; s > storeSink[c.kind.isMeta()] {
-					storeSink[c.kind.isMeta()] = s
-				}
-			}
-			done = append(done, c)
-		}
-	}
-	flushAll := func() {
-		for k, c := range open {
-			flush(c)
-			delete(open, k)
-		}
-	}
-	flushWhere := func(pred func(*cluster) bool) {
-		for k, c := range open {
-			if pred(c) {
-				flush(c)
-				delete(open, k)
-			}
-		}
-	}
-
-	// killDefs flushes clusters whose pending combination an instruction's
-	// definitions invalidate: the cluster's handle / index register, or a
-	// buffered store value.
-	killDefs := func(in *ir.Instr) {
-		for _, d := range in.Dst {
-			flushWhere(func(c *cluster) bool {
-				if c.handle == d {
-					return true
-				}
-				if !c.kind.isLoad() {
-					for _, a := range c.accs {
-						if a.in.Args[1] == d {
-							return true
-						}
+				for _, a := range c.accs {
+					if a.in.Args[1] == d {
+						return true
 					}
 				}
-				return false
-			})
-		}
+			}
+			return false
+		})
 	}
+}
+
+// begin readies s for b of f.
+func (s *scratch) begin(f *ir.Func, b *ir.Block) {
+	s.f, s.b = f, b
+	s.alias = slices.Grow(s.alias, max(0, f.NumRegs-len(s.alias)))
+	for r := len(s.alias); r < f.NumRegs; r++ {
+		s.alias = append(s.alias, hbase{base: ir.Reg(r)})
+	}
+	s.done = s.done[:0]
+	s.storeSink = [2]int{}
+	s.used = 0
+}
+
+// end returns s to its idle state.
+func (s *scratch) end() {
+	for _, r := range s.set {
+		s.alias[r] = hbase{base: r}
+	}
+	s.set = s.set[:0]
+}
+
+// combineBlock combines the accesses of block b of f, adding what it did
+// to st.
+func (s *scratch) combineBlock(f *ir.Func, b *ir.Block, st *Stats) {
+	s.begin(f, b)
+	defer s.end()
 
 	for idx, in := range b.Instrs {
 		switch in.Op {
 		case ir.OpMov:
-			if len(in.Dst) == 1 && isHandle(in.Dst[0]) && len(in.Args) == 1 {
-				killDefs(in)
-				alias[in.Dst[0]] = resolve(in.Args[0])
+			if len(in.Dst) == 1 && s.isHandle(in.Dst[0]) && len(in.Args) == 1 {
+				s.killDefs(in)
+				s.setAlias(in.Dst[0], s.resolve(in.Args[0]))
 				continue
 			}
 		case ir.OpDecap:
-			killDefs(in)
-			alias[in.Dst[0]] = hbase{base: in.Dst[0]}
-			flushAll()
+			s.killDefs(in)
+			s.setAlias(in.Dst[0], hbase{base: in.Dst[0]})
+			s.flushAll()
 			continue
 		case ir.OpEncap:
-			killDefs(in)
-			alias[in.Dst[0]] = hbase{base: in.Dst[0]}
-			flushAll()
+			s.killDefs(in)
+			s.setAlias(in.Dst[0], hbase{base: in.Dst[0]})
+			s.flushAll()
 			continue
 		case ir.OpPktCopy, ir.OpPktCreate:
-			killDefs(in)
+			s.killDefs(in)
 			if len(in.Dst) == 1 {
-				alias[in.Dst[0]] = hbase{base: in.Dst[0]}
+				s.setAlias(in.Dst[0], hbase{base: in.Dst[0]})
 			}
 			continue
 		case ir.OpPktLoad, ir.OpPktStore, ir.OpMetaLoad, ir.OpMetaStore:
 			if in.Field == nil || in.Field.Bits > 32 {
-				flushAll() // raw access: already combined or unknown
+				s.flushAll() // raw access: already combined or unknown
 				continue
 			}
 			kind := kindOf(in)
-			hb := resolve(in.Args[0])
+			hb := s.resolve(in.Args[0])
 			h := hb.base
 			delta := hb.delta
 			if kind.isMeta() {
@@ -250,7 +371,7 @@ func combineBlock(tp *types.Program, f *ir.Func, b *ir.Block, st *Stats) {
 			// read at or before their original positions; the threat is
 			// only to future joins, which safeToJoin rejects.
 			if kind.isLoad() {
-				flushWhere(func(c *cluster) bool {
+				s.flushWhere(func(c *cluster) bool {
 					if c.kind == globalLoad || c.kind.isMeta() != kind.isMeta() || c.kind.isLoad() {
 						return false
 					}
@@ -261,97 +382,101 @@ func combineBlock(tp *types.Program, f *ir.Func, b *ir.Block, st *Stats) {
 					return flo < chi && clo < fhi // overlap through same base
 				})
 			}
-			key := [2]interface{}{kind, h}
-			c := open[key]
+			key := openKey{kind: kind, reg: h}
+			c := s.lookup(key)
 			// Never hoist a load above a sunk combined store: joining a
 			// cluster whose first access precedes the domain's store-sink
 			// high-water mark would move this read over that wide store.
-			if c != nil && kind.isLoad() && c.accs[0].idx < storeSink[kind.isMeta()] {
-				flush(c)
+			if c != nil && kind.isLoad() && c.accs[0].idx < s.storeSink[kind.domain()] {
+				s.flush(c)
 				c = nil
-				delete(open, key)
+				s.put(key, nil)
 			}
-			if c != nil && len(c.accs) > 0 && !safeToJoin(b, c, idx, in, kind, delta, resolve) {
-				flush(c)
+			if c != nil && len(c.accs) > 0 && !s.safeToJoin(c, idx, in, kind, delta) {
+				s.flush(c)
 				c = nil
-				delete(open, key)
+				s.put(key, nil)
 			}
 			if c == nil {
-				c = &cluster{kind: kind, handle: h}
-				open[key] = c
+				c = s.newCluster(kind, h, nil)
+				s.put(key, c)
 			}
 			// Width bound: if adding this access exceeds the memory
 			// instruction width, flush and restart the cluster.
 			c.accs = append(c.accs, access{idx: idx, in: in, delta: delta})
 			if lo, hi := c.span(); wordAlignedWidth(lo, hi) > c.kind.maxBytes() {
 				c.accs = c.accs[:len(c.accs)-1]
-				flush(c)
-				nc := &cluster{kind: kind, handle: h,
-					accs: []access{{idx: idx, in: in, delta: delta}}}
-				open[key] = nc
+				s.flush(c)
+				nc := s.newCluster(kind, h, nil)
+				nc.accs = append(nc.accs, access{idx: idx, in: in, delta: delta})
+				s.put(key, nc)
 			}
-			killDefs(in)
+			s.killDefs(in)
 			continue
 		case ir.OpCall, ir.OpChanPut, ir.OpPktDrop,
 			ir.OpAddTail, ir.OpRemoveTail, ir.OpLockAcquire, ir.OpLockRelease,
 			ir.OpCacheFlush, ir.OpCacheFill, ir.OpCacheLookup:
-			flushAll()
+			s.flushAll()
 		case ir.OpLoad:
 			if len(in.Dst) != 1 {
-				flushAll()
+				s.flushAll()
 				continue
 			}
 			ireg := ir.NoReg
 			if len(in.Args) > 0 {
 				ireg = in.Args[0]
 			}
-			key := [2]interface{}{in.Global.Name, ireg}
-			c := open[key]
+			key := openKey{kind: globalLoad, global: in.Global.Name, reg: ireg}
+			c := s.lookup(key)
 			if c != nil && len(c.accs) > 0 && !safeToJoinGlobal(b, c, idx, in) {
-				flush(c)
+				s.flush(c)
 				c = nil
-				delete(open, key)
+				s.put(key, nil)
 			}
 			if c == nil {
-				c = &cluster{kind: globalLoad, handle: ireg, global: in.Global}
-				open[key] = c
+				c = s.newCluster(globalLoad, ireg, in.Global)
+				s.put(key, c)
 			}
 			c.accs = append(c.accs, access{idx: idx, in: in})
 			if lo, hi := c.span(); wordAlignedWidth(lo, hi) > c.kind.maxBytes() {
 				c.accs = c.accs[:len(c.accs)-1]
-				flush(c)
-				nc := &cluster{kind: globalLoad, handle: ireg, global: in.Global,
-					accs: []access{{idx: idx, in: in}}}
-				open[key] = nc
+				s.flush(c)
+				nc := s.newCluster(globalLoad, ireg, in.Global)
+				nc.accs = append(nc.accs, access{idx: idx, in: in})
+				s.put(key, nc)
 			}
-			killDefs(in)
+			s.killDefs(in)
 			continue
 		case ir.OpStore:
 			// A store to global G flushes G's load clusters (conservative:
 			// any offset); other globals never alias.
-			flushWhere(func(c *cluster) bool {
+			s.flushWhere(func(c *cluster) bool {
 				return c.kind == globalLoad && c.global == in.Global
 			})
 		}
 		// Register kills: redefining a cluster's handle or a buffered
 		// store value invalidates the pending combination.
-		killDefs(in)
+		s.killDefs(in)
 	}
-	flushAll()
+	s.flushAll()
 
-	if len(done) == 0 {
+	if len(s.done) == 0 {
 		return
 	}
-	// Clusters reach done in map-iteration order when several flush at
-	// once; rewrite in program order so the registers the combinations
-	// allocate are numbered deterministically (compile output must be
-	// byte-stable for the incremental-vs-cold differential).
-	sort.Slice(done, func(i, j int) bool {
-		return done[i].accs[0].idx < done[j].accs[0].idx
+	// Clusters reach done in flush order, not program order; rewrite in
+	// program order (by first access, which no two clusters share) so the
+	// registers the combinations allocate are numbered deterministically
+	// (compile output must be byte-stable for the incremental-vs-cold
+	// differential).
+	done := s.done
+	slices.SortFunc(done, func(x, y *cluster) int {
+		return x.accs[0].idx - y.accs[0].idx
 	})
 	// Build rewrites.
-	removed := map[*ir.Instr]bool{}
-	inserts := map[int][]*ir.Instr{}
+	n := len(b.Instrs)
+	s.removed = resize(s.removed, n)
+	s.inserts = resize(s.inserts, n)
+	size := n
 	for _, c := range done {
 		var rw rewrite
 		if c.kind == globalLoad {
@@ -366,20 +491,32 @@ func combineBlock(tp *types.Program, f *ir.Func, b *ir.Block, st *Stats) {
 		}
 		st.AccessesRemoved += len(c.accs) - 1
 		for _, a := range c.accs {
-			removed[a.in] = true
+			s.removed[a.idx] = true
 		}
-		inserts[rw.insertAt] = append(inserts[rw.insertAt], rw.seq...)
+		size += len(rw.seq) - len(c.accs)
+		if s.inserts[rw.insertAt] == nil {
+			s.inserts[rw.insertAt] = rw.seq
+		} else {
+			s.inserts[rw.insertAt] = append(s.inserts[rw.insertAt], rw.seq...)
+		}
 	}
-	var out []*ir.Instr
+	out := make([]*ir.Instr, 0, size)
 	for idx, in := range b.Instrs {
-		if seq, ok := inserts[idx]; ok {
-			out = append(out, seq...)
-		}
-		if !removed[in] {
+		out = append(out, s.inserts[idx]...)
+		if !s.removed[idx] {
 			out = append(out, in)
 		}
 	}
+	clear(s.removed)
+	clear(s.inserts)
 	b.Instrs = out
+}
+
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // safeToJoin checks the motion-range dependences for adding access `in`
@@ -393,8 +530,8 @@ func combineBlock(tp *types.Program, f *ir.Func, b *ir.Block, st *Stats) {
 //   - store clusters sink earlier stores to this position, so no
 //     instruction in (prev, idx) may redefine any buffered value register
 //     or the handle (checked pairwise: gaps tile the whole motion range).
-func safeToJoin(b *ir.Block, c *cluster, idx int, in *ir.Instr, kind accKind,
-	delta int32, resolve func(ir.Reg) hbase) bool {
+func (s *scratch) safeToJoin(c *cluster, idx int, in *ir.Instr, kind accKind, delta int32) bool {
+	b := s.b
 	if kind.isLoad() {
 		first := c.accs[0].idx
 		dst := in.Dst[0]
@@ -415,7 +552,7 @@ func safeToJoin(b *ir.Block, c *cluster, idx int, in *ir.Instr, kind accKind,
 			}
 			if (mid.Op == ir.OpPktStore || mid.Op == ir.OpMetaStore) &&
 				(mid.Op == ir.OpMetaStore) == kind.isMeta() {
-				mb := resolve(mid.Args[0])
+				mb := s.resolve(mid.Args[0])
 				if mid.Field == nil || mb.base != c.handle {
 					return false // raw or possibly-aliasing store in range
 				}

@@ -1,6 +1,7 @@
 package opt_test
 
 import (
+	"slices"
 	"testing"
 
 	"shangrila/internal/baker/types"
@@ -256,5 +257,52 @@ module m {
 	}
 	if pktloads != 0 {
 		t.Errorf("dead packet load survived (%d)", pktloads)
+	}
+}
+
+// TestInlinedOperandsDoNotAlias: the inliner carves the copied
+// instructions' operand and branch-target lists out of shared slabs.
+// Appending to any one of them must reallocate, never write into the next
+// instruction's operands.
+func TestInlinedOperandsDoNotAlias(t *testing.T) {
+	p := testutil.BuildIR(t, appSrc)
+	calls := 0
+	for _, f := range p.Funcs {
+		calls += opt.CallCount(f)
+	}
+	if calls == 0 {
+		t.Fatal("appSrc makes no call to inline")
+	}
+	opt.InlineAll(p)
+	type operands struct {
+		dst, args []ir.Reg
+		blocks    []*ir.Block
+	}
+	var instrs []*ir.Instr
+	var before []operands
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				instrs = append(instrs, in)
+				before = append(before, operands{
+					append([]ir.Reg(nil), in.Dst...),
+					append([]ir.Reg(nil), in.Args...),
+					append([]*ir.Block(nil), in.Blocks...),
+				})
+			}
+		}
+	}
+	for _, in := range instrs {
+		in.Dst = append(in.Dst, 1<<20)
+		in.Args = append(in.Args, 1<<21)
+		in.Blocks = append(in.Blocks, nil)
+	}
+	for i, in := range instrs {
+		w := before[i]
+		if !slices.Equal(in.Dst[:len(w.dst)], w.dst) || !slices.Equal(in.Args[:len(w.args)], w.args) ||
+			!slices.Equal(in.Blocks[:len(w.blocks)], w.blocks) {
+			t.Fatalf("instruction %d (%v): operands %v %v changed by a neighbour's append, want %v %v",
+				i, in.Op, in.Dst, in.Args, w.dst, w.args)
+		}
 	}
 }

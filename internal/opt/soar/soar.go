@@ -196,11 +196,10 @@ func Analyze(p *ir.Program) *Stats {
 // entries' input offsets come from the whole-program channel analysis).
 func AnalyzeWithEntries(p *ir.Program, entries map[string]Input) *Stats {
 	a := &analyzer{
-		prog:    p,
-		inputs:  map[string]lat{},
-		chans:   map[*types.Channel]lat{},
-		notes:   map[*ir.Instr]lat{},
-		visited: map[string]bool{},
+		prog:   p,
+		inputs: map[string]lat{},
+		chans:  map[*types.Channel]lat{},
+		notes:  map[*ir.Instr]lat{},
 	}
 	// Rx delivers packets quadword-aligned at offset 0 (step 2/5 init).
 	if p.Types.Entry != nil {
@@ -220,15 +219,32 @@ func AnalyzeWithEntries(p *ir.Program, entries map[string]Input) *Stats {
 		}
 		a.inputs[name] = l
 	}
-	// Inter-procedural fixpoint over PPFs connected by channels.
+	// Inter-procedural fixpoint over PPFs connected by channels. Every
+	// PPF's layout is built once, and analyzeFunc's storage is sized for
+	// the largest.
+	ppfs := p.PPFs()
+	layouts := make([]layout, len(ppfs))
+	var rows, slots, cells int
+	for i, fn := range ppfs {
+		l := newLayout(fn)
+		layouts[i] = l
+		rows, slots = max(rows, len(l.blocks)), max(slots, l.nslots)
+		cells = max(cells, len(l.blocks)*l.nslots)
+	}
+	a.slab, a.seen, a.cur = make([]lat, cells), make([]bool, rows), make([]lat, slots)
+	// A PPF analyzed again under the input it was last analyzed under would
+	// join every note and channel fact with itself: last[i] is that input
+	// (top before the first analysis; an input is never top).
+	last := make([]lat, len(ppfs))
 	for iter := 0; iter < 64; iter++ {
 		changed := false
-		for _, fn := range p.PPFs() {
+		for i, fn := range ppfs {
 			in, ok := a.inputs[fn.Name]
-			if !ok {
-				continue // unreached so far
+			if !ok || equal(in, last[i]) {
+				continue // unreached so far, or nothing new to learn
 			}
-			if a.analyzeFunc(fn, in) {
+			last[i] = in
+			if a.analyzeFunc(fn, &layouts[i], in) {
 				changed = true
 			}
 		}
@@ -331,36 +347,129 @@ func annotated(in *ir.Instr, l lat) bool {
 }
 
 type analyzer struct {
-	prog    *ir.Program
-	inputs  map[string]lat         // PPF name -> input handle lattice
-	chans   map[*types.Channel]lat // join over producers' puts
-	notes   map[*ir.Instr]lat      // per-access/encap annotation (joined)
-	visited map[string]bool
+	prog   *ir.Program
+	inputs map[string]lat         // PPF name -> input handle lattice
+	chans  map[*types.Channel]lat // join over producers' puts
+	notes  map[*ir.Instr]lat      // per-access/encap annotation (joined)
+
+	// analyzeFunc's storage, sized for the largest PPF and reused by every
+	// PPF and fixpoint round: the block entry states (one row of slots per
+	// block), which rows hold a state, the state being stepped, and the
+	// worklist.
+	slab []lat
+	seen []bool
+	cur  []lat
+	work []int
+}
+
+// layout numbers what analyzeFunc tracks in one function: the registers
+// SOAR can hold a fact for (handle-class registers and the destinations of
+// decap, encap, copy and create) as slots, and the blocks as rows.
+type layout struct {
+	slot   []int32 // register -> slot, or -1 when no fact is ever held
+	nslots int
+	// blocks are the rows: fn.Blocks when every Block.ID is its position
+	// there, as ComputeCFG leaves them. When one is not (a pass dropped a
+	// block without ComputeCFG, or a terminator names a block the function
+	// does not list), they are the blocks reachable from the entry, and
+	// pos numbers them.
+	blocks []*ir.Block
+	pos    map[*ir.Block]int
+}
+
+func newLayout(fn *ir.Func) layout {
+	l := layout{slot: make([]int32, len(fn.RegClasses)), blocks: fn.Blocks}
+	for r := range l.slot {
+		l.slot[r] = -1
+	}
+	track := func(r ir.Reg) {
+		if r >= 0 && int(r) < len(l.slot) && l.slot[r] < 0 {
+			l.slot[r] = int32(l.nslots)
+			l.nslots++
+		}
+	}
+	for r, c := range fn.RegClasses {
+		if c == ir.ClassHandle {
+			track(ir.Reg(r))
+		}
+	}
+	for i, p := range fn.Params {
+		if fn.ParamClasses[i] == ir.ClassHandle {
+			track(p)
+		}
+	}
+	positional := fn.Positioned(fn.Entry)
+	for _, b := range fn.Blocks {
+		positional = positional && fn.Positioned(b)
+		for _, in := range b.Instrs {
+			switch in.Op {
+			case ir.OpDecap, ir.OpEncap, ir.OpPktCopy, ir.OpPktCreate:
+				track(in.Dst[0])
+			}
+			for _, s := range in.Blocks {
+				positional = positional && fn.Positioned(s)
+			}
+		}
+	}
+	if positional {
+		return l
+	}
+	l.blocks = []*ir.Block{fn.Entry}
+	l.pos = map[*ir.Block]int{fn.Entry: 0}
+	for i := 0; i < len(l.blocks); i++ {
+		if l.blocks[i] == nil {
+			continue // a missing entry or a nil target: a row, no successors
+		}
+		t := l.blocks[i].Terminator()
+		if t == nil {
+			continue
+		}
+		for _, s := range t.Blocks {
+			if _, ok := l.pos[s]; !ok {
+				l.pos[s] = len(l.blocks)
+				l.blocks = append(l.blocks, s)
+			}
+		}
+	}
+	return l
+}
+
+// row is b's position among l.blocks.
+func (l *layout) row(b *ir.Block) int {
+	if l.pos == nil {
+		return b.ID
+	}
+	return l.pos[b]
 }
 
 // analyzeFunc runs the intra-procedural forward analysis; returns true if
-// any channel fact or note changed.
-func (a *analyzer) analyzeFunc(fn *ir.Func, input lat) bool {
+// any channel fact or note changed. A block's entry state is a row of
+// lattice values by slot, top where no fact is held. The worklist is LIFO
+// and pushes a block again each time its entry state changes.
+func (a *analyzer) analyzeFunc(fn *ir.Func, l *layout, input lat) bool {
 	changed := false
-	// Block entry states: handle reg -> lat.
-	entry := map[*ir.Block]map[ir.Reg]lat{}
-	init := map[ir.Reg]lat{}
+	n := l.nslots
+	seen, cur := a.seen[:len(l.blocks)], a.cur[:n]
+	clear(seen)
+	entryOf := func(pos int) []lat { return a.slab[pos*n : (pos+1)*n : (pos+1)*n] }
+
+	e := l.row(fn.Entry)
+	init := entryOf(e)
+	clear(init)
 	for i, p := range fn.Params {
 		if fn.ParamClasses[i] == ir.ClassHandle {
-			init[p] = input
+			init[l.slot[p]] = input
 		}
 	}
-	entry[fn.Entry] = init
-	work := []*ir.Block{fn.Entry}
+	seen[e] = true
+	work := append(a.work[:0], e)
 	for len(work) > 0 {
-		b := work[len(work)-1]
+		pos := work[len(work)-1]
 		work = work[:len(work)-1]
-		cur := map[ir.Reg]lat{}
-		for r, l := range entry[b] {
-			cur[r] = l
-		}
+		b := l.blocks[pos]
+		copy(cur, entryOf(pos))
 		for _, in := range b.Instrs {
-			if a.step(fn, in, cur) {
+			if a.step(fn, l, in, cur) {
 				changed = true
 			}
 		}
@@ -369,59 +478,73 @@ func (a *analyzer) analyzeFunc(fn *ir.Func, input lat) bool {
 			continue
 		}
 		for _, s := range t.Blocks {
-			ns, ok := entry[s]
-			if !ok {
-				cp := map[ir.Reg]lat{}
-				for r, l := range cur {
-					cp[r] = l
-				}
-				entry[s] = cp
-				work = append(work, s)
+			sp := l.row(s)
+			ns := entryOf(sp)
+			if !seen[sp] {
+				seen[sp] = true
+				copy(ns, cur)
+				work = append(work, sp)
 				continue
 			}
 			sChanged := false
-			for r, l := range cur {
-				nl := join(ns[r], l)
-				if !equal(nl, ns[r]) {
-					ns[r] = nl
+			for i, v := range cur {
+				if v.st == top {
+					continue
+				}
+				nl := join(ns[i], v)
+				if !equal(nl, ns[i]) {
+					ns[i] = nl
 					sChanged = true
 				}
 			}
 			if sChanged {
-				work = append(work, s)
+				work = append(work, sp)
 			}
 		}
 	}
+	a.work = work
 	return changed
 }
 
 // step applies the transfer function of one instruction to the handle
 // state and records notes/channel facts. Returns true when a note or
 // channel fact changed.
-func (a *analyzer) step(fn *ir.Func, in *ir.Instr, cur map[ir.Reg]lat) bool {
+func (a *analyzer) step(fn *ir.Func, l *layout, in *ir.Instr, cur []lat) bool {
 	consts := a.prog.Types.Consts
 	changed := false
-	note := func(l lat) {
+	note := func(v lat) {
 		old, ok := a.notes[in]
-		nl := l
+		nl := v
 		if ok {
-			nl = join(old, l)
+			nl = join(old, v)
 		}
 		if !ok || !equal(nl, old) {
 			a.notes[in] = nl
 			changed = true
 		}
 	}
+	// An untracked register, or a slot still top, holds no fact.
+	slot := func(r ir.Reg) int32 {
+		if r < 0 || int(r) >= len(l.slot) {
+			return -1
+		}
+		return l.slot[r]
+	}
 	handleLat := func(r ir.Reg) lat {
-		if l, ok := cur[r]; ok {
-			return l
+		if s := slot(r); s >= 0 && cur[s].st != top {
+			return cur[s]
 		}
 		return bottomLat(1)
+	}
+	set := func(r ir.Reg, v lat) {
+		if s := slot(r); s >= 0 {
+			cur[s] = v
+		}
 	}
 	switch in.Op {
 	case ir.OpMov:
 		if fn.RegClasses[in.Dst[0]] == ir.ClassHandle {
-			cur[in.Dst[0]] = handleLat(in.Args[0])
+			set(in.Dst[0], handleLat(in.Args[0]))
 		}
 	case ir.OpPktLoad, ir.OpPktStore:
 		note(handleLat(in.Args[0]))
@@ -442,7 +565,7 @@ func (a *analyzer) step(fn *ir.Func, in *ir.Instr, cur map[ir.Reg]lat) bool {
 			out = bottomLat(minAlign(src.align, demuxAlignment(from, consts)))
 			out.min = src.min + step
 		}
-		cur[in.Dst[0]] = out
+		set(in.Dst[0], out)
 	case ir.OpEncap:
 		src := handleLat(in.Args[0])
 		note(src)
@@ -460,9 +583,10 @@ func (a *analyzer) step(fn *ir.Func, in *ir.Instr, cur map[ir.Reg]lat) bool {
 			// is no longer trustworthy — invalidate them.
 			no := src.off - int32(size)
 			if no < 0 {
-				for r := range cur {
-					if r != in.Args[0] {
-						cur[r] = bottomLat(1)
+				keep := slot(in.Args[0])
+				for s := range cur {
+					if int32(s) != keep && cur[s].st != top {
+						cur[s] = bottomLat(1)
 					}
 				}
 			}
@@ -474,17 +598,17 @@ func (a *analyzer) step(fn *ir.Func, in *ir.Instr, cur map[ir.Reg]lat) bool {
 				out.min = 0
 			}
 		}
-		cur[in.Dst[0]] = out
+		set(in.Dst[0], out)
 	case ir.OpPktCopy:
-		cur[in.Dst[0]] = handleLat(in.Args[0])
+		set(in.Dst[0], handleLat(in.Args[0]))
 	case ir.OpPktCreate:
-		cur[in.Dst[0]] = lat{st: known, off: 0, align: MaxAlign, min: 0}
+		set(in.Dst[0], lat{st: known, off: 0, align: MaxAlign, min: 0})
 	case ir.OpChanPut:
-		l := handleLat(in.Args[0])
+		v := handleLat(in.Args[0])
 		old, ok := a.chans[in.Chan]
-		nl := l
+		nl := v
 		if ok {
-			nl = join(old, l)
+			nl = join(old, v)
 		}
 		if !ok || !equal(nl, old) {
 			a.chans[in.Chan] = nl
@@ -495,11 +619,11 @@ func (a *analyzer) step(fn *ir.Func, in *ir.Instr, cur map[ir.Reg]lat) bool {
 		// conservatively drop facts for handle arguments.
 		for _, r := range in.Args {
 			if r != ir.NoReg && int(r) < len(fn.RegClasses) && fn.RegClasses[r] == ir.ClassHandle {
-				cur[r] = bottomLat(1)
+				set(r, bottomLat(1))
 			}
 		}
 		if len(in.Dst) > 0 && fn.RegClasses[in.Dst[0]] == ir.ClassHandle {
-			cur[in.Dst[0]] = bottomLat(1)
+			set(in.Dst[0], bottomLat(1))
 		}
 	}
 	return changed

@@ -1,9 +1,12 @@
 package soar_test
 
 import (
+	"reflect"
 	"testing"
 
+	"shangrila/internal/apps"
 	"shangrila/internal/baker/types"
+	"shangrila/internal/driver"
 	"shangrila/internal/ir"
 	"shangrila/internal/opt"
 	"shangrila/internal/opt/soar"
@@ -249,4 +252,67 @@ func TestSOARDoesNotChangeSemantics(t *testing.T) {
 		opt.Optimize(p, opt.Options{Scalar: true, Inline: true})
 		soar.Analyze(p)
 	})
+}
+
+// TestNonPositionalBlockIDs: SOAR keeps one entry state per block by
+// Block.ID. A function whose IDs are not its blocks' positions (a pass
+// reordered or dropped blocks without ComputeCFG) must be annotated the
+// same as with positional IDs: here every PPF of the three apps after
+// inlining, once with its IDs reversed (each then names another block's
+// position) and once behind an unreachable block that shifts every
+// position by one.
+func TestNonPositionalBlockIDs(t *testing.T) {
+	for _, a := range apps.All() {
+		prog, err := driver.LowerSource(a.Name+".baker", a.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Optimize(prog, opt.Options{Scalar: true, Inline: true})
+		want := ir.CloneProgram(prog)
+		wantSt := soar.Analyze(want)
+		for _, perturb := range []struct {
+			name string
+			fn   func(*ir.Func)
+		}{
+			{"reversed", func(f *ir.Func) {
+				for i, b := range f.Blocks {
+					b.ID = len(f.Blocks) - 1 - i
+				}
+			}},
+			{"shifted", func(f *ir.Func) {
+				dead := &ir.Block{ID: 0, Instrs: []*ir.Instr{{Op: ir.OpRet}}}
+				f.Blocks = append([]*ir.Block{dead}, f.Blocks...)
+			}},
+		} {
+			got := ir.CloneProgram(prog)
+			for _, f := range got.PPFs() {
+				perturb.fn(f)
+			}
+			gotSt := soar.Analyze(got)
+			if !reflect.DeepEqual(gotSt, wantSt) {
+				t.Errorf("%s %s: stats %+v, want %+v", a.Name, perturb.name, gotSt, wantSt)
+			}
+			for fi, wf := range want.Funcs {
+				w, g := annotations(wf), annotations(got.Funcs[fi])
+				if !reflect.DeepEqual(g, w) {
+					t.Errorf("%s %s: %s annotated %v, want %v", a.Name, perturb.name, wf.Name, g, w)
+				}
+			}
+		}
+	}
+}
+
+// annotations lists SOAR's results on every packet access and encap/decap
+// of f, in block order; a block made only of a ret carries none.
+func annotations(f *ir.Func) [][3]int64 {
+	var out [][3]int64
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			switch in.Op {
+			case ir.OpPktLoad, ir.OpPktStore, ir.OpEncap, ir.OpDecap:
+				out = append(out, [3]int64{int64(in.StaticOff), int64(in.StaticAlign), int64(in.StaticMin)})
+			}
+		}
+	}
+	return out
 }

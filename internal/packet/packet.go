@@ -258,10 +258,13 @@ func (p *Packet) Encap(head int, outer *types.Protocol) (int, error) {
 	}
 	grow := size - head
 	if grow > p.start {
-		nbuf := make([]byte, len(p.buf)+Headroom)
-		copy(nbuf[Headroom:], p.buf[p.start:])
+		// The new buffer's front room covers this growth even when the
+		// header is longer than the standard headroom.
+		room := max(Headroom, grow)
+		nbuf := make([]byte, len(p.buf)+room)
+		copy(nbuf[room:], p.buf[p.start:])
 		p.buf = nbuf
-		p.start = Headroom
+		p.start = room
 	}
 	p.start -= grow
 	p.length += grow

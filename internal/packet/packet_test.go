@@ -173,6 +173,28 @@ func TestEncapRestoresAndGrows(t *testing.T) {
 	}
 }
 
+// TestEncapGrowsPastHeadroom: a header longer than the buffer's front
+// room (here 68 bytes in front of a fresh packet's 64-byte headroom) still
+// lands in front of the packet's bytes, which keep their values.
+func TestEncapGrowsPastHeadroom(t *testing.T) {
+	wire := make([]byte, 64)
+	for i := range wire {
+		wire[i] = byte(i + 1)
+	}
+	p := New(wire, 8)
+	head, err := p.Encap(0, &types.Protocol{FixedSize: Headroom + 4})
+	if err != nil || head != 0 {
+		t.Fatalf("Encap = %d, %v; want 0, nil", head, err)
+	}
+	b := p.Bytes()
+	if len(b) != 64+Headroom+4 {
+		t.Fatalf("len = %d, want %d", len(b), 64+Headroom+4)
+	}
+	if !bytes.Equal(b[Headroom+4:], wire) {
+		t.Errorf("packet bytes moved: % x", b[Headroom+4:])
+	}
+}
+
 func TestMetadata(t *testing.T) {
 	tp := protoEnv(t)
 	p := New(make([]byte, 64), tp.Metadata.Bytes)
