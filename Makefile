@@ -64,19 +64,25 @@ bench-check:
 # Tier-1 verification: everything CI gates on, every test run once.
 verify: build vet fmt-check test race
 
-# Compiler-fuzzing gate (10-12 s after the build on the 2-vCPU reference
-# VM, 42-52 programs/s; 17-23 s before the level ladder): 500 seeded
+# Fuzzing gate. First the compiler campaign (10-12 s after the build on
+# the 2-vCPU reference VM, 42-52 programs/s; 17-23 s before the level
+# ladder): 500 seeded
 # random Baker programs, each compiled at every cumulative optimization
 # level and checked packet-for-packet against the host reference
 # interpreter, plus one invalid mutant per program through the frontend
 # negative checker. The seed is fixed so a red run replays exactly:
 #   go run ./cmd/shangrila-bench -experiment fuzz -fuzz-n 500 -fuzz-seed 4242
 # Campaign stats (programs/sec, feature histogram, minimized failures)
-# land in fuzz_report.json for CI to archive.
+# land in fuzz_report.json for CI to archive. Then 10 s of Go's native
+# fuzzing of the host packet model (FuzzPacketOps: op sequences on New,
+# NewZero and arena packets against a byte-slice model); a failing input
+# is written under internal/packet/testdata/fuzz/FuzzPacketOps, where the
+# tier-1 tests replay it.
 fuzz-ci: build
 	$(GO) run ./cmd/shangrila-bench -experiment fuzz -fuzz-n 500 -fuzz-seed 4242 \
 		-report fuzz_report.json
 	@test -s fuzz_report.json && echo "fuzz-ci: report OK"
+	$(GO) test -run '^$$' -fuzz '^FuzzPacketOps$$' -fuzztime 10s ./internal/packet
 
 # Quick end-to-end pass over the evaluation binary, into one report CI
 # archives: Table 1, the load-latency sweep (BASE and the -O default,

@@ -4,12 +4,6 @@ package ir
 // order, the same register numbering and the same CFG edges. The copy is
 // not frozen. Program.Edit takes its private copies with it, and
 // aggregation its internal-channel helper bodies.
-//
-// The copy's blocks, instructions, operand lists, branch-target lists and
-// CFG edge lists are carved out of one slab each, sized by a counting walk,
-// instead of being allocated one at a time; every carved slice has its
-// capacity clipped to what it was carved for, so a pass appending to one
-// reallocates rather than running into its neighbour.
 func (f *Func) Clone() *Func {
 	nf := &Func{
 		Name:         f.Name,
@@ -18,11 +12,29 @@ func (f *Func) Clone() *Func {
 		ParamClasses: append([]RegClass(nil), f.ParamClasses...),
 		NumRegs:      f.NumRegs,
 		RegClasses:   append([]RegClass(nil), f.RegClasses...),
+		Blocks:       make([]*Block, 0, len(f.Blocks)),
 		InProto:      f.InProto,
 		Source:       f.Source,
 	}
+	nf.Entry = nf.AppendBody(f, 0)
+	return nf
+}
+
+// AppendBody appends a copy of src's blocks to f and returns the copy of
+// src's entry: the one IR body copier, behind Clone and the inliner. Every
+// register of the copy is src's plus base (NoReg stays NoReg), every block
+// ID src's plus the number of blocks f had, and branch targets and CFG
+// edges name the copies; a target src does not list becomes nil. The
+// caller owns the registers: f's NumRegs and RegClasses are left alone.
+//
+// The copy's blocks, instructions, operand lists, branch-target lists and
+// CFG edge lists are carved out of one slab each, sized by a counting walk,
+// instead of being allocated one at a time; every carved slice has its
+// capacity clipped to what it was carved for, so a pass appending to one
+// reallocates rather than running into its neighbour.
+func (f *Func) AppendBody(src *Func, base Reg) *Block {
 	var nInstrs, nRegs, nTargets, nEdges int
-	for _, b := range f.Blocks {
+	for _, b := range src.Blocks {
 		nInstrs += len(b.Instrs)
 		nEdges += len(b.Preds) + len(b.Succs)
 		for _, in := range b.Instrs {
@@ -30,52 +42,58 @@ func (f *Func) Clone() *Func {
 			nTargets += len(in.Blocks)
 		}
 	}
-	blocks := make([]Block, len(f.Blocks))
-	nf.Blocks = make([]*Block, len(f.Blocks))
+	idBase := len(f.Blocks)
+	blocks := make([]Block, len(src.Blocks))
 	instrs := make([]Instr, nInstrs)
 	instrPtrs := make([]*Instr, nInstrs)
 	regs := make([]Reg, nRegs)
 	targets := make([]*Block, nTargets+nEdges)
 
-	// copyOf finds the copy of one of f's blocks: by ID when IDs are the
+	// copyOf finds the copy of one of src's blocks: by ID when IDs are the
 	// positions (ComputeCFG leaves them so), by search otherwise; nil for a
-	// block f does not list.
+	// block src does not list.
 	copyOf := func(b *Block) *Block {
-		if f.Positioned(b) {
+		if src.Positioned(b) {
 			return &blocks[b.ID]
 		}
-		for i, ob := range f.Blocks {
+		for i, ob := range src.Blocks {
 			if ob == b {
 				return &blocks[i]
 			}
 		}
 		return nil
 	}
-	carveRegs := func(src []Reg) []Reg {
-		if len(src) == 0 {
+	carveRegs := func(rs []Reg) []Reg {
+		if len(rs) == 0 {
 			return nil
 		}
-		n := copy(regs, src)
+		n := len(rs)
 		out := regs[:n:n]
 		regs = regs[n:]
+		for i, r := range rs {
+			if r != NoReg {
+				r += base
+			}
+			out[i] = r
+		}
 		return out
 	}
-	carveBlocks := func(src []*Block) []*Block {
-		if src == nil {
+	carveBlocks := func(bs []*Block) []*Block {
+		if bs == nil {
 			return nil
 		}
-		n := len(src)
+		n := len(bs)
 		out := targets[:n:n]
 		targets = targets[n:]
-		for i, b := range src {
+		for i, b := range bs {
 			out[i] = copyOf(b)
 		}
 		return out
 	}
-	for bi, b := range f.Blocks {
+	for bi, b := range src.Blocks {
 		nb := &blocks[bi]
-		nb.ID = b.ID
-		nf.Blocks[bi] = nb
+		nb.ID = idBase + b.ID
+		f.Blocks = append(f.Blocks, nb)
 		nb.Preds, nb.Succs = carveBlocks(b.Preds), carveBlocks(b.Succs)
 		n := len(b.Instrs)
 		nb.Instrs, instrPtrs = instrPtrs[:n:n], instrPtrs[n:]
@@ -89,8 +107,7 @@ func (f *Func) Clone() *Func {
 		}
 		instrs = instrs[n:]
 	}
-	nf.Entry = copyOf(f.Entry)
-	return nf
+	return copyOf(src.Entry)
 }
 
 // CloneProgram deep-copies every function of p (sharing the immutable type

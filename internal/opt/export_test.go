@@ -14,3 +14,25 @@ func CapRounds(f *ir.Func) {
 		s.round(f)
 	}
 }
+
+// CallCount returns the number of OpCall instructions in f.
+func CallCount(f *ir.Func) int {
+	n := 0
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpCall {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// InstrCount returns the static instruction count of f.
+func InstrCount(f *ir.Func) int {
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
+	}
+	return n
+}

@@ -132,10 +132,10 @@ func (p *Packet) WriteField(head int, f *types.ProtoField, v uint32) error {
 
 // ReadRaw returns the width bytes at byte offset off from the header at
 // head, aliased into the packet buffer (writes through it modify the
-// packet).
+// packet). A negative width is an error, as is a range outside the buffer.
 func (p *Packet) ReadRaw(head, off, width int) ([]byte, error) {
 	lo := p.start + head + off
-	if lo < 0 || lo+width > len(p.buf) {
+	if lo < 0 || width < 0 || lo+width > len(p.buf) {
 		return nil, fmt.Errorf("packet: raw access [%d,%d) out of bounds", off, off+width)
 	}
 	return p.buf[lo : lo+width], nil
@@ -261,7 +261,7 @@ func (p *Packet) Encap(head int, outer *types.Protocol) (int, error) {
 		// The new buffer's front room covers this growth even when the
 		// header is longer than the standard headroom.
 		room := max(Headroom, grow)
-		nbuf := make([]byte, len(p.buf)+room)
+		nbuf := make([]byte, room+len(p.buf)-p.start)
 		copy(nbuf[room:], p.buf[p.start:])
 		p.buf = nbuf
 		p.start = room

@@ -76,7 +76,7 @@ func TestQuickBitsRoundTrip(t *testing.T) {
 	}
 }
 
-func protoEnv(t *testing.T) *types.Program {
+func protoEnv(t testing.TB) *types.Program {
 	t.Helper()
 	src := `
 protocol ether { dst_hi:16; dst_lo:32; src_hi:16; src_lo:32; type:16; demux { 14 }; }
