@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check race churn-claims bench-check verify fuzz-ci bench-smoke clean
+.PHONY: all build test vet fmt-check race churn-claims bench-check verify examples fuzz-ci bench-smoke clean
 
 all: verify
 
@@ -63,6 +63,16 @@ bench-check:
 
 # Tier-1 verification: everything CI gates on, every test run once.
 verify: build vet fmt-check test race
+
+# The four example programs run end to end (each about 0.2 s once built):
+# boot through Runtime.Boot / Session.Boot, scheduled route changes whose
+# ScheduleUpdates counts the l3switch example checks, and functional and
+# compiled runs of each app. Any nonzero exit fails the target.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/l3switch
+	$(GO) run ./examples/mpls
+	$(GO) run ./examples/firewall
 
 # Fuzzing gate. First the compiler campaign (10-12 s after the build on
 # the 2-vCPU reference VM, 42-52 programs/s; 17-23 s before the level

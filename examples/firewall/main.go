@@ -8,11 +8,8 @@ import (
 	"log"
 
 	"shangrila/internal/apps"
-	"shangrila/internal/baker/parser"
-	"shangrila/internal/baker/types"
 	"shangrila/internal/driver"
 	"shangrila/internal/harness"
-	"shangrila/internal/lower"
 	"shangrila/internal/profiler"
 	"shangrila/internal/trace"
 )
@@ -20,26 +17,17 @@ import (
 func main() {
 	app := apps.Firewall()
 
-	astProg, err := parser.Parse("firewall.baker", app.Source)
+	prog, err := driver.LowerSource("firewall.baker", app.Source)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tp, err := types.Check(astProg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prog, err := lower.Lower(tp)
-	if err != nil {
-		log.Fatal(err)
-	}
+	tp := prog.Types
 	s, err := profiler.NewSession(prog)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, c := range app.Controls {
-		if err := s.Control(c.Name, c.Args...); err != nil {
-			log.Fatal(err)
-		}
+	if err := s.Boot(app.Controls); err != nil {
+		log.Fatal(err)
 	}
 
 	// Hand-crafted probes against the installed policy.

@@ -12,6 +12,7 @@ import (
 	"shangrila/internal/apps"
 	"shangrila/internal/driver"
 	"shangrila/internal/harness"
+	"shangrila/internal/profiler"
 	"shangrila/internal/rts"
 )
 
@@ -42,19 +43,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, c := range app.Controls {
-		if err := rt.Control(c.Name, c.Args...); err != nil {
-			log.Fatal(err)
-		}
+	if err := rt.Boot(app.Controls); err != nil {
+		log.Fatal(err)
 	}
 	// Schedule a route change at cycle 200k: 10.1/16 moves to next hop 42.
 	// The XScale writes the table's home location in SRAM and raises the
 	// update flag; each ME's software cache picks the change up at its
 	// next delayed-update check (§5.2, Figure 8).
-	rt.ControlAt(200_000, "l3switch.add_route", 0x0a010000, 16, 42)
-	rt.ControlAt(200_000, "l3switch.add_neighbor", 42, 0x0bb0, 0x11000042, 1)
+	ups := rt.ScheduleUpdates([]rts.Update{
+		{At: 200_000, Control: profiler.Control{Name: "l3switch.add_route", Args: []uint32{0x0a010000, 16, 42}}},
+		{At: 200_000, Control: profiler.Control{Name: "l3switch.add_neighbor", Args: []uint32{42, 0x0bb0, 0x11000042, 1}}},
+	})
 	if err := rt.Run(400_000); err != nil {
 		log.Fatal(err)
+	}
+	if ups.Applied != 2 || ups.Failed != 0 {
+		log.Fatalf("route change: %d of %d updates applied, %d failed", ups.Applied, ups.Scheduled, ups.Failed)
 	}
 	st := rt.M.Snapshot()
 	fmt.Printf("forwarded %d packets at %.2f Gbps across the update\n",

@@ -12,11 +12,8 @@ import (
 	"log"
 
 	"shangrila/internal/apps"
-	"shangrila/internal/baker/parser"
-	"shangrila/internal/baker/types"
 	"shangrila/internal/driver"
 	"shangrila/internal/harness"
-	"shangrila/internal/lower"
 	"shangrila/internal/profiler"
 )
 
@@ -24,26 +21,17 @@ func main() {
 	app := apps.MPLS()
 
 	// Functional pass: count label operations over a trace.
-	astProg, err := parser.Parse("mpls.baker", app.Source)
+	prog, err := driver.LowerSource("mpls.baker", app.Source)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tp, err := types.Check(astProg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prog, err := lower.Lower(tp)
-	if err != nil {
-		log.Fatal(err)
-	}
+	tp := prog.Types
 	s, err := profiler.NewSession(prog)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, c := range app.Controls {
-		if err := s.Control(c.Name, c.Args...); err != nil {
-			log.Fatal(err)
-		}
+	if err := s.Boot(app.Controls); err != nil {
+		log.Fatal(err)
 	}
 	for _, p := range app.Trace(tp, 99, 500) {
 		if err := s.Inject(p); err != nil {

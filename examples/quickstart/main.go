@@ -92,7 +92,10 @@ func main() {
 
 	// 3. Compile at full optimization. (Each compilation consumes the
 	// program, so lower a fresh copy.)
-	prog2, _ := driver.LowerSource("mirror.baker", src)
+	prog2, err := driver.LowerSource("mirror.baker", src)
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := driver.CompileIR(prog2, driver.Config{
 		Level:        driver.LevelSWC,
 		ProfileTrace: profTrace,

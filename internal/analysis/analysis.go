@@ -32,9 +32,6 @@ func HasSideEffects(in *ir.Instr) bool {
 // CGIR program.
 type Bits []uint64
 
-// NewBits returns an empty set with room for members 0..n-1.
-func NewBits(n int) Bits { return make(Bits, (n+63)>>6) }
-
 // Has reports whether i is a member.
 func (s Bits) Has(i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
 

@@ -15,6 +15,7 @@ package cg
 
 import (
 	"fmt"
+	"slices"
 
 	"shangrila/internal/baker/types"
 )
@@ -309,7 +310,7 @@ func BuildLayout(tp *types.Program, synthetic map[*types.Global]bool, numLocks, 
 			names = append(names, name)
 		}
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	// Local Memory bytes [0, swcRegionBytes) hold the software cache's
 	// 16 lines of 32 bytes; per-ME local globals (SWC counters, seen
 	// words) are laid out after them — their addresses are absolute LM
@@ -374,11 +375,3 @@ func (l *Layout) BufAddr(id uint32) uint32 { return l.DRAMBufBase + id*l.BufSize
 
 // MetaAddr returns the SRAM byte address of packet id's metadata record.
 func (l *Layout) MetaAddr(id uint32) uint32 { return l.MetaBase + id*l.MetaRecBytes }
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}

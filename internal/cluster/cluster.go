@@ -203,10 +203,8 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: chip %d: %w", i, err)
 		}
 		port.SetSink(rt)
-		for _, c := range cfg.Controls {
-			if err := rt.Control(c.Name, c.Args...); err != nil {
-				return nil, fmt.Errorf("cluster: chip %d control %s: %w", i, c.Name, err)
-			}
+		if err := rt.Boot(cfg.Controls); err != nil {
+			return nil, fmt.Errorf("cluster: chip %d %w", i, err)
 		}
 		cl.chips = append(cl.chips, &chip{rt: rt, port: port})
 	}

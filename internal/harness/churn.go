@@ -261,10 +261,8 @@ func ChurnRun(a *apps.App, cfg RunConfig) (*ChurnResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range a.Controls {
-		if err := rt.Control(c.Name, c.Args...); err != nil {
-			return nil, fmt.Errorf("%s control %s: %w", a.Name, c.Name, err)
-		}
+	if err := rt.Boot(a.Controls); err != nil {
+		return nil, fmt.Errorf("%s %w", a.Name, err)
 	}
 	if err := rt.Run(cfg.Warmup); err != nil {
 		return nil, fmt.Errorf("%s warmup: %w", a.Name, err)

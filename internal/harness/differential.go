@@ -180,17 +180,13 @@ func DifferentialWith(cfg DiffConfig, a *apps.App, levels ...driver.Level) *Diff
 	trc := a.Trace(prog.Types, cfg.Seed, cfg.TraceN)
 	rep.Injected = len(trc)
 	sess, err := profiler.NewSession(prog)
+	if err == nil {
+		err = sess.Boot(a.Controls)
+	}
 	if err != nil {
 		rep.add(Divergence{Kind: DivHost, LevelA: "host", LevelB: "host",
 			PacketIndex: -1, Detail: err.Error()})
 		return rep
-	}
-	for _, c := range a.Controls {
-		if err := sess.Control(c.Name, c.Args...); err != nil {
-			rep.add(Divergence{Kind: DivHost, LevelA: "host", LevelB: "host",
-				PacketIndex: -1, Detail: fmt.Sprintf("control %s: %v", c.Name, err)})
-			return rep
-		}
 	}
 	for i, p := range trc {
 		if err := sess.Inject(p.Clone()); err != nil {
@@ -260,17 +256,13 @@ func (rep *DiffReport) diffLevel(a *apps.App, lvl driver.Level, res *driver.Resu
 	captureLimit := diffCapturePerPacket * cfg.TraceN
 	rt, err := rts.New(res.Image, res.Prog, trc, rts.Options{
 		NumMEs: diffMEs, CaptureLimit: captureLimit})
+	if err == nil {
+		err = rt.Boot(a.Controls)
+	}
 	if err != nil {
 		rep.add(Divergence{Kind: DivRun, LevelA: "host", LevelB: name,
 			PacketIndex: -1, Detail: err.Error()})
 		return
-	}
-	for _, c := range a.Controls {
-		if err := rt.Control(c.Name, c.Args...); err != nil {
-			rep.add(Divergence{Kind: DivRun, LevelA: "host", LevelB: name,
-				PacketIndex: -1, Detail: fmt.Sprintf("control %s: %v", c.Name, err)})
-			return
-		}
 	}
 
 	// Run in chunks, stopping as soon as every distinct reference frame

@@ -266,10 +266,8 @@ func (c RunConfig) measure(a *apps.App, res *driver.Result) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, ctl := range a.Controls {
-		if err := rt.Control(ctl.Name, ctl.Args...); err != nil {
-			return nil, fmt.Errorf("%s control %s: %w", a.Name, ctl.Name, err)
-		}
+	if err := rt.Boot(a.Controls); err != nil {
+		return nil, fmt.Errorf("%s %w", a.Name, err)
 	}
 	var chrome *ixp.ChromeTracer
 	var tracers []ixp.Tracer

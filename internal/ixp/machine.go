@@ -17,6 +17,7 @@
 package ixp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -1054,16 +1055,16 @@ func (m *Machine) execMem(mx *ME, th *Thread, ti int, in *dInstr, cyclesSoFar in
 	}
 	if in.atomic && in.level == cg.MemScratch && !in.store {
 		// Test-and-set: return previous value, write 1.
-		old := beWord(mem[addr:])
-		putBEWord(mem[addr:], 1)
+		old := binary.BigEndian.Uint32(mem[addr:])
+		binary.BigEndian.PutUint32(mem[addr:], 1)
 		th.regs[in.data[0]] = old
 	} else if in.store {
 		for i, r := range in.data {
-			putBEWord(mem[int(addr)+i*4:], th.regs[r])
+			binary.BigEndian.PutUint32(mem[int(addr)+i*4:], th.regs[r])
 		}
 	} else {
 		for i, r := range in.data {
-			th.regs[r] = beWord(mem[int(addr)+i*4:])
+			th.regs[r] = binary.BigEndian.Uint32(mem[int(addr)+i*4:])
 		}
 	}
 	if in.accIdx >= 0 {
@@ -1372,17 +1373,6 @@ func condEval(c cg.CondOp, a, b uint32) bool {
 		return int32(a) <= int32(b)
 	}
 	return false
-}
-
-func beWord(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func putBEWord(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
 }
 
 // ResetStats clears measurement counters (after warm-up) while keeping

@@ -1,6 +1,7 @@
 package ixp
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -233,7 +234,7 @@ func TestMachineForwardsAndCounts(t *testing.T) {
 	}
 	// The scratch counter was incremented once per forwarded packet
 	// (remaining in-flight packets may have bumped it too).
-	got := beWord(m.Scratch[256:])
+	got := binary.BigEndian.Uint32(m.Scratch[256:])
 	if uint64(got) < st.TxPackets {
 		t.Errorf("counter %d < tx %d", got, st.TxPackets)
 	}
@@ -506,7 +507,7 @@ func TestAtomicTestAndSet(t *testing.T) {
 	if err := m.Run(10_000); err != nil {
 		t.Fatal(err)
 	}
-	if beWord(m.Scratch[512:]) != 1 {
+	if binary.BigEndian.Uint32(m.Scratch[512:]) != 1 {
 		t.Errorf("test-and-set did not set the lock word")
 	}
 	if m.MEs[0].threads[0].regs[2] != 0 {

@@ -1,6 +1,7 @@
 package ixp
 
 import (
+	"encoding/binary"
 	"runtime"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestMemoryDemandGrown(t *testing.T) {
 		if got := th.Reg(4); got != 0xfeedface {
 			t.Errorf("%v: last word read back %#x, want 0xfeedface", lv.level, got)
 		}
-		if got := beWord(m.Window(lv.level, uint32(lv.size-4), 4)); got != 0xfeedface {
+		if got := binary.BigEndian.Uint32(m.Window(lv.level, uint32(lv.size-4), 4)); got != 0xfeedface {
 			t.Errorf("%v: window sees %#x in the last word, want 0xfeedface", lv.level, got)
 		}
 		if w := m.Window(lv.level, 64, 8); len(w) != 8 || cap(w) != 8 {

@@ -9,6 +9,7 @@
 package profiler
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"shangrila/internal/baker/types"
@@ -452,7 +453,7 @@ func (it *Interp) exec(c *code, wb, hb int) (Value, error) {
 						err = rerr
 					} else {
 						for i, d := range c.list(s) {
-							words[d] = beWord(raw[i*4:])
+							words[d] = binary.BigEndian.Uint32(raw[i*4:])
 						}
 					}
 				case ir.OpPktStore:
@@ -462,7 +463,7 @@ func (it *Interp) exec(c *code, wb, hb int) (Value, error) {
 						err = rerr
 					} else {
 						for i, a := range c.list(s) {
-							putBEWord(raw[i*4:], words[a])
+							binary.BigEndian.PutUint32(raw[i*4:], words[a])
 						}
 					}
 				case ir.OpMetaLoad:
@@ -472,7 +473,7 @@ func (it *Interp) exec(c *code, wb, hb int) (Value, error) {
 						err = fmt.Errorf("raw metadata read out of range")
 					} else {
 						for i, d := range c.list(s) {
-							words[d] = beWord(p.Meta[int(s.imm)+i*4:])
+							words[d] = binary.BigEndian.Uint32(p.Meta[int(s.imm)+i*4:])
 						}
 					}
 				case ir.OpMetaStore:
@@ -482,7 +483,7 @@ func (it *Interp) exec(c *code, wb, hb int) (Value, error) {
 						err = fmt.Errorf("raw metadata write out of range")
 					} else {
 						for i, a := range c.list(s) {
-							putBEWord(p.Meta[int(s.imm)+i*4:], words[a])
+							binary.BigEndian.PutUint32(p.Meta[int(s.imm)+i*4:], words[a])
 						}
 					}
 				case ir.OpDecap:
@@ -542,15 +543,4 @@ func b2u(b bool) uint32 {
 		return 1
 	}
 	return 0
-}
-
-func beWord(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func putBEWord(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
 }

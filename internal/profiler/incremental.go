@@ -63,7 +63,7 @@ func NewIncremental(prog *ir.Program, tr []*packet.Packet, controls []Control) (
 	in.rec = newRecorder(in.work, sink)
 	in.work.rec, in.work.it.rec = in.rec, in.rec
 	in.ctl.rec = &recorder{sink: sink, dirtyAt: make([]bool, len(in.ctl.mem)), crit: make([]uint64, len(in.ctl.globals))}
-	if err := in.ctl.runInits(); err != nil {
+	if err := in.ctl.it.Init(); err != nil {
 		return nil, nil, err
 	}
 	st, err := in.profile(controls, true)
@@ -91,10 +91,8 @@ func (in *Incremental) Profile(controls []Control) (*Stats, error) {
 }
 
 func (in *Incremental) profile(controls []Control, all bool) (*Stats, error) {
-	for _, c := range controls[in.nctl:] {
-		if err := in.ctl.control(c.Name, c.Args); err != nil {
-			return nil, fmt.Errorf("control %s: %w", c.Name, err)
-		}
+	if err := in.ctl.it.Boot(controls[in.nctl:]); err != nil {
+		return nil, err
 	}
 	in.nctl = len(controls)
 	// The working copy becomes the control state again: it differs from it

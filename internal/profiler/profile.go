@@ -308,12 +308,13 @@ func (e *hostEnv) NewPacket(proto *types.Protocol) *packet.Packet {
 	return packet.NewZero(size, e.tp.Metadata.Bytes)
 }
 
-// runInits runs the program's init functions (they run on the XScale at
-// load time).
-func (e *hostEnv) runInits() error {
-	for _, fn := range e.it.Prog.Funcs {
+// Init runs the program's no-argument init functions in declaration
+// order: the first half of the XScale boot (§4.2), on the host model and
+// the simulator alike.
+func (it *Interp) Init() error {
+	for _, fn := range it.Prog.Funcs {
 		if fn.Kind == ir.FuncInit && len(fn.Params) == 0 {
-			if _, err := e.it.Run(fn, nil); err != nil {
+			if _, err := it.Run(fn, nil); err != nil {
 				return fmt.Errorf("init %s: %w", fn.Name, err)
 			}
 		}
@@ -321,9 +322,10 @@ func (e *hostEnv) runInits() error {
 	return nil
 }
 
-// control invokes a control function with word arguments.
-func (e *hostEnv) control(name string, args []uint32) error {
-	fn := e.it.Prog.Func(name)
+// Control invokes a control function with word arguments (the host →
+// XScale control path).
+func (it *Interp) Control(name string, args ...uint32) error {
+	fn := it.Prog.Func(name)
 	if fn == nil {
 		return fmt.Errorf("no control function %q", name)
 	}
@@ -331,8 +333,20 @@ func (e *hostEnv) control(name string, args []uint32) error {
 	for i, a := range args {
 		vals[i] = Value{W: a}
 	}
-	_, err := e.it.Run(fn, vals)
+	_, err := it.Run(fn, vals)
 	return err
+}
+
+// Boot applies controls in order, the second half of the boot; a
+// deployment, a profile and the differential's reference all call it with
+// the same list.
+func (it *Interp) Boot(controls []Control) error {
+	for _, c := range controls {
+		if err := it.Control(c.Name, c.Args...); err != nil {
+			return fmt.Errorf("control %s: %w", c.Name, err)
+		}
+	}
+	return nil
 }
 
 // entry resolves the PPF wired to rx.
@@ -490,13 +504,11 @@ func Profile(prog *ir.Program, tr []*packet.Packet) (*Stats, error) {
 func ProfileWithControls(prog *ir.Program, tr []*packet.Packet, controls []Control) (*Stats, error) {
 	stats := &Stats{}
 	env := newHostEnv(prog, stats)
-	if err := env.runInits(); err != nil {
+	if err := env.it.Init(); err != nil {
 		return nil, err
 	}
-	for _, c := range controls {
-		if err := env.control(c.Name, c.Args); err != nil {
-			return nil, fmt.Errorf("control %s: %w", c.Name, err)
-		}
+	if err := env.it.Boot(controls); err != nil {
+		return nil, err
 	}
 	// Setup traffic (init + table population) must not pollute the
 	// steady-state statistics: SWC's Equation 2 needs the *runtime* store
@@ -550,16 +562,17 @@ type OutPacket struct {
 func NewSession(prog *ir.Program) (*Session, error) {
 	s := &Session{Prog: prog, Stats: &Stats{}}
 	s.env = newHostEnv(prog, s.Stats)
-	if err := s.env.runInits(); err != nil {
+	if err := s.env.it.Init(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
 // Control invokes a control function with word arguments.
-func (s *Session) Control(name string, args ...uint32) error {
-	return s.env.control(name, args)
-}
+func (s *Session) Control(name string, args ...uint32) error { return s.env.it.Control(name, args...) }
+
+// Boot applies the boot controls in order (Interp.Boot).
+func (s *Session) Boot(controls []Control) error { return s.env.it.Boot(controls) }
 
 // Inject runs one packet through the application, collecting transmitted
 // packets into s.Out.

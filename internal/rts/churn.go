@@ -30,7 +30,6 @@ type ChurnStats struct {
 func (r *Runtime) ScheduleUpdates(updates []Update) *ChurnStats {
 	st := &ChurnStats{Scheduled: len(updates)}
 	for _, u := range updates {
-		u := u
 		r.M.At(u.At, func() {
 			if err := r.Control(u.Control.Name, u.Control.Args...); err != nil {
 				st.Failed++

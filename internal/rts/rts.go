@@ -7,6 +7,7 @@
 package rts
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -31,7 +32,6 @@ type Runtime struct {
 	Img *cg.Image
 	M   *ixp.Machine
 
-	prog        *ir.Program // for XScale interpretation
 	trace       []*packet.Packet
 	tracePos    int
 	stream      *workload.Stream // nil = legacy line-rate trace player
@@ -97,7 +97,7 @@ func New(img *cg.Image, prog *ir.Program, tr []*packet.Packet, opts Options) (*R
 	cfg.RingSlots = lay.RingSlots
 
 	r := &Runtime{
-		Img: img, prog: prog, trace: tr,
+		Img: img, trace: tr,
 		CaptureLimit:  opts.CaptureLimit,
 		xscaleEntries: map[int]*ir.Func{},
 	}
@@ -158,14 +158,9 @@ func New(img *cg.Image, prog *ir.Program, tr []*packet.Packet, opts Options) (*R
 	}
 
 	// Init functions run at load time on the XScale.
-	for _, fn := range prog.Funcs {
-		if fn.Kind == ir.FuncInit && len(fn.Params) == 0 {
-			if _, err := r.interp.Run(fn, nil); err != nil {
-				return nil, fmt.Errorf("rts: init %s: %w", fn.Name, err)
-			}
-		}
+	if err := r.interp.Init(); err != nil {
+		return nil, fmt.Errorf("rts: %w", err)
 	}
-
 	return r, nil
 }
 
@@ -330,8 +325,8 @@ func (r *Runtime) enqueue(m *ixp.Machine, p *packet.Packet, frameBytes int) bool
 	end := lay.BufHeadroom + uint32(frameBytes)
 	// Metadata record: end, head, app metadata (zeroed + rx_port).
 	meta := m.Window(cg.MemSRAM, lay.MetaAddr(id), int(lay.MetaRecBytes))
-	putBE(meta[cg.MetaLenOff:], end)
-	putBE(meta[cg.MetaHeadOff:], head)
+	binary.BigEndian.PutUint32(meta[cg.MetaLenOff:], end)
+	binary.BigEndian.PutUint32(meta[cg.MetaHeadOff:], head)
 	app := meta[lay.MetaAppOff:]
 	clear(app)
 	if r.rxPortField != nil {
@@ -362,26 +357,12 @@ func (r *Runtime) Transmit(m *ixp.Machine, w0, w1 uint32) int {
 }
 
 // Control invokes a control function immediately against simulated memory
-// (the host → XScale control path).
-func (r *Runtime) Control(name string, args ...uint32) error {
-	fn := r.prog.Func(name)
-	if fn == nil {
-		return fmt.Errorf("rts: no control function %q", name)
-	}
-	vals := make([]profiler.Value, len(args))
-	for i, a := range args {
-		vals[i] = profiler.Value{W: a}
-	}
-	_, err := r.interp.Run(fn, vals)
-	return err
-}
+// (the host → XScale control path, profiler.Interp.Control).
+func (r *Runtime) Control(name string, args ...uint32) error { return r.interp.Control(name, args...) }
 
-// ControlAt schedules a control invocation at an absolute cycle.
-func (r *Runtime) ControlAt(t int64, name string, args ...uint32) {
-	r.M.At(t, func() {
-		_ = r.Control(name, args...)
-	})
-}
+// Boot applies the boot controls in order (profiler.Interp.Boot), as a
+// profile of the same image does before its trace.
+func (r *Runtime) Boot(controls []profiler.Control) error { return r.interp.Boot(controls) }
 
 // Run advances the machine.
 func (r *Runtime) Run(cycles int64) error { return r.M.Run(cycles) }
@@ -407,15 +388,4 @@ func (r *Runtime) xscaleStep(m *ixp.Machine, ring int, w0, w1 uint32) int64 {
 	}
 	// Cost model: interpreted XScale execution, a few cycles per IR op.
 	return 2048
-}
-
-func putBE(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
-}
-
-func beWord(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }

@@ -97,8 +97,14 @@ func mkTrace(t testing.TB, res *driver.Result, n int) []*packet.Packet {
 
 func compileAt(t testing.TB, lvl driver.Level) *driver.Result {
 	t.Helper()
+	return compileSrc(t, miniRouter, lvl)
+}
+
+// compileSrc compiles a variant of miniRouter, booted with routerControls.
+func compileSrc(t testing.TB, src string, lvl driver.Level) *driver.Result {
+	t.Helper()
 	// A small pre-trace just for profiling.
-	base := testutil.BuildIR(t, miniRouter)
+	base := testutil.BuildIR(t, src)
 	tp := base.Types
 	r := workload.NewSource(1)
 	var ptr []*packet.Packet

@@ -1,6 +1,7 @@
 package rts
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"shangrila/internal/baker/types"
@@ -62,7 +63,7 @@ func (e *simEnv) LoadWords(g *types.Global, off uint32, n int) ([]uint32, error)
 	}
 	e.words = e.words[:0]
 	for i := 0; i < n; i++ {
-		e.words = append(e.words, beWord(b[i*4:]))
+		e.words = append(e.words, binary.BigEndian.Uint32(b[i*4:]))
 	}
 	return e.words, nil
 }
@@ -73,7 +74,7 @@ func (e *simEnv) StoreWords(g *types.Global, off uint32, words []uint32) error {
 		return err
 	}
 	for i, w := range words {
-		putBE(b[i*4:], w)
+		binary.BigEndian.PutUint32(b[i*4:], w)
 	}
 	return nil
 }
@@ -100,8 +101,8 @@ func (e *simEnv) ChannelPut(ch *types.Channel, p *packet.Packet, head int) error
 	newEnd := uint32(newStart + p.Len())
 	copy(m.Window(cg.MemDRAM, lay.BufAddr(ctx.id)+uint32(newStart), p.Len()), p.Bytes())
 	meta := m.Window(cg.MemSRAM, lay.MetaAddr(ctx.id), int(lay.MetaRecBytes))
-	putBE(meta[cg.MetaLenOff:], newEnd)
-	putBE(meta[cg.MetaHeadOff:], newHead)
+	binary.BigEndian.PutUint32(meta[cg.MetaLenOff:], newEnd)
+	binary.BigEndian.PutUint32(meta[cg.MetaHeadOff:], newHead)
 	copy(meta[lay.MetaAppOff:], p.Meta)
 	if !m.Rings[ring].Put(ctx.id, newHead<<16|newEnd) {
 		// Downstream full: drop (the XScale does not spin).
@@ -125,12 +126,12 @@ func (e *simEnv) Lock(id int) {
 	// interpreter runs to completion atomically within a tick, so the
 	// acquisition is modeled as immediate.
 	lay := e.rt.Img.Layout
-	putBE(e.rt.M.Scratch[lay.LockBase+uint32(id)*4:], 1)
+	binary.BigEndian.PutUint32(e.rt.M.Scratch[lay.LockBase+uint32(id)*4:], 1)
 }
 
 func (e *simEnv) Unlock(id int) {
 	lay := e.rt.Img.Layout
-	putBE(e.rt.M.Scratch[lay.LockBase+uint32(id)*4:], 0)
+	binary.BigEndian.PutUint32(e.rt.M.Scratch[lay.LockBase+uint32(id)*4:], 0)
 }
 
 func (e *simEnv) NewPacket(proto *types.Protocol) *packet.Packet {

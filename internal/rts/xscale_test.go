@@ -1,20 +1,21 @@
 package rts_test
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"shangrila/internal/apps"
 	"shangrila/internal/cg"
 	"shangrila/internal/driver"
 	"shangrila/internal/harness"
+	"shangrila/internal/profiler"
 	"shangrila/internal/rts"
 )
 
 // readSRAMWord reads a global's first word out of simulated SRAM.
 func readSRAMWord(rt *rts.Runtime, name string) uint32 {
 	addr := rt.Img.Layout.GlobalAddr[name]
-	b := rt.M.Window(cg.MemSRAM, addr, 4)
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+	return binary.BigEndian.Uint32(rt.M.Window(cg.MemSRAM, addr, 4))
 }
 
 // TestXScalePathProcessesARP verifies the control-path bridge: ARP frames
@@ -35,10 +36,8 @@ func TestXScalePathProcessesARP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range app.Controls {
-		if err := rt.Control(c.Name, c.Args...); err != nil {
-			t.Fatal(err)
-		}
+	if err := rt.Boot(app.Controls); err != nil {
+		t.Fatal(err)
 	}
 	if err := rt.Run(900_000); err != nil {
 		t.Fatal(err)
@@ -71,20 +70,26 @@ func TestSWCDelayedUpdateStaleness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range app.Controls {
-		if err := rt.Control(c.Name, c.Args...); err != nil {
-			t.Fatal(err)
-		}
+	if err := rt.Boot(app.Controls); err != nil {
+		t.Fatal(err)
 	}
 	// Move every hot prefix to next hop 42 mid-run; neighbor 42 has a
 	// recognizable MAC.
-	rt.ControlAt(300_000, "l3switch.add_neighbor", 42, 0x0bb0, 0x11000042, 1)
-	rt.ControlAt(301_000, "l3switch.add_route", 0x0a000000, 8, 42)
-	rt.ControlAt(301_500, "l3switch.add_route", 0x0a010000, 16, 42)
-	rt.ControlAt(302_000, "l3switch.add_route", 0xc0a80000, 16, 42)
-	rt.ControlAt(302_500, "l3switch.add_route", 0xc0a80100, 24, 42)
+	update := func(at int64, name string, args ...uint32) rts.Update {
+		return rts.Update{At: at, Control: profiler.Control{Name: name, Args: args}}
+	}
+	ups := rt.ScheduleUpdates([]rts.Update{
+		update(300_000, "l3switch.add_neighbor", 42, 0x0bb0, 0x11000042, 1),
+		update(301_000, "l3switch.add_route", 0x0a000000, 8, 42),
+		update(301_500, "l3switch.add_route", 0x0a010000, 16, 42),
+		update(302_000, "l3switch.add_route", 0xc0a80000, 16, 42),
+		update(302_500, "l3switch.add_route", 0xc0a80100, 24, 42),
+	})
 	if err := rt.Run(900_000); err != nil {
 		t.Fatal(err)
+	}
+	if ups.Applied != 5 || ups.Failed != 0 {
+		t.Fatalf("updates: %+v, want all 5 applied", *ups)
 	}
 	oldMAC, newMAC := 0, 0
 	for _, f := range rt.TxCapture {

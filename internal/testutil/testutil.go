@@ -61,15 +61,15 @@ func Execute(t testing.TB, prog *ir.Program, gen func(tp *types.Program) []*pack
 	if err != nil {
 		t.Fatalf("session: %v", err)
 	}
-	for _, c := range controls {
-		name := c[0].(string)
-		var args []uint32
+	boot := make([]profiler.Control, len(controls))
+	for i, c := range controls {
+		boot[i].Name = c[0].(string)
 		for _, a := range c[1:] {
-			args = append(args, toU32(a))
+			boot[i].Args = append(boot[i].Args, toU32(a))
 		}
-		if err := s.Control(name, args...); err != nil {
-			t.Fatalf("control %s: %v", name, err)
-		}
+	}
+	if err := s.Boot(boot); err != nil {
+		t.Fatal(err)
 	}
 	for _, p := range gen(prog.Types) {
 		if err := s.Inject(p); err != nil {
