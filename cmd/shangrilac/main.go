@@ -228,7 +228,7 @@ func genericTrace(tp *types.Program) ([]*packet.Packet, error) {
 			}
 		}
 		// Build reads Size only for a protocol without a fixed size.
-		p, err := trace.Build([]trace.Layer{{Proto: entryProto, Fields: fields, Size: entryProto.HeaderMin}},
+		p, err := trace.Build([]trace.Layer{{Proto: entryProto, Fields: fields, Size: entryProto.Size()}},
 			64, tp.Metadata.Bytes)
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"shangrila/internal/baker/ast"
@@ -132,39 +133,43 @@ func (c *checker) constEval(e ast.Expr) (uint64, bool) {
 	case *ast.BinaryExpr:
 		x, okx := c.constEval(e.X)
 		y, oky := c.constEval(e.Y)
-		if !okx || !oky {
+		v, ok := binaryOp(e.Op, uint32(x), uint32(y))
+		return uint64(v), okx && oky && ok
+	}
+	return 0, false
+}
+
+// binaryOp computes a Baker binary operator on 32-bit words, for the
+// constant folder and for demux evaluation alike. ok is false for an
+// operator it does not compute and for a zero divisor.
+func binaryOp(op token.Kind, a, b uint32) (v uint32, ok bool) {
+	switch op {
+	case token.ADD:
+		return a + b, true
+	case token.SUB:
+		return a - b, true
+	case token.MUL:
+		return a * b, true
+	case token.QUO:
+		if b == 0 {
 			return 0, false
 		}
-		a, b := uint32(x), uint32(y)
-		switch e.Op {
-		case token.ADD:
-			return uint64(a + b), true
-		case token.SUB:
-			return uint64(a - b), true
-		case token.MUL:
-			return uint64(a * b), true
-		case token.QUO:
-			if b == 0 {
-				return 0, false
-			}
-			return uint64(a / b), true
-		case token.REM:
-			if b == 0 {
-				return 0, false
-			}
-			return uint64(a % b), true
-		case token.AND:
-			return uint64(a & b), true
-		case token.OR:
-			return uint64(a | b), true
-		case token.XOR:
-			return uint64(a ^ b), true
-		case token.SHL:
-			return uint64(a << (b & 31)), true
-		case token.SHR:
-			return uint64(a >> (b & 31)), true
+		return a / b, true
+	case token.REM:
+		if b == 0 {
+			return 0, false
 		}
-		return 0, false
+		return a % b, true
+	case token.AND:
+		return a & b, true
+	case token.OR:
+		return a | b, true
+	case token.XOR:
+		return a ^ b, true
+	case token.SHL:
+		return a << (b & 31), true
+	case token.SHR:
+		return a >> (b & 31), true
 	}
 	return 0, false
 }
@@ -175,7 +180,7 @@ func (c *checker) collectProtocols() {
 			c.errorf(pd.Pos(), "duplicate protocol %q", pd.Name)
 			continue
 		}
-		p := &Protocol{Name: pd.Name, Demux: pd.Demux, ID: len(c.prog.ProtoByID)}
+		p := &Protocol{Name: pd.Name, ID: len(c.prog.ProtoByID)}
 		bit := 0
 		for _, f := range pd.Fields {
 			if p.Field(f.Name) != nil {
@@ -186,65 +191,79 @@ func (c *checker) collectProtocols() {
 			bit += f.Bits
 		}
 		p.HeaderMin = (bit + 7) / 8
-		p.FixedSize = -1
+		p.FixedSize = p.HeaderMin // stands in for a demux in error
 		if pd.Demux == nil {
 			c.errorf(pd.Pos(), "protocol %q has no demux declaration", pd.Name)
-			p.FixedSize = p.HeaderMin
-		} else if v, ok := c.constEvalProto(pd.Demux, p); ok {
-			p.FixedSize = int(v)
-			if p.FixedSize < p.HeaderMin {
+		} else if d, dyn := c.resolveDemux(pd.Demux, p); dyn {
+			p.FixedSize, p.Demux = -1, d
+		} else if d != nil {
+			v, _ := d.Eval(nil)
+			if p.FixedSize = int(v); p.FixedSize < p.HeaderMin {
 				c.errorf(pd.Pos(), "protocol %q demux size %d is smaller than its %d bytes of fields",
 					pd.Name, p.FixedSize, p.HeaderMin)
 			}
-		} else if !c.demuxWellFormed(pd.Demux, p) {
-			c.errorf(pd.Pos(), "protocol %q demux must use only constants and fields of the protocol", pd.Name)
 		}
 		c.prog.Protocols[pd.Name] = p
 		c.prog.ProtoByID = append(c.prog.ProtoByID, p)
 	}
 }
 
-// constEvalProto evaluates a demux expression when it references no fields.
-func (c *checker) constEvalProto(e ast.Expr, p *Protocol) (uint64, bool) {
-	if usesField(e, p) {
-		return 0, false
-	}
-	return c.constEval(e)
-}
-
-func usesField(e ast.Expr, p *Protocol) bool {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return p.Field(e.Name) != nil
-	case *ast.UnaryExpr:
-		return usesField(e.X, p)
-	case *ast.BinaryExpr:
-		return usesField(e.X, p) || usesField(e.Y, p)
-	}
-	return false
-}
-
-// demuxWellFormed checks a dynamic demux uses only literals, constants and
-// fields of p.
-func (c *checker) demuxWellFormed(e ast.Expr, p *Protocol) bool {
+// resolveDemux resolves p's demux expression e, the one walk over it: a
+// field of p binds to its *ProtoField, a named constant to its value, and
+// an operator must be one every layer computes alike on 32-bit words.
+// Anything else is an error at its position, and the result nil. dyn
+// reports whether e reads a field.
+func (c *checker) resolveDemux(e ast.Expr, p *Protocol) (d *Demux, dyn bool) {
 	switch e := e.(type) {
 	case *ast.IntLit:
-		return true
+		return c.demuxConst(e, p, e.Value)
 	case *ast.Ident:
-		if p.Field(e.Name) != nil {
-			if f := p.Field(e.Name); f.Bits > MaxFieldBits {
-				return false
+		if f := p.Field(e.Name); f != nil {
+			if f.Bits <= MaxFieldBits {
+				return &Demux{Field: f}, true
 			}
-			return true
+		} else if v, ok := c.prog.Consts[e.Name]; ok {
+			return c.demuxConst(e, p, v)
 		}
-		_, ok := c.prog.Consts[e.Name]
-		return ok
 	case *ast.UnaryExpr:
-		return c.demuxWellFormed(e.X, p)
+		if e.Op != token.SUB && e.Op != token.NOT {
+			return c.demuxOpError(e.OpPos, p, e.Op)
+		}
+		if x, dyn := c.resolveDemux(e.X, p); x != nil {
+			return &Demux{Op: e.Op, X: x}, dyn
+		}
+		return nil, false
 	case *ast.BinaryExpr:
-		return c.demuxWellFormed(e.X, p) && c.demuxWellFormed(e.Y, p)
+		switch e.Op {
+		case token.ADD, token.SUB, token.MUL, token.SHL, token.SHR, token.AND, token.OR, token.XOR:
+		default:
+			return c.demuxOpError(e.OpPos, p, e.Op)
+		}
+		x, dx := c.resolveDemux(e.X, p)
+		y, dy := c.resolveDemux(e.Y, p)
+		if x == nil || y == nil {
+			return nil, false
+		}
+		return &Demux{Op: e.Op, X: x, Y: y}, dx || dy
 	}
-	return false
+	c.errorf(e.Pos(), "protocol %q demux must use only constants and fields of the protocol", p.Name)
+	return nil, false
+}
+
+func (c *checker) demuxConst(e ast.Expr, p *Protocol, v uint64) (*Demux, bool) {
+	if v > math.MaxUint32 {
+		c.errorf(e.Pos(), "protocol %q demux constant %d exceeds 32 bits", p.Name, v)
+		return nil, false
+	}
+	return &Demux{Value: uint32(v)}, false
+}
+
+// demuxOpError refuses an operator outside the closed set: / and % (a zero
+// divisor has no value both sides agree on), comparisons and the logical
+// operators.
+func (c *checker) demuxOpError(pos token.Pos, p *Protocol, op token.Kind) (*Demux, bool) {
+	c.errorf(pos, "protocol %q demux operator %s is not allowed (a demux uses + - * << >> & | ^ and unary - ~)", p.Name, op)
+	return nil, false
 }
 
 func (c *checker) collectMetadata() {

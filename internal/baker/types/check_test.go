@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"shangrila/internal/baker/parser"
+	"shangrila/internal/baker/token"
 )
 
 func mustCheck(t *testing.T, src string) *Program {
@@ -239,5 +240,49 @@ func TestPPFsOrder(t *testing.T) {
 	}
 	if ppfs[1].InProto.Name != "ipv4" {
 		t.Errorf("a input proto = %v", ppfs[1].InProto)
+	}
+}
+
+// TestDemuxResolved: the checker resolves a demux that reads a field into
+// a Demux tree (fields bound to the protocol's ProtoField, named constants
+// to their values) with FixedSize -1, folds one that reads none into
+// FixedSize, and refuses what no layer could compute alike, at its
+// position.
+func TestDemuxResolved(t *testing.T) {
+	const body = `module m { ppf f(p ph){ packet_drop(ph); } wiring { rx -> f; } }`
+	tp := mustCheck(t, `const SHIFT = 2;
+protocol p { hl : 8; rest : 24; demux { (hl << SHIFT) - ~0xff }; }
+`+body)
+	p := tp.Protocols["p"]
+	d := p.Demux
+	if p.FixedSize != -1 || d == nil || d.Op != token.SUB ||
+		d.X.Op != token.SHL || d.X.X.Field != p.Field("hl") || d.X.Y.X != nil || d.X.Y.Value != 2 ||
+		d.Y.Op != token.NOT || d.Y.X.Value != 0xff || d.Y.Y != nil {
+		t.Fatalf("resolved demux %+v, FixedSize %d", d, p.FixedSize)
+	}
+	hl := uint32(5)
+	if v, err := d.Eval(func(*ProtoField) (uint32, error) { return hl, nil }); err != nil || v != hl<<2-^uint32(0xff) {
+		t.Errorf("Eval = %d, %v", v, err)
+	}
+	if d.Span() != 1 || p.Size() != p.HeaderMin {
+		t.Errorf("Span %d, Size %d; want 1 and the minimum %d", d.Span(), p.Size(), p.HeaderMin)
+	}
+
+	tp = mustCheck(t, `const W = 3; protocol p { x : 32; demux { W * 2 - 2 }; }
+`+body)
+	if p := tp.Protocols["p"]; p.FixedSize != 4 || p.Demux != nil || p.Size() != 4 {
+		t.Errorf("constant demux: FixedSize %d, Demux %v", p.FixedSize, p.Demux)
+	}
+
+	for _, tc := range []struct{ demux, want string }{
+		{"x % 4", `test.baker:1:32: protocol "p" demux operator % is not allowed`},
+		{"-(!x)", `test.baker:1:32: protocol "p" demux operator ! is not allowed`},
+		{"16 / 4", `test.baker:1:33: protocol "p" demux operator / is not allowed`},
+		{"x + y", `test.baker:1:34: protocol "p" demux must use only constants and fields`},
+		{"4294967296", `test.baker:1:30: protocol "p" demux constant 4294967296 exceeds 32 bits`},
+		{"2", `protocol "p" demux size 2 is smaller than its 4 bytes of fields`},
+	} {
+		checkErr(t, `protocol p { x : 32; demux { `+tc.demux+` }; }
+`+body, tc.want)
 	}
 }

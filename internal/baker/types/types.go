@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"shangrila/internal/baker/ast"
+	"shangrila/internal/baker/token"
 )
 
 // WordBytes is the machine word size of the target (the IXP is a 32-bit
@@ -124,19 +125,78 @@ func (f *ProtoField) ByteSpan() (lo, hi int) {
 }
 
 // Protocol is a packet protocol layout (§2.2). Fields are laid out in
-// declaration order, big-endian, bit-packed. Demux gives the header size
-// in bytes; if it depends on header fields the size is dynamic and
-// FixedSize is -1.
+// declaration order, big-endian, bit-packed. The demux declaration gives
+// the header size in bytes: the checker folds one that reads no field into
+// FixedSize, and resolves one that does into Demux with FixedSize -1.
 type Protocol struct {
 	Name      string
 	Fields    []*ProtoField
-	HeaderMin int      // minimum header bytes = bit-packed field total
-	FixedSize int      // demux value when constant, else -1
-	Demux     ast.Expr // original demux expression (fields + consts)
-	ID        int      // dense index assigned by the checker
+	HeaderMin int    // minimum header bytes = bit-packed field total
+	FixedSize int    // demux value when constant, else -1
+	Demux     *Demux // resolved demux when the size is dynamic, else nil
+	ID        int    // dense index assigned by the checker
 }
 
 func (p *Protocol) String() string { return "protocol " + p.Name }
+
+// Size is the header size known without reading a header: the fixed size,
+// or the minimum for a dynamic demux. packet_encap and packet_create build
+// headers of this size on every layer.
+func (p *Protocol) Size() int {
+	if p.FixedSize >= 0 {
+		return p.FixedSize
+	}
+	return p.HeaderMin
+}
+
+// Demux is a node of a resolved demux expression: a field of the header
+// (Field set), a constant (Field and X nil), or Op applied to X and, unless
+// Op is unary, Y. Op is one of the operators every layer computes alike on
+// 32-bit words, all total: binary + - * << >> & | ^ (shift counts masked
+// with & 31) and unary - ~ (Y nil).
+type Demux struct {
+	Field *ProtoField
+	Value uint32
+	Op    token.Kind
+	X, Y  *Demux
+}
+
+// Eval computes the expression over the header whose fields read returns.
+func (d *Demux) Eval(read func(*ProtoField) (uint32, error)) (uint32, error) {
+	switch {
+	case d.Field != nil:
+		return read(d.Field)
+	case d.X == nil:
+		return d.Value, nil
+	}
+	x, err := d.X.Eval(read)
+	switch {
+	case err != nil:
+		return 0, err
+	case d.Y == nil && d.Op == token.SUB:
+		return -x, nil
+	case d.Y == nil:
+		return ^x, nil
+	}
+	y, err := d.Y.Eval(read)
+	v, _ := binaryOp(d.Op, x, y) // total on every operator the checker admits
+	return v, err
+}
+
+// Span is the byte offset just past the last header byte the expression
+// reads (0 when it reads no field).
+func (d *Demux) Span() int {
+	switch {
+	case d.Field != nil:
+		_, hi := d.Field.ByteSpan()
+		return hi
+	case d.Y != nil:
+		return max(d.X.Span(), d.Y.Span())
+	case d.X != nil:
+		return d.X.Span()
+	}
+	return 0
+}
 
 // Field returns the named field or nil.
 func (p *Protocol) Field(name string) *ProtoField {

@@ -6,7 +6,7 @@ import (
 
 	"shangrila/internal/aggregate"
 	"shangrila/internal/analysis"
-	"shangrila/internal/baker/ast"
+	"shangrila/internal/baker/token"
 	"shangrila/internal/baker/types"
 	"shangrila/internal/ir"
 	"shangrila/internal/opt/soar"
@@ -582,10 +582,7 @@ func (l *lowerer) lowerDecap(in *ir.Instr) {
 // buffer headroom, mirroring packet.Packet.Encap).
 func (l *lowerer) lowerEncap(in *ir.Instr) {
 	src := l.handleOf(in.Args[0])
-	size := in.Proto.FixedSize
-	if size < 0 {
-		size = in.Proto.HeaderMin
-	}
+	size := in.Proto.Size()
 	nh := &handleInfo{pkt: src.pkt, length: src.length,
 		headStatic: src.headStatic, headReg: src.headReg, align: src.align}
 	if l.opts.PHR {
@@ -782,10 +779,7 @@ func (l *lowerer) lowerPktCreate(in *ir.Instr) {
 	junk := l.newVReg()
 	l.emit(Instr{Op: IRingGet, Ring: RingFree, Dst: nid, Dst2: junk,
 		Class: ClassPacketRing, Comment: "alloc buffer (packet_create)"})
-	size := in.Proto.FixedSize
-	if size < 0 {
-		size = in.Proto.HeaderMin
-	}
+	size := in.Proto.Size()
 	lenReg := l.newVReg()
 	l.emitImmed(lenReg, l.layout.BufHeadroom+uint32(size))
 	h := &handleInfo{pkt: nid, length: lenReg,
@@ -804,27 +798,7 @@ func (l *lowerer) lowerPktCreate(in *ir.Instr) {
 // expression arithmetic. Returns the register holding the header size in
 // bytes.
 func (l *lowerer) compileDemux(src *handleInfo, from *types.Protocol, site *ir.Instr) PReg {
-	// Byte span of referenced fields.
-	hi := 4
-	var walkSpan func(e ast.Expr)
-	walkSpan = func(e ast.Expr) {
-		switch e := e.(type) {
-		case *ast.Ident:
-			if f := from.Field(e.Name); f != nil {
-				_, fhi := f.ByteSpan()
-				if fhi > hi {
-					hi = fhi
-				}
-			}
-		case *ast.UnaryExpr:
-			walkSpan(e.X)
-		case *ast.BinaryExpr:
-			walkSpan(e.X)
-			walkSpan(e.Y)
-		}
-	}
-	walkSpan(from.Demux)
-	nwords := (hi + 3) / 4
+	nwords := (max(4, from.Demux.Span()) + 3) / 4
 
 	// Load the covering words from the header start.
 	hr, hs, _ := l.headForAccess(src, site)
@@ -846,66 +820,47 @@ func (l *lowerer) compileDemux(src *handleInfo, from *types.Protocol, site *ir.I
 		NWords: nwords, Data: words, Class: ClassPacketData,
 		Comment: "demux field read (" + from.Name + ")"})
 
-	var eval func(e ast.Expr) PReg
-	eval = func(e ast.Expr) PReg {
-		switch e := e.(type) {
-		case *ast.IntLit:
+	var eval func(d *types.Demux) PReg
+	eval = func(d *types.Demux) PReg {
+		if d.X == nil { // a field or a constant
 			r := l.newVReg()
-			l.emitImmed(r, uint32(e.Value))
-			return r
-		case *ast.Ident:
-			if f := from.Field(e.Name); f != nil {
-				r := l.newVReg()
-				l.extractFieldInto(r, f, words, 0)
-				return r
+			if d.Field != nil {
+				l.extractFieldInto(r, d.Field, words, 0)
+			} else {
+				l.emitImmed(r, d.Value)
 			}
-			r := l.newVReg()
-			l.emitImmed(r, uint32(l.tp.Consts[e.Name]))
-			return r
-		case *ast.UnaryExpr:
-			x := eval(e.X)
-			r := l.newVReg()
-			switch e.Op.String() {
-			case "-":
-				l.emitALU(ANeg, r, x, NoPReg)
-			case "~":
-				l.emitALU(ANot, r, x, NoPReg)
-			default:
-				l.emitALU(AMov, r, x, NoPReg)
-			}
-			return r
-		case *ast.BinaryExpr:
-			x := eval(e.X)
-			y := eval(e.Y)
-			r := l.newVReg()
-			var op ALUOp
-			switch e.Op.String() {
-			case "+":
-				op = AAdd
-			case "-":
-				op = ASub
-			case "*":
-				op = AMul
-			case "/":
-				op = ADivU
-			case "<<":
-				op = AShl
-			case ">>":
-				op = AShrU
-			case "&":
-				op = AAnd
-			case "|":
-				op = AOr
-			case "^":
-				op = AXor
-			default:
-				op = AAdd
-			}
-			l.emitALU(op, r, x, y)
 			return r
 		}
+		var op ALUOp
+		switch d.Op {
+		case token.ADD:
+			op = AAdd
+		case token.SUB:
+			op = ASub
+			if d.Y == nil {
+				op = ANeg
+			}
+		case token.MUL:
+			op = AMul
+		case token.SHL:
+			op = AShl
+		case token.SHR:
+			op = AShrU
+		case token.AND:
+			op = AAnd
+		case token.OR:
+			op = AOr
+		case token.XOR:
+			op = AXor
+		case token.NOT:
+			op = ANot
+		}
+		x, y := eval(d.X), NoPReg
+		if d.Y != nil {
+			y = eval(d.Y)
+		}
 		r := l.newVReg()
-		l.emitImmed(r, 0)
+		l.emitALU(op, r, x, y)
 		return r
 	}
 	return eval(from.Demux)

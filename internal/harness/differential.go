@@ -245,14 +245,6 @@ func (rep *DiffReport) diffLevel(a *apps.App, lvl driver.Level, res *driver.Resu
 			PacketIndex: -1, Detail: err.Error()})
 		return
 	}
-	// Each run gets private clones: apps that encap/decap move the
-	// packet head in place, so sharing trace packets across runtimes
-	// would feed later levels corrupted inputs.
-	priv := make([]*packet.Packet, len(trc))
-	for i, p := range trc {
-		priv[i] = p.Clone()
-	}
-	trc = priv
 	captureLimit := diffCapturePerPacket * cfg.TraceN
 	rt, err := rts.New(res.Image, res.Prog, trc, rts.Options{
 		NumMEs: diffMEs, CaptureLimit: captureLimit})

@@ -1205,18 +1205,6 @@ func (c *Config) RxIntervalCycles(bits float64) float64 {
 	return iv
 }
 
-// RxIntervalOrDefault is RxIntervalCycles for minimum-size 64-byte frames,
-// truncated to whole cycles — kept for callers that want a coarse integer
-// spacing; rate-accurate media use RxIntervalCycles with the carry
-// accumulator instead.
-func (c *Config) RxIntervalOrDefault() int64 {
-	iv := int64(c.RxIntervalCycles(64 * 8))
-	if iv < 1 {
-		iv = 1
-	}
-	return iv
-}
-
 // ChargeRxDMA bills the Rx engine's buffer write and metadata write; the
 // media's Inject calls it per packet. The media interface moves
 // packet data in efficient interleaved 64-byte bursts, so its occupancy

@@ -431,16 +431,8 @@ func usableAsPair(dec, enc *ir.Instr) bool {
 	// dec.Imm is the protocol being left (outer); enc.Proto is the
 	// protocol being entered. They must match, and the outer header must
 	// have a fixed size so accesses can be redirected by a constant.
-	if enc.Proto == nil || dec.Proto == nil {
-		return false
-	}
-	if uint64(enc.Proto.ID) != dec.Imm {
-		return false
-	}
-	if enc.Proto.FixedSize < 0 {
-		return false
-	}
-	return true
+	return enc.Proto != nil && dec.Proto != nil &&
+		uint64(enc.Proto.ID) == dec.Imm && enc.Proto.Demux == nil
 }
 
 // rewritePair redirects intermediate accesses through the outer handle at

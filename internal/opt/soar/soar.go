@@ -24,7 +24,7 @@
 package soar
 
 import (
-	"shangrila/internal/baker/ast"
+	"shangrila/internal/baker/token"
 	"shangrila/internal/baker/types"
 	"shangrila/internal/ir"
 )
@@ -114,47 +114,33 @@ func equal(a, b lat) bool {
 // protocol's header size. Fixed sizes get their exact alignment; dynamic
 // demux expressions are analyzed structurally (hlen << 2 is provably
 // word-aligned even though its value is unknown).
-func demuxAlignment(p *types.Protocol, consts map[string]uint64) int32 {
-	if p.FixedSize >= 0 {
+func demuxAlignment(p *types.Protocol) int32 {
+	if p.Demux == nil {
 		return pow2Align(int32(p.FixedSize))
 	}
-	return exprAlignment(p.Demux, p, consts)
+	return exprAlignment(p.Demux)
 }
 
-func exprAlignment(e ast.Expr, p *types.Protocol, consts map[string]uint64) int32 {
-	switch e := e.(type) {
-	case *ast.IntLit:
-		return pow2Align(int32(e.Value))
-	case *ast.Ident:
-		if v, ok := consts[e.Name]; ok {
-			return pow2Align(int32(v))
-		}
-		return 1 // a field: value unknown
-	case *ast.UnaryExpr:
-		return 1
-	case *ast.BinaryExpr:
-		ax := exprAlignment(e.X, p, consts)
-		ay := exprAlignment(e.Y, p, consts)
-		switch e.Op.String() {
-		case "+", "-":
-			return minAlign(ax, ay)
-		case "<<":
-			if lit, ok := e.Y.(*ast.IntLit); ok {
-				a := ax << uint(lit.Value&31)
-				if a > MaxAlign || a <= 0 {
-					return MaxAlign
-				}
-				return a
-			}
-			return 1
-		case "*":
-			a := ax * ay
-			if a > MaxAlign {
+func exprAlignment(d *types.Demux) int32 {
+	switch {
+	case d.Field != nil, d.Y == nil && d.X != nil:
+		return 1 // a field's value is unknown; - and ~ keep no alignment
+	case d.X == nil:
+		return pow2Align(int32(d.Value))
+	}
+	switch d.Op {
+	case token.ADD, token.SUB:
+		return minAlign(exprAlignment(d.X), exprAlignment(d.Y))
+	case token.SHL:
+		if d.Y.X == nil && d.Y.Field == nil {
+			a := exprAlignment(d.X) << (d.Y.Value & 31)
+			if a > MaxAlign || a <= 0 {
 				return MaxAlign
 			}
 			return a
 		}
-		return 1
+	case token.MUL:
+		return min(exprAlignment(d.X)*exprAlignment(d.Y), MaxAlign)
 	}
 	return 1
 }
@@ -510,7 +496,6 @@ func (a *analyzer) analyzeFunc(fn *ir.Func, l *layout, input lat) bool {
 // state and records notes/channel facts. Returns true when a note or
 // channel fact changed.
 func (a *analyzer) step(fn *ir.Func, l *layout, in *ir.Instr, cur []lat) bool {
-	consts := a.prog.Types.Consts
 	changed := false
 	note := func(v lat) {
 		old, ok := a.notes[in]
@@ -552,27 +537,20 @@ func (a *analyzer) step(fn *ir.Func, l *layout, in *ir.Instr, cur []lat) bool {
 		src := handleLat(in.Args[0])
 		note(src)
 		from := a.prog.Types.ProtoByID[in.Imm]
-		step := int32(from.FixedSize)
-		if step < 0 {
-			step = int32(from.HeaderMin)
-		}
 		var out lat
 		switch {
 		case src.st == known && from.FixedSize >= 0:
 			out = knownLat(src.off + int32(from.FixedSize))
 			out.align = pow2Align(out.off)
 		default:
-			out = bottomLat(minAlign(src.align, demuxAlignment(from, consts)))
-			out.min = src.min + step
+			out = bottomLat(minAlign(src.align, demuxAlignment(from)))
+			out.min = src.min + int32(from.Size())
 		}
 		set(in.Dst[0], out)
 	case ir.OpEncap:
 		src := handleLat(in.Args[0])
 		note(src)
-		size := in.Proto.FixedSize
-		if size < 0 {
-			size = in.Proto.HeaderMin
-		}
+		size := in.Proto.Size()
 		var out lat
 		if src.st == known {
 			// The offset may go negative (front growth): the executors

@@ -73,7 +73,7 @@ func FuzzPacketOps(f *testing.F) {
 		}
 		m := &model{buf: append(make([]byte, Headroom), wire...), start: Headroom, n: length}
 		for ops := in[3:]; len(ops) >= 4; ops = ops[4:] {
-			what, err := applyOp(p, m, protos, tp.Consts, ops[:4])
+			what, err := applyOp(p, m, protos, ops[:4])
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
@@ -142,7 +142,7 @@ func (m *model) writeBits(off, bits int, v uint32) {
 // head, ReadRaw of b (signed) bytes at byte a/2 (signed) from the head with c
 // written through the alias, or Clone, which the caller carries out. It
 // names the op, and returns an error when p and m disagree.
-func applyOp(p *Packet, m *model, protos []*types.Protocol, consts map[string]uint64, op []byte) (string, error) {
+func applyOp(p *Packet, m *model, protos []*types.Protocol, op []byte) (string, error) {
 	a, b, c := op[1], op[2], op[3]
 	head := m.head
 	switch op[0] % 8 {
@@ -184,7 +184,7 @@ func applyOp(p *Packet, m *model, protos []*types.Protocol, consts map[string]ui
 			}
 		}
 		ok = ok && head+size <= m.n
-		got, err := p.Decap(head, proto, consts)
+		got, err := p.Decap(head, proto)
 		if !ok {
 			return what, wantErr(err)
 		}

@@ -3,7 +3,6 @@ package packet
 import (
 	"fmt"
 
-	"shangrila/internal/baker/ast"
 	"shangrila/internal/baker/types"
 )
 
@@ -151,14 +150,13 @@ func (p *Packet) SetMetaField(f *types.ProtoField, v uint32) {
 	WriteBits(p.Meta, f.BitOff, f.Bits, v)
 }
 
-// HeaderSize evaluates proto's demux expression against the header at
-// head, yielding the header size in bytes. consts supplies program
-// constants for demux expressions that reference them.
-func (p *Packet) HeaderSize(head int, proto *types.Protocol, consts map[string]uint64) (int, error) {
-	if proto.FixedSize >= 0 {
+// HeaderSize evaluates proto's demux against the header at head, yielding
+// the header size in bytes.
+func (p *Packet) HeaderSize(head int, proto *types.Protocol) (int, error) {
+	if proto.Demux == nil {
 		return proto.FixedSize, nil
 	}
-	v, err := p.evalDemux(head, proto.Demux, proto, consts)
+	v, err := proto.Demux.Eval(func(f *types.ProtoField) (uint32, error) { return p.ReadField(head, f) })
 	if err != nil {
 		return 0, err
 	}
@@ -168,71 +166,10 @@ func (p *Packet) HeaderSize(head int, proto *types.Protocol, consts map[string]u
 	return int(v), nil
 }
 
-func (p *Packet) evalDemux(head int, e ast.Expr, proto *types.Protocol, consts map[string]uint64) (uint32, error) {
-	switch e := e.(type) {
-	case *ast.IntLit:
-		return uint32(e.Value), nil
-	case *ast.Ident:
-		if f := proto.Field(e.Name); f != nil {
-			return p.ReadField(head, f)
-		}
-		if v, ok := consts[e.Name]; ok {
-			return uint32(v), nil
-		}
-		return 0, fmt.Errorf("packet: demux references unknown name %q", e.Name)
-	case *ast.UnaryExpr:
-		x, err := p.evalDemux(head, e.X, proto, consts)
-		if err != nil {
-			return 0, err
-		}
-		switch e.Op.String() {
-		case "-":
-			return -x, nil
-		case "~":
-			return ^x, nil
-		}
-		return 0, fmt.Errorf("packet: demux operator %s unsupported", e.Op)
-	case *ast.BinaryExpr:
-		x, err := p.evalDemux(head, e.X, proto, consts)
-		if err != nil {
-			return 0, err
-		}
-		y, err := p.evalDemux(head, e.Y, proto, consts)
-		if err != nil {
-			return 0, err
-		}
-		switch e.Op.String() {
-		case "+":
-			return x + y, nil
-		case "-":
-			return x - y, nil
-		case "*":
-			return x * y, nil
-		case "/":
-			if y == 0 {
-				return 0, fmt.Errorf("packet: demux divide by zero")
-			}
-			return x / y, nil
-		case "<<":
-			return x << (y & 31), nil
-		case ">>":
-			return x >> (y & 31), nil
-		case "&":
-			return x & y, nil
-		case "|":
-			return x | y, nil
-		case "^":
-			return x ^ y, nil
-		}
-		return 0, fmt.Errorf("packet: demux operator %s unsupported", e.Op)
-	}
-	return 0, fmt.Errorf("packet: demux expression %T unsupported", e)
-}
-
 // Decap returns the header offset just past proto's header at head
 // (packet_decap).
-func (p *Packet) Decap(head int, proto *types.Protocol, consts map[string]uint64) (int, error) {
-	size, err := p.HeaderSize(head, proto, consts)
+func (p *Packet) Decap(head int, proto *types.Protocol) (int, error) {
+	size, err := p.HeaderSize(head, proto)
 	if err != nil {
 		return 0, err
 	}
@@ -249,10 +186,7 @@ func (p *Packet) Decap(head int, proto *types.Protocol, consts map[string]uint64
 // programs release a handle when they encapsulate it, so this matches the
 // language's immediate-release channel semantics.
 func (p *Packet) Encap(head int, outer *types.Protocol) (int, error) {
-	size := outer.FixedSize
-	if size < 0 {
-		size = outer.HeaderMin
-	}
+	size := outer.Size()
 	if head >= size {
 		return head - size, nil
 	}

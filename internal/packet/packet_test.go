@@ -112,7 +112,7 @@ func TestFieldAccessAndDecap(t *testing.T) {
 		t.Fatalf("type = %#x err=%v", v, err)
 	}
 
-	head, err := p.Decap(0, eth, tp.Consts)
+	head, err := p.Decap(0, eth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,11 @@ func TestFieldAccessAndDecap(t *testing.T) {
 	if err := p.WriteField(head, ip.Field("hlen"), 5); err != nil {
 		t.Fatal(err)
 	}
-	size, err := p.HeaderSize(head, ip, tp.Consts)
+	size, err := p.HeaderSize(head, ip)
 	if err != nil || size != 20 {
 		t.Fatalf("ipv4 header size = %d err=%v, want 20", size, err)
 	}
-	head, err = p.Decap(head, ip, tp.Consts)
+	head, err = p.Decap(head, ip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestEncapRestoresAndGrows(t *testing.T) {
 	mpls := tp.Protocols["mpls"]
 
 	p := New(make([]byte, 64), 4)
-	head, err := p.Decap(0, eth, tp.Consts)
+	head, err := p.Decap(0, eth)
 	if err != nil {
 		t.Fatal(err)
 	}

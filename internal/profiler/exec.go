@@ -487,7 +487,7 @@ func (it *Interp) exec(c *code, wb, hb int) (Value, error) {
 						}
 					}
 				case ir.OpDecap:
-					h.Head, err = p.Decap(h.Head, it.Prog.Types.ProtoByID[s.imm], it.Prog.Types.Consts)
+					h.Head, err = p.Decap(h.Head, it.Prog.Types.ProtoByID[s.imm])
 					handles[s.dst] = h
 				case ir.OpEncap:
 					h.Head, err = p.Encap(h.Head, s.in.Proto)

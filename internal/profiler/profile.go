@@ -301,11 +301,7 @@ func (e *hostEnv) Lock(id int)   { e.inCrit++ }
 func (e *hostEnv) Unlock(id int) { e.inCrit-- }
 
 func (e *hostEnv) NewPacket(proto *types.Protocol) *packet.Packet {
-	size := proto.FixedSize
-	if size < 0 {
-		size = proto.HeaderMin
-	}
-	return packet.NewZero(size, e.tp.Metadata.Bytes)
+	return packet.NewZero(proto.Size(), e.tp.Metadata.Bytes)
 }
 
 // Init runs the program's no-argument init functions in declaration
@@ -323,10 +319,12 @@ func (it *Interp) Init() error {
 }
 
 // Control invokes a control function with word arguments (the host →
-// XScale control path).
+// XScale control path). Only a function declared as a control runs: an
+// init function or a PPF named here is refused, as a Session delta
+// refuses it.
 func (it *Interp) Control(name string, args ...uint32) error {
 	fn := it.Prog.Func(name)
-	if fn == nil {
+	if fn == nil || fn.Kind != ir.FuncControl {
 		return fmt.Errorf("no control function %q", name)
 	}
 	vals := make([]Value, len(args))

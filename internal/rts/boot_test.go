@@ -1,8 +1,10 @@
 package rts_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"shangrila/internal/cg"
 	"shangrila/internal/driver"
 	"shangrila/internal/harness"
+	"shangrila/internal/packet"
 	"shangrila/internal/profiler"
 	"shangrila/internal/rts"
 )
@@ -113,4 +116,91 @@ func bootAndCompare(t *testing.T, src string, controls []profiler.Control, res *
 		}
 	}
 	return nonzero
+}
+
+// TestBootRefusesNonControl holds every boot path to control functions
+// only, as a driver.Session delta is: naming initRouter's init function or
+// one of its PPFs as a boot control fails on the host (Session.Boot), in
+// the runtime (Runtime.Boot) and in a profile (ProfileWithControls), with
+// the same text, rather than running the function again.
+func TestBootRefusesNonControl(t *testing.T) {
+	prog, err := driver.LowerSource("boot.baker", initRouter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := compileSrc(t, initRouter, driver.LevelBase)
+	for _, name := range []string{"app.seed", "app.clsfr"} {
+		controls := append(slices.Clone(routerControls), profiler.Control{Name: name})
+		want := fmt.Sprintf("control %s: no control function %q", name, name)
+		boots := map[string]func() error{
+			"host": func() error {
+				sess, err := profiler.NewSession(prog)
+				if err != nil {
+					return err
+				}
+				return sess.Boot(controls)
+			},
+			"rts": func() error {
+				rt, err := rts.New(res.Image, res.Prog, nil, rts.Options{NumMEs: 1})
+				if err != nil {
+					return err
+				}
+				return rt.Boot(controls)
+			},
+			"profile": func() error {
+				_, err := profiler.ProfileWithControls(prog, nil, controls)
+				return err
+			},
+		}
+		for path, boot := range boots {
+			if err := boot(); err == nil || err.Error() != want {
+				t.Errorf("%s boot with %s: got %v, want %q", path, name, err, want)
+			}
+		}
+	}
+}
+
+// TestRunLeavesTraceUntouched pins what lets the differential hand one
+// trace to the runtime of every level: a runtime only reads its trace
+// (enqueue copies each packet into simulated DRAM). After rts.New, Boot and
+// a Run of MPLS, which pushes and pops labels on every packet, at BASE and
+// +SWC, every trace packet's bytes (headroom included), metadata and port
+// are unchanged.
+func TestRunLeavesTraceUntouched(t *testing.T) {
+	a := apps.MPLS()
+	for _, lvl := range []driver.Level{driver.LevelBase, driver.LevelSWC} {
+		res, err := harness.Compile(a, lvl, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := a.Trace(res.Prog.Types, 1235, 64)
+		pristine := make([]*packet.Packet, len(tr))
+		for i, p := range tr {
+			pristine[i] = p.Clone()
+		}
+		rt, err := rts.New(res.Image, res.Prog, tr, rts.Options{NumMEs: 2})
+		if err == nil {
+			err = rt.Boot(a.Controls)
+		}
+		if err == nil {
+			err = rt.Run(200_000)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.M.Snapshot().TxPackets == 0 {
+			t.Fatalf("%v: the run transmitted nothing", lvl)
+		}
+		for i, p := range tr {
+			want := pristine[i]
+			got, err := p.ReadRaw(0, -packet.Headroom, packet.Headroom+p.Len())
+			if err != nil {
+				t.Fatalf("%v: packet %d lost its headroom: %v", lvl, i, err)
+			}
+			whole, _ := want.ReadRaw(0, -packet.Headroom, packet.Headroom+want.Len())
+			if !bytes.Equal(got, whole) || !bytes.Equal(p.Meta, want.Meta) || p.Port != want.Port {
+				t.Fatalf("%v: the run rewrote trace packet %d", lvl, i)
+			}
+		}
+	}
 }

@@ -135,10 +135,7 @@ func (e *simEnv) Unlock(id int) {
 }
 
 func (e *simEnv) NewPacket(proto *types.Protocol) *packet.Packet {
-	size := proto.FixedSize
-	if size < 0 {
-		size = proto.HeaderMin
-	}
+	size := proto.Size()
 	p := packet.NewZero(size, int(e.rt.Img.Layout.MetaRecBytes-e.rt.Img.Layout.MetaAppOff))
 	if id, _, ok := e.rt.M.Rings[cg.RingFree].Get(); ok {
 		e.track(p, id, size, e.rt.Img.Layout.BufHeadroom)

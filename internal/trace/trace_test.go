@@ -46,7 +46,7 @@ func TestBuildLayers(t *testing.T) {
 	if err != nil || v != 0x0800 {
 		t.Fatalf("type = %#x, err %v", v, err)
 	}
-	head, err := p.Decap(0, eth, tp.Consts)
+	head, err := p.Decap(0, eth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestBuildLayers(t *testing.T) {
 	if dst != 0x0a000001 {
 		t.Fatalf("dst = %#x", dst)
 	}
-	hs, err := p.HeaderSize(head, ip, tp.Consts)
+	hs, err := p.HeaderSize(head, ip)
 	if err != nil || hs != 20 {
 		t.Fatalf("hlen propagated wrong: %d %v", hs, err)
 	}
