@@ -85,14 +85,17 @@ examples:
 # Campaign stats (programs/sec, feature histogram, minimized failures)
 # land in fuzz_report.json for CI to archive. Then 10 s of Go's native
 # fuzzing of the host packet model (FuzzPacketOps: op sequences on New,
-# NewZero and arena packets against a byte-slice model); a failing input
-# is written under internal/packet/testdata/fuzz/FuzzPacketOps, where the
-# tier-1 tests replay it.
+# NewZero and arena packets against a byte-slice model), then 10 s of
+# FuzzVerifyExec (single mutations of lowered bakergen functions: each is
+# refused by ir.VerifyFunc, and by the executor with the same error, or
+# runs without a panic). A failing input is written under the package's
+# testdata/fuzz/<target>, where the tier-1 tests replay it.
 fuzz-ci: build
 	$(GO) run ./cmd/shangrila-bench -experiment fuzz -fuzz-n 500 -fuzz-seed 4242 \
 		-report fuzz_report.json
 	@test -s fuzz_report.json && echo "fuzz-ci: report OK"
 	$(GO) test -run '^$$' -fuzz '^FuzzPacketOps$$' -fuzztime 10s ./internal/packet
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyExec$$' -fuzztime 10s ./internal/profiler
 
 # Quick end-to-end pass over the evaluation binary, into one report CI
 # archives: Table 1, the load-latency sweep (BASE and the -O default,

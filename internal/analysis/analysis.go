@@ -21,8 +21,6 @@ func HasSideEffects(in *ir.Instr) bool {
 		ir.OpPktCopy, ir.OpPktCreate, // allocation
 		ir.OpCacheFill, ir.OpCacheFlush:
 		return true
-	case ir.OpDivU, ir.OpRemU:
-		return true // may trap on zero
 	}
 	return false
 }

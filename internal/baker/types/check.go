@@ -258,8 +258,8 @@ func (c *checker) demuxConst(e ast.Expr, p *Protocol, v uint64) (*Demux, bool) {
 	return &Demux{Value: uint32(v)}, false
 }
 
-// demuxOpError refuses an operator outside the closed set: / and % (a zero
-// divisor has no value both sides agree on), comparisons and the logical
+// demuxOpError refuses an operator outside the closed set: / and % (codegen's
+// demux operator table computes neither), comparisons and the logical
 // operators.
 func (c *checker) demuxOpError(pos token.Pos, p *Protocol, op token.Kind) (*Demux, bool) {
 	c.errorf(pos, "protocol %q demux operator %s is not allowed (a demux uses + - * << >> & | ^ and unary - ~)", p.Name, op)

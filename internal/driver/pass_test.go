@@ -2,12 +2,14 @@ package driver_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"shangrila/internal/apps"
 	"shangrila/internal/driver"
+	"shangrila/internal/ir"
 )
 
 // compileApp lowers one benchmark app and runs the pipeline with the given
@@ -249,27 +251,42 @@ func TestUnknownLevelRejected(t *testing.T) {
 
 // TestVerifierCatchesBrokenPass runs a compile whose IR is corrupted before
 // CompileIR and checks that the first pass's post-verification reports it
-// with the pass name in the error chain.
+// with the pass name in the error chain. The corruption, an unreachable
+// empty block, sits in a function the profile never runs: the executor
+// verifies only the functions it activates, and refuses the same block in
+// one it runs, inside the profile pass.
 func TestVerifierCatchesBrokenPass(t *testing.T) {
 	a := apps.MPLS()
-	prog, err := driver.LowerSource(a.Name+".baker", a.Source)
-	if err != nil {
-		t.Fatal(err)
+	compile := func(corrupt func(*ir.Program)) error {
+		prog, err := driver.LowerSource(a.Name+".baker", a.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(prog)
+		_, err = driver.CompileIR(prog, driver.Config{
+			Level:        driver.LevelBase,
+			ProfileTrace: a.Trace(prog.Types, 7, 8),
+			Controls:     a.Controls,
+			VerifyIR:     driver.VerifyOn,
+		})
+		return err
 	}
-	// Corrupt one function with an unreachable empty block: execution never
-	// sees it (the profile pass still succeeds), but the structural check
-	// after the first pass does.
-	prog.Funcs[0].NewBlock()
-	_, err = driver.CompileIR(prog, driver.Config{
-		Level:        driver.LevelBase,
-		ProfileTrace: a.Trace(prog.Types, 7, 8),
-		Controls:     a.Controls,
-		VerifyIR:     driver.VerifyOn,
+	err := compile(func(prog *ir.Program) {
+		unused := prog.Funcs[0].Clone()
+		unused.Name, unused.Kind = "mplsapp.unused", ir.FuncHelper
+		unused.NewBlock()
+		prog.Funcs = append(prog.Funcs, unused)
 	})
 	if err == nil {
 		t.Fatal("compiling corrupted IR with VerifyOn must fail")
 	}
-	if !strings.Contains(err.Error(), "IR verification failed") {
-		t.Errorf("error %q does not mention IR verification", err)
+	if !strings.Contains(err.Error(), "after profile: IR verification failed") {
+		t.Errorf("error %q does not mention IR verification after profile", err)
+	}
+
+	err = compile(func(prog *ir.Program) { prog.Funcs[0].NewBlock() })
+	var ve *ir.VerifyError
+	if !errors.As(err, &ve) || !strings.HasPrefix(err.Error(), "profile: ") {
+		t.Errorf("a run function with an empty block: got %v, want the profile pass's *ir.VerifyError", err)
 	}
 }

@@ -52,9 +52,9 @@ func TestDemuxOperatorsAgree(t *testing.T) {
 }
 
 // TestDemuxRefusedOperators: an operator outside the closed set — division
-// and remainder (a zero divisor has no value the host and the ME agree
-// on), comparisons and the logical operators — fails the frontend with an
-// error positioned in the source that names the operator.
+// and remainder (codegen's demux operator table computes neither),
+// comparisons and the logical operators — fails the frontend with an error
+// positioned in the source that names the operator.
 func TestDemuxRefusedOperators(t *testing.T) {
 	pos := regexp.MustCompile(`\.baker:\d+:\d+`)
 	for _, tc := range []struct{ expr, op string }{

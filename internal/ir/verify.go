@@ -30,26 +30,31 @@ func (e *VerifyError) Error() string {
 	return fmt.Sprintf("%s: %s", loc, e.Msg)
 }
 
-// Verify checks the structural invariants every pass must preserve:
+// Verify checks the structural invariants every pass must preserve. They
+// are the one definition of well-formed IR: the executor runs a function
+// only once it verifies (VerifyFunc), so what verifies can be executed and
+// lowered without further checks.
 //
-//   - a well-formed function table: no nil entry and no two functions with
-//     one name;
-//   - CFG well-formedness: a non-nil entry block that belongs to the
-//     function, every block terminated by exactly one trailing terminator,
-//     and every branch edge targeting a block of the same function with the
-//     operand/target arity its opcode demands;
-//   - def-before-use for scalar registers: on every path from entry, a
-//     register is written before it is read (parameters count as entry
-//     definitions), and every operand is within the function's register
-//     space with a recorded class;
-//   - register classes: a mov's source and destination share a class, eq
-//     and ne compare two registers of one class into a word, constants,
-//     arithmetic, ordered comparisons and conditional branches take and
-//     make words, and a call's arguments match its callee's ParamClasses;
-//   - packet/metadata access typing: handles where handles are required,
-//     field accesses naming a field that fits one machine word, raw
-//     (post-PAC) accesses with positive word-multiple widths and matching
-//     destination/source register counts.
+//   - the function table: no nil entry, no two functions with one name;
+//   - the signature: one class per parameter, each parameter a register of
+//     the function with that class;
+//   - the CFG: an entry block in the block list, every block ending in its
+//     one terminator, the branch targets its op takes, each a block of the
+//     same function;
+//   - operands: a known op with the result and operand counts shapes gives
+//     it, registers inside the function, NoReg only as the optional index
+//     of a global or cache access, and each register written on every path
+//     from entry before it is read (parameters are written at entry);
+//   - classes: a mov between registers of one class, eq and ne comparing
+//     two of one class into a word, call arguments of the callee's
+//     ParamClasses, handles where shapes says so and words everywhere else
+//     (ret returns either);
+//   - payload: a known callee given one argument per parameter, a global on
+//     global and cache accesses, a protocol on encap, decap and create, a
+//     decap protocol ID inside Types.ProtoByID, a channel on chanput; field
+//     accesses of a 1..32-bit field, raw (post-PAC) accesses of a positive
+//     word-multiple width with one register per word, and raw metadata
+//     offsets that are not negative.
 //
 // The first violation found is returned; nil means the program verifies.
 func Verify(p *Program) error {
@@ -75,6 +80,51 @@ func Verify(p *Program) error {
 		}
 	}
 	return nil
+}
+
+// VerifyFunc checks one function by Verify's rules, resolving its callees
+// through p. fn need not be one of p.Funcs: the XScale path runs an
+// aggregate's functions against the whole program.
+func VerifyFunc(p *Program, fn *Func) error {
+	v := verifier{prog: p, index: make(map[*Block]int, len(fn.Blocks)),
+		bits: make([]uint64, bitWords(fn)*(len(fn.Blocks)+1))}
+	return v.verifyFunc(fn)
+}
+
+// shape is what an op takes and makes: the fewest and most results and
+// operands, and which of them are handles.
+type shape struct {
+	minDst, maxDst, minArgs, maxArgs int8
+	classes                          uint8
+}
+
+// A shape's classes: which operands are handles. Mov, eq, ne, ret and
+// call have rules of their own; every other operand is a word.
+const (
+	handleIn  = 1 << iota // Args[0] is a handle
+	handleOut             // Dst[0] is a handle
+)
+
+const many = 127
+
+// shapes holds every op the IR has; any other is refused. Nothing writes it.
+var shapes = [OpCacheFlush + 1]shape{
+	OpConst: {1, 1, 0, 0, 0}, OpMov: {1, 1, 1, 1, 0}, OpNot: {1, 1, 1, 1, 0}, OpNeg: {1, 1, 1, 1, 0},
+	OpAdd: {1, 1, 2, 2, 0}, OpSub: {1, 1, 2, 2, 0}, OpMul: {1, 1, 2, 2, 0}, OpDivU: {1, 1, 2, 2, 0},
+	OpRemU: {1, 1, 2, 2, 0}, OpAnd: {1, 1, 2, 2, 0}, OpOr: {1, 1, 2, 2, 0}, OpXor: {1, 1, 2, 2, 0},
+	OpShl: {1, 1, 2, 2, 0}, OpShrU: {1, 1, 2, 2, 0}, OpShrS: {1, 1, 2, 2, 0},
+	OpEq: {1, 1, 2, 2, 0}, OpNe: {1, 1, 2, 2, 0}, OpLtU: {1, 1, 2, 2, 0}, OpLeU: {1, 1, 2, 2, 0},
+	OpLtS: {1, 1, 2, 2, 0}, OpLeS: {1, 1, 2, 2, 0},
+	OpBr: {0, 0, 0, 0, 0}, OpCondBr: {0, 0, 1, 1, 0}, OpRet: {0, 0, 0, 1, 0}, OpCall: {0, 1, 0, many, 0},
+	OpLoad: {1, many, 0, 1, 0}, OpStore: {0, 0, 2, many, 0},
+	OpPktLoad: {1, many, 1, 1, handleIn}, OpPktStore: {0, 0, 2, many, handleIn},
+	OpMetaLoad: {1, many, 1, 1, handleIn}, OpMetaStore: {0, 0, 2, many, handleIn},
+	OpEncap: {1, 1, 1, 1, handleIn | handleOut}, OpDecap: {1, 1, 1, 1, handleIn | handleOut},
+	OpPktCopy: {1, 1, 1, 1, handleIn | handleOut}, OpPktCreate: {1, 1, 0, 0, handleOut},
+	OpPktDrop: {0, 0, 1, 1, handleIn}, OpAddTail: {0, 0, 2, 2, handleIn}, OpRemoveTail: {0, 0, 2, 2, handleIn},
+	OpPktLength: {1, 1, 1, 1, handleIn}, OpChanPut: {0, 0, 1, 1, handleIn},
+	OpLockAcquire: {0, 0, 0, 0, 0}, OpLockRelease: {0, 0, 0, 0, 0},
+	OpCacheLookup: {0, many, 0, many, 0}, OpCacheFill: {0, 0, 0, many, 0}, OpCacheFlush: {0, 0, 0, many, 0},
 }
 
 // verifier carries one Verify call's scratch from function to function, so
@@ -127,9 +177,22 @@ func (v *verifier) verifyFunc(fn *Func) error {
 		return v.errf(nil, -1, nil, "RegClasses has %d entries for %d registers",
 			len(fn.RegClasses), fn.NumRegs)
 	}
+	if len(fn.ParamClasses) != len(fn.Params) {
+		return v.errf(nil, -1, nil, "%d parameter classes for %d parameters",
+			len(fn.ParamClasses), len(fn.Params))
+	}
+	for i, p := range fn.Params {
+		if p < 0 || int(p) >= fn.NumRegs {
+			return v.errf(nil, -1, nil, "parameter %d register %d out of range [0,%d)", i, int(p), fn.NumRegs)
+		}
+		if fn.RegClasses[p] != fn.ParamClasses[i] {
+			return v.errf(nil, -1, nil, "parameter %d is %s %v, declared %s", i, fn.RegClasses[p], p,
+				fn.ParamClasses[i])
+		}
+	}
 
 	// Structural checks per block: single trailing terminator, well-formed
-	// edges.
+	// instructions and edges.
 	for _, b := range fn.Blocks {
 		if len(b.Instrs) == 0 {
 			return v.errf(b, -1, nil, "empty block (no terminator)")
@@ -150,10 +213,19 @@ func (v *verifier) verifyFunc(fn *Func) error {
 	return v.verifyDefBeforeUse()
 }
 
-// verifyInstr checks operand arity, register ranges/classes and the
-// packet-access typing rules for one instruction.
+// verifyInstr checks one instruction's shape, register ranges, payload,
+// register classes and branch targets, in that order.
 func (v *verifier) verifyInstr(b *Block, idx int, in *Instr) error {
 	fn := v.fn
+	if in.Op <= OpInvalid || int(in.Op) >= len(shapes) {
+		return v.errf(b, idx, in, "unhandled op %v", in.Op)
+	}
+	sh := shapes[in.Op]
+	if nd, na := len(in.Dst), len(in.Args); nd < int(sh.minDst) || nd > int(sh.maxDst) ||
+		na < int(sh.minArgs) || na > int(sh.maxArgs) {
+		return v.errf(b, idx, in, "%v with %d results and %d operands", in.Op, nd, na)
+	}
+
 	// Register ranges. Args may use NoReg only in the optional index slot
 	// of global and cache accesses (arg 0, except CacheFill whose arg 0
 	// carries the CAM entry from its lookup and whose index is arg 1).
@@ -189,72 +261,59 @@ func (v *verifier) verifyInstr(b *Block, idx int, in *Instr) error {
 			return err
 		}
 	}
-	class := func(r Reg) RegClass { return fn.RegClasses[r] }
 
-	// Register classes. The operand counts of these ops are not checked
-	// here, so only the operands present are.
-	words := func(regs []Reg) error {
-		for _, r := range regs {
-			if class(r) != ClassWord {
-				return v.errf(b, idx, in, "%v: operand %v is a handle, want a word", in.Op, r)
-			}
+	if err := v.verifyPayload(b, idx, in); err != nil {
+		return err
+	}
+
+	// Register classes. handle says whether r's slot takes a handle.
+	class := func(r Reg) RegClass { return fn.RegClasses[r] }
+	want := func(r Reg, handle bool) error {
+		switch {
+		case r == NoReg || handle == (class(r) == ClassHandle):
+			return nil
+		case handle:
+			return v.errf(b, idx, in, "%v: handle operand %v has class word", in.Op, r)
 		}
-		return nil
+		return v.errf(b, idx, in, "%v: operand %v is a handle, want a word", in.Op, r)
 	}
 	switch in.Op {
 	case OpMov:
-		if len(in.Dst) == 1 && len(in.Args) == 1 && class(in.Dst[0]) != class(in.Args[0]) {
+		if class(in.Dst[0]) != class(in.Args[0]) {
 			return v.errf(b, idx, in, "mov of %s %v into %s %v", class(in.Args[0]), in.Args[0],
 				class(in.Dst[0]), in.Dst[0])
 		}
 	case OpEq, OpNe:
-		if len(in.Args) == 2 && class(in.Args[0]) != class(in.Args[1]) {
+		if class(in.Args[0]) != class(in.Args[1]) {
 			return v.errf(b, idx, in, "%v compares %s %v with %s %v", in.Op, class(in.Args[0]), in.Args[0],
 				class(in.Args[1]), in.Args[1])
 		}
-		if err := words(in.Dst); err != nil {
-			return err
+		return want(in.Dst[0], false)
+	case OpCall, OpRet: // arguments are checked with the callee (verifyPayload); ret returns either
+	default:
+		for i, r := range in.Args {
+			if err := want(r, i == 0 && sh.classes&handleIn != 0); err != nil {
+				return err
+			}
 		}
-	case OpConst, OpAdd, OpSub, OpMul, OpDivU, OpRemU, OpAnd, OpOr, OpXor, OpShl, OpShrU, OpShrS,
-		OpNot, OpNeg, OpLtU, OpLeU, OpLtS, OpLeS, OpCondBr:
-		if err := words(in.Dst); err != nil {
-			return err
-		}
-		if err := words(in.Args); err != nil {
-			return err
-		}
-	case OpCall:
-		if callee := v.prog.Func(in.Callee); callee != nil {
-			for i, a := range in.Args {
-				if i < len(callee.ParamClasses) && class(a) != callee.ParamClasses[i] {
-					return v.errf(b, idx, in, "call passes %s %v for %s parameter %d of %s",
-						class(a), a, callee.ParamClasses[i], i, in.Callee)
-				}
+		for i, r := range in.Dst {
+			if err := want(r, i == 0 && sh.classes&handleOut != 0); err != nil {
+				return err
 			}
 		}
 	}
 
-	// Terminator arity and edge targets.
+	// Branch targets: two for condbr, one for br, none for any other op,
+	// each a block of fn.
+	targets := 0
 	switch in.Op {
 	case OpBr:
-		if len(in.Blocks) != 1 {
-			return v.errf(b, idx, in, "br with %d targets, want 1", len(in.Blocks))
-		}
+		targets = 1
 	case OpCondBr:
-		if len(in.Blocks) != 2 {
-			return v.errf(b, idx, in, "condbr with %d targets, want 2", len(in.Blocks))
-		}
-		if len(in.Args) != 1 {
-			return v.errf(b, idx, in, "condbr with %d operands, want 1", len(in.Args))
-		}
-	case OpRet:
-		if len(in.Blocks) != 0 {
-			return v.errf(b, idx, in, "ret with branch targets")
-		}
-	default:
-		if len(in.Blocks) != 0 {
-			return v.errf(b, idx, in, "%v carries branch targets", in.Op)
-		}
+		targets = 2
+	}
+	if len(in.Blocks) != targets {
+		return v.errf(b, idx, in, "%v with %d targets, want %d", in.Op, len(in.Blocks), targets)
 	}
 	for _, t := range in.Blocks {
 		if t == nil {
@@ -265,16 +324,37 @@ func (v *verifier) verifyInstr(b *Block, idx int, in *Instr) error {
 				in.Op, t.ID, fn.Name)
 		}
 	}
+	return nil
+}
 
-	// Packet and metadata access typing.
+// verifyPayload checks what an instruction names besides its registers:
+// its callee (and the classes of the arguments it takes), global,
+// protocol, channel, field or raw byte range.
+func (v *verifier) verifyPayload(b *Block, idx int, in *Instr) error {
 	switch in.Op {
+	case OpCall:
+		callee := v.prog.Func(in.Callee)
+		if callee == nil {
+			return v.errf(b, idx, in, "call: unknown callee %q", in.Callee)
+		}
+		if len(in.Args) != len(callee.Params) {
+			return v.errf(b, idx, in, "call: %d arguments for %s, which takes %d",
+				len(in.Args), in.Callee, len(callee.Params))
+		}
+		for i, a := range in.Args {
+			if c := v.fn.RegClasses[a]; i < len(callee.ParamClasses) && c != callee.ParamClasses[i] {
+				return v.errf(b, idx, in, "call passes %s %v for %s parameter %d of %s",
+					c, a, callee.ParamClasses[i], i, in.Callee)
+			}
+		}
+	case OpLoad, OpStore, OpCacheLookup, OpCacheFill, OpCacheFlush:
+		if in.Global == nil {
+			return v.errf(b, idx, in, "%v without a global", in.Op)
+		}
+		if (in.Op == OpLoad || in.Op == OpStore) && (in.Width < 0 || in.Width%4 != 0) {
+			return v.errf(b, idx, in, "%v: width %d is not a word multiple", in.Op, in.Width)
+		}
 	case OpPktLoad, OpPktStore, OpMetaLoad, OpMetaStore:
-		if len(in.Args) == 0 || in.Args[0] == NoReg {
-			return v.errf(b, idx, in, "%v without a handle operand", in.Op)
-		}
-		if class(in.Args[0]) != ClassHandle {
-			return v.errf(b, idx, in, "%v: handle operand %v has class word", in.Op, in.Args[0])
-		}
 		load := in.Op == OpPktLoad || in.Op == OpMetaLoad
 		if in.Field != nil {
 			if in.Field.Bits < 1 || in.Field.Bits > 32 {
@@ -289,40 +369,40 @@ func (v *verifier) verifyInstr(b *Block, idx int, in *Instr) error {
 				return v.errf(b, idx, in, "%v .%s: %d operands, want 2 (handle, value)",
 					in.Op, in.Field.Name, len(in.Args))
 			}
-		} else {
-			// Raw byte-range access (post-PAC form, packet and metadata
-			// alike). The offset may be negative: PAC aliases handles
-			// through encap/decap, so a combined range can start before
-			// the base handle's header.
-			if in.Width <= 0 || in.Width%4 != 0 {
-				return v.errf(b, idx, in, "%v: raw width %d is not a positive word multiple",
-					in.Op, in.Width)
-			}
-			if load && len(in.Dst) != in.Width/4 {
-				return v.errf(b, idx, in, "%v raw[%d:%d]: %d destinations for width %d",
-					in.Op, in.Off, int(in.Off)+in.Width, len(in.Dst), in.Width)
-			}
-			if !load && len(in.Args) != 1+in.Width/4 {
-				return v.errf(b, idx, in, "%v raw[%d:%d]: %d operands for width %d",
-					in.Op, in.Off, int(in.Off)+in.Width, len(in.Args), in.Width)
-			}
+			return nil
 		}
-	case OpEncap, OpDecap:
-		if len(in.Args) != 1 || len(in.Dst) != 1 {
-			return v.errf(b, idx, in, "%v needs one handle in and one handle out", in.Op)
+		// Raw byte-range access (post-PAC form, packet and metadata
+		// alike). A packet offset may be negative: PAC aliases handles
+		// through encap/decap, so a combined range can start before the
+		// base handle's header. The metadata record has no such slack.
+		if in.Width <= 0 || in.Width%4 != 0 {
+			return v.errf(b, idx, in, "%v: raw width %d is not a positive word multiple",
+				in.Op, in.Width)
 		}
-		if class(in.Args[0]) != ClassHandle || class(in.Dst[0]) != ClassHandle {
-			return v.errf(b, idx, in, "%v operands must be handles", in.Op)
+		if load && len(in.Dst) != in.Width/4 {
+			return v.errf(b, idx, in, "%v raw[%d:%d]: %d destinations for width %d",
+				in.Op, in.Off, int(in.Off)+in.Width, len(in.Dst), in.Width)
 		}
+		if !load && len(in.Args) != 1+in.Width/4 {
+			return v.errf(b, idx, in, "%v raw[%d:%d]: %d operands for width %d",
+				in.Op, in.Off, int(in.Off)+in.Width, len(in.Args), in.Width)
+		}
+		if in.Off < 0 && (in.Op == OpMetaLoad || in.Op == OpMetaStore) {
+			return v.errf(b, idx, in, "%v raw[%d:%d]: metadata offset %d is negative",
+				in.Op, in.Off, int(in.Off)+in.Width, in.Off)
+		}
+	case OpDecap:
+		if tp := v.prog.Types; tp == nil || in.Imm >= uint64(len(tp.ProtoByID)) {
+			return v.errf(b, idx, in, "decap of unknown protocol ID %d", in.Imm)
+		}
+		fallthrough
+	case OpEncap, OpPktCreate:
 		if in.Proto == nil {
 			return v.errf(b, idx, in, "%v without a protocol", in.Op)
 		}
-	case OpLoad, OpStore:
-		if in.Global == nil {
-			return v.errf(b, idx, in, "%v without a global", in.Op)
-		}
-		if in.Width < 0 || in.Width%4 != 0 {
-			return v.errf(b, idx, in, "%v: width %d is not a word multiple", in.Op, in.Width)
+	case OpChanPut:
+		if in.Chan == nil {
+			return v.errf(b, idx, in, "chanput without a channel")
 		}
 	}
 	return nil

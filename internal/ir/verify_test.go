@@ -318,3 +318,119 @@ func TestComputeCFGForeignSuccessor(t *testing.T) {
 	}
 	wantVerifyError(t, prog, "nil branch target")
 }
+
+// TestVerifyExecutorRules: the rules the executor relies on, one
+// malformed instruction or signature each, in a function whose word
+// registers are all defined. Each is a *VerifyError and none panics.
+func TestVerifyExecutorRules(t *testing.T) {
+	p := &types.Protocol{Name: "p"}
+	g := &types.Global{Name: "t.tbl"}
+	cases := []struct {
+		name, want string
+		edit       func(fn *Func, h, w, out Reg) []*Instr
+	}{
+		{"add with one operand", "add with 1 results and 1 operands", func(fn *Func, h, w, out Reg) []*Instr {
+			return []*Instr{{Op: OpAdd, Dst: []Reg{out}, Args: []Reg{w}}}
+		}},
+		{"load with two indices", "load with 1 results and 2 operands", func(fn *Func, h, w, out Reg) []*Instr {
+			return []*Instr{{Op: OpLoad, Dst: []Reg{out}, Args: []Reg{w, w}, Global: g}}
+		}},
+		{"op past the table", "unhandled op op(", func(fn *Func, h, w, out Reg) []*Instr {
+			return []*Instr{{Op: OpCacheFlush + 1}}
+		}},
+		{"invalid op", "unhandled op", func(fn *Func, h, w, out Reg) []*Instr {
+			return []*Instr{{}}
+		}},
+		{"unknown callee", `call: unknown callee "t.nosuch"`, func(fn *Func, h, w, out Reg) []*Instr {
+			return []*Instr{{Op: OpCall, Callee: "t.nosuch"}}
+		}},
+		{"call with too few arguments", "call: 0 arguments for t.g, which takes 1", func(fn *Func, h, w, out Reg) []*Instr {
+			return []*Instr{{Op: OpCall, Dst: []Reg{out}, Callee: "t.g"}}
+		}},
+		{"decap of an unknown protocol ID", "decap of unknown protocol ID 99", func(fn *Func, h, w, out Reg) []*Instr {
+			return []*Instr{{Op: OpDecap, Dst: []Reg{h}, Args: []Reg{h}, Imm: 99, Proto: p}}
+		}},
+		{"pktcreate without a protocol", "pktcreate without a protocol", func(fn *Func, h, w, out Reg) []*Instr {
+			return []*Instr{{Op: OpPktCreate, Dst: []Reg{h}}}
+		}},
+		{"chanput without a channel", "chanput without a channel", func(fn *Func, h, w, out Reg) []*Instr {
+			return []*Instr{{Op: OpChanPut, Args: []Reg{h}}}
+		}},
+		{"raw metadata before the record", "metaload raw[-4:0]: metadata offset -4 is negative", func(fn *Func, h, w, out Reg) []*Instr {
+			return []*Instr{{Op: OpMetaLoad, Dst: []Reg{out}, Args: []Reg{h}, Off: -4, Width: 4}}
+		}},
+		{"cache op without a global", "cacheflush without a global", func(fn *Func, h, w, out Reg) []*Instr {
+			return []*Instr{{Op: OpCacheFlush, Args: []Reg{NoReg}}}
+		}},
+		{"word as a dropped packet", "pktdrop: handle operand %v1 has class word", func(fn *Func, h, w, out Reg) []*Instr {
+			return []*Instr{{Op: OpPktDrop, Args: []Reg{w}}}
+		}},
+		{"copy into a word", "pktcopy: handle operand %v2 has class word", func(fn *Func, h, w, out Reg) []*Instr {
+			return []*Instr{{Op: OpPktCopy, Dst: []Reg{out}, Args: []Reg{h}}}
+		}},
+		{"handle as a tail length", "addtail: operand %v0 is a handle, want a word", func(fn *Func, h, w, out Reg) []*Instr {
+			return []*Instr{{Op: OpAddTail, Args: []Reg{h, h}}}
+		}},
+		{"global load into a handle", "load: operand %v3 is a handle, want a word", func(fn *Func, h, w, out Reg) []*Instr {
+			return []*Instr{{Op: OpLoad, Dst: []Reg{fn.NewReg(ClassHandle)}, Args: []Reg{NoReg}, Global: g}}
+		}},
+		{"parameter out of range", "parameter 0 register 15 out of range [0,3)", func(fn *Func, h, w, out Reg) []*Instr {
+			fn.Params = []Reg{15}
+			return nil
+		}},
+		{"parameter of the other class", "parameter 0 is handle %v0, declared word", func(fn *Func, h, w, out Reg) []*Instr {
+			fn.ParamClasses = []RegClass{ClassWord}
+			return nil
+		}},
+		{"parameter without a class", "0 parameter classes for 1 parameters", func(fn *Func, h, w, out Reg) []*Instr {
+			fn.ParamClasses = nil
+			return nil
+		}},
+	}
+	for _, c := range cases {
+		prog, fn := newTestFunc()
+		prog.Types = &types.Program{ProtoByID: []*types.Protocol{p}}
+		callee := &Func{Name: "t.g", Kind: FuncHelper}
+		callee.Params = []Reg{callee.NewReg(ClassWord)}
+		callee.ParamClasses = []RegClass{ClassWord}
+		callee.Entry = callee.NewBlock()
+		callee.Entry.Instrs = []*Instr{{Op: OpRet, Args: callee.Params}}
+		prog.Funcs = append(prog.Funcs, callee)
+		h, w, out := fn.Params[0], fn.NewReg(ClassWord), fn.NewReg(ClassWord)
+		body := append([]*Instr{{Op: OpConst, Dst: []Reg{w}}}, c.edit(fn, h, w, out)...)
+		fn.Entry.Instrs = append(body, &Instr{Op: OpRet})
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: Verify panicked: %v", c.name, r)
+				}
+			}()
+			ve := wantVerifyError(t, prog, c.want)
+			if err := VerifyFunc(prog, fn); err == nil || *err.(*VerifyError) != *ve {
+				t.Errorf("%s: VerifyFunc returned %v, Verify %v", c.name, err, ve)
+			}
+		}()
+	}
+}
+
+// TestVerifyFuncOutsideProgram: VerifyFunc checks a function that is not one
+// of p.Funcs, as the XScale path runs an aggregate's functions, and
+// resolves its callees through p.
+func TestVerifyFuncOutsideProgram(t *testing.T) {
+	prog, fn := newTestFunc()
+	prog.Funcs = nil
+	w := fn.NewReg(ClassWord)
+	fn.Entry.Instrs = []*Instr{{Op: OpConst, Dst: []Reg{w}}, {Op: OpCall, Args: []Reg{w}, Callee: "t.g"}, {Op: OpRet}}
+	if err := VerifyFunc(prog, fn); err == nil || !strings.Contains(err.Error(), `unknown callee "t.g"`) {
+		t.Fatalf("call of a function p lacks: got %v", err)
+	}
+	callee := &Func{Name: "t.g", Kind: FuncHelper}
+	callee.Params = []Reg{callee.NewReg(ClassWord)}
+	callee.ParamClasses = []RegClass{ClassWord}
+	callee.Entry = callee.NewBlock()
+	callee.Entry.Instrs = []*Instr{{Op: OpRet}}
+	prog.Funcs = []*Func{callee}
+	if err := VerifyFunc(prog, fn); err != nil {
+		t.Fatalf("function outside p calling one of p.Funcs: %v", err)
+	}
+}

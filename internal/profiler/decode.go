@@ -1,10 +1,6 @@
 package profiler
 
-import (
-	"fmt"
-
-	"shangrila/internal/ir"
-)
+import "shangrila/internal/ir"
 
 // slot is one predecoded instruction. Registers are indices into the
 // word bank or the handle bank of the activation's window, by the class
@@ -123,74 +119,45 @@ func (it *Interp) codeOf(fn *ir.Func) *code {
 	return c
 }
 
-// arity bounds each op's operand lists: {fewest results, most results,
-// fewest operands, most operands}.
-const many = 127
-
-var arity = [ir.OpCacheFlush + 1][4]int8{
-	ir.OpConst: {1, 1, 0, 0}, ir.OpMov: {1, 1, 1, 1}, ir.OpNot: {1, 1, 1, 1}, ir.OpNeg: {1, 1, 1, 1},
-	ir.OpAdd: {1, 1, 2, 2}, ir.OpSub: {1, 1, 2, 2}, ir.OpMul: {1, 1, 2, 2}, ir.OpDivU: {1, 1, 2, 2},
-	ir.OpRemU: {1, 1, 2, 2}, ir.OpAnd: {1, 1, 2, 2}, ir.OpOr: {1, 1, 2, 2}, ir.OpXor: {1, 1, 2, 2},
-	ir.OpShl: {1, 1, 2, 2}, ir.OpShrU: {1, 1, 2, 2}, ir.OpShrS: {1, 1, 2, 2},
-	ir.OpEq: {1, 1, 2, 2}, ir.OpNe: {1, 1, 2, 2}, ir.OpLtU: {1, 1, 2, 2}, ir.OpLeU: {1, 1, 2, 2},
-	ir.OpLtS: {1, 1, 2, 2}, ir.OpLeS: {1, 1, 2, 2},
-	ir.OpBr: {0, 0, 0, 0}, ir.OpCondBr: {0, 0, 1, 1}, ir.OpRet: {0, 0, 0, 1}, ir.OpCall: {0, 1, 0, many},
-	ir.OpLoad: {1, many, 0, 1}, ir.OpStore: {0, 0, 2, many},
-	ir.OpPktLoad: {1, many, 1, 1}, ir.OpPktStore: {0, 0, 2, many},
-	ir.OpMetaLoad: {1, many, 1, 1}, ir.OpMetaStore: {0, 0, 2, many},
-	ir.OpEncap: {1, 1, 1, 1}, ir.OpDecap: {1, 1, 1, 1}, ir.OpPktCopy: {1, 1, 1, 1}, ir.OpPktCreate: {1, 1, 0, 0},
-	ir.OpPktDrop: {0, 0, 1, 1}, ir.OpAddTail: {0, 0, 2, 2}, ir.OpRemoveTail: {0, 0, 2, 2}, ir.OpPktLength: {1, 1, 1, 1},
-	ir.OpChanPut: {0, 0, 1, 1}, ir.OpLockAcquire: {0, 0, 0, 0}, ir.OpLockRelease: {0, 0, 0, 0},
-	ir.OpCacheLookup: {0, many, 0, many}, ir.OpCacheFill: {0, 0, 0, many}, ir.OpCacheFlush: {0, 0, 0, many},
-}
-
-// decode fills c.slots from c.fn on first use. It rejects, with the
-// instruction's position, anything the executor would otherwise index or
-// dereference blindly: operand counts, registers outside the window or of
-// the wrong class, missing payload, unknown callees and branch targets. A
-// block without a terminator decodes to a trailing OpInvalid slot that
-// fails when reached. Each block's slots are then fused (fuse).
+// decode fills c.slots from c.fn on first use. The executor runs only
+// functions that verify: decode returns ir.VerifyFunc's *ir.VerifyError as
+// it is, and refuses nothing itself. The rest is translation: each
+// register gets an index in the bank of its class, each instruction a slot,
+// a global of the Interp's own hostEnv its ID, and each block's slots are
+// then fused (fuse).
 func (it *Interp) decode(c *code) error {
 	if c.slots != nil {
 		return nil
 	}
 	fn := c.fn
+	if err := ir.VerifyFunc(it.Prog, fn); err != nil {
+		return err
+	}
 	index := make(map[*ir.Block]uint32, len(fn.Blocks))
 	n := 0
 	for i, b := range fn.Blocks {
 		index[b] = uint32(i)
 		n += len(b.Instrs)
 	}
-	entry, ok := index[fn.Entry]
-	if !ok {
-		return fmt.Errorf("interp: %s has no entry block", fn.Name)
-	}
-	if len(fn.RegClasses) < fn.NumRegs {
-		return fmt.Errorf("interp: %s has %d register classes for %d registers", fn.Name, len(fn.RegClasses), fn.NumRegs)
-	}
 	// Each register gets the next index in the bank of its class.
 	bank := make([]int32, fn.NumRegs)
 	var nw, nh int32
-	for r, class := range fn.RegClasses[:fn.NumRegs] {
+	for r, class := range fn.RegClasses {
 		if class == ir.ClassHandle {
 			bank[r], nh = nh, nh+1
 		} else {
 			bank[r], nw = nw, nw+1
 		}
 	}
-	outside := func(r ir.Reg) bool { return r < 0 || int(r) >= fn.NumRegs }
 	handle := func(r ir.Reg) bool { return fn.RegClasses[r] == ir.ClassHandle }
 	at := func(regs []ir.Reg, i int) int32 {
-		if i < len(regs) && !outside(regs[i]) { // only the cache ops' ignored operands can be outside
+		if i < len(regs) && regs[i] != ir.NoReg { // a global or cache access's index may be absent
 			return bank[regs[i]]
 		}
 		return -1
 	}
 	params := make([]int32, len(fn.Params))
 	for i, p := range fn.Params {
-		if outside(p) {
-			return fmt.Errorf("interp: %s parameter %s outside its %d registers", fn.Name, p, fn.NumRegs)
-		}
 		if params[i] = bank[p]; handle(p) {
 			params[i] = ^bank[p]
 		}
@@ -202,30 +169,7 @@ func (it *Interp) decode(c *code) error {
 	for bi, b := range fn.Blocks {
 		blk := &blocks[bi]
 		blk.start, blk.cost = int32(len(slots)), uint64(len(b.Instrs))
-		for i, in := range b.Instrs {
-			if in.Op <= ir.OpInvalid || int(in.Op) >= len(arity) {
-				return execErr(in, "interp: unhandled op %s", in.Op)
-			}
-			if in.Op.IsTerminator() && i != len(b.Instrs)-1 {
-				return execErr(in, "interp: %s inside block b%d", in.Op, b.ID)
-			}
-			ar, nd, na := arity[in.Op], len(in.Dst), len(in.Args)
-			if nd < int(ar[0]) || nd > int(ar[1]) || na < int(ar[2]) || na > int(ar[3]) {
-				return execErr(in, "interp: %s with %d results and %d operands", in.Op, nd, na)
-			}
-			// A global access's index register may be absent, and the host
-			// ignores the cache ops' operands; every other register is used.
-			for j, r := range in.Args {
-				absent := r == ir.NoReg && j == 0 && (in.Op == ir.OpLoad || in.Op == ir.OpStore)
-				if outside(r) && !absent && in.Op < ir.OpCacheLookup {
-					return execErr(in, "interp: %s reads register %s outside %s's %d", in.Op, r, fn.Name, fn.NumRegs)
-				}
-			}
-			for _, r := range in.Dst {
-				if outside(r) {
-					return execErr(in, "interp: %s writes register %s outside %s's %d", in.Op, r, fn.Name, fn.NumRegs)
-				}
-			}
+		for _, in := range b.Instrs {
 			s := slot{op: in.Op, in: in, dst: at(in.Dst, 0), a: at(in.Args, 0), b: at(in.Args, 1), c: -1, imm: uint32(in.Imm)}
 			list := func(regs []ir.Reg) {
 				s.ext, s.n = int32(len(ext)), int32(len(regs))
@@ -233,38 +177,32 @@ func (it *Interp) decode(c *code) error {
 					ext = append(ext, bank[r])
 				}
 			}
-			var bad string
 			switch in.Op {
-			case ir.OpBr, ir.OpCondBr:
-				if len(in.Blocks) != 1+na { // a conditional branch has its condition and a second target
-					bad = fmt.Sprintf("%d branch targets", len(in.Blocks))
-					break
-				}
-				t0, ok0 := index[in.Blocks[0]]
-				t1, ok1 := index[in.Blocks[na]]
-				if !ok0 || !ok1 {
-					bad = "a branch target outside the function"
-				}
-				s.imm, s.alt = t0, t1
-			case ir.OpCall:
-				if callee := it.Prog.Func(in.Callee); callee == nil {
-					bad = fmt.Sprintf("unknown callee %q", in.Callee)
-				} else if na != len(callee.Params) {
-					bad = fmt.Sprintf("%d arguments for %s, which takes %d", na, in.Callee, len(callee.Params))
-				} else {
-					s.imm = uint32(len(calls))
-					calls = append(calls, it.codeOf(callee))
-					list(in.Args)
-					if nd == 1 && handle(in.Dst[0]) {
-						s.alt = uint32(ir.ClassHandle)
+			case ir.OpMov, ir.OpEq, ir.OpNe, ir.OpRet:
+				// A handle mov, eq, ne or ret has a form of its own.
+				if len(in.Args) > 0 && handle(in.Args[0]) {
+					switch in.Op {
+					case ir.OpMov:
+						s.op = opHMov
+					case ir.OpEq:
+						s.op = opHEq
+					case ir.OpNe:
+						s.op = opHNe
+					case ir.OpRet:
+						s.op = opHRet
 					}
+				}
+			case ir.OpBr, ir.OpCondBr: // a conditional branch has its condition and a second target
+				s.imm, s.alt = index[in.Blocks[0]], index[in.Blocks[len(in.Args)]]
+			case ir.OpCall:
+				s.imm = uint32(len(calls))
+				calls = append(calls, it.codeOf(it.Prog.Func(in.Callee)))
+				list(in.Args)
+				if len(in.Dst) == 1 && handle(in.Dst[0]) {
+					s.alt = uint32(ir.ClassHandle)
 				}
 			case ir.OpLoad, ir.OpStore:
 				g := in.Global
-				if g == nil {
-					bad = "no global"
-					break
-				}
 				s.imm, s.alt = uint32(in.Off), uint32(g.Type.SizeBytes())
 				if list(in.Dst); in.Op == ir.OpStore {
 					list(in.Args[1:])
@@ -279,124 +217,24 @@ func (it *Interp) decode(c *code) error {
 				}
 				blk.cost += memUnit
 			case ir.OpPktLoad, ir.OpPktStore, ir.OpMetaLoad, ir.OpMetaStore:
-				vals := in.Dst
-				if nd == 0 {
-					vals = in.Args[1:] // a store's words follow its handle
-				}
-				meta := in.Op == ir.OpMetaLoad || in.Op == ir.OpMetaStore
-				if in.Field != nil && len(vals) != 1 {
-					bad = fmt.Sprintf("%d values for field %s", len(vals), in.Field.Name)
-				} else if in.Field == nil && (in.Width < 4*len(vals) || meta && in.Off < 0) {
-					bad = fmt.Sprintf("%d words in a raw access of %d bytes at %d", len(vals), in.Width, in.Off)
-				} else if in.Field == nil {
+				if in.Field == nil {
+					vals := in.Dst
+					if len(vals) == 0 {
+						vals = in.Args[1:] // a store's words follow its handle
+					}
 					s.imm, s.alt = uint32(in.Off), uint32(in.Width)
 					list(vals)
 				}
 				blk.cost += memUnit
-			case ir.OpDecap:
-				if in.Imm >= uint64(len(it.Prog.Types.ProtoByID)) {
-					bad = fmt.Sprintf("unknown protocol ID %d", in.Imm)
-				}
-			case ir.OpEncap, ir.OpPktCreate, ir.OpChanPut:
-				if in.Op == ir.OpChanPut && in.Chan == nil || in.Op != ir.OpChanPut && in.Proto == nil {
-					bad = "no channel or protocol"
-				}
 			case ir.OpCacheLookup:
 				list(in.Dst)
 			}
-			if bad != "" {
-				return execErr(in, "interp: %s with %s", in.Op, bad)
-			}
-			if err := it.checkClasses(fn, in); err != nil {
-				return err
-			}
-			// A handle mov, eq, ne or ret has a form of its own.
-			if na > 0 && !outside(in.Args[0]) && handle(in.Args[0]) {
-				switch in.Op {
-				case ir.OpMov:
-					s.op = opHMov
-				case ir.OpEq:
-					s.op = opHEq
-				case ir.OpNe:
-					s.op = opHNe
-				case ir.OpRet:
-					s.op = opHRet
-				}
-			}
 			slots = append(slots, s)
-		}
-		if b.Terminator() == nil { // an error to run off, but not to have: the block may be unreachable
-			slots = append(slots, slot{op: ir.OpInvalid, imm: uint32(b.ID)})
 		}
 		slots = slots[:int(blk.start)+len(fuse(slots[blk.start:]))]
 	}
-	c.slots, c.ext, c.blocks, c.entry, c.calls = slots, ext, blocks, entry, calls
+	c.slots, c.ext, c.blocks, c.entry, c.calls = slots, ext, blocks, index[fn.Entry], calls
 	c.nw, c.nh, c.params = nw, nh, params
-	return nil
-}
-
-// checkClasses rejects an operand whose class its op cannot take: the
-// packet ops' handles and the handles encap, decap, copy and create
-// produce must be handle registers, a mov's, an eq's or a ne's operands
-// and a call's arguments against the callee's parameters must not mix
-// classes, ret takes either, and everything else is a word. The host
-// ignores the cache ops' operands. The registers are inside the window.
-func (it *Interp) checkClasses(fn *ir.Func, in *ir.Instr) error {
-	handle := func(r ir.Reg) bool { return fn.RegClasses[r] == ir.ClassHandle }
-	want := func(r ir.Reg, h bool, what string) error {
-		if r < 0 || handle(r) == h {
-			return nil
-		}
-		return execErr(in, "interp: %s %s %s register %s", in.Op, what, fn.RegClasses[r], r)
-	}
-	mixed := func(x, y ir.Reg) error {
-		if handle(x) == handle(y) {
-			return nil
-		}
-		return execErr(in, "interp: %s mixes the classes of %s and %s", in.Op, x, y)
-	}
-	first := 0 // the operands from first on are words
-	switch in.Op {
-	case ir.OpMov:
-		return mixed(in.Dst[0], in.Args[0])
-	case ir.OpEq, ir.OpNe:
-		if err := mixed(in.Args[0], in.Args[1]); err != nil {
-			return err
-		}
-		return want(in.Dst[0], false, "writes")
-	case ir.OpRet, ir.OpCacheLookup, ir.OpCacheFill, ir.OpCacheFlush:
-		first = len(in.Args)
-	case ir.OpCall:
-		callee := it.Prog.Func(in.Callee)
-		for i, a := range in.Args {
-			// A parameter the callee's own decode will refuse is not checked.
-			if p := callee.Params[i]; p >= 0 && int(p) < len(callee.RegClasses) &&
-				handle(a) != (callee.RegClasses[p] == ir.ClassHandle) {
-				return execErr(in, "interp: call passes %s for parameter %s of %s, of the other class", a, p, in.Callee)
-			}
-		}
-		return nil // the result goes to the bank of its register's class
-	case ir.OpPktLoad, ir.OpPktStore, ir.OpMetaLoad, ir.OpMetaStore, ir.OpPktDrop, ir.OpAddTail,
-		ir.OpRemoveTail, ir.OpPktLength, ir.OpChanPut, ir.OpEncap, ir.OpDecap, ir.OpPktCopy:
-		if err := want(in.Args[0], true, "takes its handle from"); err != nil {
-			return err
-		}
-		first = 1
-	}
-	for _, r := range in.Args[first:] {
-		if err := want(r, false, "reads"); err != nil {
-			return err
-		}
-	}
-	switch in.Op {
-	case ir.OpEncap, ir.OpDecap, ir.OpPktCopy, ir.OpPktCreate:
-		return want(in.Dst[0], true, "writes its handle to")
-	}
-	for _, r := range in.Dst {
-		if err := want(r, false, "writes"); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -407,8 +245,7 @@ func (it *Interp) checkClasses(fn *ir.Func, in *ir.Instr) error {
 // entry's field) become one slot; and a word comparison, fused or not,
 // and the conditional branch right after it that tests its result become
 // one slot that also branches. Only adjacent slots fuse, so no other slot
-// sees a register between the writes. Division and remainder do not fuse:
-// they can fail, and their error names their own instruction.
+// sees a register between the writes.
 func fuse(ss []slot) []slot {
 	out := ss[:0]
 	for i := 0; i < len(ss); i++ {

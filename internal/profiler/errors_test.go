@@ -1,6 +1,8 @@
 package profiler
 
 import (
+	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -30,7 +32,8 @@ func lowerSrc(t *testing.T, src string) *ir.Program {
 }
 
 // TestExecutorErrors: a failing program fails with a positioned error that
-// names what went wrong, and a passing one passes.
+// names what went wrong, and a passing one passes and transmits the packet
+// with the y it computes.
 func TestExecutorErrors(t *testing.T) {
 	const head = `
 protocol p { x:32; y:32; demux { 8 }; }
@@ -42,13 +45,15 @@ module m {
 		name, body string
 		breakIt    func(*ir.Program)
 		wantErr    string
+		wantY      uint32 // ph->y of the transmitted packet, when wantErr is ""
 	}{
-		{name: "ok", body: `ppf f(p ph) { tbl[ph->x & 7] = ph->y / 3; channel_put(out, ph); }
+		{name: "ok", wantY: 9, body: `ppf f(p ph) { tbl[ph->x & 7] = ph->y / 3; channel_put(out, ph); }
 			wiring { rx -> f; out -> tx; }`},
-		{name: "division by zero", wantErr: "t:6:47: division by zero",
+		// A zero divisor gives 0, as the ME's ALU does, for / and % alike.
+		{name: "division by zero", wantY: 0,
 			body: `ppf f(p ph) { uint d = ph->x - ph->x; ph->y = 7 / d; channel_put(out, ph); }
 			wiring { rx -> f; out -> tx; }`},
-		{name: "modulo by zero", wantErr: "modulo by zero",
+		{name: "modulo by zero", wantY: 0,
 			body: `ppf f(p ph) { uint d = ph->x - ph->x; ph->y = 7 % d; channel_put(out, ph); }
 			wiring { rx -> f; out -> tx; }`},
 		{name: "global index out of range", wantErr: "global m.tbl access at byte 36 out of range (size 32)",
@@ -72,9 +77,25 @@ module m {
 		if c.breakIt != nil {
 			c.breakIt(prog)
 		}
-		_, err := Profile(prog, []*packet.Packet{packet.New(make([]byte, 64), 4)})
+		wire := make([]byte, 64)
+		wire[7] = 9 // y
+		_, err := Profile(prog, []*packet.Packet{packet.New(wire, 4)})
 		if (err == nil) != (c.wantErr == "") || err != nil && !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		s, err := NewSession(prog)
+		if err == nil {
+			err = s.Inject(packet.New(wire, 4))
+		}
+		if err != nil || len(s.Out) != 1 {
+			t.Errorf("%s: session: %v", c.name, err)
+			continue
+		}
+		if o := s.Out[0]; binary.BigEndian.Uint32(o.P.Bytes()[o.Head+4:]) != c.wantY {
+			t.Errorf("%s: y = %d, want %d", c.name, binary.BigEndian.Uint32(o.P.Bytes()[o.Head+4:]), c.wantY)
 		}
 	}
 }
@@ -98,10 +119,13 @@ var handPos = token.Pos{File: "hand", Line: 3, Col: 7}
 
 // handFunc wraps instrs, positioned at handPos, in a one-block function of
 // four registers whose parameter %v0 is a packet handle and whose other
-// registers are words.
+// registers are words. Three leading consts define the words, so a case
+// reaches the rule it is about rather than def-before-use.
 func handFunc(instrs ...*ir.Instr) *ir.Func {
 	b := &ir.Block{}
-	for _, in := range instrs {
+	for _, in := range append([]*ir.Instr{
+		{Op: ir.OpConst, Dst: []ir.Reg{1}}, {Op: ir.OpConst, Dst: []ir.Reg{2}}, {Op: ir.OpConst, Dst: []ir.Reg{3}},
+	}, instrs...) {
 		in.Pos = handPos
 		b.Instrs = append(b.Instrs, in)
 	}
@@ -128,6 +152,33 @@ func mustFailAt(t *testing.T, name string, prog *ir.Program, fn *ir.Func, arg Va
 	_, err = s.env.it.Run(fn, []Value{arg})
 	if err == nil || !strings.HasPrefix(err.Error(), "hand:3:7: ") || !strings.Contains(err.Error(), want) {
 		t.Errorf("%s: got error %v, want hand:3:7: ... %s ...", name, err, want)
+	}
+}
+
+// mustRefuse requires ir.VerifyFunc to refuse fn with a *ir.VerifyError
+// whose text contains want, positioned at handPos when positioned, and
+// Interp.Run to return that same error: the executor runs only functions
+// that verify.
+func mustRefuse(t *testing.T, name string, prog *ir.Program, fn *ir.Func, arg Value, want string, positioned bool) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Errorf("%s: panicked: %v", name, r)
+		}
+	}()
+	err := ir.VerifyFunc(prog, fn)
+	ve, ok := err.(*ir.VerifyError)
+	if !ok || !strings.Contains(err.Error(), want) || positioned != strings.HasPrefix(err.Error(), "hand:3:7: ") {
+		t.Errorf("%s: ir.VerifyFunc: got %v, want a *ir.VerifyError containing %q (positioned %v)", name, err, want, positioned)
+		return
+	}
+	s, err := NewSession(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.env.it.Run(fn, []Value{arg})
+	if got, ok := err.(*ir.VerifyError); !ok || *got != *ve {
+		t.Errorf("%s: Run returned %v, want the verify error %v", name, err, ve)
 	}
 }
 
@@ -172,8 +223,8 @@ func TestNilHandleIsAnError(t *testing.T) {
 }
 
 // TestDecodeRejectsMalformedIR: what the executor would index or
-// dereference blindly is refused when the function is first activated,
-// with the instruction's position.
+// dereference blindly is refused by ir.VerifyFunc, and so by the executor
+// when the function is first activated, with the instruction's position.
 func TestDecodeRejectsMalformedIR(t *testing.T) {
 	prog := handProg(t)
 	tp := prog.Types
@@ -190,40 +241,40 @@ func TestDecodeRejectsMalformedIR(t *testing.T) {
 		{"const without result", "0 results", &ir.Instr{Op: ir.OpConst}},
 		{"add with one operand", "1 operands", &ir.Instr{Op: ir.OpAdd, Dst: d, Args: h}},
 		{"mov with two results", "2 results", &ir.Instr{Op: ir.OpMov, Dst: []ir.Reg{1, 2}, Args: h}},
-		{"read past the window", "reads register %v4", &ir.Instr{Op: ir.OpMov, Dst: d, Args: []ir.Reg{4}}},
-		{"write past the window", "writes register %v9", &ir.Instr{Op: ir.OpConst, Dst: []ir.Reg{9}}},
-		{"absent operand", "reads register _", &ir.Instr{Op: ir.OpNot, Dst: d, Args: []ir.Reg{ir.NoReg}}},
-		{"absent stored word", "reads register _", &ir.Instr{Op: ir.OpStore, Args: []ir.Reg{ir.NoReg, ir.NoReg}, Global: tbl}},
-		{"absent result", "writes register _", &ir.Instr{Op: ir.OpConst, Dst: []ir.Reg{ir.NoReg}}},
-		{"load without global", "no global", &ir.Instr{Op: ir.OpLoad, Dst: d}},
+		{"read past the window", "mov: arg 0 register 4 out of range", &ir.Instr{Op: ir.OpMov, Dst: d, Args: []ir.Reg{4}}},
+		{"write past the window", "const: dst 0 register 9 out of range", &ir.Instr{Op: ir.OpConst, Dst: []ir.Reg{9}}},
+		{"absent operand", "not: arg 0 is NoReg", &ir.Instr{Op: ir.OpNot, Dst: d, Args: []ir.Reg{ir.NoReg}}},
+		{"absent stored word", "store: arg 1 is NoReg", &ir.Instr{Op: ir.OpStore, Args: []ir.Reg{ir.NoReg, ir.NoReg}, Global: tbl}},
+		{"absent result", "const: dst 0 is NoReg", &ir.Instr{Op: ir.OpConst, Dst: []ir.Reg{ir.NoReg}}},
+		{"load without global", "load without a global", &ir.Instr{Op: ir.OpLoad, Dst: d}},
 		{"load without result", "0 results", &ir.Instr{Op: ir.OpLoad, Global: tbl}},
 		{"load with two indices", "2 operands", &ir.Instr{Op: ir.OpLoad, Dst: d, Args: []ir.Reg{1, 1}, Global: tbl}},
-		{"store without global", "no global", &ir.Instr{Op: ir.OpStore, Args: []ir.Reg{ir.NoReg, 1}}},
+		{"store without global", "store without a global", &ir.Instr{Op: ir.OpStore, Args: []ir.Reg{ir.NoReg, 1}}},
 		{"store without words", "1 operands", &ir.Instr{Op: ir.OpStore, Args: h, Global: tbl}},
 		{"store without operands", "0 operands", &ir.Instr{Op: ir.OpStore, Global: tbl}},
-		{"field load with two results", "2 values", &ir.Instr{Op: ir.OpPktLoad, Dst: []ir.Reg{1, 2}, Args: h, Field: x}},
+		{"field load with two results", "pktload .x: 2 destinations, want 1", &ir.Instr{Op: ir.OpPktLoad, Dst: []ir.Reg{1, 2}, Args: h, Field: x}},
 		{"field store without value", "1 operands", &ir.Instr{Op: ir.OpPktStore, Args: h, Field: x}},
 		{"store without handle", "0 operands", &ir.Instr{Op: ir.OpMetaStore, Field: x}},
-		{"raw load wider than its width", "2 words in a raw access of 4 bytes", &ir.Instr{Op: ir.OpPktLoad, Dst: []ir.Reg{1, 2}, Args: h, Width: 4}},
-		{"raw store wider than its width", "1 words in a raw access of 0 bytes", &ir.Instr{Op: ir.OpPktStore, Args: []ir.Reg{0, 1}}},
-		{"raw metadata before the record", "at -4", &ir.Instr{Op: ir.OpMetaLoad, Dst: d, Args: h, Width: 4, Off: -4}},
+		{"raw load wider than its width", "pktload raw[0:4]: 2 destinations for width 4", &ir.Instr{Op: ir.OpPktLoad, Dst: []ir.Reg{1, 2}, Args: h, Width: 4}},
+		{"raw store wider than its width", "pktstore: raw width 0 is not a positive word multiple", &ir.Instr{Op: ir.OpPktStore, Args: []ir.Reg{0, 1}}},
+		{"raw metadata before the record", "metaload raw[-4:0]: metadata offset -4 is negative", &ir.Instr{Op: ir.OpMetaLoad, Dst: d, Args: h, Width: 4, Off: -4}},
 		{"decap of unknown protocol", "unknown protocol ID 99", &ir.Instr{Op: ir.OpDecap, Dst: d, Args: h, Imm: 99}},
-		{"encap without protocol", "no channel or protocol", &ir.Instr{Op: ir.OpEncap, Dst: d, Args: h}},
-		{"create without protocol", "no channel or protocol", &ir.Instr{Op: ir.OpPktCreate, Dst: d}},
-		{"put without channel", "no channel or protocol", &ir.Instr{Op: ir.OpChanPut, Args: h}},
+		{"encap without protocol", "encap without a protocol", &ir.Instr{Op: ir.OpEncap, Dst: d, Args: h}},
+		{"create without protocol", "pktcreate without a protocol", &ir.Instr{Op: ir.OpPktCreate, Dst: d}},
+		{"put without channel", "chanput without a channel", &ir.Instr{Op: ir.OpChanPut, Args: h}},
 		{"unknown callee", `unknown callee "m.nosuch"`, &ir.Instr{Op: ir.OpCall, Callee: "m.nosuch"}},
 		{"call with too few arguments", "0 arguments", &ir.Instr{Op: ir.OpCall, Dst: d, Callee: "m.help"}},
 		{"call with two results", "2 results", &ir.Instr{Op: ir.OpCall, Dst: []ir.Reg{1, 2}, Args: []ir.Reg{1}, Callee: "m.help"}},
-		{"terminator inside a block", "br inside block", &ir.Instr{Op: ir.OpBr, Blocks: []*ir.Block{stray}}},
-		{"word register as a handle", "pktload takes its handle from word register %v1", &ir.Instr{Op: ir.OpPktLoad, Dst: d, Args: []ir.Reg{1}, Field: x}},
-		{"handle result in a word register", "pktcopy writes its handle to word register %v2", &ir.Instr{Op: ir.OpPktCopy, Dst: d, Args: h}},
-		{"handle register as a word", "add reads handle register %v0", &ir.Instr{Op: ir.OpAdd, Dst: d, Args: []ir.Reg{1, 0}}},
-		{"mixed-class mov", "mov mixes the classes of %v2 and %v0", &ir.Instr{Op: ir.OpMov, Dst: d, Args: h}},
-		{"mixed-class eq", "eq mixes the classes of %v0 and %v1", &ir.Instr{Op: ir.OpEq, Dst: d, Args: []ir.Reg{0, 1}}},
-		{"handle call argument for a word parameter", "call passes %v0 for parameter", &ir.Instr{Op: ir.OpCall, Dst: d, Args: h, Callee: "m.help"}},
+		{"terminator inside a block", "terminator br in the middle of a block", &ir.Instr{Op: ir.OpBr, Blocks: []*ir.Block{stray}}},
+		{"word register as a handle", "pktload: handle operand %v1 has class word", &ir.Instr{Op: ir.OpPktLoad, Dst: d, Args: []ir.Reg{1}, Field: x}},
+		{"handle result in a word register", "pktcopy: handle operand %v2 has class word", &ir.Instr{Op: ir.OpPktCopy, Dst: d, Args: h}},
+		{"handle register as a word", "add: operand %v0 is a handle, want a word", &ir.Instr{Op: ir.OpAdd, Dst: d, Args: []ir.Reg{1, 0}}},
+		{"mixed-class mov", "mov of handle %v0 into word %v2", &ir.Instr{Op: ir.OpMov, Dst: d, Args: h}},
+		{"mixed-class eq", "eq compares handle %v0 with word %v1", &ir.Instr{Op: ir.OpEq, Dst: d, Args: []ir.Reg{0, 1}}},
+		{"handle call argument for a word parameter", "call passes handle %v0 for word parameter 0 of m.help", &ir.Instr{Op: ir.OpCall, Dst: d, Args: h, Callee: "m.help"}},
 	}
 	for _, c := range cases {
-		mustFailAt(t, c.name, prog, handFunc(c.in, ret()), Value{P: packet.New(make([]byte, 8), 4)}, c.want)
+		mustRefuse(t, c.name, prog, handFunc(c.in, ret()), Value{P: packet.New(make([]byte, 8), 4)}, c.want, true)
 	}
 
 	// Terminators: only the last instruction differs, so these build the
@@ -232,22 +283,22 @@ func TestDecodeRejectsMalformedIR(t *testing.T) {
 		name, want string
 		in         *ir.Instr
 	}{
-		{"branch without target", "0 branch targets", &ir.Instr{Op: ir.OpBr}},
-		{"condbr with one target", "1 branch targets", &ir.Instr{Op: ir.OpCondBr, Args: h, Blocks: []*ir.Block{stray}}},
-		{"branch out of the function", "branch target outside", &ir.Instr{Op: ir.OpBr, Blocks: []*ir.Block{stray}}},
+		{"branch without target", "br with 0 targets, want 1", &ir.Instr{Op: ir.OpBr}},
+		{"condbr with one target", "condbr with 1 targets, want 2", &ir.Instr{Op: ir.OpCondBr, Args: []ir.Reg{1}, Blocks: []*ir.Block{stray}}},
+		{"branch out of the function", "br: edge to b0, which is not a block of m.hand", &ir.Instr{Op: ir.OpBr, Blocks: []*ir.Block{stray}}},
 		{"ret with two results", "2 operands", &ir.Instr{Op: ir.OpRet, Args: []ir.Reg{1, 2}}},
 	}
 	for _, c := range terms {
-		mustFailAt(t, c.name, prog, handFunc(c.in), Value{}, c.want)
+		mustRefuse(t, c.name, prog, handFunc(c.in), Value{}, c.want, true)
 	}
 
-	// Function-level shape: these have no instruction to blame. A block
-	// without a terminator fails only when execution runs off its end.
+	// Function-level shape: these have no instruction to blame, except the
+	// block whose last instruction is not a terminator.
 	open := handFunc(&ir.Instr{Op: ir.OpMov, Dst: d, Args: []ir.Reg{1}})
 	dead := handFunc(ret())
 	dead.Blocks = append(dead.Blocks, &ir.Block{ID: 1})
 	empty := handFunc(&ir.Instr{Op: ir.OpBr, Blocks: []*ir.Block{{ID: 1}}})
-	empty.Blocks = append(empty.Blocks, empty.Blocks[0].Instrs[0].Blocks[0])
+	empty.Blocks = append(empty.Blocks, empty.Blocks[0].Instrs[3].Blocks[0])
 	noEntry := handFunc(ret())
 	noEntry.Entry = stray
 	badParam := handFunc(ret())
@@ -257,24 +308,25 @@ func TestDecodeRejectsMalformedIR(t *testing.T) {
 	for _, c := range []struct {
 		name, want string
 		fn         *ir.Func
-	}{{"unterminated block", "m.hand block b0 fell through", open}, {"unreachable empty block", "", dead},
-		{"branch to an empty block", "m.hand block b1 fell through", empty},
-		{"entry outside the function", "m.hand has no entry", noEntry}, {"parameter past the window", "m.hand parameter", badParam},
-		{"short class table", "m.hand has 2 register classes for 4 registers", shortClasses},
-		{"ignored cache operand past the window", "", handFunc(&ir.Instr{Op: ir.OpCacheFlush, Args: []ir.Reg{9}}, ret())}} {
-		s, _ := NewSession(prog)
-		_, err := s.env.it.Run(c.fn, []Value{{}})
-		if (err == nil) != (c.want == "") || err != nil && !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: got error %v, want %q", c.name, err, c.want)
-		}
+		positioned bool
+	}{{"unterminated block", "block does not end in a terminator (got mov)", open, true},
+		{"unreachable empty block", "m.hand b1: empty block", dead, false},
+		{"branch to an empty block", "m.hand b1: empty block", empty, false},
+		{"entry outside the function", "m.hand: entry block b0 is not in the block list", noEntry, false},
+		{"parameter past the window", "m.hand: parameter 0 register 7 out of range", badParam, false},
+		{"short class table", "m.hand: RegClasses has 2 entries for 4 registers", shortClasses, false},
+		{"ignored cache operand past the window", "cacheflush: arg 0 register 9 out of range",
+			handFunc(&ir.Instr{Op: ir.OpCacheFlush, Args: []ir.Reg{9}}, ret()), true}} {
+		mustRefuse(t, c.name, prog, c.fn, Value{}, c.want, c.positioned)
 	}
 
-	// A callee that fails to decode fails its caller's call, not the
+	// A callee that fails to verify fails its caller's call, not the
 	// caller's own decode: the error surfaces when the call executes.
 	badHelp := prog.Func("m.help")
 	badHelp.Blocks[0].Instrs = append([]*ir.Instr{{Op: ir.OpConst, Pos: handPos}}, badHelp.Blocks[0].Instrs...)
-	if _, err := Profile(prog, []*packet.Packet{packet.New(make([]byte, 8), 4)}); err == nil ||
-		!strings.Contains(err.Error(), "hand:3:7: interp: const with 0 results") {
+	var ve *ir.VerifyError
+	if _, err := Profile(prog, []*packet.Packet{packet.New(make([]byte, 8), 4)}); !errors.As(err, &ve) ||
+		!strings.Contains(err.Error(), "hand:3:7: m.help b0[0]: const with 0 results") {
 		t.Errorf("call of a malformed callee: got %v", err)
 	}
 }

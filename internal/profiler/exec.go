@@ -163,16 +163,18 @@ func (it *Interp) exec(c *code, wb, hb int) (Value, error) {
 				words[s.dst] = words[s.a] - words[s.b]
 			case ir.OpMul:
 				words[s.dst] = words[s.a] * words[s.b]
-			case ir.OpDivU:
-				if words[s.b] == 0 {
-					return Value{}, execErr(s.in, "division by zero")
+			case ir.OpDivU: // a zero divisor gives 0, as the ME's ALU does
+				q := uint32(0)
+				if d := words[s.b]; d != 0 {
+					q = words[s.a] / d
 				}
-				words[s.dst] = words[s.a] / words[s.b]
+				words[s.dst] = q
 			case ir.OpRemU:
-				if words[s.b] == 0 {
-					return Value{}, execErr(s.in, "modulo by zero")
+				r := uint32(0)
+				if d := words[s.b]; d != 0 {
+					r = words[s.a] % d
 				}
-				words[s.dst] = words[s.a] % words[s.b]
+				words[s.dst] = r
 			case ir.OpAnd:
 				words[s.dst] = words[s.a] & words[s.b]
 			case ir.OpOr:
@@ -435,8 +437,6 @@ func (it *Interp) exec(c *code, wb, hb int) (Value, error) {
 				}
 			case ir.OpCacheFill, ir.OpCacheFlush:
 				// No-ops on the host.
-			case ir.OpInvalid:
-				return Value{}, fmt.Errorf("interp: %s block b%d fell through without terminator", c.fn.Name, s.imm)
 			default:
 				// What remains works on the packet behind the handle in a.
 				h := handles[s.a]

@@ -28,3 +28,9 @@ func FusedConsts(prog *ir.Program) (consts, fused int, err error) {
 	}
 	return consts, fused, nil
 }
+
+// RunFunc runs fn on the session's own Interp, as a test that builds or
+// mutates a function runs it.
+func (s *Session) RunFunc(fn *ir.Func, args []Value) (Value, error) {
+	return s.env.it.Run(fn, args)
+}

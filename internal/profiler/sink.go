@@ -8,8 +8,8 @@ import (
 
 // sinkOnly reports, by Global.ID, the globals whose values steer nothing:
 // every value loaded from one reaches only arithmetic and the stored words
-// of stores to sink-only globals — never a branch, an index, a divisor, a
-// packet or metadata write, a channel, a call or a return. The statistics
+// of stores to sink-only globals — never a branch, an index, a packet or
+// metadata write, a channel, a call or a return. The statistics
 // counters (x += 1) are the common case. What a sink-only global holds
 // cannot change which blocks a packet enters, which words it touches,
 // whether it fails or what it transmits, so an Incremental leaves these
@@ -42,9 +42,7 @@ func sinkOnly(prog *ir.Program) []bool {
 			for _, in := range b.Instrs {
 				switch {
 				case arithmetic(in.Op):
-					if in.Op == ir.OpDivU || in.Op == ir.OpRemU {
-						or(steer, of(in.Args[1]))
-					}
+					// What its operands carry reaches its result (carriedSets).
 				case in.Op == ir.OpStore && in.Global != nil:
 					or(steer, of(in.Args[0]))
 					for _, a := range in.Args[1:] {
