@@ -37,13 +37,16 @@ func (t Target) String() string {
 	return "me"
 }
 
+// CodeStore is the ME code store: the most instructions one ME image may
+// hold (§3.1). Aggregation keeps every merged aggregate's estimated size
+// within it, and cg.Verify refuses a compiled image over it.
+const CodeStore = 4096
+
 // Config parameterizes aggregation.
 type Config struct {
 	// NumMEs is the number of microengines available for packet
 	// processing (6 on the paper's IXP2400 setup: 8 minus Rx and Tx).
 	NumMEs int
-	// CodeStore is the per-ME instruction budget (4096 on the IXP).
-	CodeStore int
 	// ChannelCost is the estimated per-packet cost (in IR-instruction
 	// units) of crossing an inter-aggregate communication channel: ring
 	// put + get plus head_ptr hand-off.
@@ -60,7 +63,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		NumMEs:           6,
-		CodeStore:        4096,
 		ChannelCost:      40,
 		XScaleFreqCutoff: 0.01,
 	}
@@ -231,7 +233,7 @@ func (b *builder) run() (*Plan, error) {
 		bestT := -1.0
 		for _, pr := range pairs {
 			merged := b.mergedCandidate(pr)
-			if merged.CodeSize > b.cfg.CodeStore {
+			if merged.CodeSize > CodeStore {
 				continue
 			}
 			var cand []*Aggregate
@@ -264,7 +266,7 @@ func (b *builder) run() (*Plan, error) {
 	// Post-pass: oversized aggregates cannot be mapped to an ME at all if
 	// even a single PPF exceeds the code store; they fall to the XScale.
 	for _, a := range hot {
-		if a.CodeSize > b.cfg.CodeStore {
+		if a.CodeSize > CodeStore {
 			// Keep on MEs only if it is a singleton we cannot split
 			// further; otherwise Figure 7's merging already refused to
 			// create it. A singleton that overflows goes to the XScale.

@@ -115,38 +115,24 @@ func TestBankConstraintHolds(t *testing.T) {
 	}
 }
 
+// TestPhysicalRegistersOnly: every register of an allocated image is
+// inside the register file, by cg.Verify's register rule.
 func TestPhysicalRegistersOnly(t *testing.T) {
 	img := compile(t, cg.Options{O2: true})
 	for _, c := range img.MECode {
-		for pc, in := range c.Program.Code {
-			check := func(r cg.PReg, what string) {
-				if r != cg.NoPReg && (int(r) < 0 || int(r) >= cg.NumRegs) {
-					t.Errorf("pc %d: %s register %d not physical: %v", pc, what, int(r), in)
-				}
-			}
-			check(in.Dst, "dst")
-			check(in.Dst2, "dst2")
-			check(in.SrcA, "srcA")
-			check(in.SrcB, "srcB")
-			check(in.Addr, "addr")
-			for _, d := range in.Data {
-				check(d, "data")
-			}
+		if err := cg.Verify(c.Program, img.Layout.NumRings); err != nil {
+			t.Error(err)
 		}
 	}
 }
 
+// TestBranchTargetsInRange: every branch of an unoptimized image lands
+// inside it and no path falls off its end, by cg.Verify's control rule.
 func TestBranchTargetsInRange(t *testing.T) {
 	img := compile(t, cg.Options{})
 	for _, c := range img.MECode {
-		n := len(c.Program.Code)
-		for pc, in := range c.Program.Code {
-			switch in.Op {
-			case cg.IBr, cg.IBcc, cg.IBccImm:
-				if in.Target < 0 || in.Target >= n {
-					t.Errorf("pc %d: branch target %d out of range [0,%d)", pc, in.Target, n)
-				}
-			}
+		if err := cg.Verify(c.Program, img.Layout.NumRings); err != nil {
+			t.Error(err)
 		}
 	}
 }
@@ -159,7 +145,7 @@ func TestCodeSizeShrinksWithOptions(t *testing.T) {
 	if o >= b {
 		t.Errorf("optimized code %d >= base %d instructions", o, b)
 	}
-	if b > cg.CodeStoreLimit {
+	if b > aggregate.CodeStore {
 		t.Errorf("base code %d exceeds the code store", b)
 	}
 }

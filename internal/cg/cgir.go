@@ -75,7 +75,7 @@ const (
 var aluNames = [...]string{"add", "sub", "mul", "and", "or", "xor", "shl",
 	"shru", "shrs", "not", "neg", "mov", "divu", "remu"}
 
-func (a ALUOp) String() string { return aluNames[a] }
+func (a ALUOp) String() string { return enumName(aluNames[:], int(a), "aluop") }
 
 // CondOp is a branch condition comparing two sources.
 type CondOp int
@@ -92,7 +92,7 @@ const (
 
 var condNames = [...]string{"eq", "ne", "ltu", "leu", "lts", "les"}
 
-func (c CondOp) String() string { return condNames[c] }
+func (c CondOp) String() string { return enumName(condNames[:], int(c), "cond") }
 
 // MemLevel selects the memory hierarchy level of a memory instruction.
 type MemLevel int
@@ -107,7 +107,7 @@ const (
 
 var levelNames = [...]string{"local", "scratch", "sram", "dram"}
 
-func (l MemLevel) String() string { return levelNames[l] }
+func (l MemLevel) String() string { return enumName(levelNames[:], int(l), "level") }
 
 // AccessClass classifies memory accesses for the Table 1 accounting.
 type AccessClass int
@@ -125,7 +125,7 @@ const (
 
 var classNames = [...]string{"-", "pkt-data", "pkt-meta", "pkt-ring", "app"}
 
-func (c AccessClass) String() string { return classNames[c] }
+func (c AccessClass) String() string { return enumName(classNames[:], int(c), "class") }
 
 // Opcode enumerates CGIR instructions.
 type Opcode int
@@ -153,7 +153,16 @@ var opcodeNames = [...]string{"nop", "alu", "alui", "immed", "br", "bcc",
 	"bcci", "mem", "camlookup", "camwrite", "camclear", "ringget",
 	"ringput", "ctxarb", "halt"}
 
-func (o Opcode) String() string { return opcodeNames[o] }
+func (o Opcode) String() string { return enumName(opcodeNames[:], int(o), "opcode") }
+
+// enumName names v from names, or, outside the enum, as kind(v): every
+// String of a CGIR enum is total, so a bad instruction prints.
+func enumName(names []string, v int, kind string) string {
+	if v >= 0 && v < len(names) {
+		return names[v]
+	}
+	return fmt.Sprintf("%s(%d)", kind, v)
+}
 
 // Instr is one CGIR instruction. Operand usage depends on Op; unused
 // register fields hold NoPReg.

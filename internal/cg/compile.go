@@ -38,9 +38,6 @@ type Image struct {
 	Opts      Options
 }
 
-// CodeStoreLimit is the ME instruction budget (§3.1).
-const CodeStoreLimit = 4096
-
 // Compile lowers every ME aggregate of the plan into CGIR.
 func Compile(prog *ir.Program, plan *aggregate.Plan, merged []*aggregate.Merged,
 	classes map[*types.Channel]aggregate.ChannelClass, facts *soar.Stats, opts Options) (*Image, error) {
@@ -124,6 +121,10 @@ func compileAggregate(prog *ir.Program, m *aggregate.Merged, layout *Layout,
 	}
 	if err := Allocate(c.Program, nvreg); err != nil {
 		return nil, err
+	}
+	if err := Verify(c.Program, layout.NumRings); err != nil {
+		return nil, fmt.Errorf("cg: aggregate %v (estimated %d instructions, compiled %d): %w",
+			m.Agg.PPFs, m.Agg.CodeSize, len(c.Program.Code), err)
 	}
 	return c, nil
 }

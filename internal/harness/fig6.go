@@ -104,7 +104,9 @@ func RunKernel(prog *cg.Program, numMEs int, warmup, measure int64) (float64, er
 		m.Rings[cg.RingFree].Put(uint32(id), 64<<16|128)
 	}
 	for me := 0; me < numMEs; me++ {
-		m.LoadProgram(me, prog)
+		if err := m.LoadProgram(me, prog); err != nil {
+			return 0, err
+		}
 	}
 	if err := m.Run(warmup); err != nil {
 		return 0, err

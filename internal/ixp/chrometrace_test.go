@@ -35,7 +35,7 @@ func TestChromeTraceFormat(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.Rings[cg.RingFree].Put(uint32(i), 64<<16|128)
 	}
-	m.LoadProgram(0, loopProg())
+	mustLoad(t, m, 0, loopProg())
 	if err := m.Run(50_000); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestChromeTraceDeterministic(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			m.Rings[cg.RingFree].Put(uint32(i), 64<<16|128)
 		}
-		m.LoadProgram(0, loopProg())
+		mustLoad(t, m, 0, loopProg())
 		if err := m.Run(30_000); err != nil {
 			t.Fatal(err)
 		}

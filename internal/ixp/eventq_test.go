@@ -238,7 +238,7 @@ func warmMachine(tb testing.TB, threadsPerME int, prog *cg.Program) *Machine {
 		tb.Fatal(err)
 	}
 	for i := 0; i < cfg.NumMEs; i++ {
-		m.LoadProgram(i, prog)
+		mustLoad(tb, m, i, prog)
 	}
 	if err := m.Run(50_000); err != nil {
 		tb.Fatal(err)
@@ -337,9 +337,9 @@ func wakeMachine(t *testing.T) (*Machine, *runRecorder) {
 		return &cg.Instr{Op: cg.IMem, Level: level, Addr: cg.NoPReg, AddrOff: 64,
 			NWords: 1, Data: []cg.PReg{3}, Class: cg.ClassAppData}
 	}
-	m.LoadProgram(0, &cg.Program{Name: "late", Code: []*cg.Instr{
+	mustLoad(t, m, 0, &cg.Program{Name: "late", Code: []*cg.Instr{
 		{Op: cg.ICtxArb}, load(cg.MemScratch), {Op: cg.IHalt}}})
-	m.LoadProgram(1, &cg.Program{Name: "early", Code: []*cg.Instr{
+	mustLoad(t, m, 1, &cg.Program{Name: "early", Code: []*cg.Instr{
 		load(cg.MemSRAM), {Op: cg.IHalt}}})
 	return m, rec
 }
@@ -432,7 +432,7 @@ func TestWakeZeroLatencyAdvances(t *testing.T) {
 		{Op: cg.IBr, Target: 0},
 	}}
 	for i := 0; i < cfg.NumMEs; i++ {
-		m.LoadProgram(i, prog)
+		mustLoad(t, m, i, prog)
 	}
 	for _, want := range []int64{500, 1000} {
 		if err := m.Run(500); err != nil {

@@ -137,7 +137,7 @@ func TestDropCauseChannelOverflow(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		m.Rings[cg.RingFree].Put(uint32(i), 64<<16|128)
 	}
-	m.LoadProgram(0, deadendProg())
+	mustLoad(t, m, 0, deadendProg())
 	if err := m.Run(500_000); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestDropCausesSimultaneous(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		m.Rings[cg.RingFree].Put(uint32(i), 64<<16|128)
 	}
-	m.LoadProgram(0, deadendProg())
+	mustLoad(t, m, 0, deadendProg())
 	if err := m.Run(500_000); err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +240,9 @@ func TestPacketConservationRandomized(t *testing.T) {
 		}
 		// Mix of fates: ME0 forwards to Tx, ME1 pushes into a dead-end ring
 		// when present (channel backpressure in the balance).
-		m.LoadProgram(0, loopProg())
+		mustLoad(t, m, 0, loopProg())
 		if cfg.RingSlots < 64 {
-			m.LoadProgram(1, deadendProg())
+			mustLoad(t, m, 1, deadendProg())
 		}
 		if err := m.Run(cycles); err != nil {
 			t.Fatal(err)

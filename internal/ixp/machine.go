@@ -337,6 +337,7 @@ type Thread struct {
 	regs  [cg.NumRegs + 1]uint32
 	pc    int
 	state threadState
+	me    *ME
 }
 
 // Reg returns a thread register (test hook).
@@ -353,8 +354,7 @@ type camEntry struct {
 // ME is one microengine.
 type ME struct {
 	idx     int
-	prog    *cg.Program
-	dec     *dProg // predecoded block form of prog (see predecode.go)
+	dec     *dProg // predecoded block form of the loaded program (see predecode.go)
 	threads []*Thread
 	local   []byte
 	cam     []camEntry
@@ -499,7 +499,7 @@ func New(cfg Config, opts ...Option) (*Machine, error) {
 			me.camLRU = append(me.camLRU, e)
 		}
 		for t := 0; t < cfg.ThreadsPerME; t++ {
-			me.threads = append(me.threads, &Thread{state: tDead})
+			me.threads = append(me.threads, &Thread{state: tDead, me: me})
 		}
 		m.MEs = append(m.MEs, me)
 	}
@@ -524,14 +524,19 @@ func (m *Machine) GrowRing(i, slots int) {
 	m.Rings[i] = nr
 }
 
-// LoadProgram installs code on an ME and starts its threads. The program
-// is predecoded into block-structured form here, once; execution never
-// consults the cg.Program again.
-func (m *Machine) LoadProgram(me int, prog *cg.Program) {
+// LoadProgram installs code on an ME and starts its threads. The machine
+// runs only images that cg.Verify accepts against its rings: a program
+// that does not verify is refused with the *cg.VerifyError, and the ME is
+// left disabled. A verified program is predecoded into block-structured
+// form here, once; execution never consults the cg.Program again.
+func (m *Machine) LoadProgram(me int, prog *cg.Program) error {
 	mx := m.MEs[me]
-	mx.prog = prog
 	d, ok := m.decCache[prog]
 	if !ok {
+		if err := cg.Verify(prog, len(m.Rings)); err != nil {
+			mx.dec, mx.enabled = nil, false
+			return fmt.Errorf("ixp: ME%d: %w", me, err)
+		}
 		d = predecode(prog)
 		if m.decCache == nil {
 			m.decCache = map[*cg.Program]*dProg{}
@@ -545,6 +550,7 @@ func (m *Machine) LoadProgram(me int, prog *cg.Program) {
 		t.state = tReady
 		mx.setReady(i, true)
 	}
+	return nil
 }
 
 func (m *Machine) controllerFor(level cg.MemLevel) *controller {
@@ -692,7 +698,8 @@ func (m *Machine) QueueCounts() QueueCounts {
 	return QueueCounts{Schedules: m.seq, Far: m.q.farPushes, Past: m.q.pastPushes}
 }
 
-// Err returns the first machine-check error (bad address, bad opcode).
+// Err returns the first machine-check error: a memory access out of range,
+// or what the runtime reported through Observer.Fault.
 func (m *Machine) Err() error { return m.err }
 
 func (m *Machine) fail(format string, args ...any) {
@@ -853,7 +860,7 @@ const maxRunInstrs = 4096
 // (branches, memory, rings, CAM, yields) reach the general dispatch.
 func (m *Machine) runME(meIdx int) {
 	mx := m.MEs[meIdx]
-	if !mx.enabled || mx.dec == nil {
+	if !mx.enabled {
 		return
 	}
 	// Round-robin pick: rotate the ready mask so rrNext becomes bit 0 and
@@ -878,15 +885,8 @@ func (m *Machine) runME(meIdx int) {
 	reason := YieldBudget // loop falls through only on budget exhaustion
 loop:
 	for budget > 0 {
-		if pc < 0 || pc >= len(code) {
-			th.pc = pc
-			m.stats.MEInstrs[meIdx] += instrs
-			m.fail("ME%d thread %d: pc %d out of range", meIdx, ti, pc)
-			if m.tracer != nil {
-				m.tracer.ThreadRun(windowStart, meIdx, ti, cycles, YieldFault)
-			}
-			return
-		}
+		// A verified image keeps pc inside the code: branch targets are in
+		// range and the last instruction is a branch or a halt.
 		in := &code[pc]
 		if in.run > 0 {
 			// Straight-line run: execute up to the remaining budget in the
@@ -1007,14 +1007,6 @@ loop:
 			pc = next
 			reason = YieldHalt
 			break loop
-		default: // dBad
-			th.pc = pc
-			m.stats.MEInstrs[meIdx] += instrs
-			m.fail("ME%d: bad opcode %v", meIdx, in.op)
-			if m.tracer != nil {
-				m.tracer.ThreadRun(windowStart, meIdx, ti, cycles, YieldFault)
-			}
-			return
 		}
 		pc = next
 	}
@@ -1049,7 +1041,7 @@ func (m *Machine) execMem(mx *ME, th *Thread, ti int, in *dInstr, cyclesSoFar in
 	n := int(in.nwords) * 4
 	if int(addr)+n > len(mem) {
 		if mem = m.memSlow(in.level, int(addr)+n); mem == nil {
-			m.fail("ME%d: %v access at %d+%d out of range (level %v)", mx.idx, in.op, addr, n, in.level)
+			m.fail("ME%d: mem access at %d+%d out of range (level %v)", mx.idx, addr, n, in.level)
 			return false, 0
 		}
 	}
@@ -1412,5 +1404,14 @@ func (m *Machine) Snapshot() Stats {
 
 // SetPC places a thread at an absolute entry point (the runtime uses this
 // to split one ME's threads across pipeline stages when fewer MEs than
-// stages are enabled).
-func (t *Thread) SetPC(pc int) { t.pc = pc }
+// stages are enabled). A pc outside the loaded program is refused.
+func (t *Thread) SetPC(pc int) error {
+	if t.me.dec == nil {
+		return fmt.Errorf("ixp: ME%d: no program loaded", t.me.idx)
+	}
+	if n := len(t.me.dec.code); pc < 0 || pc >= n {
+		return fmt.Errorf("ixp: ME%d: pc %d outside the %d-instruction program", t.me.idx, pc, n)
+	}
+	t.pc = pc
+	return nil
+}

@@ -218,8 +218,8 @@ func runLoop(t *testing.T, seed int) *Machine {
 	for i := 0; i < 100; i++ {
 		m.Rings[cg.RingFree].Put(uint32(i), 64<<16|128)
 	}
-	m.LoadProgram(0, loopProg())
-	m.LoadProgram(1, loopProg())
+	mustLoad(t, m, 0, loopProg())
+	mustLoad(t, m, 1, loopProg())
 	if err := m.Run(200_000); err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestRunRejectsNegativeBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.LoadProgram(0, computeProg())
+	mustLoad(t, m, 0, computeProg())
 	if err := m.Run(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestMemOutOfRangeFaults(t *testing.T) {
 			AddrOff: uint32(cfg.ScratchBytes), NWords: 1, Data: []cg.PReg{0}},
 		{Op: cg.IHalt},
 	}}
-	m.LoadProgram(0, prog)
+	mustLoad(t, m, 0, prog)
 	if err := m.Run(10_000); err == nil {
 		t.Fatal("expected machine check for out-of-range access")
 	}
@@ -503,7 +503,7 @@ func TestAtomicTestAndSet(t *testing.T) {
 			NWords: 1, Data: []cg.PReg{2}, Atomic: true, Class: cg.ClassAppData},
 		{Op: cg.IHalt},
 	}}
-	m.LoadProgram(0, prog)
+	mustLoad(t, m, 0, prog)
 	if err := m.Run(10_000); err != nil {
 		t.Fatal(err)
 	}
@@ -512,5 +512,13 @@ func TestAtomicTestAndSet(t *testing.T) {
 	}
 	if m.MEs[0].threads[0].regs[2] != 0 {
 		t.Errorf("test-and-set returned %d, want previous value 0", m.MEs[0].threads[0].regs[2])
+	}
+}
+
+// mustLoad loads prog on ME me and fails the test if the machine refuses it.
+func mustLoad(tb testing.TB, m *Machine, me int, prog *cg.Program) {
+	tb.Helper()
+	if err := m.LoadProgram(me, prog); err != nil {
+		tb.Fatal(err)
 	}
 }

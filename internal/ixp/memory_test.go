@@ -43,7 +43,7 @@ func TestMemoryDemandGrown(t *testing.T) {
 		if n := len(m.memory(lv.level, 0)); n != 0 {
 			t.Errorf("%v: fresh machine already backs %d bytes", lv.level, n)
 		}
-		m.LoadProgram(0, memProbe(lv.level, lv.size))
+		mustLoad(t, m, 0, memProbe(lv.level, lv.size))
 		if err := m.Run(10_000); err != nil {
 			t.Fatalf("%v: %v", lv.level, err)
 		}
@@ -99,7 +99,7 @@ func TestMemoryLogicalEndFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.LoadProgram(0, &cg.Program{Name: "straddle", Code: code})
+			mustLoad(t, m, 0, &cg.Program{Name: "straddle", Code: code})
 			err = m.Run(10_000)
 			if err == nil || err.Error() != lv.want {
 				t.Errorf("%v grown=%v: fault = %v, want %q", lv.level, grown, err, lv.want)

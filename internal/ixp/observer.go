@@ -54,6 +54,15 @@ func (o Observer) PacketFreed(id uint32) {
 	delete(m.rxStamp, id)
 }
 
+// Fault records a machine check that host-side code found in what ME code
+// wrote, such as a ring descriptor naming no packet buffer: Run stops and
+// returns the first error, as for a memory access out of range.
+func (o Observer) Fault(err error) {
+	if o.m.err == nil {
+		o.m.err = err
+	}
+}
+
 // SetMELabel names ME i's program (the runtime loader passes the
 // aggregate's PPF names) so stall breakdowns and traces can say which
 // pipeline stage an engine runs.

@@ -59,7 +59,6 @@ const (
 	dRingPut
 	dCtxArb
 	dHalt
-	dBad // undecodable: faults with the original opcode if executed
 )
 
 // zeroReg is the wired-zero register: one slot past the architectural
@@ -72,12 +71,11 @@ const zeroReg = cg.NumRegs
 // registers) is the decoded program's only per-slot allocation.
 type dInstr struct {
 	kind dKind
-	op   cg.Opcode // original opcode, for machine-check messages
 
 	alu  cg.ALUOp
 	cond cg.CondOp
 
-	dst, dst2  int16 // writes: validated 0..NumRegs-1 (dst of ring put: -1 = none)
+	dst, dst2  int16 // writes, 0..NumRegs-1 (dst of ring put: -1 = none)
 	srcA, srcB int16 // reads: absent operands map to zeroReg
 	imm        uint32
 
@@ -121,32 +119,20 @@ const (
 	numAccessClasses = 5
 )
 
-// reg validates a read operand: absent maps to the wired zero.
-func decodeReadReg(r cg.PReg) (int16, bool) {
+// readReg maps a source operand to its register slot: an absent one
+// (cg.NoPReg) reads the wired zero.
+func readReg(r cg.PReg) int16 {
 	if r == cg.NoPReg {
-		return zeroReg, true
+		return zeroReg
 	}
-	if r < 0 || int(r) >= cg.NumRegs {
-		return 0, false
-	}
-	return int16(r), true
+	return int16(r)
 }
 
-// decodeWriteReg validates a mandatory destination register.
-func decodeWriteReg(r cg.PReg) (int16, bool) {
-	if r < 0 || int(r) >= cg.NumRegs {
-		return 0, false
-	}
-	return int16(r), true
-}
-
-// predecode lowers a cg.Program into its block-structured executable form.
-// Invalid operands decode to dBad rather than failing eagerly: like the
-// reference interpreter, a program only machine-checks if the bad
-// instruction is actually executed.
+// predecode lowers a verified cg.Program (see cg.Verify) into its
+// block-structured executable form. It only translates: every operand,
+// target and ring it copies was checked at load.
 func predecode(p *cg.Program) *dProg {
-	n := len(p.Code)
-	d := &dProg{code: make([]dInstr, n)}
+	d := &dProg{code: make([]dInstr, len(p.Code))}
 	for i, in := range p.Code {
 		d.code[i] = decodeOne(in)
 	}
@@ -157,50 +143,28 @@ func predecode(p *cg.Program) *dProg {
 
 // decodeOne decodes a single instruction, standalone.
 func decodeOne(in *cg.Instr) dInstr {
-	out := dInstr{kind: dBad, op: in.Op, dst: -1, dst2: -1, srcA: zeroReg, srcB: zeroReg, accIdx: -1}
-	ok := true
+	out := dInstr{dst: -1, dst2: -1, srcA: zeroReg, srcB: zeroReg, accIdx: -1,
+		alu: in.ALU, cond: in.Cond, imm: in.Imm, target: int32(in.Target)}
 	switch in.Op {
 	case cg.INop:
 		out.kind = dNop
 	case cg.IALU:
 		out.kind = dALU
-		out.alu = in.ALU
-		out.dst, ok = decodeWriteReg(in.Dst)
-		if ok {
-			out.srcA, ok = decodeReadReg(in.SrcA)
-		}
-		if ok {
-			out.srcB, ok = decodeReadReg(in.SrcB)
-		}
+		out.dst, out.srcA, out.srcB = int16(in.Dst), readReg(in.SrcA), readReg(in.SrcB)
 	case cg.IALUImm:
 		out.kind = dALUImm
-		out.alu = in.ALU
-		out.imm = in.Imm
-		out.dst, ok = decodeWriteReg(in.Dst)
-		if ok {
-			out.srcA, ok = decodeReadReg(in.SrcA)
-		}
+		out.dst, out.srcA = int16(in.Dst), readReg(in.SrcA)
 	case cg.IImmed:
 		out.kind = dImmed
-		out.imm = in.Imm
-		out.dst, ok = decodeWriteReg(in.Dst)
+		out.dst = int16(in.Dst)
 	case cg.IBr:
 		out.kind = dBr
-		out.target = int32(in.Target)
 	case cg.IBcc:
 		out.kind = dBcc
-		out.cond = in.Cond
-		out.target = int32(in.Target)
-		out.srcA, ok = decodeReadReg(in.SrcA)
-		if ok {
-			out.srcB, ok = decodeReadReg(in.SrcB)
-		}
+		out.srcA, out.srcB = readReg(in.SrcA), readReg(in.SrcB)
 	case cg.IBccImm:
 		out.kind = dBccImm
-		out.cond = in.Cond
-		out.imm = in.Imm
-		out.target = int32(in.Target)
-		out.srcA, ok = decodeReadReg(in.SrcA)
+		out.srcA = readReg(in.SrcA)
 	case cg.IMem:
 		out.kind = dMem
 		out.level = in.Level
@@ -210,59 +174,30 @@ func decodeOne(in *cg.Instr) dInstr {
 		out.nwords = int32(in.NWords)
 		out.data = in.Data
 		out.accIdx = accIndex(in.Level, in.Class)
-		out.addr, ok = decodeReadReg(in.Addr)
-		for _, r := range in.Data {
-			if r < 0 || int(r) >= cg.NumRegs {
-				ok = false
-			}
-		}
+		out.addr = readReg(in.Addr)
 	case cg.ICAMLookup:
 		out.kind = dCAMLookup
-		out.dst, ok = decodeWriteReg(in.Dst)
-		if ok {
-			out.dst2, ok = decodeWriteReg(in.Dst2)
-		}
-		if ok {
-			out.srcA, ok = decodeReadReg(in.SrcA)
-		}
+		out.dst, out.dst2, out.srcA = int16(in.Dst), int16(in.Dst2), readReg(in.SrcA)
 	case cg.ICAMWrite:
 		out.kind = dCAMWrite
-		out.srcA, ok = decodeReadReg(in.SrcA)
-		if ok {
-			out.srcB, ok = decodeReadReg(in.SrcB)
-		}
+		out.srcA, out.srcB = readReg(in.SrcA), readReg(in.SrcB)
 	case cg.ICAMClear:
 		out.kind = dCAMClear
 	case cg.IRingGet:
 		out.kind = dRingGet
 		out.ring = int32(in.Ring)
 		out.accIdx = accIndex(cg.MemScratch, in.Class)
-		out.dst, ok = decodeWriteReg(in.Dst)
-		if ok {
-			out.dst2, ok = decodeWriteReg(in.Dst2)
-		}
+		out.dst, out.dst2 = int16(in.Dst), int16(in.Dst2)
 	case cg.IRingPut:
 		out.kind = dRingPut
 		out.ring = int32(in.Ring)
 		out.accIdx = accIndex(cg.MemScratch, in.Class)
-		out.srcA, ok = decodeReadReg(in.SrcA)
-		if ok {
-			out.srcB, ok = decodeReadReg(in.SrcB)
-		}
-		if in.Dst != cg.NoPReg { // success flag is optional
-			var w int16
-			w, ok = decodeWriteReg(in.Dst)
-			if ok {
-				out.dst = w
-			}
-		}
+		out.srcA, out.srcB = readReg(in.SrcA), readReg(in.SrcB)
+		out.dst = int16(in.Dst) // NoPReg, -1, when the success flag is absent
 	case cg.ICtxArb:
 		out.kind = dCtxArb
 	case cg.IHalt:
 		out.kind = dHalt
-	}
-	if !ok {
-		return dInstr{kind: dBad, op: in.Op, accIdx: -1}
 	}
 	return out
 }
@@ -376,10 +311,8 @@ func computeRuns(d *dProg) {
 		if k == dFusedALUImmALUImm || k == dFusedImmedALU || k == dFusedImmedALUImm {
 			w = 2
 		}
-		if next := i + int(w); next < len(code) {
-			code[i].run = w + code[next].run
-		} else {
-			code[i].run = w
-		}
+		// A verified image ends in a branch or a halt, so a simple slot
+		// (or fused pair) is never the last.
+		code[i].run = w + code[i+int(w)].run
 	}
 }

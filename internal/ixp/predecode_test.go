@@ -1,6 +1,7 @@
 package ixp
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -81,7 +82,7 @@ func runProg(t *testing.T, prog *cg.Program) *Thread {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.LoadProgram(0, prog)
+	mustLoad(t, m, 0, prog)
 	if err := m.Run(10_000); err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +118,12 @@ func TestPredecodeFusedTailEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.LoadProgram(0, prog)
+	mustLoad(t, m, 0, prog)
 	th := m.MEs[0].Thread(0)
 	th.SetReg(0, 7)
-	th.SetPC(1) // skip the immed head, land on the fused tail
+	if err := th.SetPC(1); err != nil { // skip the immed head, land on the fused tail
+		t.Fatal(err)
+	}
 	if err := m.Run(1_000); err != nil {
 		t.Fatal(err)
 	}
@@ -132,36 +135,70 @@ func TestPredecodeFusedTailEntry(t *testing.T) {
 	}
 }
 
-// TestPredecodeBadReg checks invalid operands machine-check only when the
-// bad instruction actually executes, like the reference interpreter.
+// TestPredecodeBadReg checks that an image with a register outside the
+// file is refused at load with cg.Verify's error, wherever the register
+// sits: an instruction no path reaches is refused too, and the ME stays
+// disabled, so a run executes nothing and faults nowhere.
 func TestPredecodeBadReg(t *testing.T) {
-	bad := &cg.Instr{Op: cg.IALU, ALU: cg.AAdd, Dst: cg.PReg(cg.NumRegs + 3), SrcA: 0, SrcB: 0}
+	bad := &cg.Instr{Op: cg.IALU, ALU: cg.AAdd, Dst: cg.PReg(cg.NumRegs + 3), SrcA: 0, SrcB: 16}
 	cfg := DefaultConfig()
 	cfg.SampleInterval = 0
 	cfg.ThreadsPerME = 1
+	for _, tc := range []struct {
+		prog *cg.Program
+		at   int
+	}{
+		{&cg.Program{Name: "bad-unreached", Code: []*cg.Instr{{Op: cg.IHalt}, bad, {Op: cg.IHalt}}}, 1},
+		{&cg.Program{Name: "bad-hit", Code: []*cg.Instr{bad, {Op: cg.IHalt}}}, 0},
+	} {
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = m.LoadProgram(0, tc.prog)
+		var ve *cg.VerifyError
+		if !errors.As(err, &ve) || ve.Program != tc.prog.Name || ve.Instr != tc.at || ve.Op != cg.IALU {
+			t.Fatalf("%s: LoadProgram = %v, want a *cg.VerifyError at %d", tc.prog.Name, err, tc.at)
+		}
+		if !strings.Contains(err.Error(), "dst register 35 outside the 32 registers") {
+			t.Errorf("%s: error %q does not name the register", tc.prog.Name, err)
+		}
+		if err := m.Run(1_000); err != nil {
+			t.Fatalf("%s: run after a refused load: %v", tc.prog.Name, err)
+		}
+		if n := m.Snapshot().MEInstrs[0]; n != 0 {
+			t.Errorf("%s: refused ME executed %d instructions", tc.prog.Name, n)
+		}
+		if err := m.MEs[0].Thread(0).SetPC(0); err == nil {
+			t.Errorf("%s: SetPC on a refused ME succeeded", tc.prog.Name)
+		}
+	}
+}
 
-	// Unreached: halts before the bad slot, no error.
+// TestSetPCRefusesOutsideProgram: a thread entry point must lie inside the
+// loaded program.
+func TestSetPCRefusesOutsideProgram(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SampleInterval = 0
+	cfg.ThreadsPerME = 1
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.LoadProgram(0, &cg.Program{Name: "bad-unreached", Code: []*cg.Instr{
-		{Op: cg.IHalt}, bad,
-	}})
-	if err := m.Run(1_000); err != nil {
-		t.Fatalf("unreached bad instruction faulted: %v", err)
+	mustLoad(t, m, 0, &cg.Program{Name: "two", Code: []*cg.Instr{{Op: cg.INop}, {Op: cg.IHalt}}})
+	th := m.MEs[0].Thread(0)
+	for _, pc := range []int{-1, 2, 100} {
+		if err := th.SetPC(pc); err == nil || !strings.Contains(err.Error(), "outside the 2-instruction program") {
+			t.Errorf("SetPC(%d) = %v, want a refusal", pc, err)
+		}
 	}
-
-	// Executed: machine-checks with the original opcode in the message.
-	m2, err := New(cfg)
-	if err != nil {
+	if err := th.SetPC(1); err != nil {
+		t.Fatalf("SetPC(1): %v", err)
+	}
+	if err := m.Run(1_000); err != nil {
 		t.Fatal(err)
 	}
-	m2.LoadProgram(0, &cg.Program{Name: "bad-hit", Code: []*cg.Instr{
-		bad, {Op: cg.IHalt},
-	}})
-	err = m2.Run(1_000)
-	if err == nil || !strings.Contains(err.Error(), "bad opcode") {
-		t.Fatalf("executed bad instruction: err = %v, want bad-opcode fault", err)
+	if n := m.Snapshot().MEInstrs[0]; n != 1 {
+		t.Errorf("thread entered at the halt ran %d instructions, want 1", n)
 	}
 }

@@ -22,8 +22,8 @@ func runTraced(t *testing.T, cycles int64) (*Machine, *StallTracer) {
 	for i := 0; i < 100; i++ {
 		m.Rings[cg.RingFree].Put(uint32(i), 64<<16|128)
 	}
-	m.LoadProgram(0, loopProg())
-	m.LoadProgram(1, loopProg())
+	mustLoad(t, m, 0, loopProg())
+	mustLoad(t, m, 1, loopProg())
 	if err := m.Run(cycles); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestStallIdleAttribution(t *testing.T) {
 	}
 	st := NewStallTracer(cfg.NumMEs, cfg.ThreadsPerME)
 	m.Observer().SetTracer(st)
-	m.LoadProgram(0, loopProg())
+	mustLoad(t, m, 0, loopProg())
 	if err := m.Run(100_000); err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +247,8 @@ func BenchmarkTracerOverhead(b *testing.B) {
 		for i := 0; i < 100; i++ {
 			m.Rings[cg.RingFree].Put(uint32(i), 64<<16|128)
 		}
-		m.LoadProgram(0, loopProg())
-		m.LoadProgram(1, loopProg())
+		mustLoad(b, m, 0, loopProg())
+		mustLoad(b, m, 1, loopProg())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := m.Run(10_000); err != nil {

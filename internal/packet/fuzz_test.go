@@ -67,9 +67,9 @@ func FuzzPacketOps(f *testing.F) {
 			copy(p.Bytes(), wire)
 		}
 		copy(p.Meta, meta)
-		snap := make([]string, len(others))
+		snap := make([]packetState, len(others))
 		for i, q := range others {
-			snap[i] = packetString(q)
+			snap[i] = stateOf(q)
 		}
 		m := &model{buf: append(make([]byte, Headroom), wire...), start: Headroom, n: length}
 		for ops := in[3:]; len(ops) >= 4; ops = ops[4:] {
@@ -79,7 +79,7 @@ func FuzzPacketOps(f *testing.F) {
 			}
 			if what == "clone" {
 				others = append(others, p)
-				snap = append(snap, packetString(p))
+				snap = append(snap, stateOf(p))
 				p = p.Clone()
 			}
 			if !bytes.Equal(p.buf, m.buf) || p.start != m.start || p.Len() != m.n ||
@@ -90,8 +90,8 @@ func FuzzPacketOps(f *testing.F) {
 				t.Fatalf("after %s: metadata % x, want % x", what, p.Meta, meta)
 			}
 			for i, q := range others {
-				if got := packetString(q); got != snap[i] {
-					t.Fatalf("after %s: another packet changed from %s to %s", what, snap[i], got)
+				if !snap[i].equals(q) {
+					t.Fatalf("after %s: another packet changed from %s to %s", what, snap[i], packetString(q))
 				}
 			}
 		}
@@ -101,7 +101,26 @@ func FuzzPacketOps(f *testing.F) {
 // packetString renders a packet's whole state: where its bytes start and
 // how many there are, its buffer, and its metadata.
 func packetString(p *Packet) string {
-	return fmt.Sprintf("at %d + %d: % x | % x", p.start, p.length, p.buf, p.Meta)
+	return packetState{p.start, p.length, p.buf, p.Meta}.String()
+}
+
+// packetState is a copy of a packet's whole state, which a check compares
+// with bytes.Equal and renders only when it fails.
+type packetState struct {
+	start, length int
+	buf, meta     []byte
+}
+
+func stateOf(p *Packet) packetState {
+	return packetState{p.start, p.length, bytes.Clone(p.buf), bytes.Clone(p.Meta)}
+}
+
+func (s packetState) equals(p *Packet) bool {
+	return s.start == p.start && s.length == p.length && bytes.Equal(s.buf, p.buf) && bytes.Equal(s.meta, p.Meta)
+}
+
+func (s packetState) String() string {
+	return fmt.Sprintf("at %d + %d: % x | % x", s.start, s.length, s.buf, s.meta)
 }
 
 // model is a packet as a plain byte slice: buf is the whole buffer, the

@@ -187,12 +187,16 @@ func (r *Runtime) assignMEs(n int) error {
 			return err
 		}
 		for me := 0; me < n; me++ {
-			r.loadME(me, comb)
+			if err := r.loadME(me, comb); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
 	for me := 0; me < n; me++ {
-		r.loadME(me, seq[me%len(seq)])
+		if err := r.loadME(me, seq[me%len(seq)]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -229,11 +233,14 @@ func (r *Runtime) combinedProgram() (*cg.Compiled, error) {
 	return comb, nil
 }
 
-// loadME installs a program and initializes the per-thread registers.
-func (r *Runtime) loadME(me int, c *cg.Compiled) {
+// loadME installs a program and initializes the per-thread registers. The
+// machine refuses a program that does not verify (cg.Verify).
+func (r *Runtime) loadME(me int, c *cg.Compiled) error {
 	m := r.M
 	lay := r.Img.Layout
-	m.LoadProgram(me, c.Program)
+	if err := m.LoadProgram(me, c.Program); err != nil {
+		return fmt.Errorf("rts: %w", err)
+	}
 	label := c.Program.Name
 	if len(c.Agg.PPFs) > 0 && label != "combined" {
 		label = strings.Join(c.Agg.PPFs, "+")
@@ -244,9 +251,12 @@ func (r *Runtime) loadME(me int, c *cg.Compiled) {
 		th.SetReg(cg.RegSP, lay.StackBase+uint32(t)*lay.StackSize)
 		th.SetReg(cg.RegSSP, r.sramStackBase+uint32(me*m.Cfg.ThreadsPerME+t)*64)
 		if c.Program.Name == "combined" && len(r.combinedEntries) > 0 {
-			th.SetPC(r.combinedEntries[t%len(r.combinedEntries)])
+			if err := th.SetPC(r.combinedEntries[t%len(r.combinedEntries)]); err != nil {
+				return fmt.Errorf("rts: %w", err)
+			}
 		}
 	}
+	return nil
 }
 
 // Inject implements ixp.Media: it sources the next arrival and returns
@@ -316,6 +326,9 @@ func (r *Runtime) enqueue(m *ixp.Machine, p *packet.Packet, frameBytes int) bool
 		m.Observer().RxDrop(frameBytes)
 		return false
 	}
+	if r.badDescriptor(m, "free", id, 0, 0) {
+		return false
+	}
 	// The window is exactly the frame: New checked every trace packet
 	// fits a buffer, and a copy through it cannot reach the next one.
 	buf := m.Window(cg.MemDRAM, lay.BufAddr(id)+lay.BufHeadroom, frameBytes)
@@ -338,6 +351,19 @@ func (r *Runtime) enqueue(m *ixp.Machine, p *packet.Packet, frameBytes int) bool
 	return true
 }
 
+// badDescriptor reports whether a descriptor ME code wrote to a ring
+// names no packet: a buffer id outside the pool, or a packet that ends
+// before its head. Such a descriptor is the code's fault, and the machine
+// stops with it as its error, as for a memory access out of range.
+func (r *Runtime) badDescriptor(m *ixp.Machine, ring string, id, head, end uint32) bool {
+	if n := uint32(r.Img.Layout.NumBufs); id < n && head <= end {
+		return false
+	}
+	m.Observer().Fault(fmt.Errorf("rts: %s ring descriptor (buffer %d, bytes [%d, %d)) names no packet of the %d-buffer pool",
+		ring, id, head, end, r.Img.Layout.NumBufs))
+	return true
+}
+
 // Transmit implements ixp.Media: it accounts and recycles one
 // transmitted packet.
 func (r *Runtime) Transmit(m *ixp.Machine, w0, w1 uint32) int {
@@ -346,6 +372,9 @@ func (r *Runtime) Transmit(m *ixp.Machine, w0, w1 uint32) int {
 	end := w1 & 0xffff
 	if end < head {
 		head, end = end, head
+	}
+	if r.badDescriptor(m, "tx", w0, head, end) {
+		return 0
 	}
 	frame := int(end - head)
 	if r.CaptureLimit > 0 && len(r.TxCapture) < r.CaptureLimit {
@@ -373,6 +402,9 @@ func (r *Runtime) xscaleStep(m *ixp.Machine, ring int, w0, w1 uint32) int64 {
 	lay := r.Img.Layout
 	head := w1 >> 16
 	end := w1 & 0xffff
+	if r.badDescriptor(m, "xscale", w0, head, end) {
+		return 64
+	}
 	wire := append([]byte(nil), m.Window(cg.MemDRAM, lay.BufAddr(w0)+head, int(end)-int(head))...)
 	p := packet.New(wire, len(r.Img.Types.Metadata.Fields)*4/8+4)
 	// App metadata from SRAM.
