@@ -90,16 +90,17 @@ examples:
 # refused by ir.VerifyFunc, and by the executor with the same error, or
 # runs without a panic), then 10 s of FuzzImage (single mutations of
 # compiled ME images: each is refused by the machine's load, which runs
-# cg.Verify, or runs 20,000 cycles without a panic). A failing input is
-# written under the package's testdata/fuzz/<target>, where the tier-1
-# tests replay it.
+# cg.Verify, or runs 20,000 cycles without a panic). Each leg minimizes a
+# new input for at most 1 s (Go's default is 60 s, which spent the rest of
+# a 10 s window on the first new input). A failing input is written under
+# the package's testdata/fuzz/<target>, where the tier-1 tests replay it.
 fuzz-ci: build
 	$(GO) run ./cmd/shangrila-bench -experiment fuzz -fuzz-n 500 -fuzz-seed 4242 \
 		-report fuzz_report.json
 	@test -s fuzz_report.json && echo "fuzz-ci: report OK"
-	$(GO) test -run '^$$' -fuzz '^FuzzPacketOps$$' -fuzztime 10s ./internal/packet
-	$(GO) test -run '^$$' -fuzz '^FuzzVerifyExec$$' -fuzztime 10s ./internal/profiler
-	$(GO) test -run '^$$' -fuzz '^FuzzImage$$' -fuzztime 10s ./internal/rts
+	$(GO) test -run '^$$' -fuzz '^FuzzPacketOps$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/packet
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyExec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/profiler
+	$(GO) test -run '^$$' -fuzz '^FuzzImage$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/rts
 
 # Quick end-to-end pass over the evaluation binary, into one report CI
 # archives: Table 1, the load-latency sweep (BASE and the -O default,

@@ -95,8 +95,9 @@ func (c *checker) collectConsts() {
 			c.errorf(d.Pos(), "duplicate constant %q", d.Name)
 			continue
 		}
+		errs := len(c.errs)
 		v, ok := c.constEval(d.Value)
-		if !ok {
+		if !ok && len(c.errs) == errs {
 			c.errorf(d.Pos(), "constant %q is not a compile-time constant expression", d.Name)
 			v = 0
 		}
@@ -105,7 +106,8 @@ func (c *checker) collectConsts() {
 }
 
 // constEval evaluates e using only literals and previously declared
-// constants.
+// constants. A zero divisor is refused at its operator, reported here; for
+// any other expression that is no constant the caller reports why.
 func (c *checker) constEval(e ast.Expr) (uint64, bool) {
 	switch e := e.(type) {
 	case *ast.IntLit:
@@ -133,15 +135,21 @@ func (c *checker) constEval(e ast.Expr) (uint64, bool) {
 	case *ast.BinaryExpr:
 		x, okx := c.constEval(e.X)
 		y, oky := c.constEval(e.Y)
+		if okx && oky && uint32(y) == 0 && (e.Op == token.QUO || e.Op == token.REM) {
+			c.errorf(e.OpPos, "division by zero in constant expression")
+			return 0, false
+		}
 		v, ok := binaryOp(e.Op, uint32(x), uint32(y))
 		return uint64(v), okx && oky && ok
 	}
 	return 0, false
 }
 
-// binaryOp computes a Baker binary operator on 32-bit words, for the
-// constant folder and for demux evaluation alike. ok is false for an
-// operator it does not compute and for a zero divisor.
+// binaryOp computes a Baker binary operator on 32-bit words as ir.EvalALU
+// computes its word op (ir imports this package, so the language keeps its
+// own copy, held to EvalALU op by op by the harness's ALU differential):
+// for the constant folder, which refuses a zero divisor before asking, and
+// for demux evaluation. ok is false for an operator it does not compute.
 func binaryOp(op token.Kind, a, b uint32) (v uint32, ok bool) {
 	switch op {
 	case token.ADD:
@@ -150,14 +158,12 @@ func binaryOp(op token.Kind, a, b uint32) (v uint32, ok bool) {
 		return a - b, true
 	case token.MUL:
 		return a * b, true
-	case token.QUO:
+	case token.QUO, token.REM:
 		if b == 0 {
-			return 0, false
+			return 0, true
 		}
-		return a / b, true
-	case token.REM:
-		if b == 0 {
-			return 0, false
+		if op == token.QUO {
+			return a / b, true
 		}
 		return a % b, true
 	case token.AND:
@@ -258,9 +264,9 @@ func (c *checker) demuxConst(e ast.Expr, p *Protocol, v uint64) (*Demux, bool) {
 	return &Demux{Value: uint32(v)}, false
 }
 
-// demuxOpError refuses an operator outside the closed set: / and % (codegen's
-// demux operator table computes neither), comparisons and the logical
-// operators.
+// demuxOpError refuses an operator outside the closed set: / and % (a
+// divisor read from a header can be zero, and no header size needs them),
+// comparisons and the logical operators.
 func (c *checker) demuxOpError(pos token.Pos, p *Protocol, op token.Kind) (*Demux, bool) {
 	c.errorf(pos, "protocol %q demux operator %s is not allowed (a demux uses + - * << >> & | ^ and unary - ~)", p.Name, op)
 	return nil, false
@@ -336,9 +342,12 @@ func (c *checker) declareGlobal(m *ast.ModuleDecl, g *ast.GlobalDecl) {
 	}
 	t := c.resolveType(g.Type, true)
 	if g.Type.ArrayN != nil {
+		errs := len(c.errs)
 		n, ok := c.constEval(g.Type.ArrayN)
 		if !ok || n == 0 || n > 1<<24 {
-			c.errorf(g.Pos(), "array length of %q must be a constant in 1..2^24", qn)
+			if len(c.errs) == errs {
+				c.errorf(g.Pos(), "array length of %q must be a constant in 1..2^24", qn)
+			}
 			n = 1
 		}
 		t = &Array{Elem: t, Len: int(n)}

@@ -286,3 +286,20 @@ protocol p { hl : 8; rest : 24; demux { (hl << SHIFT) - ~0xff }; }
 `+body, tc.want)
 	}
 }
+
+// TestConstantDivisionByZero: a constant / or % by zero is refused by a
+// language rule, at its operator, though the word ops give 0 for it.
+func TestConstantDivisionByZero(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`const X = 4 / 0;`, `x.baker:1:13: division by zero in constant expression`},
+		{`module m { uint a[4 % 0]; }`, `x.baker:1:21: division by zero in constant expression`},
+	} {
+		prog, err := parser.Parse("x.baker", tc.src)
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		if _, err := Check(prog); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.src, err, tc.want)
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"shangrila/internal/aggregate"
 	"shangrila/internal/analysis"
-	"shangrila/internal/baker/token"
 	"shangrila/internal/baker/types"
 	"shangrila/internal/ir"
 	"shangrila/internal/opt/soar"
@@ -338,31 +337,6 @@ func (l *lowerer) lowerInstr(prog *ir.Program, fn *ir.Func, in *ir.Instr) error 
 			return nil
 		}
 		l.emitALU(AMov, l.vregOf(in.Dst[0]), l.vregOf(in.Args[0]), NoPReg)
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDivU, ir.OpRemU, ir.OpAnd,
-		ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShrU, ir.OpShrS:
-		l.emitALU(aluFor(in.Op), l.vregOf(in.Dst[0]),
-			l.vregOf(in.Args[0]), l.vregOf(in.Args[1]))
-	case ir.OpNot:
-		l.emitALU(ANot, l.vregOf(in.Dst[0]), l.vregOf(in.Args[0]), NoPReg)
-	case ir.OpNeg:
-		l.emitALU(ANeg, l.vregOf(in.Dst[0]), l.vregOf(in.Args[0]), NoPReg)
-	case ir.OpEq, ir.OpNe, ir.OpLtU, ir.OpLeU, ir.OpLtS, ir.OpLeS:
-		// Materialize the 0/1; handle comparisons compare buffer ids.
-		a, b := in.Args[0], in.Args[1]
-		var ra, rb PReg
-		if isHandle(a) {
-			ra, rb = l.handleOf(a).pkt, l.handleOf(b).pkt
-		} else {
-			ra, rb = l.vregOf(a), l.vregOf(b)
-		}
-		dst := l.vregOf(in.Dst[0])
-		tLab, eLab := l.newLabel(), l.newLabel()
-		l.emitBcc(condFor(in.Op), ra, rb, tLab)
-		l.emitImmed(dst, 0)
-		l.emitBr(eLab)
-		l.place(tLab)
-		l.emitImmed(dst, 1)
-		l.place(eLab)
 	case ir.OpBr:
 		l.emitBr(l.blockLabel(in.Blocks[0]))
 	case ir.OpCondBr:
@@ -422,12 +396,40 @@ func (l *lowerer) lowerInstr(prog *ir.Program, fn *ir.Func, in *ir.Instr) error 
 	case ir.OpCacheFlush:
 		l.emit(Instr{Op: ICAMClear, Comment: "swc flush " + in.Global.Name})
 	default:
-		return fmt.Errorf("cg: unhandled IR op %s", in.Op)
+		switch {
+		case in.Op.IsCompare():
+			// Materialize the 0/1; handle comparisons compare buffer ids.
+			a, b := in.Args[0], in.Args[1]
+			var ra, rb PReg
+			if isHandle(a) {
+				ra, rb = l.handleOf(a).pkt, l.handleOf(b).pkt
+			} else {
+				ra, rb = l.vregOf(a), l.vregOf(b)
+			}
+			dst := l.vregOf(in.Dst[0])
+			tLab, eLab := l.newLabel(), l.newLabel()
+			l.emitBcc(l.condFor(in.Op), ra, rb, tLab)
+			l.emitImmed(dst, 0)
+			l.emitBr(eLab)
+			l.place(tLab)
+			l.emitImmed(dst, 1)
+			l.place(eLab)
+		case in.Op.IsWord():
+			dst, a, b := l.vregOf(in.Dst[0]), l.vregOf(in.Args[0]), NoPReg
+			if len(in.Args) > 1 {
+				b = l.vregOf(in.Args[1])
+			}
+			l.emitALU(l.aluFor(in.Op), dst, a, b)
+		default:
+			return fmt.Errorf("cg: unhandled IR op %s", in.Op)
+		}
 	}
 	return nil
 }
 
-func aluFor(op ir.Op) ALUOp {
+// aluFor is the ME ALU op computing word op op, which may not be a
+// comparison; any other op fails the compile.
+func (l *lowerer) aluFor(op ir.Op) ALUOp {
 	switch op {
 	case ir.OpAdd:
 		return AAdd
@@ -451,11 +453,18 @@ func aluFor(op ir.Op) ALUOp {
 		return AShrU
 	case ir.OpShrS:
 		return AShrS
+	case ir.OpNot:
+		return ANot
+	case ir.OpNeg:
+		return ANeg
 	}
-	return AMov
+	l.failf("no ME ALU op computes IR op %s", op)
+	return 0
 }
 
-func condFor(op ir.Op) CondOp {
+// condFor is the ME branch condition of word comparison op; any other op
+// fails the compile.
+func (l *lowerer) condFor(op ir.Op) CondOp {
 	switch op {
 	case ir.OpEq:
 		return CEq
@@ -470,7 +479,8 @@ func condFor(op ir.Op) CondOp {
 	case ir.OpLeS:
 		return CLeS
 	}
-	return CEq
+	l.failf("no ME branch condition computes IR op %s", op)
+	return 0
 }
 
 // globalAccess lowers OpLoad/OpStore against the global's assigned level.
@@ -832,36 +842,16 @@ func (l *lowerer) compileDemux(src *handleInfo, from *types.Protocol, site *ir.I
 			}
 			return r
 		}
-		var op ALUOp
-		switch d.Op {
-		case token.ADD:
-			op = AAdd
-		case token.SUB:
-			op = ASub
-			if d.Y == nil {
-				op = ANeg
-			}
-		case token.MUL:
-			op = AMul
-		case token.SHL:
-			op = AShl
-		case token.SHR:
-			op = AShrU
-		case token.AND:
-			op = AAnd
-		case token.OR:
-			op = AOr
-		case token.XOR:
-			op = AXor
-		case token.NOT:
-			op = ANot
+		op, ok := ir.TokenOp(d.Op, d.Y == nil, false)
+		if !ok {
+			l.failf("%s demux operator %s has no word op", from.Name, d.Op)
 		}
 		x, y := eval(d.X), NoPReg
 		if d.Y != nil {
 			y = eval(d.Y)
 		}
 		r := l.newVReg()
-		l.emitALU(op, r, x, y)
+		l.emitALU(l.aluFor(op), r, x, y)
 		return r
 	}
 	return eval(from.Demux)

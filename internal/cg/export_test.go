@@ -16,3 +16,16 @@ func LowerAggregate(prog *ir.Program, m *aggregate.Merged, img *Image,
 	}
 	return c.Program, nvreg, nil
 }
+
+// ALUFor and CondFor are codegen's maps of an IR op to the ME ALU op or
+// branch condition computing it, with the compile error for an op a map
+// does not cover.
+func ALUFor(op ir.Op) (ALUOp, error) {
+	var l lowerer
+	return l.aluFor(op), l.err
+}
+
+func CondFor(op ir.Op) (CondOp, error) {
+	var l lowerer
+	return l.condFor(op), l.err
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"shangrila/internal/apps"
+	"shangrila/internal/baker/token"
 	"shangrila/internal/bakergen"
 	"shangrila/internal/driver"
 )
@@ -52,9 +53,9 @@ func TestDemuxOperatorsAgree(t *testing.T) {
 }
 
 // TestDemuxRefusedOperators: an operator outside the closed set — division
-// and remainder (codegen's demux operator table computes neither),
-// comparisons and the logical operators — fails the frontend with an error
-// positioned in the source that names the operator.
+// and remainder (a divisor read from a header can be zero), comparisons
+// and the logical operators — fails the frontend with an error positioned
+// in the source that names the operator.
 func TestDemuxRefusedOperators(t *testing.T) {
 	pos := regexp.MustCompile(`\.baker:\d+:\d+`)
 	for _, tc := range []struct{ expr, op string }{
@@ -81,5 +82,27 @@ func TestDemuxRefusedOperators(t *testing.T) {
 				t.Fatalf("error %q does not give a position and name operator %s", msg, tc.op)
 			}
 		})
+	}
+}
+
+// TestDemuxOperatorUnmapped: codegen lowers a demux operator through the
+// one token map and its ALU table, so an operator with no word op (here
+// ==, set past the checker) fails the compile with a cg: error instead of
+// lowering to some default op.
+func TestDemuxOperatorUnmapped(t *testing.T) {
+	a := bakergen.NewSpec(1).Build()
+	prog, err := driver.LowerSource(a.Name+".baker", a.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := prog.Types.Protocols["pm"].Demux
+	if d == nil || d.Op != token.SHL {
+		t.Fatalf("bakergen seed 1's pm demux is %+v, not hl << 2", d)
+	}
+	d.Op = token.EQL
+	_, err = driver.CompileIR(prog, driver.Config{Level: driver.LevelBase,
+		ProfileTrace: a.Trace(prog.Types, 1, profileTraceN)})
+	if want := "cg: pm demux operator == has no word op"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("compile error %v, want one containing %q", err, want)
 	}
 }

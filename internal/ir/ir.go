@@ -46,7 +46,8 @@ type Op int
 const (
 	OpInvalid Op = iota
 
-	// Data movement and arithmetic. Dst[0] = op(Args...).
+	// Data movement and arithmetic. Dst[0] = op(Args...). OpAdd through
+	// OpLeS are the word ops, in the order alu.go and the executor rely on.
 	OpConst // Dst[0] = Imm
 	OpMov   // Dst[0] = Args[0]
 	OpAdd

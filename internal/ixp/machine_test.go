@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"shangrila/internal/cg"
+	"shangrila/internal/ir"
 )
 
 func TestRingFIFO(t *testing.T) {
@@ -143,49 +144,83 @@ func TestControllerBandwidth(t *testing.T) {
 	}
 }
 
+// TestALUSemantics holds aluEval to ir.EvalALU for every ALU op, through
+// the IR word op each computes (AMov has none: it gives its operand), over
+// random words and the edge words.
 func TestALUSemantics(t *testing.T) {
-	f := func(a, b uint32) bool {
-		checks := []struct {
-			op   cg.ALUOp
-			want uint32
-		}{
-			{cg.AAdd, a + b},
-			{cg.ASub, a - b},
-			{cg.AAnd, a & b},
-			{cg.AOr, a | b},
-			{cg.AXor, a ^ b},
-			{cg.AShl, a << (b & 31)},
-			{cg.AShrU, a >> (b & 31)},
-			{cg.AShrS, uint32(int32(a) >> (b & 31))},
-			{cg.ANot, ^a},
-			{cg.ANeg, -a},
-			{cg.AMov, a},
+	aluWordOps := map[cg.ALUOp]ir.Op{
+		cg.AAdd: ir.OpAdd, cg.ASub: ir.OpSub, cg.AMul: ir.OpMul, cg.AAnd: ir.OpAnd,
+		cg.AOr: ir.OpOr, cg.AXor: ir.OpXor, cg.AShl: ir.OpShl, cg.AShrU: ir.OpShrU,
+		cg.AShrS: ir.OpShrS, cg.ANot: ir.OpNot, cg.ANeg: ir.OpNeg,
+		cg.ADivU: ir.OpDivU, cg.ARemU: ir.OpRemU,
+	}
+	n := 0
+	for op := cg.ALUOp(0); !strings.HasPrefix(op.String(), "aluop("); op++ {
+		n++
+		wop, ok := aluWordOps[op]
+		if !ok && op != cg.AMov {
+			t.Fatalf("ALU op %v has no IR word op in the test's table", op)
 		}
-		for _, c := range checks {
-			if aluEval(c.op, a, b) != c.want {
-				return false
+		f := func(a, b uint32) bool {
+			want, _ := ir.EvalALU(wop, a, b)
+			if op == cg.AMov {
+				want = a
+			}
+			return aluEval(op, a, b) == want
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Errorf("%v: %v", op, err)
+		}
+		for _, a := range edgeWords {
+			for _, b := range edgeWords {
+				if !f(a, b) {
+					t.Errorf("%v(%#x, %#x) = %#x", op, a, b, aluEval(op, a, b))
+				}
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
+	if n != len(aluWordOps)+1 {
+		t.Errorf("%d ALU ops, the table maps %d and AMov", n, len(aluWordOps))
 	}
 }
 
+// TestCondSemantics holds condEval to ir.EvalALU's 0 or 1 for every branch
+// condition, through the IR comparison each computes.
 func TestCondSemantics(t *testing.T) {
-	f := func(a, b uint32) bool {
-		return condEval(cg.CEq, a, b) == (a == b) &&
-			condEval(cg.CNe, a, b) == (a != b) &&
-			condEval(cg.CLtU, a, b) == (a < b) &&
-			condEval(cg.CLeU, a, b) == (a <= b) &&
-			condEval(cg.CLtS, a, b) == (int32(a) < int32(b)) &&
-			condEval(cg.CLeS, a, b) == (int32(a) <= int32(b))
+	condWordOps := map[cg.CondOp]ir.Op{
+		cg.CEq: ir.OpEq, cg.CNe: ir.OpNe, cg.CLtU: ir.OpLtU, cg.CLeU: ir.OpLeU,
+		cg.CLtS: ir.OpLtS, cg.CLeS: ir.OpLeS,
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
+	n := 0
+	for c := cg.CondOp(0); !strings.HasPrefix(c.String(), "cond("); c++ {
+		n++
+		wop, ok := condWordOps[c]
+		if !ok {
+			t.Fatalf("condition %v has no IR word op in the test's table", c)
+		}
+		f := func(a, b uint32) bool {
+			want, _ := ir.EvalALU(wop, a, b)
+			return condEval(c, a, b) == (want == 1)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Errorf("%v: %v", c, err)
+		}
+		for _, a := range edgeWords {
+			for _, b := range edgeWords {
+				if !f(a, b) {
+					t.Errorf("%v(%#x, %#x) = %v", c, a, b, condEval(c, a, b))
+				}
+			}
+		}
+	}
+	if n != len(condWordOps) {
+		t.Errorf("%d conditions, the table maps %d", n, len(condWordOps))
 	}
 }
+
+// edgeWords are the operands where shift masking, signedness and
+// division by zero show.
+var edgeWords = []uint32{0, 1, 31, 32, 33, 0x7fffffff, 0x80000000, 0xffffffff}
 
 // loopProg returns a program that increments a counter in scratch and
 // forwards descriptors.

@@ -271,7 +271,10 @@ func (l *lowerer) assign(s *ast.AssignStmt) {
 		}
 		old := l.expr(s.LHS)
 		r := l.f.NewReg(ir.ClassWord)
-		op := binOpFor(s.Op.AssignOp(), l.exprIsSigned(s.LHS))
+		op, ok := ir.TokenOp(s.Op.AssignOp(), false, l.exprIsSigned(s.LHS))
+		if !ok {
+			l.failf(s.Pos(), "internal: compound assignment %v", s.Op)
+		}
 		l.emit(&ir.Instr{Op: op, Pos: s.Pos(), Dst: []ir.Reg{r}, Args: []ir.Reg{old, v}})
 		return r
 	}
@@ -388,35 +391,6 @@ func (l *lowerer) exprIsSigned(e ast.Expr) bool {
 	return ok && b.Kind == types.Int
 }
 
-func binOpFor(op token.Kind, signed bool) ir.Op {
-	switch op {
-	case token.ADD:
-		return ir.OpAdd
-	case token.SUB:
-		return ir.OpSub
-	case token.MUL:
-		return ir.OpMul
-	case token.QUO:
-		return ir.OpDivU
-	case token.REM:
-		return ir.OpRemU
-	case token.AND:
-		return ir.OpAnd
-	case token.OR:
-		return ir.OpOr
-	case token.XOR:
-		return ir.OpXor
-	case token.SHL:
-		return ir.OpShl
-	case token.SHR:
-		if signed {
-			return ir.OpShrS
-		}
-		return ir.OpShrU
-	}
-	return ir.OpInvalid
-}
-
 func (l *lowerer) expr(e ast.Expr) ir.Reg {
 	switch e := e.(type) {
 	case *ast.IntLit:
@@ -441,17 +415,16 @@ func (l *lowerer) expr(e ast.Expr) ir.Reg {
 	case *ast.UnaryExpr:
 		x := l.expr(e.X)
 		r := l.f.NewReg(ir.ClassWord)
-		switch e.Op {
-		case token.SUB:
-			l.emit(&ir.Instr{Op: ir.OpNeg, Pos: e.Pos(), Dst: []ir.Reg{r}, Args: []ir.Reg{x}})
-		case token.NOT:
-			l.emit(&ir.Instr{Op: ir.OpNot, Pos: e.Pos(), Dst: []ir.Reg{r}, Args: []ir.Reg{x}})
-		case token.LNOT:
+		if e.Op == token.LNOT {
 			z := l.constReg(0, e.Pos())
 			l.emit(&ir.Instr{Op: ir.OpEq, Pos: e.Pos(), Dst: []ir.Reg{r}, Args: []ir.Reg{x, z}})
-		default:
+			return r
+		}
+		op, ok := ir.TokenOp(e.Op, true, false)
+		if !ok {
 			l.failf(e.Pos(), "internal: unary %v", e.Op)
 		}
+		l.emit(&ir.Instr{Op: op, Pos: e.Pos(), Dst: []ir.Reg{r}, Args: []ir.Reg{x}})
 		return r
 	case *ast.BinaryExpr:
 		return l.binary(e)
@@ -543,8 +516,8 @@ func (l *lowerer) binary(e *ast.BinaryExpr) ir.Reg {
 		op = pick(signed, ir.OpLeS, ir.OpLeU)
 		swap = true
 	default:
-		op = binOpFor(e.Op, l.exprIsSigned(e.X))
-		if op == ir.OpInvalid {
+		var ok bool
+		if op, ok = ir.TokenOp(e.Op, false, l.exprIsSigned(e.X)); !ok {
 			l.failf(e.Pos(), "internal: binary %v", e.Op)
 		}
 	}

@@ -299,7 +299,7 @@ func (s *scratch) propagate(f *ir.Func) {
 	}
 }
 
-// fold returns the form of a pure ALU op with constant operands as an
+// fold returns the form of a pure word op with constant operands as an
 // OpConst, or of one matching a simple algebraic identity as an OpMov; ok
 // is false when neither applies.
 func fold(in *ir.Instr, defs []regDef) (op ir.Op, imm uint64, args []ir.Reg, ok bool) {
@@ -309,17 +309,23 @@ func fold(in *ir.Instr, defs []regDef) (op ir.Op, imm uint64, args []ir.Reg, ok 
 		}
 		return uint32(defs[r].val), true
 	}
-	switch in.Op {
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor,
-		ir.OpShl, ir.OpShrU, ir.OpShrS, ir.OpEq, ir.OpNe,
-		ir.OpLtU, ir.OpLeU, ir.OpLtS, ir.OpLeS:
-		a, okA := isConst(in.Args[0])
-		bv, okB := isConst(in.Args[1])
-		if okA && okB {
-			return ir.OpConst, uint64(foldALU(in.Op, a, bv)), nil, true
+	switch {
+	case in.Op == ir.OpMov:
+		if a, ok := isConst(in.Args[0]); ok {
+			return ir.OpConst, uint64(a), nil, true
 		}
-		// Identities: x+0, x-0, x|0, x^0, x<<0, x>>0, x*1, x&~0.
-		if okB {
+	case in.Op.IsWord():
+		a, okA := isConst(in.Args[0])
+		bv, okB := uint32(0), len(in.Args) == 1 // OpNot and OpNeg read no b
+		if !okB {
+			bv, okB = isConst(in.Args[1])
+		}
+		if okA && okB {
+			v, _ := ir.EvalALU(in.Op, a, bv)
+			return ir.OpConst, uint64(v), nil, true
+		}
+		// Identities: x+0, x-0, x|0, x^0, x<<0, x>>0 and x*1 are x; x*0 is 0.
+		if okB && len(in.Args) == 2 {
 			switch {
 			case bv == 0 && (in.Op == ir.OpAdd || in.Op == ir.OpSub || in.Op == ir.OpOr ||
 				in.Op == ir.OpXor || in.Op == ir.OpShl || in.Op == ir.OpShrU || in.Op == ir.OpShrS),
@@ -329,63 +335,8 @@ func fold(in *ir.Instr, defs []regDef) (op ir.Op, imm uint64, args []ir.Reg, ok 
 				return ir.OpConst, 0, nil, true
 			}
 		}
-	case ir.OpNot:
-		if a, ok := isConst(in.Args[0]); ok {
-			return ir.OpConst, uint64(^a), nil, true
-		}
-	case ir.OpNeg:
-		if a, ok := isConst(in.Args[0]); ok {
-			return ir.OpConst, uint64(-a), nil, true
-		}
-	case ir.OpMov:
-		if a, ok := isConst(in.Args[0]); ok {
-			return ir.OpConst, uint64(a), nil, true
-		}
 	}
 	return 0, 0, nil, false
-}
-
-func foldALU(op ir.Op, a, b uint32) uint32 {
-	switch op {
-	case ir.OpAdd:
-		return a + b
-	case ir.OpSub:
-		return a - b
-	case ir.OpMul:
-		return a * b
-	case ir.OpAnd:
-		return a & b
-	case ir.OpOr:
-		return a | b
-	case ir.OpXor:
-		return a ^ b
-	case ir.OpShl:
-		return a << (b & 31)
-	case ir.OpShrU:
-		return a >> (b & 31)
-	case ir.OpShrS:
-		return uint32(int32(a) >> (b & 31))
-	case ir.OpEq:
-		return b2i(a == b)
-	case ir.OpNe:
-		return b2i(a != b)
-	case ir.OpLtU:
-		return b2i(a < b)
-	case ir.OpLeU:
-		return b2i(a <= b)
-	case ir.OpLtS:
-		return b2i(int32(a) < int32(b))
-	case ir.OpLeS:
-		return b2i(int32(a) <= int32(b))
-	}
-	return 0
-}
-
-func b2i(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // foldBranches converts conditional branches on single-def constants into
@@ -500,13 +451,6 @@ func localCSE(f *ir.Func, t *cseTable, log *changeLog) {
 			switch in.Op {
 			case ir.OpConst:
 				k = cseKey{op: in.Op, imm: in.Imm}
-			case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor,
-				ir.OpShl, ir.OpShrU, ir.OpShrS, ir.OpEq, ir.OpNe,
-				ir.OpLtU, ir.OpLeU, ir.OpLtS, ir.OpLeS, ir.OpNot, ir.OpNeg:
-				k = cseKey{op: in.Op, a: in.Args[0]}
-				if len(in.Args) > 1 {
-					k.b = in.Args[1]
-				}
 			case ir.OpLoad:
 				if len(in.Dst) == 1 {
 					k = cseKey{op: in.Op, a: ir.NoReg, gl: t.global(in.Global), off: int(in.Off)}
@@ -522,6 +466,13 @@ func localCSE(f *ir.Func, t *cseTable, log *changeLog) {
 				ir.OpCacheFlush:
 				// Calls and lock boundaries may write any global.
 				t.barrier = t.now
+			default:
+				if in.Op.IsWord() {
+					k = cseKey{op: in.Op, a: in.Args[0]}
+					if len(in.Args) > 1 {
+						k.b = in.Args[1]
+					}
+				}
 			}
 			fresh := k.op != ir.OpInvalid // computes a value not yet available
 			if fresh {

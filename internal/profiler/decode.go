@@ -36,7 +36,8 @@ const (
 	// words[a] = words[b]·k, then opHostLoad with index a.
 	opScaledLoad
 	// A const fused into the word op after it that reads it: words[c] =
-	// k, then the op with k as its second operand.
+	// k, then the op with k as its second operand. The ops are in ir's
+	// order, less divu, remu, not and neg, which constForm relies on.
 	opMovK
 	opAddK
 	opSubK
@@ -54,7 +55,8 @@ const (
 	opLtSK
 	opLeSK
 	// A word comparison fused into the conditional branch that tests its
-	// result, with registers (a, b) or with a fused constant (a, k).
+	// result, with registers (a, b) or with a fused constant (a, k), in
+	// ir's order, which branchForm relies on.
 	opEqBr
 	opNeBr
 	opLtUBr
@@ -275,50 +277,25 @@ func fuse(ss []slot) []slot {
 // register: as its second operand, or as its first when the op commutes.
 func constForm(k, s slot) (slot, bool) {
 	var op ir.Op
-	commutes := false
-	switch s.op {
-	case ir.OpMov:
+	switch {
+	case s.op == ir.OpMov:
 		if s.a == k.dst {
 			return slot{op: opMovK, in: s.in, dst: s.dst, a: -1, b: -1, c: k.dst, k: k.imm}, true
 		}
 		return s, false
-	case ir.OpAdd:
-		op, commutes = opAddK, true
-	case ir.OpSub:
-		op = opSubK
-	case ir.OpMul:
-		op, commutes = opMulK, true
-	case ir.OpAnd:
-		op, commutes = opAndK, true
-	case ir.OpOr:
-		op, commutes = opOrK, true
-	case ir.OpXor:
-		op, commutes = opXorK, true
-	case ir.OpShl:
-		op = opShlK
-	case ir.OpShrU:
-		op = opShrUK
-	case ir.OpShrS:
-		op = opShrSK
-	case ir.OpEq:
-		op, commutes = opEqK, true
-	case ir.OpNe:
-		op, commutes = opNeK, true
-	case ir.OpLtU:
-		op = opLtUK
-	case ir.OpLeU:
-		op = opLeUK
-	case ir.OpLtS:
-		op = opLtSK
-	case ir.OpLeS:
-		op = opLeSK
+	case ir.OpAdd <= s.op && s.op <= ir.OpMul:
+		op = opAddK + s.op - ir.OpAdd
+	case ir.OpAnd <= s.op && s.op <= ir.OpShrS:
+		op = opAndK + s.op - ir.OpAnd
+	case s.op.IsCompare():
+		op = opEqK + s.op - ir.OpEq
 	default:
 		return s, false
 	}
 	a := s.a
 	switch {
 	case s.b == k.dst:
-	case commutes && s.a == k.dst:
+	case s.op.Commutes() && s.a == k.dst:
 		a = s.b
 	default:
 		return s, false
@@ -329,31 +306,11 @@ func constForm(k, s slot) (slot, bool) {
 // branchForm returns the compare-and-branch form of a word comparison,
 // 0 for any other op.
 func branchForm(op ir.Op) ir.Op {
-	switch op {
-	case ir.OpEq:
-		return opEqBr
-	case ir.OpNe:
-		return opNeBr
-	case ir.OpLtU:
-		return opLtUBr
-	case ir.OpLeU:
-		return opLeUBr
-	case ir.OpLtS:
-		return opLtSBr
-	case ir.OpLeS:
-		return opLeSBr
-	case opEqK:
-		return opEqKBr
-	case opNeK:
-		return opNeKBr
-	case opLtUK:
-		return opLtUKBr
-	case opLeUK:
-		return opLeUKBr
-	case opLtSK:
-		return opLtSKBr
-	case opLeSK:
-		return opLeSKBr
+	switch {
+	case op.IsCompare():
+		return opEqBr + op - ir.OpEq
+	case opEqK <= op && op <= opLeSK:
+		return opEqKBr + op - opEqK
 	}
 	return 0
 }

@@ -120,15 +120,7 @@ func carriedSets(fn *ir.Func, words int) []uint64 {
 
 // arithmetic reports whether op computes a word from words and nothing
 // else: what its result carries is what its operands carry.
-func arithmetic(op ir.Op) bool {
-	switch op {
-	case ir.OpMov, ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDivU, ir.OpRemU, ir.OpAnd, ir.OpOr, ir.OpXor,
-		ir.OpShl, ir.OpShrU, ir.OpShrS, ir.OpNot, ir.OpNeg,
-		ir.OpEq, ir.OpNe, ir.OpLtU, ir.OpLeU, ir.OpLtS, ir.OpLeS:
-		return true
-	}
-	return false
-}
+func arithmetic(op ir.Op) bool { return op == ir.OpMov || op.IsWord() }
 
 // or sets dst |= src and reports whether dst changed; either may be nil.
 func or(dst, src []uint64) bool {
