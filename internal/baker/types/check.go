@@ -641,10 +641,20 @@ func (c *checker) checkAssign(s *ast.AssignStmt) {
 		if !IsScalar(lt) {
 			c.errorf(s.Pos(), "compound assignment requires a scalar left side, have %s", lt)
 		}
-		c.checkExpr(s.RHS, UintType)
+		rt := c.checkExpr(s.RHS, UintType)
+		c.checkIntDivision(s.OpPos, s.Op.AssignOp(), lt, rt)
 		return
 	}
 	c.checkExpr(s.RHS, lt)
+}
+
+// checkIntDivision refuses / and % with an int operand at the operator:
+// both compute unsigned (ir.OpDivU, ir.OpRemU) on every layer, since the
+// ME has no signed divide, so -4 / 2 would not be -2.
+func (c *checker) checkIntDivision(pos token.Pos, op token.Kind, xt, yt Type) {
+	if (op == token.QUO || op == token.REM) && (xt == IntType || yt == IntType) {
+		c.errorf(pos, "operator %s on an int operand is not allowed (division is unsigned: the ME has no signed divide)", op)
+	}
 }
 
 // assignable reports whether e denotes a storable location.
@@ -754,6 +764,7 @@ func (c *checker) exprType(e ast.Expr, want Type) Type {
 			token.LAND, token.LOR:
 			return UintType
 		}
+		c.checkIntDivision(e.OpPos, e.Op, xt, yt)
 		if xt == IntType && yt == IntType {
 			return IntType
 		}

@@ -303,3 +303,31 @@ func TestConstantDivisionByZero(t *testing.T) {
 		}
 	}
 }
+
+// TestIntDivisionRefused pins the refusal of / and % on an int operand,
+// at the operator: division is unsigned on every layer.
+func TestIntDivisionRefused(t *testing.T) {
+	const proto = "protocol p { a : 32; demux { 4 }; }\n"
+	for _, tc := range []struct{ body, want string }{
+		{`int y = 0 - 4; int two = 2; uint q = y / two;`, `x.baker:2:65: operator / on an int operand is not allowed (division is unsigned: the ME has no signed divide)`},
+		{`int y = 0 - 4; uint q = y % 3;`, `x.baker:2:52: operator % on an int operand is not allowed (division is unsigned: the ME has no signed divide)`},
+		{`uint y = 7; int two = 2; uint q = y / two;`, `x.baker:2:62: operator / on an int operand is not allowed (division is unsigned: the ME has no signed divide)`},
+		{`int y = 0 - 4; y /= 2;`, `x.baker:2:43: operator / on an int operand is not allowed (division is unsigned: the ME has no signed divide)`},
+	} {
+		src := proto + "module m { ppf f(p ph) { " + tc.body + " packet_drop(ph); } wiring { rx -> f; } }"
+		prog, err := parser.Parse("x.baker", src)
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		if _, err := Check(prog); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", tc.body, err, tc.want)
+		}
+	}
+	prog, err := parser.Parse("x.baker", proto+"module m { ppf f(p ph) { uint y = 7; uint q = y / 2 % y; y %= 3; packet_drop(ph); } wiring { rx -> f; } }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Check(prog); err != nil {
+		t.Errorf("uint division refused: %v", err)
+	}
+}

@@ -124,6 +124,70 @@ func (f *ProtoField) ByteSpan() (lo, hi int) {
 	return lo, hi
 }
 
+// Overlaps reports whether the field has a bit in the bytes [lo, hi).
+func (f *ProtoField) Overlaps(lo, hi int) bool {
+	flo, fhi := f.ByteSpan()
+	return flo < hi && lo < fhi
+}
+
+// WordSpan returns the word-aligned byte range [wlo, whi) covering the
+// bytes [lo, hi): the words a burst over them moves.
+func WordSpan(lo, hi int) (wlo, whi int) {
+	return lo &^ (WordBytes - 1), (hi + WordBytes - 1) &^ (WordBytes - 1)
+}
+
+// BitMask is the value mask of a bits-wide field: its low bits set.
+func BitMask(bits int) uint32 { return uint32(uint64(1)<<bits - 1) }
+
+// Part is the share of a field that one 32-bit word of a burst holds.
+// Words are big-endian, so the upper bits of a field that crosses a word
+// boundary sit in the earlier word.
+type Part struct {
+	Word  int // index of the word in the burst
+	Shift int // bits from the word's least significant bit to the part's
+	Bits  int // width of the part
+	Low   int // bits of the field below the part: the part's shift in the value
+}
+
+// Mask is the part's bits within its word.
+func (p Part) Mask() uint32 { return BitMask(p.Bits) << p.Shift }
+
+// Placement is where a field's bits sit in a burst of words: one part, or
+// two, upper first, when the field crosses a word boundary.
+type Placement struct {
+	Parts [2]Part
+	N     int
+}
+
+// Place is the one rule placing a field of 1..32 bits in the burst of
+// words that starts at byte wlo of its header or metadata record. Field
+// loads and stores in PAC and in codegen emit their shifts and masks
+// from it.
+func (f *ProtoField) Place(wlo int) Placement {
+	rel := f.BitOff - wlo*8
+	word, at := rel/32, rel%32 // at: bits from the word's most significant bit
+	if at+f.Bits <= 32 {
+		return Placement{Parts: [2]Part{{Word: word, Shift: 32 - at - f.Bits, Bits: f.Bits}}, N: 1}
+	}
+	hi := 32 - at
+	lo := f.Bits - hi
+	return Placement{Parts: [2]Part{
+		{Word: word, Bits: hi, Low: lo},
+		{Word: word + 1, Shift: 32 - lo, Bits: lo},
+	}, N: 2}
+}
+
+// Fills reports whether the field fills every word it sits in, so a store
+// of it overwrites them whole and need not read them first.
+func (pl Placement) Fills() bool {
+	for _, p := range pl.Parts[:pl.N] {
+		if p.Mask() != ^uint32(0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Protocol is a packet protocol layout (§2.2). Fields are laid out in
 // declaration order, big-endian, bit-packed. The demux declaration gives
 // the header size in bytes: the checker folds one that reads no field into

@@ -836,7 +836,7 @@ func (l *lowerer) compileDemux(src *handleInfo, from *types.Protocol, site *ir.I
 		if d.X == nil { // a field or a constant
 			r := l.newVReg()
 			if d.Field != nil {
-				l.extractFieldInto(r, d.Field, words, 0)
+				l.extractField(r, d.Field, words, 0)
 			} else {
 				l.emitImmed(r, d.Value)
 			}
@@ -855,37 +855,4 @@ func (l *lowerer) compileDemux(src *handleInfo, from *types.Protocol, site *ir.I
 		return r
 	}
 	return eval(from.Demux)
-}
-
-// extractFieldInto is extractField generalized to an arbitrary
-// destination register (used by the demux compiler).
-func (l *lowerer) extractFieldInto(dst PReg, fld *types.ProtoField, data []PReg, wlo int) {
-	relBit := fld.BitOff - wlo*8
-	wi := relBit / 32
-	bitInWord := relBit % 32
-	bits := fld.Bits
-	if bitInWord+bits <= 32 {
-		sh := uint32(32 - bitInWord - bits)
-		cur := data[wi]
-		if sh > 0 {
-			t := l.newVReg()
-			l.emitALUImm(AShrU, t, cur, sh)
-			cur = t
-		}
-		if bits < 32 {
-			l.emitALUImm(AAnd, dst, cur, uint32(1<<uint(bits)-1))
-		} else {
-			l.emitALU(AMov, dst, cur, NoPReg)
-		}
-		return
-	}
-	hiBits := 32 - bitInWord
-	loBits := bits - hiBits
-	hp := l.newVReg()
-	l.emitALUImm(AAnd, hp, data[wi], uint32(1<<uint(hiBits)-1))
-	hs := l.newVReg()
-	l.emitALUImm(AShl, hs, hp, uint32(loBits))
-	lp := l.newVReg()
-	l.emitALUImm(AShrU, lp, data[wi+1], uint32(32-loBits))
-	l.emitALU(AOr, dst, hs, lp)
 }

@@ -251,16 +251,7 @@ func (l *lowerer) dynamicOffsetArith(aligned bool) {
 func (l *lowerer) pktAccess(in *ir.Instr) {
 	h := l.handleOf(in.Args[0])
 	headReg, headStatic, align := l.headForAccess(h, in)
-
-	var lo, hi int
-	if in.Field != nil {
-		lo, hi = in.Field.ByteSpan()
-	} else {
-		lo, hi = int(in.Off), int(in.Off)+in.Width
-	}
-	wlo := lo &^ 3
-	whi := (hi + 3) &^ 3
-	nwords := (whi - wlo) / 4
+	wlo, nwords := accessWords(in)
 
 	l.genericOverhead()
 
@@ -280,166 +271,136 @@ func (l *lowerer) pktAccess(in *ir.Instr) {
 	if headStatic == ir.UnknownOff {
 		l.dynamicOffsetArith(aligned)
 	}
-
-	if in.Op == ir.OpPktLoad {
-		if headStatic == ir.UnknownOff && !aligned {
-			nwords++ // misaligned burst touches one extra word
-		}
-		data := make([]PReg, nwords)
-		if in.Field != nil {
-			for i := range data {
-				data[i] = l.newVReg()
-			}
-		} else {
-			for i := range in.Dst {
-				data[i] = l.vregOf(in.Dst[i])
-			}
-			for i := len(in.Dst); i < nwords; i++ {
-				data[i] = l.newVReg()
-			}
-		}
-		l.emit(Instr{Op: IMem, Level: MemDRAM, Addr: addr, AddrOff: constOff,
-			NWords: nwords, Data: data, Class: ClassPacketData})
-		if in.Field != nil {
-			l.extractField(in, data, wlo)
-		}
-		return
+	if in.Op == ir.OpPktLoad && headStatic == ir.UnknownOff && !aligned {
+		nwords++ // misaligned burst touches one extra word
 	}
-
-	// Store path.
-	if in.Field != nil {
-		flo, fhi := in.Field.ByteSpan()
-		covers := in.Field.BitOff%32 == 0 && in.Field.Bits%32 == 0
-		_ = flo
-		_ = fhi
-		data := make([]PReg, nwords)
-		for i := range data {
-			data[i] = l.newVReg()
-		}
-		if !covers {
-			// Read-modify-write.
-			l.emit(Instr{Op: IMem, Level: MemDRAM, Addr: addr, AddrOff: constOff,
-				NWords: nwords, Data: data, Class: ClassPacketData})
-		}
-		l.insertField(in, data, wlo)
-		l.emit(Instr{Op: IMem, Level: MemDRAM, Store: true, Addr: addr,
-			AddrOff: constOff, NWords: nwords, Data: data, Class: ClassPacketData})
-		return
-	}
-	data := make([]PReg, 0, nwords)
-	for _, a := range in.Args[1:] {
-		data = append(data, l.vregOf(a))
-	}
-	for len(data) < nwords {
-		data = append(data, data[len(data)-1])
-	}
-	l.emit(Instr{Op: IMem, Level: MemDRAM, Store: true, Addr: addr,
-		AddrOff: constOff, NWords: nwords, Data: data, Class: ClassPacketData})
-}
-
-// extractField shifts/masks the loaded words into the destination.
-func (l *lowerer) extractField(in *ir.Instr, data []PReg, wlo int) {
-	l.extractFieldInto(l.vregOf(in.Dst[0]), in.Field, data, wlo)
-}
-
-// insertField merges the stored value into the RMW words.
-func (l *lowerer) insertField(in *ir.Instr, data []PReg, wlo int) {
-	fld := in.Field
-	val := l.vregOf(in.Args[1])
-	relBit := fld.BitOff - wlo*8
-	wi := relBit / 32
-	bitInWord := relBit % 32
-	bits := fld.Bits
-	place := func(wi, shift, width int, src PReg) {
-		mask := uint32(0xffffffff)
-		if width < 32 {
-			mask = 1<<uint(width) - 1
-		}
-		vm := l.newVReg()
-		l.emitALUImm(AAnd, vm, src, mask)
-		vs := vm
-		if shift > 0 {
-			vs = l.newVReg()
-			l.emitALUImm(AShl, vs, vm, uint32(shift))
-		}
-		cl := l.newVReg()
-		l.emitALUImm(AAnd, cl, data[wi], ^(mask << uint(shift)))
-		l.emitALU(AOr, data[wi], cl, vs)
-	}
-	if bitInWord+bits <= 32 {
-		place(wi, 32-bitInWord-bits, bits, val)
-		return
-	}
-	hiBits := 32 - bitInWord
-	loBits := bits - hiBits
-	hv := l.newVReg()
-	l.emitALUImm(AShrU, hv, val, uint32(loBits))
-	place(wi, 0, hiBits, hv)
-	place(wi+1, 32-loBits, loBits, val)
+	l.wordAccess(in, burst{MemDRAM, addr, constOff, ClassPacketData}, wlo, nwords)
 }
 
 // metaAccess expands a metadata access into SRAM traffic against the
 // packet's metadata record.
 func (l *lowerer) metaAccess(in *ir.Instr) {
-	h := l.handleOf(in.Args[0])
-	maddr := l.metaAddr(h)
-	var lo, hi int
-	if in.Field != nil {
-		lo = in.Field.BitOff / 8
-		hi = (in.Field.BitOff + in.Field.Bits + 7) / 8
-	} else {
-		lo, hi = int(in.Off), int(in.Off)+in.Width
-	}
-	wlo := lo &^ 3
-	whi := (hi + 3) &^ 3
-	nwords := (whi - wlo) / 4
-	off := l.layout.MetaAppOff + uint32(wlo)
+	maddr := l.metaAddr(l.handleOf(in.Args[0]))
+	wlo, nwords := accessWords(in)
+	l.wordAccess(in, burst{MemSRAM, maddr, l.layout.MetaAppOff + uint32(wlo), ClassPacketMeta}, wlo, nwords)
+}
 
-	if in.Op == ir.OpMetaLoad {
-		data := make([]PReg, nwords)
-		if in.Field != nil {
-			for i := range data {
-				data[i] = l.newVReg()
-			}
-		} else {
-			copy(data, func() []PReg {
-				out := make([]PReg, 0, nwords)
-				for _, d := range in.Dst {
-					out = append(out, l.vregOf(d))
-				}
-				for len(out) < nwords {
-					out = append(out, l.newVReg())
-				}
-				return out
-			}())
-		}
-		l.emit(Instr{Op: IMem, Level: MemSRAM, Addr: maddr, AddrOff: off,
-			NWords: nwords, Data: data, Class: ClassPacketMeta})
-		if in.Field != nil {
-			l.extractField(in, data, wlo)
-		}
-		return
-	}
-	// Store.
+// accessWords returns the words a field or raw access spans: the byte
+// offset of the first, from its header or metadata record, and how many.
+func accessWords(in *ir.Instr) (wlo, nwords int) {
+	lo, hi := int(in.Off), int(in.Off)+in.Width
 	if in.Field != nil {
+		lo, hi = in.Field.ByteSpan()
+	}
+	wlo, whi := types.WordSpan(lo, hi)
+	return wlo, (whi - wlo) / 4
+}
+
+// burst is where the words of one packet or metadata access live.
+type burst struct {
+	level MemLevel
+	addr  PReg
+	off   uint32 // byte offset of the first word from addr
+	class AccessClass
+}
+
+func (l *lowerer) burstMem(b burst, store bool, data []PReg) {
+	l.emit(Instr{Op: IMem, Level: b.level, Store: store, Addr: b.addr, AddrOff: b.off,
+		NWords: len(data), Data: data, Class: b.class})
+}
+
+// wordAccess emits the memory side of in, a packet or metadata access
+// whose nwords words at b start at byte wlo: a load and, for a field, its
+// extraction; a field store's insertion and store, after a read of the
+// words unless the field fills them; or a raw store of in's registers.
+func (l *lowerer) wordAccess(in *ir.Instr, b burst, wlo, nwords int) {
+	switch {
+	case in.Op == ir.OpPktLoad || in.Op == ir.OpMetaLoad:
+		data := make([]PReg, nwords)
+		n := 0
+		if in.Field == nil {
+			for i, d := range in.Dst {
+				data[i] = l.vregOf(d)
+			}
+			n = len(in.Dst)
+		}
+		for i := n; i < nwords; i++ {
+			data[i] = l.newVReg()
+		}
+		l.burstMem(b, false, data)
+		if in.Field != nil {
+			l.extractField(l.vregOf(in.Dst[0]), in.Field, data, wlo)
+		}
+	case in.Field != nil:
 		data := make([]PReg, nwords)
 		for i := range data {
 			data[i] = l.newVReg()
 		}
-		l.emit(Instr{Op: IMem, Level: MemSRAM, Addr: maddr, AddrOff: off,
-			NWords: nwords, Data: data, Class: ClassPacketMeta})
-		l.insertField(in, data, wlo)
-		l.emit(Instr{Op: IMem, Level: MemSRAM, Store: true, Addr: maddr,
-			AddrOff: off, NWords: nwords, Data: data, Class: ClassPacketMeta})
+		pl := in.Field.Place(wlo)
+		if !pl.Fills() {
+			l.burstMem(b, false, data) // read-modify-write
+		}
+		l.insertField(l.vregOf(in.Args[1]), pl, data)
+		l.burstMem(b, true, data)
+	default:
+		data := make([]PReg, 0, nwords)
+		for _, a := range in.Args[1:] {
+			data = append(data, l.vregOf(a))
+		}
+		for len(data) < nwords {
+			data = append(data, data[len(data)-1])
+		}
+		l.burstMem(b, true, data)
+	}
+}
+
+// extractField shifts and masks the field fld out of the loaded words
+// data, which start at byte wlo, into dst.
+func (l *lowerer) extractField(dst PReg, fld *types.ProtoField, data []PReg, wlo int) {
+	pl := fld.Place(wlo)
+	if pl.N == 1 {
+		p := pl.Parts[0]
+		cur := data[p.Word]
+		if p.Shift > 0 {
+			t := l.newVReg()
+			l.emitALUImm(AShrU, t, cur, uint32(p.Shift))
+			cur = t
+		}
+		if p.Bits < 32 {
+			l.emitALUImm(AAnd, dst, cur, types.BitMask(p.Bits))
+		} else {
+			l.emitALU(AMov, dst, cur, NoPReg)
+		}
 		return
 	}
-	data := make([]PReg, 0, nwords)
-	for _, a := range in.Args[1:] {
-		data = append(data, l.vregOf(a))
+	hi, lo := pl.Parts[0], pl.Parts[1]
+	hp := l.newVReg()
+	l.emitALUImm(AAnd, hp, data[hi.Word], types.BitMask(hi.Bits))
+	hs := l.newVReg()
+	l.emitALUImm(AShl, hs, hp, uint32(hi.Low))
+	lp := l.newVReg()
+	l.emitALUImm(AShrU, lp, data[lo.Word], uint32(lo.Shift))
+	l.emitALU(AOr, dst, hs, lp)
+}
+
+// insertField merges the stored value val into the words its placement pl
+// names.
+func (l *lowerer) insertField(val PReg, pl types.Placement, data []PReg) {
+	for _, p := range pl.Parts[:pl.N] {
+		src := val
+		if p.Low > 0 {
+			src = l.newVReg()
+			l.emitALUImm(AShrU, src, val, uint32(p.Low))
+		}
+		vm := l.newVReg()
+		l.emitALUImm(AAnd, vm, src, types.BitMask(p.Bits))
+		vs := vm
+		if p.Shift > 0 {
+			vs = l.newVReg()
+			l.emitALUImm(AShl, vs, vm, uint32(p.Shift))
+		}
+		cl := l.newVReg()
+		l.emitALUImm(AAnd, cl, data[p.Word], ^p.Mask())
+		l.emitALU(AOr, data[p.Word], cl, vs)
 	}
-	for len(data) < nwords {
-		data = append(data, data[len(data)-1])
-	}
-	l.emit(Instr{Op: IMem, Level: MemSRAM, Store: true, Addr: maddr,
-		AddrOff: off, NWords: nwords, Data: data, Class: ClassPacketMeta})
 }

@@ -315,9 +315,10 @@ func (a *allocator) computeIntervals() {
 }
 
 // scan performs per-bank linear scan. Registers written by multi-word
-// memory bursts, ring gets or CAM lookups cannot be spilled (one
-// instruction would need several assembler temps), so the victim search
-// skips them.
+// memory bursts, ring gets or CAM lookups are spilled last: one
+// instruction would need several assembler temps, so the victim search
+// takes one only when every active interval of the bank is one (rewrite
+// reads a load burst's spilled words again one at a time).
 func (a *allocator) scan() error {
 	a.frame = stackalloc.NewFrame(stackalloc.DefaultConfig())
 	unspillable := make([]bool, a.nvreg) // by vreg − NumRegs
@@ -392,6 +393,13 @@ func (a *allocator) scan() error {
 			}
 		}
 		if victim == nil {
+			for _, cand := range active[b] {
+				if victim == nil || cand.end > victim.end {
+					victim = cand
+				}
+			}
+		}
+		if victim == nil {
 			return fmt.Errorf("cg: register pressure too high: no spillable interval in bank %d", b)
 		}
 		if victim != iv {
@@ -410,6 +418,13 @@ func (a *allocator) scan() error {
 		}
 	}
 	return nil
+}
+
+// spilledDef is a def of a spilled register: its index in the
+// instruction's defs (for a load burst, the word's) and its interval.
+type spilledDef struct {
+	j  int
+	iv *interval
 }
 
 // rewrite replaces vregs with physical registers, inserting spill loads
@@ -464,7 +479,9 @@ func (a *allocator) rewrite() {
 			out = append(out, spillMem(iv, false, t))
 			*u = t
 		}
-		for _, d := range defs {
+		var sb [4]spilledDef
+		spilled := sb[:0]
+		for j, d := range defs {
 			if !isVirtual(*d) {
 				continue
 			}
@@ -477,16 +494,36 @@ func (a *allocator) rewrite() {
 				*d = iv.phys
 				continue
 			}
-			if post != nil {
+			if post != nil && (in.Op != IMem || in.Store) {
 				a.err = fmt.Errorf("cg: instruction defines more than one spilled register")
 				return
 			}
 			*d = RegTmpA
 			post = spillMem(iv, true, RegTmpA)
+			spilled = append(spilled, spilledDef{j, iv})
+		}
+		if len(spilled) < 2 {
+			out = append(out, in)
+			if post != nil {
+				out = append(out, post)
+			}
+			continue
+		}
+		// A load burst with several spilled words writes them all to one
+		// temp; each is then read again alone, into a temp the address
+		// register is not, and stored to its slot.
+		tmp := RegTmpA
+		if in.Addr == RegTmpA {
+			tmp = RegTmpB
+		}
+		for _, sp := range spilled {
+			*defs[sp.j] = tmp
 		}
 		out = append(out, in)
-		if post != nil {
-			out = append(out, post)
+		for _, sp := range spilled {
+			out = append(out, &Instr{Op: IMem, Level: in.Level, Addr: in.Addr, AddrOff: in.AddrOff + uint32(4*sp.j),
+				NWords: 1, Data: []PReg{tmp}, Class: in.Class, Comment: fmt.Sprintf("reload v%d", int(sp.iv.vreg))},
+				spillMem(sp.iv, true, tmp))
 		}
 	}
 	remap[len(a.p.Code)] = len(out)

@@ -93,9 +93,8 @@ func (k accKind) maxBytes() int {
 }
 
 type access struct {
-	idx   int
-	in    *ir.Instr
-	delta int32 // handle-alias displacement relative to the cluster's base
+	idx int
+	in  *ir.Instr
 }
 
 type cluster struct {
@@ -114,33 +113,22 @@ func (c *cluster) span() (lo, hi int) {
 			flo, fhi = int(a.in.Off), int(a.in.Off)+4
 		} else {
 			flo, fhi = a.in.Field.ByteSpan()
-			flo += int(a.delta)
-			fhi += int(a.delta)
 		}
-		if flo < lo {
-			lo = flo
-		}
-		if fhi > hi {
-			hi = fhi
-		}
+		lo, hi = min(lo, flo), max(hi, fhi)
 	}
 	return lo, hi
+}
+
+// words returns the word-aligned range the cluster's burst moves: its
+// first byte and its width in bytes.
+func (c *cluster) words() (wlo, width int) {
+	wlo, whi := types.WordSpan(c.span())
+	return wlo, whi - wlo
 }
 
 type rewrite struct {
 	insertAt int // instruction index the sequence replaces/precedes
 	seq      []*ir.Instr
-}
-
-// hbase resolves a handle register to its aliasing base and byte
-// displacement: packet_decap/packet_encap of fixed-size headers relate
-// handles to the same packet at known relative offsets, so accesses
-// through all of them can combine into one burst (the cross-header
-// combining that collapses an app's per-packet DRAM traffic to the
-// paper's one-read-one-write).
-type hbase struct {
-	base  ir.Reg
-	delta int32
 }
 
 // openKey names an open cluster: an access kind and the handle's alias
@@ -167,10 +155,12 @@ type scratch struct {
 	f *ir.Func
 	b *ir.Block
 
-	// alias holds each handle register's aliasing base and displacement
-	// (a register with none is its own base), by register; set lists the
-	// registers the current block gave one, to reset at its end.
-	alias []hbase
+	// alias holds each handle register's aliasing base, the handle a chain
+	// of handle moves copies (a register with none is its own base), by
+	// register; set lists the registers the current block gave one, to
+	// reset at its end. packet_decap, packet_encap, packet_copy and
+	// packet_create each start a new base.
+	alias []ir.Reg
 	set   []ir.Reg
 	open  []openCluster
 	done  []*cluster
@@ -205,15 +195,15 @@ func (s *scratch) newCluster(kind accKind, handle ir.Reg, g *types.Global) *clus
 	return c
 }
 
-func (s *scratch) resolve(r ir.Reg) hbase {
+func (s *scratch) resolve(r ir.Reg) ir.Reg {
 	if r < 0 || int(r) >= len(s.alias) {
-		return hbase{base: r}
+		return r
 	}
 	return s.alias[r]
 }
 
-func (s *scratch) setAlias(r ir.Reg, h hbase) {
-	s.alias[r] = h
+func (s *scratch) setAlias(r, base ir.Reg) {
+	s.alias[r] = base
 	s.set = append(s.set, r)
 }
 
@@ -303,7 +293,7 @@ func (s *scratch) begin(f *ir.Func, b *ir.Block) {
 	s.f, s.b = f, b
 	s.alias = slices.Grow(s.alias, max(0, f.NumRegs-len(s.alias)))
 	for r := len(s.alias); r < f.NumRegs; r++ {
-		s.alias = append(s.alias, hbase{base: ir.Reg(r)})
+		s.alias = append(s.alias, ir.Reg(r))
 	}
 	s.done = s.done[:0]
 	s.storeSink = [2]int{}
@@ -313,7 +303,7 @@ func (s *scratch) begin(f *ir.Func, b *ir.Block) {
 // end returns s to its idle state.
 func (s *scratch) end() {
 	for _, r := range s.set {
-		s.alias[r] = hbase{base: r}
+		s.alias[r] = r
 	}
 	s.set = s.set[:0]
 }
@@ -332,20 +322,15 @@ func (s *scratch) combineBlock(f *ir.Func, b *ir.Block, st *Stats) {
 				s.setAlias(in.Dst[0], s.resolve(in.Args[0]))
 				continue
 			}
-		case ir.OpDecap:
+		case ir.OpDecap, ir.OpEncap:
 			s.killDefs(in)
-			s.setAlias(in.Dst[0], hbase{base: in.Dst[0]})
-			s.flushAll()
-			continue
-		case ir.OpEncap:
-			s.killDefs(in)
-			s.setAlias(in.Dst[0], hbase{base: in.Dst[0]})
+			s.setAlias(in.Dst[0], in.Dst[0])
 			s.flushAll()
 			continue
 		case ir.OpPktCopy, ir.OpPktCreate:
 			s.killDefs(in)
 			if len(in.Dst) == 1 {
-				s.setAlias(in.Dst[0], hbase{base: in.Dst[0]})
+				s.setAlias(in.Dst[0], in.Dst[0])
 			}
 			continue
 		case ir.OpPktLoad, ir.OpPktStore, ir.OpMetaLoad, ir.OpMetaStore:
@@ -354,15 +339,7 @@ func (s *scratch) combineBlock(f *ir.Func, b *ir.Block, st *Stats) {
 				continue
 			}
 			kind := kindOf(in)
-			hb := s.resolve(in.Args[0])
-			h := hb.base
-			delta := hb.delta
-			if kind.isMeta() {
-				delta = 0 // metadata is per packet, not per header
-			}
-			flo, fhi := in.Field.ByteSpan()
-			flo += int(delta)
-			fhi += int(delta)
+			h := s.resolve(in.Args[0])
 			// Dependence maintenance. A load flushes store clusters whose
 			// buffered (not-yet-written) range it may read: the combined
 			// store sinks to the last access, so an intervening read of
@@ -378,8 +355,7 @@ func (s *scratch) combineBlock(f *ir.Func, b *ir.Block, st *Stats) {
 					if c.handle != h {
 						return true // possibly the same packet at another head
 					}
-					clo, chi := c.span()
-					return flo < chi && clo < fhi // overlap through same base
+					return in.Field.Overlaps(c.span())
 				})
 			}
 			key := openKey{kind: kind, reg: h}
@@ -392,7 +368,7 @@ func (s *scratch) combineBlock(f *ir.Func, b *ir.Block, st *Stats) {
 				c = nil
 				s.put(key, nil)
 			}
-			if c != nil && len(c.accs) > 0 && !s.safeToJoin(c, idx, in, kind, delta) {
+			if c != nil && len(c.accs) > 0 && !s.safeToJoin(c, idx, in, kind) {
 				s.flush(c)
 				c = nil
 				s.put(key, nil)
@@ -403,12 +379,12 @@ func (s *scratch) combineBlock(f *ir.Func, b *ir.Block, st *Stats) {
 			}
 			// Width bound: if adding this access exceeds the memory
 			// instruction width, flush and restart the cluster.
-			c.accs = append(c.accs, access{idx: idx, in: in, delta: delta})
-			if lo, hi := c.span(); wordAlignedWidth(lo, hi) > c.kind.maxBytes() {
+			c.accs = append(c.accs, access{idx: idx, in: in})
+			if _, width := c.words(); width > c.kind.maxBytes() {
 				c.accs = c.accs[:len(c.accs)-1]
 				s.flush(c)
 				nc := s.newCluster(kind, h, nil)
-				nc.accs = append(nc.accs, access{idx: idx, in: in, delta: delta})
+				nc.accs = append(nc.accs, access{idx: idx, in: in})
 				s.put(key, nc)
 			}
 			s.killDefs(in)
@@ -438,7 +414,7 @@ func (s *scratch) combineBlock(f *ir.Func, b *ir.Block, st *Stats) {
 				s.put(key, c)
 			}
 			c.accs = append(c.accs, access{idx: idx, in: in})
-			if lo, hi := c.span(); wordAlignedWidth(lo, hi) > c.kind.maxBytes() {
+			if _, width := c.words(); width > c.kind.maxBytes() {
 				c.accs = c.accs[:len(c.accs)-1]
 				s.flush(c)
 				nc := s.newCluster(globalLoad, ireg, in.Global)
@@ -530,14 +506,11 @@ func resize[T any](s []T, n int) []T {
 //   - store clusters sink earlier stores to this position, so no
 //     instruction in (prev, idx) may redefine any buffered value register
 //     or the handle (checked pairwise: gaps tile the whole motion range).
-func (s *scratch) safeToJoin(c *cluster, idx int, in *ir.Instr, kind accKind, delta int32) bool {
+func (s *scratch) safeToJoin(c *cluster, idx int, in *ir.Instr, kind accKind) bool {
 	b := s.b
 	if kind.isLoad() {
 		first := c.accs[0].idx
 		dst := in.Dst[0]
-		flo, fhi := in.Field.ByteSpan()
-		flo += int(delta)
-		fhi += int(delta)
 		for i := first + 1; i < idx; i++ {
 			mid := b.Instrs[i]
 			for _, d := range mid.Dst {
@@ -552,16 +525,10 @@ func (s *scratch) safeToJoin(c *cluster, idx int, in *ir.Instr, kind accKind, de
 			}
 			if (mid.Op == ir.OpPktStore || mid.Op == ir.OpMetaStore) &&
 				(mid.Op == ir.OpMetaStore) == kind.isMeta() {
-				mb := s.resolve(mid.Args[0])
-				if mid.Field == nil || mb.base != c.handle {
+				if mid.Field == nil || s.resolve(mid.Args[0]) != c.handle {
 					return false // raw or possibly-aliasing store in range
 				}
-				slo, shi := mid.Field.ByteSpan()
-				md := int(mb.delta)
-				if kind.isMeta() {
-					md = 0
-				}
-				if flo < shi+md && slo+md < fhi {
+				if in.Field.Overlaps(mid.Field.ByteSpan()) {
 					return false
 				}
 			}
@@ -616,9 +583,7 @@ func safeToJoinGlobal(b *ir.Block, c *cluster, idx int, in *ir.Instr) bool {
 // becomes a register copy. Gap words land in scratch registers that DCE
 // removes if unused.
 func combineGlobalLoads(f *ir.Func, c *cluster) rewrite {
-	lo, hi := c.span()
-	wlo := lo &^ 3
-	width := wordAlignedWidth(lo, hi)
+	wlo, width := c.words()
 	words := make([]ir.Reg, width/4)
 	for i := range words {
 		words[i] = f.NewReg(ir.ClassWord)
@@ -658,18 +623,10 @@ func kindOf(in *ir.Instr) accKind {
 	return metaStore
 }
 
-func wordAlignedWidth(lo, hi int) int {
-	wlo := lo &^ 3
-	whi := (hi + 3) &^ 3
-	return whi - wlo
-}
-
 // combineLoads produces one wide raw load plus per-field extraction,
 // inserted at the first access.
 func combineLoads(f *ir.Func, c *cluster) rewrite {
-	lo, hi := c.span()
-	wlo := lo &^ 3
-	width := wordAlignedWidth(lo, hi)
+	wlo, width := c.words()
 	words := make([]ir.Reg, width/4)
 	for i := range words {
 		words[i] = f.NewReg(ir.ClassWord)
@@ -685,20 +642,15 @@ func combineLoads(f *ir.Func, c *cluster) rewrite {
 	}
 	seq := []*ir.Instr{wide}
 	for _, a := range c.accs {
-		seq = append(seq, extractField(f, a.in, a.delta, words, wlo)...)
+		seq = append(seq, extractField(f, a.in, words, wlo)...)
 	}
 	return rewrite{insertAt: c.accs[0].idx, seq: seq}
 }
 
 // extractField emits shift/mask code producing a.in's original destination
 // from the loaded word registers.
-func extractField(f *ir.Func, orig *ir.Instr, delta int32, words []ir.Reg, wlo int) []*ir.Instr {
-	fld := orig.Field
+func extractField(f *ir.Func, orig *ir.Instr, words []ir.Reg, wlo int) []*ir.Instr {
 	dst := orig.Dst[0]
-	relBit := fld.BitOff + int(delta)*8 - wlo*8
-	wi := relBit / 32
-	bitInWord := relBit % 32
-	bits := fld.Bits
 	var seq []*ir.Instr
 	emit := func(op ir.Op, d ir.Reg, args ...ir.Reg) {
 		seq = append(seq, &ir.Instr{Op: op, Pos: orig.Pos, Dst: []ir.Reg{d}, Args: args})
@@ -708,60 +660,53 @@ func extractField(f *ir.Func, orig *ir.Instr, delta int32, words []ir.Reg, wlo i
 		seq = append(seq, &ir.Instr{Op: ir.OpConst, Pos: orig.Pos, Dst: []ir.Reg{r}, Imm: uint64(v)})
 		return r
 	}
-	mask := uint32(0xffffffff)
-	if bits < 32 {
-		mask = (1 << uint(bits)) - 1
-	}
-	if bitInWord+bits <= 32 {
-		w := words[wi]
-		sh := 32 - bitInWord - bits
-		cur := w
-		if sh > 0 {
+	pl := orig.Field.Place(wlo)
+	if pl.N == 1 {
+		p := pl.Parts[0]
+		cur := words[p.Word]
+		if p.Shift > 0 {
 			t := f.NewReg(ir.ClassWord)
-			emit(ir.OpShrU, t, cur, konst(uint32(sh)))
+			emit(ir.OpShrU, t, cur, konst(uint32(p.Shift)))
 			cur = t
 		}
-		if bits < 32 {
-			emit(ir.OpAnd, dst, cur, konst(mask))
+		if p.Bits < 32 {
+			emit(ir.OpAnd, dst, cur, konst(types.BitMask(p.Bits)))
 		} else {
 			emit(ir.OpMov, dst, cur)
 		}
 		return seq
 	}
-	// Field spans two words: hiBits from words[wi], loBits from words[wi+1].
-	hiBits := 32 - bitInWord
-	loBits := bits - hiBits
+	// The upper part, masked and moved above the lower; the lower part,
+	// shifted down to the bottom of the value.
+	hi, lo := pl.Parts[0], pl.Parts[1]
 	hiPart := f.NewReg(ir.ClassWord)
-	emit(ir.OpAnd, hiPart, words[wi], konst((1<<uint(hiBits))-1))
+	emit(ir.OpAnd, hiPart, words[hi.Word], konst(types.BitMask(hi.Bits)))
 	hiShifted := f.NewReg(ir.ClassWord)
-	emit(ir.OpShl, hiShifted, hiPart, konst(uint32(loBits)))
+	emit(ir.OpShl, hiShifted, hiPart, konst(uint32(hi.Low)))
 	loPart := f.NewReg(ir.ClassWord)
-	emit(ir.OpShrU, loPart, words[wi+1], konst(uint32(32-loBits)))
+	emit(ir.OpShrU, loPart, words[lo.Word], konst(uint32(lo.Shift)))
 	emit(ir.OpOr, dst, hiShifted, loPart)
 	return seq
 }
 
 // combineStores produces (optionally) a wide read-modify-write load,
 // per-field insertion arithmetic and one wide raw store, inserted at the
-// last access so every stored value is available.
+// last access so every stored value is available. The read is left out
+// when the stored fields' parts fill every word of the burst.
 func combineStores(f *ir.Func, c *cluster) rewrite {
-	lo, hi := c.span()
-	wlo := lo &^ 3
-	width := wordAlignedWidth(lo, hi)
-	nwords := width / 4
-	words := make([]ir.Reg, nwords)
+	wlo, width := c.words()
+	words := make([]ir.Reg, width/4)
 	var seq []*ir.Instr
 	pos := c.accs[len(c.accs)-1].in.Pos
 
-	covered := coverageBits(c, wlo, width)
-	full := true
-	for _, cw := range covered {
-		if cw != 0xffffffff {
-			full = false
-			break
+	cov := make([]uint32, len(words))
+	for _, a := range c.accs {
+		pl := a.in.Field.Place(wlo)
+		for _, p := range pl.Parts[:pl.N] {
+			cov[p.Word] |= p.Mask()
 		}
 	}
-	if full {
+	if !slices.ContainsFunc(cov, func(w uint32) bool { return w != ^uint32(0) }) {
 		for i := range words {
 			r := f.NewReg(ir.ClassWord)
 			words[i] = r
@@ -773,7 +718,7 @@ func combineStores(f *ir.Func, c *cluster) rewrite {
 			words[i] = f.NewReg(ir.ClassWord)
 		}
 		seq = append(seq, &ir.Instr{
-			Op:        rawLoadOp(loadKindFor(c.kind)),
+			Op:        rawLoadOp(c.kind),
 			Pos:       pos,
 			Dst:       append([]ir.Reg(nil), words...),
 			Args:      []ir.Reg{c.handle},
@@ -784,7 +729,7 @@ func combineStores(f *ir.Func, c *cluster) rewrite {
 	}
 	// Apply insertions in program order so later stores win overlaps.
 	for _, a := range c.accs {
-		ins, nw := insertField(f, a.in, a.delta, words, wlo)
+		ins, nw := insertField(f, a.in, words, wlo)
 		seq = append(seq, ins...)
 		words = nw
 	}
@@ -800,31 +745,11 @@ func combineStores(f *ir.Func, c *cluster) rewrite {
 	return rewrite{insertAt: c.accs[len(c.accs)-1].idx, seq: seq}
 }
 
-// coverageBits returns, per word of the range, a bitmask (big-endian bit 0
-// = MSB) of bits covered by the cluster's stored fields.
-func coverageBits(c *cluster, wlo, width int) []uint32 {
-	cov := make([]uint32, width/4)
-	for _, a := range c.accs {
-		fld := a.in.Field
-		rel := fld.BitOff + int(a.delta)*8 - wlo*8
-		for i := 0; i < fld.Bits; i++ {
-			bit := rel + i
-			cov[bit/32] |= 1 << uint(31-bit%32)
-		}
-	}
-	return cov
-}
-
 // insertField emits code updating the word registers with one stored
 // field, returning the updated register slice (modified words get fresh
 // registers to keep the IR in definition-before-use form).
-func insertField(f *ir.Func, orig *ir.Instr, delta int32, words []ir.Reg, wlo int) ([]*ir.Instr, []ir.Reg) {
-	fld := orig.Field
+func insertField(f *ir.Func, orig *ir.Instr, words []ir.Reg, wlo int) ([]*ir.Instr, []ir.Reg) {
 	val := orig.Args[1]
-	relBit := fld.BitOff + int(delta)*8 - wlo*8
-	wi := relBit / 32
-	bitInWord := relBit % 32
-	bits := fld.Bits
 	var seq []*ir.Instr
 	emit := func(op ir.Op, d ir.Reg, args ...ir.Reg) {
 		seq = append(seq, &ir.Instr{Op: op, Pos: orig.Pos, Dst: []ir.Reg{d}, Args: args})
@@ -835,37 +760,27 @@ func insertField(f *ir.Func, orig *ir.Instr, delta int32, words []ir.Reg, wlo in
 		return r
 	}
 	out := append([]ir.Reg(nil), words...)
-	insertInto := func(wi, shift, width int, src ir.Reg) {
-		mask := uint32(0xffffffff)
-		if width < 32 {
-			mask = (1 << uint(width)) - 1
+	pl := orig.Field.Place(wlo)
+	for _, p := range pl.Parts[:pl.N] {
+		// The part's bits of the value, at the bottom of src.
+		src := val
+		if p.Low > 0 {
+			src = f.NewReg(ir.ClassWord)
+			emit(ir.OpShrU, src, val, konst(uint32(p.Low)))
 		}
-		placed := mask << uint(shift)
 		vmask := f.NewReg(ir.ClassWord)
-		emit(ir.OpAnd, vmask, src, konst(mask))
+		emit(ir.OpAnd, vmask, src, konst(types.BitMask(p.Bits)))
 		vsh := vmask
-		if shift > 0 {
+		if p.Shift > 0 {
 			vsh = f.NewReg(ir.ClassWord)
-			emit(ir.OpShl, vsh, vmask, konst(uint32(shift)))
+			emit(ir.OpShl, vsh, vmask, konst(uint32(p.Shift)))
 		}
 		cleared := f.NewReg(ir.ClassWord)
-		emit(ir.OpAnd, cleared, out[wi], konst(^placed))
+		emit(ir.OpAnd, cleared, out[p.Word], konst(^p.Mask()))
 		nw := f.NewReg(ir.ClassWord)
 		emit(ir.OpOr, nw, cleared, vsh)
-		out[wi] = nw
+		out[p.Word] = nw
 	}
-	if bitInWord+bits <= 32 {
-		insertInto(wi, 32-bitInWord-bits, bits, val)
-		return seq, out
-	}
-	hiBits := 32 - bitInWord
-	loBits := bits - hiBits
-	// High part: field's top hiBits go to the low bits of words[wi].
-	hiVal := f.NewReg(ir.ClassWord)
-	emit(ir.OpShrU, hiVal, val, konst(uint32(loBits)))
-	insertInto(wi, 0, hiBits, hiVal)
-	// Low part: field's bottom loBits go to the top of words[wi+1].
-	insertInto(wi+1, 32-loBits, loBits, val)
 	return seq, out
 }
 
@@ -882,12 +797,3 @@ func rawStoreOp(k accKind) ir.Op {
 	}
 	return ir.OpPktStore
 }
-
-func loadKindFor(k accKind) accKind {
-	if k.isMeta() {
-		return metaLoad
-	}
-	return pktLoad
-}
-
-var _ = types.WordBytes // keep the types import for ByteSpan documentation

@@ -93,10 +93,9 @@ func metaFieldsOf(prog *ir.Program, in *ir.Instr) []*types.ProtoField {
 	if in.Field != nil {
 		return []*types.ProtoField{in.Field}
 	}
-	lo, hi := int(in.Off)*8, (int(in.Off)+in.Width)*8
 	var out []*types.ProtoField
 	for _, fld := range prog.Types.Metadata.Fields {
-		if fld.BitOff < hi && lo < fld.BitOff+fld.Bits {
+		if fld.Overlaps(int(in.Off), int(in.Off)+in.Width) {
 			out = append(out, fld)
 		}
 	}
@@ -184,7 +183,7 @@ func localizeMetadata(prog *ir.Program, plan *aggregate.Plan, m *aggregate.Merge
 					if fld.Bits < 32 {
 						mr := fn.NewReg(ir.ClassWord)
 						out = append(out, &ir.Instr{Op: ir.OpConst, Pos: in.Pos,
-							Dst: []ir.Reg{mr}, Imm: uint64(1)<<uint(fld.Bits) - 1})
+							Dst: []ir.Reg{mr}, Imm: uint64(types.BitMask(fld.Bits))})
 						in.Op = ir.OpAnd
 						in.Args = []ir.Reg{val, mr}
 					} else {
@@ -234,9 +233,8 @@ func definitelyAssigned(fn *ir.Func, eligible map[*types.ProtoField]bool) map[*t
 	for _, b := range fn.Blocks {
 		for _, instr := range b.Instrs {
 			if (instr.Op == ir.OpMetaLoad || instr.Op == ir.OpMetaStore) && instr.Field == nil {
-				lo, hi := int(instr.Off)*8, (int(instr.Off)+instr.Width)*8
 				for fld := range eligible {
-					if fld.BitOff < hi && lo < fld.BitOff+fld.Bits {
+					if fld.Overlaps(int(instr.Off), int(instr.Off)+instr.Width) {
 						ok[fld] = false
 					}
 				}

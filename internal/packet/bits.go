@@ -48,19 +48,11 @@ func WriteBits(data []byte, bitOff, bits int, val uint32) {
 	for i := first; i <= last; i++ {
 		cur = cur<<8 | uint64(data[i])
 	}
-	width := (last - first + 1) * 8
 	drop := (last+1)*8 - (bitOff + bits)
-	mask := uint64(0)
-	if bits == 64 {
-		mask = ^uint64(0)
-	} else {
-		mask = (uint64(1)<<uint(bits) - 1)
-	}
-	mask <<= uint(drop)
+	mask := (uint64(1)<<uint(bits) - 1) << uint(drop)
 	cur = (cur &^ mask) | (v << uint(drop) & mask)
 	for i := last; i >= first; i-- {
 		data[i] = byte(cur)
 		cur >>= 8
 	}
-	_ = width
 }

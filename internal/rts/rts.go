@@ -42,6 +42,7 @@ type Runtime struct {
 	CaptureLimit int
 
 	sramStackBase   uint32
+	sramStackStride uint32           // bytes of SRAM spill area per thread
 	xscaleEntries   map[int]*ir.Func // ring -> entry function
 	interp          *profiler.Interp
 	combinedEntries []int // per-stage entry PCs when thread-splitting one ME
@@ -122,6 +123,7 @@ func New(img *cg.Image, prog *ir.Program, tr []*packet.Packet, opts Options) (*R
 	// SRAM stack overflow area sits after the metadata records.
 	metaEnd := lay.MetaAddr(uint32(lay.NumBufs))
 	r.sramStackBase = (metaEnd + 63) &^ 63
+	r.sramStackStride = sramStackStride(img)
 
 	// Free list: every buffer id.
 	for id := 0; id < lay.NumBufs; id++ {
@@ -249,7 +251,7 @@ func (r *Runtime) loadME(me int, c *cg.Compiled) error {
 	for t := 0; t < m.Cfg.ThreadsPerME; t++ {
 		th := m.MEs[me].Thread(t)
 		th.SetReg(cg.RegSP, lay.StackBase+uint32(t)*lay.StackSize)
-		th.SetReg(cg.RegSSP, r.sramStackBase+uint32(me*m.Cfg.ThreadsPerME+t)*64)
+		th.SetReg(cg.RegSSP, r.sramStackBase+uint32(me*m.Cfg.ThreadsPerME+t)*r.sramStackStride)
 		if c.Program.Name == "combined" && len(r.combinedEntries) > 0 {
 			if err := th.SetPC(r.combinedEntries[t%len(r.combinedEntries)]); err != nil {
 				return fmt.Errorf("rts: %w", err)
@@ -420,4 +422,19 @@ func (r *Runtime) xscaleStep(m *ixp.Machine, ring int, w0, w1 uint32) int64 {
 	}
 	// Cost model: interpreted XScale execution, a few cycles per IR op.
 	return 2048
+}
+
+// sramStackStride is the SRAM spill area each thread gets: the most bytes
+// any ME program of img addresses through cg.RegSSP, in steps of 64, so
+// one thread's spill slots never reach the next thread's.
+func sramStackStride(img *cg.Image) uint32 {
+	n := uint32(64)
+	for _, c := range img.MECode {
+		for _, in := range c.Program.Code {
+			if in.Op == cg.IMem && in.Addr == cg.RegSSP {
+				n = max(n, (in.AddrOff+4*uint32(in.NWords)+63)&^63)
+			}
+		}
+	}
+	return n
 }
